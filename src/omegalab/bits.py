@@ -14,6 +14,11 @@ from typing import Iterable, Optional, Tuple
 BitString = str  # '0'/'1' characters only
 
 
+class InvariantError(RuntimeError):
+    """An identity or inequality the theory guarantees failed on computed
+    values: a defect in this package, never bad input."""
+
+
 class BitParseError(ValueError):
     def __init__(self, text: str, index: int):
         self.index = index
@@ -63,9 +68,8 @@ class Dyadic:
         if num == 0:
             exp = 0
         else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
+            tz = min(exp, (num & -num).bit_length() - 1)  # trailing zeros of num, capped
+            num, exp = num >> tz, exp - tz
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

@@ -144,7 +144,8 @@ def _sweep_args(p):
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   argv: List[str]) -> None:
-    """Fill unset flags from --config; anything given explicitly wins."""
+    """Fill unset flags from --config; anything given explicitly wins.  A key
+    the command has no flag for is an error."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as f:
@@ -153,7 +154,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                 for tok in argv if tok.startswith("--")}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
+        if not hasattr(args, attr):
+            raise ValueError(f"unknown key {key!r} in config file {args.config}")
+        if attr not in explicit:
             setattr(args, attr, value)
 
 

@@ -18,6 +18,14 @@ Enumeration order is fixed (program length ascending, then bit-lexicographic)
 so witnesses and tie-breaks are reproducible; sweeps may be partitioned
 across workers by prefix range and merged order-stably, so every table is
 identical regardless of parallelism.
+
+enumerate_halting alone runs sweeps.  It keeps the last few in a store keyed
+by (machine, c_cap, aux, workers) and serves (L, B) from a stored (L_s >= L,
+B_s >= B) by projection: the records with size_bits <= L and steps <= B, in
+order.  This is exact: evaluation is deterministic, a budget only cuts a run
+short, and each shorter payload of a halting run underran before its last
+step.  On total the store sweeps at STRUCTURAL and serves every integer B.
+Tables, capped omega, both oracles and every report derive from the store.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from functools import lru_cache
 from multiprocessing import get_context
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bits import BitString, Dyadic
+from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, SExpr, is_atom, print_sexpr, to_bits
 from . import machines, vm
 from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
@@ -111,7 +119,9 @@ def domain_runs(
         payload = pending.pop()
         out = vm.eval_expr(prefix, VMConfig(budget=b, payload=payload, aux=aux, fragment=fragment))
         if out.halted:
-            assert out.payload_consumed == len(payload)
+            if out.payload_consumed != len(payload):
+                raise InvariantError(f"run halted having read {out.payload_consumed} of "
+                                     f"{len(payload)} payload bits")
             results.append((payload, out))
         elif out.kind == vm.FAULTED and out.reason == "payload-underrun" and len(payload) < max_payload:
             pending.append(payload + "1")
@@ -123,10 +133,9 @@ def domain_runs(
 # ---------------------------------------------------------------------------
 # sweep records
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # stored sweeps and memoized tables keep many alive
 class HaltRecord:
     program_bits: BitString
-    machine: str
     output: Optional[BitString]  # wrap-convention bit output, None if unconvertible
     pair: Optional[Tuple[BitString, BitString]]
     steps: int
@@ -144,7 +153,6 @@ def _sd_records_for_prefixes(args) -> List[HaltRecord]:
             records.append(
                 HaltRecord(
                     program_bits=bits,
-                    machine=machine,
                     output=output_of(out),
                     pair=pair_output_of(out),
                     steps=out.steps,
@@ -152,6 +160,16 @@ def _sd_records_for_prefixes(args) -> List[HaltRecord]:
                 )
             )
     return records
+
+
+_STORE_SIZE = 8
+# (key, L_s, B_s, records) per stored sweep, key = (machine, c_cap, aux,
+# workers); least recently used first
+_store: List[Tuple[tuple, int, object, List[HaltRecord]]] = []
+
+
+def _covers(B_s, B) -> bool:
+    return B_s == STRUCTURAL or (B != STRUCTURAL and B_s >= B)
 
 
 def enumerate_halting(
@@ -166,13 +184,30 @@ def enumerate_halting(
 
     B may be the STRUCTURAL sentinel on machine total.  For sd/total the sweep
     is exhaustive for sizes <= min(L, 8*c_cap + 7); see exhaustive_bits().
+    Served from the sweep store (module docstring); the list is the caller's.
     """
-    if machine == "c2":
-        return _enumerate_c2(L, B)
-    if machine not in machines.SELF_DELIMITING:
+    if machine not in machines.MACHINES:
         raise ValueError(f"unknown machine {machine!r}")
     if B == STRUCTURAL and machine != "total":
         raise ValueError("structural budgets exist only on machine total")
+    key = (machine, c_cap, aux, workers)
+    hit = next((s for s in _store if s[0] == key and s[1] >= L and _covers(s[2], B)), None)
+    if hit is None:
+        B_s = STRUCTURAL if machine == "total" else B
+        hit = (key, L, B_s, _sweep(machine, L, B_s, c_cap, workers, aux))
+        _store[:] = [s for s in _store if not (s[0] == key and s[1] <= L and _covers(B_s, s[2]))]
+    else:
+        _store.remove(hit)
+    _store.append(hit)
+    del _store[:-_STORE_SIZE]
+    return [r for r in hit[3] if r.size_bits <= L and (B == STRUCTURAL or r.steps <= B)]
+
+
+def _sweep(machine: str, L: int, B, c_cap: int, workers: int,
+           aux: Optional[BitString]) -> List[HaltRecord]:
+    """One sweep at exactly (L, B), bypassing the store."""
+    if machine == "c2":
+        return _enumerate_c2(L, B)
     # every prefix prints to at most L // 8 characters, so 8 * len(print) <= L already
     prefixes = gen_exprs(min(c_cap, L // 8))
     if machine == "total":
@@ -201,7 +236,6 @@ def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
                 records.append(
                     HaltRecord(
                         program_bits=raw,
-                        machine="c2",
                         output="".join(out.value),
                         pair=None,
                         steps=out.steps,
@@ -221,7 +255,7 @@ def exhaustive_bits(machine: str, L: int, c_cap: int = DEFAULT_CHAR_CAP) -> int:
 # ---------------------------------------------------------------------------
 # complexity tables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # stored sweeps and memoized tables keep many alive
 class TableEntry:
     output: object  # BitString or (BitString, BitString) pair
     h_upper: int
@@ -239,22 +273,16 @@ class ComplexityTable:
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = field(default_factory=dict)
     exhaustive_limit: int = 0
     conv_fail_mass: Dyadic = field(default_factory=Dyadic.zero)
+    mass: Dyadic = field(default_factory=Dyadic.zero)  # sum of 2^-|p| over every record
     contributing: int = 0
 
-    def lookup(self, x: BitString) -> Optional[TableEntry]:
-        return self.entries.get(x)
 
-
-def build_table(
-    machine: str,
-    L: int,
-    B,
-    c_cap: int = DEFAULT_CHAR_CAP,
-    workers: int = 1,
-    records: Optional[List[HaltRecord]] = None,
-) -> ComplexityTable:
-    if records is None:
-        records = enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers)
+@lru_cache(maxsize=32)
+def build_table(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
+                workers: int = 1) -> ComplexityTable:
+    """The (L, B) sweep folded per output.  Memoized: callers share the
+    table and must not change it."""
+    records = enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers)
     with_prob = machine in machines.SELF_DELIMITING
     table = ComplexityTable(machine=machine, L=L, B=B, exhaustive_limit=exhaustive_bits(machine, L, c_cap))
     table.contributing = len(records)
@@ -270,12 +298,16 @@ def build_table(
             entry_map[key] = TableEntry(key, cur.h_upper, cur.witness, mc, prob)
 
     for rec in records:  # records are (length, lex) sorted: first hit per output is the witness
+        if with_prob:
+            table.mass = table.mass + Dyadic.pow2(rec.size_bits)
         if rec.output is not None:
             fold(rec.output, table.entries, rec)
         elif rec.pair is not None:
             fold(rec.pair, table.pair_entries, rec)
         elif with_prob:
             table.conv_fail_mass = table.conv_fail_mass + Dyadic.pow2(rec.size_bits)
+    if table.mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
+        raise InvariantError(f"Kraft sum {table.mass} of the {machine} domain at L={L} exceeds 1")
     return table
 
 
@@ -306,8 +338,8 @@ def complexity_upper(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT
     include_constructed additionally admits the canonical quote witness
     (verified by running it), which is how outputs above the exhaustive
     sweep cap get bounds; on machine total such a bound is still exact when
-    the sweep below it was exhaustive.  check_chain_rule relies on it for
-    h(x), so x* may be a quote witness.
+    the sweep below it was exhaustive.  check_chain_rule and
+    mutual_information rely on it for h(x), so x* may be a quote witness.
     """
     if table is None:
         table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
@@ -321,34 +353,26 @@ def complexity_upper(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT
         qp = progs.quote_program(x)
         if qp.size_bits <= L and progs.verify_output(machine, qp, x):
             cands.append((qp.size_bits, qp.bits, "quote"))
-    if not cands:
+    best = _best(cands)
+    if not best.found:
         return ComplexityResult(found=False)
-    h, witness, source = min(cands, key=lambda c: (c[0], c[1]))
-    return ComplexityResult(
-        found=True,
-        h_upper=h,
-        witness=witness,
-        exact=_exactness(machine, len(x), h, L, B, table),
-        source=source,
-    )
+    return ComplexityResult(True, best.h_upper, best.witness,
+                            _exactness(machine, len(x), best.h_upper, L, B, table), best.source)
 
 
 def algorithmic_probability(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                            workers: int = 1, table: Optional[ComplexityTable] = None) -> Dyadic:
+                            workers: int = 1) -> Dyadic:
     """Exact partial sum of 2^-|p| over enumerated domain programs outputting x."""
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("algorithmic probability requires a prefix-free machine (sd or total)")
-    if table is None:
-        table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
-    entry = table.entries.get(x)
+    entry = build_table(machine, L, B, c_cap=c_cap, workers=workers).entries.get(x)
     return entry.prob if entry is not None else Dyadic.zero()
 
 
-def find_elegant(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                 table: Optional[ComplexityTable] = None) -> List[TableEntry]:
+def find_elegant(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
+                 workers: int = 1) -> List[TableEntry]:
     """Per output, the minimal-size program (lex tie-break) plus minimal_count."""
-    if table is None:
-        table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
+    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
     return [table.entries[k] for k in sorted(table.entries, key=lambda o: (len(o), o))]
 
 
@@ -363,15 +387,13 @@ def randomness_r1(machine: str, x: BitString, L: int, B, **kw) -> bool:
 def randomness_r2(machine: str, x: BitString, slack: int, L: int, B,
                   c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> bool:
     """x is random iff h(x) is within slack of the max complexity at its length."""
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
-    n = len(x)
     best = None
-    for z in ("".join(t) for t in itertools.product("01", repeat=n)):
-        res = complexity_upper(machine, z, L, B, table=table)
+    for z in ("".join(t) for t in itertools.product("01", repeat=len(x))):
+        res = complexity_upper(machine, z, L, B, c_cap=c_cap, workers=workers)
         if not res.found or not res.exact:
             raise InexactTableError(f"exact complexity of {z!r} not certified at L={L}, B={B}")
         best = res.h_upper if best is None else max(best, res.h_upper)
-    mine = complexity_upper(machine, x, L, B, table=table).h_upper
+    mine = complexity_upper(machine, x, L, B, c_cap=c_cap, workers=workers).h_upper
     return mine >= best - slack
 
 
@@ -409,17 +431,14 @@ def _best(cands: List[Tuple[int, BitString, str]]) -> WitnessedBound:
 
 def joint_complexity(machine: str, x: BitString, y: BitString, L: int, B,
                      c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                     table: Optional[ComplexityTable] = None,
                      include_constructed: bool = True) -> WitnessedBound:
     """Upper bound on the pair complexity H(x,y), with its witness program."""
     from . import progs
 
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("joint complexity is defined on the self-delimiting machines here")
-    if table is None:
-        table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
     cands: List[Tuple[int, BitString, str]] = []
-    entry = table.pair_entries.get((x, y))
+    entry = build_table(machine, L, B, c_cap=c_cap, workers=workers).pair_entries.get((x, y))
     if entry is not None:
         cands.append((entry.h_upper, entry.witness, "sweep"))
     if include_constructed:
@@ -431,8 +450,7 @@ def joint_complexity(machine: str, x: BitString, y: BitString, L: int, B,
 
 def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B,
                         c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                        include_constructed: bool = True,
-                        _sweep_cache: Optional[dict] = None) -> WitnessedBound:
+                        include_constructed: bool = True) -> WitnessedBound:
     """Upper bound on H(x | y*): aux channel loaded with y_star, output x."""
     from . import progs
 
@@ -440,15 +458,8 @@ def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B
         raise ValueError("relative complexity is defined on the self-delimiting machines here")
     if not machines.in_domain(machine, y_star, budget=10**6):
         raise ValueError("y_star must itself be a domain program")
-    key = (machine, L, B, c_cap, y_star)
-    if _sweep_cache is not None and key in _sweep_cache:
-        records = _sweep_cache[key]
-    else:
-        records = enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers, aux=y_star)
-        if _sweep_cache is not None:
-            _sweep_cache[key] = records
     cands: List[Tuple[int, BitString, str]] = []
-    for rec in records:
+    for rec in enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers, aux=y_star):
         if rec.output == x:
             cands.append((rec.size_bits, rec.program_bits, "sweep"))
             break  # records are (length, lex)-sorted
@@ -471,11 +482,10 @@ def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B
 
 def mutual_information(machine: str, x: BitString, y: BitString, L: int, B,
                        c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> Optional[int]:
-    """h(x) + h(y) - h(x,y) from upper bounds; None when any entry is missing."""
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
-    hx = complexity_upper(machine, x, L, B, table=table)
-    hy = complexity_upper(machine, y, L, B, table=table)
-    hxy = joint_complexity(machine, x, y, L, B, table=table)
+    """h(x) + h(y) - h(x,y) from upper bounds with quote witnesses; None if any is missing."""
+    hx = complexity_upper(machine, x, L, B, c_cap=c_cap, workers=workers, include_constructed=True)
+    hy = complexity_upper(machine, y, L, B, c_cap=c_cap, workers=workers, include_constructed=True)
+    hxy = joint_complexity(machine, x, y, L, B, c_cap=c_cap, workers=workers)
     if not (hx.found and hy.found and hxy.found):
         return None
     return hx.h_upper + hy.h_upper - hxy.h_upper
@@ -494,12 +504,12 @@ def check_coding(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers
     """For every swept output: prob(x) >= 2^-h_upper(x) exactly; report the (*) defect."""
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("coding check requires a prefix-free machine")
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
     rows = []
     max_defect = None
-    for key in sorted(table.entries, key=lambda o: (len(o), o)):
-        entry = table.entries[key]
-        assert entry.prob >= Dyadic.pow2(entry.h_upper), "witness term must be in the sum"
+    for entry in find_elegant(machine, L, B, c_cap=c_cap, workers=workers):
+        key = entry.output
+        if entry.prob < Dyadic.pow2(entry.h_upper):
+            raise InvariantError(f"prob({key!r}) = {entry.prob} lacks its witness term 2^-{entry.h_upper}")
         defect = entry.h_upper - _ceil_neg_log2(entry.prob)
         max_defect = defect if max_defect is None else max(max_defect, defect)
         rows.append(
@@ -529,27 +539,25 @@ def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]],
     """
     from . import progs
 
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
     composer = progs.pair_composer(with_aux=True)
     K = 8 * len(print_sexpr(composer))
     rows = []
     skipped = []
     max_abs_d = None
-    sweep_cache: dict = {}  # the same witness program x* recurs across pairs
     for x, y in pairs:
-        hx = complexity_upper(machine, x, L, B, table=table, include_constructed=True)
+        hx = complexity_upper(machine, x, L, B, c_cap=c_cap, workers=workers,
+                              include_constructed=True)
         if not hx.found:
             skipped.append({"x": x, "y": y, "reason": "h(x) not found"})
             continue
         x_star = hx.witness
-        hyx = relative_complexity(machine, y, x_star, L, B, c_cap=c_cap, workers=workers,
-                                  _sweep_cache=sweep_cache)
+        hyx = relative_complexity(machine, y, x_star, L, B, c_cap=c_cap, workers=workers)
         if not hyx.found:
             skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
             continue
         composed = Program(composer, x_star + hyx.witness)
         composed_ok = progs.verify_pair(machine, composed, x, y, budget=10**7)
-        hxy = joint_complexity(machine, x, y, L, B, table=table)
+        hxy = joint_complexity(machine, x, y, L, B, c_cap=c_cap, workers=workers)
         cands = [(hxy.h_upper, hxy.witness, hxy.source)] if hxy.found else []
         if composed_ok:
             cands.append((composed.size_bits, composed.bits, "composed"))
@@ -558,7 +566,8 @@ def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]],
             skipped.append({"x": x, "y": y, "reason": "h(x,y) not found"})
             continue
         d = best.h_upper - hx.h_upper - hyx.h_upper
-        assert best.h_upper <= hx.h_upper + hyx.h_upper + K
+        if d > K:
+            raise InvariantError(f"h({x!r},{y!r}) = {best.h_upper} exceeds h(x) + h(y|x*) + K")
         max_abs_d = abs(d) if max_abs_d is None else max(max_abs_d, abs(d))
         rows.append(
             {
@@ -594,13 +603,4 @@ def scan_domain(machine: str, max_len: int, budget: int) -> List[BitString]:
     """
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("domain scans are for the self-delimiting machines")
-    fragment = "total" if machine == "total" else "general"
-    members = []
-    for prefix in gen_exprs(max_len // 8):
-        pre_bits = to_bits(prefix)
-        if machine == "total" and contains_general_only_prims(prefix):
-            continue
-        for payload, _ in domain_runs(prefix, fragment, max_len - len(pre_bits), budget):
-            members.append(pre_bits + payload)
-    members.sort(key=lambda b: (len(b), b))
-    return members
+    return [r.program_bits for r in enumerate_halting(machine, max_len, budget, c_cap=max_len // 8)]

@@ -14,19 +14,18 @@ Soundness is checked, not assumed: desk scale permits an exhaustive
 brute-force elegance oracle below the sweep cap, which the in-principle
 argument never has.  The Berry construction is executable: build_berry_program
 composes a fixed driver with the system's own enumerator and embeds the least
-threshold T >= the built program's own size (found by a fixed-point search),
-so a sound system can never exhibit a provably elegant program above T, and
-an unsound one gets its oversized claim run and reproduced.
+threshold T >= the built program's own size (in closed form), so a sound
+system can never exhibit a provably elegant program above T, and an unsound
+one gets its oversized claim run and reproduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, build_table, exhaustive_bits
+from .complexity import STRUCTURAL, build_table, exhaustive_bits
 from .machines import (
     Program,
     output_of,
@@ -145,11 +144,6 @@ class EleganceVerdict:
     exhaustive_to: int = 0
 
 
-@lru_cache(maxsize=4)
-def _oracle_table(limit_bits: int):
-    return build_table("total", limit_bits, STRUCTURAL, c_cap=DEFAULT_CHAR_CAP)
-
-
 def elegance_oracle(program_bits: BitString, budget: int = 10**6) -> EleganceVerdict:
     """Brute-force check of "no smaller total program has the same output".
 
@@ -167,9 +161,9 @@ def elegance_oracle(program_bits: BitString, budget: int = 10**6) -> EleganceVer
         return EleganceVerdict(status="refuted")
     size = len(program_bits)
     limit = min(size - 1, exhaustive_bits("total", size - 1))
-    table = _oracle_table(limit)
+    table = build_table("total", limit, STRUCTURAL)
     counterexamples: List[BitString] = []
-    entry = table.lookup(out)
+    entry = table.entries.get(out)
     if entry is not None and entry.h_upper < size:
         counterexamples.append(entry.witness)
     # above the exhaustive range a constructed smaller program still refutes
@@ -187,23 +181,25 @@ def elegance_oracle(program_bits: BitString, budget: int = 10**6) -> EleganceVer
 # ---------------------------------------------------------------------------
 # the Berry construction
 
-def build_berry_program(fas: ToyFAS, max_doublings: int = 64) -> Tuple[Program, int]:
+def build_berry_program(fas: ToyFAS) -> Tuple[Program, int]:
     """Compose the fixed driver with the system's enumerator; embed the least
-    threshold T with T >= size_bits(P(T)).  Returns (P, T), size_bits(P) <= T."""
-    def size_at(t: int) -> int:
-        return Program(berry_driver(fas.enumerator.prefix, t), fas.enumerator.payload).size_bits
+    threshold T with T >= size_bits(P(T)).  Returns (P, T), size_bits(P) <= T.
 
-    T = 1
-    for _ in range(max_doublings):
-        size = size_at(T)
-        if T >= size:
-            while T > 1 and T - 1 >= size_at(T - 1):
-                T -= 1
-            P = Program(berry_driver(fas.enumerator.prefix, T), fas.enumerator.payload)
-            assert P.size_bits <= T
-            return P, T
-        T = max(size, 2 * T)
-    raise BerryConstructionError(f"no threshold fixed point within {max_doublings} doublings")
+    T is the numeral (q(b1...bk)), so size_bits(P(T)) = base + 8 * bitlen(T)
+    with base = size_bits(P(0)); P(T) and P(T-1) check the closed form.
+    """
+    def at(t: int) -> Program:
+        return Program(berry_driver(fas.enumerator.prefix, t), fas.enumerator.payload)
+
+    base = at(0).size_bits
+    b = 1
+    while base + 8 * b >= 2**b:
+        b += 1
+    T = max(base + 8 * b, 2 ** (b - 1))
+    P = at(T)
+    if not P.size_bits <= T <= at(T - 1).size_bits:  # T - 1 no longer covers P(T - 1)
+        raise BerryConstructionError(f"T = {T} is not the least threshold covering its own program")
+    return P, T
 
 
 # ---------------------------------------------------------------------------

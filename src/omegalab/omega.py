@@ -47,15 +47,8 @@ def omega_lower_bound(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
     """Exact sum of 2^-|p| over domain members found at (L, B); monotone in both."""
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("halting probability requires a prefix-free machine")
-    records = enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers)
-    value = Dyadic.zero()
-    fail = Dyadic.zero()
-    for rec in records:
-        value = value + Dyadic.pow2(rec.size_bits)
-        if rec.output is None and rec.pair is None:
-            fail = fail + Dyadic.pow2(rec.size_bits)
-    assert value <= Dyadic.one()
-    return OmegaApprox(machine, L, B, value, len(records), fail)
+    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)  # checks Kraft: mass <= 1
+    return OmegaApprox(machine, L, B, table.mass, table.contributing, table.conv_fail_mass)
 
 
 def omega_exact_capped(L: int, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> OmegaApprox:
@@ -82,7 +75,7 @@ def omega_double_prime(machine: str, N: int, L: int, B, c_cap: int = DEFAULT_CHA
     terms: List[dict] = []
     for n in range(0, N + 1):
         enc = format(n, "b") if n else ""
-        entry = table.lookup(enc)
+        entry = table.entries.get(enc)
         if entry is None:
             missing.append(n)
             continue

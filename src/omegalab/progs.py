@@ -48,8 +48,7 @@ from typing import Optional, Tuple
 from .bits import BitString
 from .machines import Program, output_of, pair_output_of, run_machine
 from .sexpr import CHAR_BITS, SExpr, print_sexpr
-
-PRIM_NAMES = frozenset("qieachtlrsy")
+from .vm import PRIMS
 
 # -- expression builders ----------------------------------------------------
 
@@ -65,7 +64,7 @@ def ap2(f: SExpr, x: SExpr, y: SExpr) -> SExpr:
 
 
 def lam(p: str, body: SExpr) -> SExpr:
-    assert len(p) == 1 and p not in PRIM_NAMES, f"bad parameter {p!r}"
+    assert len(p) == 1 and p not in PRIMS, f"bad parameter {p!r}"
     return ("l", p, body)
 
 

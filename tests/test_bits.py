@@ -137,3 +137,10 @@ def test_dyadic_bits_reinterpretation_close(num, k):
     approx = bits_to_dyadic(dyadic_bits(d, k))
     assert approx <= d
     assert d - approx < Dyadic.pow2(k)
+
+
+def test_canonical_form_large_exponent():
+    assert Dyadic(3 << 100000, 100005) == Dyadic(3, 5)
+    assert Dyadic(1 << 200000, 100000) == Dyadic(1 << 100000, 0)  # exp stops at zero
+    d = Dyadic(5 << 7, 10**6)
+    assert (d.num, d.exp) == (5, 10**6 - 7)

@@ -134,3 +134,11 @@ def test_reports_identical_across_workers(capsys):
     # whole reports differ only in the workers field of the recorded config
     r1["config"].pop("workers"), r4["config"].pop("workers")
     assert r1 == r4
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"ordinal": "w", "n": 2, "ordnal": "w+1"}))
+    code, out, err = run_cli(capsys, "fgh", "eval", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert "'ordnal'" in err

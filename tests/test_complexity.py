@@ -252,3 +252,47 @@ def test_table_determinism_and_workers():
     assert t1.entries == t4.entries
     assert t1.pair_entries == t4.pair_entries
     assert t1.conv_fail_mass == t4.conv_fail_mass
+
+
+def test_mutual_information_takes_quote_witnesses():
+    # no swept prefix at c_cap=5 outputs "00"; its 56-bit quote witness does
+    m = mutual_information("sd", "00", "", 96, 100, c_cap=5)
+    assert isinstance(m, int)
+
+
+def test_store_projection_equals_direct_sweep(monkeypatch):
+    # up to 40 bits every halting program takes one step, () none; B = 0 and
+    # the 56-bit total ensemble, with its two-step runs, test the budget axis
+    from omegalab import complexity
+
+    direct = complexity._sweep
+    swept = []
+
+    def sweep(*args):
+        swept.append(args[:3])
+        return direct(*args)
+
+    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_sweep", sweep)
+    y_star = to_bits(parse("(r)")) + "0"
+    enumerate_halting("sd", 24, 10**4)
+    enumerate_halting("sd", 40, 0)  # a smaller L cannot serve it
+    enumerate_halting("sd", 40, 10**4)  # nor a smaller budget
+    enumerate_halting("total", 56, 1)  # stored at the structural budget
+    enumerate_halting("sd", 40, 10**4, c_cap=3, aux=y_star)
+    assert swept == [("sd", 24, 10**4), ("sd", 40, 0), ("sd", 40, 10**4), ("total", 56, STRUCTURAL),
+                     ("sd", 40, 10**4)]
+    for L, B in itertools.product((24, 32, 40), (0, 1, 3, 100, 10**4)):
+        assert enumerate_halting("sd", L, B) == direct("sd", L, B, 6, 1, None), (L, B)
+    for L, B in itertools.product((24, 32, 40), (0, 1, 3, 100, STRUCTURAL)):
+        assert enumerate_halting("total", L, B) == direct("total", L, B, 6, 1, None), (L, B)
+    one_step = enumerate_halting("total", 56, 1)
+    assert one_step == direct("total", 56, 1, 6, 1, None)
+    assert len(one_step) < len(enumerate_halting("total", 56, STRUCTURAL))
+    for L, B in ((32, 0), (40, 100)):
+        assert (enumerate_halting("sd", L, B, c_cap=3, aux=y_star)
+                == direct("sd", L, B, 3, 1, y_star)), (L, B)
+    assert len(swept) == 5
+    # a projection is a fresh list the caller may change
+    enumerate_halting("sd", 40, 10**4).clear()
+    assert enumerate_halting("sd", 40, 10**4) == direct("sd", 40, 10**4, 6, 1, None)
