@@ -9,6 +9,11 @@ the machine faults with payload-underrun, which enumerates precisely the
 payloads a prefix can consume in full.  This is provably the same domain set
 a raw scan of all 2^(L+1) strings would find, at a tiny fraction of the cost.
 
+Aux bits are found on demand the same way, with no cap: each aux read costs
+a step, so the budget bounds the depth.  A record keeps the aux bits its run
+read (aux_read); the run behaves alike under every aux that starts with them,
+so one sweep serves every aux.
+
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters;
 7-character sweeps are ~17M expressions and outside the desk-scale budget).
 Upper bounds beyond the cap come from constructed witnesses that are always
@@ -20,12 +25,13 @@ across workers by prefix range and merged order-stably, so every table is
 identical regardless of parallelism.
 
 enumerate_halting alone runs sweeps.  It keeps the last few in a store keyed
-by (machine, c_cap, aux, workers) and serves (L, B) from a stored (L_s >= L,
-B_s >= B) by projection: the records with size_bits <= L and steps <= B, in
-order.  This is exact: evaluation is deterministic, a budget only cuts a run
-short, and each shorter payload of a halting run underran before its last
-step.  On total the store sweeps at STRUCTURAL and serves every integer B.
-Tables, capped omega, both oracles and every report derive from the store.
+by (machine, c_cap, workers) and serves (L, B, aux) from a stored (L_s >= L,
+B_s >= B) by projection: the records with size_bits <= L, steps <= B and
+aux_read a prefix of aux (of "" when aux is None), in order.  This is exact:
+evaluation is deterministic, a budget only cuts a run short, and each shorter
+payload or aux of a halting run underran before its last step.  On total the
+store sweeps at STRUCTURAL and serves every integer B.  Tables, capped omega,
+both oracles, relative complexity and every report derive from the store.
 """
 
 from __future__ import annotations
@@ -100,33 +106,30 @@ def gen_exprs(max_chars: int, lists_only: bool = True) -> List[SExpr]:
 # ---------------------------------------------------------------------------
 # branching domain runner
 
-def domain_runs(
-    prefix: SExpr,
-    fragment: str,
-    max_payload: int,
-    budget,
-    aux: Optional[BitString] = None,
-) -> List[Tuple[BitString, vm.RunOutcome]]:
-    """All payloads of length <= max_payload the prefix consumes exactly.
+def domain_runs(prefix: SExpr, fragment: str, max_payload: int,
+                budget) -> List[Tuple[BitString, BitString, vm.RunOutcome]]:
+    """All (payload, aux) the prefix consumes exactly, payloads <= max_payload bits.
 
-    Extends the payload by one bit precisely when the run underruns, so each
-    returned run halted with payload_consumed == len(payload).
+    Both start empty; the payload (aux) gains one bit precisely when the run
+    underruns it, so each returned run halted having read all of both, and
+    halts alike under any aux that starts with the aux it read.
     """
     b = structural_budget(prefix) if budget == STRUCTURAL else budget
     results = []
-    pending = [""]
+    pending = [("", "")]
     while pending:
-        payload = pending.pop()
+        payload, aux = pending.pop()
         out = vm.eval_expr(prefix, VMConfig(budget=b, payload=payload, aux=aux, fragment=fragment))
         if out.halted:
             if out.payload_consumed != len(payload):
                 raise InvariantError(f"run halted having read {out.payload_consumed} of "
                                      f"{len(payload)} payload bits")
-            results.append((payload, out))
+            results.append((payload, aux, out))
         elif out.kind == vm.FAULTED and out.reason == "payload-underrun" and len(payload) < max_payload:
-            pending.append(payload + "1")
-            pending.append(payload + "0")
-    results.sort(key=lambda pr: (len(pr[0]), pr[0]))
+            pending += [(payload + "1", aux), (payload + "0", aux)]
+        elif out.kind == vm.FAULTED and out.reason == "aux-underrun":
+            pending += [(payload, aux + "1"), (payload, aux + "0")]
+    results.sort(key=lambda r: (len(r[0]), r[0], r[1]))
     return results
 
 
@@ -140,15 +143,16 @@ class HaltRecord:
     pair: Optional[Tuple[BitString, BitString]]
     steps: int
     size_bits: int
+    aux_read: BitString = ""  # the aux bits the run read
 
 
 def _sd_records_for_prefixes(args) -> List[HaltRecord]:
-    machine, prefixes, L, budget, aux = args
+    machine, prefixes, L, budget = args
     fragment = "total" if machine == "total" else "general"
     records = []
     for prefix in prefixes:
         pre_bits = to_bits(prefix)
-        for payload, out in domain_runs(prefix, fragment, L - len(pre_bits), budget, aux):
+        for payload, aux, out in domain_runs(prefix, fragment, L - len(pre_bits), budget):
             bits = pre_bits + payload
             records.append(
                 HaltRecord(
@@ -157,14 +161,15 @@ def _sd_records_for_prefixes(args) -> List[HaltRecord]:
                     pair=pair_output_of(out),
                     steps=out.steps,
                     size_bits=len(bits),
+                    aux_read=aux,
                 )
             )
     return records
 
 
 _STORE_SIZE = 8
-# (key, L_s, B_s, records) per stored sweep, key = (machine, c_cap, aux,
-# workers); least recently used first
+# (key, L_s, B_s, records) per stored sweep, key = (machine, c_cap, workers);
+# least recently used first
 _store: List[Tuple[tuple, int, object, List[HaltRecord]]] = []
 
 
@@ -184,27 +189,29 @@ def enumerate_halting(
 
     B may be the STRUCTURAL sentinel on machine total.  For sd/total the sweep
     is exhaustive for sizes <= min(L, 8*c_cap + 7); see exhaustive_bits().
-    Served from the sweep store (module docstring); the list is the caller's.
+    aux=None keeps the records that read no aux.  Served from the sweep
+    store (module docstring); the list is the caller's.
     """
     if machine not in machines.MACHINES:
         raise ValueError(f"unknown machine {machine!r}")
     if B == STRUCTURAL and machine != "total":
         raise ValueError("structural budgets exist only on machine total")
-    key = (machine, c_cap, aux, workers)
+    key = (machine, c_cap, workers)
     hit = next((s for s in _store if s[0] == key and s[1] >= L and _covers(s[2], B)), None)
     if hit is None:
         B_s = STRUCTURAL if machine == "total" else B
-        hit = (key, L, B_s, _sweep(machine, L, B_s, c_cap, workers, aux))
+        hit = (key, L, B_s, _sweep(machine, L, B_s, c_cap, workers))
         _store[:] = [s for s in _store if not (s[0] == key and s[1] <= L and _covers(B_s, s[2]))]
     else:
         _store.remove(hit)
     _store.append(hit)
     del _store[:-_STORE_SIZE]
-    return [r for r in hit[3] if r.size_bits <= L and (B == STRUCTURAL or r.steps <= B)]
+    y = aux or ""
+    return [r for r in hit[3] if r.size_bits <= L and (B == STRUCTURAL or r.steps <= B)
+            and y.startswith(r.aux_read)]
 
 
-def _sweep(machine: str, L: int, B, c_cap: int, workers: int,
-           aux: Optional[BitString]) -> List[HaltRecord]:
+def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord]:
     """One sweep at exactly (L, B), bypassing the store."""
     if machine == "c2":
         return _enumerate_c2(L, B)
@@ -216,11 +223,11 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int,
         n = workers * 8
         chunks = [prefixes[i * len(prefixes) // n : (i + 1) * len(prefixes) // n] for i in range(n)]
         with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sd_records_for_prefixes, [(machine, ch, L, B, aux) for ch in chunks])
+            parts = pool.map(_sd_records_for_prefixes, [(machine, ch, L, B) for ch in chunks])
         records = list(itertools.chain.from_iterable(parts))
     else:
-        records = _sd_records_for_prefixes((machine, prefixes, L, B, aux))
-    records.sort(key=lambda r: (r.size_bits, r.program_bits))
+        records = _sd_records_for_prefixes((machine, prefixes, L, B))
+    records.sort(key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
     return records
 
 
@@ -456,7 +463,7 @@ def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B
 
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("relative complexity is defined on the self-delimiting machines here")
-    if not machines.in_domain(machine, y_star, budget=10**6):
+    if not machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET):
         raise ValueError("y_star must itself be a domain program")
     cands: List[Tuple[int, BitString, str]] = []
     for rec in enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers, aux=y_star):
@@ -465,17 +472,12 @@ def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B
             break  # records are (length, lex)-sorted
     if include_constructed:
         plain = progs.quote_program(x)
-        if plain.size_bits <= L and machines.output_of(
-            machines.run_machine(machine, plain, 10**6, aux=y_star)
-        ) == x:
+        if plain.size_bits <= L and progs.verify_output(machine, plain, x, aux=y_star):
             cands.append((plain.size_bits, plain.bits, "plain"))
-        y_prog = machines.split_program_bits(y_star)
-        y_out = machines.output_of(machines.run_machine(machine, y_prog, 10**6))
-        if y_out == x:  # replaying the aux program reproduces its output
+        # replaying the aux program reproduces its output
+        if progs.verify_output(machine, machines.split_program_bits(y_star), x):
             rp = progs.replay_program()
-            if rp.size_bits <= L and machines.output_of(
-                machines.run_machine(machine, rp, 10**7, aux=y_star)
-            ) == x:
+            if rp.size_bits <= L and progs.verify_output(machine, rp, x, progs.GUEST_BUDGET, aux=y_star):
                 cands.append((rp.size_bits, rp.bits, "replay"))
     return _best(cands)
 
@@ -556,7 +558,7 @@ def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]],
             skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
             continue
         composed = Program(composer, x_star + hyx.witness)
-        composed_ok = progs.verify_pair(machine, composed, x, y, budget=10**7)
+        composed_ok = progs.verify_pair(machine, composed, x, y, budget=progs.GUEST_BUDGET)
         hxy = joint_complexity(machine, x, y, L, B, c_cap=c_cap, workers=workers)
         cands = [(hxy.h_upper, hxy.witness, hxy.source)] if hxy.found else []
         if composed_ok:

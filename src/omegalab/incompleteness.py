@@ -144,7 +144,7 @@ class EleganceVerdict:
     exhaustive_to: int = 0
 
 
-def elegance_oracle(program_bits: BitString, budget: int = 10**6) -> EleganceVerdict:
+def elegance_oracle(program_bits: BitString, budget: int = progs.WITNESS_BUDGET) -> EleganceVerdict:
     """Brute-force check of "no smaller total program has the same output".
 
     Refutation needs one smaller witness; confirmation needs the sweep below

@@ -50,6 +50,11 @@ from .machines import Program, output_of, pair_output_of, run_machine
 from .sexpr import CHAR_BITS, SExpr, print_sexpr
 from .vm import PRIMS
 
+# step budgets: one verified witness run, and one guest run of a program that
+# interprets another (replay and composed pair witnesses)
+WITNESS_BUDGET = 10**6
+GUEST_BUDGET = 10**7
+
 # -- expression builders ----------------------------------------------------
 
 NIL: SExpr = ()
@@ -64,7 +69,8 @@ def ap2(f: SExpr, x: SExpr, y: SExpr) -> SExpr:
 
 
 def lam(p: str, body: SExpr) -> SExpr:
-    assert len(p) == 1 and p not in PRIMS, f"bad parameter {p!r}"
+    if len(p) != 1 or p in PRIMS:
+        raise ValueError(f"bad parameter {p!r}")
     return ("l", p, body)
 
 
@@ -365,6 +371,13 @@ def _scan(threshold: int) -> SExpr:
     return fix(lam("k", lam("x", body)))
 
 
+def _interpreter() -> list:
+    """The bindings w p v m u: the guest parser and evaluator every assembled
+    program starts with."""
+    return [("w", _readcode()), ("p", _parseitems()), ("v", _parseexpr()), ("m", _meval()),
+            ("u", _toplain())]
+
+
 # -- assembled programs -----------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -374,14 +387,7 @@ def pair_composer(with_aux: bool) -> SExpr:
     with_aux=True additionally feeds P1's bits (recorded while reading them)
     to P2's aux reads, so the composed payload realizes x* ++ p_{y|x*}.
     """
-    helper_binds = [
-        ("w", _readcode()),
-        ("p", _parseitems()),
-        ("v", _parseexpr()),
-        ("m", _meval()),
-        ("u", _toplain()),
-        ("b", _wrap_bits()),
-    ]
+    helper_binds = _interpreter() + [("b", _wrap_bits())]
     if with_aux:
         helper_binds.append(("o", _reverse()))
         src1 = SRC_PAYLOAD_REC
@@ -411,12 +417,7 @@ def pair_composer(with_aux: bool) -> SExpr:
 @lru_cache(maxsize=None)
 def replay_prefix() -> SExpr:
     """Fixed prefix that runs the program handed to it on the aux channel."""
-    binds = [
-        ("w", _readcode()),
-        ("p", _parseitems()),
-        ("v", _parseexpr()),
-        ("m", _meval()),
-        ("u", _toplain()),
+    binds = _interpreter() + [
         ("f", SRC_AUX),
         ("d", ap2("v", "f", NIL)),
         ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),
@@ -434,12 +435,7 @@ def berry_driver(enum_prefix: SExpr, threshold: int) -> SExpr:
     The enumerator expression is spliced in as code, so it reads this
     program's own payload; the threshold is an embedded numeral.
     """
-    binds = [
-        ("w", _readcode()),
-        ("p", _parseitems()),
-        ("v", _parseexpr()),
-        ("m", _meval()),
-        ("u", _toplain()),
+    binds = _interpreter() + [
         ("d", _dec()),
         ("g", _gt()),
         ("k", _scan(threshold)),
@@ -524,11 +520,12 @@ def quote_pair_program(x: BitString, y: BitString) -> Program:
     return Program(("q", (tuple(x), tuple(y))), "")
 
 
-def verify_pair(machine: str, p: Program, x: BitString, y: BitString, budget: int = 10**6) -> bool:
+def verify_pair(machine: str, p: Program, x: BitString, y: BitString,
+                budget: int = WITNESS_BUDGET) -> bool:
     """Run p and confirm it is a domain program outputting exactly (x, y)."""
     return pair_output_of(run_machine(machine, p, budget)) == (x, y)
 
 
-def verify_output(machine: str, p: Program, x: BitString, budget: int = 10**6,
+def verify_output(machine: str, p: Program, x: BitString, budget: int = WITNESS_BUDGET,
                   aux: Optional[BitString] = None) -> bool:
     return output_of(run_machine(machine, p, budget, aux=aux)) == x

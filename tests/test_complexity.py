@@ -1,5 +1,6 @@
 """Sweeps, tables, and the operations computed from them."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -260,17 +261,43 @@ def test_mutual_information_takes_quote_witnesses():
     assert isinstance(m, int)
 
 
+def _aux_loaded_sweep(L, B, c_cap, aux):
+    # independent relative sweep on sd: every prefix run with the whole aux
+    # loaded, its payload extended one bit per underrun
+    from omegalab import vm
+    from omegalab.complexity import HaltRecord, gen_exprs
+    from omegalab.machines import pair_output_of
+
+    records = []
+    for prefix in gen_exprs(min(c_cap, L // 8)):
+        pre = to_bits(prefix)
+        pending = [""]
+        while pending:
+            payload = pending.pop()
+            out = vm.eval_expr(prefix, vm.VMConfig(budget=B, payload=payload, aux=aux))
+            if out.halted:
+                bits = pre + payload
+                records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps,
+                                          len(bits), aux[:out.aux_consumed]))
+            elif out.reason == "payload-underrun" and len(pre + payload) < L:
+                pending += [payload + "1", payload + "0"]
+    return sorted(records, key=lambda r: (r.size_bits, r.program_bits))
+
+
 def test_store_projection_equals_direct_sweep(monkeypatch):
     # up to 40 bits every halting program takes one step, () none; B = 0 and
     # the 56-bit total ensemble, with its two-step runs, test the budget axis
     from omegalab import complexity
 
-    direct = complexity._sweep
+    sweep_direct = complexity._sweep
     swept = []
+
+    def direct(machine, L, B, c_cap):  # the aux-free records of a sweep that bypasses the store
+        return [r for r in sweep_direct(machine, L, B, c_cap, 1) if r.aux_read == ""]
 
     def sweep(*args):
         swept.append(args[:3])
-        return direct(*args)
+        return sweep_direct(*args)
 
     monkeypatch.setattr(complexity, "_store", [])
     monkeypatch.setattr(complexity, "_sweep", sweep)
@@ -283,16 +310,61 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     assert swept == [("sd", 24, 10**4), ("sd", 40, 0), ("sd", 40, 10**4), ("total", 56, STRUCTURAL),
                      ("sd", 40, 10**4)]
     for L, B in itertools.product((24, 32, 40), (0, 1, 3, 100, 10**4)):
-        assert enumerate_halting("sd", L, B) == direct("sd", L, B, 6, 1, None), (L, B)
+        assert enumerate_halting("sd", L, B) == direct("sd", L, B, 6), (L, B)
     for L, B in itertools.product((24, 32, 40), (0, 1, 3, 100, STRUCTURAL)):
-        assert enumerate_halting("total", L, B) == direct("total", L, B, 6, 1, None), (L, B)
+        assert enumerate_halting("total", L, B) == direct("total", L, B, 6), (L, B)
     one_step = enumerate_halting("total", 56, 1)
-    assert one_step == direct("total", 56, 1, 6, 1, None)
+    assert one_step == direct("total", 56, 1, 6)
     assert len(one_step) < len(enumerate_halting("total", 56, STRUCTURAL))
     for L, B in ((32, 0), (40, 100)):
         assert (enumerate_halting("sd", L, B, c_cap=3, aux=y_star)
-                == direct("sd", L, B, 3, 1, y_star)), (L, B)
+                == _aux_loaded_sweep(L, B, 3, y_star)), (L, B)
     assert len(swept) == 5
     # a projection is a fresh list the caller may change
     enumerate_halting("sd", 40, 10**4).clear()
-    assert enumerate_halting("sd", 40, 10**4) == direct("sd", 40, 10**4, 6, 1, None)
+    assert enumerate_halting("sd", 40, 10**4) == direct("sd", 40, 10**4, 6)
+
+
+def test_aux_readers_are_found_on_demand():
+    # (s) halts only by reading one aux bit: it serves every aux, never aux=None
+    s_bits = to_bits(parse("(s)"))
+    for aux in ("0", "1", "01", "1101"):
+        recs = [r for r in enumerate_halting("sd", 32, 100, c_cap=3, aux=aux) if r.program_bits == s_bits]
+        assert [(r.output, r.aux_read) for r in recs] == [(aux[0], aux[0])], aux
+    for aux in (None, ""):
+        assert s_bits not in [r.program_bits for r in enumerate_halting("sd", 32, 100, c_cap=3, aux=aux)]
+
+
+def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
+    from omegalab import complexity
+
+    sweep = complexity._sweep
+    swept = []
+
+    def counting_sweep(*args):
+        swept.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_sweep", counting_sweep)
+    monkeypatch.setattr(complexity, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
+    pairs = [("", ""), ("0", "1"), ("1", "0"), ("00", "1")]
+    rep = check_chain_rule("sd", pairs, 56, 10**4, c_cap=4)
+    assert len(rep["pairs"]) == 4 and not rep["skipped"]
+    x_stars = {complexity_upper("sd", x, 56, 10**4, c_cap=4, include_constructed=True).witness
+               for x, _ in pairs}
+    assert len(x_stars) >= 3
+    assert swept == [("sd", 56, 10**4, 4, 1)]
+
+
+# sha256 of repr([(program_bits, output, pair, steps, size_bits), ...]) per sweep
+FROZEN_RECORD_DIGESTS = {
+    ("sd", 40, 10**4): "ac0f16a5293a681b6a5b06f251890f3b3c86698be6e649c4dc3f6b4a0af11f14",
+    ("total", 40, STRUCTURAL): "cff47e4dfb19f1e8c63d4151f1e57a166be46fb59478f6112f9311a980ea08f9",
+}
+
+
+def test_frozen_record_digests():
+    for args, digest in FROZEN_RECORD_DIGESTS.items():
+        rows = [(r.program_bits, r.output, r.pair, r.steps, r.size_bits) for r in enumerate_halting(*args)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, args

@@ -1,5 +1,7 @@
 """Guest-level program constructions: the machine interpreting itself."""
 
+import pytest
+
 from omegalab.complexity import STRUCTURAL, enumerate_halting
 from omegalab.machines import (
     Program,
@@ -11,6 +13,8 @@ from omegalab.machines import (
 )
 from omegalab.progs import (
     LOOP,
+    NIL,
+    lam,
     pair_composer,
     padded_quote_enumerator,
     padded_quote_program,
@@ -104,3 +108,9 @@ def test_composer_is_a_fixed_prefix():
     k2 = 8 * len(print_sexpr(pair_composer(with_aux=True)))
     assert k1 == k2
     assert split_program_bits(Program(pair_composer(False), "").bits).prefix == pair_composer(False)
+
+
+def test_lam_rejects_bad_parameters():
+    for p in ("q", "ab", ""):
+        with pytest.raises(ValueError, match="bad parameter"):
+            lam(p, NIL)
