@@ -187,12 +187,7 @@ def _outcome_dict(out: vm.RunOutcome) -> dict:
 
 def _config_dict(args: argparse.Namespace) -> dict:
     skip = {"command", "json", "csv", "config"}
-    conf = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or v is None:
-            continue
-        conf[k] = "structural" if v == STRUCTURAL else v
-    return conf
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 def _dispatch(args: argparse.Namespace) -> tuple:

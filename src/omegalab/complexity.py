@@ -19,10 +19,12 @@ Exhaustiveness is bounded by the prefix-character cap (default 6 characters;
 Upper bounds beyond the cap come from constructed witnesses that are always
 verified by actually running them before being admitted.
 
-Enumeration order is fixed (program length ascending, then bit-lexicographic)
-so witnesses and tie-breaks are reproducible; sweeps may be partitioned
-across workers by prefix range and merged order-stably, so every table is
-identical regardless of parallelism.
+Prefixes are generated over each machine's own alphabet (on total, without
+the atoms l and y) and, like their runs, in no particular order.  The one
+order is the sweep's final sort of its records by (size, program bits,
+aux_read): program length ascending, then bit-lexicographic.  No two records
+share that key, so witnesses and tie-breaks are reproducible and a sweep
+partitioned across workers by prefix range gives every table identically.
 
 enumerate_halting alone runs sweeps.  It keeps the last few in a store keyed
 by (machine, c_cap, workers) and serves (L, B, aux) from a stored (L_s >= L,
@@ -37,13 +39,13 @@ both oracles, relative complexity and every report derive from the store.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
-from .sexpr import ALPHABET, SExpr, is_atom, print_sexpr, to_bits
+from .sexpr import ALPHABET, SExpr, print_sexpr, to_bits
 from . import machines, vm
 from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
 from .vm import VMConfig, contains_general_only_prims
@@ -62,44 +64,29 @@ class InexactTableError(ValueError):
 # expression generation
 
 @lru_cache(maxsize=None)
-def _exprs_exact(n: int, atoms_ok: bool) -> Tuple[SExpr, ...]:
-    """All expressions whose canonical print has exactly n characters."""
-    out: List[SExpr] = []
-    if n == 1 and atoms_ok:
-        out.extend(ALPHABET)
-    if n >= 2:
-        out.extend(tuple(seq) for seq in _item_seqs(n - 2))
-    return tuple(out)
+def _exprs_exact(n: int, alphabet: str) -> Tuple[SExpr, ...]:
+    """All expressions with atoms from alphabet whose canonical print has exactly n characters."""
+    return tuple(alphabet) if n == 1 else _item_seqs(n - 2, alphabet)
 
 
 @lru_cache(maxsize=None)
-def _item_seqs(m: int) -> Tuple[Tuple[SExpr, ...], ...]:
-    """All sequences of expressions with total print length m."""
+def _item_seqs(m: int, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
+    """All sequences of expressions with atoms from alphabet and total print length m."""
     if m == 0:
         return ((),)
     seqs: List[Tuple[SExpr, ...]] = []
     for k in range(1, m + 1):
-        firsts = _exprs_exact(k, True)
-        if not firsts:
-            continue
-        for rest in _item_seqs(m - k):
-            seqs.extend((e,) + rest for e in firsts)
+        for rest in _item_seqs(m - k, alphabet):
+            seqs.extend((e,) + rest for e in _exprs_exact(k, alphabet))
     return tuple(seqs)
 
 
-@lru_cache(maxsize=None)
-def _sorted_batch(n: int, lists_only: bool) -> Tuple[SExpr, ...]:
-    """The expressions of print length exactly n, lex-sorted by their print."""
-    batch = [e for e in _exprs_exact(n, not lists_only) if not (lists_only and is_atom(e))]
-    batch.sort(key=print_sexpr)
-    return tuple(batch)
-
-
-def gen_exprs(max_chars: int, lists_only: bool = True) -> List[SExpr]:
-    """Every expression of print length <= max_chars, shortest first, lex within length."""
+def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET) -> List[SExpr]:
+    """Every expression with atoms from alphabet and print length <= max_chars,
+    shortest first; within a length the order is generation order, not sorted."""
     out: List[SExpr] = []
-    for n in range(1, max_chars + 1):
-        out.extend(_sorted_batch(n, lists_only))
+    for n in range(2 if lists_only else 1, max_chars + 1):
+        out.extend(_exprs_exact(n, alphabet))
     return out
 
 
@@ -108,7 +95,8 @@ def gen_exprs(max_chars: int, lists_only: bool = True) -> List[SExpr]:
 
 def domain_runs(prefix: SExpr, fragment: str, max_payload: int,
                 budget) -> List[Tuple[BitString, BitString, vm.RunOutcome]]:
-    """All (payload, aux) the prefix consumes exactly, payloads <= max_payload bits.
+    """All (payload, aux) the prefix consumes exactly, payloads <= max_payload bits,
+    in no particular order.
 
     Both start empty; the payload (aux) gains one bit precisely when the run
     underruns it, so each returned run halted having read all of both, and
@@ -129,7 +117,6 @@ def domain_runs(prefix: SExpr, fragment: str, max_payload: int,
             pending += [(payload + "1", aux), (payload + "0", aux)]
         elif out.kind == vm.FAULTED and out.reason == "aux-underrun":
             pending += [(payload, aux + "1"), (payload, aux + "0")]
-    results.sort(key=lambda r: (len(r[0]), r[0], r[1]))
     return results
 
 
@@ -215,10 +202,10 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     """One sweep at exactly (L, B), bypassing the store."""
     if machine == "c2":
         return _enumerate_c2(L, B)
-    # every prefix prints to at most L // 8 characters, so 8 * len(print) <= L already
-    prefixes = gen_exprs(min(c_cap, L // 8))
-    if machine == "total":
-        prefixes = [p for p in prefixes if not contains_general_only_prims(p)]
+    # every prefix prints to at most L // 8 characters, so 8 * len(print) <= L already;
+    # total's prefixes are sd's without the atoms l and y
+    alphabet = "".join(a for a in ALPHABET if machine != "total" or not contains_general_only_prims(a))
+    prefixes = gen_exprs(min(c_cap, L // 8), alphabet=alphabet)
     if workers > 1 and len(prefixes) > 64:
         n = workers * 8
         chunks = [prefixes[i * len(prefixes) // n : (i + 1) * len(prefixes) // n] for i in range(n)]
@@ -227,7 +214,7 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
         records = list(itertools.chain.from_iterable(parts))
     else:
         records = _sd_records_for_prefixes((machine, prefixes, L, B))
-    records.sort(key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
+    records.sort(key=lambda r: (r.size_bits, r.program_bits, r.aux_read))  # the only order
     return records
 
 
@@ -324,7 +311,7 @@ class ComplexityResult:
     h_upper: Optional[int] = None
     witness: Optional[BitString] = None
     exact: bool = False
-    source: str = "sweep"
+    source: Optional[str] = None  # "sweep" | "quote" | "composed" | "replay" | "plain"
 
 
 def _exactness(machine: str, x_len: int, h: int, L: int, B, table: ComplexityTable) -> bool:
@@ -362,9 +349,8 @@ def complexity_upper(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT
             cands.append((qp.size_bits, qp.bits, "quote"))
     best = _best(cands)
     if not best.found:
-        return ComplexityResult(found=False)
-    return ComplexityResult(True, best.h_upper, best.witness,
-                            _exactness(machine, len(x), best.h_upper, L, B, table), best.source)
+        return best
+    return replace(best, exact=_exactness(machine, len(x), best.h_upper, L, B, table))
 
 
 def algorithmic_probability(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
@@ -408,37 +394,28 @@ def char_complexity(value: SExpr, max_chars: int, B: int) -> ComplexityResult:
     """Minimum print length of a payload-free general expression evaluating to value."""
     for chars in range(1, max_chars + 1):
         hits = []
-        for e in _sorted_batch(chars, False):
+        for e in _exprs_exact(chars, ALPHABET):
             out = vm.eval_expr(e, VMConfig(budget=B, payload=""))
             if out.halted and not isinstance(out.value, (vm.Closure, vm.Rec)) and out.value == value:
-                hits.append(e)
-        if hits:
-            return ComplexityResult(found=True, h_upper=chars, witness=print_sexpr(hits[0]), exact=True)
+                hits.append(print_sexpr(e))
+        if hits:  # the lex-first print is the witness
+            return ComplexityResult(True, chars, min(hits), exact=True, source="sweep")
     return ComplexityResult(found=False)
 
 
 # ---------------------------------------------------------------------------
 # joint / relative complexity (sweep + verified constructed witnesses)
 
-@dataclass(frozen=True)
-class WitnessedBound:
-    found: bool
-    h_upper: Optional[int] = None
-    witness: Optional[BitString] = None
-    source: Optional[str] = None  # "sweep" | "quote" | "composed" | "replay" | "plain"
-    exact: bool = False
-
-
-def _best(cands: List[Tuple[int, BitString, str]]) -> WitnessedBound:
+def _best(cands: List[Tuple[int, BitString, str]]) -> ComplexityResult:
     if not cands:
-        return WitnessedBound(found=False)
+        return ComplexityResult(found=False)
     size, bits, src = min(cands, key=lambda c: (c[0], c[1]))
-    return WitnessedBound(found=True, h_upper=size, witness=bits, source=src)
+    return ComplexityResult(found=True, h_upper=size, witness=bits, source=src)
 
 
 def joint_complexity(machine: str, x: BitString, y: BitString, L: int, B,
                      c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                     include_constructed: bool = True) -> WitnessedBound:
+                     include_constructed: bool = True) -> ComplexityResult:
     """Upper bound on the pair complexity H(x,y), with its witness program."""
     from . import progs
 
@@ -457,7 +434,7 @@ def joint_complexity(machine: str, x: BitString, y: BitString, L: int, B,
 
 def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B,
                         c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                        include_constructed: bool = True) -> WitnessedBound:
+                        include_constructed: bool = True) -> ComplexityResult:
     """Upper bound on H(x | y*): aux channel loaded with y_star, output x."""
     from . import progs
 
@@ -522,8 +499,7 @@ def check_coding(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers
                 "defect": defect,
             }
         )
-    return {"machine": machine, "L": L, "B": B if B != STRUCTURAL else "structural",
-            "entries": rows, "max_defect": max_defect}
+    return {"machine": machine, "L": L, "B": B, "entries": rows, "max_defect": max_defect}
 
 
 def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]], L: int, B,
@@ -586,7 +562,7 @@ def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]],
     return {
         "machine": machine,
         "L": L,
-        "B": B if B != STRUCTURAL else "structural",
+        "B": B,
         "K": K,
         "pairs": rows,
         "skipped": skipped,

@@ -32,7 +32,7 @@ class OmegaApprox:
         d = {
             "machine": self.machine,
             "L": self.L,
-            "B": "structural" if self.B == STRUCTURAL else self.B,
+            "B": self.B,
             "value": str(self.value),
             "contributing": self.contributing,
             "conversion_failure_mass": str(self.conv_fail_mass),
@@ -85,7 +85,7 @@ def omega_double_prime(machine: str, N: int, L: int, B, c_cap: int = DEFAULT_CHA
         "machine": machine,
         "N": N,
         "L": L,
-        "B": "structural" if B == STRUCTURAL else B,
+        "B": B,
         "value": str(total),
         "value_dyadic": total,
         "terms": terms,

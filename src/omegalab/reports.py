@@ -73,7 +73,7 @@ def table_report(table) -> dict:
     return {
         "machine": table.machine,
         "L": table.L,
-        "B": "structural" if not isinstance(table.B, int) else table.B,
+        "B": table.B,
         "exhaustive_limit": table.exhaustive_limit,
         "contributing": table.contributing,
         "conversion_failure_mass": str(table.conv_fail_mass),

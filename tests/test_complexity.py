@@ -146,6 +146,19 @@ def test_char_complexity():
     assert (res.h_upper, res.witness) == (2, "()")
 
 
+def test_total_alphabet_generates_exactly_the_l_y_free_prefixes():
+    # total is sd restricted to the prefixes without the atoms l and y
+    from omegalab.complexity import gen_exprs
+    from omegalab.sexpr import ALPHABET
+    from omegalab.vm import contains_general_only_prims
+
+    for n in range(1, 6):
+        total = gen_exprs(n, alphabet=ALPHABET.replace("l", "").replace("y", ""))
+        filtered = [p for p in gen_exprs(n) if not contains_general_only_prims(p)]
+        assert len(total) == len(set(total)) == len(filtered)
+        assert set(total) == set(filtered)
+
+
 def test_joint_complexity_quote_witness():
     res = joint_complexity("sd", "", "", 96, 100)
     assert res.found and res.h_upper == 72  # (q(()())) is 9 characters
