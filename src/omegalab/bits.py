@@ -142,6 +142,8 @@ def dyadic_bits(d: Dyadic, k: int) -> BitString:
     """
     if d < Dyadic.zero() or d >= Dyadic.one():
         raise ValueError(f"dyadic_bits requires 0 <= d < 1, got {d}")
+    if k < 0:
+        raise ValueError(f"dyadic_bits requires k >= 0, got {k}")
     out = []
     num = d.num
     for i in range(1, k + 1):

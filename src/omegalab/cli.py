@@ -145,17 +145,28 @@ def _sweep_args(p):
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   argv: List[str]) -> None:
     """Fill unset flags from --config; anything given explicitly wins.  A key
-    the command has no flag for is an error."""
+    the command has no flag for is an error.  Each value is read as the text
+    of its flag, through the flag's own type and choices."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as f:
         conf = json.load(f)
     explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
                 for tok in argv if tok.startswith("--")}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        flag = flags.get(attr)
+        if flag is None or not hasattr(args, attr):
             raise ValueError(f"unknown key {key!r} in config file {args.config}")
+        try:
+            if flag.type is not None:
+                value = flag.type(str(value))
+            if flag.choices is not None and value not in flag.choices:
+                raise ValueError(f"{value!r} is not one of {list(flag.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"bad value for key {key!r} in config file {args.config}: {exc}") from exc
         if attr not in explicit:
             setattr(args, attr, value)
 

@@ -15,7 +15,7 @@ read (aux_read); the run behaves alike under every aux that starts with them,
 so one sweep serves every aux.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters;
-7-character sweeps are ~17M expressions and outside the desk-scale budget).
+7-character sweeps are 18,072,380 prefixes and outside the desk-scale budget).
 Upper bounds beyond the cap come from constructed witnesses that are always
 verified by actually running them before being admitted.
 
@@ -48,7 +48,7 @@ from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, SExpr, print_sexpr, to_bits
 from . import machines, vm
 from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
-from .vm import VMConfig, contains_general_only_prims
+from .vm import contains_general_only_prims
 
 DEFAULT_CHAR_CAP = 6
 C2_RAW_CAP = 22
@@ -93,21 +93,23 @@ def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET)
 # ---------------------------------------------------------------------------
 # branching domain runner
 
-def domain_runs(prefix: SExpr, fragment: str, max_payload: int,
+def domain_runs(prefix: SExpr, max_payload: int,
                 budget) -> List[Tuple[BitString, BitString, vm.RunOutcome]]:
     """All (payload, aux) the prefix consumes exactly, payloads <= max_payload bits,
     in no particular order.
 
     Both start empty; the payload (aux) gains one bit precisely when the run
     underruns it, so each returned run halted having read all of both, and
-    halts alike under any aux that starts with the aux it read.
+    halts alike under any aux that starts with the aux it read.  The prefix
+    is run as is: on total the caller passes only prefixes from the l/y-free
+    alphabet.
     """
     b = structural_budget(prefix) if budget == STRUCTURAL else budget
     results = []
     pending = [("", "")]
     while pending:
         payload, aux = pending.pop()
-        out = vm.eval_expr(prefix, VMConfig(budget=b, payload=payload, aux=aux, fragment=fragment))
+        out = vm.eval_expr(prefix, b, payload, aux)
         if out.halted:
             if out.payload_consumed != len(payload):
                 raise InvariantError(f"run halted having read {out.payload_consumed} of "
@@ -133,13 +135,16 @@ class HaltRecord:
     aux_read: BitString = ""  # the aux bits the run read
 
 
-def _sd_records_for_prefixes(args) -> List[HaltRecord]:
-    machine, prefixes, L, budget = args
-    fragment = "total" if machine == "total" else "general"
+def _sd_records_for_prefixes(job) -> List[HaltRecord]:
+    """The records of one sweep job: prefixes that all print to n characters."""
+    n, prefixes, L, budget = job
     records = []
     for prefix in prefixes:
+        runs = domain_runs(prefix, L - 8 * n, budget)
+        if not runs:
+            continue
         pre_bits = to_bits(prefix)
-        for payload, aux, out in domain_runs(prefix, fragment, L - len(pre_bits), budget):
+        for payload, aux, out in runs:
             bits = pre_bits + payload
             records.append(
                 HaltRecord(
@@ -183,6 +188,9 @@ def enumerate_halting(
         raise ValueError(f"unknown machine {machine!r}")
     if B == STRUCTURAL and machine != "total":
         raise ValueError("structural budgets exist only on machine total")
+    if L < 0 or (isinstance(B, int) and B < 0) or c_cap < 0 or workers < 1:
+        raise ValueError(f"sweep needs L, B, c_cap >= 0 and workers >= 1, got L={L}, B={B}, "
+                         f"c_cap={c_cap}, workers={workers}")
     key = (machine, c_cap, workers)
     hit = next((s for s in _store if s[0] == key and s[1] >= L and _covers(s[2], B)), None)
     if hit is None:
@@ -202,18 +210,20 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     """One sweep at exactly (L, B), bypassing the store."""
     if machine == "c2":
         return _enumerate_c2(L, B)
-    # every prefix prints to at most L // 8 characters, so 8 * len(print) <= L already;
+    # every prefix prints to n <= L // 8 characters, so 8n <= L already;
     # total's prefixes are sd's without the atoms l and y
     alphabet = "".join(a for a in ALPHABET if machine != "total" or not contains_general_only_prims(a))
-    prefixes = gen_exprs(min(c_cap, L // 8), alphabet=alphabet)
-    if workers > 1 and len(prefixes) > 64:
-        n = workers * 8
-        chunks = [prefixes[i * len(prefixes) // n : (i + 1) * len(prefixes) // n] for i in range(n)]
+    by_n = [(n, _exprs_exact(n, alphabet)) for n in range(2, min(c_cap, L // 8) + 1)]
+    count = sum(len(prefixes) for _, prefixes in by_n)
+    step = max(1, -(-count // (8 * workers)))  # about 8 jobs per worker
+    jobs = [(n, prefixes[i:i + step], L, B) for n, prefixes in by_n
+            for i in range(0, len(prefixes), step)]
+    if workers > 1 and count > 64:
         with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sd_records_for_prefixes, [(machine, ch, L, B) for ch in chunks])
-        records = list(itertools.chain.from_iterable(parts))
+            parts = pool.map(_sd_records_for_prefixes, jobs)
     else:
-        records = _sd_records_for_prefixes((machine, prefixes, L, B))
+        parts = map(_sd_records_for_prefixes, jobs)
+    records = list(itertools.chain.from_iterable(parts))
     records.sort(key=lambda r: (r.size_bits, r.program_bits, r.aux_read))  # the only order
     return records
 
@@ -395,7 +405,7 @@ def char_complexity(value: SExpr, max_chars: int, B: int) -> ComplexityResult:
     for chars in range(1, max_chars + 1):
         hits = []
         for e in _exprs_exact(chars, ALPHABET):
-            out = vm.eval_expr(e, VMConfig(budget=B, payload=""))
+            out = vm.eval_expr(e, B)
             if out.halted and not isinstance(out.value, (vm.Closure, vm.Rec)) and out.value == value:
                 hits.append(print_sexpr(e))
         if hits:  # the lex-first print is the witness

@@ -301,8 +301,6 @@ def fgh_eval(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS,
             cand = fgh_eval(fundamental(alpha, k), n, cap_bits, _memo)
             if val is None or tower_cmp(cand, val) > 0:
                 val = cand
-        if val is None:  # n < 0 excluded above; k=0 always exists
-            raise AssertionError
     _memo[key] = val
     return val
 

@@ -12,6 +12,11 @@
   total  the sd machine restricted to the total fragment (no l, no y), where
          halting is decidable and one step per subexpression always suffices.
 
+The total fragment check is syntactic: a prefix in which l or y occurs
+anywhere, even under quote, faults as it enters machine total, before any
+step.  That makes halting structural: every total expression settles within
+one step per subexpression.
+
 Program size is exact and additive: 8 bits per prefix character plus the
 payload length.  "Halts" always means "halts within the stated budget",
 except on machine total where the structural budget makes it absolute.
@@ -25,7 +30,7 @@ from typing import Optional, Tuple, Union
 from .bits import BitString
 from .sexpr import SExpr, SExprDecodeError, from_bits_prefix, is_atom, print_sexpr, to_bits
 from . import vm
-from .vm import ConversionError, RunOutcome, VMConfig
+from .vm import ConversionError, RunOutcome, contains_general_only_prims
 
 MACHINES = ("c2", "sd", "total")
 SELF_DELIMITING = ("sd", "total")
@@ -80,7 +85,7 @@ def run_c2(raw: BitString, budget: int) -> RunOutcome:
         return RunOutcome(vm.FAULTED, reason=f"decode: {exc}")
     if consumed != len(rest):
         return RunOutcome(vm.FAULTED, reason="decode: trailing bits after expression")
-    outcome = vm.eval_expr(expr, VMConfig(budget=budget, payload=""))
+    outcome = vm.eval_expr(expr, budget)
     if not outcome.halted:
         return outcome
     try:
@@ -92,16 +97,7 @@ def run_c2(raw: BitString, budget: int) -> RunOutcome:
 
 def run_sd(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
     """Self-delimiting machine; under-consumed payload is a payload-overrun fault."""
-    return _run_self_delimiting(p, budget, aux, fragment="general")
-
-
-def run_total(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
-    """Total restriction; the prefix must avoid l and y entirely."""
-    return _run_self_delimiting(p, budget, aux, fragment="total")
-
-
-def _run_self_delimiting(p: Program, budget: int, aux, fragment: str) -> RunOutcome:
-    outcome = vm.eval_expr(p.prefix, VMConfig(budget=budget, payload=p.payload, aux=aux, fragment=fragment))
+    outcome = vm.eval_expr(p.prefix, budget, p.payload, aux)
     if outcome.halted and outcome.payload_consumed != len(p.payload):
         return RunOutcome(
             vm.FAULTED,
@@ -111,6 +107,13 @@ def _run_self_delimiting(p: Program, budget: int, aux, fragment: str) -> RunOutc
             reason="payload-overrun",
         )
     return outcome
+
+
+def run_total(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
+    """Total restriction; a prefix holding l or y faults before it runs."""
+    if contains_general_only_prims(p.prefix):
+        return RunOutcome(vm.FAULTED, reason="fragment")
+    return run_sd(p, budget, aux)
 
 
 def run_machine(machine: str, p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:

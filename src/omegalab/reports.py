@@ -40,32 +40,22 @@ def emit_csv(rows: list, fieldnames: list) -> str:
 
 
 def table_rows(table) -> list:
-    """ComplexityTable entries as flat rows, sorted by output."""
+    """ComplexityTable entries as flat rows: bit outputs, then pairs, each
+    sorted by total output length, then output."""
     rows = []
-    for key in sorted(table.entries, key=lambda o: (len(o), o)):
-        e = table.entries[key]
-        rows.append(
-            {
-                "output": key,
-                "kind": "bits",
-                "h_upper": e.h_upper,
-                "witness": e.witness,
-                "minimal_count": e.minimal_count,
-                "prob": str(e.prob) if e.prob is not None else "",
-            }
-        )
-    for key in sorted(table.pair_entries, key=lambda p: (len(p[0]) + len(p[1]), p)):
-        e = table.pair_entries[key]
-        rows.append(
-            {
-                "output": f"{key[0]}|{key[1]}",
-                "kind": "pair",
-                "h_upper": e.h_upper,
-                "witness": e.witness,
-                "minimal_count": e.minimal_count,
-                "prob": str(e.prob) if e.prob is not None else "",
-            }
-        )
+    for kind, entries in (("bits", table.entries), ("pair", table.pair_entries)):
+        for key in sorted(entries, key=lambda k: (len("".join(k)), k)):
+            e = entries[key]
+            rows.append(
+                {
+                    "output": key if kind == "bits" else "|".join(key),
+                    "kind": kind,
+                    "h_upper": e.h_upper,
+                    "witness": e.witness,
+                    "minimal_count": e.minimal_count,
+                    "prob": str(e.prob) if e.prob is not None else "",
+                }
+            )
     return rows
 
 

@@ -26,14 +26,9 @@ Semantics (pinned here; the calculus is this package's own dialect):
 Cost model: one step per primitive form entered and one step per closure or
 y-wrapper application.  The budget is checked at every charge, so any
 diverging program runs out of budget rather than hanging.  The evaluator is
-a pure function of (expression, config) and is implemented iteratively with
-an explicit continuation stack, so deeply recursive guest programs cannot
-exhaust the host stack.
-
-The total fragment is the calculus without l and y: the check is syntactic
-(neither atom occurs anywhere in the expression), which makes halting
-structural — every total expression settles within one step per
-subexpression.
+a pure function of (expression, budget, payload, aux) and is implemented
+iteratively with an explicit continuation stack, so deeply recursive guest
+programs cannot exhaust the host stack.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bits import BitString
-from .sexpr import SExpr, is_atom
+from .sexpr import SExpr
 
 PRIMS = frozenset("qieachtlrsy")
 _ARITY = {"q": 1, "i": 3, "e": 2, "a": 1, "c": 2, "h": 1, "t": 1, "l": 2, "r": 0, "s": 0, "y": 1}
@@ -66,14 +61,6 @@ class Rec:
 
     def __init__(self, clo):
         self.clo = clo
-
-
-@dataclass(frozen=True)
-class VMConfig:
-    budget: int
-    payload: BitString = ""
-    aux: Optional[BitString] = None
-    fragment: str = "general"  # "general" | "total"
 
 
 @dataclass(frozen=True)
@@ -118,14 +105,10 @@ def _env_get(env, name):
 _EV, _RET = 0, 1
 
 
-def eval_expr(expr: SExpr, cfg: VMConfig) -> RunOutcome:
-    """Run one expression under cfg; deterministic and pure."""
-    if cfg.fragment == "total" and contains_general_only_prims(expr):
-        return RunOutcome(FAULTED, reason="fragment")
-    if cfg.fragment not in ("general", "total"):
-        raise ValueError(f"unknown fragment {cfg.fragment!r}")
-
-    payload, aux, budget = cfg.payload, cfg.aux, cfg.budget
+def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
+              aux: Optional[BitString] = None) -> RunOutcome:
+    """Run one expression within budget steps, reading payload and aux bits
+    on demand (aux None has no bits); deterministic and pure."""
     ppos = apos = steps = 0
     konts = []
 

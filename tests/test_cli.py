@@ -142,3 +142,30 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, out, err = run_cli(capsys, "fgh", "eval", "--config", str(conf))
     assert code == 2 and out == ""
     assert "'ordnal'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--machine", "sd", "--L", "40", "--c-cap", "-2"],
+    ["sweep", "--machine", "c2", "--L", "-5"],
+    ["omega", "lower", "--machine", "sd", "--L", "16", "--B", "-1"],
+    ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "0"],
+    ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "-3"],
+    ["omega", "bits", "--L", "16", "--k", "-3"],
+    ["omega", "exact", "--L", "16", "--emit-bits", "-2"],
+])
+def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "omegalab:" in err
+
+
+def test_config_values_are_typed_like_flags(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"B": "100"}))
+    argv = ["sweep", "--machine", "sd", "--L", "16"]
+    code, from_config, _ = run_cli(capsys, *argv, "--config", str(conf))
+    assert code == 0
+    code, from_flag, _ = run_cli(capsys, *argv, "--B", "100")
+    assert code == 0 and from_config == from_flag
+    conf.write_text(json.dumps({"B": "x"}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+    assert code == 2 and out == "" and "'B'" in err

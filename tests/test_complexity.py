@@ -54,11 +54,15 @@ def test_enumerate_empty_limits():
 
 
 def test_enumerate_matches_c2_oracle():
-    records = enumerate_halting("c2", 9, 100)
-    mine = {}
-    for r in records:
-        mine.setdefault(r.output, (r.size_bits, r.program_bits))
-    assert mine == _c2_oracle(9, 100)
+    # L=17 reaches the first leading-1 program, 1 + bits("()"); at B=0 no
+    # leading-0 program halts, so it is the only record
+    for L, B in ((9, 100), (17, 0)):
+        mine = {}
+        for r in enumerate_halting("c2", L, B):
+            mine.setdefault(r.output, (r.size_bits, r.program_bits))
+        assert mine == _c2_oracle(L, B)
+    assert [(r.program_bits, r.output, r.steps) for r in enumerate_halting("c2", 17, 0)] == [
+        ("1" + to_bits(parse("()")), "", 0)]
 
 
 def test_complexity_upper_c2_examples():
@@ -287,7 +291,7 @@ def _aux_loaded_sweep(L, B, c_cap, aux):
         pending = [""]
         while pending:
             payload = pending.pop()
-            out = vm.eval_expr(prefix, vm.VMConfig(budget=B, payload=payload, aux=aux))
+            out = vm.eval_expr(prefix, B, payload, aux)
             if out.halted:
                 bits = pre + payload
                 records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps,

@@ -24,11 +24,11 @@ from omegalab.progs import (
     verify_pair,
 )
 from omegalab.sexpr import parse, print_sexpr, to_bits
-from omegalab.vm import VMConfig, eval_expr
+from omegalab.vm import eval_expr
 
 
 def test_loop_diverges():
-    out = eval_expr(LOOP, VMConfig(budget=5000))
+    out = eval_expr(LOOP, 5000)
     assert out.kind == "out_of_budget"
 
 
@@ -92,7 +92,7 @@ def test_replay_is_a_domain_program():
 def test_padded_enumerator_matches_padded_program():
     for pad in (0, 1, 17, 300):
         enum = padded_quote_enumerator(pad)
-        out = eval_expr(enum, VMConfig(budget=10**6))
+        out = eval_expr(enum, 10**6)
         assert out.halted
         (theorem,) = out.value
         assert theorem[0] == "e"

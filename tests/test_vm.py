@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalab.complexity import gen_exprs
-from omegalab.machines import subexpr_count
+from omegalab.machines import Program, run_total, subexpr_count
 from omegalab.sexpr import ALPHABET, parse, print_sexpr
 from omegalab.vm import (
     ConversionError,
-    VMConfig,
     eval_expr,
     value_to_bitstring,
     value_to_pair,
 )
 
 
-def run(text, budget=100, payload="", aux=None, fragment="general"):
-    return eval_expr(parse(text), VMConfig(budget=budget, payload=payload, aux=aux, fragment=fragment))
+def run(text, budget=100, payload="", aux=None):
+    return eval_expr(parse(text), budget, payload, aux)
 
 
 def test_quote():
@@ -101,10 +100,13 @@ def test_closures_are_not_data():
 
 
 def test_fragment_total_rejects_l_and_y():
-    assert run("(lxx)", fragment="total").reason == "fragment"
-    assert run("(y(lf(lxx)))", fragment="total").reason == "fragment"
-    assert run("(q(l))", fragment="total").reason == "fragment"  # syntactic, even under quote
-    assert run("(c(r)(q()))", payload="0", fragment="total").halted
+    def total(text, payload=""):
+        return run_total(Program(parse(text), payload), 100)
+
+    assert total("(lxx)").reason == "fragment"
+    assert total("(y(lf(lxx)))").reason == "fragment"
+    assert total("(q(l))").reason == "fragment"  # syntactic, even under quote
+    assert total("(c(r)(q()))", payload="0").halted
 
 
 def test_determinism():
@@ -124,11 +126,11 @@ def test_budget_monotonicity_on_samples():
 
 
 def test_total_fragment_structural_budget_exhaustive():
-    # every expression of print length <= 6 settles within one step per
-    # subexpression under fragment=total (never out of budget)
-    for e in gen_exprs(6, lists_only=False):
+    # every l/y-free expression of print length <= 6 settles within one step
+    # per subexpression (never out of budget)
+    for e in gen_exprs(6, lists_only=False, alphabet=ALPHABET.replace("l", "").replace("y", "")):
         bound = subexpr_count(e)
-        out = eval_expr(e, VMConfig(budget=bound, payload="0" * 8, aux="0" * 8, fragment="total"))
+        out = eval_expr(e, bound, "0" * 8, "0" * 8)
         assert out.kind != "out_of_budget", print_sexpr(e)
         assert out.steps <= bound
 
@@ -149,7 +151,7 @@ def test_total_fragment_budget_randomized_larger(seed):
     if "l" in print_sexpr(e) or "y" in print_sexpr(e):
         return
     bound = subexpr_count(e)
-    out = eval_expr(e, VMConfig(budget=bound, payload="01" * 8, aux="10" * 8, fragment="total"))
+    out = eval_expr(e, bound, "01" * 8, "10" * 8)
     assert out.kind != "out_of_budget"
     assert out.steps <= bound
 
