@@ -143,18 +143,19 @@ def _sweep_args(p):
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: List[str]) -> None:
-    """Fill unset flags from --config; anything given explicitly wins.  A key
-    the command has no flag for is an error.  Each value is read as the text
-    of its flag, through the flag's own type and choices."""
+                  argv: List[str]) -> argparse.Namespace:
+    """Parse argv again with --config's values as the command's defaults, so
+    anything on the command line wins.  A key the command has no flag for is
+    an error.  Each value is read as the text of its flag, through the flag's
+    own type and choices."""
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config) as f:
         conf = json.load(f)
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in commands.choices[args.command]._actions}
+    command = commands.choices[args.command]
+    flags = {a.dest: a for a in command._actions}
+    defaults = {}
     for key, value in conf.items():
         attr = key.replace("-", "_")
         flag = flags.get(attr)
@@ -167,8 +168,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                 raise ValueError(f"{value!r} is not one of {list(flag.choices)}")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"bad value for key {key!r} in config file {args.config}: {exc}") from exc
-        if attr not in explicit:
-            setattr(args, attr, value)
+        defaults[attr] = value
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _load_fas(spec: str) -> ToyFAS:
@@ -221,6 +223,7 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         return {"canonical": print_sexpr(expr), "bits": bits, "length_bits": len(bits)}, None
 
     if cmd == "run":
+        complexity.check_budget(args.machine, args.budget)
         if args.machine == "c2":
             if args.raw is None:
                 raise ValueError("machine c2 takes --raw program bits")
@@ -229,7 +232,9 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             if args.prefix is None:
                 raise ValueError("machines sd/total take --prefix (and optional --payload)")
             prog = Program(parse(args.prefix), args.payload)
-            out = machines.run_machine(args.machine, prog, args.budget, aux=args.aux)
+            budget = (machines.structural_budget(prog.prefix) if args.budget == STRUCTURAL
+                      else args.budget)
+            out = machines.run_machine(args.machine, prog, budget, aux=args.aux)
         return _outcome_dict(out), None
 
     if cmd in ("sweep", "elegant"):
@@ -394,7 +399,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser, argv)
+        args = _apply_config(args, parser, argv)
         result, csv_payload = _dispatch(args)
     except UnsoundFASError as exc:
         report = reports.envelope(args.command, _config_dict(args), exc.report)

@@ -165,6 +165,14 @@ _STORE_SIZE = 8
 _store: List[Tuple[tuple, int, object, List[HaltRecord]]] = []
 
 
+def check_budget(machine: str, B) -> None:
+    """A step budget is an integer >= 0, or STRUCTURAL on machine total."""
+    if B == STRUCTURAL and machine != "total":
+        raise ValueError("structural budgets exist only on machine total")
+    if B != STRUCTURAL and B < 0:
+        raise ValueError(f"budget must be >= 0, got {B}")
+
+
 def _covers(B_s, B) -> bool:
     return B_s == STRUCTURAL or (B != STRUCTURAL and B_s >= B)
 
@@ -186,10 +194,9 @@ def enumerate_halting(
     """
     if machine not in machines.MACHINES:
         raise ValueError(f"unknown machine {machine!r}")
-    if B == STRUCTURAL and machine != "total":
-        raise ValueError("structural budgets exist only on machine total")
-    if L < 0 or (isinstance(B, int) and B < 0) or c_cap < 0 or workers < 1:
-        raise ValueError(f"sweep needs L, B, c_cap >= 0 and workers >= 1, got L={L}, B={B}, "
+    check_budget(machine, B)
+    if L < 0 or c_cap < 0 or workers < 1:
+        raise ValueError(f"sweep needs L, c_cap >= 0 and workers >= 1, got L={L}, "
                          f"c_cap={c_cap}, workers={workers}")
     key = (machine, c_cap, workers)
     hit = next((s for s in _store if s[0] == key and s[1] >= L and _covers(s[2], B)), None)

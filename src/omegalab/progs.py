@@ -31,10 +31,17 @@ represent expression nodes as themselves: an atom node is its 8-bit code as
 a list of bit atoms, a list node is a list of nodes, so quoting is the
 identity and structural equality is the host's single-step e.  Bit sources
 are closures state -> (bit, state'), which lets one interpreter read from
-the payload channel, the aux channel, or an in-memory bit list.
+the payload channel, the aux channel, or an in-memory bit list.  A test
+against () is a bare i, which takes () as false and any other value as true.
 
-Guest-level error handling is divergence (a self-application loop), matching
-the convention that undecodable or ill-typed programs count as non-halting.
+Guest errors fault: where the guest cannot go on it evaluates FAULT, a bare
+atom nothing binds, or a host primitive faults on what it is given, so the
+whole run faults at once.  The one intended divergence is _scan's LOOP on an
+exhausted theorem list, which makes the sound Berry program run out of its
+budget.  The guest equals the host on every domain program: same value, same
+payload bits read.  It checks no arity and repeats no check the host makes,
+so it may halt on a program the host rejects: replay_program with aux
+bits("(q(0)(1))") outputs 0, while the host faults on (q(0)(1)).
 The interpreters cover the total fragment only (l/y-free programs), which is
 what the experiments' claimed programs run on; every constructed program is
 verified by executing it before any size derived from it is asserted.
@@ -125,6 +132,11 @@ def pair2(a: SExpr, b: SExpr) -> SExpr:
     return cons(a, cons(b, NIL))
 
 
+def keep_state(x: SExpr, p: SExpr) -> SExpr:
+    """(x state) from a guest pair p = (_ state): pair2(x, hd(tl(p))), shorter."""
+    return cons(x, tl(p))
+
+
 def qbits(bits: BitString) -> SExpr:
     return q(tuple(bits))
 
@@ -137,8 +149,9 @@ def code_node(ch: str) -> SExpr:
 # diverge: self-application loop; evaluating it burns budget forever
 LOOP: SExpr = ap(lam("v", ap("v", "v")), lam("v", ap("v", "v")))
 
-# guest truth for predicates built below: any non-() value; () is false
-TRUE: SExpr = q("1")
+# fault: a primitive as a bare atom is never bound (lam rejects primitives as
+# parameters), so evaluating it faults at once
+FAULT: SExpr = "a"
 
 
 # -- bit sources (closures state -> (bit state')) ---------------------------
@@ -148,8 +161,8 @@ SRC_AUX: SExpr = lam("z", pair2(SRD, "z"))
 SRC_LIST: SExpr = lam("z", pair2(hd("z"), tl("z")))
 # recording payload source: state is the reversed list of bits read so far
 SRC_PAYLOAD_REC: SExpr = lam("z", ap(lam("b", pair2("b", cons("b", "z"))), RD))
-# aux source that diverges if ever used (programs with no aux granted)
-SRC_NONE: SExpr = lam("z", LOOP)
+# aux source that faults if ever used (programs with no aux granted)
+SRC_NONE: SExpr = lam("z", FAULT)
 
 
 # -- shared guest components ------------------------------------------------
@@ -163,7 +176,7 @@ def _readcode() -> SExpr:
     code = NIL
     for v in reversed(vs):
         code = cons(hd(v), code)
-    return lam2("f", "z", let(binds, pair2(code, hd(tl(vs[-1])))))
+    return lam2("f", "z", let(binds, keep_state(code, vs[-1])))
 
 
 def _parseitems() -> SExpr:
@@ -171,20 +184,14 @@ def _parseitems() -> SExpr:
 
     Returns (node-list, state'); uses w (readcode) from the enclosing scope.
     """
+    # b = (item state): an atom node is v itself, '(' parses a sublist
     after_code = iff(
         eq("n", code_node(")")),
-        pair2(NIL, hd(tl("v"))),
-        iff(
-            eq("n", code_node("(")),
-            let(
-                [("b", ap2("k", "f", hd(tl("v")))),
-                 ("d", ap2("k", "f", hd(tl("b"))))],
-                pair2(cons(hd("b"), hd("d")), hd(tl("d"))),
-            ),
-            let(
-                [("d", ap2("k", "f", hd(tl("v"))))],
-                pair2(cons("n", hd("d")), hd(tl("d"))),
-            ),
+        keep_state(NIL, "v"),
+        let(
+            [("b", iff(eq("n", code_node("(")), ap2("k", "f", hd(tl("v"))), "v")),
+             ("d", ap2("k", "f", hd(tl("b"))))],
+            keep_state(cons(hd("b"), hd("d")), "d"),
         ),
     )
     body = let([("v", ap2("w", "f", "z")), ("n", hd("v"))], after_code)
@@ -192,19 +199,18 @@ def _parseitems() -> SExpr:
 
 
 def _parseexpr() -> SExpr:
-    """v = whole-expression parser: first character must be '('."""
-    body = let(
-        [("b", ap2("w", "f", "z"))],
-        iff(eq(hd("b"), code_node("(")), ap2("p", "f", hd(tl("b"))), LOOP),
-    )
-    return lam2("f", "z", body)
+    """v = whole-expression parser: skips the first code, '(' in every program."""
+    return lam2("f", "z", ap2("p", "f", hd(tl(ap2("w", "f", "z")))))
 
 
 def _meval() -> SExpr:
     """m = lambda rsrc ssrc: evaluator for parsed total-fragment nodes.
 
     The instance maps (node, state) -> (value, state') with
-    state = (payload-state aux-state); errors diverge.
+    state = (payload-state aux-state).  q, r and s are dispatched first; every
+    other form evaluates its first argument once, and e and c their second
+    once.  An unknown head ends the dispatch in FAULT; arity and types go
+    unchecked, so m matches the host on domain programs only (module docstring).
     """
     arg1 = hd(tl("x"))
     arg2 = hd(tl(tl("x")))
@@ -213,44 +219,10 @@ def _meval() -> SExpr:
     def ev(node: SExpr, state: SExpr) -> SExpr:
         return ap(ap("k", node), state)
 
-    q_branch = pair2(arg1, "z")
-    i_branch = let(
-        [("v", ev(arg1, "z"))],
-        iff(eq(hd("v"), NIL), ev(arg3, hd(tl("v"))), ev(arg2, hd(tl("v")))),
-    )
-    e_branch = let(
-        [("v", ev(arg1, "z")), ("b", ev(arg2, hd(tl("v"))))],
-        pair2(iff(eq(hd("v"), hd("b")), code_node("1"), NIL), hd(tl("b"))),
-    )
-    a_branch = let(
-        [("v", ev(arg1, "z"))],
-        pair2(
-            iff(eq(hd("v"), NIL), NIL, iff(isatom(hd(hd("v"))), code_node("1"), NIL)),
-            hd(tl("v")),
-        ),
-    )
-    c_branch = let(
-        [("v", ev(arg1, "z")), ("b", ev(arg2, hd(tl("v"))))],
-        iff(
-            eq(hd("b"), NIL),
-            pair2(cons(hd("v"), hd("b")), hd(tl("b"))),
-            iff(
-                isatom(hd(hd("b"))),
-                LOOP,  # consing onto an atom node: type fault
-                pair2(cons(hd("v"), hd("b")), hd(tl("b"))),
-            ),
-        ),
-    )
-
-    def ht_branch(pick) -> SExpr:
-        return let(
-            [("v", ev(arg1, "z"))],
-            iff(
-                eq(hd("v"), NIL),
-                LOOP,
-                iff(isatom(hd(hd("v"))), LOOP, pair2(pick(hd("v")), hd(tl("v")))),
-            ),
-        )
+    def dispatch(branches, default: SExpr) -> SExpr:
+        for ch, branch in reversed(branches):
+            default = iff(eq("n", code_node(ch)), branch, default)
+        return default
 
     def read_branch(src: str, this_state: SExpr, rebuild) -> SExpr:
         return let(
@@ -261,54 +233,53 @@ def _meval() -> SExpr:
             ),
         )
 
-    r_branch = read_branch("f", hd("z"), lambda st: pair2(st, hd(tl("z"))))
-    s_branch = read_branch("o", hd(tl("z")), lambda st: pair2(hd("z"), st))
-
-    dispatch = LOOP
-    for ch, branch in reversed(
-        [
-            ("q", q_branch),
-            ("i", i_branch),
-            ("e", e_branch),
-            ("a", a_branch),
-            ("c", c_branch),
-            ("h", ht_branch(hd)),
-            ("t", ht_branch(tl)),
-            ("r", r_branch),
-            ("s", s_branch),
-        ]
-    ):
-        dispatch = iff(eq("n", code_node(ch)), branch, dispatch)
-
-    body = iff(
-        eq("x", NIL),
-        pair2(NIL, "z"),  # the empty list is a value
-        iff(
-            isatom(hd("x")),
-            LOOP,  # bare atom node: nothing is bound in the total fragment
-            let(
-                [("n", hd("x"))],
-                iff(
-                    eq("n", NIL),
-                    LOOP,
-                    iff(isatom(hd("n")), dispatch, LOOP),  # head must be an atom node
-                ),
-            ),
+    # v = (value1 state1) and b = (value2 state2) of the evaluated arguments
+    st1 = hd(tl("v"))
+    atom1 = iff(hd("v"), iff(isatom(hd(hd("v"))), code_node("1"), NIL), NIL)
+    two_args = let(
+        [("b", ev(arg2, st1))],
+        dispatch(
+            [
+                ("e", keep_state(iff(eq(hd("v"), hd("b")), code_node("1"), NIL), "b")),
+                ("c", keep_state(cons(hd("v"), hd("b")), "b")),
+            ],
+            FAULT,
         ),
     )
+    one_arg = let(
+        [("v", ev(arg1, "z"))],
+        dispatch(
+            [
+                ("i", iff(hd("v"), ev(arg2, st1), ev(arg3, st1))),
+                ("a", keep_state(atom1, "v")),
+                ("h", keep_state(hd(hd("v")), "v")),
+                ("t", keep_state(tl(hd("v")), "v")),
+            ],
+            two_args,
+        ),
+    )
+    forms = dispatch(
+        [
+            ("q", pair2(arg1, "z")),
+            ("r", read_branch("f", hd("z"), lambda st: keep_state(st, "z"))),
+            ("s", read_branch("o", hd(tl("z")), lambda st: pair2(hd("z"), st))),
+        ],
+        one_arg,
+    )
+    body = iff("x", let([("n", hd("x"))], forms), pair2(NIL, "z"))
     return lam2("f", "o", fix(lam("k", lam2("x", "z", body))))
 
 
 def _toplain() -> SExpr:
     """u = guest node/value -> plain data; only bit atoms are expressible."""
     body = iff(
-        eq("x", NIL),
-        NIL,
+        "x",
         iff(
             isatom(hd("x")),
-            iff(eq("x", code_node("0")), q("0"), iff(eq("x", code_node("1")), q("1"), LOOP)),
+            iff(eq("x", code_node("0")), q("0"), iff(eq("x", code_node("1")), q("1"), FAULT)),
             cons(ap("k", hd("x")), ap("k", tl("x"))),
         ),
+        NIL,
     )
     return fix(lam("k", lam("x", body)))
 
@@ -322,25 +293,24 @@ def _dec() -> SExpr:
     """d = decrement a normalized little-endian binary numeral (zero = ())."""
     body = iff(
         eq(hd("x"), q("1")),
-        iff(eq(tl("x"), NIL), NIL, cons(q("0"), tl("x"))),
+        iff(tl("x"), cons(q("0"), tl("x")), NIL),
         cons(q("1"), ap("k", tl("x"))),
     )
     return fix(lam("k", lam("x", body)))
 
 
 def _gt() -> SExpr:
-    """g = lambda bits counter: is |bits| > counter (little-endian numeral)."""
-    body = iff(
-        eq("n", NIL),
-        iff(eq("x", NIL), NIL, TRUE),
-        iff(eq("x", NIL), NIL, ap2("k", tl("x"), ap("d", "n"))),
-    )
+    """g = lambda bits counter: is |bits| > counter (little-endian numeral)?
+
+    A guest predicate: () is false, any other value true, as for i.
+    """
+    body = iff("n", iff("x", ap2("k", tl("x"), ap("d", "n")), "x"), "x")
     return fix(lam("k", lam2("x", "n", body)))
 
 
 def _reverse() -> SExpr:
     """o = lambda list acc: reversed list prepended onto acc."""
-    body = iff(eq("x", NIL), "n", ap2("k", tl("x"), cons(hd("x"), "n")))
+    body = iff("x", ap2("k", tl("x"), cons(hd("x"), "n")), "n")
     return fix(lam("k", lam2("x", "n", body)))
 
 
@@ -352,7 +322,8 @@ def nat_le_bits(n: int) -> str:
 def _scan(threshold: int) -> SExpr:
     """k = scan a theorem list for the first (e b1...bn) with n > threshold.
 
-    Returns the bit list; diverges when the list is exhausted.
+    Returns the bit list; diverges when the list is exhausted, the guest's
+    one intended divergence.
     """
     check = iff(
         ap2("g", tl(hd("x")), qbits(nat_le_bits(threshold))),
@@ -360,13 +331,9 @@ def _scan(threshold: int) -> SExpr:
         ap("k", tl("x")),
     )
     body = iff(
-        eq("x", NIL),
+        "x",
+        iff(hd("x"), iff(eq(hd(hd("x")), q("e")), check, ap("k", tl("x"))), ap("k", tl("x"))),
         LOOP,
-        iff(
-            eq(hd("x"), NIL),
-            ap("k", tl("x")),
-            iff(eq(hd(hd("x")), q("e")), check, ap("k", tl("x"))),
-        ),
     )
     return fix(lam("k", lam("x", body)))
 

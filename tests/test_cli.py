@@ -152,6 +152,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "-3"],
     ["omega", "bits", "--L", "16", "--k", "-3"],
     ["omega", "exact", "--L", "16", "--emit-bits", "-2"],
+    ["run", "--machine", "sd", "--prefix", "(q(0))", "--budget", "structural"],
+    ["run", "--machine", "c2", "--raw", "0", "--budget", "structural"],
+    ["run", "--machine", "total", "--prefix", "(q(0))", "--budget", "-3"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -169,3 +172,25 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
     conf.write_text(json.dumps({"B": "x"}))
     code, out, err = run_cli(capsys, *argv, "--config", str(conf))
     assert code == 2 and out == "" and "'B'" in err
+
+
+def test_config_never_overrides_the_command_line(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"action": "prefixfree"}))
+    code, out, _ = run_cli(capsys, "bits", "kraft", "--set", "0,01", "--config", str(conf))
+    assert code == 0 and report(out) == {"kraft_sum": "3/2^2", "prefix_free": False}
+    # an abbreviated flag is as explicit as the full one
+    conf.write_text(json.dumps({"machine": "total"}))
+    code, out, _ = run_cli(capsys, "run", "--mach", "sd", "--prefix", "(q(l))", "--config", str(conf))
+    assert code == 0 and report(out)["outcome"] == "halted"
+
+
+def test_run_structural_budget_is_the_prefix_count(capsys):
+    argv = ["run", "--machine", "total", "--prefix", "(q(0))", "--budget"]
+    code, structural, _ = run_cli(capsys, *argv, "structural")
+    assert code == 0
+    code, counted, _ = run_cli(capsys, *argv, "4")
+    assert code == 0
+    r1, r2 = json.loads(structural), json.loads(counted)
+    assert r1["config"].pop("budget") == "structural" and r2["config"].pop("budget") == 4
+    assert r1 == r2 and r1["result"]["output"] == "0"

@@ -1,8 +1,11 @@
 """Guest-level program constructions: the machine interpreting itself."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from omegalab import progs
 from omegalab.complexity import STRUCTURAL, enumerate_halting
+from omegalab.incompleteness import build_berry_program, bundled_sound_fas, bundled_unsound_fas
 from omegalab.machines import (
     Program,
     output_of,
@@ -12,18 +15,26 @@ from omegalab.machines import (
     split_program_bits,
 )
 from omegalab.progs import (
+    GUEST_BUDGET,
     LOOP,
     NIL,
+    SRC_AUX,
+    SRC_NONE,
+    ap2,
+    hd,
     lam,
+    let,
+    pair2,
     pair_composer,
     padded_quote_enumerator,
     padded_quote_program,
     quote_pair_program,
     quote_program,
     replay_program,
+    tl,
     verify_pair,
 )
-from omegalab.sexpr import parse, print_sexpr, to_bits
+from omegalab.sexpr import CHAR_BITS, parse, print_sexpr, to_bits
 from omegalab.vm import eval_expr
 
 
@@ -114,3 +125,94 @@ def test_lam_rejects_bad_parameters():
     for p in ("q", "ab", ""):
         with pytest.raises(ValueError, match="bad parameter"):
             lam(p, NIL)
+
+
+# replay_prefix's bindings, returning the guest's node value instead of u's bits
+GUEST_VALUE = let(progs._interpreter() + [
+    ("f", SRC_AUX),
+    ("d", ap2("v", "f", NIL)),
+    ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),
+], hd("g"))
+
+
+def _as_node(value):
+    """Host value -> guest node: an atom is its 8-bit code as a list of bits."""
+    if isinstance(value, str):
+        return tuple(CHAR_BITS[value])
+    return tuple(_as_node(x) for x in value)
+
+
+def _check_guest_equals_host(p: Program):
+    host = run_sd(p, 10**4)
+    if not host.halted:
+        return False
+    guest = eval_expr(GUEST_VALUE, 10**6, aux=p.bits)
+    assert guest.halted, str(p)
+    assert guest.value == _as_node(host.value), str(p)
+    assert guest.aux_consumed == len(p.bits), str(p)  # the same payload bits read
+    return True
+
+
+def test_guest_equals_host_on_small_total_domain():
+    records = enumerate_halting("total", 47, STRUCTURAL, c_cap=5)
+    assert len(records) == 31
+    for rec in records:
+        assert _check_guest_equals_host(split_program_bits(rec.program_bits))
+
+
+_data = st.recursive(
+    st.sampled_from(list("01qieachtr") + [()]),
+    lambda items: st.lists(items, max_size=3).map(tuple),
+    max_leaves=4,
+)
+_quoted_lists = st.lists(_data, min_size=1, max_size=3).map(lambda items: ("q", tuple(items)))
+
+
+def _forms(e):
+    """Forms over q i e a c h t r, mostly of the right arity, and often with a
+    list where h, t and c need one."""
+    lists = st.one_of(_quoted_lists, st.tuples(st.just("c"), e, st.one_of(_quoted_lists, e)))
+    return st.one_of(
+        st.tuples(st.just("i"), e, e, e),
+        st.tuples(st.just("e"), e, e),
+        lists,
+        st.tuples(st.sampled_from("aht"), st.one_of(lists, e)),
+        st.lists(e, max_size=3).map(lambda args: ("q",) + tuple(args)),
+    )
+
+
+_guest_exprs = st.recursive(
+    st.one_of(st.just(()), st.just(("r",)), _data.map(lambda d: ("q", d))), _forms, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guest_exprs, st.text("01", max_size=4))
+@example(parse("(t(q(01)))"), "")
+@example(parse("(h(c(r)(q(1))))"), "0")
+@example(parse("(c(a(q(0)))(c(a(q()))(q())))"), "")
+@example(parse("(i(e(r)(q1))(q(1))(q(0)))"), "1")
+def test_guest_equals_host_where_the_host_halts(prefix, payload):
+    _check_guest_equals_host(Program(prefix, payload))
+
+
+def test_guest_errors_fault_fast():
+    # a second witness that faults on the host faults in the guest too,
+    # instead of running the composed program out of its budget
+    w1, w2 = to_bits(parse("()")), to_bits(parse("(h())"))
+    for with_aux in (False, True):
+        out = run_sd(Program(pair_composer(with_aux), w1 + w2), GUEST_BUDGET)
+        assert out.kind == "faulted" and out.steps < 10**4
+
+
+# sizes in bits of the guest programs that carry the paper's constants:
+# K (the aux pair composer) and the sound and unsound Berry thresholds T
+FROZEN_GUEST_CONSTANTS = {"K": 11376, "T_sound": 14184, "T_unsound": 14600}
+
+
+def test_frozen_guest_constants():
+    sizes = {
+        "K": 8 * len(print_sexpr(pair_composer(with_aux=True))),
+        "T_sound": build_berry_program(bundled_sound_fas())[1],
+        "T_unsound": build_berry_program(bundled_unsound_fas())[1],
+    }
+    assert sizes == FROZEN_GUEST_CONSTANTS
