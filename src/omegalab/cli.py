@@ -311,6 +311,8 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         return omega.borel_normality(args.x, args.k, args.tol), None
 
     if cmd == "fas":
+        if args.budget < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         fas = _load_fas(args.fas)
         if args.action == "theorems":
             thms = incompleteness.fas_theorems(fas, args.budget)
@@ -352,6 +354,8 @@ def _dispatch(args: argparse.Namespace) -> tuple:
                                args.cap_bits), None
 
     if cmd == "diag":
+        if args.n < 0:
+            raise ValueError(f"--n must be >= 0, got {args.n}")
         if args.family:
             family = []
             with open(args.family) as f:

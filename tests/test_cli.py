@@ -155,10 +155,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["run", "--machine", "sd", "--prefix", "(q(0))", "--budget", "structural"],
     ["run", "--machine", "c2", "--raw", "0", "--budget", "structural"],
     ["run", "--machine", "total", "--prefix", "(q(0))", "--budget", "-3"],
+    ["fas", "theorems", "--fas", "sound", "--budget", "-5"],
+    ["fas", "ceiling", "--fas", "sound", "--budget", "-5"],
+    ["fas", "omegabits", "--fas", "omega8", "--budget", "-1"],
+    ["diag", "--n", "-1"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
+    if argv[0] in ("fas", "diag"):  # the message names the flag
+        assert argv[-2] in err
 
 
 def test_config_values_are_typed_like_flags(tmp_path, capsys):

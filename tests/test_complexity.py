@@ -24,7 +24,7 @@ from omegalab.complexity import (
     relative_complexity,
 )
 from omegalab.machines import Program, output_of, run_c2, run_machine, split_program_bits
-from omegalab.sexpr import parse, to_bits
+from omegalab.sexpr import ALPHABET, parse, to_bits
 from omegalab import progs
 
 
@@ -161,6 +161,72 @@ def test_total_alphabet_generates_exactly_the_l_y_free_prefixes():
         filtered = [p for p in gen_exprs(n) if not contains_general_only_prims(p)]
         assert len(total) == len(set(total)) == len(filtered)
         assert set(total) == set(filtered)
+
+
+_TOTAL_ALPHABET = ALPHABET.replace("l", "").replace("y", "")
+
+
+def _rename(e, names):
+    return names.get(e, e) if isinstance(e, str) else tuple(_rename(x, names) for x in e)
+
+
+def test_class_generator_is_complete_and_has_no_duplicates():
+    # every expression is exactly one injective renaming of exactly one
+    # canonical prefix, on both machines' alphabets
+    from collections import Counter
+    from math import perm
+
+    from omegalab.complexity import INERT, _classes_exact, _exprs_exact
+
+    for alphabet, classes in ((ALPHABET, 43878), (_TOTAL_ALPHABET, 24484)):
+        special = "".join(a for a in alphabet if a not in INERT)
+        for n in range(1, 6):
+            members = Counter()
+            for e, used in _classes_exact(n, special, 0):
+                for names in itertools.permutations(INERT, used):
+                    members[_rename(e, dict(zip(INERT, names)))] += 1
+            assert members == Counter(_exprs_exact(n, alphabet)), (alphabet, n)
+        assert sum(len(_classes_exact(n, special, 0)) for n in range(2, 7)) == classes
+        assert (sum(perm(len(INERT), used) for _, used in _classes_exact(6, special, 0))
+                == len(_exprs_exact(6, alphabet)))
+
+
+def _full_sweep(machine, L, B, c_cap):
+    # independent sweep: every prefix of the machine's alphabet run, payload
+    # and aux each extended one bit per underrun
+    from omegalab import vm
+    from omegalab.complexity import HaltRecord, gen_exprs
+    from omegalab.machines import pair_output_of, structural_budget
+
+    records = []
+    for prefix in gen_exprs(min(c_cap, L // 8), alphabet=ALPHABET if machine == "sd" else _TOTAL_ALPHABET):
+        pre = to_bits(prefix)
+        budget = structural_budget(prefix) if B == STRUCTURAL else B
+        pending = [("", "")]
+        while pending:
+            payload, aux = pending.pop()
+            out = vm.eval_expr(prefix, budget, payload, aux)
+            if out.halted and out.payload_consumed == len(payload):
+                bits = pre + payload
+                records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps,
+                                          len(bits), aux))
+            elif out.reason == "payload-underrun" and len(pre + payload) < L:
+                pending += [(payload + "1", aux), (payload + "0", aux)]
+            elif out.reason == "aux-underrun":
+                pending += [(payload, aux + "1"), (payload, aux + "0")]
+    return sorted(records, key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
+
+
+def test_class_sweep_equals_a_full_sweep():
+    from omegalab.complexity import _sweep
+
+    for machine, B in itertools.product(("sd", "total"), (0, 1, 3, 10**4)):
+        assert _sweep(machine, 47, B, 5, 1) == _full_sweep(machine, 47, B, 5), (machine, B)
+    assert _sweep("total", 47, STRUCTURAL, 5, 1) == _full_sweep("total", 47, STRUCTURAL, 5)
+    full = _full_sweep("sd", 47, 10**4, 5)
+    # aux readers and members other than the canonical one are covered
+    assert any(r.aux_read for r in full) and to_bits(parse("(qz)")) in [r.program_bits for r in full]
+    assert _sweep("sd", 47, 10**4, 5, 4) == full
 
 
 def test_joint_complexity_quote_witness():
