@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from . import __version__, complexity, incompleteness, machines, omega, progs, reports, vm
 from .bits import BitParseError, Dyadic, bs_parse, dyadic_bits, is_prefix_free, kraft_sum
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, InexactTableError
+from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, InexactTableError
 from .hierarchy import DEFAULT_CAP_BITS, OrdinalParseError, dominance_check, fgh_eval, ord_parse
 from .incompleteness import ToyFAS, UnsoundFASError, bundled_fas
 from .machines import Program
@@ -237,16 +237,16 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             out = machines.run_machine(args.machine, prog, budget, aux=args.aux)
         return _outcome_dict(out), None
 
+    if cmd in ("sweep", "elegant", "complexity", "prob", "coding", "chain"):
+        ens = Ensemble(args.machine, args.L, args.B, args.c_cap, args.workers)
+
     if cmd in ("sweep", "elegant"):
-        table = complexity.build_table(args.machine, args.L, args.B, c_cap=args.c_cap,
-                                       workers=args.workers)
-        rep = reports.table_report(table)
+        rep = reports.table_report(complexity.build_table(ens))
         rows = rep["entries"]
         return rep, (rows, ["output", "kind", "h_upper", "witness", "minimal_count", "prob"])
 
     if cmd == "complexity":
-        res = complexity.complexity_upper(args.machine, args.target, args.L, args.B,
-                                          c_cap=args.c_cap, workers=args.workers)
+        res = complexity.complexity_upper(ens, args.target)
         return {
             "target": args.target,
             "found": res.found,
@@ -256,13 +256,11 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         }, None
 
     if cmd == "prob":
-        p = complexity.algorithmic_probability(args.machine, args.target, args.L, args.B,
-                                               c_cap=args.c_cap, workers=args.workers)
+        p = complexity.algorithmic_probability(ens, args.target)
         return {"target": args.target, "prob": str(p)}, None
 
     if cmd == "coding":
-        rep = complexity.check_coding(args.machine, args.L, args.B, c_cap=args.c_cap,
-                                      workers=args.workers)
+        rep = complexity.check_coding(ens)
         return rep, (rep["entries"], ["output", "h_upper", "prob", "defect"])
 
     if cmd == "chain":
@@ -270,32 +268,28 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         for chunk in args.pairs.split(";"):
             x, _, y = chunk.partition(":")
             pairs.append((bs_parse(x), bs_parse(y)))
-        rep = complexity.check_chain_rule(args.machine, pairs, args.L, args.B,
-                                          c_cap=args.c_cap, workers=args.workers)
-        return rep, None
+        return complexity.check_chain_rule(ens, pairs), None
 
     if cmd == "omega":
-        if args.action == "lower":
-            approx = omega.omega_lower_bound(args.machine, args.L, args.B,
-                                             c_cap=args.c_cap, workers=args.workers)
-            return approx.as_dict(emit_bits=args.emit_bits), None
-        if args.action == "exact":
-            approx = omega.omega_exact_capped(args.L, c_cap=args.c_cap, workers=args.workers)
-            return approx.as_dict(emit_bits=args.emit_bits), None
+        capped = args.action != "lower"  # exact, bits and oracle: the decidable total ensemble
+        if capped and args.machine != "total":
+            raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
+        ens = Ensemble(args.machine, args.L, STRUCTURAL if capped else args.B, args.c_cap, args.workers)
+        if args.action in ("lower", "exact"):
+            return omega.omega_lower_bound(ens).as_dict(emit_bits=args.emit_bits), None
         if args.action == "bits":
             if not args.k:
                 raise ValueError("omega bits needs --k")
-            approx = omega.omega_exact_capped(args.L, c_cap=args.c_cap)
-            return {"L": args.L, "k": args.k, "value": str(approx.value),
-                    "bits": dyadic_bits(approx.value, args.k)}, None
+            value = omega.omega_lower_bound(ens).value
+            return {"L": args.L, "k": args.k, "value": str(value),
+                    "bits": dyadic_bits(value, args.k)}, None
         # oracle
         if args.kbits is not None:
             kbits = args.kbits
         else:
             if not args.k:
                 raise ValueError("omega oracle needs --k or --kbits")
-            approx = omega.omega_exact_capped(args.L, c_cap=args.c_cap)
-            kbits = dyadic_bits(approx.value, args.k)
+            kbits = dyadic_bits(omega.omega_lower_bound(ens).value, args.k)
         res = omega.oracle_halting_from_omega(kbits, args.L, guard=args.guard, c_cap=args.c_cap)
         return {
             "L": args.L,
@@ -341,6 +335,8 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         return incompleteness.omega_bits_ceiling_experiment(fas, args.L, args.budget), None
 
     if cmd == "fgh":
+        if args.cap_bits < 1:
+            raise ValueError(f"--cap-bits must be >= 1, got {args.cap_bits}")
         if args.action == "eval":
             if args.ordinal is None or args.n is None:
                 raise ValueError("fgh eval needs --ordinal and --n")
@@ -356,6 +352,8 @@ def _dispatch(args: argparse.Namespace) -> tuple:
     if cmd == "diag":
         if args.n < 0:
             raise ValueError(f"--n must be >= 0, got {args.n}")
+        if args.width < 1:
+            raise ValueError(f"--width must be >= 1, got {args.width}")
         if args.family:
             family = []
             with open(args.family) as f:

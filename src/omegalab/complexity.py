@@ -38,13 +38,16 @@ aux_read): program length ascending, then bit-lexicographic.  No two records
 share that key, so witnesses and tie-breaks are reproducible and a sweep
 partitioned across workers by prefix range gives every table identically.
 
-enumerate_halting alone runs sweeps.  It keeps the last few in a store keyed
-by (machine, c_cap, workers) and serves (L, B, aux) from a stored (L_s >= L,
-B_s >= B) by projection: the records with size_bits <= L, steps <= B and
-aux_read a prefix of aux (of "" when aux is None), in order.  This is exact:
-evaluation is deterministic, a budget only cuts a run short, and each shorter
-payload or aux of a halting run underran before its last step.  On total the
-store sweeps at STRUCTURAL and serves every integer B.  Tables, capped omega,
+An Ensemble (machine, L, B, c_cap, workers) names one capped program ensemble
+and is the one place these inputs are checked; every sweep-derived function
+takes one, and build_table is memoized on it.  enumerate_halting alone runs
+sweeps.  It keeps the last few in a store keyed by an ensemble's (machine,
+c_cap, workers) and serves its (L, B, aux) from a stored (L_s >= L, B_s >= B)
+by projection: the records with size_bits <= L, steps <= B and aux_read a
+prefix of aux (of "" when aux is None), in order.  This is exact: evaluation
+is deterministic, a budget only cuts a run short, and each shorter payload or
+aux of a halting run underran before its last step.  On total the store
+sweeps at STRUCTURAL and serves every integer B.  Tables, capped omega,
 both oracles, relative complexity and every report derive from the store.
 """
 
@@ -216,12 +219,6 @@ def _sd_records_for_prefixes(job) -> List[HaltRecord]:
     return records
 
 
-_STORE_SIZE = 8
-# (key, L_s, B_s, records) per stored sweep, key = (machine, c_cap, workers);
-# least recently used first
-_store: List[Tuple[tuple, int, object, List[HaltRecord]]] = []
-
-
 def check_budget(machine: str, B) -> None:
     """A step budget is an integer >= 0, or STRUCTURAL on machine total."""
     if B == STRUCTURAL and machine != "total":
@@ -230,48 +227,65 @@ def check_budget(machine: str, B) -> None:
         raise ValueError(f"budget must be >= 0, got {B}")
 
 
+@dataclass(frozen=True, slots=True)
+class Ensemble:
+    """The programs of at most L bits on machine, run for at most B steps, swept
+    over prefixes of at most c_cap characters by workers processes.  Every
+    sweep-derived quantity is a function of one; its fields are checked here."""
+    machine: str
+    L: int
+    B: object
+    c_cap: int = DEFAULT_CHAR_CAP
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.machine not in machines.MACHINES:
+            raise ValueError(f"unknown machine {self.machine!r}")
+        check_budget(self.machine, self.B)
+        if self.L < 0 or self.c_cap < 0 or self.workers < 1:
+            raise ValueError(f"sweep needs L, c_cap >= 0 and workers >= 1, got L={self.L}, "
+                             f"c_cap={self.c_cap}, workers={self.workers}")
+        if self.machine == "c2" and self.L > C2_RAW_CAP:
+            raise ValueError(f"c2 raw sweep capped at {C2_RAW_CAP} bits (desk scale), got L={self.L}")
+
+
+_STORE_SIZE = 8
+_store: List[Tuple[Ensemble, List[HaltRecord]]] = []  # least recently used first
+
+
 def _covers(B_s, B) -> bool:
     return B_s == STRUCTURAL or (B != STRUCTURAL and B_s >= B)
 
 
-def enumerate_halting(
-    machine: str,
-    L: int,
-    B,
-    c_cap: int = DEFAULT_CHAR_CAP,
-    workers: int = 1,
-    aux: Optional[BitString] = None,
-) -> List[HaltRecord]:
+def _serves(s: Ensemble, ens: Ensemble) -> bool:
+    """A sweep of s holds every record of ens: same store key, L and B at least ens's."""
+    return ((s.machine, s.c_cap, s.workers) == (ens.machine, ens.c_cap, ens.workers)
+            and s.L >= ens.L and _covers(s.B, ens.B))
+
+
+def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
     """All domain members of size <= L bits, (length, lex)-ordered, run with budget B.
 
-    B may be the STRUCTURAL sentinel on machine total.  For sd/total the sweep
-    is exhaustive for sizes <= min(L, 8*c_cap + 7); see exhaustive_bits().
-    aux=None keeps the records that read no aux.  Served from the sweep
-    store (module docstring); the list is the caller's.
+    For sd/total the sweep is exhaustive for sizes <= min(L, 8*c_cap + 7); see
+    exhaustive_bits().  aux=None keeps the records that read no aux.  Served
+    from the sweep store (module docstring); the list is the caller's.
     """
-    if machine not in machines.MACHINES:
-        raise ValueError(f"unknown machine {machine!r}")
-    check_budget(machine, B)
-    if L < 0 or c_cap < 0 or workers < 1:
-        raise ValueError(f"sweep needs L, c_cap >= 0 and workers >= 1, got L={L}, "
-                         f"c_cap={c_cap}, workers={workers}")
-    key = (machine, c_cap, workers)
-    hit = next((s for s in _store if s[0] == key and s[1] >= L and _covers(s[2], B)), None)
+    hit = next((s for s in _store if _serves(s[0], ens)), None)
     if hit is None:
-        B_s = STRUCTURAL if machine == "total" else B
-        hit = (key, L, B_s, _sweep(machine, L, B_s, c_cap, workers))
-        _store[:] = [s for s in _store if not (s[0] == key and s[1] <= L and _covers(B_s, s[2]))]
+        swept = replace(ens, B=STRUCTURAL) if ens.machine == "total" else ens
+        hit = (swept, _sweep(swept.machine, swept.L, swept.B, swept.c_cap, swept.workers))
+        _store[:] = [s for s in _store if not _serves(swept, s[0])]
     else:
         _store.remove(hit)
     _store.append(hit)
     del _store[:-_STORE_SIZE]
     y = aux or ""
-    return [r for r in hit[3] if r.size_bits <= L and (B == STRUCTURAL or r.steps <= B)
+    return [r for r in hit[1] if r.size_bits <= ens.L and (ens.B == STRUCTURAL or r.steps <= ens.B)
             and y.startswith(r.aux_read)]
 
 
 def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord]:
-    """One sweep at exactly (L, B), bypassing the store."""
+    """One sweep at exactly (L, B), bypassing the store and Ensemble's checks."""
     if machine == "c2":
         return _enumerate_c2(L, B)
     # every prefix prints to n <= L // 8 characters, so 8n <= L already;
@@ -294,8 +308,6 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
 
 
 def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
-    if L > C2_RAW_CAP:
-        raise ValueError(f"c2 raw sweep capped at {C2_RAW_CAP} bits (desk scale), got L={L}")
     records = []
     for n in range(1, L + 1):
         for i in range(1 << n):
@@ -314,11 +326,9 @@ def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
     return records
 
 
-def exhaustive_bits(machine: str, L: int, c_cap: int = DEFAULT_CHAR_CAP) -> int:
-    """Largest program size for which the sweep at (L, c_cap) is exhaustive."""
-    if machine == "c2":
-        return min(L, C2_RAW_CAP)
-    return min(L, 8 * c_cap + 7)
+def exhaustive_bits(ens: Ensemble) -> int:
+    """Largest program size for which the sweep of ens is exhaustive."""
+    return ens.L if ens.machine == "c2" else min(ens.L, 8 * ens.c_cap + 7)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +345,7 @@ class TableEntry:
 
 @dataclass
 class ComplexityTable:
-    machine: str
-    L: int
-    B: object
+    ens: Ensemble
     entries: Dict[BitString, TableEntry] = field(default_factory=dict)
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = field(default_factory=dict)
     exhaustive_limit: int = 0
@@ -347,13 +355,12 @@ class ComplexityTable:
 
 
 @lru_cache(maxsize=32)
-def build_table(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                workers: int = 1) -> ComplexityTable:
-    """The (L, B) sweep folded per output.  Memoized: callers share the
+def build_table(ens: Ensemble) -> ComplexityTable:
+    """The sweep of ens folded per output.  Memoized on ens: callers share the
     table and must not change it."""
-    records = enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers)
-    with_prob = machine in machines.SELF_DELIMITING
-    table = ComplexityTable(machine=machine, L=L, B=B, exhaustive_limit=exhaustive_bits(machine, L, c_cap))
+    records = enumerate_halting(ens)
+    with_prob = ens.machine in machines.SELF_DELIMITING
+    table = ComplexityTable(ens=ens, exhaustive_limit=exhaustive_bits(ens))
     table.contributing = len(records)
 
     def fold(key, entry_map, rec):
@@ -376,7 +383,7 @@ def build_table(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
         elif with_prob:
             table.conv_fail_mass = table.conv_fail_mass + Dyadic.pow2(rec.size_bits)
     if table.mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
-        raise InvariantError(f"Kraft sum {table.mass} of the {machine} domain at L={L} exceeds 1")
+        raise InvariantError(f"Kraft sum {table.mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
     return table
 
 
@@ -389,19 +396,18 @@ class ComplexityResult:
     source: Optional[str] = None  # "sweep" | "quote" | "composed" | "replay" | "plain"
 
 
-def _exactness(machine: str, x_len: int, h: int, L: int, B, table: ComplexityTable) -> bool:
-    if machine == "c2":
-        return L >= x_len + 1 and table.exhaustive_limit >= min(h, x_len + 1)
-    if machine == "total":
+def _exactness(table: ComplexityTable, x_len: int, h: int) -> bool:
+    ens = table.ens
+    if ens.machine == "c2":
+        return ens.L >= x_len + 1 and table.exhaustive_limit >= min(h, x_len + 1)
+    if ens.machine == "total":
         # every program smaller than the found witness was decided and enumerated
-        budget_ok = B == STRUCTURAL or (isinstance(B, int) and B >= (h // 8) + 1)
+        budget_ok = ens.B == STRUCTURAL or (isinstance(ens.B, int) and ens.B >= (h // 8) + 1)
         return budget_ok and h - 1 <= table.exhaustive_limit
     return False
 
 
-def complexity_upper(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                     workers: int = 1, table: Optional[ComplexityTable] = None,
-                     include_constructed: bool = False) -> ComplexityResult:
+def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = False) -> ComplexityResult:
     """Minimum enumerated program size producing x; "not found" is a value.
 
     include_constructed additionally admits the canonical quote witness
@@ -410,59 +416,53 @@ def complexity_upper(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT
     the sweep below it was exhaustive.  check_chain_rule and
     mutual_information rely on it for h(x), so x* may be a quote witness.
     """
-    if table is None:
-        table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
+    table = build_table(ens)
     cands: List[Tuple[int, BitString, str]] = []
     entry = table.entries.get(x)
     if entry is not None:
         cands.append((entry.h_upper, entry.witness, "sweep"))
-    if include_constructed and machine in machines.SELF_DELIMITING:
+    if include_constructed and ens.machine in machines.SELF_DELIMITING:
         from . import progs
 
         qp = progs.quote_program(x)
-        if qp.size_bits <= L and progs.verify_output(machine, qp, x):
+        if qp.size_bits <= ens.L and progs.verify_output(ens.machine, qp, x):
             cands.append((qp.size_bits, qp.bits, "quote"))
     best = _best(cands)
     if not best.found:
         return best
-    return replace(best, exact=_exactness(machine, len(x), best.h_upper, L, B, table))
+    return replace(best, exact=_exactness(table, len(x), best.h_upper))
 
 
-def algorithmic_probability(machine: str, x: BitString, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                            workers: int = 1) -> Dyadic:
+def algorithmic_probability(ens: Ensemble, x: BitString) -> Dyadic:
     """Exact partial sum of 2^-|p| over enumerated domain programs outputting x."""
-    if machine not in machines.SELF_DELIMITING:
+    if ens.machine not in machines.SELF_DELIMITING:
         raise ValueError("algorithmic probability requires a prefix-free machine (sd or total)")
-    entry = build_table(machine, L, B, c_cap=c_cap, workers=workers).entries.get(x)
+    entry = build_table(ens).entries.get(x)
     return entry.prob if entry is not None else Dyadic.zero()
 
 
-def find_elegant(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                 workers: int = 1) -> List[TableEntry]:
+def find_elegant(ens: Ensemble) -> List[TableEntry]:
     """Per output, the minimal-size program (lex tie-break) plus minimal_count."""
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
+    table = build_table(ens)
     return [table.entries[k] for k in sorted(table.entries, key=lambda o: (len(o), o))]
 
 
-def randomness_r1(machine: str, x: BitString, L: int, B, **kw) -> bool:
-    """x is random iff it cannot be compressed below its own length: h(x) >= |x|."""
-    res = complexity_upper(machine, x, L, B, **kw)
+def _exact_h(ens: Ensemble, x: BitString) -> int:
+    res = complexity_upper(ens, x)
     if not res.found or not res.exact:
-        raise InexactTableError(f"exact complexity of {x!r} not certified at L={L}, B={B}")
-    return res.h_upper >= len(x)
+        raise InexactTableError(f"exact complexity of {x!r} not certified at L={ens.L}, B={ens.B}")
+    return res.h_upper
 
 
-def randomness_r2(machine: str, x: BitString, slack: int, L: int, B,
-                  c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> bool:
+def randomness_r1(ens: Ensemble, x: BitString) -> bool:
+    """x is random iff it cannot be compressed below its own length: h(x) >= |x|."""
+    return _exact_h(ens, x) >= len(x)
+
+
+def randomness_r2(ens: Ensemble, x: BitString, slack: int) -> bool:
     """x is random iff h(x) is within slack of the max complexity at its length."""
-    best = None
-    for z in ("".join(t) for t in itertools.product("01", repeat=len(x))):
-        res = complexity_upper(machine, z, L, B, c_cap=c_cap, workers=workers)
-        if not res.found or not res.exact:
-            raise InexactTableError(f"exact complexity of {z!r} not certified at L={L}, B={B}")
-        best = res.h_upper if best is None else max(best, res.h_upper)
-    mine = complexity_upper(machine, x, L, B, c_cap=c_cap, workers=workers).h_upper
-    return mine >= best - slack
+    best = max(_exact_h(ens, "".join(t)) for t in itertools.product("01", repeat=len(x)))
+    return _exact_h(ens, x) >= best - slack
 
 
 def char_complexity(value: SExpr, max_chars: int, B: int) -> ComplexityResult:
@@ -488,58 +488,52 @@ def _best(cands: List[Tuple[int, BitString, str]]) -> ComplexityResult:
     return ComplexityResult(found=True, h_upper=size, witness=bits, source=src)
 
 
-def joint_complexity(machine: str, x: BitString, y: BitString, L: int, B,
-                     c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                     include_constructed: bool = True) -> ComplexityResult:
+def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityResult:
     """Upper bound on the pair complexity H(x,y), with its witness program."""
     from . import progs
 
-    if machine not in machines.SELF_DELIMITING:
+    if ens.machine not in machines.SELF_DELIMITING:
         raise ValueError("joint complexity is defined on the self-delimiting machines here")
     cands: List[Tuple[int, BitString, str]] = []
-    entry = build_table(machine, L, B, c_cap=c_cap, workers=workers).pair_entries.get((x, y))
+    entry = build_table(ens).pair_entries.get((x, y))
     if entry is not None:
         cands.append((entry.h_upper, entry.witness, "sweep"))
-    if include_constructed:
-        qp = progs.quote_pair_program(x, y)
-        if qp.size_bits <= L and progs.verify_pair(machine, qp, x, y):
-            cands.append((qp.size_bits, qp.bits, "quote"))
+    qp = progs.quote_pair_program(x, y)
+    if qp.size_bits <= ens.L and progs.verify_pair(ens.machine, qp, x, y):
+        cands.append((qp.size_bits, qp.bits, "quote"))
     return _best(cands)
 
 
-def relative_complexity(machine: str, x: BitString, y_star: BitString, L: int, B,
-                        c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1,
-                        include_constructed: bool = True) -> ComplexityResult:
+def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> ComplexityResult:
     """Upper bound on H(x | y*): aux channel loaded with y_star, output x."""
     from . import progs
 
+    machine, L = ens.machine, ens.L
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("relative complexity is defined on the self-delimiting machines here")
     if not machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET):
         raise ValueError("y_star must itself be a domain program")
     cands: List[Tuple[int, BitString, str]] = []
-    for rec in enumerate_halting(machine, L, B, c_cap=c_cap, workers=workers, aux=y_star):
+    for rec in enumerate_halting(ens, aux=y_star):
         if rec.output == x:
             cands.append((rec.size_bits, rec.program_bits, "sweep"))
             break  # records are (length, lex)-sorted
-    if include_constructed:
-        plain = progs.quote_program(x)
-        if plain.size_bits <= L and progs.verify_output(machine, plain, x, aux=y_star):
-            cands.append((plain.size_bits, plain.bits, "plain"))
-        # replaying the aux program reproduces its output
-        if progs.verify_output(machine, machines.split_program_bits(y_star), x):
-            rp = progs.replay_program()
-            if rp.size_bits <= L and progs.verify_output(machine, rp, x, progs.GUEST_BUDGET, aux=y_star):
-                cands.append((rp.size_bits, rp.bits, "replay"))
+    plain = progs.quote_program(x)
+    if plain.size_bits <= L and progs.verify_output(machine, plain, x, aux=y_star):
+        cands.append((plain.size_bits, plain.bits, "plain"))
+    # replaying the aux program reproduces its output
+    if progs.verify_output(machine, machines.split_program_bits(y_star), x):
+        rp = progs.replay_program()
+        if rp.size_bits <= L and progs.verify_output(machine, rp, x, progs.GUEST_BUDGET, aux=y_star):
+            cands.append((rp.size_bits, rp.bits, "replay"))
     return _best(cands)
 
 
-def mutual_information(machine: str, x: BitString, y: BitString, L: int, B,
-                       c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> Optional[int]:
+def mutual_information(ens: Ensemble, x: BitString, y: BitString) -> Optional[int]:
     """h(x) + h(y) - h(x,y) from upper bounds with quote witnesses; None if any is missing."""
-    hx = complexity_upper(machine, x, L, B, c_cap=c_cap, workers=workers, include_constructed=True)
-    hy = complexity_upper(machine, y, L, B, c_cap=c_cap, workers=workers, include_constructed=True)
-    hxy = joint_complexity(machine, x, y, L, B, c_cap=c_cap, workers=workers)
+    hx = complexity_upper(ens, x, include_constructed=True)
+    hy = complexity_upper(ens, y, include_constructed=True)
+    hxy = joint_complexity(ens, x, y)
     if not (hx.found and hy.found and hxy.found):
         return None
     return hx.h_upper + hy.h_upper - hxy.h_upper
@@ -554,13 +548,13 @@ def _ceil_neg_log2(d: Dyadic) -> int:
     return d.exp - (d.num.bit_length() - 1)
 
 
-def check_coding(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> dict:
+def check_coding(ens: Ensemble) -> dict:
     """For every swept output: prob(x) >= 2^-h_upper(x) exactly; report the (*) defect."""
-    if machine not in machines.SELF_DELIMITING:
+    if ens.machine not in machines.SELF_DELIMITING:
         raise ValueError("coding check requires a prefix-free machine")
     rows = []
     max_defect = None
-    for entry in find_elegant(machine, L, B, c_cap=c_cap, workers=workers):
+    for entry in find_elegant(ens):
         key = entry.output
         if entry.prob < Dyadic.pow2(entry.h_upper):
             raise InvariantError(f"prob({key!r}) = {entry.prob} lacks its witness term 2^-{entry.h_upper}")
@@ -574,11 +568,10 @@ def check_coding(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers
                 "defect": defect,
             }
         )
-    return {"machine": machine, "L": L, "B": B, "entries": rows, "max_defect": max_defect}
+    return {"machine": ens.machine, "L": ens.L, "B": ens.B, "entries": rows, "max_defect": max_defect}
 
 
-def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]], L: int, B,
-                     c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> dict:
+def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]) -> dict:
     """Chain-rule report: d(x,y) = h(x,y) - h(x) - h(y|x*) per pair, plus the
     composition constant K (size of the fixed composing prefix, measured once).
 
@@ -598,19 +591,18 @@ def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]],
     skipped = []
     max_abs_d = None
     for x, y in pairs:
-        hx = complexity_upper(machine, x, L, B, c_cap=c_cap, workers=workers,
-                              include_constructed=True)
+        hx = complexity_upper(ens, x, include_constructed=True)
         if not hx.found:
             skipped.append({"x": x, "y": y, "reason": "h(x) not found"})
             continue
         x_star = hx.witness
-        hyx = relative_complexity(machine, y, x_star, L, B, c_cap=c_cap, workers=workers)
+        hyx = relative_complexity(ens, y, x_star)
         if not hyx.found:
             skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
             continue
         composed = Program(composer, x_star + hyx.witness)
-        composed_ok = progs.verify_pair(machine, composed, x, y, budget=progs.GUEST_BUDGET)
-        hxy = joint_complexity(machine, x, y, L, B, c_cap=c_cap, workers=workers)
+        composed_ok = progs.verify_pair(ens.machine, composed, x, y, budget=progs.GUEST_BUDGET)
+        hxy = joint_complexity(ens, x, y)
         cands = [(hxy.h_upper, hxy.witness, hxy.source)] if hxy.found else []
         if composed_ok:
             cands.append((composed.size_bits, composed.bits, "composed"))
@@ -635,9 +627,9 @@ def check_chain_rule(machine: str, pairs: Sequence[Tuple[BitString, BitString]],
             }
         )
     return {
-        "machine": machine,
-        "L": L,
-        "B": B,
+        "machine": ens.machine,
+        "L": ens.L,
+        "B": ens.B,
         "K": K,
         "pairs": rows,
         "skipped": skipped,
@@ -656,4 +648,4 @@ def scan_domain(machine: str, max_len: int, budget: int) -> List[BitString]:
     """
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("domain scans are for the self-delimiting machines")
-    return [r.program_bits for r in enumerate_halting(machine, max_len, budget, c_cap=max_len // 8)]
+    return [r.program_bits for r in enumerate_halting(Ensemble(machine, max_len, budget, max_len // 8))]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
-from .complexity import STRUCTURAL, build_table, exhaustive_bits
+from .complexity import STRUCTURAL, Ensemble, build_table, exhaustive_bits
 from .machines import (
     Program,
     output_of,
@@ -160,8 +160,8 @@ def elegance_oracle(program_bits: BitString, budget: int = progs.WITNESS_BUDGET)
         # a non-producing program is vacuously non-elegant here: it has no output
         return EleganceVerdict(status="refuted")
     size = len(program_bits)
-    limit = min(size - 1, exhaustive_bits("total", size - 1))
-    table = build_table("total", limit, STRUCTURAL)
+    limit = exhaustive_bits(Ensemble("total", size - 1, STRUCTURAL))
+    table = build_table(Ensemble("total", limit, STRUCTURAL))
     counterexamples: List[BitString] = []
     entry = table.entries.get(out)
     if entry is not None and entry.h_upper < size:

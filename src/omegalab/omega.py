@@ -16,23 +16,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, bits_to_dyadic, dyadic_bits
 from . import complexity, machines
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, build_table, enumerate_halting
+from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, build_table, enumerate_halting
 
 
 @dataclass(frozen=True)
 class OmegaApprox:
-    machine: str
-    L: int
-    B: object
+    ens: Ensemble
     value: Dyadic
     contributing: int
     conv_fail_mass: Dyadic
 
     def as_dict(self, emit_bits: int = 0) -> dict:
         d = {
-            "machine": self.machine,
-            "L": self.L,
-            "B": self.B,
+            "machine": self.ens.machine,
+            "L": self.ens.L,
+            "B": self.ens.B,
             "value": str(self.value),
             "contributing": self.contributing,
             "conversion_failure_mass": str(self.conv_fail_mass),
@@ -42,13 +40,12 @@ class OmegaApprox:
         return d
 
 
-def omega_lower_bound(machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                      workers: int = 1) -> OmegaApprox:
+def omega_lower_bound(ens: Ensemble) -> OmegaApprox:
     """Exact sum of 2^-|p| over domain members found at (L, B); monotone in both."""
-    if machine not in machines.SELF_DELIMITING:
+    if ens.machine not in machines.SELF_DELIMITING:
         raise ValueError("halting probability requires a prefix-free machine")
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)  # checks Kraft: mass <= 1
-    return OmegaApprox(machine, L, B, table.mass, table.contributing, table.conv_fail_mass)
+    table = build_table(ens)  # checks Kraft: mass <= 1
+    return OmegaApprox(ens, table.mass, table.contributing, table.conv_fail_mass)
 
 
 def omega_exact_capped(L: int, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> OmegaApprox:
@@ -58,18 +55,17 @@ def omega_exact_capped(L: int, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) 
     suffices), so this equals the supremum over B of omega_lower_bound(total,
     L, B), reached at finite B.
     """
-    return omega_lower_bound("total", L, STRUCTURAL, c_cap=c_cap, workers=workers)
+    return omega_lower_bound(Ensemble("total", L, STRUCTURAL, c_cap, workers))
 
 
-def omega_double_prime(machine: str, N: int, L: int, B, c_cap: int = DEFAULT_CHAR_CAP,
-                       workers: int = 1) -> dict:
+def omega_double_prime(ens: Ensemble, N: int) -> dict:
     """Sum of 2^-h_upper(encode(n)) over naturals n <= N.
 
     Numeral convention: n is its big-endian binary expansion without leading
     zeros, 0 is the empty string.  Built from complexity upper bounds, so it
     is labeled an approximation from above-bounded complexities.
     """
-    table = build_table(machine, L, B, c_cap=c_cap, workers=workers)
+    table = build_table(ens)
     total = Dyadic.zero()
     missing: List[int] = []
     terms: List[dict] = []
@@ -82,10 +78,10 @@ def omega_double_prime(machine: str, N: int, L: int, B, c_cap: int = DEFAULT_CHA
         total = total + Dyadic.pow2(entry.h_upper)
         terms.append({"n": n, "encoded": enc, "h_upper": entry.h_upper})
     return {
-        "machine": machine,
+        "machine": ens.machine,
         "N": N,
-        "L": L,
-        "B": B,
+        "L": ens.L,
+        "B": ens.B,
         "value": str(total),
         "value_dyadic": total,
         "terms": terms,
@@ -122,7 +118,7 @@ def oracle_halting_from_omega(kbits: BitString, L: int, guard: int = 10**8,
     # dovetail order: the run at dovetail stage b contributes exactly the
     # programs halting in b steps, so accumulate in (steps, size, lex) order
     records = sorted(
-        enumerate_halting("total", L, STRUCTURAL, c_cap=c_cap),
+        enumerate_halting(Ensemble("total", L, STRUCTURAL, c_cap)),
         key=lambda r: (r.steps, r.size_bits, r.program_bits),
     )
     acc = Dyadic.zero()
@@ -146,7 +142,7 @@ def decided_halting_set(L: int, k: int, c_cap: int = DEFAULT_CHAR_CAP) -> Tuple[
     """Directly decided halting set of the capped total ensemble, sizes <= k."""
     return tuple(
         rec.program_bits
-        for rec in enumerate_halting("total", min(k, L), STRUCTURAL, c_cap=c_cap)
+        for rec in enumerate_halting(Ensemble("total", min(k, L), STRUCTURAL, c_cap))
     )
 
 

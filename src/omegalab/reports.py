@@ -61,9 +61,9 @@ def table_rows(table) -> list:
 
 def table_report(table) -> dict:
     return {
-        "machine": table.machine,
-        "L": table.L,
-        "B": table.B,
+        "machine": table.ens.machine,
+        "L": table.ens.L,
+        "B": table.ens.B,
         "exhaustive_limit": table.exhaustive_limit,
         "contributing": table.contributing,
         "conversion_failure_mass": str(table.conv_fail_mass),

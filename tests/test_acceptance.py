@@ -14,6 +14,7 @@ import pytest
 from omegalab.bits import Dyadic, dyadic_bits, is_prefix_free
 from omegalab.complexity import (
     STRUCTURAL,
+    Ensemble,
     build_table,
     check_chain_rule,
     check_coding,
@@ -54,11 +55,11 @@ def criterion(n, summary):
 @criterion(1, "c2 max complexity of n-bit strings is n+1 for n in 1..8")
 def test_criterion_1_c2_max_complexity():
     for n in range(1, 9):
-        table = build_table("c2", n + 1, BUDGET)
+        table = build_table(Ensemble("c2", n + 1, BUDGET))
         hs = []
         for i in range(1 << n):
             x = format(i, f"0{n}b")
-            res = complexity_upper("c2", x, n + 1, BUDGET, table=table)
+            res = complexity_upper(Ensemble("c2", n + 1, BUDGET), x)
             assert res.found and res.exact, (n, x)
             hs.append(res.h_upper)
         assert max(hs) == n + 1, n
@@ -67,7 +68,7 @@ def test_criterion_1_c2_max_complexity():
 
 @criterion(2, "counting bound |{x : H(x) < m}| < 2^m on c2 for m in 1..9")
 def test_criterion_2_counting_bound():
-    table = build_table("c2", 9, BUDGET)
+    table = build_table(Ensemble("c2", 9, BUDGET))
     counts = []
     for m in range(1, 10):
         count = sum(1 for e in table.entries.values() if e.h_upper < m)
@@ -91,7 +92,7 @@ def _criterion4_report(workers: int) -> str:
     grid = []
     for L in (16, 18, 20, 22, 24):
         for B in (10**2, 10**3, 10**4):
-            approx = omega_lower_bound("total", L, B, workers=workers)
+            approx = omega_lower_bound(Ensemble("total", L, B, workers=workers))
             grid.append({"L": L, "B": B, "value": str(approx.value)})
     return emit_json({"grid": grid})
 
@@ -101,7 +102,7 @@ def test_criterion_4_omega_monotone():
     values = {}
     for L in (16, 18, 20, 22, 24):
         for B in (10**2, 10**3, 10**4):
-            values[L, B] = omega_lower_bound("total", L, B).value
+            values[L, B] = omega_lower_bound(Ensemble("total", L, B)).value
             assert values[L, B] <= Dyadic.one()
     for (L1, B1), v1 in values.items():
         for (L2, B2), v2 in values.items():
@@ -115,7 +116,7 @@ def test_criterion_4_omega_monotone():
 def test_criterion_5_capped_agreement():
     exact = omega_exact_capped(24)
     b_star = 24 // 8  # one step per subexpression; 3-character prefixes at most
-    lower = omega_lower_bound("total", 24, b_star)
+    lower = omega_lower_bound(Ensemble("total", 24, b_star))
     assert exact.value == lower.value
     assert exact.contributing == lower.contributing
     return f"value {exact.value} at B* = {b_star}"
@@ -136,18 +137,18 @@ def test_criterion_6_oracle_completeness():
 
 
 def _criterion7_report(workers: int) -> str:
-    return emit_json(check_coding("sd", 24, BUDGET, workers=workers))
+    return emit_json(check_coding(Ensemble("sd", 24, BUDGET, workers=workers)))
 
 
 @criterion(7, "coding direction: prob(x) >= 2^-h(x) exactly on the sd sweep")
 def test_criterion_7_coding_direction():
-    rep = check_coding("sd", 24, BUDGET)
+    rep = check_coding(Ensemble("sd", 24, BUDGET))
     assert rep["entries"], "sweep produced no outputs"
     for row in rep["entries"]:
         prob = Dyadic.parse(row["prob"])
         assert prob >= Dyadic.pow2(row["h_upper"])
         assert row["defect"] >= 0
-    again = check_coding("sd", 24, BUDGET)
+    again = check_coding(Ensemble("sd", 24, BUDGET))
     assert emit_json(rep) == emit_json(again), "rerun must be bit-identical"
     _reports["c7", 1] = _criterion7_report(1)
     return f"max defect {rep['max_defect']}"
@@ -158,13 +159,13 @@ _PAIR_ALPHABET = ["", "0", "1", "00", "01", "10", "11"]
 
 def _criterion8_report(workers: int) -> str:
     pairs = list(itertools.product(_PAIR_ALPHABET, _PAIR_ALPHABET))
-    return emit_json(check_chain_rule("sd", pairs, 96, BUDGET, workers=workers))
+    return emit_json(check_chain_rule(Ensemble("sd", 96, BUDGET, workers=workers), pairs))
 
 
 @criterion(8, "subadditivity direction h(x,y) <= h(x) + h(y|x*) + K for |x|,|y| <= 2")
 def test_criterion_8_chain_rule():
     pairs = list(itertools.product(_PAIR_ALPHABET, _PAIR_ALPHABET))
-    rep = check_chain_rule("sd", pairs, 96, BUDGET)
+    rep = check_chain_rule(Ensemble("sd", 96, BUDGET), pairs)
     assert not rep["skipped"], rep["skipped"]
     assert len(rep["pairs"]) == 49
     for row in rep["pairs"]:

@@ -159,11 +159,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["fas", "ceiling", "--fas", "sound", "--budget", "-5"],
     ["fas", "omegabits", "--fas", "omega8", "--budget", "-1"],
     ["diag", "--n", "-1"],
+    ["omega", "exact", "--L", "16", "--machine", "sd"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--machine", "sd"],
+    ["omega", "oracle", "--L", "16", "--k", "4", "--machine", "sd"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--workers", "0"],
+    ["omega", "oracle", "--L", "16", "--k", "4", "--workers", "-1"],
+    ["sweep", "--machine", "c2", "--L", "23"],
+    ["diag", "--n", "0", "--width", "-1"],
+    ["diag", "--n", "0", "--width", "0"],
+    ["fgh", "eval", "--ordinal", "w", "--n", "2", "--cap-bits", "-1"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
-    if argv[0] in ("fas", "diag"):  # the message names the flag
+    if argv[0] in ("fas", "diag", "fgh"):  # the message names the flag
         assert argv[-2] in err
 
 

@@ -8,6 +8,7 @@ import pytest
 from omegalab.bits import Dyadic
 from omegalab.complexity import (
     STRUCTURAL,
+    Ensemble,
     InexactTableError,
     algorithmic_probability,
     build_table,
@@ -42,15 +43,15 @@ def _c2_oracle(L, B):
 
 
 def test_enumerate_c2_hand_case():
-    records = enumerate_halting("c2", 2, 10)
+    records = enumerate_halting(Ensemble("c2", 2, 10))
     got = [(r.program_bits, r.output) for r in records]
     assert got == [("0", ""), ("00", "0"), ("01", "1")]
 
 
 def test_enumerate_empty_limits():
-    assert enumerate_halting("c2", 0, 0) == []
-    assert enumerate_halting("sd", 15, 100) == []  # the shortest prefix () is 16 bits
-    assert enumerate_halting("total", 0, STRUCTURAL) == []
+    assert enumerate_halting(Ensemble("c2", 0, 0)) == []
+    assert enumerate_halting(Ensemble("sd", 15, 100)) == []  # the shortest prefix () is 16 bits
+    assert enumerate_halting(Ensemble("total", 0, STRUCTURAL)) == []
 
 
 def test_enumerate_matches_c2_oracle():
@@ -58,48 +59,48 @@ def test_enumerate_matches_c2_oracle():
     # leading-0 program halts, so it is the only record
     for L, B in ((9, 100), (17, 0)):
         mine = {}
-        for r in enumerate_halting("c2", L, B):
+        for r in enumerate_halting(Ensemble("c2", L, B)):
             mine.setdefault(r.output, (r.size_bits, r.program_bits))
         assert mine == _c2_oracle(L, B)
-    assert [(r.program_bits, r.output, r.steps) for r in enumerate_halting("c2", 17, 0)] == [
+    assert [(r.program_bits, r.output, r.steps) for r in enumerate_halting(Ensemble("c2", 17, 0))] == [
         ("1" + to_bits(parse("()")), "", 0)]
 
 
 def test_complexity_upper_c2_examples():
-    res = complexity_upper("c2", "101", 4, 10)
+    res = complexity_upper(Ensemble("c2", 4, 10), "101")
     assert (res.h_upper, res.witness, res.exact) == (4, "0101", True)
-    res = complexity_upper("c2", "", 1, 10)
+    res = complexity_upper(Ensemble("c2", 1, 10), "")
     assert (res.h_upper, res.witness, res.exact) == (1, "0", True)
-    assert not complexity_upper("c2", "1" * 12, 4, 10).found
+    assert not complexity_upper(Ensemble("c2", 4, 10), "1" * 12).found
 
 
 def test_complexity_upper_sd_empty_string():
-    res = complexity_upper("sd", "", 20, 100)
+    res = complexity_upper(Ensemble("sd", 20, 100), "")
     assert res.h_upper == 16
     assert res.witness == to_bits(parse("()"))
     assert res.exact is False  # sd never certifies exactness
 
 
 def test_algorithmic_probability():
-    p = algorithmic_probability("sd", "", 16, 100)
+    p = algorithmic_probability(Ensemble("sd", 16, 100), "")
     assert p == Dyadic.pow2(16)
-    assert algorithmic_probability("sd", "0", 0, 100) == Dyadic.zero()
+    assert algorithmic_probability(Ensemble("sd", 0, 100), "0") == Dyadic.zero()
     with pytest.raises(ValueError):
-        algorithmic_probability("c2", "", 16, 100)
+        algorithmic_probability(Ensemble("c2", 16, 100), "")
 
 
 def test_probability_monotone_in_limits():
-    p16 = algorithmic_probability("sd", "", 16, 100)
-    p24 = algorithmic_probability("sd", "", 24, 100)
-    p56 = algorithmic_probability("sd", "", 56, 100)
+    p16 = algorithmic_probability(Ensemble("sd", 16, 100), "")
+    p24 = algorithmic_probability(Ensemble("sd", 24, 100), "")
+    p56 = algorithmic_probability(Ensemble("sd", 56, 100), "")
     assert p16 <= p24 <= p56
-    h24 = complexity_upper("sd", "", 24, 100).h_upper
-    h56 = complexity_upper("sd", "", 56, 100).h_upper
+    h24 = complexity_upper(Ensemble("sd", 24, 100), "").h_upper
+    h56 = complexity_upper(Ensemble("sd", 56, 100), "").h_upper
     assert h56 <= h24
 
 
 def test_find_elegant_c2():
-    entries = find_elegant("c2", 3, 10)
+    entries = find_elegant(Ensemble("c2", 3, 10))
     by_output = {e.output: e for e in entries}
     assert by_output["1"].witness == "01"
     assert by_output["1"].h_upper == 2
@@ -107,37 +108,37 @@ def test_find_elegant_c2():
 
 
 def test_counting_bound_c2():
-    table = build_table("c2", 9, 100)
+    table = build_table(Ensemble("c2", 9, 100))
     for m in range(1, 10):
         count = sum(1 for e in table.entries.values() if e.h_upper < m)
         assert count < 2**m
 
 
 def test_c2_max_complexity_small():
-    table = build_table("c2", 9, 100)
+    table = build_table(Ensemble("c2", 9, 100))
     for n in range(1, 9):
         hs = []
         for i in range(1 << n):
             x = format(i, f"0{n}b")
-            res = complexity_upper("c2", x, n + 1, 100, table=table)
+            res = complexity_upper(Ensemble("c2", n + 1, 100), x)
             assert res.found and res.exact
             hs.append(res.h_upper)
         assert max(hs) == n + 1
 
 
 def test_randomness_r1():
-    assert randomness_r1("c2", "101", 4, 10)
-    assert randomness_r1("c2", "", 1, 10)  # degenerate: h=1 >= 0
+    assert randomness_r1(Ensemble("c2", 4, 10), "101")
+    assert randomness_r1(Ensemble("c2", 1, 10), "")  # degenerate: h=1 >= 0
     with pytest.raises(InexactTableError):
-        randomness_r1("sd", "", 20, 100)  # sd upper bounds are never exact
+        randomness_r1(Ensemble("sd", 20, 100), "")  # sd upper bounds are never exact
 
 
 def test_randomness_r2():
     # slack 0 on c2 picks exactly the maximal-complexity strings
-    assert randomness_r2("c2", "11", 0, 3, 10)
+    assert randomness_r2(Ensemble("c2", 3, 10), "11", 0)
     # monotone in slack; huge slack accepts everything
-    assert randomness_r2("c2", "11", 1, 3, 10)
-    assert randomness_r2("c2", "00", 3, 3, 10)
+    assert randomness_r2(Ensemble("c2", 3, 10), "11", 1)
+    assert randomness_r2(Ensemble("c2", 3, 10), "00", 3)
 
 
 def test_char_complexity():
@@ -230,62 +231,62 @@ def test_class_sweep_equals_a_full_sweep():
 
 
 def test_joint_complexity_quote_witness():
-    res = joint_complexity("sd", "", "", 96, 100)
+    res = joint_complexity(Ensemble("sd", 96, 100), "", "")
     assert res.found and res.h_upper == 72  # (q(()())) is 9 characters
     prog = split_program_bits(res.witness)
     assert progs.verify_pair("sd", prog, "", "")
-    assert not joint_complexity("sd", "", "", 32, 100).found  # L too small
+    assert not joint_complexity(Ensemble("sd", 32, 100), "", "").found  # L too small
 
 
 def test_joint_symmetry_bound():
     for x, y in [("", "0"), ("0", "1"), ("01", "1")]:
-        a = joint_complexity("sd", x, y, 120, 100)
-        b = joint_complexity("sd", y, x, 120, 100)
+        a = joint_complexity(Ensemble("sd", 120, 100), x, y)
+        b = joint_complexity(Ensemble("sd", 120, 100), y, x)
         assert a.found and b.found
         assert abs(a.h_upper - b.h_upper) <= 16  # mirrored quote witnesses differ by |x|-|y| chars
 
 
 def test_mutual_information():
-    m = mutual_information("sd", "", "", 96, 100)
+    m = mutual_information(Ensemble("sd", 96, 100), "", "")
     assert m == 2 * 16 - 72  # may be negative at desk scale; reported as-is
-    assert mutual_information("sd", "0" * 30, "", 24, 100) is None
+    assert mutual_information(Ensemble("sd", 24, 100), "0" * 30, "") is None
 
 
 def test_relative_complexity():
     y_star = to_bits(parse("(r)")) + "0"  # a domain program with output "0"
     # aux unused: plain witnesses remain valid
-    res = relative_complexity("sd", "", y_star, 40, 100, c_cap=3)
+    res = relative_complexity(Ensemble("sd", 40, 100, c_cap=3), "", y_star)
     assert res.found and res.h_upper == 16
     # sweeping with the aux loaded finds genuine (s)-readers
-    res = relative_complexity("sd", "0", y_star, 40, 100, c_cap=3)
+    res = relative_complexity(Ensemble("sd", 40, 100, c_cap=3), "0", y_star)
     assert res.found
     assert res.h_upper <= 25
     with pytest.raises(ValueError):
-        relative_complexity("sd", "", "1111", 40, 100)  # y_star not in domain
+        relative_complexity(Ensemble("sd", 40, 100), "", "1111")  # y_star not in domain
 
 
 def test_relative_via_replay_is_size_independent():
     # a long enough output: its plain witness grows with |x|, the replay does not
     x = "01" * 1000
     y_star = progs.quote_program(x).bits
-    res = relative_complexity("sd", x, y_star, 10**6, 10**7, c_cap=2)
+    res = relative_complexity(Ensemble("sd", 10**6, 10**7, c_cap=2), x, y_star)
     assert res.found and res.source == "replay"
     assert res.h_upper == progs.replay_program().size_bits
     assert res.h_upper < progs.quote_program(x).size_bits
 
 
 def test_check_coding_sd():
-    rep = check_coding("sd", 24, 10**4)
+    rep = check_coding(Ensemble("sd", 24, 10**4))
     assert [e["output"] for e in rep["entries"]] == [""]
     assert rep["entries"][0]["defect"] == 0
     assert rep["max_defect"] == 0
     # defects are h - ceil(-log2 prob) >= 0 whenever prob's leading term is the witness
-    rep56 = check_coding("sd", 56, 10**4)
+    rep56 = check_coding(Ensemble("sd", 56, 10**4))
     assert all(e["defect"] >= 0 for e in rep56["entries"])
 
 
 def test_check_chain_rule_small():
-    rep = check_chain_rule("sd", [("", ""), ("0", "1")], 56, 10**4, c_cap=4)
+    rep = check_chain_rule(Ensemble("sd", 56, 10**4, c_cap=4), [("", ""), ("0", "1")])
     assert rep["K"] == 8 * len("".join(c for c in _composer_text()))
     assert not rep["skipped"]
     for row in rep["pairs"]:
@@ -296,7 +297,7 @@ def test_check_chain_rule_small():
 def test_check_chain_rule_takes_h_x_from_quote_witness():
     # at c_cap=4 no swept prefix outputs "00" or "11"; only their quote
     # witness (q(00)) bounds h(x), and the pair must not be skipped for it
-    rep = check_chain_rule("sd", [("00", ""), ("11", "1")], 56, 10**4, c_cap=4)
+    rep = check_chain_rule(Ensemble("sd", 56, 10**4, c_cap=4), [("00", ""), ("11", "1")])
     assert not rep["skipped"], rep["skipped"]
     assert len(rep["pairs"]) == 2
     assert rep["pairs"][0]["h_x"] == progs.quote_program("00").size_bits == 56
@@ -313,7 +314,7 @@ def _composer_text():
 
 def test_subadditivity_via_plain_composer():
     # h(x,y) <= h(x) + h(y) + K2: witnesses concatenate behind the fixed prefix
-    table = build_table("sd", 56, 10**4)
+    table = build_table(Ensemble("sd", 56, 10**4))
     comp = progs.pair_composer(with_aux=False)
     K2 = 8 * len(_print(comp))
     for x, y in [("", "0"), ("1", "1"), ("0", "1")]:
@@ -331,16 +332,40 @@ def _print(e):
 
 
 def test_table_determinism_and_workers():
-    t1 = build_table("total", 40, STRUCTURAL, c_cap=5, workers=1)
-    t4 = build_table("total", 40, STRUCTURAL, c_cap=5, workers=4)
+    t1 = build_table(Ensemble("total", 40, STRUCTURAL, c_cap=5, workers=1))
+    t4 = build_table(Ensemble("total", 40, STRUCTURAL, c_cap=5, workers=4))
     assert t1.entries == t4.entries
     assert t1.pair_entries == t4.pair_entries
     assert t1.conv_fail_mass == t4.conv_fail_mass
 
 
+def test_one_ensemble_is_one_memo_entry(monkeypatch):
+    # however its defaults are written, one ensemble is one table; workers
+    # stays in the memo and store keys, so criterion 12's workers=4 reports
+    # come from a parallel sweep, not from the workers=1 tables
+    from omegalab import complexity
+
+    sweep = complexity._sweep
+    swept = []
+
+    def counting_sweep(*args):
+        swept.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_sweep", counting_sweep)
+    build_table.cache_clear()
+    t = build_table(Ensemble("total", 32, STRUCTURAL))
+    assert build_table(Ensemble("total", 32, STRUCTURAL, c_cap=6, workers=1)) is t
+    assert build_table.cache_info().misses == 1
+    t4 = build_table(Ensemble("total", 32, STRUCTURAL, workers=4))
+    assert t4 is not t and build_table.cache_info().misses == 2
+    assert swept == [("total", 32, STRUCTURAL, 6, 1), ("total", 32, STRUCTURAL, 6, 4)]
+
+
 def test_mutual_information_takes_quote_witnesses():
     # no swept prefix at c_cap=5 outputs "00"; its 56-bit quote witness does
-    m = mutual_information("sd", "00", "", 96, 100, c_cap=5)
+    m = mutual_information(Ensemble("sd", 96, 100, c_cap=5), "00", "")
     assert isinstance(m, int)
 
 
@@ -385,37 +410,39 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     monkeypatch.setattr(complexity, "_store", [])
     monkeypatch.setattr(complexity, "_sweep", sweep)
     y_star = to_bits(parse("(r)")) + "0"
-    enumerate_halting("sd", 24, 10**4)
-    enumerate_halting("sd", 40, 0)  # a smaller L cannot serve it
-    enumerate_halting("sd", 40, 10**4)  # nor a smaller budget
-    enumerate_halting("total", 56, 1)  # stored at the structural budget
-    enumerate_halting("sd", 40, 10**4, c_cap=3, aux=y_star)
+    enumerate_halting(Ensemble("sd", 24, 10**4))
+    enumerate_halting(Ensemble("sd", 40, 0))  # a smaller L cannot serve it
+    enumerate_halting(Ensemble("sd", 40, 10**4))  # nor a smaller budget
+    enumerate_halting(Ensemble("total", 56, 1))  # stored at the structural budget
+    enumerate_halting(Ensemble("sd", 40, 10**4, c_cap=3), aux=y_star)
     assert swept == [("sd", 24, 10**4), ("sd", 40, 0), ("sd", 40, 10**4), ("total", 56, STRUCTURAL),
                      ("sd", 40, 10**4)]
     for L, B in itertools.product((24, 32, 40), (0, 1, 3, 100, 10**4)):
-        assert enumerate_halting("sd", L, B) == direct("sd", L, B, 6), (L, B)
+        assert enumerate_halting(Ensemble("sd", L, B)) == direct("sd", L, B, 6), (L, B)
     for L, B in itertools.product((24, 32, 40), (0, 1, 3, 100, STRUCTURAL)):
-        assert enumerate_halting("total", L, B) == direct("total", L, B, 6), (L, B)
-    one_step = enumerate_halting("total", 56, 1)
+        assert enumerate_halting(Ensemble("total", L, B)) == direct("total", L, B, 6), (L, B)
+    one_step = enumerate_halting(Ensemble("total", 56, 1))
     assert one_step == direct("total", 56, 1, 6)
-    assert len(one_step) < len(enumerate_halting("total", 56, STRUCTURAL))
+    assert len(one_step) < len(enumerate_halting(Ensemble("total", 56, STRUCTURAL)))
     for L, B in ((32, 0), (40, 100)):
-        assert (enumerate_halting("sd", L, B, c_cap=3, aux=y_star)
+        assert (enumerate_halting(Ensemble("sd", L, B, c_cap=3), aux=y_star)
                 == _aux_loaded_sweep(L, B, 3, y_star)), (L, B)
     assert len(swept) == 5
     # a projection is a fresh list the caller may change
-    enumerate_halting("sd", 40, 10**4).clear()
-    assert enumerate_halting("sd", 40, 10**4) == direct("sd", 40, 10**4, 6)
+    enumerate_halting(Ensemble("sd", 40, 10**4)).clear()
+    assert enumerate_halting(Ensemble("sd", 40, 10**4)) == direct("sd", 40, 10**4, 6)
 
 
 def test_aux_readers_are_found_on_demand():
     # (s) halts only by reading one aux bit: it serves every aux, never aux=None
     s_bits = to_bits(parse("(s)"))
     for aux in ("0", "1", "01", "1101"):
-        recs = [r for r in enumerate_halting("sd", 32, 100, c_cap=3, aux=aux) if r.program_bits == s_bits]
+        recs = [r for r in enumerate_halting(Ensemble("sd", 32, 100, c_cap=3), aux=aux)
+                if r.program_bits == s_bits]
         assert [(r.output, r.aux_read) for r in recs] == [(aux[0], aux[0])], aux
     for aux in (None, ""):
-        assert s_bits not in [r.program_bits for r in enumerate_halting("sd", 32, 100, c_cap=3, aux=aux)]
+        swept = enumerate_halting(Ensemble("sd", 32, 100, c_cap=3), aux=aux)
+        assert s_bits not in [r.program_bits for r in swept]
 
 
 def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
@@ -432,9 +459,9 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
     monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     monkeypatch.setattr(complexity, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     pairs = [("", ""), ("0", "1"), ("1", "0"), ("00", "1")]
-    rep = check_chain_rule("sd", pairs, 56, 10**4, c_cap=4)
+    rep = check_chain_rule(Ensemble("sd", 56, 10**4, c_cap=4), pairs)
     assert len(rep["pairs"]) == 4 and not rep["skipped"]
-    x_stars = {complexity_upper("sd", x, 56, 10**4, c_cap=4, include_constructed=True).witness
+    x_stars = {complexity_upper(Ensemble("sd", 56, 10**4, c_cap=4), x, include_constructed=True).witness
                for x, _ in pairs}
     assert len(x_stars) >= 3
     assert swept == [("sd", 56, 10**4, 4, 1)]
@@ -449,5 +476,5 @@ FROZEN_RECORD_DIGESTS = {
 
 def test_frozen_record_digests():
     for args, digest in FROZEN_RECORD_DIGESTS.items():
-        rows = [(r.program_bits, r.output, r.pair, r.steps, r.size_bits) for r in enumerate_halting(*args)]
+        rows = [(r.program_bits, r.output, r.pair, r.steps, r.size_bits) for r in enumerate_halting(Ensemble(*args))]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, args

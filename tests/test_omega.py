@@ -3,7 +3,7 @@
 import pytest
 
 from omegalab.bits import Dyadic, dyadic_bits
-from omegalab.complexity import STRUCTURAL
+from omegalab.complexity import STRUCTURAL, Ensemble
 from omegalab.omega import (
     borel_normality,
     decided_halting_set,
@@ -15,12 +15,12 @@ from omegalab.omega import (
 
 
 def test_lower_bound_examples():
-    assert omega_lower_bound("sd", 15, 100).value == Dyadic.zero()
-    lo = omega_lower_bound("sd", 16, 100)
+    assert omega_lower_bound(Ensemble("sd", 15, 100)).value == Dyadic.zero()
+    lo = omega_lower_bound(Ensemble("sd", 16, 100))
     assert lo.value == Dyadic.pow2(16) and lo.contributing == 1
-    assert omega_lower_bound("total", 0, 100).value == Dyadic.zero()
+    assert omega_lower_bound(Ensemble("total", 0, 100)).value == Dyadic.zero()
     with pytest.raises(ValueError):
-        omega_lower_bound("c2", 16, 100)
+        omega_lower_bound(Ensemble("c2", 16, 100))
 
 
 def test_exact_capped_values():
@@ -33,9 +33,9 @@ def test_exact_capped_values():
 
 def test_exact_agrees_with_lower_bound_at_structural_budget():
     ex = omega_exact_capped(24)
-    lo = omega_lower_bound("total", 24, 3)  # 3 subexpressions suffice for 3-char prefixes
+    lo = omega_lower_bound(Ensemble("total", 24, 3))  # 3 subexpressions suffice for 3-char prefixes
     assert ex.value == lo.value
-    assert ex.value == omega_lower_bound("total", 24, 10**4).value
+    assert ex.value == omega_lower_bound(Ensemble("total", 24, 10**4)).value
 
 
 def test_monotone_in_cap():
@@ -49,7 +49,7 @@ def test_double_monotonicity_grid():
     values = {}
     for L in (16, 20, 24):
         for B in (1, 10, 100):
-            values[L, B] = omega_lower_bound("total", L, B).value
+            values[L, B] = omega_lower_bound(Ensemble("total", L, B)).value
     for L1, B1 in values:
         for L2, B2 in values:
             if L1 <= L2 and B1 <= B2:
@@ -57,20 +57,20 @@ def test_double_monotonicity_grid():
 
 
 def test_double_prime():
-    assert omega_double_prime("total", 0, 56, STRUCTURAL)["value_dyadic"] == Dyadic.pow2(16)
-    rep = omega_double_prime("total", 1, 56, STRUCTURAL)
+    assert omega_double_prime(Ensemble("total", 56, STRUCTURAL), 0)["value_dyadic"] == Dyadic.pow2(16)
+    rep = omega_double_prime(Ensemble("total", 56, STRUCTURAL), 1)
     # encode(0)="" has h=16, encode(1)="1" has h=25: 2^-16 + 2^-25 = 513/2^25
     assert rep["value_dyadic"] == Dyadic(513, 25)
     assert rep["missing"] == []
     prev = Dyadic.zero()
     for n in (0, 1, 3):
-        cur = omega_double_prime("total", n, 56, STRUCTURAL)["value_dyadic"]
+        cur = omega_double_prime(Ensemble("total", 56, STRUCTURAL), n)["value_dyadic"]
         assert prev <= cur
         prev = cur
 
 
 def test_double_prime_missing_skipped():
-    rep = omega_double_prime("total", 3, 24, STRUCTURAL)
+    rep = omega_double_prime(Ensemble("total", 24, STRUCTURAL), 3)
     assert 2 in rep["missing"] and 3 in rep["missing"]  # "10"/"11" have no <=24-bit program
 
 
@@ -135,4 +135,4 @@ def test_kraft_check_raises_on_fabricated_records(monkeypatch):
     monkeypatch.setattr(complexity, "_sweep", lambda *args: list(fake))
     monkeypatch.setattr(omega, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     with pytest.raises(InvariantError, match="Kraft"):
-        omega_lower_bound("sd", 2, 100)
+        omega_lower_bound(Ensemble("sd", 2, 100))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from omegalab import progs
-from omegalab.complexity import STRUCTURAL, enumerate_halting
+from omegalab.complexity import STRUCTURAL, Ensemble, enumerate_halting
 from omegalab.incompleteness import build_berry_program, bundled_sound_fas, bundled_unsound_fas
 from omegalab.machines import (
     Program,
@@ -65,7 +65,7 @@ def test_composed_equals_host_on_whole_small_domain():
     # domain program up to 33 bits (paired with the empty-output program)
     empty = to_bits(parse("()"))
     comp = pair_composer(with_aux=False)
-    for rec in enumerate_halting("total", 33, STRUCTURAL, c_cap=4):
+    for rec in enumerate_halting(Ensemble("total", 33, STRUCTURAL, c_cap=4)):
         if rec.output is None:
             continue
         composed = Program(comp, rec.program_bits + empty)
@@ -154,7 +154,7 @@ def _check_guest_equals_host(p: Program):
 
 
 def test_guest_equals_host_on_small_total_domain():
-    records = enumerate_halting("total", 47, STRUCTURAL, c_cap=5)
+    records = enumerate_halting(Ensemble("total", 47, STRUCTURAL, c_cap=5))
     assert len(records) == 31
     for rec in records:
         assert _check_guest_equals_host(split_program_bits(rec.program_bits))
