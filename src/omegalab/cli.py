@@ -16,8 +16,8 @@ import json
 import sys
 from typing import List, Optional
 
-from . import __version__, complexity, incompleteness, machines, omega, progs, reports, vm
-from .bits import BitParseError, Dyadic, bs_parse, dyadic_bits, is_prefix_free, kraft_sum
+from . import __version__, complexity, incompleteness, machines, omega, reports, vm
+from .bits import BitParseError, bs_parse, dyadic_bits, is_prefix_free, kraft_sum
 from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, InexactTableError
 from .hierarchy import DEFAULT_CAP_BITS, OrdinalParseError, dominance_check, fgh_eval, ord_parse
 from .incompleteness import ToyFAS, UnsoundFASError, bundled_fas
@@ -290,7 +290,7 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             if not args.k:
                 raise ValueError("omega oracle needs --k or --kbits")
             kbits = dyadic_bits(omega.omega_lower_bound(ens).value, args.k)
-        res = omega.oracle_halting_from_omega(kbits, args.L, guard=args.guard, c_cap=args.c_cap)
+        res = omega.oracle_halting_from_omega(kbits, ens, guard=args.guard)
         return {
             "L": args.L,
             "kbits": kbits,

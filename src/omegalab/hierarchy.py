@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 DEFAULT_CAP_BITS = 2**20
 

@@ -21,7 +21,7 @@ one gets its oversized claim run and reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
@@ -36,7 +36,7 @@ from .machines import (
 )
 from .progs import berry_driver
 from . import progs
-from .sexpr import SExprDecodeError, parse, print_sexpr, to_bits
+from .sexpr import SExprDecodeError, parse
 from .vm import contains_general_only_prims
 
 

@@ -25,7 +25,7 @@ except on machine total where the structural budget makes it absolute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .bits import BitString
 from .sexpr import SExpr, SExprDecodeError, from_bits_prefix, is_atom, print_sexpr, to_bits

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bits import BitString, Dyadic, bits_to_dyadic, dyadic_bits
-from . import complexity, machines
+from . import machines
 from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, build_table, enumerate_halting
 
 
@@ -99,28 +99,28 @@ class OracleResult:
     steps_spent: int
 
 
-def oracle_halting_from_omega(kbits: BitString, L: int, guard: int = 10**8,
-                              c_cap: int = DEFAULT_CHAR_CAP) -> OracleResult:
+def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = 10**8) -> OracleResult:
     """Recover the halting set for sizes <= k from the first k bits of capped omega.
 
-    Dovetails the capped total ensemble in increasing budget, accumulating the
-    exact lower bound, until it reaches the dyadic value of kbits; at that
-    point any still-unhalted program of size <= k would push the sum past
+    ens must be the decidable ensemble: machine total at the structural
+    budget.  Dovetails it in increasing budget, accumulating the exact lower
+    bound, until it reaches the dyadic value of kbits; at that point any
+    still-unhalted program of size <= k would push the sum past
     value(kbits) + 2^-k > omega, so the halting set for sizes <= k is
     complete.  Inconsistent kbits can never be reached; the run then ends with
     a distinguishable guard-tripped outcome (the step guard, or immediately
     once the decidable ensemble is exhausted below the target).
     """
+    if (ens.machine, ens.B) != ("total", STRUCTURAL):
+        raise ValueError(f"the omega oracle needs machine total at the structural budget, "
+                         f"got {ens.machine} at B={ens.B}")
     k = len(kbits)
-    if k > L:
+    if k > ens.L:
         raise ValueError("k must not exceed the ensemble cap L")
     target = bits_to_dyadic(kbits)
     # dovetail order: the run at dovetail stage b contributes exactly the
     # programs halting in b steps, so accumulate in (steps, size, lex) order
-    records = sorted(
-        enumerate_halting(Ensemble("total", L, STRUCTURAL, c_cap)),
-        key=lambda r: (r.steps, r.size_bits, r.program_bits),
-    )
+    records = sorted(enumerate_halting(ens), key=lambda r: (r.steps, r.size_bits, r.program_bits))
     acc = Dyadic.zero()
     spent = 0
     halted: List[BitString] = []

@@ -50,11 +50,11 @@ verified by executing it before any size derived from it is asserted.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 from .bits import BitString
 from .machines import Program, output_of, pair_output_of, run_machine
-from .sexpr import CHAR_BITS, SExpr, print_sexpr
+from .sexpr import CHAR_BITS, SExpr
 from .vm import PRIMS
 
 # step budgets: one verified witness run, and one guest run of a program that

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Optional
 
 from . import __version__
 

@@ -16,17 +16,24 @@ Semantics (pinned here; the calculus is this package's own dialect):
       y fixed point  (y f)        -> recursive wrapper around closure f
   - The empty list evaluates to itself; atoms evaluate to their lambda
     binding and fault when unbound (no self-evaluating atoms).
+  - A primitive form with the wrong number of arguments faults, and so does
+    a lambda whose parameter is not a non-primitive atom.
   - A non-primitive application takes exactly one argument; head and
-    argument are evaluated strictly, left to right.
+    argument are evaluated strictly, left to right, and the head's value is
+    then applied; only closures and y-wrappers apply, anything else faults.
   - Applying a y-wrapper R to v unfolds once: the wrapped closure is applied
-    to R, the result must be a closure, and that closure is applied to v.
+    to R, and the result is applied to v.
   - Closures are not data: e/a/h/t/c(list side) fault on them, as does
     output conversion.
 
-Cost model: one step per primitive form entered and one step per closure or
-y-wrapper application.  The budget is checked at every charge, so any
-diverging program runs out of budget rather than hanging.  The evaluator is
-a pure function of (expression, budget, payload, aux) and is implemented
+Cost model: one step per primitive form entered and one step per
+application, each charged before the form or the applied value is checked;
+unfolding a y-wrapper is a second application.  The budget is checked at
+every charge, so any diverging program runs out of budget rather than
+hanging.  A run whose machine state repeats exactly can never halt; it ends
+at the repeat with the outcome running to the budget gives (out of budget
+after exactly budget steps, same bits read).  The evaluator is a pure
+function of (expression, budget, payload, aux) and is implemented
 iteratively with an explicit continuation stack, so deeply recursive guest
 programs cannot exhaust the host stack.
 """
@@ -119,6 +126,13 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
     cur = expr
     env = None
     val = None
+    # Cycle check (Brent): a snapshot of the first application once steps
+    # reaches each doubling mark.  Continuation entries are fresh tuples never
+    # pushed twice, and the held top cannot be recycled, so the same top at
+    # the same depth means an unchanged stack; with the same function,
+    # argument and read positions the state repeats and can never halt.
+    s_mark = 1
+    s_fun = s_arg = s_top = s_ppos = s_apos = s_depth = None
 
     while True:
         if mode == _EV:
@@ -235,6 +249,13 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
         steps += 1
         if steps > budget:
             return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=steps - 1)
+        if (fun is s_fun and arg is s_arg and ppos == s_ppos and apos == s_apos
+                and len(konts) == s_depth and (not konts or konts[-1] is s_top)):
+            return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=budget)
+        if steps >= s_mark:
+            s_mark = 2 * steps
+            s_fun, s_arg, s_ppos, s_apos = fun, arg, ppos, apos
+            s_depth, s_top = len(konts), konts[-1] if konts else None
         if isinstance(fun, Closure):
             cur, env, mode = fun.body, (fun.param, arg, fun.env), _EV
         elif isinstance(fun, Rec):

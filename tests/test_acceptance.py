@@ -129,7 +129,7 @@ def test_criterion_6_oracle_completeness():
     exact = omega_exact_capped(24)
     for k in range(0, 13):
         kbits = dyadic_bits(exact.value, k)
-        res = oracle_halting_from_omega(kbits, 24)
+        res = oracle_halting_from_omega(kbits, Ensemble("total", 24, STRUCTURAL))
         assert not res.tripped, k
         direct = decided_halting_set(24, k)
         assert res.halting_set == direct, k

@@ -75,12 +75,12 @@ def test_double_prime_missing_skipped():
 
 
 def test_oracle_trivial_and_exact():
-    res = oracle_halting_from_omega("", 24)
+    res = oracle_halting_from_omega("", Ensemble("total", 24, STRUCTURAL))
     assert not res.tripped and res.halting_set == ()
-    res = oracle_halting_from_omega("0" * 12, 24)
+    res = oracle_halting_from_omega("0" * 12, Ensemble("total", 24, STRUCTURAL))
     assert not res.tripped and res.halting_set == decided_halting_set(24, 12)
     kbits = dyadic_bits(omega_exact_capped(24).value, 16)
-    res = oracle_halting_from_omega(kbits, 24)
+    res = oracle_halting_from_omega(kbits, Ensemble("total", 24, STRUCTURAL))
     assert not res.tripped
     assert res.halting_set == decided_halting_set(24, 16)
     assert len(res.halting_set) == 1
@@ -89,16 +89,22 @@ def test_oracle_trivial_and_exact():
 def test_oracle_completeness_l25():
     val = omega_exact_capped(25).value
     for k in (16, 20, 25):
-        res = oracle_halting_from_omega(dyadic_bits(val, k), 25)
+        res = oracle_halting_from_omega(dyadic_bits(val, k), Ensemble("total", 25, STRUCTURAL))
         assert not res.tripped
         assert res.halting_set == decided_halting_set(25, k)
 
 
 def test_oracle_corrupted_bits_trip_guard():
-    res = oracle_halting_from_omega("0" * 11 + "1", 24)
+    res = oracle_halting_from_omega("0" * 11 + "1", Ensemble("total", 24, STRUCTURAL))
     assert res.tripped and "exhausted" in res.reason
     with pytest.raises(ValueError):
-        oracle_halting_from_omega("0" * 30, 24)  # k exceeds the cap
+        oracle_halting_from_omega("0" * 30, Ensemble("total", 24, STRUCTURAL))  # k exceeds the cap
+
+
+def test_oracle_needs_the_decidable_ensemble():
+    for ens in (Ensemble("sd", 24, 10**4), Ensemble("total", 24, 10**4)):
+        with pytest.raises(ValueError, match="total at the structural budget"):
+            oracle_halting_from_omega("0", ens)
 
 
 def test_normality_examples():

@@ -6,10 +6,14 @@ from pathlib import Path
 import omegalab
 
 
-def _library_nodes(matches):
+def _library_trees():
     src = Path(omegalab.__file__).parent
-    return [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(), str(path))) if matches(node)]
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in sorted(src.glob("*.py"))]
+
+
+def _library_nodes(matches):
+    return [f"{name}:{node.lineno}" for name, tree in _library_trees()
+            for node in ast.walk(tree) if matches(node)]
 
 
 def test_library_has_no_assert_statements():
@@ -22,4 +26,20 @@ def test_library_never_reads_debug():
     # __debug__ is the other thing python -O changes; with neither it nor
     # assert in the library, -O cannot change what the library does
     found = _library_nodes(lambda node: isinstance(node, ast.Name) and node.id == "__debug__")
+    assert not found, found
+
+
+def test_library_has_no_unused_imports():
+    # every imported name is read somewhere in its module; the package's
+    # __init__ imports only to export
+    found = []
+    for name, tree in _library_trees():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                found += [f"{name}:{node.lineno} {alias.asname or alias.name}" for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0]) not in read]
     assert not found, found

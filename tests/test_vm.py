@@ -1,13 +1,20 @@
-"""Evaluator semantics: primitives, budgets, faults, the total fragment."""
+"""Evaluator semantics: primitives, budgets, faults, the total fragment, and
+the cycle check, against a plain recursive reference evaluator."""
+
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalab.complexity import gen_exprs
 from omegalab.machines import Program, run_total, subexpr_count
-from omegalab.sexpr import ALPHABET, parse, print_sexpr
+from omegalab.progs import LOOP
+from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
 from omegalab.vm import (
+    Closure,
     ConversionError,
+    Rec,
     eval_expr,
     value_to_bitstring,
     value_to_pair,
@@ -167,3 +174,254 @@ def test_value_conversions():
     assert value_to_pair(((), ())) == ("", "")
     with pytest.raises(ConversionError):
         value_to_pair(("0", "1", "1"))
+
+
+# -- reference evaluator ---------------------------------------------------
+# A plain recursive reading of the semantics in vm.py's docstring, with no
+# cycle check.  eval_expr must agree with it on every outcome.
+
+_REF_ARITY = {"q": 1, "i": 3, "e": 2, "a": 1, "c": 2, "h": 1, "t": 1, "l": 2, "r": 0, "s": 0, "y": 1}
+
+
+class _Stop(Exception):
+    def __init__(self, kind, fault_class=None):
+        super().__init__(kind)
+        self.kind, self.fault_class = kind, fault_class
+
+
+class _Closure:
+    def __init__(self, param, body, env):
+        self.param, self.body, self.env = param, body, env
+
+
+class _Wrapper:  # what (y f) makes
+    def __init__(self, clo):
+        self.clo = clo
+
+
+def reference_eval(expr, budget, payload="", aux=None):
+    """(kind, value, payload consumed, aux consumed, steps, fault class)."""
+    state = {"steps": 0, "p": 0, "a": 0}
+
+    def charge():
+        if state["steps"] == budget:
+            raise _Stop("out_of_budget")
+        state["steps"] += 1
+
+    def fault(cls="type"):
+        raise _Stop("faulted", cls)
+
+    def data(x):
+        if isinstance(x, (_Closure, _Wrapper)):
+            fault()
+        return x
+
+    def nonempty_list(x):
+        if not isinstance(x, tuple) or not x:
+            fault()
+        return x
+
+    def read(bits, pos, cls):
+        if bits is None or state[pos] >= len(bits):
+            fault(cls)
+        state[pos] += 1
+        return bits[state[pos] - 1]
+
+    def ev(x, env):
+        if isinstance(x, str):
+            if x not in env:
+                fault()
+            return env[x]
+        if x == ():
+            return x
+        head, args = x[0], x[1:]
+        if isinstance(head, str) and head in _REF_ARITY:
+            charge()
+            if len(args) != _REF_ARITY[head]:
+                fault()
+            if head == "q":
+                return args[0]
+            if head == "i":
+                return ev(args[2] if ev(args[0], env) == () else args[1], env)
+            if head == "l":
+                if not isinstance(args[0], str) or args[0] in _REF_ARITY:
+                    fault()
+                return _Closure(args[0], args[1], env)
+            if head == "r":
+                return read(payload, "p", "payload-underrun")
+            if head == "s":
+                return read(aux, "a", "aux-underrun")
+            vals = [ev(arg, env) for arg in args]
+            if head == "e":
+                return "1" if data(vals[0]) == data(vals[1]) else ()
+            if head == "a":
+                return "1" if isinstance(data(vals[0]), str) else ()
+            if head == "c":
+                if not isinstance(vals[1], tuple):
+                    fault()
+                return (vals[0],) + vals[1]
+            if head == "h":
+                return nonempty_list(vals[0])[0]
+            if head == "t":
+                return nonempty_list(vals[0])[1:]
+            if not isinstance(vals[0], _Closure):  # y
+                fault()
+            return _Wrapper(vals[0])
+        if len(args) != 1:
+            fault()
+        f = ev(head, env)
+        return apply(f, ev(args[0], env))
+
+    def apply(f, v):
+        charge()
+        if isinstance(f, _Closure):
+            return ev(f.body, {**f.env, f.param: v})
+        if isinstance(f, _Wrapper):
+            return apply(apply(f.clo, f), v)
+        fault()
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200_000)  # one Python frame or two per nested form or call
+    try:
+        kind, value, cls = "halted", ev(expr, {}), None
+    except _Stop as stop:
+        kind, value, cls = stop.kind, None, stop.fault_class
+    finally:
+        sys.setrecursionlimit(limit)
+    return kind, _plain(value), state["p"], state["a"], state["steps"], cls
+
+
+def _plain(v):
+    """A value with closures and y-wrappers of either evaluator made comparable."""
+    if isinstance(v, tuple):
+        return tuple(_plain(x) for x in v)
+    if isinstance(v, (Closure, _Closure)):
+        return ("<closure>", v.param, v.body)
+    if isinstance(v, (Rec, _Wrapper)):
+        return ("<y>", _plain(v.clo))
+    return v
+
+
+def _vm_view(out):
+    cls = out.reason.split(":")[0] if out.reason else None
+    return out.kind, _plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, cls
+
+
+def _agree(expr, budget, payload="", aux=None):
+    got = _vm_view(eval_expr(expr, budget, payload, aux))
+    assert got == reference_eval(expr, budget, payload, aux), (print_sexpr(expr), budget, payload, aux)
+    return got
+
+
+def test_reference_agrees_on_every_sd_prefix_up_to_5_characters():
+    for e in gen_exprs(5):
+        for aux in (None, "1"):
+            pending = [""]
+            while pending:
+                payload = pending.pop()
+                *_, steps, cls = _agree(e, 10, payload, aux)
+                if steps:
+                    _agree(e, steps - 1, payload, aux)
+                if cls == "payload-underrun" and len(payload) < 3:
+                    pending += [payload + "0", payload + "1"]
+
+
+def _guest_runs():
+    from omegalab import progs
+    from omegalab.incompleteness import build_berry_program, bundled_fas
+
+    w1, w2 = to_bits(parse("(r)")) + "0", to_bits(parse("(c(s)(c(s)(q())))"))
+    yield progs.pair_composer(False), w1 + to_bits(parse("(q(01))")), None
+    yield progs.pair_composer(True), w1 + w2, None
+    yield progs.replay_prefix(), "", to_bits(parse("(c(r)(q()))")) + "1"
+    for name in ("sound", "unsound"):
+        P, _ = build_berry_program(bundled_fas(name))
+        yield P.prefix, P.payload, None
+
+
+def test_reference_agrees_on_the_guest_programs():
+    runs = list(_guest_runs())
+    for prefix, payload, aux in runs:
+        for budget in (0, 1, 2, 50, 700, 3000):
+            _agree(prefix, budget, payload, aux)
+    for prefix, payload, aux in runs[:3]:  # the composers and replay halt
+        assert _agree(prefix, 10**5, payload, aux)[0] == "halted"
+    # the sound Berry run enters _scan's LOOP before 10^4 steps; the fast VM
+    # ends it at a repeat, the reference goes round to the budget
+    prefix, payload, _ = runs[3]
+    assert _agree(prefix, 30000, payload)[0] == "out_of_budget"
+
+
+@pytest.mark.parametrize("text, budget, kind, steps", [
+    ("(()())", 10, "faulted", 1),  # applying a non-function is charged, then faults
+    ("((q0)(q1))", 2, "out_of_budget", 2),
+    ("((y(lf(y(lg(lxx)))))(q0))", 100, "halted", 11),  # an unfolded y-wrapper may yield another
+    ("(q)", 10, "faulted", 1),  # a malformed form is charged before it faults
+])
+def test_application_corners_follow_the_docstring(text, budget, kind, steps):
+    assert _agree(parse(text), budget)[::4] == (kind, steps)
+
+
+def _forms_with_lambdas():
+    leaves = st.sampled_from(["x", "z", "0", "b", (), ("r",), ("s",), ("q", ("0", "1"))])
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(st.just("l"), st.sampled_from(["x", "z"]), kids),
+            st.tuples(kids, kids),  # application
+            st.tuples(st.sampled_from("qieachty"), st.lists(kids, max_size=3)).map(
+                lambda hk: (hk[0],) + tuple(hk[1])),
+        )
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms_with_lambdas(), st.sampled_from([0, 5, 40, 400]))
+def test_reference_agrees_on_drawn_forms_with_lambdas(expr, budget):
+    _agree(expr, budget, "0110", "1")
+
+
+# -- cycle check -------------------------------------------------------------
+
+Y_LOOP = parse("((y(lf(lx(fx))))(q0))")
+READING_LOOP = parse("((lv(i(r)(vv)(vv)))(lv(i(r)(vv)(vv))))")  # reads one payload bit a turn
+AUX_LOOP = parse("((lv(i(s)(vv)(vv)))(lv(i(s)(vv)(vv))))")  # and one aux bit
+GROWING = parse("((lv(c(q0)(vv)))(lv(c(q0)(vv))))")  # the stack grows every turn
+
+
+@pytest.mark.parametrize("expr, payload, aux", [
+    (LOOP, "", None),
+    (("c", LOOP, ("q", ())), "", None),  # the loop under a pending cons
+    (Y_LOOP, "", None),
+    (READING_LOOP, "01" * 20, None),
+    (AUX_LOOP, "", "10" * 20),
+    (GROWING, "", None),
+], ids=["loop", "loop-under-cons", "y-loop", "reading-loop", "aux-loop", "growing"])
+def test_cycle_check_agrees_with_the_reference(expr, payload, aux):
+    for budget in (0, 1, 7, 100, 3000):
+        _agree(expr, budget, payload, aux)
+
+
+def test_cycle_check_cuts_no_run_short():
+    out = eval_expr(READING_LOOP, 3000, "01" * 20)
+    assert (out.kind, out.reason, out.payload_consumed) == ("faulted", "payload-underrun", 40)
+    out = eval_expr(AUX_LOOP, 3000, "", "10" * 20)
+    assert (out.kind, out.reason, out.aux_consumed) == ("faulted", "aux-underrun", 40)
+    out = eval_expr(GROWING, 3000)
+    assert (out.kind, out.steps) == ("out_of_budget", 3000)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("((lf(c(f(q0))(c(f(q0))(q()))))(lxx))", ("0", "0")),  # the same call on a deeper stack
+    ("((lf(e(f(q0))(f(q0))))(lxx))", "1"),  # the same call at the same depth, new continuation
+])
+def test_same_call_in_a_new_context_is_no_repeat(text, value):
+    out = _agree(parse(text), 100)
+    assert out[:2] == ("halted", value)
+
+
+def test_repeating_state_ends_at_once():
+    start = time.perf_counter()
+    out = eval_expr(LOOP, 10**12)
+    assert (out.kind, out.steps, out.payload_consumed, out.aux_consumed) == ("out_of_budget", 10**12, 0, 0)
+    assert time.perf_counter() - start < 1.0
