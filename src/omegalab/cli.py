@@ -271,6 +271,9 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         return complexity.check_chain_rule(ens, pairs), None
 
     if cmd == "omega":
+        for flag, value in (("--guard", args.guard), ("--emit-bits", args.emit_bits), ("--k", args.k)):
+            if value is not None and value < 0:
+                raise ValueError(f"{flag} must be >= 0, got {value}")
         capped = args.action != "lower"  # exact, bits and oracle: the decidable total ensemble
         if capped and args.machine != "total":
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")

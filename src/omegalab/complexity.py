@@ -9,6 +9,10 @@ the machine faults with payload-underrun, which enumerates precisely the
 payloads a prefix can consume in full.  This is provably the same domain set
 a raw scan of all 2^(L+1) strings would find, at a tiny fraction of the cost.
 
+Machine c2 is not raw-scanned either: a leading 0 prints the rest in one step,
+so those records are written in closed form, and a leading 1 halts only on one
+whole list expression, so only the expressions of (n-1)/8 characters are run.
+
 Aux bits are found on demand the same way, with no cap: each aux read costs
 a step, so the budget bounds the depth.  A record keeps the aux bits its run
 read (aux_read); the run behaves alike under every aux that starts with them,
@@ -308,21 +312,20 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
 
 
 def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
+    """run_c2's halting records of 1..L bits in (length, lex) order; see above."""
     records = []
+    rests = [""]  # the n-1 bits after the first, in lex order
     for n in range(1, L + 1):
-        for i in range(1 << n):
-            raw = format(i, f"0{n}b")
-            out = run_c2(raw, budget)
-            if out.halted:
-                records.append(
-                    HaltRecord(
-                        program_bits=raw,
-                        output="".join(out.value),
-                        pair=None,
-                        steps=out.steps,
-                        size_bits=n,
-                    )
-                )
+        if n > 1:
+            rests = [r + b for r in rests for b in "01"]
+        if budget >= 1:
+            records += [HaltRecord("0" + r, r, None, 1, n) for r in rests]
+        if (n - 1) % 8 == 0 and n > 16:
+            for raw in sorted("1" + print_sexpr(e).translate(_CODES)
+                              for e in _exprs_exact((n - 1) // 8, ALPHABET)):
+                out = run_c2(raw, budget)
+                if out.halted:
+                    records.append(HaltRecord(raw, "".join(out.value), None, out.steps, n))
     return records
 
 

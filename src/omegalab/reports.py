@@ -2,7 +2,8 @@
 
 Every report embeds a schema tag, the tool version, and the exact config
 that produced it, with stable field order, so identical configs yield
-byte-identical output regardless of worker count.
+byte-identical output regardless of worker count.  emit_json, the only JSON
+writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n".
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import lru_cache
 
 from . import __version__
 
@@ -25,8 +27,36 @@ def envelope(command: str, config: dict, result) -> dict:
     }
 
 
+_SCALARS = (str, int, float, type(None))  # bool is an int
+_scalar = json.JSONEncoder().encode  # C-backed: no indent
+
+
+@lru_cache(maxsize=None)
+def _flat(depth: int):
+    """Encodes a container of scalars with its items split as at depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _indented(v, depth: int) -> str:
+    """v as json.dumps prints it with indent=2, depth levels deep."""
+    if not isinstance(v, (dict, list, tuple)) or not v:
+        return _scalar(v)
+    pad = "  " * (depth + 1)
+    if all(isinstance(x, _SCALARS) for x in (v.values() if isinstance(v, dict) else v)):
+        body = _flat(depth + 1)(v)[1:-1]
+    elif isinstance(v, dict):  # a key prints as the one key of {key: 0} does
+        body = (",\n" + pad).join(_scalar({k: 0})[1:-4] + ": " + _indented(x, depth + 1)
+                                  for k, x in v.items())
+    else:
+        body = (",\n" + pad).join(_indented(x, depth + 1) for x in v)
+    brackets = "{}" if isinstance(v, dict) else "[]"
+    return brackets[0] + "\n" + pad + body + "\n" + "  " * depth + brackets[1]
+
+
 def emit_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """json.dumps(report, indent=2) + "\n", without json's pure-Python indent
+    path: each container of scalars goes to the C encoder in one call."""
+    return _indented(report, 0) + "\n"
 
 
 def emit_csv(rows: list, fieldnames: list) -> str:

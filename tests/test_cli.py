@@ -168,11 +168,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["diag", "--n", "0", "--width", "-1"],
     ["diag", "--n", "0", "--width", "0"],
     ["fgh", "eval", "--ordinal", "w", "--n", "2", "--cap-bits", "-1"],
+    ["omega", "oracle", "--L", "20", "--k", "3", "--guard", "-1"],
+    ["omega", "lower", "--L", "20", "--guard", "-5"],
+    ["omega", "exact", "--L", "16", "--guard", "-1"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--guard", "-1"],
+    ["omega", "oracle", "--L", "16", "--k", "-3"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
-    if argv[0] in ("fas", "diag", "fgh"):  # the message names the flag
+    # the message names the flag
+    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k"):
         assert argv[-2] in err
 
 

@@ -66,6 +66,20 @@ def test_enumerate_matches_c2_oracle():
         ("1" + to_bits(parse("()")), "", 0)]
 
 
+@pytest.mark.parametrize("L, B", [(0, 0), (1, 0), (1, 1), (9, 100), (14, 1), (17, 0), (17, 1), (17, 100)])
+def test_c2_records_equal_the_raw_scan(L, B):
+    # every record, in order, against a run of every raw string of 1..L bits
+    raw_scan = []
+    for n in range(1, L + 1):
+        for i in range(1 << n):
+            raw = format(i, f"0{n}b")
+            out = run_c2(raw, B)
+            if out.halted:
+                raw_scan.append((raw, "".join(out.value), None, out.steps, n, ""))
+    assert [(r.program_bits, r.output, r.pair, r.steps, r.size_bits, r.aux_read)
+            for r in enumerate_halting(Ensemble("c2", L, B))] == raw_scan
+
+
 def test_complexity_upper_c2_examples():
     res = complexity_upper(Ensemble("c2", 4, 10), "101")
     assert (res.h_upper, res.witness, res.exact) == (4, "0101", True)

@@ -43,3 +43,14 @@ def test_library_has_no_unused_imports():
                 found += [f"{name}:{node.lineno} {alias.asname or alias.name}" for alias in node.names
                           if (alias.asname or alias.name.split(".")[0]) not in read]
     assert not found, found
+
+
+def test_json_text_is_written_only_in_reports():
+    # reports.emit_json decides every report's bytes, so no other module
+    # calls json.dump or json.dumps
+    def writes_json(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+    found = [hit for hit in _library_nodes(writes_json) if not hit.startswith("reports.py:")]
+    assert not found, found
