@@ -103,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-bits", type=int, default=0)
     p.add_argument("--k", type=int, help="bit count for 'bits'/'oracle'")
     p.add_argument("--kbits", type=_bits_arg, help="override oracle input bits")
-    p.add_argument("--guard", type=int, default=10**8)
+    p.add_argument("--guard", type=int, default=omega.DEFAULT_GUARD)
 
     p = add("normality", help="disjoint-block equidistribution check")
     p.add_argument("--x", type=_bits_arg, required=True)
@@ -274,6 +274,14 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         for flag, value in (("--guard", args.guard), ("--emit-bits", args.emit_bits), ("--k", args.k)):
             if value is not None and value < 0:
                 raise ValueError(f"{flag} must be >= 0, got {value}")
+        # a flag the action never reads is refused, not ignored; a default
+        # value counts as not given, so every accepted config echo stays
+        defaults = {"k": None, "kbits": None, "guard": omega.DEFAULT_GUARD, "emit_bits": 0}
+        unread = {"lower": "k kbits guard", "exact": "k kbits guard",
+                  "bits": "kbits guard emit_bits", "oracle": "emit_bits"}[args.action]
+        for dest in unread.split():
+            if getattr(args, dest) != defaults[dest]:
+                raise ValueError(f"omega {args.action} does not read --{dest.replace('_', '-')}")
         capped = args.action != "lower"  # exact, bits and oracle: the decidable total ensemble
         if capped and args.machine != "total":
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
@@ -281,7 +289,7 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         if args.action in ("lower", "exact"):
             return omega.omega_lower_bound(ens).as_dict(emit_bits=args.emit_bits), None
         if args.action == "bits":
-            if not args.k:
+            if args.k is None:
                 raise ValueError("omega bits needs --k")
             value = omega.omega_lower_bound(ens).value
             return {"L": args.L, "k": args.k, "value": str(value),
@@ -290,7 +298,7 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         if args.kbits is not None:
             kbits = args.kbits
         else:
-            if not args.k:
+            if args.k is None:
                 raise ValueError("omega oracle needs --k or --kbits")
             kbits = dyadic_bits(omega.omega_lower_bound(ens).value, args.k)
         res = omega.oracle_halting_from_omega(kbits, ens, guard=args.guard)

@@ -18,20 +18,20 @@ a step, so the budget bounds the depth.  A record keeps the aux bits its run
 read (aux_read); the run behaves alike under every aux that starts with them,
 so one sweep serves every aux.
 
-The sweep runs one prefix per renaming class of the inert atoms (INERT, the
-atoms that are neither primitives nor 0/1; see the comment there).  It
-generates only the canonical prefixes, whose inert atoms first appear, left
-to right, in INERT's order, runs each once, and emits the records of every
-member of its class: the canonical print with its u inert atoms renamed
-injectively, 15!/(15-u)! members sharing the canonical run's payload, aux
-read, steps, output and pair.  Up to 6 characters, sd's 642,212 prefixes fall
-into 43,878 classes and total's 479,392 into 24,484.
+The sweep runs only the evaluable prefixes (_evaluable).  A prefix runs with
+no bindings, so an atom in a position it must evaluate faults, and so does a
+form of the wrong arity.  A list is evaluable if it is (), (q X), (r), (s),
+(i C T E) with C evaluable, (e A B) or (c A B) with A and B evaluable, or
+(a A), (h A) or (t A) with A evaluable; on sd also (l p X) with p a
+non-primitive atom, (y A) with A evaluable, or an application (F A) of two
+evaluable lists (total has no closures, so none of its applications halts).
+X, T and E are free, so the rule needs no scope.  No prefix outside it
+halts under any payload and aux, so the sweep stays exhaustive; up to 6
+characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
-At 7 characters, sd has 18,072,380 prefixes in 639,403 classes and total
-12,536,788 in 310,057.  On a 2-CPU VM the total sweep at (L=63, STRUCTURAL,
-c_cap=7) takes 2.2-2.5 s with a 69 MB peak RSS and yields 768 records; sd at
-(63, 10^4, 7) takes 3.7-4.2 s with 123 MB and yields 1,851.
+On a 2-CPU VM, `omega exact --L 71 --c-cap 8` takes about 0.4 s with a 27 MB
+peak RSS, and `omega lower --machine sd --L 71 --c-cap 8` 0.7 s with 35 MB.
 Upper bounds beyond the cap come from constructed witnesses that are always
 verified by actually running them before being admitted.
 
@@ -67,7 +67,6 @@ from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, CHAR_BITS, SExpr, print_sexpr
 from . import machines, vm
 from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
-from .vm import contains_general_only_prims
 
 DEFAULT_CHAR_CAP = 6
 C2_RAW_CAP = 22
@@ -109,48 +108,39 @@ def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET)
     return out
 
 
-# The inert atoms are neither primitives nor 0/1.  An injective renaming of
-# them maps every run to a run that is step for step the same (same payload
-# and aux reads, steps, halt or fault): an atom's only meaning is its lambda
-# binding, and l rejects only primitives as parameters, so any inert atom can
-# be bound; e is structural, so renaming keeps equality; fault reasons name
-# atoms but never reach records.  A value that holds an inert atom converts to
-# no output and no pair, and one that holds none is unchanged, so every member
-# of a renaming class has the same records up to the renaming of its prefix.
-INERT = "".join(a for a in ALPHABET if a not in vm.PRIMS and a not in "01")
 _CODES = str.maketrans(CHAR_BITS)  # print -> 8 bits per character
 
-
-@lru_cache(maxsize=None)
-def _classes_exact(n: int, special: str, used: int) -> Tuple[Tuple[SExpr, int], ...]:
-    """One expression per renaming class: those of print length n over the atoms
-    special + INERT whose inert atoms first appear, left to right, in INERT's
-    order, given that INERT[:used] already appeared to their left.
-    Each comes with the count of INERT atoms used up to its end."""
-    if n > 1:
-        return _class_seqs(n - 2, special, used)
-    new = ((INERT[used], used + 1),) if used < len(INERT) else ()
-    return tuple((a, used) for a in special + INERT[:used]) + new
+# What each primitive form's argument slots must be for the form to halt when
+# run with no bindings: v an evaluable list, p a non-primitive atom, x anything.
+_SLOTS = {"q": "x", "r": "", "s": "", "i": "vxx", "e": "vv", "c": "vv",
+          "a": "v", "h": "v", "t": "v", "l": "px", "y": "v"}
 
 
 @lru_cache(maxsize=None)
-def _class_seqs(m: int, special: str, used: int) -> Tuple[Tuple[Tuple[SExpr, ...], int], ...]:
-    """_classes_exact for sequences of total print length m."""
-    if m == 0:
-        return (((), used),)
-    seqs = []
-    for k in range(1, m + 1):
-        for e, u in _classes_exact(k, special, used):
-            seqs.extend(((e,) + rest, v) for rest, v in _class_seqs(m - k, special, u))
-    return tuple(seqs)
+def _evaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
+    """The evaluable lists with atoms from alphabet and print length n (module docstring)."""
+    found = [()] if n == 2 else []
+    for head, slots in _SLOTS.items():
+        if head in alphabet:
+            found += [(head,) + items for items in _fill(n - 3, slots, alphabet)]
+    if "l" in alphabet:  # an application halts only on a closure
+        found += _fill(n - 2, "vv", alphabet)
+    return tuple(found)
 
 
-def _class_members(prefix: SExpr, used: int) -> List[BitString]:
-    """The bits of every member of a canonical prefix's renaming class: its
-    print with INERT[:used] renamed injectively into INERT."""
-    text = print_sexpr(prefix)
-    return [text.translate(str.maketrans(INERT[:used], "".join(names))).translate(_CODES)
-            for names in itertools.permutations(INERT, used)]
+@lru_cache(maxsize=None)
+def _fill(m: int, slots: str, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
+    """Every filling of slots (as in _SLOTS) with total print length m."""
+    if not slots:
+        return ((),) if m == 0 else ()
+    pick = {"v": _evaluable, "x": _exprs_exact, "p": _params}[slots[0]]
+    return tuple((e,) + rest for k in range(1, m + 1) for e in pick(k, alphabet)
+                 for rest in _fill(m - k, slots[1:], alphabet))
+
+
+def _params(n: int, alphabet: str) -> str:
+    """The lambda parameters of print length n: the non-primitive atoms."""
+    return "".join(a for a in alphabet if a not in vm.PRIMS) if n == 1 else ""
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +189,23 @@ class HaltRecord:
 
 
 def _sd_records_for_prefixes(job) -> List[HaltRecord]:
-    """The records of one sweep job: canonical prefixes, each with its count of
-    inert atoms, that all print to n characters, and every member of their classes."""
+    """The records of one sweep job: prefixes that all print to n characters."""
     n, prefixes, L, budget = job
     records = []
-    for prefix, used in prefixes:
-        runs = domain_runs(prefix, L - 8 * n, budget)
-        if not runs:
-            continue
-        for pre_bits in _class_members(prefix, used):
-            for payload, aux, out in runs:
-                bits = pre_bits + payload
-                records.append(
-                    HaltRecord(
-                        program_bits=bits,
-                        output=output_of(out),
-                        pair=pair_output_of(out),
-                        steps=out.steps,
-                        size_bits=len(bits),
-                        aux_read=aux,
-                    )
+    for prefix in prefixes:
+        pre_bits = print_sexpr(prefix).translate(_CODES)
+        for payload, aux, out in domain_runs(prefix, L - 8 * n, budget):
+            bits = pre_bits + payload
+            records.append(
+                HaltRecord(
+                    program_bits=bits,
+                    output=output_of(out),
+                    pair=pair_output_of(out),
+                    steps=out.steps,
+                    size_bits=len(bits),
+                    aux_read=aux,
                 )
+            )
     return records
 
 
@@ -294,9 +280,8 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
         return _enumerate_c2(L, B)
     # every prefix prints to n <= L // 8 characters, so 8n <= L already;
     # total's prefixes are sd's without the atoms l and y
-    special = "".join(a for a in ALPHABET if a not in INERT
-                      and (machine != "total" or not contains_general_only_prims(a)))
-    by_n = [(n, _classes_exact(n, special, 0)) for n in range(2, min(c_cap, L // 8) + 1)]
+    alphabet = ALPHABET if machine == "sd" else ALPHABET.replace("l", "").replace("y", "")
+    by_n = [(n, _evaluable(n, alphabet)) for n in range(2, min(c_cap, L // 8) + 1)]
     count = sum(len(prefixes) for _, prefixes in by_n)
     step = max(1, -(-count // (8 * workers)))  # about 8 jobs per worker
     jobs = [(n, prefixes[i:i + step], L, B) for n, prefixes in by_n
@@ -322,7 +307,7 @@ def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
             records += [HaltRecord("0" + r, r, None, 1, n) for r in rests]
         if (n - 1) % 8 == 0 and n > 16:
             for raw in sorted("1" + print_sexpr(e).translate(_CODES)
-                              for e in _exprs_exact((n - 1) // 8, ALPHABET)):
+                              for e in _evaluable((n - 1) // 8, ALPHABET)):
                 out = run_c2(raw, budget)
                 if out.halted:
                     records.append(HaltRecord(raw, "".join(out.value), None, out.steps, n))
@@ -472,7 +457,7 @@ def char_complexity(value: SExpr, max_chars: int, B: int) -> ComplexityResult:
     """Minimum print length of a payload-free general expression evaluating to value."""
     for chars in range(1, max_chars + 1):
         hits = []
-        for e in _exprs_exact(chars, ALPHABET):
+        for e in _evaluable(chars, ALPHABET):
             out = vm.eval_expr(e, B)
             if out.halted and not isinstance(out.value, (vm.Closure, vm.Rec)) and out.value == value:
                 hits.append(print_sexpr(e))

@@ -90,6 +90,9 @@ def omega_double_prime(ens: Ensemble, N: int) -> dict:
     }
 
 
+DEFAULT_GUARD = 10**8  # the oracle's step guard
+
+
 @dataclass(frozen=True)
 class OracleResult:
     tripped: bool
@@ -99,7 +102,7 @@ class OracleResult:
     steps_spent: int
 
 
-def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = 10**8) -> OracleResult:
+def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = DEFAULT_GUARD) -> OracleResult:
     """Recover the halting set for sizes <= k from the first k bits of capped omega.
 
     ens must be the decidable ensemble: machine total at the structural

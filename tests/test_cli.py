@@ -61,6 +61,14 @@ def test_omega_commands(capsys):
     assert code == 0 and report(out)["halting_set"] == []
 
 
+def test_omega_answers_zero_bits(capsys):
+    code, out, _ = run_cli(capsys, "omega", "bits", "--L", "24", "--k", "0")
+    assert code == 0 and report(out)["bits"] == ""
+    code, out, _ = run_cli(capsys, "omega", "oracle", "--L", "24", "--k", "0")
+    res = report(out)
+    assert code == 0 and (res["kbits"], res["halting_set"], res["guard_tripped"]) == ("", [], False)
+
+
 def test_normality_command(capsys):
     code, out, _ = run_cli(capsys, "normality", "--x", "01010101", "--k", "1", "--tol", "0.1")
     assert code == 0 and report(out)["verdict"] == "pass"
@@ -173,12 +181,23 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["omega", "exact", "--L", "16", "--guard", "-1"],
     ["omega", "bits", "--L", "16", "--k", "4", "--guard", "-1"],
     ["omega", "oracle", "--L", "16", "--k", "-3"],
+    # flags the action never reads
+    ["omega", "lower", "--machine", "sd", "--L", "16", "--k", "5"],
+    ["omega", "lower", "--L", "16", "--kbits", "01"],
+    ["omega", "lower", "--L", "16", "--guard", "5"],
+    ["omega", "exact", "--L", "16", "--k", "5"],
+    ["omega", "exact", "--L", "16", "--kbits", "01"],
+    ["omega", "exact", "--L", "16", "--guard", "5"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--kbits", "01"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--guard", "5"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--emit-bits", "3"],
+    ["omega", "oracle", "--L", "16", "--k", "4", "--emit-bits", "3"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
     # the message names the flag
-    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k"):
+    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k", "--kbits"):
         assert argv[-2] in err
 
 

@@ -181,29 +181,22 @@ def test_total_alphabet_generates_exactly_the_l_y_free_prefixes():
 _TOTAL_ALPHABET = ALPHABET.replace("l", "").replace("y", "")
 
 
-def _rename(e, names):
-    return names.get(e, e) if isinstance(e, str) else tuple(_rename(x, names) for x in e)
+def test_pruned_prefixes_never_halt():
+    # the sweep runs only the evaluable lists; every other prefix faults or
+    # runs out of budget under every payload and aux
+    from omegalab.complexity import _evaluable, _exprs_exact, domain_runs
 
-
-def test_class_generator_is_complete_and_has_no_duplicates():
-    # every expression is exactly one injective renaming of exactly one
-    # canonical prefix, on both machines' alphabets
-    from collections import Counter
-    from math import perm
-
-    from omegalab.complexity import INERT, _classes_exact, _exprs_exact
-
-    for alphabet, classes in ((ALPHABET, 43878), (_TOTAL_ALPHABET, 24484)):
-        special = "".join(a for a in alphabet if a not in INERT)
-        for n in range(1, 6):
-            members = Counter()
-            for e, used in _classes_exact(n, special, 0):
-                for names in itertools.permutations(INERT, used):
-                    members[_rename(e, dict(zip(INERT, names)))] += 1
-            assert members == Counter(_exprs_exact(n, alphabet)), (alphabet, n)
-        assert sum(len(_classes_exact(n, special, 0)) for n in range(2, 7)) == classes
-        assert (sum(perm(len(INERT), used) for _, used in _classes_exact(6, special, 0))
-                == len(_exprs_exact(6, alphabet)))
+    for alphabet, B, counts in ((ALPHABET, 10**4, [1, 2, 28, 481, 54]),
+                                (_TOTAL_ALPHABET, STRUCTURAL, [1, 2, 26, 4, 32])):
+        for n, count in zip(range(2, 7), counts):
+            kept = _evaluable(n, alphabet)
+            assert len(kept) == len(set(kept)) == count, (alphabet, n)
+            assert set(kept) <= set(_exprs_exact(n, alphabet)), (alphabet, n)
+        for n in range(2, 6):
+            kept = set(_evaluable(n, alphabet))
+            for prefix in _exprs_exact(n, alphabet):
+                if prefix not in kept:
+                    assert not domain_runs(prefix, 47 - 8 * n, B), (alphabet, prefix)
 
 
 def _full_sweep(machine, L, B, c_cap):
@@ -485,6 +478,11 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
 FROZEN_RECORD_DIGESTS = {
     ("sd", 40, 10**4): "ac0f16a5293a681b6a5b06f251890f3b3c86698be6e649c4dc3f6b4a0af11f14",
     ("total", 40, STRUCTURAL): "cff47e4dfb19f1e8c63d4151f1e57a166be46fb59478f6112f9311a980ea08f9",
+    # taken from the renaming-class sweep; they check the pruning up to 7 characters
+    ("sd", 55, 10**4): "4cf8a9d54b59efe1b3bd9d7e8226911296ce5501c6feeec458cd61cbc543be6c",
+    ("total", 55, STRUCTURAL): "533da9e4a853c1c41f9a34ed669a414f6846eecc8ed23bb3d2d5795bfde22064",
+    ("sd", 63, 10**4, 7): "0276ee1dc246c2e981761b6fc87c5f7723afff2fc02c28a06113922776d61a8c",
+    ("total", 63, STRUCTURAL, 7): "b5360efca5f468882fc886211d684f2c0ac2bf3695354ab48fe1b13c1148c868",
 }
 
 

@@ -54,3 +54,25 @@ def test_json_text_is_written_only_in_reports():
                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
     found = [hit for hit in _library_nodes(writes_json) if not hit.startswith("reports.py:")]
     assert not found, found
+
+
+def test_library_has_no_unread_private_names():
+    # every module-level _name (function, class or constant) is read
+    # somewhere in the library, by name or as a module attribute
+    trees = _library_trees()
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for name, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {n}" for n in names
+                      if n.startswith("_") and not n.startswith("__") and n not in read]
+    assert not found, found
