@@ -44,102 +44,91 @@ def _budget(text: str):
     return int(text)
 
 
-def build_parser() -> _Parser:
+_SWEEP = [
+    ("--machine", dict(choices=machines.MACHINES, required=True)),
+    ("--L", dict(type=int, required=True)),
+    ("--B", dict(type=_budget, default=10**4)),
+    ("--c-cap", dict(type=int, default=DEFAULT_CHAR_CAP)),
+    ("--workers", dict(type=int, default=1)),
+]
+_TARGET = [("--target", dict(type=_bits_arg, required=True))]
+_TABLE_CSV = ("output", "kind", "h_upper", "witness", "minimal_count", "prob")
+
+# Every command once: name -> (help, CSV columns of result["entries"] for the
+# commands that take --csv, else None; the command's own flags in order).
+COMMANDS = {
+    "bits": ("prefix-code utilities", None, [
+        ("action", dict(choices=["kraft", "prefixfree"])),
+        ("--set", dict(required=True, help="comma-separated bit strings (empty string allowed)"))]),
+    "sexpr": ("expression parse/encode", None, [
+        ("action", dict(choices=["parse", "encode"])),
+        ("--text", dict(required=True))]),
+    "run": ("run one program on a machine", None, [
+        ("--machine", dict(choices=machines.MACHINES, required=True)),
+        ("--raw", dict(type=_bits_arg, help="raw program bits (machine c2)")),
+        ("--prefix", dict(help="prefix expression text (machines sd/total)")),
+        ("--payload", dict(type=_bits_arg, default="")),
+        ("--aux", dict(type=_bits_arg)),
+        ("--budget", dict(type=_budget, default=10**4))]),
+    "sweep": ("enumerate the domain and build the complexity table", _TABLE_CSV, _SWEEP),
+    "complexity": ("upper bound for one output", None, _SWEEP + _TARGET),
+    "elegant": ("minimal program per output", _TABLE_CSV, _SWEEP),
+    "prob": ("algorithmic probability of one output", None, _SWEEP + _TARGET),
+    "coding": ("coding-theorem direction check", ("output", "h_upper", "prob", "defect"), _SWEEP),
+    "chain": ("chain-rule / subadditivity report", None, _SWEEP + [
+        ("--pairs", dict(required=True, help="semicolon-separated x:y pairs, e.g. '0:1;:'"))]),
+    "omega": ("halting-probability operations", None, [
+        ("action", dict(choices=["lower", "exact", "bits", "oracle"])),
+        ("--machine", dict(choices=machines.SELF_DELIMITING, default="total"))] + _SWEEP[1:] + [
+        ("--emit-bits", dict(type=int, default=0)),
+        ("--k", dict(type=int, help="bit count for 'bits'/'oracle'")),
+        ("--kbits", dict(type=_bits_arg, help="override oracle input bits")),
+        ("--guard", dict(type=int, default=omega.DEFAULT_GUARD))]),
+    "normality": ("disjoint-block equidistribution check", None, [
+        ("--x", dict(type=_bits_arg, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--tol", dict(required=True))]),
+    "fas": ("formal-system experiments", None, [
+        ("action", dict(choices=["theorems", "berry", "ceiling", "omegabits"])),
+        ("--fas", dict(required=True,
+                       help=f"bundled name {incompleteness.BUNDLED_FAS_NAMES} or a JSON file")),
+        ("--budget", dict(type=int, default=10**6)),
+        ("--L", dict(type=int, help="ensemble cap for omegabits"))]),
+    "fgh": ("fast-growing hierarchy", None, [
+        ("action", dict(choices=["eval", "dominate"])),
+        ("--ordinal", dict(help="for eval")),
+        ("--n", dict(type=int, help="for eval")),
+        ("--alpha", dict(help="for dominate")),
+        ("--beta", dict(help="for dominate")),
+        ("--points", dict(default="1,2,3")),
+        ("--cap-bits", dict(type=int, default=DEFAULT_CAP_BITS))]),
+    "diag": ("diagonalize over a total function-program family", None, [
+        ("--n", dict(type=int, required=True)),
+        ("--width", dict(type=int, default=incompleteness.NUMERAL_WIDTH)),
+        ("--family", dict(help="file with one 'prefix|payload' program per line"))]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The top parser with the sub-parser of `command` alone, or of every
+    command when `command` names none (top-level help, errors, --version).
+    Usage lines and each sub-parser's help are the same either way."""
     top = _Parser(prog="omegalab", description=__doc__)
     top.add_argument("--version", action="version", version=f"omegalab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
-        p.add_argument("--csv", action="store_true", help="CSV output where applicable")
+    if command in COMMANDS:
+        sub.metavar = "{%s}" % ",".join(COMMANDS)  # the usage line still lists every command
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_, csv_fields, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        form = p.add_mutually_exclusive_group()
+        form.add_argument("--json", action="store_true", help="JSON output (default)")
+        if csv_fields:
+            form.add_argument("--csv", action="store_true", help="CSV output")
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        return p
-
-    p = add("bits", help="prefix-code utilities")
-    p.add_argument("action", choices=["kraft", "prefixfree"])
-    p.add_argument("--set", required=True, help="comma-separated bit strings (empty string allowed)")
-
-    p = add("sexpr", help="expression parse/encode")
-    p.add_argument("action", choices=["parse", "encode"])
-    p.add_argument("--text", required=True)
-
-    p = add("run", help="run one program on a machine")
-    p.add_argument("--machine", choices=machines.MACHINES, required=True)
-    p.add_argument("--raw", type=_bits_arg, help="raw program bits (machine c2)")
-    p.add_argument("--prefix", help="prefix expression text (machines sd/total)")
-    p.add_argument("--payload", type=_bits_arg, default="")
-    p.add_argument("--aux", type=_bits_arg)
-    p.add_argument("--budget", type=_budget, default=10**4)
-
-    p = add("sweep", help="enumerate the domain and build the complexity table")
-    _sweep_args(p)
-
-    p = add("complexity", help="upper bound for one output")
-    _sweep_args(p)
-    p.add_argument("--target", type=_bits_arg, required=True)
-
-    p = add("elegant", help="minimal program per output")
-    _sweep_args(p)
-
-    p = add("prob", help="algorithmic probability of one output")
-    _sweep_args(p)
-    p.add_argument("--target", type=_bits_arg, required=True)
-
-    p = add("coding", help="coding-theorem direction check")
-    _sweep_args(p)
-
-    p = add("chain", help="chain-rule / subadditivity report")
-    _sweep_args(p)
-    p.add_argument("--pairs", required=True, help="semicolon-separated x:y pairs, e.g. '0:1;:'")
-
-    p = add("omega", help="halting-probability operations")
-    p.add_argument("action", choices=["lower", "exact", "bits", "oracle"])
-    p.add_argument("--machine", choices=machines.SELF_DELIMITING, default="total")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--B", type=_budget, default=10**4)
-    p.add_argument("--c-cap", type=int, default=DEFAULT_CHAR_CAP)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--emit-bits", type=int, default=0)
-    p.add_argument("--k", type=int, help="bit count for 'bits'/'oracle'")
-    p.add_argument("--kbits", type=_bits_arg, help="override oracle input bits")
-    p.add_argument("--guard", type=int, default=omega.DEFAULT_GUARD)
-
-    p = add("normality", help="disjoint-block equidistribution check")
-    p.add_argument("--x", type=_bits_arg, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", required=True)
-
-    p = add("fas", help="formal-system experiments")
-    p.add_argument("action", choices=["theorems", "berry", "ceiling", "omegabits"])
-    p.add_argument("--fas", required=True,
-                   help=f"bundled name {incompleteness.BUNDLED_FAS_NAMES} or a JSON file")
-    p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--L", type=int, help="ensemble cap for omegabits")
-
-    p = add("fgh", help="fast-growing hierarchy")
-    p.add_argument("action", choices=["eval", "dominate"])
-    p.add_argument("--ordinal", help="for eval")
-    p.add_argument("--n", type=int, help="for eval")
-    p.add_argument("--alpha", help="for dominate")
-    p.add_argument("--beta", help="for dominate")
-    p.add_argument("--points", default="1,2,3")
-    p.add_argument("--cap-bits", type=int, default=DEFAULT_CAP_BITS)
-
-    p = add("diag", help="diagonalize over a total function-program family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--width", type=int, default=incompleteness.NUMERAL_WIDTH)
-    p.add_argument("--family", help="file with one 'prefix|payload' program per line")
-
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
     return top
-
-
-def _sweep_args(p):
-    p.add_argument("--machine", choices=machines.MACHINES, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--B", type=_budget, default=10**4)
-    p.add_argument("--c-cap", type=int, default=DEFAULT_CHAR_CAP)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -203,8 +192,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _dispatch(args: argparse.Namespace) -> tuple:
-    """Returns (result, csv_payload or None)."""
+def _dispatch(args: argparse.Namespace) -> dict:
     cmd = args.command
 
     if cmd == "bits":
@@ -212,15 +200,15 @@ def _dispatch(args: argparse.Namespace) -> tuple:
         members = [bs_parse(m) for m in members]
         ok, witness = is_prefix_free(members)
         if args.action == "kraft":
-            return {"kraft_sum": str(kraft_sum(members)), "prefix_free": ok}, None
-        return {"prefix_free": ok, "witness": list(witness) if witness else None}, None
+            return {"kraft_sum": str(kraft_sum(members)), "prefix_free": ok}
+        return {"prefix_free": ok, "witness": list(witness) if witness else None}
 
     if cmd == "sexpr":
         expr = parse(args.text)
         if args.action == "parse":
-            return {"canonical": print_sexpr(expr)}, None
+            return {"canonical": print_sexpr(expr)}
         bits = to_bits(expr)
-        return {"canonical": print_sexpr(expr), "bits": bits, "length_bits": len(bits)}, None
+        return {"canonical": print_sexpr(expr), "bits": bits, "length_bits": len(bits)}
 
     if cmd == "run":
         complexity.check_budget(args.machine, args.budget)
@@ -235,15 +223,13 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             budget = (machines.structural_budget(prog.prefix) if args.budget == STRUCTURAL
                       else args.budget)
             out = machines.run_machine(args.machine, prog, budget, aux=args.aux)
-        return _outcome_dict(out), None
+        return _outcome_dict(out)
 
     if cmd in ("sweep", "elegant", "complexity", "prob", "coding", "chain"):
         ens = Ensemble(args.machine, args.L, args.B, args.c_cap, args.workers)
 
     if cmd in ("sweep", "elegant"):
-        rep = reports.table_report(complexity.build_table(ens))
-        rows = rep["entries"]
-        return rep, (rows, ["output", "kind", "h_upper", "witness", "minimal_count", "prob"])
+        return reports.table_report(complexity.build_table(ens))
 
     if cmd == "complexity":
         res = complexity.complexity_upper(ens, args.target)
@@ -253,32 +239,32 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             "h_upper": res.h_upper,
             "witness": res.witness,
             "exact": res.exact,
-        }, None
+        }
 
     if cmd == "prob":
         p = complexity.algorithmic_probability(ens, args.target)
-        return {"target": args.target, "prob": str(p)}, None
+        return {"target": args.target, "prob": str(p)}
 
     if cmd == "coding":
-        rep = complexity.check_coding(ens)
-        return rep, (rep["entries"], ["output", "h_upper", "prob", "defect"])
+        return complexity.check_coding(ens)
 
     if cmd == "chain":
         pairs = []
         for chunk in args.pairs.split(";"):
             x, _, y = chunk.partition(":")
             pairs.append((bs_parse(x), bs_parse(y)))
-        return complexity.check_chain_rule(ens, pairs), None
+        return complexity.check_chain_rule(ens, pairs)
 
     if cmd == "omega":
-        for flag, value in (("--guard", args.guard), ("--emit-bits", args.emit_bits), ("--k", args.k)):
-            if value is not None and value < 0:
+        for flag, value in (("--B", args.B), ("--guard", args.guard), ("--emit-bits", args.emit_bits),
+                            ("--k", args.k)):
+            if isinstance(value, int) and value < 0:
                 raise ValueError(f"{flag} must be >= 0, got {value}")
         # a flag the action never reads is refused, not ignored; a default
         # value counts as not given, so every accepted config echo stays
-        defaults = {"k": None, "kbits": None, "guard": omega.DEFAULT_GUARD, "emit_bits": 0}
-        unread = {"lower": "k kbits guard", "exact": "k kbits guard",
-                  "bits": "kbits guard emit_bits", "oracle": "emit_bits"}[args.action]
+        defaults = {f.lstrip("-").replace("-", "_"): kw.get("default") for f, kw in COMMANDS["omega"][2]}
+        unread = {"lower": "k kbits guard", "exact": "B k kbits guard",
+                  "bits": "B kbits guard emit_bits", "oracle": "B emit_bits"}[args.action]
         for dest in unread.split():
             if getattr(args, dest) != defaults[dest]:
                 raise ValueError(f"omega {args.action} does not read --{dest.replace('_', '-')}")
@@ -287,15 +273,17 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
         ens = Ensemble(args.machine, args.L, STRUCTURAL if capped else args.B, args.c_cap, args.workers)
         if args.action in ("lower", "exact"):
-            return omega.omega_lower_bound(ens).as_dict(emit_bits=args.emit_bits), None
+            return omega.omega_lower_bound(ens).as_dict(emit_bits=args.emit_bits)
         if args.action == "bits":
             if args.k is None:
                 raise ValueError("omega bits needs --k")
             value = omega.omega_lower_bound(ens).value
             return {"L": args.L, "k": args.k, "value": str(value),
-                    "bits": dyadic_bits(value, args.k)}, None
+                    "bits": dyadic_bits(value, args.k)}
         # oracle
         if args.kbits is not None:
+            if args.k is not None:
+                raise ValueError("omega oracle reads --kbits or --k, not both")
             kbits = args.kbits
         else:
             if args.k is None:
@@ -310,10 +298,10 @@ def _dispatch(args: argparse.Namespace) -> tuple:
             "halting_set": list(res.halting_set),
             "lower_bound_reached": str(res.reached),
             "steps_spent": res.steps_spent,
-        }, None
+        }
 
     if cmd == "normality":
-        return omega.borel_normality(args.x, args.k, args.tol), None
+        return omega.borel_normality(args.x, args.k, args.tol)
 
     if cmd == "fas":
         if args.budget < 0:
@@ -331,7 +319,7 @@ def _dispatch(args: argparse.Namespace) -> tuple:
                     else {"kind": "omega_bit", "index": t.index, "bit": t.bit}
                     for t in thms
                 ],
-            }, None
+            }
         if args.action == "berry":
             P, T = incompleteness.build_berry_program(fas)
             return {
@@ -340,10 +328,10 @@ def _dispatch(args: argparse.Namespace) -> tuple:
                 "threshold": T,
                 "p_size_bits": P.size_bits,
                 "threshold_minus_n": T - fas.n_bits,
-            }, None
+            }
         if args.action == "ceiling":
-            return incompleteness.elegance_ceiling_experiment(fas, args.budget), None
-        return incompleteness.omega_bits_ceiling_experiment(fas, args.L, args.budget), None
+            return incompleteness.elegance_ceiling_experiment(fas, args.budget)
+        return incompleteness.omega_bits_ceiling_experiment(fas, args.L, args.budget)
 
     if cmd == "fgh":
         if args.cap_bits < 1:
@@ -353,12 +341,12 @@ def _dispatch(args: argparse.Namespace) -> tuple:
                 raise ValueError("fgh eval needs --ordinal and --n")
             val = fgh_eval(ord_parse(args.ordinal), args.n, args.cap_bits)
             return {"ordinal": args.ordinal, "n": args.n, "cap_bits": args.cap_bits,
-                    "value": val.as_dict()}, None
+                    "value": val.as_dict()}
         if args.alpha is None or args.beta is None:
             raise ValueError("fgh dominate needs --alpha and --beta")
         points = [int(x) for x in args.points.split(",")]
         return dominance_check(ord_parse(args.alpha), ord_parse(args.beta), points,
-                               args.cap_bits), None
+                               args.cap_bits)
 
     if cmd == "diag":
         if args.n < 0:
@@ -386,7 +374,7 @@ def _dispatch(args: argparse.Namespace) -> tuple:
                 for p in family[: min(args.n, len(family) - 1) + 1]
             ],
             "value": value,
-        }, None
+        }
 
     raise ValueError(f"unknown command {cmd!r}")
 
@@ -407,13 +395,13 @@ DOMAIN_ERRORS = (
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)  # fresh: --config sets its defaults
     args = parser.parse_args(argv)
     try:
         args = _apply_config(args, parser, argv)
-        result, csv_payload = _dispatch(args)
+        result = _dispatch(args)
     except UnsoundFASError as exc:
         report = reports.envelope(args.command, _config_dict(args), exc.report)
         sys.stdout.write(reports.emit_json(report))
@@ -421,9 +409,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"omegalab: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    if args.csv and csv_payload is not None:
-        rows, fields = csv_payload
-        sys.stdout.write(reports.emit_csv(rows, fields))
+    if getattr(args, "csv", False):
+        sys.stdout.write(reports.emit_csv(result["entries"], COMMANDS[args.command][1]))
     else:
         report = reports.envelope(args.command, _config_dict(args), result)
         sys.stdout.write(reports.emit_json(report))

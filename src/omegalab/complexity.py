@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
@@ -287,6 +286,8 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     jobs = [(n, prefixes[i:i + step], L, B) for n, prefixes in by_n
             for i in range(0, len(prefixes), step)]
     if workers > 1 and count > 64:
+        from multiprocessing import get_context  # not at module level: it slows every start
+
         with get_context("fork").Pool(workers) as pool:
             parts = pool.map(_sd_records_for_prefixes, jobs)
     else:

@@ -11,7 +11,6 @@ separately rather than folded in or dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bits import BitString, Dyadic, bits_to_dyadic, dyadic_bits
@@ -156,6 +155,8 @@ def borel_normality(x: BitString, k: int, tol) -> dict:
     block value's frequency is within tol of 2^-k.  Frequencies have
     non-dyadic denominators, so this one comparison uses exact Fractions.
     """
+    from fractions import Fraction  # not at module level: only this check needs it
+
     if k < 1:
         raise ValueError("block size must be >= 1")
     if len(x) < k:

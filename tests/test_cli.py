@@ -82,6 +82,18 @@ def test_sweep_csv(capsys):
     assert len(lines) == 4
 
 
+def test_csv_only_where_a_csv_form_exists(capsys):
+    for argv in (["omega", "lower", "--L", "16", "--csv"],
+                 ["sweep", "--machine", "c2", "--L", "2", "--B", "10", "--json", "--csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1 and "--csv" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "elegant", "--machine", "c2", "--L", "2", "--B", "10", "--csv")
+    assert code == 0 and out.splitlines()[0] == "output,kind,h_upper,witness,minimal_count,prob"
+    code, out, _ = run_cli(capsys, "coding", "--machine", "sd", "--L", "24", "--csv")
+    assert code == 0 and out.splitlines() == ["output,h_upper,prob,defect", ",16,1/2^16,0"]
+
+
 def test_diag_command(capsys):
     code, out, _ = run_cli(capsys, "diag", "--n", "2")
     assert code == 0 and report(out)["value"] == 9
@@ -192,12 +204,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["omega", "bits", "--L", "16", "--k", "4", "--guard", "5"],
     ["omega", "bits", "--L", "16", "--k", "4", "--emit-bits", "3"],
     ["omega", "oracle", "--L", "16", "--k", "4", "--emit-bits", "3"],
+    ["omega", "oracle", "--L", "24", "--kbits", "0", "--k", "7"],
+    ["omega", "exact", "--L", "24", "--B", "5"],
+    ["omega", "bits", "--L", "24", "--k", "4", "--B", "structural"],
+    ["omega", "oracle", "--L", "24", "--k", "4", "--B", "0"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
     # the message names the flag
-    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k", "--kbits"):
+    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k", "--kbits", "--B"):
         assert argv[-2] in err
 
 

@@ -1,0 +1,154 @@
+"""cli.main builds only the invoked command's sub-parser; that build must parse
+and print exactly like the build of every command."""
+
+import argparse
+import importlib.util
+import json
+import os
+import shlex
+
+import pytest
+
+from omegalab import __version__, cli
+from omegalab.cli import COMMANDS, build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+USAGE = """usage: omegalab [-h] [--version]
+                {bits,sexpr,run,sweep,complexity,elegant,prob,coding,chain,omega,normality,fas,fgh,diag}
+                ...
+"""
+
+
+@pytest.fixture(autouse=True)
+def _fixed_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+
+
+def _readme_tour():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    block = text.split("## CLI tour", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("omegalab ")]
+
+
+def _bench_commands():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  os.path.join(ROOT, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WORKLOADS for seed in (1, 2, 3, 4)
+            for argv in workloads.commands(name, seed)]
+
+
+ABBREVIATED = [
+    ["run", "--mach", "sd", "--prefix", "(q(l))"],
+    ["sweep", "--mach", "total", "--L", "40", "--B", "structural", "--work", "2", "--cs"],
+    ["omega", "exact", "--L", "24", "--emit", "12", "--js"],
+    ["omega", "oracle", "--L", "24", "--kb", "01", "--gu", "9"],
+    ["fgh", "dominate", "--al", "w", "--be", "w+1", "--po", "1,2"],
+    ["fas", "berry", "--fa", "sound", "--bud", "9"],
+]
+
+CORPUS = _readme_tour() + _bench_commands() + ABBREVIATED
+
+
+def _commands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _sub(parser, name):
+    return _commands(parser)[name]
+
+
+def test_corpus_covers_every_command():
+    assert len(_readme_tour()) == 22 and len(_bench_commands()) == 4 * (3 + 10 + 1 + 1)
+    assert {argv[0] for argv in CORPUS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_command_build_prints_like_the_full_build(name):
+    one, full = build_parser(name), build_parser()
+    assert list(_commands(one)) == [name]
+    assert _sub(one, name).format_help() == _sub(full, name).format_help()
+    assert one.format_usage() == full.format_usage() == USAGE
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_one_command_build_parses_like_the_full_build(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["sweep", "--machine", "sd", "--L", "16", "extra"],
+    ["sweep", "--machine", "sd", "--L", "x"],
+    ["sweep", "--machine", "c2", "--L", "2", "--json", "--csv"],
+    ["omega", "nope", "--L", "16"],
+    ["omega", "lower", "--L", "16", "--csv"],
+    ["run", "--ma", "sd", "--prefix", "(r)", "--p", "1"],  # --p is ambiguous
+])
+def test_one_command_build_refuses_like_the_full_build(capsys, argv):
+    seen = []
+    for parser in (build_parser(argv[0]), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        seen.append((exc.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1] and seen[0][0] == 1
+
+
+def test_main_builds_one_fresh_sub_parser_per_call(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    for _ in range(2):
+        assert main(["bits", "kraft", "--set", "0,10"]) == 0
+    assert built == ["bits", "bits"]
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert built[2:] == list(COMMANDS)
+
+
+def test_config_of_one_call_leaves_the_next_unchanged(tmp_path, capsys):
+    argv = ["omega", "lower", "--machine", "sd", "--L", "16"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"B": 0, "emit_bits": 3}))
+    assert main(argv + ["--config", str(conf)]) == 0
+    configured = json.loads(capsys.readouterr().out)["config"]
+    assert (configured["B"], configured["emit_bits"]) == (0, 3)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 1, "", USAGE + "omegalab: error: the following arguments are required: command "
+                        "(try --help)\n"),
+    (["nosuch"], 1, "", USAGE + "omegalab: error: argument command: invalid choice: 'nosuch' "
+                              "(choose from " + ", ".join(map(repr, COMMANDS)) + ") (try --help)\n"),
+    (["--version"], 0, f"omegalab {__version__}\n", ""),
+    (["sweep", "--machine", "sd", "--L", "16", "x"], 1, "",
+     USAGE + "omegalab: error: unrecognized arguments: x (try --help)\n"),
+])
+def test_top_level_exits_and_text(capsys, argv, code, out, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code and capsys.readouterr() == (out, err)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(USAGE + "\n" + cli.__doc__.split("\n")[0])
+    for name, (help_, _, _) in COMMANDS.items():
+        assert f"    {name}" in out and help_ in out
+
+
+def test_csv_is_declared_for_the_table_commands_only():
+    full = build_parser()
+    assert {name for name in COMMANDS
+            if "--csv" in _sub(full, name)._option_string_actions} == {"sweep", "elegant", "coding"}

@@ -1,6 +1,9 @@
 """Rules on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import omegalab
@@ -76,3 +79,13 @@ def test_library_has_no_unread_private_names():
             found += [f"{name}:{node.lineno} {n}" for n in names
                       if n.startswith("_") and not n.startswith("__") and n not in read]
     assert not found, found
+
+
+def test_cli_start_imports_neither_multiprocessing_nor_fractions():
+    # only a sweep with --workers > 1 needs multiprocessing and only
+    # `normality` needs fractions; every other command starts without them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(omegalab.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, omegalab.cli; print(sorted({'multiprocessing', 'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
