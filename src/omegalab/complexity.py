@@ -30,8 +30,8 @@ halts under any payload and aux, so the sweep stays exhaustive; up to 6
 characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
-On a 2-CPU VM, `omega exact --L 71 --c-cap 8` takes about 0.4 s with a 27 MB
-peak RSS, and `omega lower --machine sd --L 71 --c-cap 8` 0.7 s with 35 MB.
+On a 2-CPU VM, `omega exact --L 71 --c-cap 8` takes about 1.0 s with a 26 MB
+peak RSS, and `omega lower --machine sd --L 71 --c-cap 8` 1.4 s with 35 MB.
 Upper bounds beyond the cap come from constructed witnesses that are always
 verified by actually running them before being admitted.
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, CHAR_BITS, SExpr, print_sexpr
@@ -177,8 +177,7 @@ def domain_runs(prefix: SExpr, max_payload: int,
 # ---------------------------------------------------------------------------
 # sweep records
 
-@dataclass(frozen=True, slots=True)  # stored sweeps and memoized tables keep many alive
-class HaltRecord:
+class HaltRecord(NamedTuple):  # immutable: stored sweeps and memoized tables share them
     program_bits: BitString
     output: Optional[BitString]  # wrap-convention bit output, None if unconvertible
     pair: Optional[Tuple[BitString, BitString]]
@@ -195,16 +194,7 @@ def _sd_records_for_prefixes(job) -> List[HaltRecord]:
         pre_bits = print_sexpr(prefix).translate(_CODES)
         for payload, aux, out in domain_runs(prefix, L - 8 * n, budget):
             bits = pre_bits + payload
-            records.append(
-                HaltRecord(
-                    program_bits=bits,
-                    output=output_of(out),
-                    pair=pair_output_of(out),
-                    steps=out.steps,
-                    size_bits=len(bits),
-                    aux_read=aux,
-                )
-            )
+            records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps, len(bits), aux))
     return records
 
 
@@ -323,8 +313,7 @@ def exhaustive_bits(ens: Ensemble) -> int:
 # ---------------------------------------------------------------------------
 # complexity tables
 
-@dataclass(frozen=True, slots=True)  # stored sweeps and memoized tables keep many alive
-class TableEntry:
+class TableEntry(NamedTuple):  # immutable: memoized tables share them
     output: object  # BitString or (BitString, BitString) pair
     h_upper: int
     witness: BitString
@@ -352,25 +341,19 @@ def build_table(ens: Ensemble) -> ComplexityTable:
     table = ComplexityTable(ens=ens, exhaustive_limit=exhaustive_bits(ens))
     table.contributing = len(records)
 
-    def fold(key, entry_map, rec):
-        cur = entry_map.get(key)
-        if cur is None:
-            prob = Dyadic.pow2(rec.size_bits) if with_prob else None
-            entry_map[key] = TableEntry(key, rec.size_bits, rec.program_bits, 1, prob)
-        else:
-            prob = cur.prob + Dyadic.pow2(rec.size_bits) if with_prob else None
-            mc = cur.minimal_count + 1 if rec.size_bits == cur.h_upper else cur.minimal_count
-            entry_map[key] = TableEntry(key, cur.h_upper, cur.witness, mc, prob)
-
-    for rec in records:  # records are (length, lex) sorted: first hit per output is the witness
+    for bits, output, pair, _, size, _ in records:  # (length, lex) sorted: first hit is the witness
+        w = Dyadic.pow2(size) if with_prob else None  # the record's Kraft term
         if with_prob:
-            table.mass = table.mass + Dyadic.pow2(rec.size_bits)
-        if rec.output is not None:
-            fold(rec.output, table.entries, rec)
-        elif rec.pair is not None:
-            fold(rec.pair, table.pair_entries, rec)
-        elif with_prob:
-            table.conv_fail_mass = table.conv_fail_mass + Dyadic.pow2(rec.size_bits)
+            table.mass += w
+        key, entry_map = (output, table.entries) if output is not None else (pair, table.pair_entries)
+        if key is None:
+            if with_prob:
+                table.conv_fail_mass += w
+        elif (cur := entry_map.get(key)) is None:
+            entry_map[key] = TableEntry(key, size, bits, 1, w)
+        else:
+            entry_map[key] = TableEntry(key, cur.h_upper, cur.witness, cur.minimal_count + (size == cur.h_upper),
+                                        cur.prob + w if with_prob else None)
     if table.mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
         raise InvariantError(f"Kraft sum {table.mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
     return table

@@ -3,7 +3,9 @@
 Every report embeds a schema tag, the tool version, and the exact config
 that produced it, with stable field order, so identical configs yield
 byte-identical output regardless of worker count.  emit_json, the only JSON
-writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n".
+writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n": a
+table's list of rows goes to the C encoder in one call, and the text is
+joined once, not once per nesting level.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def envelope(command: str, config: dict, result) -> dict:
     }
 
 
-_SCALARS = (str, int, float, type(None))  # bool is an int
+_SCALARS = {str, int, float, bool, type(None)}  # a subclass takes the general path
 _scalar = json.JSONEncoder().encode  # C-backed: no indent
 
 
@@ -37,34 +39,48 @@ def _flat(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def _indented(v, depth: int) -> str:
-    """v as json.dumps prints it with indent=2, depth levels deep."""
+def _indented(v, depth: int, out: list) -> None:
+    """Appends the pieces of v as json.dumps prints it with indent=2, depth levels deep."""
     if not isinstance(v, (dict, list, tuple)) or not v:
-        return _scalar(v)
-    pad = "  " * (depth + 1)
-    if all(isinstance(x, _SCALARS) for x in (v.values() if isinstance(v, dict) else v)):
-        body = _flat(depth + 1)(v)[1:-1]
-    elif isinstance(v, dict):  # a key prints as the one key of {key: 0} does
-        body = (",\n" + pad).join(_scalar({k: 0})[1:-4] + ": " + _indented(x, depth + 1)
-                                  for k, x in v.items())
-    else:
-        body = (",\n" + pad).join(_indented(x, depth + 1) for x in v)
+        out.append(_scalar(v))
+        return
+    pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    items = v.values() if isinstance(v, dict) else v
     brackets = "{}" if isinstance(v, dict) else "[]"
-    return brackets[0] + "\n" + pad + body + "\n" + "  " * depth + brackets[1]
+    if {type(x) for x in items} <= _SCALARS:
+        out += (brackets[0], pad, _flat(depth + 1)(v)[1:-1], end, brackets[1])
+    elif (type(v) is list and all(type(x) is dict and x for x in v)
+          and {type(y) for x in v for y in x.values()} <= _SCALARS):
+        # rows (nonempty dicts of scalars) in one call, every item split as
+        # at depth + 2: json escapes each newline in a string and no scalar
+        # ends in "}", so "},<split>{" only ever joins two rows, and one
+        # replace splits the rows as at depth + 1
+        inner = "\n" + "  " * (depth + 2)
+        text = _flat(depth + 2)(v).replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
+        out += ("[", pad, "{", inner, text[2:-2], pad, "}", end, "]")
+    else:  # a key prints as the one key of {key: 0} does
+        keys = [_scalar({k: 0})[1:-4] + ": " for k in v] if isinstance(v, dict) else [""] * len(v)
+        for i, (key, x) in enumerate(zip(keys, items)):
+            out += ("," if i else brackets[0], pad, key)
+            _indented(x, depth + 1, out)
+        out += (end, brackets[1])
 
 
 def emit_json(report: dict) -> str:
     """json.dumps(report, indent=2) + "\n", without json's pure-Python indent
-    path: each container of scalars goes to the C encoder in one call."""
-    return _indented(report, 0) + "\n"
+    path: each container of scalars and each list of rows (nonempty dicts of
+    scalars) goes to the C encoder in one call, and the pieces are joined once."""
+    out: list = []
+    _indented(report, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def emit_csv(rows: list, fieldnames: list) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in fieldnames})
+    writer.writerows(rows)  # a missing field prints as ""
     return buf.getvalue()
 
 
@@ -72,8 +88,9 @@ def table_rows(table) -> list:
     """ComplexityTable entries as flat rows: bit outputs, then pairs, each
     sorted by total output length, then output."""
     rows = []
-    for kind, entries in (("bits", table.entries), ("pair", table.pair_entries)):
-        for key in sorted(entries, key=lambda k: (len("".join(k)), k)):
+    for kind, entries, size in (("bits", table.entries, len),
+                                ("pair", table.pair_entries, lambda k: len(k[0]) + len(k[1]))):
+        for key in sorted(entries, key=lambda k: (size(k), k)):
             e = entries[key]
             rows.append(
                 {

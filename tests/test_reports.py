@@ -6,10 +6,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegalab.bits import Dyadic
 from omegalab.cli import main
-from omegalab.reports import emit_json
+from omegalab.complexity import ComplexityTable, Ensemble, HaltRecord, TableEntry
+from omegalab.reports import emit_json, table_rows
 
-_text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600"), max_size=6)
+_text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600{}[],:"), max_size=6)
 _scalars = (st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
             | st.floats() | _text)
 _keys = _text | st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
@@ -19,6 +21,15 @@ _values = st.recursive(
                    | st.dictionaries(_keys, inner, max_size=4)),
     max_leaves=20,
 )
+_rows = st.lists(st.dictionaries(_keys, _scalars, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+def _nested(rows, depth: int):
+    """rows wrapped depth times in a list or dict, beside other values."""
+    for _ in range(depth):
+        rows = (st.lists(rows | _scalars, min_size=1, max_size=3)
+                | st.dictionaries(_keys, rows | _scalars, min_size=1, max_size=3))
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -27,10 +38,46 @@ def test_emit_json_is_json_dumps_indent_2(value):
     assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=3).flatmap(lambda depth: _nested(_rows, depth)))
+def test_emit_json_row_lists_are_json_dumps_indent_2(value):
+    # a list of nonempty dicts of scalars goes to the C encoder in one call
+    assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
 def test_emit_json_edge_cases():
     for value in ({}, [], (), {"a": {}, "b": [[], ()]}, [{}, {"x": []}], {1: None, None: 1.5, True: "é"},
-                  {"n": 2**64 + 1, "f": float("nan"), "g": -float("inf")}, [[[{"k": [1]}]]]):
+                  {"n": 2**64 + 1, "f": float("nan"), "g": -float("inf")}, [[[{"k": [1]}]]],
+                  # lists of dicts that are not all nonempty dicts of scalars
+                  [{}, {"a": 1}], [{"a": 1}, {}], [{"a": []}], [{"a": 1}, 2], ({"a": 1}, {"b": 2}),
+                  # text that looks like a row boundary
+                  [{"a": "},\n      {"}, {"b": "}"}], [{"}, {": "}"}, {"}": 1}]):
         assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_table_rows_order_bits_then_pairs_by_total_length():
+    table = ComplexityTable(ens=Ensemble("sd", 40, 100))
+    for out in ("11", "", "0", "01", "1"):
+        h = 16 + len(out)
+        table.entries[out] = TableEntry(out, h, "1" * h, 1, Dyadic.pow2(h))
+    for out in (("0", "1"), ("", "01"), ("", ""), ("1", ""), ("00", "")):
+        table.pair_entries[out] = TableEntry(out, 24, "1" * 24, 1, Dyadic.pow2(24))
+    rows = table_rows(table)
+    assert [(r["kind"], r["output"]) for r in rows] == [
+        ("bits", ""), ("bits", "0"), ("bits", "1"), ("bits", "01"), ("bits", "11"),
+        ("pair", "|"), ("pair", "1|"), ("pair", "|01"), ("pair", "0|1"), ("pair", "00|")]
+    assert rows[0] == {"output": "", "kind": "bits", "h_upper": 16, "witness": "1" * 16,
+                       "minimal_count": 1, "prob": "1/2^16"}
+
+
+def test_records_and_entries_are_immutable():
+    # the sweep store and build_table's memo share them between callers
+    rec = HaltRecord("0", "", None, 1, 1)
+    assert rec.aux_read == ""
+    entry = TableEntry("", 16, "0" * 16, 1, None)
+    for obj, attr in ((rec, "steps"), (rec, "aux_read"), (entry, "h_upper"), (entry, "prob")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 0)
 
 
 @pytest.mark.parametrize("argv, size, digest", [
@@ -47,3 +94,19 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
     out = capsys.readouterr().out.encode()
     assert size is None or len(out) == size
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--machine", "sd", "--L", "40", "--B", "10000"],
+     "c2d4d3b1d9128db6bcfc5b351dbf2b5331b4647bc1ffdfbb9e0856f668ede009"),
+    (["coding", "--machine", "sd", "--L", "40", "--B", "10000"],
+     "5c9b0f8bb53e9e0fa16cfe54f24f27c1ea0488324904906ae13890b0bf93cd87"),
+    (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
+     "ae5afca449c6f3dcbb83e49c1ddc3f296abee2b9906f08256b283e9b65522916"),
+    (["elegant", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
+     "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
+])
+def test_report_stdout_is_frozen(capsys, argv, digest):
+    # frozen from the reports as json.dumps(indent=2) and csv printed them
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
