@@ -176,9 +176,13 @@ def _load_fas(spec: str) -> ToyFAS:
 
 
 def _outcome_dict(out: vm.RunOutcome) -> dict:
+    try:  # a value holding a closure or y-wrapper anywhere has no print
+        value = print_sexpr(out.value) if out.halted else None
+    except TypeError:
+        value = None
     return {
         "outcome": out.kind,
-        "value": print_sexpr(out.value) if out.halted and not isinstance(out.value, (vm.Closure, vm.Rec)) else None,
+        "value": value,
         "output": machines.output_of(out),
         "payload_consumed": out.payload_consumed,
         "aux_consumed": out.aux_consumed,
@@ -190,6 +194,16 @@ def _outcome_dict(out: vm.RunOutcome) -> dict:
 def _config_dict(args: argparse.Namespace) -> dict:
     skip = {"command", "json", "csv", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+
+
+def _refuse_unread(args: argparse.Namespace, what: str, unread: str) -> None:
+    """Refuse each flag in unread (dests, space-separated) that `what` never
+    reads.  A default value counts as not given, so every accepted config echo
+    stays."""
+    defaults = {f.lstrip("-").replace("-", "_"): kw.get("default") for f, kw in COMMANDS[args.command][2]}
+    for dest in unread.split():
+        if getattr(args, dest) != defaults[dest]:
+            raise ValueError(f"{what} does not read --{dest.replace('_', '-')}")
 
 
 def _dispatch(args: argparse.Namespace) -> dict:
@@ -212,6 +226,8 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
     if cmd == "run":
         complexity.check_budget(args.machine, args.budget)
+        _refuse_unread(args, f"run --machine {args.machine}",
+                       "prefix payload aux" if args.machine == "c2" else "raw")
         if args.machine == "c2":
             if args.raw is None:
                 raise ValueError("machine c2 takes --raw program bits")
@@ -260,14 +276,9 @@ def _dispatch(args: argparse.Namespace) -> dict:
                             ("--k", args.k)):
             if isinstance(value, int) and value < 0:
                 raise ValueError(f"{flag} must be >= 0, got {value}")
-        # a flag the action never reads is refused, not ignored; a default
-        # value counts as not given, so every accepted config echo stays
-        defaults = {f.lstrip("-").replace("-", "_"): kw.get("default") for f, kw in COMMANDS["omega"][2]}
-        unread = {"lower": "k kbits guard", "exact": "B k kbits guard",
-                  "bits": "B kbits guard emit_bits", "oracle": "B emit_bits"}[args.action]
-        for dest in unread.split():
-            if getattr(args, dest) != defaults[dest]:
-                raise ValueError(f"omega {args.action} does not read --{dest.replace('_', '-')}")
+        _refuse_unread(args, f"omega {args.action}", {
+            "lower": "k kbits guard", "exact": "B k kbits guard",
+            "bits": "B kbits guard emit_bits", "oracle": "B emit_bits"}[args.action])
         capped = args.action != "lower"  # exact, bits and oracle: the decidable total ensemble
         if capped and args.machine != "total":
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")

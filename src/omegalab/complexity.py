@@ -18,7 +18,7 @@ a step, so the budget bounds the depth.  A record keeps the aux bits its run
 read (aux_read); the run behaves alike under every aux that starts with them,
 so one sweep serves every aux.
 
-The sweep runs only the evaluable prefixes (_evaluable).  A prefix runs with
+The sweep covers only the evaluable prefixes (_evaluable).  A prefix runs with
 no bindings, so an atom in a position it must evaluate faults, and so does a
 form of the wrong arity.  A list is evaluable if it is (), (q X), (r), (s),
 (i C T E) with C evaluable, (e A B) or (c A B) with A and B evaluable, or
@@ -29,9 +29,21 @@ X, T and E are free, so the rule needs no scope.  No prefix outside it
 halts under any payload and aux, so the sweep stays exhaustive; up to 6
 characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
 
+Of those it runs only the runnable ones (_runnable).  The constants, (q X)
+and on sd (l p X), halt in one step, read no payload and no aux, and return
+X or a closure; they are almost every evaluable prefix above 7 characters.
+A constant whose value converts to an output (X a 0/1 atom, a flat bit list,
+or a list of two flat bit lists: about 2^(n-5) of n characters) gets its
+record in closed form.  Every other constant is only counted, per print
+length, by a counting recursion over expressions (counted_constants):
+build_table folds the counts into mass, conv_fail_mass and contributing,
+and enumerate_halting lists them only when called.  Constants halt at any
+B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16 sd and 12
+total prefixes.
+
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
-On a 2-CPU VM, `omega exact --L 71 --c-cap 8` takes about 1.0 s with a 26 MB
-peak RSS, and `omega lower --machine sd --L 71 --c-cap 8` 1.4 s with 35 MB.
+On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.6 s with a 21 MB
+peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.6 s with 22 MB.
 Upper bounds beyond the cap come from constructed witnesses that are always
 verified by actually running them before being admitted.
 
@@ -44,7 +56,7 @@ partitioned across workers by prefix range gives every table identically.
 
 An Ensemble (machine, L, B, c_cap, workers) names one capped program ensemble
 and is the one place these inputs are checked; every sweep-derived function
-takes one, and build_table is memoized on it.  enumerate_halting alone runs
+takes one, and build_table is memoized on it.  explicit_records alone runs
 sweeps.  It keeps the last few in a store keyed by an ensemble's (machine,
 c_cap, workers) and serves its (L, B, aux) from a stored (L_s >= L, B_s >= B)
 by projection: the records with size_bits <= L, steps <= B and aux_read a
@@ -52,7 +64,8 @@ prefix of aux (of "" when aux is None), in order.  This is exact: evaluation
 is deterministic, a budget only cuts a run short, and each shorter payload or
 aux of a halting run underran before its last step.  On total the store
 sweeps at STRUCTURAL and serves every integer B.  Tables, capped omega,
-both oracles, relative complexity and every report derive from the store.
+both oracles, relative complexity and every report derive from the store
+and the counts.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
-from .sexpr import ALPHABET, CHAR_BITS, SExpr, print_sexpr
+from .sexpr import ALPHABET, SExpr, print_sexpr, to_bits
 from . import machines, vm
 from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
 
@@ -107,24 +120,35 @@ def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET)
     return out
 
 
-_CODES = str.maketrans(CHAR_BITS)  # print -> 8 bits per character
-
 # What each primitive form's argument slots must be for the form to halt when
 # run with no bindings: v an evaluable list, p a non-primitive atom, x anything.
 _SLOTS = {"q": "x", "r": "", "s": "", "i": "vxx", "e": "vv", "c": "vv",
           "a": "v", "h": "v", "t": "v", "l": "px", "y": "v"}
+_CONSTANTS = "ql"  # the heads of the constants: one step, nothing read (module docstring)
 
 
 @lru_cache(maxsize=None)
 def _evaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     """The evaluable lists with atoms from alphabet and print length n (module docstring)."""
+    return _runnable(n, alphabet) + tuple(_constants(n, alphabet))
+
+
+@lru_cache(maxsize=None)
+def _runnable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
+    """The evaluable lists of print length n that are not constants: the ones a sweep runs."""
     found = [()] if n == 2 else []
     for head, slots in _SLOTS.items():
-        if head in alphabet:
+        if head in alphabet and head not in _CONSTANTS:
             found += [(head,) + items for items in _fill(n - 3, slots, alphabet)]
     if "l" in alphabet:  # an application halts only on a closure
         found += _fill(n - 2, "vv", alphabet)
     return tuple(found)
+
+
+def _constants(n: int, alphabet: str) -> List[SExpr]:
+    """The constants (q X) and (l p X) with atoms from alphabet and print length n."""
+    return [(head,) + items for head in _CONSTANTS if head in alphabet
+            for items in _fill(n - 3, _SLOTS[head], alphabet)]
 
 
 @lru_cache(maxsize=None)
@@ -140,6 +164,62 @@ def _fill(m: int, slots: str, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
 def _params(n: int, alphabet: str) -> str:
     """The lambda parameters of print length n: the non-primitive atoms."""
     return "".join(a for a in alphabet if a not in vm.PRIMS) if n == 1 else ""
+
+
+# total's prefixes are sd's without the atoms l and y
+_ALPHABETS = {"sd": ALPHABET, "total": ALPHABET.replace("l", "").replace("y", "")}
+
+
+# ---------------------------------------------------------------------------
+# the constants, counted
+
+@lru_cache(maxsize=None)
+def _count_seqs(m: int, atoms: int) -> int:
+    """len(_item_seqs(m, alphabet)) for an alphabet of that many atoms."""
+    if m == 0:
+        return 1
+    return sum(_count_exprs(k, atoms) * _count_seqs(m - k, atoms) for k in range(1, m + 1))
+
+
+def _count_exprs(n: int, atoms: int) -> int:
+    """len(_exprs_exact(n, alphabet)) for an alphabet of that many atoms."""
+    return atoms if n == 1 else _count_seqs(n - 2, atoms) if n >= 2 else 0
+
+
+def _quoted_outputs(n: int) -> List[SExpr]:
+    """The X that make (q X) print to n characters and convert to an output:
+    a 0/1 atom, a flat bit list, or a list of two flat bit lists."""
+    def bit_lists(m):  # the flat bit lists printing to m characters
+        return list(itertools.product("01", repeat=m - 2)) if m >= 2 else []
+
+    m = n - 3
+    return ((list("01") if m == 1 else bit_lists(m))
+            + [(a, b) for k in range(2, m - 3) for a in bit_lists(k) for b in bit_lists(m - 2 - k)])
+
+
+def _converting_records(n: int) -> List[HaltRecord]:
+    """The records of the constants of print length n whose value converts."""
+    records = []
+    for x in _quoted_outputs(n):
+        out = vm.RunOutcome(vm.HALTED, value=x, steps=1)
+        records.append(HaltRecord(to_bits(("q", x)), output_of(out), pair_output_of(out), 1, 8 * n))
+    return records
+
+
+@lru_cache(maxsize=None)
+def _count_counted(n: int, alphabet: str) -> int:
+    """The constants of print length n whose value converts to no output: every
+    (q X) and (l p X) but the (q X) of _quoted_outputs."""
+    lambdas = len(_params(1, alphabet)) if "l" in alphabet else 0
+    atoms = len(alphabet)
+    return _count_exprs(n - 3, atoms) + lambdas * _count_exprs(n - 4, atoms) - len(_quoted_outputs(n))
+
+
+def _counted_records(n: int, alphabet: str) -> List[HaltRecord]:
+    """The counted constants of print length n as records, in program-bits order."""
+    quoted = set(_quoted_outputs(n))
+    bits = sorted(to_bits(p) for p in _constants(n, alphabet) if p[0] == "l" or p[1] not in quoted)
+    return [HaltRecord(b, None, None, 1, 8 * n) for b in bits]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +271,9 @@ def _sd_records_for_prefixes(job) -> List[HaltRecord]:
     n, prefixes, L, budget = job
     records = []
     for prefix in prefixes:
-        pre_bits = print_sexpr(prefix).translate(_CODES)
-        for payload, aux, out in domain_runs(prefix, L - 8 * n, budget):
+        runs = domain_runs(prefix, L - 8 * n, budget)
+        pre_bits = to_bits(prefix) if runs else ""  # most prefixes fault: print only the ones that halt
+        for payload, aux, out in runs:
             bits = pre_bits + payload
             records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps, len(bits), aux))
     return records
@@ -246,9 +327,16 @@ def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[Ha
     """All domain members of size <= L bits, (length, lex)-ordered, run with budget B.
 
     For sd/total the sweep is exhaustive for sizes <= min(L, 8*c_cap + 7); see
-    exhaustive_bits().  aux=None keeps the records that read no aux.  Served
-    from the sweep store (module docstring); the list is the caller's.
+    exhaustive_bits().  aux=None keeps the records that read no aux.  The
+    explicit records merged with the counted constants, listed here and held
+    nowhere; the list is the caller's.
     """
+    return _with_counted(explicit_records(ens, aux), ens)
+
+
+def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
+    """enumerate_halting(ens, aux) without the counted constants, served from
+    the sweep store (module docstring); the list is the caller's."""
     hit = next((s for s in _store if _serves(s[0], ens)), None)
     if hit is None:
         swept = replace(ens, B=STRUCTURAL) if ens.machine == "total" else ens
@@ -263,14 +351,42 @@ def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[Ha
             and y.startswith(r.aux_read)]
 
 
+def counted_constants(ens: Ensemble) -> Dict[int, int]:
+    """Print length n -> the number of ens's counted constants of n characters.
+
+    Each is a program of 8n bits that halts in one step, reads no payload and
+    no aux, and has a value that converts to no output; no explicit record
+    holds one, so they serve every aux.
+    """
+    if ens.machine == "c2" or not _covers(ens.B, 1):
+        return {}
+    alphabet = _ALPHABETS[ens.machine]
+    return {n: _count_counted(n, alphabet) for n in range(4, min(ens.c_cap, ens.L // 8) + 1)}
+
+
+def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
+    """records, explicit records of ens, merged with its counted constants."""
+    counted = counted_constants(ens)
+    if not counted:
+        return records
+    alphabet = _ALPHABETS[ens.machine]
+    return sorted(itertools.chain(records, *(_counted_records(n, alphabet) for n in counted)), key=_order)
+
+
+def _order(r: HaltRecord):
+    """The sweep's one order (module docstring)."""
+    return r.size_bits, r.program_bits, r.aux_read
+
+
 def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord]:
-    """One sweep at exactly (L, B), bypassing the store and Ensemble's checks."""
+    """The explicit records of one sweep at exactly (L, B), bypassing the store
+    and Ensemble's checks."""
     if machine == "c2":
         return _enumerate_c2(L, B)
-    # every prefix prints to n <= L // 8 characters, so 8n <= L already;
-    # total's prefixes are sd's without the atoms l and y
-    alphabet = ALPHABET if machine == "sd" else ALPHABET.replace("l", "").replace("y", "")
-    by_n = [(n, _evaluable(n, alphabet)) for n in range(2, min(c_cap, L // 8) + 1)]
+    # every prefix prints to n <= L // 8 characters, so 8n <= L already
+    alphabet = _ALPHABETS[machine]
+    lengths = range(2, min(c_cap, L // 8) + 1)
+    by_n = [(n, _runnable(n, alphabet)) for n in lengths]
     count = sum(len(prefixes) for _, prefixes in by_n)
     step = max(1, -(-count // (8 * workers)))  # about 8 jobs per worker
     jobs = [(n, prefixes[i:i + step], L, B) for n, prefixes in by_n
@@ -283,7 +399,10 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     else:
         parts = map(_sd_records_for_prefixes, jobs)
     records = list(itertools.chain.from_iterable(parts))
-    records.sort(key=lambda r: (r.size_bits, r.program_bits, r.aux_read))  # the only order
+    if _covers(B, 1):  # the constants that convert, in closed form
+        for n in lengths:
+            records += _converting_records(n)
+    records.sort(key=_order)  # the only order
     return records
 
 
@@ -297,7 +416,7 @@ def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
         if budget >= 1:
             records += [HaltRecord("0" + r, r, None, 1, n) for r in rests]
         if (n - 1) % 8 == 0 and n > 16:
-            for raw in sorted("1" + print_sexpr(e).translate(_CODES)
+            for raw in sorted("1" + to_bits(e)
                               for e in _evaluable((n - 1) // 8, ALPHABET)):
                 out = run_c2(raw, budget)
                 if out.halted:
@@ -336,10 +455,11 @@ class ComplexityTable:
 def build_table(ens: Ensemble) -> ComplexityTable:
     """The sweep of ens folded per output.  Memoized on ens: callers share the
     table and must not change it."""
-    records = enumerate_halting(ens)
+    records = explicit_records(ens)
+    counted = counted_constants(ens)
     with_prob = ens.machine in machines.SELF_DELIMITING
     table = ComplexityTable(ens=ens, exhaustive_limit=exhaustive_bits(ens))
-    table.contributing = len(records)
+    table.contributing = len(records) + sum(counted.values())
 
     for bits, output, pair, _, size, _ in records:  # (length, lex) sorted: first hit is the witness
         w = Dyadic.pow2(size) if with_prob else None  # the record's Kraft term
@@ -354,6 +474,10 @@ def build_table(ens: Ensemble) -> ComplexityTable:
         else:
             entry_map[key] = TableEntry(key, cur.h_upper, cur.witness, cur.minimal_count + (size == cur.h_upper),
                                         cur.prob + w if with_prob else None)
+    for n, count in counted.items():  # only sd and total count constants
+        w = Dyadic(count, 8 * n)
+        table.mass += w
+        table.conv_fail_mass += w
     if table.mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
         raise InvariantError(f"Kraft sum {table.mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
     return table
@@ -486,7 +610,7 @@ def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> Compl
     if not machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET):
         raise ValueError("y_star must itself be a domain program")
     cands: List[Tuple[int, BitString, str]] = []
-    for rec in enumerate_halting(ens, aux=y_star):
+    for rec in explicit_records(ens, aux=y_star):  # a counted constant has no output
         if rec.output == x:
             cands.append((rec.size_bits, rec.program_bits, "sweep"))
             break  # records are (length, lex)-sorted

@@ -13,6 +13,7 @@ what lets encoded expressions serve as machine prefixes.
 
 from __future__ import annotations
 
+import json
 from typing import Tuple, Union
 
 from .bits import BitString
@@ -23,6 +24,12 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz01"
 _CHARS = ALPHABET + "()"
 CHAR_BITS = {ch: format(ord(ch), "08b") for ch in _CHARS}
 BITS_CHAR = {v: k for k, v in CHAR_BITS.items()}
+_CODES = str.maketrans(CHAR_BITS)  # print -> 8 bits per character
+# A tuple of one-character atoms is a JSON array of strings; json's C encoder
+# writes it as ["a"["b"]], and dropping the quotes and swapping the brackets
+# for parentheses gives the canonical print (a(b)).
+_ENCODE = json.JSONEncoder(separators=("", "")).encode
+_JSON_TO_PRINT = str.maketrans({'"': None, "[": "(", "]": ")"})
 
 
 class SExprParseError(ValueError):
@@ -67,17 +74,16 @@ def _parse_at(text: str, pos: int) -> Tuple[SExpr, int]:
 
 
 def print_sexpr(e: SExpr) -> str:
-    """Canonical whitespace-free form; parse(print_sexpr(e)) == e."""
-    if is_atom(e):
-        return e
-    return "(" + "".join(print_sexpr(x) for x in e) + ")"
+    """Canonical whitespace-free form; parse(print_sexpr(e)) == e.  A value
+    holding a closure is not an expression: it raises TypeError."""
+    return _ENCODE(e).translate(_JSON_TO_PRINT)
 
 
 def to_bits(e: SExpr) -> BitString:
     """Encode a list expression, 8 bits per printed character."""
     if is_atom(e):
         raise SExprDecodeError("bare atoms are not self-delimiting; only lists encode")
-    return "".join(CHAR_BITS[ch] for ch in print_sexpr(e))
+    return print_sexpr(e).translate(_CODES)
 
 
 def from_bits_prefix(bits: BitString) -> Tuple[SExpr, int]:

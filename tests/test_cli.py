@@ -32,6 +32,16 @@ def test_run_sd(capsys):
     assert code == 0 and report(out)["output"] == "1"
 
 
+def test_run_value_holding_a_closure_is_null(capsys):
+    for prefix, steps in (("(lxx)", 1), ("(c(lxx)())", 2), ("(c(q0)(c(lxx)()))", 4), ("(c(y(lxx))())", 3)):
+        code, out, _ = run_cli(capsys, "run", "--machine", "sd", "--prefix", prefix)
+        assert code == 0
+        res = report(out)
+        assert (res["outcome"], res["value"], res["output"], res["steps"]) == ("halted", None, None, steps)
+    code, out, _ = run_cli(capsys, "run", "--machine", "sd", "--prefix", "(c(q0)(q(l)))")
+    assert code == 0 and report(out)["value"] == "(0l)"
+
+
 def test_bits_commands(capsys):
     code, out, _ = run_cli(capsys, "bits", "kraft", "--set", "0,10,110")
     assert code == 0 and report(out)["kraft_sum"] == "7/2^3"
@@ -208,12 +218,18 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["omega", "exact", "--L", "24", "--B", "5"],
     ["omega", "bits", "--L", "24", "--k", "4", "--B", "structural"],
     ["omega", "oracle", "--L", "24", "--k", "4", "--B", "0"],
+    ["run", "--machine", "c2", "--raw", "0101", "--payload", "11"],
+    ["run", "--machine", "c2", "--raw", "0101", "--aux", "1"],
+    ["run", "--machine", "c2", "--raw", "0101", "--prefix", "()"],
+    ["run", "--machine", "sd", "--prefix", "()", "--raw", "0"],
+    ["run", "--machine", "total", "--prefix", "()", "--raw", "0"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
     # the message names the flag
-    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k", "--kbits", "--B"):
+    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k", "--kbits", "--B",
+                                                          "--payload", "--aux", "--prefix", "--raw"):
         assert argv[-2] in err
 
 

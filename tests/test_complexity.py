@@ -199,15 +199,20 @@ def test_pruned_prefixes_never_halt():
                     assert not domain_runs(prefix, 47 - 8 * n, B), (alphabet, prefix)
 
 
-def _full_sweep(machine, L, B, c_cap):
+def _full_sweep(machine, L, B, c_cap, evaluable_only=False):
     # independent sweep: every prefix of the machine's alphabet run, payload
-    # and aux each extended one bit per underrun
+    # and aux each extended one bit per underrun; evaluable_only runs only the
+    # evaluable ones, constants included, where every prefix would be too many
     from omegalab import vm
-    from omegalab.complexity import HaltRecord, gen_exprs
+    from omegalab.complexity import HaltRecord, _evaluable, gen_exprs
     from omegalab.machines import pair_output_of, structural_budget
 
+    alphabet = ALPHABET if machine == "sd" else _TOTAL_ALPHABET
+    cap = min(c_cap, L // 8)
+    prefixes = ([e for n in range(2, cap + 1) for e in _evaluable(n, alphabet)] if evaluable_only
+                else gen_exprs(cap, alphabet=alphabet))
     records = []
-    for prefix in gen_exprs(min(c_cap, L // 8), alphabet=ALPHABET if machine == "sd" else _TOTAL_ALPHABET):
+    for prefix in prefixes:
         pre = to_bits(prefix)
         budget = structural_budget(prefix) if B == STRUCTURAL else B
         pending = [("", "")]
@@ -225,16 +230,71 @@ def _full_sweep(machine, L, B, c_cap):
     return sorted(records, key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
 
 
-def test_class_sweep_equals_a_full_sweep():
-    from omegalab.complexity import _sweep
+def _swept(machine, L, B, c_cap, workers=1):
+    # a sweep's explicit records with its counted constants listed
+    from omegalab.complexity import _sweep, _with_counted
 
+    return _with_counted(_sweep(machine, L, B, c_cap, workers), Ensemble(machine, L, B, c_cap))
+
+
+def test_class_sweep_equals_a_full_sweep():
     for machine, B in itertools.product(("sd", "total"), (0, 1, 3, 10**4)):
-        assert _sweep(machine, 47, B, 5, 1) == _full_sweep(machine, 47, B, 5), (machine, B)
-    assert _sweep("total", 47, STRUCTURAL, 5, 1) == _full_sweep("total", 47, STRUCTURAL, 5)
+        assert _swept(machine, 47, B, 5) == _full_sweep(machine, 47, B, 5), (machine, B)
+    assert _swept("total", 47, STRUCTURAL, 5) == _full_sweep("total", 47, STRUCTURAL, 5)
     full = _full_sweep("sd", 47, 10**4, 5)
     # aux readers and members other than the canonical one are covered
     assert any(r.aux_read for r in full) and to_bits(parse("(qz)")) in [r.program_bits for r in full]
-    assert _sweep("sd", 47, 10**4, 5, 4) == full
+    assert _swept("sd", 47, 10**4, 5, 4) == full
+
+
+def test_constant_counts_equal_the_generated_constants():
+    from omegalab import vm
+    from omegalab.complexity import (_constants, _converting_records, _count_counted, _count_exprs,
+                                     _counted_records, _exprs_exact, _quoted_outputs)
+    from omegalab.machines import pair_output_of
+
+    # an X with an atom other than 0 and 1 never converts, so a third atom
+    # stands for all of them; pairs first fit at 9 characters, (q(()()))
+    for n in range(4, 13):
+        values = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in _exprs_exact(n - 3, "01a")]
+        assert sorted(map(str, _quoted_outputs(n))) == sorted(
+            str(out.value) for out in values if output_of(out) is not None or pair_output_of(out) is not None), n
+    for alphabet in (ALPHABET, _TOTAL_ALPHABET):
+        for n in range(1, 6):
+            assert _count_exprs(n, len(alphabet)) == len(_exprs_exact(n, alphabet)), (alphabet, n)
+        for n in range(4, 8):
+            # every constant run: each halts in one step, reading nothing
+            converting, counted = [], []
+            for prefix in _constants(n, alphabet):
+                out = vm.eval_expr(prefix, 1, "", "")
+                assert out.halted and out.steps == 1, prefix
+                rec = (to_bits(prefix), output_of(out), pair_output_of(out), 1, 8 * n, "")
+                (counted if rec[1] is None and rec[2] is None else converting).append(rec)
+            assert _count_counted(n, alphabet) == len(counted), (alphabet, n)
+            assert [tuple(r) for r in _counted_records(n, alphabet)] == sorted(counted), (alphabet, n)
+            assert sorted(tuple(r) for r in _converting_records(n)) == sorted(converting), (alphabet, n)
+
+
+@pytest.mark.parametrize("machine, B", [("sd", 10**4), ("sd", 1), ("total", STRUCTURAL), ("total", 0)])
+def test_counted_fold_equals_a_materialized_sweep(monkeypatch, machine, B):
+    # at c_cap 7 every evaluable prefix is run, the constants too, and folded
+    # record by record; the counted fold must give the same table
+    from omegalab import complexity
+
+    ens = Ensemble(machine, 63, B, 7)
+    full = _full_sweep(machine, 63, B, 7, evaluable_only=True)
+    assert _swept(machine, 63, B, 7) == full
+    monkeypatch.setattr(complexity, "_store", [])
+    counted = build_table.__wrapped__(ens)
+    assert enumerate_halting(ens) == [r for r in full if r.aux_read == ""]
+    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_sweep", lambda *args: full)
+    monkeypatch.setattr(complexity, "counted_constants", lambda ens: {})
+    folded = build_table.__wrapped__(ens)
+    for field in ("mass", "conv_fail_mass", "contributing", "entries", "pair_entries"):
+        assert getattr(counted, field) == getattr(folded, field), field
+    assert counted == folded
+    assert counted.contributing == len([r for r in full if r.aux_read == ""])
 
 
 def test_joint_complexity_quote_witness():
@@ -408,7 +468,8 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     swept = []
 
     def direct(machine, L, B, c_cap):  # the aux-free records of a sweep that bypasses the store
-        return [r for r in sweep_direct(machine, L, B, c_cap, 1) if r.aux_read == ""]
+        return [r for r in complexity._with_counted(sweep_direct(machine, L, B, c_cap, 1),
+                                                    Ensemble(machine, L, B, c_cap)) if r.aux_read == ""]
 
     def sweep(*args):
         swept.append(args[:3])

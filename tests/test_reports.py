@@ -110,3 +110,19 @@ def test_report_stdout_is_frozen(capsys, argv, digest):
     # frozen from the reports as json.dumps(indent=2) and csv printed them
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["omega", "exact", "--L", "71", "--c-cap", "8"],
+     "f5fd02cb3c2efc1b693ba09e5bcc958f7025a1a1b7e24459aa5b05b46e7e58c6"),
+    (["omega", "lower", "--machine", "sd", "--L", "71", "--c-cap", "8"],
+     "7eb3cbe8136514ad620b4535319b2471afa4e4bf745f416e575895102d7ef970"),
+    (["omega", "exact", "--L", "79", "--c-cap", "9"],
+     "660b61977ec83404821762143e6707dc452965373a4672f0459541a93a4dd74c"),
+    (["omega", "lower", "--machine", "sd", "--L", "79", "--c-cap", "9"],
+     "4af43c93ec55a73cc542b52accaa5ba420e4d15148f90e57003bc56c8bd39d9a"),
+])
+def test_capped_omega_stdout_is_frozen(capsys, argv, digest):
+    # frozen from the sweeps that ran every evaluable prefix, constants too
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

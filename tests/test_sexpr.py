@@ -74,6 +74,27 @@ def test_roundtrip(e):
     assert parse(print_sexpr(e)) == e
 
 
+def _printed(e):
+    # the canonical print written out recursively, character by character
+    return e if isinstance(e, str) else "(" + "".join(_printed(x) for x in e) + ")"
+
+
+@given(exprs)
+def test_print_equals_a_recursive_printer(e):
+    assert print_sexpr(e) == _printed(e)
+    if isinstance(e, tuple):
+        assert to_bits(e) == "".join(format(ord(ch), "08b") for ch in _printed(e))
+
+
+def test_a_closure_has_no_print():
+    from omegalab import vm
+
+    closure = vm.eval_expr(parse("(lxx)"), 10).value
+    for value in (closure, ("0", (closure,)), vm.Rec(closure)):
+        with pytest.raises(TypeError):
+            print_sexpr(value)
+
+
 @given(list_exprs, st.text(alphabet="01", max_size=20))
 def test_self_delimiting_with_any_suffix(e, suffix):
     decoded, consumed = from_bits_prefix(to_bits(e) + suffix)
