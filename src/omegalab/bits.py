@@ -8,8 +8,7 @@ structural and comparisons are exact; there is deliberately no float path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 BitString = str  # '0'/'1' characters only
 
@@ -50,28 +49,29 @@ def is_prefix_free(members: Iterable[BitString]) -> Tuple[bool, Optional[Tuple[B
     return True, None
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(NamedTuple("Dyadic", [("num", int), ("exp", int)])):
     """Exact num/2^exp with num >= 0.
 
     Canonical form: num is odd or zero, or exp is zero.  Construction always
     reduces, so == is structural equality of values.
     """
 
-    num: int
-    exp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num < 0 or self.exp < 0:
+    def __new__(cls, num: int, exp: int) -> "Dyadic":
+        return tuple.__new__(cls, cls.__post_init__(num, exp))
+
+    @staticmethod
+    def __post_init__(num: int, exp: int) -> Tuple[int, int]:
+        """(num, exp) checked and reduced to canonical form.  bench/spans.py
+        counts constructions by wrapping this name, so __new__ calls it
+        through the class."""
+        if num < 0 or exp < 0:
             raise ValueError("dyadic rational must be nonnegative with natural exponent")
-        num, exp = self.num, self.exp
         if num == 0:
-            exp = 0
-        else:
-            tz = min(exp, (num & -num).bit_length() - 1)  # trailing zeros of num, capped
-            num, exp = num >> tz, exp - tz
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+            return 0, 0
+        tz = min(exp, (num & -num).bit_length() - 1)  # trailing zeros of num, capped
+        return num >> tz, exp - tz
 
     @staticmethod
     def zero() -> "Dyadic":

@@ -17,12 +17,11 @@ import sys
 from typing import List, Optional
 
 from . import __version__, complexity, incompleteness, machines, omega, reports, vm
-from .bits import BitParseError, bs_parse, dyadic_bits, is_prefix_free, kraft_sum
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, InexactTableError
-from .hierarchy import DEFAULT_CAP_BITS, OrdinalParseError, dominance_check, fgh_eval, ord_parse
+from .bits import bs_parse, dyadic_bits, is_prefix_free, kraft_sum
+from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble
 from .incompleteness import ToyFAS, UnsoundFASError, bundled_fas
 from .machines import Program
-from .sexpr import SExprDecodeError, SExprParseError, parse, print_sexpr, to_bits
+from .sexpr import parse, print_sexpr, to_bits
 
 USAGE_ERROR, DOMAIN_ERROR, EXPERIMENT_ABORT = 1, 2, 3
 
@@ -101,7 +100,7 @@ COMMANDS = {
         ("--alpha", dict(help="for dominate")),
         ("--beta", dict(help="for dominate")),
         ("--points", dict(default="1,2,3")),
-        ("--cap-bits", dict(type=int, default=DEFAULT_CAP_BITS))]),
+        ("--cap-bits", dict(type=int))]),  # default: hierarchy.DEFAULT_CAP_BITS, set by _dispatch
     "diag": ("diagonalize over a total function-program family", None, [
         ("--n", dict(type=int, required=True)),
         ("--width", dict(type=int, default=incompleteness.NUMERAL_WIDTH)),
@@ -345,19 +344,23 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return incompleteness.omega_bits_ceiling_experiment(fas, args.L, args.budget)
 
     if cmd == "fgh":
+        from . import hierarchy  # not at module level: no other command needs it
+
+        if args.cap_bits is None:  # set here, so the config echo shows it
+            args.cap_bits = hierarchy.DEFAULT_CAP_BITS
         if args.cap_bits < 1:
             raise ValueError(f"--cap-bits must be >= 1, got {args.cap_bits}")
         if args.action == "eval":
             if args.ordinal is None or args.n is None:
                 raise ValueError("fgh eval needs --ordinal and --n")
-            val = fgh_eval(ord_parse(args.ordinal), args.n, args.cap_bits)
+            val = hierarchy.fgh_eval(hierarchy.ord_parse(args.ordinal), args.n, args.cap_bits)
             return {"ordinal": args.ordinal, "n": args.n, "cap_bits": args.cap_bits,
                     "value": val.as_dict()}
         if args.alpha is None or args.beta is None:
             raise ValueError("fgh dominate needs --alpha and --beta")
         points = [int(x) for x in args.points.split(",")]
-        return dominance_check(ord_parse(args.alpha), ord_parse(args.beta), points,
-                               args.cap_bits)
+        return hierarchy.dominance_check(hierarchy.ord_parse(args.alpha), hierarchy.ord_parse(args.beta),
+                                         points, args.cap_bits)
 
     if cmd == "diag":
         if args.n < 0:
@@ -390,19 +393,8 @@ def _dispatch(args: argparse.Namespace) -> dict:
     raise ValueError(f"unknown command {cmd!r}")
 
 
-DOMAIN_ERRORS = (
-    ValueError,
-    BitParseError,
-    SExprParseError,
-    SExprDecodeError,
-    OrdinalParseError,
-    InexactTableError,
-    incompleteness.MalformedTheoremError,
-    incompleteness.FASRunError,
-    incompleteness.BerryConstructionError,
-    vm.ConversionError,
-    OSError,
-)
+# the parse, decode, ordinal, inexact-table, theorem and conversion errors are all ValueErrors
+DOMAIN_ERRORS = (ValueError, incompleteness.FASRunError, incompleteness.BerryConstructionError, OSError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

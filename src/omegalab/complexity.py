@@ -21,13 +21,14 @@ so one sweep serves every aux.
 The sweep covers only the evaluable prefixes (_evaluable).  A prefix runs with
 no bindings, so an atom in a position it must evaluate faults, and so does a
 form of the wrong arity.  A list is evaluable if it is (), (q X), (r), (s),
-(i C T E) with C evaluable, (e A B) or (c A B) with A and B evaluable, or
+(i C T E) with C and at least one of T and E evaluable (the branch taken
+runs with no bindings too), (e A B) or (c A B) with A and B evaluable, or
 (a A), (h A) or (t A) with A evaluable; on sd also (l p X) with p a
 non-primitive atom, (y A) with A evaluable, or an application (F A) of two
 evaluable lists (total has no closures, so none of its applications halts).
-X, T and E are free, so the rule needs no scope.  No prefix outside it
-halts under any payload and aux, so the sweep stays exhaustive; up to 6
-characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
+X and the other branch are free, so the rule needs no scope.  No prefix
+outside it halts under any payload and aux, so the sweep stays exhaustive; up
+to 6 characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
 
 Of those it runs only the runnable ones (_runnable).  The constants, (q X)
 and on sd (l p X), halt in one step, read no payload and no aux, and return
@@ -71,7 +72,6 @@ and the counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -121,8 +121,9 @@ def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET)
 
 
 # What each primitive form's argument slots must be for the form to halt when
-# run with no bindings: v an evaluable list, p a non-primitive atom, x anything.
-_SLOTS = {"q": "x", "r": "", "s": "", "i": "vxx", "e": "vv", "c": "vv",
+# run with no bindings: v an evaluable list, p a non-primitive atom, x anything,
+# n anything not evaluable; "|" separates alternatives (T or E evaluable).
+_SLOTS = {"q": "x", "r": "", "s": "", "i": "vvx|vnv", "e": "vv", "c": "vv",
           "a": "v", "h": "v", "t": "v", "l": "px", "y": "v"}
 _CONSTANTS = "ql"  # the heads of the constants: one step, nothing read (module docstring)
 
@@ -139,7 +140,7 @@ def _runnable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     found = [()] if n == 2 else []
     for head, slots in _SLOTS.items():
         if head in alphabet and head not in _CONSTANTS:
-            found += [(head,) + items for items in _fill(n - 3, slots, alphabet)]
+            found += [(head,) + items for alt in slots.split("|") for items in _fill(n - 3, alt, alphabet)]
     if "l" in alphabet:  # an application halts only on a closure
         found += _fill(n - 2, "vv", alphabet)
     return tuple(found)
@@ -156,9 +157,16 @@ def _fill(m: int, slots: str, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
     """Every filling of slots (as in _SLOTS) with total print length m."""
     if not slots:
         return ((),) if m == 0 else ()
-    pick = {"v": _evaluable, "x": _exprs_exact, "p": _params}[slots[0]]
+    pick = {"v": _evaluable, "x": _exprs_exact, "p": _params, "n": _unevaluable}[slots[0]]
     return tuple((e,) + rest for k in range(1, m + 1) for e in pick(k, alphabet)
                  for rest in _fill(m - k, slots[1:], alphabet))
+
+
+@lru_cache(maxsize=None)
+def _unevaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
+    """The expressions with atoms from alphabet and print length n that are not evaluable."""
+    evaluable = set(_evaluable(n, alphabet))
+    return tuple(e for e in _exprs_exact(n, alphabet) if e not in evaluable)
 
 
 def _params(n: int, alphabet: str) -> str:
@@ -287,26 +295,24 @@ def check_budget(machine: str, B) -> None:
         raise ValueError(f"budget must be >= 0, got {B}")
 
 
-@dataclass(frozen=True, slots=True)
-class Ensemble:
+class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", object), ("c_cap", int),
+                                        ("workers", int)])):
     """The programs of at most L bits on machine, run for at most B steps, swept
     over prefixes of at most c_cap characters by workers processes.  Every
     sweep-derived quantity is a function of one; its fields are checked here."""
-    machine: str
-    L: int
-    B: object
-    c_cap: int = DEFAULT_CHAR_CAP
-    workers: int = 1
 
-    def __post_init__(self):
-        if self.machine not in machines.MACHINES:
-            raise ValueError(f"unknown machine {self.machine!r}")
-        check_budget(self.machine, self.B)
-        if self.L < 0 or self.c_cap < 0 or self.workers < 1:
-            raise ValueError(f"sweep needs L, c_cap >= 0 and workers >= 1, got L={self.L}, "
-                             f"c_cap={self.c_cap}, workers={self.workers}")
-        if self.machine == "c2" and self.L > C2_RAW_CAP:
-            raise ValueError(f"c2 raw sweep capped at {C2_RAW_CAP} bits (desk scale), got L={self.L}")
+    __slots__ = ()
+
+    def __new__(cls, machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> "Ensemble":
+        if machine not in machines.MACHINES:
+            raise ValueError(f"unknown machine {machine!r}")
+        check_budget(machine, B)
+        if L < 0 or c_cap < 0 or workers < 1:
+            raise ValueError(f"sweep needs L, c_cap >= 0 and workers >= 1, got L={L}, "
+                             f"c_cap={c_cap}, workers={workers}")
+        if machine == "c2" and L > C2_RAW_CAP:
+            raise ValueError(f"c2 raw sweep capped at {C2_RAW_CAP} bits (desk scale), got L={L}")
+        return tuple.__new__(cls, (machine, L, B, c_cap, workers))
 
 
 _STORE_SIZE = 8
@@ -339,7 +345,7 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
     the sweep store (module docstring); the list is the caller's."""
     hit = next((s for s in _store if _serves(s[0], ens)), None)
     if hit is None:
-        swept = replace(ens, B=STRUCTURAL) if ens.machine == "total" else ens
+        swept = Ensemble("total", ens.L, STRUCTURAL, ens.c_cap, ens.workers) if ens.machine == "total" else ens
         hit = (swept, _sweep(swept.machine, swept.L, swept.B, swept.c_cap, swept.workers))
         _store[:] = [s for s in _store if not _serves(swept, s[0])]
     else:
@@ -440,35 +446,35 @@ class TableEntry(NamedTuple):  # immutable: memoized tables share them
     prob: Optional[Dyadic]
 
 
-@dataclass
-class ComplexityTable:
+class ComplexityTable(NamedTuple):
     ens: Ensemble
-    entries: Dict[BitString, TableEntry] = field(default_factory=dict)
-    pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = field(default_factory=dict)
-    exhaustive_limit: int = 0
-    conv_fail_mass: Dyadic = field(default_factory=Dyadic.zero)
-    mass: Dyadic = field(default_factory=Dyadic.zero)  # sum of 2^-|p| over every record
-    contributing: int = 0
+    entries: Dict[BitString, TableEntry]
+    pair_entries: Dict[Tuple[BitString, BitString], TableEntry]
+    exhaustive_limit: int
+    conv_fail_mass: Dyadic
+    mass: Dyadic  # sum of 2^-|p| over every record
+    contributing: int
 
 
 @lru_cache(maxsize=32)
 def build_table(ens: Ensemble) -> ComplexityTable:
     """The sweep of ens folded per output.  Memoized on ens: callers share the
-    table and must not change it."""
+    table and must not change its dicts."""
     records = explicit_records(ens)
     counted = counted_constants(ens)
     with_prob = ens.machine in machines.SELF_DELIMITING
-    table = ComplexityTable(ens=ens, exhaustive_limit=exhaustive_bits(ens))
-    table.contributing = len(records) + sum(counted.values())
+    entries: Dict[BitString, TableEntry] = {}
+    pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = {}
+    mass, conv_fail_mass = Dyadic.zero(), Dyadic.zero()
 
     for bits, output, pair, _, size, _ in records:  # (length, lex) sorted: first hit is the witness
         w = Dyadic.pow2(size) if with_prob else None  # the record's Kraft term
         if with_prob:
-            table.mass += w
-        key, entry_map = (output, table.entries) if output is not None else (pair, table.pair_entries)
+            mass += w
+        key, entry_map = (output, entries) if output is not None else (pair, pair_entries)
         if key is None:
             if with_prob:
-                table.conv_fail_mass += w
+                conv_fail_mass += w
         elif (cur := entry_map.get(key)) is None:
             entry_map[key] = TableEntry(key, size, bits, 1, w)
         else:
@@ -476,15 +482,15 @@ def build_table(ens: Ensemble) -> ComplexityTable:
                                         cur.prob + w if with_prob else None)
     for n, count in counted.items():  # only sd and total count constants
         w = Dyadic(count, 8 * n)
-        table.mass += w
-        table.conv_fail_mass += w
-    if table.mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
-        raise InvariantError(f"Kraft sum {table.mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
-    return table
+        mass += w
+        conv_fail_mass += w
+    if mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
+        raise InvariantError(f"Kraft sum {mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
+    return ComplexityTable(ens, entries, pair_entries, exhaustive_bits(ens), conv_fail_mass, mass,
+                           len(records) + sum(counted.values()))
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     found: bool
     h_upper: Optional[int] = None
     witness: Optional[BitString] = None
@@ -526,7 +532,8 @@ def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = Fa
     best = _best(cands)
     if not best.found:
         return best
-    return replace(best, exact=_exactness(table, len(x), best.h_upper))
+    return ComplexityResult(True, best.h_upper, best.witness, _exactness(table, len(x), best.h_upper),
+                            best.source)
 
 
 def algorithmic_probability(ens: Ensemble, x: BitString) -> Dyadic:

@@ -21,8 +21,7 @@ one gets its oversized claim run and reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
 from .complexity import STRUCTURAL, Ensemble, build_table, exhaustive_bits
@@ -62,16 +61,14 @@ class UnsoundFASError(RuntimeError):
         super().__init__(report.get("abort_reason", "unsound formal system"))
 
 
-@dataclass(frozen=True)
-class Elegant:
+class Elegant(NamedTuple):
     program_bits: BitString
 
     def encode(self):
         return ("e",) + tuple(self.program_bits)
 
 
-@dataclass(frozen=True)
-class OmegaBit:
+class OmegaBit(NamedTuple):
     index: int  # 1-based position after the binary point
     bit: str
 
@@ -82,8 +79,7 @@ class OmegaBit:
 Theorem = Union[Elegant, OmegaBit]
 
 
-@dataclass(frozen=True)
-class ToyFAS:
+class ToyFAS(NamedTuple):
     enumerator: Program
     machine: str = "sd"
     ensemble_L: Optional[int] = None  # for OmegaBit claims: the capped ensemble
@@ -136,8 +132,7 @@ def fas_complexity_upper(fas: ToyFAS) -> int:
 # ---------------------------------------------------------------------------
 # the exhaustive elegance oracle
 
-@dataclass(frozen=True)
-class EleganceVerdict:
+class EleganceVerdict(NamedTuple):
     status: str  # "confirmed" | "refuted" | "unverifiable"
     output: Optional[BitString] = None
     counterexample: Optional[BitString] = None

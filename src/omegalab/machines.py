@@ -24,8 +24,7 @@ except on machine total where the structural budget makes it absolute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .bits import BitString
 from .sexpr import SExpr, SExprDecodeError, from_bits_prefix, is_atom, print_sexpr, to_bits
@@ -36,16 +35,15 @@ MACHINES = ("c2", "sd", "total")
 SELF_DELIMITING = ("sd", "total")
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple("Program", [("prefix", SExpr), ("payload", BitString)])):
     """Self-delimiting prefix (a list expression) plus payload bits."""
 
-    prefix: SExpr
-    payload: BitString = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if is_atom(self.prefix):
+    def __new__(cls, prefix: SExpr, payload: BitString = "") -> "Program":
+        if is_atom(prefix):
             raise ValueError("program prefix must be a list expression")
+        return tuple.__new__(cls, (prefix, payload))
 
     @property
     def size_bits(self) -> int:

@@ -10,16 +10,14 @@ separately rather than folded in or dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .bits import BitString, Dyadic, bits_to_dyadic, dyadic_bits
 from . import machines
 from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, build_table, enumerate_halting
 
 
-@dataclass(frozen=True)
-class OmegaApprox:
+class OmegaApprox(NamedTuple):
     ens: Ensemble
     value: Dyadic
     contributing: int
@@ -92,8 +90,7 @@ def omega_double_prime(ens: Ensemble, N: int) -> dict:
 DEFAULT_GUARD = 10**8  # the oracle's step guard
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     tripped: bool
     reason: Optional[str]
     halting_set: Tuple[BitString, ...]

@@ -10,7 +10,6 @@ joined once, not once per nesting level.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from functools import lru_cache
@@ -77,6 +76,8 @@ def emit_json(report: dict) -> str:
 
 
 def emit_csv(rows: list, fieldnames: list) -> str:
+    import csv  # not at module level: only --csv needs it
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()

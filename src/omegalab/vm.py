@@ -40,8 +40,7 @@ programs cannot exhaust the host stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bits import BitString
 from .sexpr import SExpr
@@ -70,8 +69,7 @@ class Rec:
         self.clo = clo
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     kind: str
     value: object = None
     payload_consumed: int = 0

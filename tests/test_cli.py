@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, formats, exit-code taxonomy, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -284,3 +285,56 @@ def test_omega_oracle_sweeps_once_for_any_workers(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "omega", "oracle", "--L", "40", "--k", "12", "--workers", "2")
     assert code == 0 and not report(out)["guard_tripped"]
     assert swept == [("total", 40, "structural", 6, 2)]
+
+
+_FGH_HELP = """\
+usage: omegalab fgh [-h] [--json] [--config CONFIG] [--ordinal ORDINAL]
+                    [--n N] [--alpha ALPHA] [--beta BETA] [--points POINTS]
+                    [--cap-bits CAP_BITS]
+                    {eval,dominate}
+
+positional arguments:
+  {eval,dominate}
+
+options:
+  -h, --help           show this help message and exit
+  --json               JSON output (default)
+  --config CONFIG      JSON config file; explicit flags win
+  --ordinal ORDINAL    for eval
+  --n N                for eval
+  --alpha ALPHA        for dominate
+  --beta BETA          for dominate
+  --points POINTS
+  --cap-bits CAP_BITS
+"""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["fgh", "eval", "--ordinal", "w^w+2", "--n", "3"],
+     "955057c926386e9e6c4e188ecccb5cbc39050d5320986fbeaaa1892f6dc9ea99"),
+    (["fgh", "dominate", "--alpha", "2", "--beta", "w"],
+     "2559d5534a5012df3a1bc78df1e0d517a64828aeec65ad451bda5c79d47ad183"),
+])
+def test_fgh_stdout_is_frozen(capsys, argv, digest):
+    # frozen while cli still imported hierarchy at module level
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fgh_help_and_bad_ordinal_are_frozen(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["fgh", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out == _FGH_HELP
+    assert run_cli(capsys, "fgh", "eval", "--ordinal", "w+", "--n", "2") == (
+        2, "", "omegalab: expected term at index 2\n")
+
+
+def test_fgh_cap_bits_defaults_to_the_hierarchy_cap(capsys):
+    from omegalab.hierarchy import DEFAULT_CAP_BITS
+
+    assert DEFAULT_CAP_BITS == 1048576
+    code, out, _ = run_cli(capsys, "fgh", "eval", "--ordinal", "1", "--n", "2")
+    rep = json.loads(out)
+    assert code == 0 and rep["config"]["cap_bits"] == rep["result"]["cap_bits"] == DEFAULT_CAP_BITS

@@ -199,6 +199,23 @@ def test_pruned_prefixes_never_halt():
                     assert not domain_runs(prefix, 47 - 8 * n, B), (alphabet, prefix)
 
 
+def test_if_forms_with_neither_branch_evaluable_never_halt():
+    # (i C T E) runs the branch it takes with no bindings, so the sweep keeps
+    # it only when T or E is evaluable; every form that rule drops, from the
+    # shortest (7 characters) up, faults or runs out of budget under every
+    # payload and aux
+    from omegalab.complexity import _fill, _runnable, domain_runs
+
+    for alphabet, B in ((ALPHABET, 10**4), (_TOTAL_ALPHABET, STRUCTURAL)):
+        for n, count in ((6, 0), (7, len(alphabet) ** 2), (8, 2 * len(alphabet) ** 2)):
+            kept = set(_runnable(n, alphabet))
+            dropped = [("i",) + items for items in _fill(n - 3, "vxx", alphabet)
+                       if ("i",) + items not in kept]
+            assert len(dropped) == count, (alphabet, n)  # at 7: (i () a b) for atoms a, b
+            for prefix in dropped:
+                assert not domain_runs(prefix, 79 - 8 * n, B), (alphabet, prefix)
+
+
 def _full_sweep(machine, L, B, c_cap, evaluable_only=False):
     # independent sweep: every prefix of the machine's alphabet run, payload
     # and aux each extended one bit per underrun; evaluable_only runs only the

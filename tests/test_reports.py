@@ -1,14 +1,18 @@
 """Report serialization: emit_json prints exactly as json.dumps(indent=2)."""
 
+import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalab.bits import Dyadic
 from omegalab.cli import main
-from omegalab.complexity import ComplexityTable, Ensemble, HaltRecord, TableEntry
+from omegalab.complexity import STRUCTURAL, ComplexityTable, Ensemble, HaltRecord, TableEntry, build_table
+from omegalab.machines import Program
+from omegalab.vm import HALTED, RunOutcome
 from omegalab.reports import emit_json, table_rows
 
 _text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600{}[],:"), max_size=6)
@@ -56,7 +60,7 @@ def test_emit_json_edge_cases():
 
 
 def test_table_rows_order_bits_then_pairs_by_total_length():
-    table = ComplexityTable(ens=Ensemble("sd", 40, 100))
+    table = ComplexityTable(Ensemble("sd", 40, 100), {}, {}, 0, Dyadic.zero(), Dyadic.zero(), 0)
     for out in ("11", "", "0", "01", "1"):
         h = 16 + len(out)
         table.entries[out] = TableEntry(out, h, "1" * h, 1, Dyadic.pow2(h))
@@ -75,9 +79,26 @@ def test_records_and_entries_are_immutable():
     rec = HaltRecord("0", "", None, 1, 1)
     assert rec.aux_read == ""
     entry = TableEntry("", 16, "0" * 16, 1, None)
-    for obj, attr in ((rec, "steps"), (rec, "aux_read"), (entry, "h_upper"), (entry, "prob")):
+    table = build_table(Ensemble("total", 24, STRUCTURAL))
+    for obj, attr in ((rec, "steps"), (rec, "aux_read"), (entry, "h_upper"), (entry, "prob"),
+                      (table, "mass"), (Dyadic(1, 1), "num"), (Program(("r",)), "payload"),
+                      (Ensemble("sd", 40, 100), "L"), (RunOutcome(HALTED), "steps")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, 0)
+
+
+def test_checked_records_check_every_construction():
+    # Dyadic, Program and Ensemble check (and Dyadic reduces) in __new__,
+    # which copies and unpickling pass through too
+    assert Dyadic(12, 5) == Dyadic(3, 3) and repr(Dyadic(12, 5)) == "Dyadic(num=3, exp=3)"
+    assert copy.copy(Dyadic(12, 5)) == pickle.loads(pickle.dumps(Dyadic(12, 5))) == Dyadic(3, 3)
+    assert repr(Program(("q", "0"))) == "Program(prefix=('q', '0'), payload='')"
+    assert repr(Ensemble("sd", 40, 100)) == "Ensemble(machine='sd', L=40, B=100, c_cap=6, workers=1)"
+    for bad in (lambda: Dyadic(-1, 0), lambda: Dyadic(1, -1), lambda: Program("q"),
+                lambda: Ensemble("sd", -1, 100), lambda: Ensemble("sd", 40, STRUCTURAL),
+                lambda: Ensemble("c2", 40, 1), lambda: Ensemble("sd", 40, 100, workers=0)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 @pytest.mark.parametrize("argv, size, digest", [

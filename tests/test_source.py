@@ -81,11 +81,29 @@ def test_library_has_no_unread_private_names():
     assert not found, found
 
 
+def _loaded_at_cli_start(modules):
+    """The named modules that a fresh `from omegalab import cli` has loaded."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(omegalab.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    code = f"import sys; from omegalab import cli; print(sorted({set(modules)!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_cli_start_imports_neither_multiprocessing_nor_fractions():
     # only a sweep with --workers > 1 needs multiprocessing and only
     # `normality` needs fractions; every other command starts without them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(omegalab.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
-    code = "import sys, omegalab.cli; print(sorted({'multiprocessing', 'fractions'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _loaded_at_cli_start({"multiprocessing", "fractions"}) == "[]\n"
+
+
+def test_cli_start_imports_neither_dataclasses_nor_csv_nor_hierarchy():
+    # record types are NamedTuples, only --csv needs csv and only `fgh`
+    # needs hierarchy; dataclasses would bring inspect along
+    assert _loaded_at_cli_start({"dataclasses", "inspect", "csv", "omegalab.hierarchy"}) == "[]\n"
+
+
+def test_only_hierarchy_imports_dataclasses():
+    found = _library_nodes(lambda node: (isinstance(node, ast.Import) and any(
+        alias.name == "dataclasses" for alias in node.names)) or (
+        isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
+    assert [hit.split(":")[0] for hit in found] == ["hierarchy.py"], found
