@@ -405,6 +405,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _apply_config(args, parser, argv)
         result = _dispatch(args)
+        if getattr(args, "csv", False):
+            text = reports.emit_csv(result["entries"], COMMANDS[args.command][1])
+        else:
+            text = reports.emit_json(reports.envelope(args.command, _config_dict(args), result))
     except UnsoundFASError as exc:
         report = reports.envelope(args.command, _config_dict(args), exc.report)
         sys.stdout.write(reports.emit_json(report))
@@ -412,11 +416,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"omegalab: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    if getattr(args, "csv", False):
-        sys.stdout.write(reports.emit_csv(result["entries"], COMMANDS[args.command][1]))
-    else:
-        report = reports.envelope(args.command, _config_dict(args), result)
-        sys.stdout.write(reports.emit_json(report))
+    sys.stdout.write(text)
     return 0
 
 

@@ -43,8 +43,9 @@ B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16 sd and 12
 total prefixes.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
-On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.6 s with a 21 MB
-peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.6 s with 22 MB.
+On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
+peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.15 s with 17 MB,
+interpreter start-up included.
 Upper bounds beyond the cap come from constructed witnesses that are always
 verified by actually running them before being admitted.
 

@@ -8,7 +8,10 @@ Tower(height, top) = 2^2^...^top with `height` twos, produced whenever the
 exact bit size would exceed cap_bits.  Canonical towers peel the top while it
 is a power of two, so e.g. 2^(2^256) prints as a height-4 tower topped by 3;
 comparison is by height, then top, which is sound for values produced under
-one cap (and towers are never compared across caps).
+one cap (and towers are never compared across caps).  A report gives an
+Exact value as a decimal int while it has at most 4,300 digits, the most
+Python converts to decimal text by default, and as {"exact_hex": "0x..."}
+beyond: hex() has no digit limit and takes time linear in the value's size.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from functools import total_ordering
 from typing import List, Optional, Tuple
 
 DEFAULT_CAP_BITS = 2**20
+_DECIMAL_BOUND = 10**4300  # the least int of 4,301 digits
 
 
 class OrdinalParseError(ValueError):
@@ -241,7 +245,9 @@ class TowerInt:
 
     def as_dict(self) -> dict:
         if self.is_exact:
-            return {"exact": self.exact}
+            if self.exact < _DECIMAL_BOUND:
+                return {"exact": self.exact}
+            return {"exact_hex": hex(self.exact)}
         return {"tower": self.height, "top": self.top}
 
     def __str__(self) -> str:

@@ -180,14 +180,17 @@ def build_berry_program(fas: ToyFAS) -> Tuple[Program, int]:
     """Compose the fixed driver with the system's enumerator; embed the least
     threshold T with T >= size_bits(P(T)).  Returns (P, T), size_bits(P) <= T.
 
-    T is the numeral (q(b1...bk)), so size_bits(P(T)) = base + 8 * bitlen(T)
-    with base = size_bits(P(0)); P(T) and P(T-1) check the closed form.
+    progs._scan embeds T as seven fixed slots for T mod 8 and the numeral
+    (q(b1...bk)) of T // 8, with k = bitlen(T) - 3 for T >= 8.  So
+    size_bits(P(T)) = base + 8 * bitlen(T) for T >= 8, with base =
+    size_bits(P(0)) - 24, and the search starts at bitlen 4; P(T) and P(T-1)
+    check the closed form.
     """
     def at(t: int) -> Program:
         return Program(berry_driver(fas.enumerator.prefix, t), fas.enumerator.payload)
 
-    base = at(0).size_bits
-    b = 1
+    base = at(0).size_bits - 24
+    b = 4
     while base + 8 * b >= 2**b:
         b += 1
     T = max(base + 8 * b, 2 ** (b - 1))

@@ -161,6 +161,8 @@ def borel_normality(x: BitString, k: int, tol) -> dict:
     if k > 20:
         raise ValueError("block size capped at 20 (2^k block values)")
     tol_f = Fraction(str(tol))
+    if tol_f < 0:
+        raise ValueError(f"--tol must be >= 0, got {tol}")
     nblocks = len(x) // k
     counts: Dict[str, int] = {}
     for i in range(nblocks):

@@ -16,9 +16,12 @@ programs, so those programs have to exist as real expressions:
                   that H(x | x*) does not grow with x.
   berry_driver    the incompleteness engine: runs an embedded theorem
                   enumerator, scans for a claimed-elegant program strictly
-                  larger than an embedded threshold, and if one is found
+                  larger than an embedded threshold T, and if one is found
                   decodes and runs it, returning its output.  Otherwise it
-                  diverges (budget exhaustion at the machine level).
+                  diverges (budget exhaustion at the machine level).  The
+                  length test drops T mod 8 bits, then 8 bits per
+                  decrement of the numeral T // 8: O(1) guest steps per 8
+                  bits of the claimed program.
   padded_quote_enumerator
                   a compact loop that emits one Elegant claim about a hugely
                   padded program, used to build the deliberately unsound
@@ -299,12 +302,30 @@ def _dec() -> SExpr:
     return fix(lam("k", lam("x", body)))
 
 
-def _gt() -> SExpr:
-    """g = lambda bits counter: is |bits| > counter (little-endian numeral)?
+def _drop() -> SExpr:
+    """f = lambda bits: bits without the first, () kept.
 
-    A guest predicate: () is false, any other value true, as for i.
+    A guarded tail (i x (t x) ()), since a bare t of () faults the run.
     """
-    body = iff("n", iff("x", ap2("k", tl("x"), ap("d", "n")), "x"), "x")
+    return lam("x", iff("x", tl("x"), NIL))
+
+
+def _applied(letters: str, x: SExpr) -> SExpr:
+    """(l1 (l2 ... (lk x))): the functions bound to the letters, the last first."""
+    for f in reversed(letters):
+        x = ap(f, x)
+    return x
+
+
+def _gt() -> SExpr:
+    """g = lambda bits counter: bits less their first 8 * counter (a
+    little-endian numeral), () when they run out.
+
+    Drops 8 bits per decrement of the counter and stops early once bits run
+    out.  As a guest predicate, () false and any other value true as for i,
+    it answers |bits| > 8 * counter.  Uses d and f from the enclosing scope.
+    """
+    body = iff("n", iff("x", ap2("k", _applied("f" * 8, "x"), ap("d", "n")), "x"), "x")
     return fix(lam("k", lam2("x", "n", body)))
 
 
@@ -323,19 +344,25 @@ def _scan(threshold: int) -> SExpr:
     """k = scan a theorem list for the first (e b1...bn) with n > threshold.
 
     Returns the bit list; diverges when the list is exhausted, the guest's
-    one intended divergence.
+    one intended divergence.  T is embedded as seven slots that drop the
+    first T mod 8 bits (f drops one, j is the identity) and the numeral of
+    T // 8 that g walks, so its print length depends on bitlen(T) only.
     """
-    check = iff(
-        ap2("g", tl(hd("x")), qbits(nat_le_bits(threshold))),
-        tl(hd("x")),
-        ap("k", tl("x")),
-    )
+    low = threshold % 8
+    bits = _applied("f" * low + "j" * (7 - low), tl(hd("x")))
+    check = iff(ap2("g", bits, qbits(nat_le_bits(threshold // 8))), tl(hd("x")), ap("k", tl("x")))
     body = iff(
         "x",
         iff(hd("x"), iff(eq(hd(hd("x")), q("e")), check, ap("k", tl("x"))), ap("k", tl("x"))),
         LOOP,
     )
-    return fix(lam("k", lam("x", body)))
+    return let([("j", lam("x", "x"))], fix(lam("k", lam("x", body))))
+
+
+def _scan_binds(threshold: int) -> list:
+    """The bindings d f g k: the length test against threshold and the scan
+    that runs it, as berry_driver binds them."""
+    return [("d", _dec()), ("f", _drop()), ("g", _gt()), ("k", _scan(threshold))]
 
 
 def _interpreter() -> list:
@@ -400,12 +427,9 @@ def berry_driver(enum_prefix: SExpr, threshold: int) -> SExpr:
     """The paradox program: enumerator + scan-for-too-large-elegant + run it.
 
     The enumerator expression is spliced in as code, so it reads this
-    program's own payload; the threshold is an embedded numeral.
+    program's own payload; _scan embeds the threshold.
     """
-    binds = _interpreter() + [
-        ("d", _dec()),
-        ("g", _gt()),
-        ("k", _scan(threshold)),
+    binds = _interpreter() + _scan_binds(threshold) + [
         ("n", enum_prefix),  # runs here; value must be the theorem list
         ("o", ap("k", "n")),  # bits of the first too-large claimed-elegant Q
         ("j", SRC_LIST),

@@ -63,6 +63,31 @@ def test_fgh_commands(capsys):
     assert code == 0 and report(out)["first_crossing"] == 1
 
 
+def test_fgh_values_past_the_decimal_limit_print_in_hex(capsys):
+    # f_{w+1}(2) = 2^65536 has 19,729 decimal digits, more than Python
+    # converts to decimal text by default
+    code, out, _ = run_cli(capsys, "fgh", "eval", "--ordinal", "w+1", "--n", "2")
+    assert code == 0 and report(out)["value"] == {"exact_hex": hex(2**65536)}
+    code, out, _ = run_cli(capsys, "fgh", "dominate", "--alpha", "w", "--beta", "w+1")
+    rows = report(out)["points"]
+    assert code == 0 and [(r["f_alpha"], r["f_beta"]) for r in rows] == [
+        ({"exact": 4}, {"exact": 16}),
+        ({"exact": 65536}, {"exact_hex": hex(2**65536)}),
+        ({"tower": 4, "top": 3}, {"tower": 5, "top": 3}),
+    ]
+
+
+def test_an_error_while_printing_exits_2(capsys, monkeypatch):
+    from omegalab import reports
+
+    def refuse(report):
+        raise ValueError("cannot print")
+
+    monkeypatch.setattr(reports, "emit_json", refuse)
+    assert run_cli(capsys, "fgh", "eval", "--ordinal", "w", "--n", "2") == (
+        2, "", "omegalab: cannot print\n")
+
+
 def test_omega_commands(capsys):
     code, out, _ = run_cli(capsys, "omega", "exact", "--L", "24", "--emit-bits", "12")
     assert code == 0
@@ -224,13 +249,14 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["run", "--machine", "c2", "--raw", "0101", "--prefix", "()"],
     ["run", "--machine", "sd", "--prefix", "()", "--raw", "0"],
     ["run", "--machine", "total", "--prefix", "()", "--raw", "0"],
+    ["normality", "--x", "0110", "--k", "1", "--tol", "-1"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
     # the message names the flag
-    if argv[0] in ("fas", "diag", "fgh") or argv[-2] in ("--guard", "--emit-bits", "--k", "--kbits", "--B",
-                                                          "--payload", "--aux", "--prefix", "--raw"):
+    if argv[0] in ("fas", "diag", "fgh", "normality") or argv[-2] in (
+            "--guard", "--emit-bits", "--k", "--kbits", "--B", "--payload", "--aux", "--prefix", "--raw"):
         assert argv[-2] in err
 
 

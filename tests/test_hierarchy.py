@@ -140,6 +140,11 @@ def test_tower_representation():
     assert tower_cmp(t, TowerInt(height=5, top=3)) < 0
 
 
+def test_exact_values_print_in_decimal_up_to_4300_digits():
+    assert TowerInt.of(10**4300 - 1).as_dict() == {"exact": 10**4300 - 1}
+    assert TowerInt.of(10**4300).as_dict() == {"exact_hex": hex(10**4300)}
+
+
 def test_cap_bits_boundary():
     # 2^256 has 257 bits: exact at the default cap, symbolic below it
     assert fgh_eval(nat(2), 3, cap_bits=DEFAULT_CAP_BITS).is_exact

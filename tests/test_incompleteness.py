@@ -124,6 +124,7 @@ def test_unsound_ceiling_experiment_aborts_and_executes_contradiction():
     # the Berry program actually finds the claim and reproduces its output
     assert rep["berry_run"]["outcome"] == "halted"
     assert rep["berry_run"]["output"] == rep["false_theorem"]["output"] == "00"
+    assert rep["berry_run"]["steps"] <= 450_000  # deterministic: 433,091
 
 
 def test_omega_bits_experiment():

@@ -20,6 +20,7 @@ from omegalab.progs import (
     NIL,
     SRC_AUX,
     SRC_NONE,
+    ap,
     ap2,
     hd,
     lam,
@@ -29,6 +30,7 @@ from omegalab.progs import (
     padded_quote_enumerator,
     padded_quote_program,
     quote_pair_program,
+    q,
     quote_program,
     replay_program,
     tl,
@@ -111,6 +113,20 @@ def test_padded_enumerator_matches_padded_program():
         target = padded_quote_program(pad)
         assert claimed == target.bits
         assert output_of(run_machine("total", target, 10**5)) == "00"
+
+
+def test_length_test_equals_the_host():
+    # the driver's scan over the one claim (e bits) halts with the bits when
+    # its length test passes and reaches LOOP otherwise; T = 0..40 covers
+    # every residue of T mod 8, and lengths 0..40 lists shorter than 8 bits
+    # and |bits| = T and T + 1
+    for n in range(41):
+        bits = ("0110100110010110" * 4)[n % 7:n % 7 + n]
+        theorems = q((("e",) + tuple(bits),))
+        for T in range(41):
+            out = eval_expr(let(progs._scan_binds(T), ap("k", theorems)), 10**4)
+            want = ("halted", tuple(bits)) if n > T else ("out_of_budget", None)
+            assert (out.kind, out.value) == want, (n, T)
 
 
 def test_composer_is_a_fixed_prefix():
@@ -206,7 +222,7 @@ def test_guest_errors_fault_fast():
 
 # sizes in bits of the guest programs that carry the paper's constants:
 # K (the aux pair composer) and the sound and unsound Berry thresholds T
-FROZEN_GUEST_CONSTANTS = {"K": 11376, "T_sound": 14184, "T_unsound": 14600}
+FROZEN_GUEST_CONSTANTS = {"K": 11376, "T_sound": 14744, "T_unsound": 15160}
 
 
 def test_frozen_guest_constants():
