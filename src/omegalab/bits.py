@@ -144,14 +144,7 @@ def dyadic_bits(d: Dyadic, k: int) -> BitString:
         raise ValueError(f"dyadic_bits requires 0 <= d < 1, got {d}")
     if k < 0:
         raise ValueError(f"dyadic_bits requires k >= 0, got {k}")
-    out = []
-    num = d.num
-    for i in range(1, k + 1):
-        if i <= d.exp:
-            out.append("1" if (num >> (d.exp - i)) & 1 else "0")
-        else:
-            out.append("0")
-    return "".join(out)
+    return format((d.num << k) >> d.exp, f"0{k}b") if k else ""
 
 
 def bits_to_dyadic(bits: BitString) -> Dyadic:

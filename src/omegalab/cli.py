@@ -374,8 +374,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
                     line = line.strip()
                     if not line:
                         continue
-                    prefix_text, _, payload = line.partition("|")
-                    family.append(Program(parse(prefix_text), bs_parse(payload)))
+                    family.append(machines.program_from_text(line))
         else:
             family = incompleteness.bundled_function_family(args.width)
         value = incompleteness.diagonalize_total(family, args.n, args.width)

@@ -2,23 +2,22 @@
 
 The function family is the exponential scale
     f_0(n) = 2^n,   f_{a+1}(n) = 2^{f_a(n)},   f_lam(n) = max_{k<=n} f_{lam[k]}(n)
-indexed by ordinals in Cantor normal form.  Values explode immediately, so
-results are either Exact big integers or symbolic power towers
-Tower(height, top) = 2^2^...^top with `height` twos, produced whenever the
-exact bit size would exceed cap_bits.  Canonical towers peel the top while it
-is a power of two, so e.g. 2^(2^256) prints as a height-4 tower topped by 3;
-comparison is by height, then top, which is sound for values produced under
-one cap (and towers are never compared across caps).  A report gives an
-Exact value as a decimal int while it has at most 4,300 digits, the most
-Python converts to decimal text by default, and as {"exact_hex": "0x..."}
-beyond: hex() has no digit limit and takes time linear in the value's size.
+indexed by ordinals in Cantor normal form.  An Ordinal is the tuple of its
+(exponent, coefficient) terms, exponents strictly decreasing, so tuple order
+is ordinal order.  A value is a TowerInt(height, top): the exact natural top
+at height 0, else the tower 2^2^...^top of `height` twos, produced whenever
+the exact bit size would exceed cap_bits.  Towers peel the top while it is a
+power of two, so e.g. 2^(2^256) is the height-4 tower topped by 3.  Under one
+cap every tower exceeds every exact value, so tuple order is value order
+(towers are never compared across caps).  An exact value prints in decimal
+while it has at most 4,300 digits, the most Python converts to decimal text
+by default, and in hex beyond ({"exact_hex": "0x..."} in a report): hex()
+has no digit limit and takes time linear in the value's size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 DEFAULT_CAP_BITS = 2**20
 _DECIMAL_BOUND = 10**4300  # the least int of 4,301 digits
@@ -28,21 +27,22 @@ class OrdinalParseError(ValueError):
     pass
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    """Sum of w^exponent * coeff terms, exponents strictly decreasing."""
+class Ordinal(NamedTuple("Ordinal", [("terms", Tuple[Tuple["Ordinal", int], ...])])):
+    """Sum of w^exponent * coeff terms, exponents strictly decreasing.
 
-    terms: Tuple[Tuple["Ordinal", int], ...] = ()
+    Tuple order is Cantor-normal-form order: the first differing term decides
+    by exponent, then by coefficient, and a proper prefix is the smaller.
+    """
 
-    def __post_init__(self):
-        prev = None
-        for exp, coeff in self.terms:
+    __slots__ = ()
+
+    def __new__(cls, terms: Tuple[Tuple["Ordinal", int], ...] = ()) -> "Ordinal":
+        for i, (exp, coeff) in enumerate(terms):
             if coeff < 1:
                 raise ValueError("coefficients must be >= 1")
-            if prev is not None and not exp < prev:
+            if i and not exp < terms[i - 1][0]:
                 raise ValueError("exponents must be strictly decreasing")
-            prev = exp
+        return tuple.__new__(cls, (tuple(terms),))
 
     @property
     def is_zero(self) -> bool:
@@ -56,52 +56,24 @@ class Ordinal:
     def is_limit(self) -> bool:
         return bool(self.terms) and not self.terms[-1][0].is_zero
 
-    def __lt__(self, other: "Ordinal") -> bool:
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self.terms) < len(other.terms)
-
-    def natural_value(self) -> Optional[int]:
-        if self.is_zero:
-            return 0
-        if len(self.terms) == 1 and self.terms[0][0].is_zero:
-            return self.terms[0][1]
-        return None
-
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise ValueError("only successors have predecessors")
         head, (exp, coeff) = self.terms[:-1], self.terms[-1]
-        if coeff == 1:
-            return Ordinal(head)
-        return Ordinal(head + ((exp, coeff - 1),))
+        return Ordinal(head if coeff == 1 else head + ((exp, coeff - 1),))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         parts = []
         for exp, coeff in self.terms:
-            n = exp.natural_value()
-            if n == 0:
+            if exp.is_zero:
                 parts.append(str(coeff))
                 continue
-            if n == 1:
-                base = "w"
-            elif n is not None:
-                base = f"w^{n}"
-            else:
-                inner = str(exp)
-                base = f"w^{inner}" if _is_simple_exponent(exp) else f"w^({inner})"
+            # an exponent prints bare when it is a numeral or one term w^e
+            (e, c), *rest = exp.terms
+            base = ("w" if exp == ONE else f"w^{exp}" if not rest and (e.is_zero or c == 1)
+                    else f"w^({exp})")
             parts.append(base if coeff == 1 else f"{base}*{coeff}")
-        return "+".join(parts)
-
-
-def _is_simple_exponent(exp: Ordinal) -> bool:
-    # printable without parentheses: a single term with coefficient 1
-    return len(exp.terms) == 1 and exp.terms[0][1] == 1
+        return "+".join(parts) or "0"
 
 
 ZERO = Ordinal()
@@ -112,92 +84,75 @@ def nat(n: int) -> Ordinal:
     return Ordinal(((ZERO, n),)) if n else ZERO
 
 
-OMEGA = Ordinal(((ONE, 1),))
-
-
 def ord_parse(text: str) -> Ordinal:
     """Parse sums of w^<ordinal>*<coeff> terms (sugar: w, w*k, w^k, numerals).
 
     Terms must already be in canonical order; non-decreasing exponents are
-    rejected, not sorted.
+    rejected, not sorted.  Syntax errors are reported before order errors.
     """
-    parser = _OrdParser(text.replace(" ", ""))
-    o = parser.parse_ordinal()
-    if parser.pos != len(parser.text):
-        raise OrdinalParseError(f"trailing garbage at index {parser.pos}")
+    text = text.replace(" ", "")
+    o, i = _sum(text, 0)
+    if i != len(text):
+        raise OrdinalParseError(f"trailing garbage at index {i}")
     return o
 
 
-class _OrdParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _numeral(s: str, i: int) -> Tuple[int, int]:
+    j = i
+    while s[j : j + 1].isdigit():
+        j += 1
+    if j == i:
+        raise OrdinalParseError(f"expected numeral at index {i}")
+    return int(s[i:j]), j
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_ordinal(self) -> Ordinal:
-        terms = [self.parse_term()]
-        while self.peek() == "+":
-            self.pos += 1
-            terms.append(self.parse_term())
-        flat: List[Tuple[Ordinal, int]] = []
-        for exp, coeff in terms:
-            if coeff == 0:
-                if len(terms) > 1:
-                    raise OrdinalParseError("zero term in a sum")
-                continue
-            if flat and not exp < flat[-1][0]:
-                raise OrdinalParseError("terms not in strictly decreasing exponent order")
-            flat.append((exp, coeff))
-        return Ordinal(tuple(flat))
+def _sum(s: str, i: int) -> Tuple[Ordinal, int]:
+    """The '+'-separated terms from index i, each a numeral or w<exponent>*<coeff>;
+    returns the ordinal and the index after it."""
+    terms: List[Tuple[Ordinal, int]] = []
+    while True:
+        if s[i : i + 1].isdigit():
+            exp, (coeff, i) = ZERO, _numeral(s, i)
+        elif s[i : i + 1] == "w":
+            exp, i = _exponent(s, i + 1)
+            coeff = 1
+            if s[i : i + 1] == "*":
+                coeff, i = _numeral(s, i + 1)
+                if coeff < 1:
+                    raise OrdinalParseError("coefficient must be >= 1")
+        else:
+            raise OrdinalParseError(f"expected term at index {i}")
+        terms.append((exp, coeff))
+        if s[i : i + 1] != "+":
+            break
+        i += 1
+    for k, (exp, coeff) in enumerate(terms):
+        if coeff == 0 and len(terms) > 1:
+            raise OrdinalParseError("zero term in a sum")
+        if k and not exp < terms[k - 1][0]:
+            raise OrdinalParseError("terms not in strictly decreasing exponent order")
+    return Ordinal(tuple(t for t in terms if t[1])), i
 
-    def parse_term(self) -> Tuple[Ordinal, int]:
-        ch = self.peek()
-        if ch.isdigit():
-            return ZERO, self.parse_nat()
-        if ch != "w":
-            raise OrdinalParseError(f"expected term at index {self.pos}")
-        self.pos += 1
-        exp = ONE
-        if self.peek() == "^":
-            self.pos += 1
-            exp = self.parse_exponent()
-        coeff = 1
-        if self.peek() == "*":
-            self.pos += 1
-            coeff = self.parse_nat()
-            if coeff < 1:
-                raise OrdinalParseError("coefficient must be >= 1")
-        return exp, coeff
 
-    def parse_exponent(self) -> Ordinal:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            o = self.parse_ordinal()
-            if self.peek() != ")":
-                raise OrdinalParseError(f"expected ')' at index {self.pos}")
-            self.pos += 1
-            return o
-        if ch.isdigit():
-            return nat(self.parse_nat())
-        if ch == "w":
-            self.pos += 1
-            exp = ONE
-            if self.peek() == "^":
-                self.pos += 1
-                exp = self.parse_exponent()
-            return Ordinal(((exp, 1),))
-        raise OrdinalParseError(f"expected exponent at index {self.pos}")
-
-    def parse_nat(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise OrdinalParseError(f"expected numeral at index {start}")
-        return int(self.text[start : self.pos])
+def _exponent(s: str, i: int) -> Tuple[Ordinal, int]:
+    """The exponent of the w just before index i: 1 unless '^' follows, then a
+    numeral, a parenthesized sum, or a w-power with coefficient 1."""
+    if s[i : i + 1] != "^":
+        return ONE, i
+    i += 1
+    ch = s[i : i + 1]
+    if ch == "(":
+        o, i = _sum(s, i + 1)
+        if s[i : i + 1] != ")":
+            raise OrdinalParseError(f"expected ')' at index {i}")
+        return o, i + 1
+    if ch.isdigit():
+        n, i = _numeral(s, i)
+        return nat(n), i
+    if ch == "w":
+        exp, i = _exponent(s, i + 1)
+        return Ordinal(((exp, 1),)), i
+    raise OrdinalParseError(f"expected exponent at index {i}")
 
 
 def ord_compare(a: Ordinal, b: Ordinal) -> str:
@@ -214,82 +169,70 @@ def fundamental(lam: Ordinal, k: int) -> Ordinal:
         raise ValueError("fundamental sequences exist only for limit ordinals")
     head, (exp, coeff) = lam.terms[:-1], lam.terms[-1]
     gamma = head if coeff == 1 else head + ((exp, coeff - 1),)
-    if exp == ONE:
-        tail = ((ZERO, k),) if k else ()
-    elif exp.is_successor:
+    if exp.is_successor:  # w = w^(0+1), so (g+w)[k] = g+w^0*k = g+k
         tail = ((exp.predecessor(), k),) if k else ()
     else:
         tail = ((fundamental(exp, k), 1),)
     # the tail exponent is strictly below exp, hence below gamma's last exponent
-    return Ordinal(tuple(gamma) + tail)
+    return Ordinal(gamma + tail)
 
 
 # ---------------------------------------------------------------------------
 # tower-valued naturals
 
-@dataclass(frozen=True)
-class TowerInt:
-    """Exact natural, or 2^2^...^top with `height` twos once past cap_bits."""
+class TowerInt(NamedTuple):
+    """The exact natural top (height 0), or 2^2^...^top with `height` twos."""
 
-    exact: Optional[int] = None
-    height: int = 0
-    top: Optional[int] = None
+    height: int
+    top: int
 
     @staticmethod
     def of(n: int) -> "TowerInt":
-        return TowerInt(exact=n)
+        return TowerInt(0, n)
 
     @property
     def is_exact(self) -> bool:
-        return self.exact is not None
+        return self.height == 0
+
+    @property
+    def exact(self) -> Optional[int]:
+        return None if self.height else self.top
 
     def as_dict(self) -> dict:
-        if self.is_exact:
-            if self.exact < _DECIMAL_BOUND:
-                return {"exact": self.exact}
-            return {"exact_hex": hex(self.exact)}
-        return {"tower": self.height, "top": self.top}
+        if self.height:
+            return {"tower": self.height, "top": self.top}
+        return {"exact": self.top} if self.top < _DECIMAL_BOUND else {"exact_hex": hex(self.top)}
 
     def __str__(self) -> str:
-        if self.is_exact:
-            return str(self.exact)
-        return "2^" * self.height + str(self.top)
-
-
-def _canonical_tower(height: int, top: int) -> TowerInt:
-    # peel while the top is a power of two so equal values share one form
-    while top > 0 and top & (top - 1) == 0:
-        height += 1
-        top = top.bit_length() - 1
-    return TowerInt(height=height, top=top)
+        return "2^" * self.height + (str(self.top) if self.top < _DECIMAL_BOUND else hex(self.top))
 
 
 def tower_pow2(x: TowerInt, cap_bits: int) -> TowerInt:
     """2^x under the cap: exact when the result fits in cap_bits bits."""
-    if x.is_exact:
-        if x.exact + 1 <= cap_bits:
-            return TowerInt.of(1 << x.exact)
-        return _canonical_tower(1, x.exact)
-    return TowerInt(height=x.height + 1, top=x.top)
+    if x.height:
+        return TowerInt(x.height + 1, x.top)
+    if x.top + 1 <= cap_bits:
+        return TowerInt.of(1 << x.top)
+    # peel while the top is a power of two so equal values share one form
+    height, top = 1, x.top
+    while top > 0 and top & (top - 1) == 0:
+        height, top = height + 1, top.bit_length() - 1
+    return TowerInt(height, top)
 
 
 def tower_cmp(a: TowerInt, b: TowerInt) -> int:
     """Compare tower values produced under one cap: towers always exceed exacts;
-    tower vs tower goes by height, then top."""
-    if a.is_exact and b.is_exact:
-        return (a.exact > b.exact) - (a.exact < b.exact)
-    if a.is_exact:
-        return -1
-    if b.is_exact:
-        return 1
-    if a.height != b.height:
-        return 1 if a.height > b.height else -1
-    return (a.top > b.top) - (a.top < b.top)
+    tower vs tower goes by height, then top.  That is tuple order."""
+    return (a > b) - (a < b)
 
 
 def fgh_eval(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS,
              _memo: Optional[dict] = None) -> TowerInt:
-    """Evaluate f_alpha(n) by the base/successor/limit rules."""
+    """Evaluate f_alpha(n) by the base/successor/limit rules.
+
+    The c successor steps of alpha = beta + c run in a loop, and once the
+    value is a tower the steps left raise its height all at once.
+    """
     if n < 0:
         raise ValueError("n must be a natural number")
     if _memo is None:
@@ -297,17 +240,16 @@ def fgh_eval(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS,
     key = (alpha, n)
     if key in _memo:
         return _memo[key]
-    if alpha.is_zero:
-        val = tower_pow2(TowerInt.of(n), cap_bits)
-    elif alpha.is_successor:
-        val = tower_pow2(fgh_eval(alpha.predecessor(), n, cap_bits, _memo), cap_bits)
+    beta, steps = alpha, 0
+    if alpha.is_successor:
+        beta, steps = Ordinal(alpha.terms[:-1]), alpha.terms[-1][1]
+    if beta.is_zero:  # f_c(n) is 2^n under c more successor steps
+        val, steps = TowerInt.of(n), steps + 1
     else:
-        val = None
-        for k in range(0, n + 1):
-            cand = fgh_eval(fundamental(alpha, k), n, cap_bits, _memo)
-            if val is None or tower_cmp(cand, val) > 0:
-                val = cand
-    _memo[key] = val
+        val = max(fgh_eval(fundamental(beta, k), n, cap_bits, _memo) for k in range(n + 1))
+    while steps and val.is_exact:
+        val, steps = tower_pow2(val, cap_bits), steps - 1
+    _memo[key] = val = TowerInt(val.height + steps, val.top)
     return val
 
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
-from .complexity import STRUCTURAL, Ensemble, build_table, exhaustive_bits
+from .complexity import STRUCTURAL, Ensemble, complexity_upper, exhaustive_bits
 from .machines import (
     Program,
     output_of,
+    program_from_text,
     run_machine,
     run_total,
     split_program_bits,
@@ -35,7 +36,7 @@ from .machines import (
 )
 from .progs import berry_driver
 from . import progs
-from .sexpr import SExprDecodeError, parse
+from .sexpr import SExprDecodeError
 from .vm import contains_general_only_prims
 
 
@@ -155,20 +156,13 @@ def elegance_oracle(program_bits: BitString, budget: int = progs.WITNESS_BUDGET)
         # a non-producing program is vacuously non-elegant here: it has no output
         return EleganceVerdict(status="refuted")
     size = len(program_bits)
-    limit = exhaustive_bits(Ensemble("total", size - 1, STRUCTURAL))
-    table = build_table(Ensemble("total", limit, STRUCTURAL))
-    counterexamples: List[BitString] = []
-    entry = table.entries.get(out)
-    if entry is not None and entry.h_upper < size:
-        counterexamples.append(entry.witness)
+    smaller = Ensemble("total", size - 1, STRUCTURAL)
+    limit = exhaustive_bits(smaller)
     # above the exhaustive range a constructed smaller program still refutes
-    qp = progs.quote_program(out)
-    if qp.size_bits < size and progs.verify_output("total", qp, out):
-        counterexamples.append(qp.bits)
-    if counterexamples:
-        best = min(counterexamples, key=lambda b: (len(b), b))
-        return EleganceVerdict(status="refuted", output=out, counterexample=best, exhaustive_to=limit)
-    if size - 1 <= table.exhaustive_limit:
+    best = complexity_upper(smaller, out, include_constructed=True)
+    if best.found:
+        return EleganceVerdict(status="refuted", output=out, counterexample=best.witness, exhaustive_to=limit)
+    if size - 1 <= limit:
         return EleganceVerdict(status="confirmed", output=out, exhaustive_to=limit)
     return EleganceVerdict(status="unverifiable", output=out, exhaustive_to=limit)
 
@@ -393,15 +387,10 @@ _SOUND_CLAIMS = (
 )
 
 
-def _program_from_text(text: str) -> Program:
-    prefix_text, _, payload = text.partition("|")
-    return Program(parse(prefix_text), payload)
-
-
 def bundled_sound_fas() -> ToyFAS:
     """Quoted list of verified elegance facts; total fragment, halts in 1 step."""
     theorems = tuple(
-        Elegant(_program_from_text(t).bits).encode() for t in _SOUND_CLAIMS
+        Elegant(program_from_text(t).bits).encode() for t in _SOUND_CLAIMS
     )
     enum = Program(("q", theorems), "")
     return ToyFAS(enumerator=enum, machine="total", name="sound-elegance")

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from .bits import BitString
-from .sexpr import SExpr, SExprDecodeError, from_bits_prefix, is_atom, print_sexpr, to_bits
+from .bits import BitString, bs_parse
+from .sexpr import SExpr, SExprDecodeError, from_bits_prefix, is_atom, parse, print_sexpr, to_bits
 from . import vm
 from .vm import ConversionError, RunOutcome, contains_general_only_prims
 
@@ -55,6 +55,12 @@ class Program(NamedTuple("Program", [("prefix", SExpr), ("payload", BitString)])
 
     def __str__(self) -> str:
         return f"{print_sexpr(self.prefix)}|{self.payload}"
+
+
+def program_from_text(text: str) -> Program:
+    """Read back the `prefix|payload` form Program prints; the payload must be bits."""
+    prefix_text, _, payload = text.partition("|")
+    return Program(parse(prefix_text), bs_parse(payload))
 
 
 def subexpr_count(e: SExpr) -> int:

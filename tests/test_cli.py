@@ -77,6 +77,22 @@ def test_fgh_values_past_the_decimal_limit_print_in_hex(capsys):
     ]
 
 
+@pytest.mark.parametrize("ordinal, value", [
+    ("2000", {"tower": 2002, "top": 0}),
+    ("w+2000", {"tower": 2003, "top": 0}),
+])
+def test_fgh_eval_runs_long_successor_chains(capsys, ordinal, value):
+    # one stack frame per successor step would pass the recursion limit
+    code, out, _ = run_cli(capsys, "fgh", "eval", "--ordinal", ordinal, "--n", "1")
+    assert code == 0 and report(out)["value"] == value
+
+
+def test_fgh_dominate_runs_long_successor_chains(capsys):
+    code, out, _ = run_cli(capsys, "fgh", "dominate", "--alpha", "1", "--beta", "990", "--points", "1")
+    rows = report(out)["points"]
+    assert code == 0 and (rows[0]["f_alpha"], rows[0]["f_beta"]) == ({"exact": 4}, {"tower": 992, "top": 0})
+
+
 def test_an_error_while_printing_exits_2(capsys, monkeypatch):
     from omegalab import reports
 
@@ -133,6 +149,19 @@ def test_csv_only_where_a_csv_form_exists(capsys):
 def test_diag_command(capsys):
     code, out, _ = run_cli(capsys, "diag", "--n", "2")
     assert code == 0 and report(out)["value"] == 9
+
+
+def test_diag_reads_a_family_file_in_the_printed_program_form(capsys, tmp_path):
+    from omegalab.incompleteness import bundled_function_family
+
+    family = tmp_path / "family.txt"
+    family.write_text("".join(f"{p}\n\n" for p in bundled_function_family()))
+    code, out, _ = run_cli(capsys, "diag", "--n", "2", "--family", str(family))
+    bundled = run_cli(capsys, "diag", "--n", "2")[1]
+    assert code == 0 and report(out) == report(bundled)
+    family.write_text("(r)|02\n")
+    assert run_cli(capsys, "diag", "--n", "2", "--family", str(family)) == (
+        2, "", "omegalab: invalid bit character '2' at index 1\n")
 
 
 def test_usage_errors_exit_1(capsys):

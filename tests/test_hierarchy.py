@@ -1,5 +1,8 @@
 """Ordinals in Cantor normal form and the fast-growing function family."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from omegalab.hierarchy import (
@@ -138,6 +141,9 @@ def test_tower_representation():
     assert (t.height, t.top) == (4, 3)
     assert tower_cmp(TowerInt.of(10**100), t) < 0
     assert tower_cmp(t, TowerInt(height=5, top=3)) < 0
+    # f_5(1) = 2^(2^65536) peels down to top 0; each further step adds a 2
+    assert fgh_eval(nat(5), 1) == TowerInt(height=7, top=0)
+    assert fgh_eval(nat(6), 1) == TowerInt(height=8, top=0)
 
 
 def test_exact_values_print_in_decimal_up_to_4300_digits():
@@ -162,3 +168,53 @@ def test_dominance_report():
         dominance_check(ord_parse("w"), ord_parse("w"), [1])
     with pytest.raises(ValueError):
         dominance_check(ord_parse("w+1"), ord_parse("w"), [1])
+
+
+def test_str_prints_exact_values_past_4300_digits_in_hex():
+    v = fgh_eval(nat(4), 1)  # 2^65536: 19,729 decimal digits
+    assert str(v) == hex(2**65536) and v.as_dict() == {"exact_hex": hex(2**65536)}
+    assert str(TowerInt.of(10**4300 - 1)) == str(10**4300 - 1)
+    assert str(TowerInt(height=2, top=5)) == "2^2^5"
+
+
+def test_tuple_order_is_ordinal_and_value_order():
+    texts = ["0", "1", "2", "w", "w+1", "w*2", "w^2", "w^2+w", "w^w", "w^(w+1)", "w^w^w"]
+    ords = [ord_parse(t) for t in texts]
+    assert sorted(reversed(ords)) == ords
+    values = [TowerInt.of(0), TowerInt.of(2**64), TowerInt(1, 65), TowerInt(1, 99), TowerInt(2, 3)]
+    assert sorted(reversed(values)) == values
+    assert [tower_cmp(a, b) for a, b in zip(values, values[1:])] == [-1] * 4
+
+
+def _parse_rows(alphabet, max_len):
+    rows = []
+    for length in range(1, max_len + 1):
+        for chars in itertools.product(alphabet, repeat=length):
+            s = "".join(chars)
+            try:
+                rows.append((s, str(ord_parse(s))))
+            except ValueError as e:
+                rows.append((s, type(e).__name__, str(e)))
+    return rows
+
+
+def test_parser_is_frozen_on_every_short_string():
+    # every string of 1-5 characters over the grammar's symbols, with the
+    # printed ordinal or the error raised first; frozen before the parser
+    # became two recursive-descent functions
+    rows = _parse_rows("w^*+()0123", 5)
+    assert len(rows) == 111_110
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "7d8f0281537cfb6e076578a7098cdb15d676a04e5cf93b1ee3523c9fd235bf84")
+
+
+def test_fgh_values_are_frozen_on_every_short_ordinal():
+    # the 73 ordinals that strings of 1-3 characters parse to, at n = 0..3
+    # under a small and the default cap; frozen before TowerInt became
+    # (height, top)
+    ords = sorted({str(ord_parse(r[0])) for r in _parse_rows("w^*+()0123", 3) if len(r) == 2})
+    assert len(ords) == 73
+    rows = [(o, n, cap, fgh_eval(ord_parse(o), n, cap).as_dict())
+            for o in ords for n in range(4) for cap in (64, DEFAULT_CAP_BITS)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "d42ae4aeae5102d0bbe69b36612d34ee84799312a3726f274630d940ece9cf62")

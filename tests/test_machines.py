@@ -11,6 +11,7 @@ from omegalab.machines import (
     in_domain,
     output_of,
     pair_output_of,
+    program_from_text,
     run_c2,
     run_sd,
     run_total,
@@ -122,3 +123,12 @@ def test_domain_prefix_free_and_extension_dead():
 def test_split_program_bits_roundtrip():
     p = Program(parse("(c(r)(q()))"), "0")
     assert split_program_bits(p.bits) == p
+
+
+def test_program_text_roundtrip():
+    for p in (Program(parse("(c(r)(q()))"), "0"), Program(parse("()"), ""), Program(parse("(r)"), "101")):
+        assert program_from_text(str(p)) == p
+    with pytest.raises(ValueError, match="index 1"):
+        program_from_text("(r)|0x")
+    with pytest.raises(ValueError):
+        program_from_text("a|0")  # an atom is no program prefix
