@@ -32,19 +32,15 @@ def bs_parse(text: str) -> BitString:
     return text
 
 
-def is_proper_prefix(a: BitString, b: BitString) -> bool:
-    return len(a) < len(b) and b.startswith(a)
-
-
 def is_prefix_free(members: Iterable[BitString]) -> Tuple[bool, Optional[Tuple[BitString, BitString]]]:
     """True iff no member is a proper prefix of another; else one witness pair.
 
     Sorting makes any violating pair adjacent, so the scan is linear after the
-    sort instead of quadratic.
+    sort instead of quadratic; the members are distinct, so a prefix is proper.
     """
     ordered = sorted(set(members))
     for a, b in zip(ordered, ordered[1:]):
-        if is_proper_prefix(a, b):
+        if b.startswith(a):
             return False, (a, b)
     return True, None
 

@@ -392,8 +392,10 @@ def _dispatch(args: argparse.Namespace) -> dict:
     raise ValueError(f"unknown command {cmd!r}")
 
 
-# the parse, decode, ordinal, inexact-table, theorem and conversion errors are all ValueErrors
-DOMAIN_ERRORS = (ValueError, incompleteness.FASRunError, incompleteness.BerryConstructionError, OSError)
+# the parse, decode, ordinal, theorem and conversion errors are all ValueErrors; an input
+# nested too deep for the recursive parsers, ordinal walks or JSON encoder is a RecursionError
+DOMAIN_ERRORS = (ValueError, RecursionError, OSError, incompleteness.FASRunError,
+                 incompleteness.BerryConstructionError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

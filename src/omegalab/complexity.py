@@ -87,10 +87,6 @@ C2_RAW_CAP = 22
 STRUCTURAL = "structural"  # budget sentinel: per-program subexpression count
 
 
-class InexactTableError(ValueError):
-    """Raised when an operation requires exact complexities the sweep cannot certify."""
-
-
 # ---------------------------------------------------------------------------
 # expression generation
 
@@ -516,8 +512,8 @@ def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = Fa
     include_constructed additionally admits the canonical quote witness
     (verified by running it), which is how outputs above the exhaustive
     sweep cap get bounds; on machine total such a bound is still exact when
-    the sweep below it was exhaustive.  check_chain_rule and
-    mutual_information rely on it for h(x), so x* may be a quote witness.
+    the sweep below it was exhaustive.  check_chain_rule relies on it for
+    h(x), so x* may be a quote witness.
     """
     table = build_table(ens)
     cands: List[Tuple[int, BitString, str]] = []
@@ -549,37 +545,6 @@ def find_elegant(ens: Ensemble) -> List[TableEntry]:
     """Per output, the minimal-size program (lex tie-break) plus minimal_count."""
     table = build_table(ens)
     return [table.entries[k] for k in sorted(table.entries, key=lambda o: (len(o), o))]
-
-
-def _exact_h(ens: Ensemble, x: BitString) -> int:
-    res = complexity_upper(ens, x)
-    if not res.found or not res.exact:
-        raise InexactTableError(f"exact complexity of {x!r} not certified at L={ens.L}, B={ens.B}")
-    return res.h_upper
-
-
-def randomness_r1(ens: Ensemble, x: BitString) -> bool:
-    """x is random iff it cannot be compressed below its own length: h(x) >= |x|."""
-    return _exact_h(ens, x) >= len(x)
-
-
-def randomness_r2(ens: Ensemble, x: BitString, slack: int) -> bool:
-    """x is random iff h(x) is within slack of the max complexity at its length."""
-    best = max(_exact_h(ens, "".join(t)) for t in itertools.product("01", repeat=len(x)))
-    return _exact_h(ens, x) >= best - slack
-
-
-def char_complexity(value: SExpr, max_chars: int, B: int) -> ComplexityResult:
-    """Minimum print length of a payload-free general expression evaluating to value."""
-    for chars in range(1, max_chars + 1):
-        hits = []
-        for e in _evaluable(chars, ALPHABET):
-            out = vm.eval_expr(e, B)
-            if out.halted and not isinstance(out.value, (vm.Closure, vm.Rec)) and out.value == value:
-                hits.append(print_sexpr(e))
-        if hits:  # the lex-first print is the witness
-            return ComplexityResult(True, chars, min(hits), exact=True, source="sweep")
-    return ComplexityResult(found=False)
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +596,6 @@ def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> Compl
         if rp.size_bits <= L and progs.verify_output(machine, rp, x, progs.GUEST_BUDGET, aux=y_star):
             cands.append((rp.size_bits, rp.bits, "replay"))
     return _best(cands)
-
-
-def mutual_information(ens: Ensemble, x: BitString, y: BitString) -> Optional[int]:
-    """h(x) + h(y) - h(x,y) from upper bounds with quote witnesses; None if any is missing."""
-    hx = complexity_upper(ens, x, include_constructed=True)
-    hy = complexity_upper(ens, y, include_constructed=True)
-    hxy = joint_complexity(ens, x, y)
-    if not (hx.found and hy.found and hxy.found):
-        return None
-    return hx.h_upper + hy.h_upper - hxy.h_upper
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,6 @@ def _exponent(s: str, i: int) -> Tuple[Ordinal, int]:
     raise OrdinalParseError(f"expected exponent at index {i}")
 
 
-def ord_compare(a: Ordinal, b: Ordinal) -> str:
-    return "<" if a < b else (">" if b < a else "=")
-
-
 def fundamental(lam: Ordinal, k: int) -> Ordinal:
     """k-th member of the standard fundamental sequence of a limit ordinal.
 
@@ -220,12 +216,6 @@ def tower_pow2(x: TowerInt, cap_bits: int) -> TowerInt:
     return TowerInt(height, top)
 
 
-def tower_cmp(a: TowerInt, b: TowerInt) -> int:
-    """Compare tower values produced under one cap: towers always exceed exacts;
-    tower vs tower goes by height, then top.  That is tuple order."""
-    return (a > b) - (a < b)
-
-
 def fgh_eval(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS,
              _memo: Optional[dict] = None) -> TowerInt:
     """Evaluate f_alpha(n) by the base/successor/limit rules.
@@ -270,11 +260,10 @@ def dominance_check(alpha: Ordinal, beta: Ordinal, points: List[int],
     for p in sorted(points):
         va = fgh_eval(alpha, p, cap_bits, memo)
         vb = fgh_eval(beta, p, cap_bits, memo)
-        c = tower_cmp(vb, va)
-        rel = ">" if c > 0 else ("=" if c == 0 else "<")
-        if c > 0 and first_crossing is None:
+        rel = ">" if vb > va else ("=" if vb == va else "<")
+        if rel == ">" and first_crossing is None:
             first_crossing = p
-        if first_crossing is not None and c <= 0:
+        if first_crossing is not None and rel != ">":
             holds_after = False
         rows.append({"n": p, "f_alpha": va.as_dict(), "f_beta": vb.as_dict(), "beta_vs_alpha": rel})
     return {

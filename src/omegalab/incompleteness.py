@@ -125,11 +125,6 @@ def fas_theorems(fas: ToyFAS, budget: int) -> List[Theorem]:
     return [decode_theorem(rec, i) for i, rec in enumerate(out.value)]
 
 
-def fas_complexity_upper(fas: ToyFAS) -> int:
-    """N: the given enumerator's size in bits (an upper bound by definition)."""
-    return fas.n_bits
-
-
 # ---------------------------------------------------------------------------
 # the exhaustive elegance oracle
 
@@ -140,7 +135,7 @@ class EleganceVerdict(NamedTuple):
     exhaustive_to: int = 0
 
 
-def elegance_oracle(program_bits: BitString, budget: int = progs.WITNESS_BUDGET) -> EleganceVerdict:
+def elegance_oracle(program_bits: BitString) -> EleganceVerdict:
     """Brute-force check of "no smaller total program has the same output".
 
     Refutation needs one smaller witness; confirmation needs the sweep below
@@ -151,7 +146,7 @@ def elegance_oracle(program_bits: BitString, budget: int = progs.WITNESS_BUDGET)
         p = split_program_bits(program_bits)
     except SExprDecodeError:
         return EleganceVerdict(status="refuted", counterexample=None, output=None)
-    out = output_of(run_total(p, budget))
+    out = output_of(run_total(p, progs.WITNESS_BUDGET))
     if out is None:
         # a non-producing program is vacuously non-elegant here: it has no output
         return EleganceVerdict(status="refuted")
@@ -209,7 +204,7 @@ def elegance_ceiling_experiment(fas: ToyFAS, budget: int) -> dict:
     theorems = fas_theorems(fas, budget)
     claims = [t for t in theorems if isinstance(t, Elegant)]
     events: List[dict] = []
-    N = fas_complexity_upper(fas)
+    N = fas.n_bits
     P, T = build_berry_program(fas)
     events.append({"event": "berry_built", "threshold": T, "p_size_bits": P.size_bits})
 
@@ -303,7 +298,7 @@ def omega_bits_ceiling_experiment(fas: ToyFAS, L: Optional[int], budget: int) ->
                     "checked": checked,
                 }
             )
-    N = fas_complexity_upper(fas)
+    N = fas.n_bits
     return {
         "fas": fas.name,
         "verdict": "all-correct",

@@ -63,15 +63,10 @@ def program_from_text(text: str) -> Program:
     return Program(parse(prefix_text), bs_parse(payload))
 
 
-def subexpr_count(e: SExpr) -> int:
-    if is_atom(e):
-        return 1
-    return 1 + sum(subexpr_count(x) for x in e)
-
-
 def structural_budget(prefix: SExpr) -> int:
-    """Step budget that always suffices for a total-fragment prefix."""
-    return subexpr_count(prefix)
+    """Step budget that always suffices for a total-fragment prefix: its
+    subexpression count."""
+    return 1 if is_atom(prefix) else 1 + sum(structural_budget(x) for x in prefix)
 
 
 def run_c2(raw: BitString, budget: int) -> RunOutcome:

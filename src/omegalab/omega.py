@@ -45,46 +45,14 @@ def omega_lower_bound(ens: Ensemble) -> OmegaApprox:
     return OmegaApprox(ens, table.mass, table.contributing, table.conv_fail_mass)
 
 
-def omega_exact_capped(L: int, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> OmegaApprox:
+def omega_exact_capped(L: int) -> OmegaApprox:
     """EXACT capped halting probability of machine total at size cap L.
 
     Halting is decidable on the total fragment (the structural budget always
     suffices), so this equals the supremum over B of omega_lower_bound(total,
     L, B), reached at finite B.
     """
-    return omega_lower_bound(Ensemble("total", L, STRUCTURAL, c_cap, workers))
-
-
-def omega_double_prime(ens: Ensemble, N: int) -> dict:
-    """Sum of 2^-h_upper(encode(n)) over naturals n <= N.
-
-    Numeral convention: n is its big-endian binary expansion without leading
-    zeros, 0 is the empty string.  Built from complexity upper bounds, so it
-    is labeled an approximation from above-bounded complexities.
-    """
-    table = build_table(ens)
-    total = Dyadic.zero()
-    missing: List[int] = []
-    terms: List[dict] = []
-    for n in range(0, N + 1):
-        enc = format(n, "b") if n else ""
-        entry = table.entries.get(enc)
-        if entry is None:
-            missing.append(n)
-            continue
-        total = total + Dyadic.pow2(entry.h_upper)
-        terms.append({"n": n, "encoded": enc, "h_upper": entry.h_upper})
-    return {
-        "machine": ens.machine,
-        "N": N,
-        "L": ens.L,
-        "B": ens.B,
-        "value": str(total),
-        "value_dyadic": total,
-        "terms": terms,
-        "missing": missing,
-        "note": "built from h_upper values; a lower-style approximation from upper bounds",
-    }
+    return omega_lower_bound(Ensemble("total", L, STRUCTURAL))
 
 
 DEFAULT_GUARD = 10**8  # the oracle's step guard

@@ -439,15 +439,15 @@ def berry_driver(enum_prefix: SExpr, threshold: int) -> SExpr:
     return let(binds, ap("u", hd("z")))
 
 
-def padded_quote_enumerator(pad: int, out_bits: BitString = "00") -> SExpr:
+def padded_quote_enumerator(pad: int) -> SExpr:
     """Enumerator emitting one Elegant claim about a padded quote program.
 
-    The claimed program is (h(q((out) 0...0))) with `pad` zero atoms of
-    padding: hugely oversized for its output, yet generated here by a loop
+    The claimed program is (h(q((00) 0...0))) with `pad` zero atoms of
+    padding: hugely oversized for its output 00, yet generated here by a loop
     whose own size only grows with log(pad).  Its bit string is
-    bits("(h(q((out)") ++ pad * bits("0") ++ bits(")))").
+    bits("(h(q((00)") ++ pad * bits("0") ++ bits(")))").
     """
-    head = "(h(q((" + out_bits + ")"
+    head = "(h(q((00)"
     tail = ")))"
     append = fix(
         lam("k", lam2("x", "n", iff(eq("x", NIL), "n", cons(hd("x"), ap2("k", tl("x"), "n")))))
@@ -477,14 +477,14 @@ def _str_bits(chars: str) -> BitString:
     return "".join(CHAR_BITS[ch] for ch in chars)
 
 
-def padded_quote_program(pad: int, out_bits: BitString = "00") -> Program:
+def padded_quote_program(pad: int) -> Program:
     """The program the unsound enumerator makes its claim about."""
     from .sexpr import parse
 
-    return Program(parse("(h(q((" + out_bits + ")" + "0" * pad + ")))"), "")
+    return Program(parse("(h(q((00)" + "0" * pad + ")))"), "")
 
 
-def bundled_unsound_pad_search(threshold_of, out_bits: BitString = "00") -> int:
+def bundled_unsound_pad_search(threshold_of) -> int:
     """Least comfortable padding making the claimed program outgrow the Berry
     threshold of the very enumerator claiming it.
 
@@ -493,11 +493,11 @@ def bundled_unsound_pad_search(threshold_of, out_bits: BitString = "00") -> int:
     """
     pad = 256
     for _ in range(32):
-        T = threshold_of(padded_quote_enumerator(pad, out_bits))
-        claimed_size = padded_quote_program(pad, out_bits).size_bits
+        T = threshold_of(padded_quote_enumerator(pad))
+        claimed_size = padded_quote_program(pad).size_bits
         if claimed_size > T:
             return pad
-        pad = (T - 8 * (len(out_bits) + 10)) // 8 + 64
+        pad = (T - 8 * 12) // 8 + 64  # the claimed program has 12 characters besides its padding
     raise RuntimeError("padding search did not stabilize")
 
 

@@ -182,6 +182,17 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sexpr", "parse", "--text", "(" * 1200 + ")" * 1200],
+    ["run", "--machine", "sd", "--prefix", "(" * 1200 + ")" * 1200],
+    ["fgh", "eval", "--ordinal", "w^" * 1000 + "1", "--n", "2"],
+])
+def test_nesting_too_deep_exits_2(capsys, argv):
+    # every walk of an expression or ordinal recurses once per nesting level
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("omegalab:")
+
+
 def test_unsound_fas_exits_3(capsys):
     code, out, _ = run_cli(capsys, "fas", "omegabits", "--fas", "omega8-flipped",
                            "--budget", "1000")

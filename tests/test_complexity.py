@@ -9,19 +9,14 @@ from omegalab.bits import Dyadic
 from omegalab.complexity import (
     STRUCTURAL,
     Ensemble,
-    InexactTableError,
     algorithmic_probability,
     build_table,
-    char_complexity,
     check_chain_rule,
     check_coding,
     complexity_upper,
     enumerate_halting,
     find_elegant,
     joint_complexity,
-    mutual_information,
-    randomness_r1,
-    randomness_r2,
     relative_complexity,
 )
 from omegalab.machines import Program, output_of, run_c2, run_machine, split_program_bits
@@ -138,31 +133,6 @@ def test_c2_max_complexity_small():
             assert res.found and res.exact
             hs.append(res.h_upper)
         assert max(hs) == n + 1
-
-
-def test_randomness_r1():
-    assert randomness_r1(Ensemble("c2", 4, 10), "101")
-    assert randomness_r1(Ensemble("c2", 1, 10), "")  # degenerate: h=1 >= 0
-    with pytest.raises(InexactTableError):
-        randomness_r1(Ensemble("sd", 20, 100), "")  # sd upper bounds are never exact
-
-
-def test_randomness_r2():
-    # slack 0 on c2 picks exactly the maximal-complexity strings
-    assert randomness_r2(Ensemble("c2", 3, 10), "11", 0)
-    # monotone in slack; huge slack accepts everything
-    assert randomness_r2(Ensemble("c2", 3, 10), "11", 1)
-    assert randomness_r2(Ensemble("c2", 3, 10), "00", 3)
-
-
-def test_char_complexity():
-    res = char_complexity("a", 4, 100)
-    assert (res.h_upper, res.witness) == (4, "(qa)")
-    assert not char_complexity("a", 3, 100).found
-    assert not char_complexity("a", 0, 100).found
-    # the empty list is the one self-evaluating form
-    res = char_complexity((), 4, 100)
-    assert (res.h_upper, res.witness) == (2, "()")
 
 
 def test_total_alphabet_generates_exactly_the_l_y_free_prefixes():
@@ -330,12 +300,6 @@ def test_joint_symmetry_bound():
         assert abs(a.h_upper - b.h_upper) <= 16  # mirrored quote witnesses differ by |x|-|y| chars
 
 
-def test_mutual_information():
-    m = mutual_information(Ensemble("sd", 96, 100), "", "")
-    assert m == 2 * 16 - 72  # may be negative at desk scale; reported as-is
-    assert mutual_information(Ensemble("sd", 24, 100), "0" * 30, "") is None
-
-
 def test_relative_complexity():
     y_star = to_bits(parse("(r)")) + "0"  # a domain program with output "0"
     # aux unused: plain witnesses remain valid
@@ -445,12 +409,6 @@ def test_one_ensemble_is_one_memo_entry(monkeypatch):
     t4 = build_table(Ensemble("total", 32, STRUCTURAL, workers=4))
     assert t4 is not t and build_table.cache_info().misses == 2
     assert swept == [("total", 32, STRUCTURAL, 6, 1), ("total", 32, STRUCTURAL, 6, 4)]
-
-
-def test_mutual_information_takes_quote_witnesses():
-    # no swept prefix at c_cap=5 outputs "00"; its 56-bit quote witness does
-    m = mutual_information(Ensemble("sd", 96, 100, c_cap=5), "00", "")
-    assert isinstance(m, int)
 
 
 def _aux_loaded_sweep(L, B, c_cap, aux):

@@ -15,9 +15,7 @@ from omegalab.hierarchy import (
     fgh_eval,
     fundamental,
     nat,
-    ord_compare,
     ord_parse,
-    tower_cmp,
     tower_pow2,
 )
 
@@ -41,11 +39,11 @@ def test_parse_rejects_non_canonical():
 
 
 def test_compare_examples():
-    assert ord_compare(ord_parse("w"), ord_parse("5")) == ">"
-    assert ord_compare(ord_parse("w*2+1"), ord_parse("w*2")) == ">"
-    assert ord_compare(ord_parse("w^w"), ord_parse("w*9")) == ">"
-    assert ord_compare(ord_parse("w+3"), ord_parse("w+3")) == "="
-    assert ord_compare(ord_parse("w^2"), ord_parse("w^w")) == "<"
+    assert ord_parse("w") > ord_parse("5")
+    assert ord_parse("w*2+1") > ord_parse("w*2")
+    assert ord_parse("w^w") > ord_parse("w*9")
+    assert ord_parse("w+3") == ord_parse("w+3")
+    assert ord_parse("w^2") < ord_parse("w^w")
 
 
 def test_fundamental_examples():
@@ -83,7 +81,7 @@ def test_fgh_base_values():
 def _tower_max(vals):
     best = vals[0]
     for v in vals[1:]:
-        if tower_cmp(v, best) > 0:
+        if v > best:
             best = v
     return best
 
@@ -139,8 +137,7 @@ def test_tower_representation():
     # 2^(2^256) canonicalizes by peeling powers of two off the top
     t = tower_pow2(TowerInt.of(2**256), cap_bits=1024)
     assert (t.height, t.top) == (4, 3)
-    assert tower_cmp(TowerInt.of(10**100), t) < 0
-    assert tower_cmp(t, TowerInt(height=5, top=3)) < 0
+    assert TowerInt.of(10**100) < t < TowerInt(height=5, top=3)
     # f_5(1) = 2^(2^65536) peels down to top 0; each further step adds a 2
     assert fgh_eval(nat(5), 1) == TowerInt(height=7, top=0)
     assert fgh_eval(nat(6), 1) == TowerInt(height=8, top=0)
@@ -183,7 +180,7 @@ def test_tuple_order_is_ordinal_and_value_order():
     assert sorted(reversed(ords)) == ords
     values = [TowerInt.of(0), TowerInt.of(2**64), TowerInt(1, 65), TowerInt(1, 99), TowerInt(2, 3)]
     assert sorted(reversed(values)) == values
-    assert [tower_cmp(a, b) for a, b in zip(values, values[1:])] == [-1] * 4
+    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def _parse_rows(alphabet, max_len):

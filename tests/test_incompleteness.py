@@ -18,7 +18,6 @@ from omegalab.incompleteness import (
     diagonalize_total,
     elegance_oracle,
     elegance_ceiling_experiment,
-    fas_complexity_upper,
     fas_theorems,
     omega_bits_ceiling_experiment,
 )
@@ -56,7 +55,7 @@ def test_fas_theorems_budget_monotone():
 
 def test_fas_complexity_upper_and_padding():
     fas = bundled_sound_fas()
-    n = fas_complexity_upper(fas)
+    n = fas.n_bits
     assert n == fas.enumerator.size_bits
     # a semantically identical but longer enumerator has strictly larger N
     padded = ToyFAS(
@@ -64,13 +63,13 @@ def test_fas_complexity_upper_and_padding():
         machine=fas.machine,
     )
     assert fas_theorems(padded, 10) == fas_theorems(fas, 10)
-    assert fas_complexity_upper(padded) > n
+    assert padded.n_bits > n
 
 
 def test_empty_theorem_fas():
     empty = ToyFAS(enumerator=Program(parse("(q())"), ""), machine="total")
     assert fas_theorems(empty, 10) == []
-    assert fas_complexity_upper(empty) == 40  # 5 characters
+    assert empty.n_bits == 40  # 5 characters
 
 
 def test_elegance_oracle_verdicts():

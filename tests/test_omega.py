@@ -7,7 +7,6 @@ from omegalab.complexity import STRUCTURAL, Ensemble
 from omegalab.omega import (
     borel_normality,
     decided_halting_set,
-    omega_double_prime,
     omega_exact_capped,
     omega_lower_bound,
     oracle_halting_from_omega,
@@ -54,24 +53,6 @@ def test_double_monotonicity_grid():
         for L2, B2 in values:
             if L1 <= L2 and B1 <= B2:
                 assert values[L1, B1] <= values[L2, B2]
-
-
-def test_double_prime():
-    assert omega_double_prime(Ensemble("total", 56, STRUCTURAL), 0)["value_dyadic"] == Dyadic.pow2(16)
-    rep = omega_double_prime(Ensemble("total", 56, STRUCTURAL), 1)
-    # encode(0)="" has h=16, encode(1)="1" has h=25: 2^-16 + 2^-25 = 513/2^25
-    assert rep["value_dyadic"] == Dyadic(513, 25)
-    assert rep["missing"] == []
-    prev = Dyadic.zero()
-    for n in (0, 1, 3):
-        cur = omega_double_prime(Ensemble("total", 56, STRUCTURAL), n)["value_dyadic"]
-        assert prev <= cur
-        prev = cur
-
-
-def test_double_prime_missing_skipped():
-    rep = omega_double_prime(Ensemble("total", 24, STRUCTURAL), 3)
-    assert 2 in rep["missing"] and 3 in rep["missing"]  # "10"/"11" have no <=24-bit program
 
 
 def test_oracle_trivial_and_exact():

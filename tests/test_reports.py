@@ -147,3 +147,24 @@ def test_capped_omega_stdout_is_frozen(capsys, argv, digest):
     # frozen from the sweeps that ran every evaluable prefix, constants too
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["fas", "berry", "--fas", "sound"],
+     "374d6fdf51890c9b3bd09810b21a377881d92b3495d84c86709e4e00dfa20044"),
+    (["fas", "berry", "--fas", "unsound"],
+     "cae0727f9a0ce8cf8adb85b3325ffd55feb5c6849499fb05e2d5e24e35497a5a"),
+    (["fas", "ceiling", "--fas", "sound", "--budget", "1000000"],
+     "ccead998377e7587407ded1207c4c5b43636c18c5dd2cfb857bb012f4b0c97d1"),
+    (["fas", "omegabits", "--fas", "omega8", "--budget", "1000"],
+     "3880a2bdfd247cb8e4cd1a69529cb6d96a2f5200d22c55f234153d396636f047"),
+    (["fas", "theorems", "--fas", "unsound", "--budget", "100000"],
+     "2287ba095be7c13ee75b97cd8b8da7f0b9b285c9c9f4c5eea5126671f58c79d9"),
+    (["diag", "--n", "2"],
+     "76be029d7b2a857157654434efc2dee1c9a7bfdb56b599c2e466e3216785be5f"),
+])
+def test_fas_and_diag_stdout_is_frozen(capsys, argv, digest):
+    # frozen from the Berry, oracle, padding and diagonal reports while the
+    # oracle budget, the claim's output bits and the omega sweep were parameters
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -81,6 +81,21 @@ def test_library_has_no_unread_private_names():
     assert not found, found
 
 
+def test_every_public_library_function_has_a_caller():
+    # a public module-level function is read by name somewhere in the library,
+    # the benchmark or the acceptance criteria; one that only tests call is
+    # reached by no command and goes
+    root = Path(omegalab.__file__).parent.parent.parent
+    paths = [*(root / "src" / "omegalab").glob("*.py"), *(root / "bench").glob("*.py"),
+             root / "tests" / "test_acceptance.py"]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    found = [f"{name}:{node.lineno} {node.name}" for name, tree in _library_trees() for node in tree.body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read]
+    assert not found, found
+
+
 def _loaded_at_cli_start(modules):
     """The named modules that a fresh `from omegalab import cli` has loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [

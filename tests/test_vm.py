@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalab.complexity import gen_exprs
-from omegalab.machines import Program, run_total, subexpr_count
+from omegalab.machines import Program, run_total, structural_budget
 from omegalab.progs import LOOP
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
 from omegalab.vm import (
@@ -136,7 +136,7 @@ def test_total_fragment_structural_budget_exhaustive():
     # every l/y-free expression of print length <= 6 settles within one step
     # per subexpression (never out of budget)
     for e in gen_exprs(6, lists_only=False, alphabet=ALPHABET.replace("l", "").replace("y", "")):
-        bound = subexpr_count(e)
+        bound = structural_budget(e)
         out = eval_expr(e, bound, "0" * 8, "0" * 8)
         assert out.kind != "out_of_budget", print_sexpr(e)
         assert out.steps <= bound
@@ -157,7 +157,7 @@ def test_total_fragment_budget_randomized_larger(seed):
     e = tuple(grow(0) for _ in range(rng.randrange(0, 4)))
     if "l" in print_sexpr(e) or "y" in print_sexpr(e):
         return
-    bound = subexpr_count(e)
+    bound = structural_budget(e)
     out = eval_expr(e, bound, "01" * 8, "10" * 8)
     assert out.kind != "out_of_budget"
     assert out.steps <= bound
