@@ -2,17 +2,32 @@
 
 The function family is the exponential scale
     f_0(n) = 2^n,   f_{a+1}(n) = 2^{f_a(n)},   f_lam(n) = max_{k<=n} f_{lam[k]}(n)
-indexed by ordinals in Cantor normal form.  An Ordinal is the tuple of its
-(exponent, coefficient) terms, exponents strictly decreasing, so tuple order
-is ordinal order.  A value is a TowerInt(height, top): the exact natural top
-at height 0, else the tower 2^2^...^top of `height` twos, produced whenever
-the exact bit size would exceed cap_bits.  Towers peel the top while it is a
-power of two, so e.g. 2^(2^256) is the height-4 tower topped by 3.  Under one
-cap every tower exceeds every exact value, so tuple order is value order
-(towers are never compared across caps).  An exact value prints in decimal
-while it has at most 4,300 digits, the most Python converts to decimal text
-by default, and in hex beyond ({"exact_hex": "0x..."} in a report): hex()
-has no digit limit and takes time linear in the value's size.
+with the standard fundamental sequences (g+w^(b+1))[k] = g+w^b*k and
+(g+w^mu)[k] = g+w^(mu[k]).  An Ordinal is the tuple of its (exponent,
+coefficient) terms, exponents strictly decreasing, so tuple order is ordinal
+order.  fgh_eval, tested against this definition, uses the closed form:
+f_a(n) is 2^x applied 1 + a[w:=n] times to n; a[w:=n] puts n for w, 0^0 = 1.
+- The max is at k = n: for a limit lam and k < n, lam[k+1] reaches lam[k]
+  by steps b+1 -> b and mu -> mu[j], j <= n ([0] steps if lam = g+w^(b+1);
+  if lam = g+w^mu, mu[k+1] ->* mu[k] lifted through w^(.), index 1 lifting a
+  successor step), and no step lowers f_.(n): 2^x >= x, and the max gives
+  f_mu(n) >= f_{mu[j]}(n).
+- What is left is the slow-growing hierarchy, G_0 = 0, G_{b+1} = G_b + 1,
+  G_lam(n) = G_{lam[n]}(n), and G_a(n) = a[w:=n] by induction (Cichon and
+  Wainer, "The slow-growing and the Grzegorczyk hierarchies", JSL 48, 1983;
+  Wainer, "Slow growing versus fast growing", JSL 54, 1989).
+
+A value is a TowerInt(height, top): the exact natural top at height 0, else
+the tower 2^2^...^top of `height` twos, once the exact bit size would exceed
+cap_bits.  Towers peel the top while it is a power of two, so 2^(2^256) is
+the height-4 tower topped by 3.  Values are compared only at one n and cap,
+where each is 2^x iterated over n, so tuple order is value order; across
+bases it is not: under cap 2^20, (2, 20) is 2^(2^20) yet ranks above
+(1, 2^20+1).  An exact value prints in decimal while it has at most 4,300
+digits, the most Python converts to decimal text by default, and in hex
+beyond ({"exact_hex": "0x..."} in a report): hex() has no digit limit and
+takes time linear in the value's size.  A height prints only in decimal, so
+one of 10^4300 or more is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 DEFAULT_CAP_BITS = 2**20
 _DECIMAL_BOUND = 10**4300  # the least int of 4,301 digits
+_TOO_TALL = "f_alpha(n) is a tower of 10^4300 or more twos, too tall to print"
 
 
 class OrdinalParseError(ValueError):
@@ -47,20 +63,6 @@ class Ordinal(NamedTuple("Ordinal", [("terms", Tuple[Tuple["Ordinal", int], ...]
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
-
-    @property
-    def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero
-
-    def predecessor(self) -> "Ordinal":
-        if not self.is_successor:
-            raise ValueError("only successors have predecessors")
-        head, (exp, coeff) = self.terms[:-1], self.terms[-1]
-        return Ordinal(head if coeff == 1 else head + ((exp, coeff - 1),))
 
     def __str__(self) -> str:
         parts = []
@@ -155,24 +157,6 @@ def _exponent(s: str, i: int) -> Tuple[Ordinal, int]:
     raise OrdinalParseError(f"expected exponent at index {i}")
 
 
-def fundamental(lam: Ordinal, k: int) -> Ordinal:
-    """k-th member of the standard fundamental sequence of a limit ordinal.
-
-    (g+w)[k] = g+k; (g+w*(m+1))[k] = g+w*m+k; (g+w^(b+1))[k] = g+w^b*k;
-    (g+w^l)[k] = g+w^(l[k]) for limit l.  Recursion is on the last CNF term.
-    """
-    if not lam.is_limit:
-        raise ValueError("fundamental sequences exist only for limit ordinals")
-    head, (exp, coeff) = lam.terms[:-1], lam.terms[-1]
-    gamma = head if coeff == 1 else head + ((exp, coeff - 1),)
-    if exp.is_successor:  # w = w^(0+1), so (g+w)[k] = g+w^0*k = g+k
-        tail = ((exp.predecessor(), k),) if k else ()
-    else:
-        tail = ((fundamental(exp, k), 1),)
-    # the tail exponent is strictly below exp, hence below gamma's last exponent
-    return Ordinal(gamma + tail)
-
-
 # ---------------------------------------------------------------------------
 # tower-valued naturals
 
@@ -216,31 +200,28 @@ def tower_pow2(x: TowerInt, cap_bits: int) -> TowerInt:
     return TowerInt(height, top)
 
 
-def fgh_eval(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS,
-             _memo: Optional[dict] = None) -> TowerInt:
-    """Evaluate f_alpha(n) by the base/successor/limit rules.
+def _slow_growing(alpha: Ordinal, n: int) -> int:
+    """G_alpha(n) = alpha[w:=n], the sum of c*n^(e[w:=n]) over the terms w^e*c."""
+    total = 0
+    for exp, coeff in alpha.terms:
+        e = _slow_growing(exp, n)
+        if n > 1 and e * (n.bit_length() - 1) >= _DECIMAL_BOUND.bit_length():
+            raise ValueError(_TOO_TALL)  # n^e >= 2^(e*(bitlen(n)-1)) passes the bound
+        total += coeff * n**e
+    return total
 
-    The c successor steps of alpha = beta + c run in a loop, and once the
-    value is a tower the steps left raise its height all at once.
-    """
+
+def fgh_eval(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS) -> TowerInt:
+    """f_alpha(n): 2^x applied 1 + alpha[w:=n] times to n, the steps left once
+    the value is a tower raising its height all at once."""
     if n < 0:
         raise ValueError("n must be a natural number")
-    if _memo is None:
-        _memo = {}
-    key = (alpha, n)
-    if key in _memo:
-        return _memo[key]
-    beta, steps = alpha, 0
-    if alpha.is_successor:
-        beta, steps = Ordinal(alpha.terms[:-1]), alpha.terms[-1][1]
-    if beta.is_zero:  # f_c(n) is 2^n under c more successor steps
-        val, steps = TowerInt.of(n), steps + 1
-    else:
-        val = max(fgh_eval(fundamental(beta, k), n, cap_bits, _memo) for k in range(n + 1))
+    val, steps = TowerInt.of(n), 1 + _slow_growing(alpha, n)
     while steps and val.is_exact:
         val, steps = tower_pow2(val, cap_bits), steps - 1
-    _memo[key] = val = TowerInt(val.height + steps, val.top)
-    return val
+    if val.height + steps >= _DECIMAL_BOUND:
+        raise ValueError(_TOO_TALL)
+    return TowerInt(val.height + steps, val.top)
 
 
 def dominance_check(alpha: Ordinal, beta: Ordinal, points: List[int],
@@ -253,13 +234,12 @@ def dominance_check(alpha: Ordinal, beta: Ordinal, points: List[int],
     """
     if not alpha < beta:
         raise ValueError("dominance check requires alpha < beta")
-    memo: dict = {}
     rows = []
     first_crossing = None
     holds_after = True
     for p in sorted(points):
-        va = fgh_eval(alpha, p, cap_bits, memo)
-        vb = fgh_eval(beta, p, cap_bits, memo)
+        va = fgh_eval(alpha, p, cap_bits)
+        vb = fgh_eval(beta, p, cap_bits)
         rel = ">" if vb > va else ("=" if vb == va else "<")
         if rel == ">" and first_crossing is None:
             first_crossing = p

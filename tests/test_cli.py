@@ -388,6 +388,31 @@ def test_fgh_stdout_is_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["fgh", "eval", "--ordinal", "w^w^w^w^1", "--n", "2"],
+     "d436e433b3c25b1eec525379f117f7f09d9bd4d87d3b100fd74a115a2b7a6374"),
+    (["fgh", "eval", "--ordinal", "w^(w+1)*2+w^3+7", "--n", "3"],
+     "9a6bb1890dda132933f630e63444b9ec7fd817a8be0db09dc58ff242c4f74137"),
+    (["fgh", "eval", "--ordinal", "w^w", "--n", "5", "--cap-bits", "256"],
+     "801e3043fe15e5fd90f759e241aa9a44b3814b6a7dd7028f1a06670da87cd584"),
+    (["fgh", "dominate", "--alpha", "w^w", "--beta", "w^(w+1)", "--points", "0,1,2,3"],
+     "290b109c9539326c7bd15968fc848c6e28c21fce5b98e415823a2b7d709b1cfa"),
+])
+def test_fgh_stdout_is_frozen_across_the_closed_form(capsys, argv, digest):
+    # frozen while fgh_eval still took the limit rule's max over every k <= n
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ordinal", ["w^w^w^w^w^1", "w^(" * 400 + "1" + ")" * 400])
+def test_fgh_towers_too_tall_to_print_exit_2(capsys, ordinal):
+    # f_alpha(2) is a tower of more than 2^65536 twos, whose height has more
+    # digits than a report int may have; refused before any such power is built
+    code, out, err = run_cli(capsys, "fgh", "eval", "--ordinal", ordinal, "--n", "2")
+    assert (code, out) == (2, "") and err.startswith("omegalab:")
+
+
 def test_fgh_help_and_bad_ordinal_are_frozen(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:

@@ -13,11 +13,56 @@ from omegalab.hierarchy import (
     ZERO,
     dominance_check,
     fgh_eval,
-    fundamental,
     nat,
     ord_parse,
     tower_pow2,
 )
+
+
+def _less_one(terms):
+    """The terms of an ordinal with one w^e taken off its last term."""
+    head, (exp, coeff) = terms[:-1], terms[-1]
+    return head if coeff == 1 else head + ((exp, coeff - 1),)
+
+
+def _is_limit(a: Ordinal) -> bool:
+    return bool(a.terms) and not a.terms[-1][0].is_zero
+
+
+def fundamental(lam: Ordinal, k: int) -> Ordinal:
+    """k-th member of the standard fundamental sequence of a limit ordinal.
+
+    (g+w)[k] = g+k; (g+w*(m+1))[k] = g+w*m+k; (g+w^(b+1))[k] = g+w^b*k;
+    (g+w^l)[k] = g+w^(l[k]) for limit l.  Recursion is on the last CNF term.
+    """
+    if not _is_limit(lam):
+        raise ValueError("fundamental sequences exist only for limit ordinals")
+    gamma, exp = _less_one(lam.terms), lam.terms[-1][0]
+    if _is_limit(exp):
+        tail = ((fundamental(exp, k), 1),)
+    else:  # w = w^(0+1), so (g+w)[k] = g+w^0*k = g+k
+        tail = ((Ordinal(_less_one(exp.terms)), k),) if k else ()
+    # the tail exponent is strictly below exp, hence below gamma's last exponent
+    return Ordinal(gamma + tail)
+
+
+def _reference_fgh(alpha: Ordinal, n: int, cap_bits: int = DEFAULT_CAP_BITS, memo=None) -> TowerInt:
+    """f_alpha(n) by the definition: the c successor steps of alpha = beta + c
+    in a loop, and for a limit beta the max of f_{beta[k]}(n) over k <= n,
+    memoized per (ordinal, n); the library's closed form is checked against it."""
+    memo = {} if memo is None else memo
+    if (alpha, n) not in memo:
+        beta, steps = alpha, 0
+        if alpha.terms and not _is_limit(alpha):
+            beta, steps = Ordinal(alpha.terms[:-1]), alpha.terms[-1][1]
+        if beta.is_zero:  # f_c(n) is 2^n under c more successor steps
+            val, steps = TowerInt.of(n), steps + 1
+        else:
+            val = max(_reference_fgh(fundamental(beta, k), n, cap_bits, memo) for k in range(n + 1))
+        while steps and val.is_exact:
+            val, steps = tower_pow2(val, cap_bits), steps - 1
+        memo[alpha, n] = TowerInt(val.height + steps, val.top)
+    return memo[alpha, n]
 
 
 def test_parse_examples():
@@ -88,46 +133,73 @@ def _tower_max(vals):
 
 def test_fgh_limit_rule_matches_explicit_formulas():
     # f_w(n) = max_{k<=n} f_k(n) and f_{2w}(n) = max_{k<=n} f_{w+k}(n)
-    memo = {}
     for n in (0, 1, 2):
-        direct = _tower_max([fgh_eval(nat(k), n, _memo=memo) for k in range(n + 1)])
-        assert fgh_eval(ord_parse("w"), n, _memo=memo) == direct
+        direct = _tower_max([fgh_eval(nat(k), n) for k in range(n + 1)])
+        assert fgh_eval(ord_parse("w"), n) == direct
     for n in (0, 1, 2):
         direct = _tower_max(
-            [fgh_eval(ord_parse(f"w+{k}") if k else ord_parse("w"), n, _memo=memo)
+            [fgh_eval(ord_parse(f"w+{k}") if k else ord_parse("w"), n)
              for k in range(n + 1)]
         )
-        assert fgh_eval(ord_parse("w*2"), n, _memo=memo) == direct
+        assert fgh_eval(ord_parse("w*2"), n) == direct
 
 
 def test_fgh_successor_rule_exact():
-    memo = {}
     for alpha in ["0", "1", "2", "w", "w+1"]:
         a = ord_parse(alpha)
         for n in (0, 1, 2):
-            fa = fgh_eval(a, n, _memo=memo)
-            fs = fgh_eval(_succ(a), n, _memo=memo)
+            fa = fgh_eval(a, n)
+            fs = fgh_eval(_succ(a), n)
             if fa.is_exact and fs.is_exact:
                 assert fs.exact == 2**fa.exact
 
 
 def _succ(a: Ordinal) -> Ordinal:
-    if a.is_successor:
+    if a.terms and a.terms[-1][0].is_zero:
         exp, coeff = a.terms[-1]
         return Ordinal(a.terms[:-1] + ((exp, coeff + 1),))
     return Ordinal(a.terms + ((ZERO, 1),))
 
 
 def test_fgh_monotone_in_n_where_exact():
-    memo = {}
     for alpha in ["0", "1", "w", "w+1", "w*2"]:
         a = ord_parse(alpha)
         prev = None
         for n in range(0, 4):
-            v = fgh_eval(a, n, _memo=memo)
+            v = fgh_eval(a, n)
             if prev is not None and prev.is_exact and v.is_exact:
                 assert prev.exact < v.exact
             prev = v
+
+
+# ordinals up to two levels of exponents, and the long successor chains
+_GRID_ORDINALS = [
+    "0", "1", "2", "w", "w+1", "w+2", "w*2", "w*2+1", "w*2+2", "w^2", "w^2+1", "w^2+2",
+    "w^2+w", "w^2+w*2", "w^2*2", "w^2*2+1", "w^2*2+w", "w^2*2+w*2", "w^3", "w^3+w^2+w+1",
+    "w^3*2+w", "w^w", "w^(w+1)", "w^(w*2)", "2000", "w+2000",
+]
+_GRID_CAPS = (1, 8, 256, DEFAULT_CAP_BITS)
+
+
+def test_closed_form_equals_the_definition_on_a_grid():
+    rows = [(a, n, cap) for a in _GRID_ORDINALS for n in range(4) for cap in _GRID_CAPS]
+    assert len(rows) == 416
+    for text, n, cap in rows:
+        a = ord_parse(text)
+        assert fgh_eval(a, n, cap) == _reference_fgh(a, n, cap), (text, n, cap)
+
+
+def test_each_step_of_a_fundamental_sequence_raises_f_at_n():
+    # the lemma behind the closed form: for a limit lam and k < n,
+    # f_{lam[k]}(n) <= f_{lam[k+1]}(n), so the limit rule's max is at k = n
+    limits = ["w", "w*2", "w^2", "w^2+w", "w^3", "w^w", "w^w+w^2", "w^(w+1)", "w^(w*2)"]
+    for text in limits:
+        lam = ord_parse(text)
+        for n in range(1, 4):
+            for cap in (8, DEFAULT_CAP_BITS):
+                memo = {}
+                vals = [_reference_fgh(fundamental(lam, k), n, cap, memo) for k in range(n + 1)]
+                assert vals == sorted(vals), (text, n, cap)
 
 
 def test_tower_representation():
@@ -146,6 +218,17 @@ def test_tower_representation():
 def test_exact_values_print_in_decimal_up_to_4300_digits():
     assert TowerInt.of(10**4300 - 1).as_dict() == {"exact": 10**4300 - 1}
     assert TowerInt.of(10**4300).as_dict() == {"exact_hex": hex(10**4300)}
+
+
+def test_a_height_too_tall_to_print_is_refused():
+    # a height prints in decimal, and 10^4300 is the least int of 4,301 digits;
+    # f_w(n) is 2^x applied n + 1 times to n, a tower of n + 1 twos over n
+    n = 10**4300 - 2
+    assert fgh_eval(ord_parse("w"), n) == TowerInt(10**4300 - 1, n)
+    with pytest.raises(ValueError, match="too tall to print"):
+        fgh_eval(ord_parse("w"), n + 1)
+    with pytest.raises(ValueError, match="too tall to print"):  # before 2^(2^65536) is built
+        fgh_eval(ord_parse("w^w^w^w^w^1"), 2)
 
 
 def test_cap_bits_boundary():

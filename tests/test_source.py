@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -81,18 +82,40 @@ def test_library_has_no_unread_private_names():
     assert not found, found
 
 
+def _names_read_by_commands():
+    """Every name read, bare or as an attribute, in the library, the benchmark
+    or the acceptance criteria."""
+    root = Path(omegalab.__file__).parent.parent.parent
+    paths = [*(root / "src" / "omegalab").glob("*.py"), *(root / "bench").glob("*.py"),
+             root / "tests" / "test_acceptance.py"]
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_library_function_has_a_caller():
     # a public module-level function is read by name somewhere in the library,
     # the benchmark or the acceptance criteria; one that only tests call is
     # reached by no command and goes
-    root = Path(omegalab.__file__).parent.parent.parent
-    paths = [*(root / "src" / "omegalab").glob("*.py"), *(root / "bench").glob("*.py"),
-             root / "tests" / "test_acceptance.py"]
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    read = _names_read_by_commands()
     found = [f"{name}:{node.lineno} {node.name}" for name, tree in _library_trees() for node in tree.body
              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read]
+    assert not found, found
+
+
+def test_every_public_library_class_member_has_a_reader():
+    # the same rule for the public methods and properties of library classes;
+    # a method that overrides its base class's (cli._Parser.error) is called
+    # by the base class, not by name
+    read = _names_read_by_commands()
+    found = []
+    for name, tree in _library_trees():
+        module = importlib.import_module(f"omegalab.{name[:-3]}") if name != "__init__.py" else omegalab
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = getattr(module, cls.name).__mro__[1:]
+            found += [f"{name}:{node.lineno} {cls.name}.{node.name}" for node in cls.body
+                      if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                      and node.name not in read and not any(hasattr(b, node.name) for b in bases)]
     assert not found, found
 
 
