@@ -166,12 +166,18 @@ def _load_fas(spec: str) -> ToyFAS:
         return bundled_fas(spec)
     with open(spec) as f:
         d = json.load(f)
-    return ToyFAS(
-        enumerator=Program(parse(d["prefix"]), d.get("payload", "")),
-        machine=d.get("machine", "sd"),
-        ensemble_L=d.get("ensemble_L"),
-        name=d.get("name", spec),
-    )
+    keys = ("prefix", "payload", "machine", "ensemble_L", "name")
+    if not isinstance(d, dict) or "prefix" not in d or not d.keys() <= set(keys):
+        raise ValueError(f"formal system file {spec} must be a JSON object with a prefix and no keys "
+                         f"but {', '.join(keys)}")
+    prefix, payload, name = d["prefix"], d.get("payload", ""), d.get("name", spec)
+    machine, L = d.get("machine", "sd"), d.get("ensemble_L")
+    if not all(isinstance(v, str) for v in (prefix, payload, name)) or machine not in ("sd", "total"):
+        raise ValueError(f"formal system file {spec}: prefix, payload and name must be strings "
+                         "and machine sd or total")
+    if L is not None and (type(L) is not int or L < 0):
+        raise ValueError(f"formal system file {spec}: ensemble_L must be an int >= 0, got {L!r}")
+    return ToyFAS(Program(parse(prefix), bs_parse(payload)), machine, L, name)
 
 
 def _outcome_dict(out: vm.RunOutcome) -> dict:

@@ -33,14 +33,15 @@ to 6 characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
 Of those it runs only the runnable ones (_runnable).  The constants, (q X)
 and on sd (l p X), halt in one step, read no payload and no aux, and return
 X or a closure; they are almost every evaluable prefix above 7 characters.
-A constant whose value converts to an output (X a 0/1 atom, a flat bit list,
-or a list of two flat bit lists: about 2^(n-5) of n characters) gets its
-record in closed form.  Every other constant is only counted, per print
-length, by a counting recursion over expressions (counted_constants):
-build_table folds the counts into mass, conv_fail_mass and contributing,
-and enumerate_halting lists them only when called.  Constants halt at any
-B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16 sd and 12
-total prefixes.
+One memoized split per print length (_split_constants) decides them all: the
+constants whose value converts to an output (X a 0/1 atom, a flat bit list,
+or a list of two flat bit lists: about 2^(n-5) of n characters) get their
+records in closed form, and every other constant is only counted, by a
+counting recursion over expressions.  build_table folds the counts
+(counted_constants) into mass, conv_fail_mass and contributing, and
+enumerate_halting lists the counted constants only when called.  Constants
+halt at any B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16
+sd and 12 total prefixes.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
 On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
@@ -59,15 +60,16 @@ partitioned across workers by prefix range gives every table identically.
 An Ensemble (machine, L, B, c_cap, workers) names one capped program ensemble
 and is the one place these inputs are checked; every sweep-derived function
 takes one, and build_table is memoized on it.  explicit_records alone runs
-sweeps.  It keeps the last few in a store keyed by an ensemble's (machine,
-c_cap, workers) and serves its (L, B, aux) from a stored (L_s >= L, B_s >= B)
-by projection: the records with size_bits <= L, steps <= B and aux_read a
-prefix of aux (of "" when aux is None), in order.  This is exact: evaluation
-is deterministic, a budget only cuts a run short, and each shorter payload or
-aux of a halting run underran before its last step.  On total the store
-sweeps at STRUCTURAL and serves every integer B.  Tables, capped omega,
-both oracles, relative complexity and every report derive from the store
-and the counts.
+sweeps.  Its store holds one sweep per key, an ensemble's (machine, c_cap,
+workers), and serves the ensemble's (L, B, aux) from the stored (L_s >= L,
+B_s >= B) by projection: the records with size_bits <= L, steps <= B and
+aux_read a prefix of aux (of "" when aux is None), in order.  This is exact:
+evaluation is deterministic, a budget only cuts a run short, and each shorter
+payload or aux of a halting run underran before its last step.  A request
+the stored sweep cannot serve (L_s < L or B_s < B) is swept and replaces it.
+On total the store sweeps at STRUCTURAL and serves every integer B.  Tables,
+capped omega, both oracles, relative complexity and every report derive from
+the store and the counts.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, SExpr, print_sexpr, to_bits
-from . import machines, vm
+from . import machines, progs, vm
 from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
 
 DEFAULT_CHAR_CAP = 6
@@ -191,39 +193,29 @@ def _count_exprs(n: int, atoms: int) -> int:
     return atoms if n == 1 else _count_seqs(n - 2, atoms) if n >= 2 else 0
 
 
-def _quoted_outputs(n: int) -> List[SExpr]:
-    """The X that make (q X) print to n characters and convert to an output:
-    a 0/1 atom, a flat bit list, or a list of two flat bit lists."""
+@lru_cache(maxsize=None)
+def _split_constants(n: int, alphabet: str) -> Tuple[Tuple[HaltRecord, ...], int]:
+    """The constants of print length n: the records of the (q X) whose value
+    converts to an output (X a 0/1 atom, a flat bit list, or a list of two
+    flat bit lists), and the count of the others, every (q X) and (l p X) left."""
     def bit_lists(m):  # the flat bit lists printing to m characters
         return list(itertools.product("01", repeat=m - 2)) if m >= 2 else []
 
     m = n - 3
-    return ((list("01") if m == 1 else bit_lists(m))
-            + [(a, b) for k in range(2, m - 3) for a in bit_lists(k) for b in bit_lists(m - 2 - k)])
-
-
-def _converting_records(n: int) -> List[HaltRecord]:
-    """The records of the constants of print length n whose value converts."""
-    records = []
-    for x in _quoted_outputs(n):
-        out = vm.RunOutcome(vm.HALTED, value=x, steps=1)
-        records.append(HaltRecord(to_bits(("q", x)), output_of(out), pair_output_of(out), 1, 8 * n))
-    return records
-
-
-@lru_cache(maxsize=None)
-def _count_counted(n: int, alphabet: str) -> int:
-    """The constants of print length n whose value converts to no output: every
-    (q X) and (l p X) but the (q X) of _quoted_outputs."""
+    quoted = ((list("01") if m == 1 else bit_lists(m))
+              + [(a, b) for k in range(2, m - 3) for a in bit_lists(k) for b in bit_lists(m - 2 - k)])
+    outs = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in quoted]
+    records = tuple(HaltRecord(to_bits(("q", out.value)), output_of(out), pair_output_of(out), 1, 8 * n)
+                    for out in outs)
     lambdas = len(_params(1, alphabet)) if "l" in alphabet else 0
     atoms = len(alphabet)
-    return _count_exprs(n - 3, atoms) + lambdas * _count_exprs(n - 4, atoms) - len(_quoted_outputs(n))
+    return records, _count_exprs(n - 3, atoms) + lambdas * _count_exprs(n - 4, atoms) - len(records)
 
 
 def _counted_records(n: int, alphabet: str) -> List[HaltRecord]:
     """The counted constants of print length n as records, in program-bits order."""
-    quoted = set(_quoted_outputs(n))
-    bits = sorted(to_bits(p) for p in _constants(n, alphabet) if p[0] == "l" or p[1] not in quoted)
+    converting = {r.program_bits for r in _split_constants(n, alphabet)[0]}
+    bits = sorted(b for b in map(to_bits, _constants(n, alphabet)) if b not in converting)
     return [HaltRecord(b, None, None, 1, 8 * n) for b in bits]
 
 
@@ -312,18 +304,11 @@ class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", objec
         return tuple.__new__(cls, (machine, L, B, c_cap, workers))
 
 
-_STORE_SIZE = 8
-_store: List[Tuple[Ensemble, List[HaltRecord]]] = []  # least recently used first
+_store: Dict[Tuple[str, int, int], Tuple[Ensemble, List[HaltRecord]]] = {}  # one sweep per store key
 
 
 def _covers(B_s, B) -> bool:
     return B_s == STRUCTURAL or (B != STRUCTURAL and B_s >= B)
-
-
-def _serves(s: Ensemble, ens: Ensemble) -> bool:
-    """A sweep of s holds every record of ens: same store key, L and B at least ens's."""
-    return ((s.machine, s.c_cap, s.workers) == (ens.machine, ens.c_cap, ens.workers)
-            and s.L >= ens.L and _covers(s.B, ens.B))
 
 
 def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
@@ -340,15 +325,11 @@ def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[Ha
 def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
     """enumerate_halting(ens, aux) without the counted constants, served from
     the sweep store (module docstring); the list is the caller's."""
-    hit = next((s for s in _store if _serves(s[0], ens)), None)
-    if hit is None:
+    key = (ens.machine, ens.c_cap, ens.workers)
+    hit = _store.get(key)
+    if hit is None or hit[0].L < ens.L or not _covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
         swept = Ensemble("total", ens.L, STRUCTURAL, ens.c_cap, ens.workers) if ens.machine == "total" else ens
-        hit = (swept, _sweep(swept.machine, swept.L, swept.B, swept.c_cap, swept.workers))
-        _store[:] = [s for s in _store if not _serves(swept, s[0])]
-    else:
-        _store.remove(hit)
-    _store.append(hit)
-    del _store[:-_STORE_SIZE]
+        hit = _store[key] = (swept, _sweep(*swept))
     y = aux or ""
     return [r for r in hit[1] if r.size_bits <= ens.L and (ens.B == STRUCTURAL or r.steps <= ens.B)
             and y.startswith(r.aux_read)]
@@ -364,7 +345,7 @@ def counted_constants(ens: Ensemble) -> Dict[int, int]:
     if ens.machine == "c2" or not _covers(ens.B, 1):
         return {}
     alphabet = _ALPHABETS[ens.machine]
-    return {n: _count_counted(n, alphabet) for n in range(4, min(ens.c_cap, ens.L // 8) + 1)}
+    return {n: _split_constants(n, alphabet)[1] for n in range(4, min(ens.c_cap, ens.L // 8) + 1)}
 
 
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
@@ -404,7 +385,7 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     records = list(itertools.chain.from_iterable(parts))
     if _covers(B, 1):  # the constants that convert, in closed form
         for n in lengths:
-            records += _converting_records(n)
+            records += _split_constants(n, alphabet)[0]
     records.sort(key=_order)  # the only order
     return records
 
@@ -521,8 +502,6 @@ def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = Fa
     if entry is not None:
         cands.append((entry.h_upper, entry.witness, "sweep"))
     if include_constructed and ens.machine in machines.SELF_DELIMITING:
-        from . import progs
-
         qp = progs.quote_program(x)
         if qp.size_bits <= ens.L and progs.verify_output(ens.machine, qp, x):
             cands.append((qp.size_bits, qp.bits, "quote"))
@@ -559,8 +538,6 @@ def _best(cands: List[Tuple[int, BitString, str]]) -> ComplexityResult:
 
 def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityResult:
     """Upper bound on the pair complexity H(x,y), with its witness program."""
-    from . import progs
-
     if ens.machine not in machines.SELF_DELIMITING:
         raise ValueError("joint complexity is defined on the self-delimiting machines here")
     cands: List[Tuple[int, BitString, str]] = []
@@ -575,8 +552,6 @@ def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityRes
 
 def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> ComplexityResult:
     """Upper bound on H(x | y*): aux channel loaded with y_star, output x."""
-    from . import progs
-
     machine, L = ens.machine, ens.L
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("relative complexity is defined on the self-delimiting machines here")
@@ -642,9 +617,7 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     h(x) + h(y|x*) + K is built from the two witnesses, executed, and checked
     to output the pair, so h(x,y) <= h(x) + h(y|x*) + K stands on a run.
     """
-    from . import progs
-
-    composer = progs.pair_composer(with_aux=True)
+    composer = progs.pair_composer()
     K = 8 * len(print_sexpr(composer))
     rows = []
     skipped = []

@@ -34,6 +34,7 @@ from .machines import (
     split_program_bits,
     structural_budget,
 )
+from .omega import omega_exact_capped
 from .progs import berry_driver
 from . import progs
 from .sexpr import SExprDecodeError
@@ -273,8 +274,6 @@ def omega_bits_ceiling_experiment(fas: ToyFAS, L: Optional[int], budget: int) ->
     capped value.  Any wrong bit aborts with its index.  Reports the count of
     correct bits next to N, the system's size.
     """
-    from .omega import omega_exact_capped
-
     ensemble_L = L if L is not None else fas.ensemble_L
     if ensemble_L is None:
         raise ValueError("omega-bit claims need the capped ensemble size L")
@@ -396,15 +395,16 @@ def bundled_unsound_fas() -> ToyFAS:
 
     The padding is chosen so the claimed program is strictly larger than the
     Berry threshold of the very system making the claim (iterated to a fixed
-    point, since the threshold moves with the enumerator's own size).
+    point from 256, since the threshold moves with the enumerator's own size).
     """
-    pad = progs.bundled_unsound_pad_search(
-        lambda enum_prefix: build_berry_program(
-            ToyFAS(enumerator=Program(enum_prefix, ""), machine="sd", name="unsound-elegance")
-        )[1]
-    )
-    enum = Program(progs.padded_quote_enumerator(pad), "")
-    return ToyFAS(enumerator=enum, machine="sd", name="unsound-elegance")
+    pad = 256
+    for _ in range(32):
+        fas = ToyFAS(Program(progs.padded_quote_enumerator(pad), ""), "sd", name="unsound-elegance")
+        T = build_berry_program(fas)[1]
+        if progs.padded_quote_program(pad).size_bits > T:
+            return fas
+        pad = (T - 8 * 12) // 8 + 64  # the claimed program has 12 characters besides its padding
+    raise RuntimeError("padding search did not stabilize")
 
 
 def bundled_omega_fas(L: int = 24, nbits: int = 8, flip_index: Optional[int] = None) -> ToyFAS:
@@ -412,8 +412,6 @@ def bundled_omega_fas(L: int = 24, nbits: int = 8, flip_index: Optional[int] = N
 
     flip_index builds the deliberately wrong variant with that bit inverted.
     """
-    from .omega import omega_exact_capped
-
     exact = omega_exact_capped(L)
     bits = dyadic_bits(exact.value, nbits)
     claims = []

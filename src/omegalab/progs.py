@@ -7,10 +7,10 @@ programs, so those programs have to exist as real expressions:
                   payload, runs each, and outputs the pair of their outputs.
                   Concatenating two witnesses behind it is a valid pair
                   program with no separator, which is the whole point of
-                  self-delimiting prefixes.  The with_aux variant records the
-                  first program's bits while reading them and serves them to
-                  the second program's aux reads, realizing "given a minimal
-                  program for x for free".
+                  self-delimiting prefixes.  It records the first program's
+                  bits while reading them and serves them to the second
+                  program's aux reads, realizing "given a minimal program
+                  for x for free"; a second program may read no aux.
   replay_prefix   reads one self-delimiting program from the aux channel,
                   runs it, and returns its value: a constant-size witness
                   that H(x | x*) does not grow with x.
@@ -57,7 +57,7 @@ from typing import Optional
 
 from .bits import BitString
 from .machines import Program, output_of, pair_output_of, run_machine
-from .sexpr import CHAR_BITS, SExpr
+from .sexpr import CHAR_BITS, SExpr, parse
 from .vm import PRIMS
 
 # step budgets: one verified witness run, and one guest run of a program that
@@ -375,37 +375,24 @@ def _interpreter() -> list:
 # -- assembled programs -----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def pair_composer(with_aux: bool) -> SExpr:
+def pair_composer() -> SExpr:
     """Fixed prefix turning payload = bits(P1) ++ bits(P2) into the pair program.
 
-    with_aux=True additionally feeds P1's bits (recorded while reading them)
-    to P2's aux reads, so the composed payload realizes x* ++ p_{y|x*}.
+    P1's bits, recorded while reading them, feed P2's aux reads, so the
+    composed payload realizes x* ++ p_{y|x*}; a P2 reading no aux ignores them.
     """
-    helper_binds = _interpreter() + [("b", _wrap_bits())]
-    if with_aux:
-        helper_binds.append(("o", _reverse()))
-        src1 = SRC_PAYLOAD_REC
-    else:
-        src1 = SRC_PAYLOAD
-    run1 = [
-        ("f", src1),
+    binds = _interpreter() + [
+        ("b", _wrap_bits()),
+        ("o", _reverse()),
+        ("f", SRC_PAYLOAD_REC),
         ("d", ap2("v", "f", NIL)),  # (ast1 state1)
         ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),  # (val1 st)
+        ("n", ap2("o", hd(hd(tl("g"))), NIL)),  # x* bits, reading order restored
+        ("j", SRC_PAYLOAD),
+        ("k", ap2("v", "j", NIL)),
+        ("x", ap2(ap2("m", "j", SRC_LIST), hd("k"), pair2(hd(tl("k")), "n"))),
     ]
-    if with_aux:
-        run2 = [
-            ("n", ap2("o", hd(hd(tl("g"))), NIL)),  # x* bits, reading order restored
-            ("j", SRC_PAYLOAD),
-            ("k", ap2("v", "j", NIL)),
-            ("x", ap2(ap2("m", "j", SRC_LIST), hd("k"), pair2(hd(tl("k")), "n"))),
-        ]
-    else:
-        run2 = [
-            ("k", ap2("v", "f", NIL)),
-            ("x", ap2(ap2("m", "f", SRC_NONE), hd("k"), pair2(hd(tl("k")), NIL))),
-        ]
-    body = pair2(ap("b", hd("g")), ap("b", hd("x")))
-    return let(helper_binds + run1 + run2, body)
+    return let(binds, pair2(ap("b", hd("g")), ap("b", hd("x"))))
 
 
 @lru_cache(maxsize=None)
@@ -479,26 +466,7 @@ def _str_bits(chars: str) -> BitString:
 
 def padded_quote_program(pad: int) -> Program:
     """The program the unsound enumerator makes its claim about."""
-    from .sexpr import parse
-
     return Program(parse("(h(q((00)" + "0" * pad + ")))"), "")
-
-
-def bundled_unsound_pad_search(threshold_of) -> int:
-    """Least comfortable padding making the claimed program outgrow the Berry
-    threshold of the very enumerator claiming it.
-
-    The threshold moves (logarithmically) with the pad numeral embedded in
-    the enumerator, so iterate to a fixed point.
-    """
-    pad = 256
-    for _ in range(32):
-        T = threshold_of(padded_quote_enumerator(pad))
-        claimed_size = padded_quote_program(pad).size_bits
-        if claimed_size > T:
-            return pad
-        pad = (T - 8 * 12) // 8 + 64  # the claimed program has 12 characters besides its padding
-    raise RuntimeError("padding search did not stabilize")
 
 
 # -- host-side construction helpers -----------------------------------------

@@ -208,6 +208,45 @@ def test_fas_theorems_command(capsys):
     assert len(res["theorems"]) == 7 and res["theorems"][0]["kind"] == "elegant"
 
 
+def test_formal_system_file_round_trip(capsys, tmp_path):
+    # the bundled omega8 system written out with every key gives its report
+    from omegalab.incompleteness import bundled_fas
+    from omegalab.sexpr import print_sexpr
+
+    omega8 = bundled_fas("omega8")
+    path = tmp_path / "omega8.json"
+    path.write_text(json.dumps({"prefix": print_sexpr(omega8.enumerator.prefix), "payload": "",
+                                "machine": "total", "ensemble_L": 24, "name": omega8.name}))
+    reports = [report(run_cli(capsys, "fas", "omegabits", "--fas", fas, "--budget", "1000")[1])
+               for fas in ("omega8", str(path))]
+    assert reports[0] == reports[1] and reports[0]["verdict"] == "all-correct"
+    # the defaults: machine sd, no ensemble, the file as the name; the payload is read
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"prefix": "(c(c(qe)(c(r)(q())))(q()))", "payload": "1"}))
+    code, out, _ = run_cli(capsys, "fas", "theorems", "--fas", str(path), "--budget", "100")
+    assert code == 0 and report(out) == {"fas": str(path), "n_bits": 209, "budget": 100,
+                                         "theorems": [{"kind": "elegant", "program_bits": "1"}]}
+
+
+@pytest.mark.parametrize("action, fas", [
+    ("theorems", [{"prefix": "(q())"}]),  # not an object
+    ("theorems", {"payload": "01"}),  # no prefix
+    ("theorems", {"prefix": "(q())", "machin": "total"}),  # an unknown key
+    ("theorems", {"prefix": "(h(c(q())(c(r)(q()))))", "payload": "x"}),  # payload not bits: (r) read x
+    ("theorems", {"prefix": "(q())", "payload": 1}),
+    ("theorems", {"prefix": ["(q())"]}),
+    ("theorems", {"prefix": "(q())", "machine": "c2"}),
+    ("omegabits", {"prefix": "(q())", "ensemble_L": "abc"}),
+    ("omegabits", {"prefix": "(q())", "ensemble_L": -1}),
+    ("omegabits", {"prefix": "(q())", "ensemble_L": True}),
+])
+def test_bad_formal_system_file_exits_2(capsys, tmp_path, action, fas):
+    path = tmp_path / "fas.json"
+    path.write_text(json.dumps(fas))
+    code, out, err = run_cli(capsys, "fas", action, "--fas", str(path), "--budget", "100")
+    assert (code, out) == (2, "") and err.startswith("omegalab: "), err
+
+
 def test_config_file_merges(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"ordinal": "w", "n": 2}))
@@ -345,7 +384,7 @@ def test_omega_oracle_sweeps_once_for_any_workers(capsys, monkeypatch):
         swept.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     monkeypatch.setattr(omega, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     code, out, _ = run_cli(capsys, "omega", "oracle", "--L", "40", "--k", "12", "--workers", "2")

@@ -236,16 +236,16 @@ def test_class_sweep_equals_a_full_sweep():
 
 def test_constant_counts_equal_the_generated_constants():
     from omegalab import vm
-    from omegalab.complexity import (_constants, _converting_records, _count_counted, _count_exprs,
-                                     _counted_records, _exprs_exact, _quoted_outputs)
+    from omegalab.complexity import _constants, _count_exprs, _counted_records, _exprs_exact, _split_constants
     from omegalab.machines import pair_output_of
 
     # an X with an atom other than 0 and 1 never converts, so a third atom
     # stands for all of them; pairs first fit at 9 characters, (q(()()))
     for n in range(4, 13):
         values = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in _exprs_exact(n - 3, "01a")]
-        assert sorted(map(str, _quoted_outputs(n))) == sorted(
-            str(out.value) for out in values if output_of(out) is not None or pair_output_of(out) is not None), n
+        assert sorted(r.program_bits for r in _split_constants(n, ALPHABET)[0]) == sorted(
+            to_bits(("q", out.value)) for out in values
+            if output_of(out) is not None or pair_output_of(out) is not None), n
     for alphabet in (ALPHABET, _TOTAL_ALPHABET):
         for n in range(1, 6):
             assert _count_exprs(n, len(alphabet)) == len(_exprs_exact(n, alphabet)), (alphabet, n)
@@ -257,9 +257,10 @@ def test_constant_counts_equal_the_generated_constants():
                 assert out.halted and out.steps == 1, prefix
                 rec = (to_bits(prefix), output_of(out), pair_output_of(out), 1, 8 * n, "")
                 (counted if rec[1] is None and rec[2] is None else converting).append(rec)
-            assert _count_counted(n, alphabet) == len(counted), (alphabet, n)
+            records, count = _split_constants(n, alphabet)
+            assert count == len(counted), (alphabet, n)
             assert [tuple(r) for r in _counted_records(n, alphabet)] == sorted(counted), (alphabet, n)
-            assert sorted(tuple(r) for r in _converting_records(n)) == sorted(converting), (alphabet, n)
+            assert sorted(tuple(r) for r in records) == sorted(converting), (alphabet, n)
 
 
 @pytest.mark.parametrize("machine, B", [("sd", 10**4), ("sd", 1), ("total", STRUCTURAL), ("total", 0)])
@@ -271,10 +272,10 @@ def test_counted_fold_equals_a_materialized_sweep(monkeypatch, machine, B):
     ens = Ensemble(machine, 63, B, 7)
     full = _full_sweep(machine, 63, B, 7, evaluable_only=True)
     assert _swept(machine, 63, B, 7) == full
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     counted = build_table.__wrapped__(ens)
     assert enumerate_halting(ens) == [r for r in full if r.aux_read == ""]
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     monkeypatch.setattr(complexity, "_sweep", lambda *args: full)
     monkeypatch.setattr(complexity, "counted_constants", lambda ens: {})
     folded = build_table.__wrapped__(ens)
@@ -357,13 +358,13 @@ def test_check_chain_rule_takes_h_x_from_quote_witness():
 def _composer_text():
     from omegalab.sexpr import print_sexpr
 
-    return print_sexpr(progs.pair_composer(with_aux=True))
+    return print_sexpr(progs.pair_composer())
 
 
 def test_subadditivity_via_plain_composer():
     # h(x,y) <= h(x) + h(y) + K2: witnesses concatenate behind the fixed prefix
     table = build_table(Ensemble("sd", 56, 10**4))
-    comp = progs.pair_composer(with_aux=False)
+    comp = progs.pair_composer()
     K2 = 8 * len(_print(comp))
     for x, y in [("", "0"), ("1", "1"), ("0", "1")]:
         wx = table.entries[x].witness
@@ -389,8 +390,9 @@ def test_table_determinism_and_workers():
 
 def test_one_ensemble_is_one_memo_entry(monkeypatch):
     # however its defaults are written, one ensemble is one table; workers
-    # stays in the memo and store keys, so criterion 12's workers=4 reports
-    # come from a parallel sweep, not from the workers=1 tables
+    # stays in the memo and store keys, so a workers=4 report is never served
+    # from a workers=1 table (criterion 12's sweeps, at c_cap <= 6, are too
+    # small to fork a pool: test_parallel_sweep_equals_the_serial_one forks one)
     from omegalab import complexity
 
     sweep = complexity._sweep
@@ -400,7 +402,7 @@ def test_one_ensemble_is_one_memo_entry(monkeypatch):
         swept.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     build_table.cache_clear()
     t = build_table(Ensemble("total", 32, STRUCTURAL))
@@ -409,6 +411,31 @@ def test_one_ensemble_is_one_memo_entry(monkeypatch):
     t4 = build_table(Ensemble("total", 32, STRUCTURAL, workers=4))
     assert t4 is not t and build_table.cache_info().misses == 2
     assert swept == [("total", 32, STRUCTURAL, 6, 1), ("total", 32, STRUCTURAL, 6, 4)]
+
+
+@pytest.mark.parametrize("machine, B, count", [("sd", 10**4, 1847), ("total", STRUCTURAL, 764)])
+def test_parallel_sweep_equals_the_serial_one(monkeypatch, machine, B, count):
+    # up to 7 characters 134 sd and 92 total prefixes are runnable, past the
+    # 64 above which a sweep with workers > 1 forks a pool
+    import multiprocessing
+    from omegalab import complexity
+
+    get_context = multiprocessing.get_context
+    forked = []
+
+    def spy(method):
+        forked.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    monkeypatch.setattr(complexity, "_store", {})
+    tables = [build_table.__wrapped__(Ensemble(machine, 63, B, 7, workers)) for workers in (1, 2)]
+    assert forked == ["fork"]
+    serial, parallel = (complexity._store[machine, 7, workers][1] for workers in (1, 2))
+    assert parallel == serial
+    serial, parallel = (enumerate_halting(Ensemble(machine, 63, B, 7, workers)) for workers in (1, 2))
+    assert len(serial) == count and parallel == serial and forked == ["fork"]
+    assert tables[0]._replace(ens=None) == tables[1]._replace(ens=None)
 
 
 def _aux_loaded_sweep(L, B, c_cap, aux):
@@ -450,7 +477,7 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
         swept.append(args[:3])
         return sweep_direct(*args)
 
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     monkeypatch.setattr(complexity, "_sweep", sweep)
     y_star = to_bits(parse("(r)")) + "0"
     enumerate_halting(Ensemble("sd", 24, 10**4))
@@ -474,6 +501,8 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     # a projection is a fresh list the caller may change
     enumerate_halting(Ensemble("sd", 40, 10**4)).clear()
     assert enumerate_halting(Ensemble("sd", 40, 10**4)) == direct("sd", 40, 10**4, 6)
+    # one sweep per (machine, c_cap, workers): each sd sweep at c_cap 6 replaced the one before
+    assert len(complexity._store) == 3
 
 
 def test_aux_readers_are_found_on_demand():
@@ -498,7 +527,7 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
         swept.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     monkeypatch.setattr(complexity, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     pairs = [("", ""), ("0", "1"), ("1", "0"), ("00", "1")]

@@ -118,7 +118,7 @@ def test_kraft_check_raises_on_fabricated_records(monkeypatch):
     # "0", "1" and "00" are not prefix-free: their Kraft sum is 5/4
     fake = [HaltRecord("0", "", None, 1, 1), HaltRecord("1", "1", None, 1, 1),
             HaltRecord("00", None, None, 1, 2)]
-    monkeypatch.setattr(complexity, "_store", [])
+    monkeypatch.setattr(complexity, "_store", {})
     monkeypatch.setattr(complexity, "_sweep", lambda *args: list(fake))
     monkeypatch.setattr(omega, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     with pytest.raises(InvariantError, match="Kraft"):

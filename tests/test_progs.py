@@ -52,7 +52,7 @@ def test_quote_programs():
 
 
 def test_plain_composer_on_simple_witnesses():
-    comp = pair_composer(with_aux=False)
+    comp = pair_composer()
     for (w1, x), (w2, y) in [
         ((to_bits(parse("()")), ""), (to_bits(parse("()")), "")),
         ((to_bits(parse("(r)")) + "0", "0"), (to_bits(parse("(q(01))")), "01")),
@@ -66,7 +66,7 @@ def test_composed_equals_host_on_whole_small_domain():
     # cross-validate the guest interpreter against the host machine on every
     # domain program up to 33 bits (paired with the empty-output program)
     empty = to_bits(parse("()"))
-    comp = pair_composer(with_aux=False)
+    comp = pair_composer()
     for rec in enumerate_halting(Ensemble("total", 33, STRUCTURAL, c_cap=4)):
         if rec.output is None:
             continue
@@ -75,7 +75,7 @@ def test_composed_equals_host_on_whole_small_domain():
 
 
 def test_aux_composer_feeds_first_program_bits():
-    comp = pair_composer(with_aux=True)
+    comp = pair_composer()
     w1 = to_bits(parse("(r)")) + "0"
     # the second program reads two aux bits: the first two bits of w1 ("00")
     p2 = to_bits(parse("(c(s)(c(s)(q())))"))
@@ -131,10 +131,10 @@ def test_length_test_equals_the_host():
 
 def test_composer_is_a_fixed_prefix():
     # sizes are measured constants: stable across calls
-    k1 = 8 * len(print_sexpr(pair_composer(with_aux=True)))
-    k2 = 8 * len(print_sexpr(pair_composer(with_aux=True)))
+    k1 = 8 * len(print_sexpr(pair_composer()))
+    k2 = 8 * len(print_sexpr(pair_composer()))
     assert k1 == k2
-    assert split_program_bits(Program(pair_composer(False), "").bits).prefix == pair_composer(False)
+    assert split_program_bits(Program(pair_composer(), "").bits).prefix == pair_composer()
 
 
 def test_lam_rejects_bad_parameters():
@@ -215,9 +215,8 @@ def test_guest_errors_fault_fast():
     # a second witness that faults on the host faults in the guest too,
     # instead of running the composed program out of its budget
     w1, w2 = to_bits(parse("()")), to_bits(parse("(h())"))
-    for with_aux in (False, True):
-        out = run_sd(Program(pair_composer(with_aux), w1 + w2), GUEST_BUDGET)
-        assert out.kind == "faulted" and out.steps < 10**4
+    out = run_sd(Program(pair_composer(), w1 + w2), GUEST_BUDGET)
+    assert out.kind == "faulted" and out.steps < 10**4
 
 
 # sizes in bits of the guest programs that carry the paper's constants:
@@ -227,7 +226,7 @@ FROZEN_GUEST_CONSTANTS = {"K": 11376, "T_sound": 14744, "T_unsound": 15160}
 
 def test_frozen_guest_constants():
     sizes = {
-        "K": 8 * len(print_sexpr(pair_composer(with_aux=True))),
+        "K": 8 * len(print_sexpr(pair_composer())),
         "T_sound": build_berry_program(bundled_sound_fas())[1],
         "T_unsound": build_berry_program(bundled_unsound_fas())[1],
     }

@@ -128,6 +128,27 @@ def _loaded_at_cli_start(modules):
     return out.stdout
 
 
+def test_no_function_imports_a_module_loaded_at_cli_start():
+    # an import inside a function defers only a module that the CLI has not
+    # loaded at start (multiprocessing, fractions, csv, hierarchy); for any
+    # other module it saves nothing and costs a lookup on every call
+    sites = set()
+    for name, tree in _library_trees():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Import):
+                    sites |= {(f"{name}:{node.lineno}", alias.name) for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):  # `from . import progs` imports omegalab.progs
+                    package = "omegalab." if node.level else ""
+                    sites |= ({(f"{name}:{node.lineno}", package + node.module)} if node.module else
+                              {(f"{name}:{node.lineno}", package + alias.name) for alias in node.names})
+    loaded = ast.literal_eval(_loaded_at_cli_start({module for _, module in sites}))
+    found = sorted(f"{site} {module}" for site, module in sites if module in loaded)
+    assert not found, found
+
+
 def test_cli_start_imports_neither_multiprocessing_nor_fractions():
     # only a sweep with --workers > 1 needs multiprocessing and only
     # `normality` needs fractions; every other command starts without them

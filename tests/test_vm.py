@@ -331,8 +331,8 @@ def _guest_runs():
     from omegalab.incompleteness import build_berry_program, bundled_fas
 
     w1, w2 = to_bits(parse("(r)")) + "0", to_bits(parse("(c(s)(c(s)(q())))"))
-    yield progs.pair_composer(False), w1 + to_bits(parse("(q(01))")), None
-    yield progs.pair_composer(True), w1 + w2, None
+    yield progs.pair_composer(), w1 + to_bits(parse("(q(01))")), None
+    yield progs.pair_composer(), w1 + w2, None
     yield progs.replay_prefix(), "", to_bits(parse("(c(r)(q()))")) + "1"
     for name in ("sound", "unsound"):
         P, _ = build_berry_program(bundled_fas(name))
