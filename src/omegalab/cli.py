@@ -7,6 +7,11 @@ recomputes, so identical configs give byte-identical reports.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 experiment abort
 (unsound formal system).
+
+A plain command line (the command, its positionals, then its flags spelled in
+full, each once with one value) is read straight from COMMANDS.  Anything
+else (--help, --version, --config, an abbreviation, --flag=value, a usage
+error) goes to argparse, with the same texts and exits.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import __version__, complexity, incompleteness, machines, omega, reports, vm
@@ -112,7 +118,8 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     """The top parser with the sub-parser of `command` alone, or of every
     command when `command` names none (top-level help, errors, --version).
     Usage lines and each sub-parser's help are the same either way."""
-    top = _Parser(prog="omegalab", description=__doc__)
+    # the docstring's last paragraph is about this module's code, not for --help
+    top = _Parser(prog="omegalab", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--version", action="version", version=f"omegalab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
     if command in COMMANDS:
@@ -136,8 +143,6 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     anything on the command line wins.  A key the command has no flag for is
     an error.  Each value is read as the text of its flag, through the flag's
     own type and choices."""
-    if not getattr(args, "config", None):
-        return args
     with open(args.config) as f:
         conf = json.load(f)
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -159,6 +164,60 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         defaults[attr] = value
     command.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would give for a plain argv, read straight from
+    COMMANDS; None for any other argv, which argparse then reads.
+
+    Plain: a command, its positionals in declared order, then its flags
+    spelled in full, each at most once and followed by one value that does
+    not start with '-', and at most one of --json/--csv where declared.  Each
+    value goes through its flag's type and choices; a flag not given gets its
+    default, a str default through the type, as argparse does."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, csv_fields, flags = COMMANDS[argv[0]]
+    kws = dict(flags)
+    positionals = [name for name in kws if not name.startswith("-")]
+    if len(argv) <= len(positionals):
+        return None
+    given = dict(zip(positionals, argv[1:]))
+    rest = argv[1 + len(positionals):]
+    form = None
+    while rest:
+        token = rest.pop(0)
+        if token == "--json" or (token == "--csv" and csv_fields):
+            if form is not None:
+                return None
+            form = token
+        elif token.startswith("--") and token in kws and token not in given and rest:
+            given[token] = rest.pop(0)
+        else:
+            return None
+    args = {"command": argv[0], "json": form == "--json", "config": None}
+    if csv_fields:
+        args["csv"] = form == "--csv"
+    for name, kw in flags:
+        dest = name.lstrip("-").replace("-", "_")
+        text = given.get(name)
+        if text is None:  # every positional is given: argv is longer than they are
+            if kw.get("required"):
+                return None
+            text = kw.get("default")
+            if not isinstance(text, str):
+                args[dest] = text
+                continue
+        elif text.startswith("-"):
+            return None
+        try:
+            value = kw["type"](text) if "type" in kw else text
+        except (TypeError, ValueError):
+            return None
+        if name in given and "choices" in kw and value not in kw["choices"]:
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 def _load_fas(spec: str) -> ToyFAS:
@@ -407,10 +466,13 @@ DOMAIN_ERRORS = (ValueError, RecursionError, OSError, incompleteness.FASRunError
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)  # fresh: --config sets its defaults
-    args = parser.parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:  # help, abbreviations, --config and usage errors: argparse's texts and exits
+        parser = build_parser(argv[0] if argv else None)  # fresh: --config sets its defaults
+        args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser, argv)
+        if args.config:  # set only on argparse's path, which built parser
+            args = _apply_config(args, parser, argv)
         result = _dispatch(args)
         if getattr(args, "csv", False):
             text = reports.emit_csv(result["entries"], COMMANDS[args.command][1])

@@ -122,18 +122,20 @@ def test_criterion_5_capped_agreement():
     return f"value {exact.value} at B* = {b_star}"
 
 
-@criterion(6, "omega-bit oracle recovers the decided halting set for k <= 12")
+@criterion(6, "omega-bit oracle recovers the decided halting set for k <= 16")
 def test_criterion_6_oracle_completeness():
     from omegalab.omega import oracle_halting_from_omega
 
+    # capped omega at L = 24 is 1/2^16: only k = 16 makes the oracle dovetail
     exact = omega_exact_capped(24)
-    for k in range(0, 13):
+    for k in range(0, 17):
         kbits = dyadic_bits(exact.value, k)
         res = oracle_halting_from_omega(kbits, Ensemble("total", 24, STRUCTURAL))
         assert not res.tripped, k
         direct = decided_halting_set(24, k)
         assert res.halting_set == direct, k
-    return "set equality for every k in 0..12"
+    assert res.halting_set, "at k = 16 the oracle finds a halting program"
+    return "set equality for every k in 0..16"
 
 
 def _criterion7_report(workers: int) -> str:
@@ -222,15 +224,29 @@ def test_criterion_11_omega_bits():
     return f"count - N = {rep['count_minus_n']}"
 
 
-@criterion(12, "criteria 4, 7, 8 reports are byte-identical for workers in {1, 4}")
-def test_criterion_12_worker_determinism():
+def _pool_report(workers: int) -> str:
+    # up to 7 characters 134 sd prefixes are runnable, past the 64 above which
+    # a sweep with workers > 1 forks a pool; criteria 4, 7 and 8 stay below it
+    return emit_json(omega_lower_bound(Ensemble("sd", 63, BUDGET, c_cap=7, workers=workers)).as_dict())
+
+
+@criterion(12, "criteria 4, 7, 8 and a pooled sd sweep's reports are byte-identical for workers in {1, 4}")
+def test_criterion_12_worker_determinism(monkeypatch):
+    import multiprocessing
+
+    get_context = multiprocessing.get_context
+    forked = []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: forked.append(method) or get_context(method))
     checks = [
         ("c4", _criterion4_report),
         ("c7", _criterion7_report),
         ("c8", _criterion8_report),
+        ("pool", _pool_report),
     ]
     for name, fn in checks:
         one = _reports.get((name, 1)) or fn(1)
         four = fn(4)
         assert one == four, f"{name} differs between workers 1 and 4"
-    return "byte-identical"
+    assert forked == ["fork"], forked
+    return "byte-identical; one pool forked"

@@ -1,13 +1,17 @@
-"""cli.main builds only the invoked command's sub-parser; that build must parse
-and print exactly like the build of every command."""
+"""cli.main reads a plain argv straight from COMMANDS, which must give argparse's
+namespace, and builds only the invoked command's sub-parser for any other
+argv; that build must parse and print exactly like the build of every command."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegalab import __version__, cli
 from omegalab.cli import COMMANDS, build_parser, main
@@ -80,6 +84,90 @@ def test_one_command_build_parses_like_the_full_build(argv):
     assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_plain_argv_reads_like_argparse(argv):
+    plain = cli._plain_args(argv)
+    if argv in ABBREVIATED:
+        assert plain is None
+    else:
+        assert vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nosuch"], ["--version"], ["bits", "kraft", "--set", "0", "-h"],
+    ["bits", "kraft"],  # a required flag missing
+    ["bits", "kraft", "--set"],  # a flag without its value
+    ["bits", "kraft", "--set", "--"],
+    ["bits", "kraft", "--set", "-5"],
+    ["bits", "kraft", "--set", "0", "--set", "1"],
+    ["bits", "--set", "0", "kraft"],  # a positional after a flag
+    ["bits", "nope", "--set", "0"],
+    ["sweep", "--machine", "sd", "--L", "16", "--json", "--csv"],
+    ["sweep", "--machine", "sd", "--L", "16", "--json", "--json"],
+    ["omega", "lower", "--L", "16", "--csv"],
+    ["omega", "lower", "--L", "x"],
+    ["run", "--machine=sd", "--prefix", "(r)"],
+    ["run", "--machine", "sd", "--prefix", "(r)", "--config", "conf.json"],
+    ["run", "--machine", "sd", "--prefix", "(r)", "--"],
+])
+def test_plain_path_leaves_the_rest_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+_VALUES = ["", "-5", "x", "--", "01", "0", "16", "structural", "sd", "w", "1,2", "sound"]
+_FIT = {int: ["0", "01", "16"], cli._bits_arg: ["", "01"], cli._budget: ["16", "structural"]}
+
+
+@st.composite
+def _argvs(draw):
+    """A command line with the command's positionals, its required flags, up
+    to two more flags and up to two of --json/--csv, in full and mostly with
+    fit values; then up to two edits (abbreviate a flag, join a flag to its
+    value with '=', replace, insert or delete a token)."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = COMMANDS[name][2]
+    words = _VALUES + ["--json", "--csv", "--config", "--help"] + [flag for flag, _ in flags]
+
+    def value(kw):  # fit five times in six
+        fit = list(kw["choices"]) if "choices" in kw else _FIT.get(kw.get("type"), ["x", "", "1,2"])
+        return draw(st.sampled_from(fit if draw(st.integers(0, 5)) else _VALUES))
+
+    argv = [name] + [value(kw) for flag, kw in flags if not flag.startswith("-")]
+    options = [(flag, kw) for flag, kw in flags if flag.startswith("-")]
+    chosen = [option for option in options if option[1].get("required")]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=2, unique_by=lambda option: option[0]))
+    chosen += [(form, None) for form in draw(st.lists(st.sampled_from(["--json", "--csv"]), max_size=2))]
+    for flag, kw in draw(st.permutations(chosen)):
+        argv += [flag] if kw is None else [flag, value(kw)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(["abbreviate", "join", "replace", "insert", "delete"]))
+        if i == len(argv) or edit == "insert":
+            argv.insert(i, draw(st.sampled_from(words)))
+        elif edit == "replace":
+            argv[i] = draw(st.sampled_from(words))
+        elif edit == "delete":
+            del argv[i]
+        elif argv[i].startswith("--") and edit == "abbreviate":
+            argv[i] = argv[i][:draw(st.integers(2, len(argv[i])))]
+        elif argv[i].startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_plain_path_is_none_or_argparse(argv):
+    plain = cli._plain_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = build_parser(argv[0]).parse_args(argv)
+    except SystemExit:
+        assert plain is None
+    else:
+        assert plain is None or vars(plain) == vars(parsed)
+
+
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["sweep", "--machine", "sd", "--L", "16", "extra"],
@@ -98,17 +186,23 @@ def test_one_command_build_refuses_like_the_full_build(capsys, argv):
     assert seen[0] == seen[1] and seen[0][0] == 1
 
 
-def test_main_builds_one_fresh_sub_parser_per_call(capsys, monkeypatch):
+def test_main_builds_a_fresh_sub_parser_only_off_the_plain_path(capsys, monkeypatch, tmp_path):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
     for _ in range(2):
         assert main(["bits", "kraft", "--set", "0,10"]) == 0
-    assert built == ["bits", "bits"]
+    assert built == []
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"set": "0,10"}))
+    for argv in (["bits", "kraft", "--se", "0,10"], ["bits", "kraft", "--set", "0", "--config", str(conf)]):
+        for _ in range(2):
+            assert main(argv) == 0
+    assert built == ["bits"] * 4
     with pytest.raises(SystemExit):
         main(["--version"])
-    assert built[2:] == list(COMMANDS)
+    assert built[4:] == list(COMMANDS)
 
 
 def test_config_of_one_call_leaves_the_next_unchanged(tmp_path, capsys):
