@@ -10,5 +10,5 @@ __version__ = "0.1.0"
 
 from .bits import BitString, Dyadic, bs_parse, dyadic_bits, is_prefix_free, kraft_sum
 from .sexpr import SExpr, from_bits_prefix, parse, print_sexpr, to_bits
-from .vm import RunOutcome, eval_expr, value_to_bitstring, value_to_pair
+from .vm import RunOutcome, eval_expr
 from .machines import Program, in_domain, output_of, run_c2, run_sd, run_total

@@ -24,9 +24,9 @@ from typing import List, Optional
 
 from . import __version__, complexity, incompleteness, machines, omega, reports, vm
 from .bits import bs_parse, dyadic_bits, is_prefix_free, kraft_sum
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble
+from .complexity import DEFAULT_CHAR_CAP, Ensemble
 from .incompleteness import ToyFAS, UnsoundFASError, bundled_fas
-from .machines import Program
+from .machines import STRUCTURAL, Program
 from .sexpr import parse, print_sexpr, to_bits
 
 USAGE_ERROR, DOMAIN_ERROR, EXPERIMENT_ABORT = 1, 2, 3
@@ -289,7 +289,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return {"canonical": print_sexpr(expr), "bits": bits, "length_bits": len(bits)}
 
     if cmd == "run":
-        complexity.check_budget(args.machine, args.budget)
+        machines.check_budget(args.machine, args.budget)
         _refuse_unread(args, f"run --machine {args.machine}",
                        "prefix payload aux" if args.machine == "c2" else "raw")
         if args.machine == "c2":
@@ -300,9 +300,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
             if args.prefix is None:
                 raise ValueError("machines sd/total take --prefix (and optional --payload)")
             prog = Program(parse(args.prefix), args.payload)
-            budget = (machines.structural_budget(prog.prefix) if args.budget == STRUCTURAL
-                      else args.budget)
-            out = machines.run_machine(args.machine, prog, budget, aux=args.aux)
+            out = machines.run_machine(args.machine, prog, args.budget, aux=args.aux)
         return _outcome_dict(out)
 
     if cmd in ("sweep", "elegant", "complexity", "prob", "coding", "chain"):
@@ -442,15 +440,12 @@ def _dispatch(args: argparse.Namespace) -> dict:
                     family.append(machines.program_from_text(line))
         else:
             family = incompleteness.bundled_function_family(args.width)
-        value = incompleteness.diagonalize_total(family, args.n, args.width)
+        value, values = incompleteness.diagonalize_total(family, args.n, args.width)
         return {
             "n": args.n,
             "width": args.width,
             "family_sizes": [p.size_bits for p in family],
-            "family_values": [
-                incompleteness.apply_function_program(p, args.n, args.width)
-                for p in family[: min(args.n, len(family) - 1) + 1]
-            ],
+            "family_values": values,
             "value": value,
         }
 

@@ -81,12 +81,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, SExpr, print_sexpr, to_bits
 from . import machines, progs, vm
-from .machines import Program, output_of, pair_output_of, run_c2, structural_budget
+from .machines import STRUCTURAL, Program, check_budget, output_of, pair_output_of, run_c2, structural_budget
 
 DEFAULT_CHAR_CAP = 6
 C2_RAW_CAP = 22
-
-STRUCTURAL = "structural"  # budget sentinel: per-program subexpression count
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +272,6 @@ def _sd_records_for_prefixes(job) -> List[HaltRecord]:
             bits = pre_bits + payload
             records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps, len(bits), aux))
     return records
-
-
-def check_budget(machine: str, B) -> None:
-    """A step budget is an integer >= 0, or STRUCTURAL on machine total."""
-    if B == STRUCTURAL and machine != "total":
-        raise ValueError("structural budgets exist only on machine total")
-    if B != STRUCTURAL and B < 0:
-        raise ValueError(f"budget must be >= 0, got {B}")
 
 
 class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", object), ("c_cap", int),
@@ -482,7 +472,7 @@ def _exactness(table: ComplexityTable, x_len: int, h: int) -> bool:
         return ens.L >= x_len + 1 and table.exhaustive_limit >= min(h, x_len + 1)
     if ens.machine == "total":
         # every program smaller than the found witness was decided and enumerated
-        budget_ok = ens.B == STRUCTURAL or (isinstance(ens.B, int) and ens.B >= (h // 8) + 1)
+        budget_ok = ens.B == STRUCTURAL or ens.B >= (h // 8) + 1
         return budget_ok and h - 1 <= table.exhaustive_limit
     return False
 

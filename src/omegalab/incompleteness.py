@@ -24,16 +24,9 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
-from .complexity import STRUCTURAL, Ensemble, complexity_upper, exhaustive_bits
-from .machines import (
-    Program,
-    output_of,
-    program_from_text,
-    run_machine,
-    run_total,
-    split_program_bits,
-    structural_budget,
-)
+from .complexity import Ensemble, complexity_upper, exhaustive_bits
+from .machines import (STRUCTURAL, Program, output_of, program_from_text, run_machine, run_total,
+                       split_program_bits)
 from .omega import omega_exact_capped
 from .progs import berry_driver
 from . import progs
@@ -328,23 +321,23 @@ def apply_function_program(p: Program, n: int, width: int = NUMERAL_WIDTH) -> in
         raise ValueError("function programs must lie in the total fragment")
     if not 0 <= n < 2**width:
         raise ValueError(f"input {n} does not fit in {width} bits")
-    out = run_total(p, structural_budget(p.prefix), aux=format(n, f"0{width}b"))
+    out = run_total(p, STRUCTURAL, aux=format(n, f"0{width}b"))
     bits = output_of(out)
     if bits is None:
         raise FASRunError(f"function program produced no output on {n}: {out.reason}")
     return int(bits, 2) if bits else 0
 
 
-def diagonalize_total(family: Sequence[Program], n: int, width: int = NUMERAL_WIDTH) -> int:
-    """F(n) = 1 + max over i <= min(n, |family|-1) of family[i](n).
+def diagonalize_total(family: Sequence[Program], n: int,
+                      width: int = NUMERAL_WIDTH) -> Tuple[int, List[int]]:
+    """F(n) = 1 + max over i <= min(n, |family|-1) of family[i](n) (1 on an
+    empty family), and those family values in index order.
 
     F differs from every family member at and beyond its index, the
     executable shadow of diagonalizing over provably total functions.
     """
-    if not family:
-        return 1
-    top = min(n, len(family) - 1)
-    return 1 + max(apply_function_program(family[i], n, width) for i in range(top + 1))
+    values = [apply_function_program(p, n, width) for p in family[: n + 1]]
+    return 1 + max(values, default=0), values
 
 
 def bundled_function_family(width: int = NUMERAL_WIDTH) -> List[Program]:

@@ -20,6 +20,13 @@ one step per subexpression.
 Program size is exact and additive: 8 bits per prefix character plus the
 payload length.  "Halts" always means "halts within the stated budget",
 except on machine total where the structural budget makes it absolute.
+
+This module alone decides what a run means.  A step budget is an integer
+>= 0, or STRUCTURAL on machine total: the prefix's subexpression count, which
+run_total resolves per program.  The output of a halted run is the bit string
+of a flat list of 0/1 atoms, or, on sd and total, the 1-bit string of a bare
+0/1 atom; a pair output is a list of exactly two flat bit lists.  Any other
+value halts without an output, except on c2, where it is a conversion fault.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ from typing import NamedTuple, Optional, Tuple
 from .bits import BitString, bs_parse
 from .sexpr import SExpr, SExprDecodeError, from_bits_prefix, is_atom, parse, print_sexpr, to_bits
 from . import vm
-from .vm import ConversionError, RunOutcome, contains_general_only_prims
+from .vm import RunOutcome, contains_general_only_prims
 
 MACHINES = ("c2", "sd", "total")
 SELF_DELIMITING = ("sd", "total")
+STRUCTURAL = "structural"  # budget sentinel: per-program subexpression count
 
 
 class Program(NamedTuple("Program", [("prefix", SExpr), ("payload", BitString)])):
@@ -63,10 +71,29 @@ def program_from_text(text: str) -> Program:
     return Program(parse(prefix_text), bs_parse(payload))
 
 
+def check_budget(machine: str, B) -> None:
+    """A step budget is an integer >= 0, or STRUCTURAL on machine total."""
+    if B == STRUCTURAL and machine != "total":
+        raise ValueError("structural budgets exist only on machine total")
+    if B != STRUCTURAL and B < 0:
+        raise ValueError(f"budget must be >= 0, got {B}")
+
+
 def structural_budget(prefix: SExpr) -> int:
     """Step budget that always suffices for a total-fragment prefix: its
-    subexpression count."""
-    return 1 if is_atom(prefix) else 1 + sum(structural_budget(x) for x in prefix)
+    subexpression count, one per character of its print but ')'."""
+    t = print_sexpr(prefix)
+    return len(t) - t.count(")")
+
+
+def _bits(v) -> Optional[BitString]:
+    """A flat list of 0/1 atoms as its bit string, any other value None."""
+    if not isinstance(v, tuple):
+        return None
+    for x in v:
+        if x != "0" and x != "1":
+            return None
+    return "".join(v)
 
 
 def run_c2(raw: BitString, budget: int) -> RunOutcome:
@@ -85,13 +112,11 @@ def run_c2(raw: BitString, budget: int) -> RunOutcome:
     if consumed != len(rest):
         return RunOutcome(vm.FAULTED, reason="decode: trailing bits after expression")
     outcome = vm.eval_expr(expr, budget)
-    if not outcome.halted:
+    if not outcome.halted or _bits(outcome.value) is not None:
         return outcome
-    try:
-        out = vm.value_to_bitstring(outcome.value)
-    except ConversionError as exc:
-        return RunOutcome(vm.FAULTED, steps=outcome.steps, reason=f"conversion: {exc}")
-    return RunOutcome(vm.HALTED, value=tuple(out), steps=outcome.steps)
+    reason = ("conversion: value is not a flat list of bit atoms" if isinstance(outcome.value, tuple)
+              else "conversion: value is not a list")
+    return RunOutcome(vm.FAULTED, steps=outcome.steps, reason=reason)
 
 
 def run_sd(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
@@ -109,10 +134,11 @@ def run_sd(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutco
 
 
 def run_total(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
-    """Total restriction; a prefix holding l or y faults before it runs."""
+    """Total restriction; a prefix holding l or y faults before it runs.  A
+    STRUCTURAL budget is the prefix's own structural_budget."""
     if contains_general_only_prims(p.prefix):
         return RunOutcome(vm.FAULTED, reason="fragment")
-    return run_sd(p, budget, aux)
+    return run_sd(p, structural_budget(p.prefix) if budget == STRUCTURAL else budget, aux)
 
 
 def run_machine(machine: str, p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
@@ -132,21 +158,16 @@ def output_of(outcome: RunOutcome) -> Optional[BitString]:
     if not outcome.halted:
         return None
     v = outcome.value
-    if v in ("0", "1"):
-        return v
-    try:
-        return vm.value_to_bitstring(v)
-    except ConversionError:
-        return None
+    return v if v in ("0", "1") else _bits(v)
 
 
 def pair_output_of(outcome: RunOutcome) -> Optional[Tuple[BitString, BitString]]:
-    if not outcome.halted:
+    """Halted value, a list of exactly two flat bit lists, as the two bit strings, else None."""
+    v = outcome.value
+    if not outcome.halted or not isinstance(v, tuple) or len(v) != 2:
         return None
-    try:
-        return vm.value_to_pair(outcome.value)
-    except ConversionError:
-        return None
+    x, y = _bits(v[0]), _bits(v[1])
+    return None if x is None or y is None else (x, y)
 
 
 def split_program_bits(bits: BitString) -> Program:

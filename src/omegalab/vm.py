@@ -23,8 +23,7 @@ Semantics (pinned here; the calculus is this package's own dialect):
     then applied; only closures and y-wrappers apply, anything else faults.
   - Applying a y-wrapper R to v unfolds once: the wrapped closure is applied
     to R, and the result is applied to v.
-  - Closures are not data: e/a/h/t/c(list side) fault on them, as does
-    output conversion.
+  - Closures are not data: e/a/h/t/c(list side) fault on them.
 
 Cost model: one step per primitive form entered and one step per
 application, each charged before the form or the applied value is checked;
@@ -82,10 +81,6 @@ class RunOutcome(NamedTuple):
         return self.kind == HALTED
 
 
-class ConversionError(ValueError):
-    """Halted value does not match the requested output shape."""
-
-
 def contains_general_only_prims(e: SExpr) -> bool:
     """True if the atom l or y occurs anywhere in the expression."""
     stack = [e]
@@ -125,7 +120,8 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
     env = None
     val = None
     # Cycle check (Brent): a snapshot of the first application once steps
-    # reaches each doubling mark.  Continuation entries are fresh tuples never
+    # reaches each mark, the next mark a quarter past the snapshot, so the
+    # gaps outgrow any cycle.  Continuation entries are fresh tuples never
     # pushed twice, and the held top cannot be recycled, so the same top at
     # the same depth means an unchanged stack; with the same function,
     # argument and read positions the state repeats and can never halt.
@@ -251,7 +247,7 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
                 and len(konts) == s_depth and (not konts or konts[-1] is s_top)):
             return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=budget)
         if steps >= s_mark:
-            s_mark = 2 * steps
+            s_mark = steps + (steps >> 2) + 1
             s_fun, s_arg, s_ppos, s_apos = fun, arg, ppos, apos
             s_depth, s_top = len(konts), konts[-1] if konts else None
         if isinstance(fun, Closure):
@@ -267,19 +263,3 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
         else:
             return fault("type: value is not applicable")
 
-
-def value_to_bitstring(v: SExpr) -> BitString:
-    """Flat list of 0/1 atoms -> bit string; anything else is a conversion fault."""
-    if not isinstance(v, tuple):
-        raise ConversionError("value is not a list")
-    for x in v:
-        if x not in ("0", "1"):
-            raise ConversionError("value is not a flat list of bit atoms")
-    return "".join(v)
-
-
-def value_to_pair(v: SExpr) -> tuple[BitString, BitString]:
-    """List of exactly two flat bit lists -> the two bit strings."""
-    if not isinstance(v, tuple) or len(v) != 2:
-        raise ConversionError("value is not a two-item list")
-    return value_to_bitstring(v[0]), value_to_bitstring(v[1])

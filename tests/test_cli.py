@@ -6,6 +6,7 @@ import json
 import pytest
 
 from omegalab.cli import main
+from omegalab.sexpr import parse, to_bits
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +27,16 @@ def test_run_c2(capsys):
     assert code == 0
     res = report(out)
     assert res["outcome"] == "halted" and res["output"] == "101"
+
+
+def test_run_c2_conversion_reasons(capsys):
+    for text, reason in (("(q0)", "conversion: value is not a list"),
+                         ("(q(0a))", "conversion: value is not a flat list of bit atoms")):
+        raw = "1" + to_bits(parse(text))
+        code, out, _ = run_cli(capsys, "run", "--machine", "c2", "--raw", raw, "--budget", "10")
+        assert code == 0
+        assert report(out) == {"outcome": "faulted", "value": None, "output": None, "payload_consumed": 0,
+                               "aux_consumed": 0, "steps": 1, "reason": reason}
 
 
 def test_run_sd(capsys):
@@ -149,6 +160,19 @@ def test_csv_only_where_a_csv_form_exists(capsys):
 def test_diag_command(capsys):
     code, out, _ = run_cli(capsys, "diag", "--n", "2")
     assert code == 0 and report(out)["value"] == 9
+
+
+def test_diag_runs_each_family_program_once(capsys, monkeypatch):
+    from omegalab import incompleteness
+
+    calls = []
+    apply = incompleteness.apply_function_program
+    monkeypatch.setattr(incompleteness, "apply_function_program",
+                        lambda p, n, width: calls.append(p) or apply(p, n, width))
+    code, out, _ = run_cli(capsys, "diag", "--n", "2")
+    res = report(out)
+    assert code == 0 and res["family_values"] == [2, 4, 8] and res["value"] == 9
+    assert calls == incompleteness.bundled_function_family()
 
 
 def test_diag_reads_a_family_file_in_the_printed_program_form(capsys, tmp_path):
@@ -372,6 +396,18 @@ def test_run_structural_budget_is_the_prefix_count(capsys):
     r1, r2 = json.loads(structural), json.loads(counted)
     assert r1["config"].pop("budget") == "structural" and r2["config"].pop("budget") == 4
     assert r1 == r2 and r1["result"]["output"] == "0"
+
+
+def test_run_structural_budget_on_a_deeply_nested_quote(capsys):
+    # nested past the depth a recursive subexpression count can reach under the default recursion limit
+    argv = ["run", "--machine", "total", "--prefix", "(q" + "(" * 600 + ")" * 600 + ")", "--budget"]
+    code, structural, _ = run_cli(capsys, *argv, "structural")
+    assert code == 0
+    code, counted, _ = run_cli(capsys, *argv, "10000")
+    assert code == 0
+    r1, r2 = json.loads(structural), json.loads(counted)
+    assert r1["config"].pop("budget") == "structural" and r2["config"].pop("budget") == 10000
+    assert r1 == r2 and r1["result"]["outcome"] == "halted"
 
 
 def test_omega_oracle_sweeps_once_for_any_workers(capsys, monkeypatch):

@@ -161,16 +161,17 @@ def test_diagonalize_formula_matches_arithmetic_example():
         Program(parse("(q(100))"), ""),
         Program(parse("(q(110))"), ""),
     ]
-    assert diagonalize_total(family, 2) == 7
-    assert diagonalize_total([], 5) == 1
+    assert diagonalize_total(family, 2) == (7, [2, 4, 6])
+    assert diagonalize_total(family, 1) == (5, [2, 4])
+    assert diagonalize_total([], 5) == (1, [])
 
 
 def test_diagonalize_bundled_family():
     family = bundled_function_family()
     assert [apply_function_program(p, 5) for p in family] == [5, 10, 20]
-    assert diagonalize_total(family, 2) == 1 + max(2, 4, 8)
+    assert diagonalize_total(family, 2) == (1 + max(2, 4, 8), [2, 4, 8])
     for n in range(0, 8):
-        F = diagonalize_total(family, n)
+        F, _ = diagonalize_total(family, n)
         for i in range(min(n, len(family) - 1) + 1):
             assert F != apply_function_program(family[i], n)
 

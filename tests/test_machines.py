@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from omegalab.complexity import scan_domain
+from omegalab.complexity import gen_exprs, scan_domain
 from omegalab.bits import is_prefix_free
 from omegalab.machines import (
+    STRUCTURAL,
     Program,
     in_domain,
     output_of,
@@ -19,6 +21,7 @@ from omegalab.machines import (
     structural_budget,
 )
 from omegalab.sexpr import parse, to_bits
+from omegalab.vm import FAULTED, HALTED, RunOutcome, eval_expr
 
 
 def test_program_size_additive():
@@ -79,6 +82,23 @@ def test_total_machine():
     assert structural_budget(parse("(c(r)(q()))")) == 7
 
 
+def test_structural_budget_is_the_subexpression_count():
+    def count(e):
+        return 1 if isinstance(e, str) else 1 + sum(count(x) for x in e)
+
+    for e in gen_exprs(5, lists_only=False):
+        assert structural_budget(e) == count(e)
+    deep = parse("(q" + "(" * 900 + ")" * 900 + ")")  # past the host recursion limit as a recursive count
+    assert structural_budget(deep) == 902
+
+
+def test_total_resolves_the_structural_budget():
+    p = Program(parse("(c(r)(q()))"), "1")
+    assert run_total(p, STRUCTURAL) == run_total(p, 7) == run_total(p, 10**4)
+    assert run_total(Program(parse("(c(r)(c(r)(q())))"), "1"), STRUCTURAL).reason == "payload-underrun"
+    assert run_total(Program(parse("(lxx)"), ""), STRUCTURAL).reason == "fragment"
+
+
 def test_in_domain_examples():
     bits = to_bits(parse("(q())"))
     assert in_domain("sd", bits, 100)
@@ -93,6 +113,88 @@ def test_output_conventions():
     assert out.halted and output_of(out) is None  # unconvertible but in domain
     out = run_sd(Program(parse("(q(()()))"), ""), 100)
     assert pair_output_of(out) == ("", "")
+
+
+def _halted(v):
+    return RunOutcome(HALTED, value=v)
+
+
+def test_value_conversions():
+    assert output_of(_halted(("0", "1", "1"))) == "011"
+    assert output_of(_halted(())) == ""
+    assert output_of(_halted(("a",))) is None
+    assert run_c2("1" + to_bits(parse("(q0)")), 10).reason == "conversion: value is not a list"
+    assert pair_output_of(_halted((("0", "1"), ("1",)))) == ("01", "1")
+    assert pair_output_of(_halted(((), ()))) == ("", "")
+    assert pair_output_of(_halted(("0", "1", "1"))) is None
+
+
+# -- the output convention against an exception-based reference conversion
+
+
+class _ConversionError(ValueError):
+    pass
+
+
+def _ref_bitstring(v):
+    if not isinstance(v, tuple):
+        raise _ConversionError("value is not a list")
+    for x in v:
+        if x not in ("0", "1"):
+            raise _ConversionError("value is not a flat list of bit atoms")
+    return "".join(v)
+
+
+def _ref_output(v):
+    if v in ("0", "1"):
+        return v
+    try:
+        return _ref_bitstring(v)
+    except _ConversionError:
+        return None
+
+
+def _ref_pair(v):
+    try:
+        if not isinstance(v, tuple) or len(v) != 2:
+            raise _ConversionError("value is not a two-item list")
+        return _ref_bitstring(v[0]), _ref_bitstring(v[1])
+    except _ConversionError:
+        return None
+
+
+def _list_of(items):
+    expr = ("q", ())
+    for item in reversed(items):
+        expr = ("c", item, expr)
+    return expr
+
+
+# expressions of the general fragment whose values are built from the atoms 0,
+# 1 and a, a closure (lxx) and a y-wrapper (y(lf(lxx))), nested in lists
+_VALUE_EXPRS = st.recursive(
+    st.sampled_from([("q", "0"), ("q", "1"), ("q", "a"), ("l", "x", "x"), ("y", ("l", "f", ("l", "x", "x")))]),
+    lambda items: st.lists(items, max_size=3).map(_list_of),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300)
+@given(_VALUE_EXPRS)
+@example(_list_of([_list_of([("q", "0"), ("q", "1")]), _list_of([])]))  # a pair output
+def test_conversion_matches_the_exception_based_reference(expr):
+    out = eval_expr(expr, 10**4)
+    assert out.halted
+    v = out.value
+    assert output_of(out) == _ref_output(v)
+    assert pair_output_of(out) == _ref_pair(v)
+    c2 = run_c2("1" + to_bits(expr), 10**4)
+    try:
+        expect = _ref_bitstring(v)
+    except _ConversionError as exc:
+        assert c2 == RunOutcome(FAULTED, steps=out.steps, reason=f"conversion: {exc}")
+    else:
+        assert c2 == RunOutcome(HALTED, value=tuple(expect), steps=out.steps)
 
 
 def _raw_domain_scan(machine: str, max_len: int, budget: int):

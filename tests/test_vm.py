@@ -11,14 +11,7 @@ from omegalab.complexity import gen_exprs
 from omegalab.machines import Program, run_total, structural_budget
 from omegalab.progs import LOOP
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
-from omegalab.vm import (
-    Closure,
-    ConversionError,
-    Rec,
-    eval_expr,
-    value_to_bitstring,
-    value_to_pair,
-)
+from omegalab.vm import Closure, Rec, eval_expr
 
 
 def run(text, budget=100, payload="", aux=None):
@@ -161,19 +154,6 @@ def test_total_fragment_budget_randomized_larger(seed):
     out = eval_expr(e, bound, "01" * 8, "10" * 8)
     assert out.kind != "out_of_budget"
     assert out.steps <= bound
-
-
-def test_value_conversions():
-    assert value_to_bitstring(("0", "1", "1")) == "011"
-    assert value_to_bitstring(()) == ""
-    with pytest.raises(ConversionError):
-        value_to_bitstring(("a",))
-    with pytest.raises(ConversionError):
-        value_to_bitstring("0")
-    assert value_to_pair((("0", "1"), ("1",))) == ("01", "1")
-    assert value_to_pair(((), ())) == ("", "")
-    with pytest.raises(ConversionError):
-        value_to_pair(("0", "1", "1"))
 
 
 # -- reference evaluator ---------------------------------------------------
