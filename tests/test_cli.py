@@ -480,6 +480,21 @@ def test_fgh_stdout_is_frozen_across_the_closed_form(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    (["omega", "exact", "--L", "87", "--c-cap", "10"], 0,
+     "1027dfb44ea14688cf75ba8431552f2dd14d2be2a7d7a9d65240510d7507ad38"),
+    (["omega", "lower", "--machine", "sd", "--L", "87", "--c-cap", "10", "--B", "10000"], 0,
+     "10ef1838d28dc7f81414b0df76c2fd0afd0da1d895c7c5905b823afca5ff1fb9"),
+    (["fas", "ceiling", "--fas", "unsound", "--budget", "10000000"], 3,
+     "809ebcf4534974d0ab07530ecf965a885f5e7ec6c6c73682f3e20fc200225e05"),
+], ids=["omega-exact", "omega-lower-sd", "fas-ceiling-unsound"])
+def test_frontier_stdout_is_frozen(capsys, argv, code, digest):
+    # frozen while the evaluator still copied a guest list on every tail and cons
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("ordinal", ["w^w^w^w^w^1", "w^(" * 400 + "1" + ")" * 400])
 def test_fgh_towers_too_tall_to_print_exit_2(capsys, ordinal):
     # f_alpha(2) is a tower of more than 2^65536 twos, whose height has more

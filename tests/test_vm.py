@@ -95,6 +95,9 @@ def test_fixed_point_recursion():
 
 def test_closures_are_not_data():
     assert run("(e(lxx)(lxx))").kind == "faulted"
+    # the same closure or y-wrapper on both sides faults too
+    for text in ("((lf(eff))(lxx))", "((lg(egg))(y(lf(lxx))))"):
+        assert run(text).reason == "type: equality on non-data value"
     assert run("(a(lxx))").kind == "faulted"
     assert run("(h((lx(cx(q())))(lzz)))").halted  # but they may ride inside lists
 
@@ -405,3 +408,75 @@ def test_repeating_state_ends_at_once():
     out = eval_expr(LOOP, 10**12)
     assert (out.kind, out.steps, out.payload_consumed, out.aux_consumed) == ("out_of_budget", 10**12, 0, 0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_quoted_list_is_one_value_for_the_whole_run():
+    # each turn passes (q(ab)) again; its run-time form is built once, so the
+    # argument is the same object and the repeat is seen
+    start = time.perf_counter()
+    out = eval_expr(parse("((y(lf(lx(f(q(ab))))))(q0))"), 10**7)
+    assert (out.kind, out.steps) == ("out_of_budget", 10**7)
+    assert time.perf_counter() - start < 1.0
+
+
+# -- run-time lists ------------------------------------------------------------
+# Inside a run a nonempty list is a (head, tail) pair; what a run returns is
+# always in expression form again.
+
+def _nested(depth, leaf):
+    """A list nested depth deep in its heads: ((...(leaf)...))."""
+    x = leaf
+    for _ in range(depth):
+        x = (x,)
+    return x
+
+
+def _unnest(v):
+    """(depth, leaf) of a value built by _nested, walked without recursion."""
+    depth = 0
+    while isinstance(v, tuple):
+        assert len(v) == 1, v[:2]
+        v, depth = v[0], depth + 1
+    return depth, v
+
+
+def test_equality_on_deep_data_needs_no_host_recursion():
+    # the tuples are equal but distinct objects, so no identity test settles them
+    a, b, c = _nested(10**4, "a"), _nested(10**4, "a"), _nested(10**4, "b")
+    assert eval_expr(("e", ("q", a), ("q", b)), 10)[:2] == ("halted", "1")
+    assert eval_expr(("e", ("q", a), ("q", c)), 10)[:2] == ("halted", ())
+
+
+def test_deep_value_goes_in_by_quote_and_comes_out_as_an_expression():
+    out = eval_expr(("h", ("q", (_nested(10**4, "a"),))), 10)
+    assert (out.kind, out.steps) == ("halted", 2)
+    assert _unnest(out.value) == (10**4, "a")
+
+
+def test_long_list_through_equality_tail_and_cons():
+    xs, ys = ("0",) * 10**5, tuple("0" for _ in range(10**5))
+    out = eval_expr(("e", ("t", ("c", ("q", "1"), ("q", xs))), ("q", ys)), 10)
+    assert (out.kind, out.value, out.steps) == ("halted", "1", 6)
+    assert eval_expr(("e", ("q", xs), ("t", ("q", ys))), 10).value == ()
+    out = eval_expr(("c", ("q", "1"), ("q", xs)), 10)
+    assert out.halted and type(out.value) is tuple and out.value == ("1",) + xs
+
+
+def _data():
+    atoms = st.sampled_from(["0", "1", "a", "z"])
+    return st.recursive(atoms | st.just(()), lambda kids: st.lists(kids, max_size=4).map(tuple),
+                        max_leaves=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_data(), _data(), st.lists(_data(), max_size=4).map(tuple))
+def test_list_primitives_return_expression_tuples(x, a, b):
+    # the pair form of a nonempty list never equals its expression tuple, so
+    # equality with the expected value shows no pair left the run
+    cases = [(("q", x), x), (("c", ("q", a), ("q", b)), (a,) + b)]
+    if isinstance(x, tuple) and x:
+        cases += [(("t", ("q", x)), x[1:]), (("h", ("q", x)), x[0])]
+    for expr, value in cases:
+        out = eval_expr(expr, 10)
+        assert out.halted and out.value == value, (expr, out)
+        assert _agree(expr, 10)[:2] == ("halted", value)
