@@ -304,6 +304,8 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return _outcome_dict(out)
 
     if cmd in ("sweep", "elegant", "complexity", "prob", "coding", "chain"):
+        if args.machine == "c2":  # c2 sweeps no prefixes
+            _refuse_unread(args, f"{cmd} --machine c2", "c_cap workers")
         ens = Ensemble(args.machine, args.L, args.B, args.c_cap, args.workers)
 
     if cmd in ("sweep", "elegant"):

@@ -9,9 +9,12 @@ the machine faults with payload-underrun, which enumerates precisely the
 payloads a prefix can consume in full.  This is provably the same domain set
 a raw scan of all 2^(L+1) strings would find, at a tiny fraction of the cost.
 
-Machine c2 is not raw-scanned either: a leading 0 prints the rest in one step,
-so those records are written in closed form, and a leading 1 halts only on one
-whole list expression, so only the expressions of (n-1)/8 characters are run.
+Machine c2 is not raw-scanned either.  A leading 1 halts only on one whole
+list expression, so only the expressions of (n-1)/8 characters are run, and
+only those records are stored.  A leading 0 prints the rest in one step, so
+H_C(x) <= |x| + 1, and those programs are treated as the counted constants
+are: build_table seeds its entries with them in closed form
+(_c2_leading_zero), and enumerate_halting lists them only when called.
 
 Aux bits are found on demand the same way, with no cap: each aux read costs
 a step, so the budget bounds the depth.  A record keeps the aux bits its run
@@ -306,15 +309,17 @@ def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[Ha
 
     For sd/total the sweep is exhaustive for sizes <= min(L, 8*c_cap + 7); see
     exhaustive_bits().  aux=None keeps the records that read no aux.  The
-    explicit records merged with the counted constants, listed here and held
+    explicit records merged with the records folded in closed form (the
+    counted constants, or c2's leading-0 programs), listed here and held
     nowhere; the list is the caller's.
     """
     return _with_counted(explicit_records(ens, aux), ens)
 
 
 def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
-    """enumerate_halting(ens, aux) without the counted constants, served from
-    the sweep store (module docstring); the list is the caller's."""
+    """enumerate_halting(ens, aux) without the counted constants or c2's
+    leading-0 programs, served from the sweep store (module docstring); the
+    list is the caller's."""
     key = (ens.machine, ens.c_cap, ens.workers)
     hit = _store.get(key)
     if hit is None or hit[0].L < ens.L or not _covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
@@ -338,13 +343,26 @@ def counted_constants(ens: Ensemble) -> Dict[int, int]:
     return {n: _split_constants(n, alphabet)[1] for n in range(4, min(ens.c_cap, ens.L // 8) + 1)}
 
 
+def _c2_leading_zero(ens: Ensemble) -> List[BitString]:
+    """The r of c2's halting leading-0 programs 0r in ens, each halting in one
+    step with output r: every r of 0..L-1 bits in (length, lex) order, none at B = 0."""
+    found, rests = [], [""]  # rests: the r of n - 1 bits, in lex order
+    for n in range(1, ens.L + 1 if ens.B >= 1 else 0):
+        found += rests
+        if n < ens.L:
+            rests = [r + b for r in rests for b in "01"]
+    return found
+
+
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
-    """records, explicit records of ens, merged with its counted constants."""
-    counted = counted_constants(ens)
-    if not counted:
-        return records
-    alphabet = _ALPHABETS[ens.machine]
-    return sorted(itertools.chain(records, *(_counted_records(n, alphabet) for n in counted)), key=_order)
+    """records, explicit records of ens, merged with the records it holds
+    nowhere: its counted constants, or on c2 its leading-0 programs."""
+    if ens.machine == "c2":
+        folded = [HaltRecord("0" + r, r, None, 1, len(r) + 1) for r in _c2_leading_zero(ens)]
+    else:
+        alphabet = _ALPHABETS[ens.machine]
+        folded = [r for n in counted_constants(ens) for r in _counted_records(n, alphabet)]
+    return sorted(records + folded, key=_order) if folded else records
 
 
 def _order(r: HaltRecord):
@@ -381,20 +399,14 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
 
 
 def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
-    """run_c2's halting records of 1..L bits in (length, lex) order; see above."""
+    """run_c2's halting leading-1 records of 1..L bits in (length, lex) order:
+    the leading-0 ones are folded in closed form (module docstring)."""
     records = []
-    rests = [""]  # the n-1 bits after the first, in lex order
-    for n in range(1, L + 1):
-        if n > 1:
-            rests = [r + b for r in rests for b in "01"]
-        if budget >= 1:
-            records += [HaltRecord("0" + r, r, None, 1, n) for r in rests]
-        if (n - 1) % 8 == 0 and n > 16:
-            for raw in sorted("1" + to_bits(e)
-                              for e in _evaluable((n - 1) // 8, ALPHABET)):
-                out = run_c2(raw, budget)
-                if out.halted:
-                    records.append(HaltRecord(raw, "".join(out.value), None, out.steps, n))
+    for n in range(17, L + 1, 8):  # 8k + 1 bits, k >= 2: () is the shortest list
+        for raw in sorted("1" + to_bits(e) for e in _evaluable((n - 1) // 8, ALPHABET)):
+            out = run_c2(raw, budget)
+            if out.halted:
+                records.append(HaltRecord(raw, "".join(out.value), None, out.steps, n))
     return records
 
 
@@ -431,11 +443,14 @@ def build_table(ens: Ensemble) -> ComplexityTable:
     records = explicit_records(ens)
     counted = counted_constants(ens)
     with_prob = ens.machine in machines.SELF_DELIMITING
-    entries: Dict[BitString, TableEntry] = {}
+    # c2's leading-0 programs, in closed form (_make skips __new__'s argument binding)
+    entries: Dict[BitString, TableEntry] = {r: TableEntry._make((r, len(r) + 1, "0" + r, 1, None))
+                                            for r in _c2_leading_zero(ens)} if ens.machine == "c2" else {}
+    seeded = len(entries)
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = {}
     mass, conv_fail_mass = Dyadic.zero(), Dyadic.zero()
 
-    for bits, output, pair, _, size, _ in records:  # (length, lex) sorted: first hit is the witness
+    for bits, output, pair, _, size, _ in records:  # order-free: a later record may beat a seeded entry
         w = Dyadic.pow2(size) if with_prob else None  # the record's Kraft term
         if with_prob:
             mass += w
@@ -445,9 +460,12 @@ def build_table(ens: Ensemble) -> ComplexityTable:
                 conv_fail_mass += w
         elif (cur := entry_map.get(key)) is None:
             entry_map[key] = TableEntry(key, size, bits, 1, w)
+        elif size < cur.h_upper:
+            entry_map[key] = TableEntry(key, size, bits, 1, cur.prob + w if with_prob else None)
         else:
-            entry_map[key] = TableEntry(key, cur.h_upper, cur.witness, cur.minimal_count + (size == cur.h_upper),
-                                        cur.prob + w if with_prob else None)
+            tie = size == cur.h_upper
+            entry_map[key] = TableEntry(key, cur.h_upper, min(cur.witness, bits) if tie else cur.witness,
+                                        cur.minimal_count + tie, cur.prob + w if with_prob else None)
     for n, count in counted.items():  # only sd and total count constants
         w = Dyadic(count, 8 * n)
         mass += w
@@ -455,7 +473,7 @@ def build_table(ens: Ensemble) -> ComplexityTable:
     if mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
         raise InvariantError(f"Kraft sum {mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
     return ComplexityTable(ens, entries, pair_entries, exhaustive_bits(ens), conv_fail_mass, mass,
-                           len(records) + sum(counted.values()))
+                           len(records) + seeded + sum(counted.values()))
 
 
 class ComplexityResult(NamedTuple):

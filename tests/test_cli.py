@@ -495,6 +495,37 @@ def test_frontier_stdout_is_frozen(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--machine", "c2", "--L", "14", "--B", "10000"],
+     "c7cdab824ea117c570de6a551d27ad430d682e346d99ba210911b80c304e00c7"),
+    (["sweep", "--machine", "c2", "--L", "17", "--B", "0"],
+     "0def7c445ba8b166dba28ba24e2c4961b9b0746b28d19dc7104f1020a58563cd"),
+    (["elegant", "--machine", "c2", "--L", "14", "--B", "1", "--csv"],
+     "5effa6c5daf00f0fa0c81333bac5a17b9997d5ffb93e16aaf71d2fd69f2c02af"),
+], ids=["sweep-L14", "sweep-L17-B0", "elegant-csv"])
+def test_c2_stdout_is_frozen(capsys, argv, digest):
+    # frozen while the c2 sweep still stored a record for every leading-0 program
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd", [["sweep"], ["elegant"], ["complexity", "--target", "01"]])
+@pytest.mark.parametrize("flag", [["--c-cap", "3"], ["--workers", "2"]])
+def test_c2_table_commands_refuse_flags_c2_never_reads(capsys, cmd, flag):
+    code, out, err = run_cli(capsys, *cmd, "--machine", "c2", "--L", "14", *flag)
+    assert (code, out) == (2, "") and err == f"omegalab: {cmd[0]} --machine c2 does not read {flag[0]}\n"
+
+
+def test_c2_table_commands_accept_the_default_cap_and_workers(capsys):
+    # c2 reads neither flag: a non-default value is refused, the default still passes
+    for cmd in (["sweep"], ["elegant"], ["complexity", "--target", "01"]):
+        code, out, _ = run_cli(capsys, *cmd, "--machine", "c2", "--L", "2", "--B", "10",
+                               "--c-cap", "6", "--workers", "1")
+        rep = json.loads(out)
+        assert code == 0 and (rep["config"]["c_cap"], rep["config"]["workers"]) == (6, 1)
+
+
 @pytest.mark.parametrize("ordinal", ["w^w^w^w^w^1", "w^(" * 400 + "1" + ")" * 400])
 def test_fgh_towers_too_tall_to_print_exit_2(capsys, ordinal):
     # f_alpha(2) is a tower of more than 2^65536 twos, whose height has more

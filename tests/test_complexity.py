@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -61,9 +62,9 @@ def test_enumerate_matches_c2_oracle():
         ("1" + to_bits(parse("()")), "", 0)]
 
 
-@pytest.mark.parametrize("L, B", [(0, 0), (1, 0), (1, 1), (9, 100), (14, 1), (17, 0), (17, 1), (17, 100)])
-def test_c2_records_equal_the_raw_scan(L, B):
-    # every record, in order, against a run of every raw string of 1..L bits
+@lru_cache(maxsize=None)
+def _c2_raw_scan(L, B):
+    # a run of every raw string of 1..L bits, the halting ones as record tuples in (length, lex) order
     raw_scan = []
     for n in range(1, L + 1):
         for i in range(1 << n):
@@ -71,8 +72,67 @@ def test_c2_records_equal_the_raw_scan(L, B):
             out = run_c2(raw, B)
             if out.halted:
                 raw_scan.append((raw, "".join(out.value), None, out.steps, n, ""))
-    assert [(r.program_bits, r.output, r.pair, r.steps, r.size_bits, r.aux_read)
-            for r in enumerate_halting(Ensemble("c2", L, B))] == raw_scan
+    return tuple(raw_scan)
+
+
+_C2_GRID = [(0, 0), (1, 0), (1, 1), (9, 100), (14, 1), (17, 0), (17, 1), (17, 100)]
+
+
+@pytest.mark.parametrize("L, B", _C2_GRID)
+def test_c2_records_equal_the_raw_scan(L, B):
+    # every record, in order, against a run of every raw string of 1..L bits
+    assert tuple((r.program_bits, r.output, r.pair, r.steps, r.size_bits, r.aux_read)
+                 for r in enumerate_halting(Ensemble("c2", L, B))) == _c2_raw_scan(L, B)
+
+
+@pytest.mark.parametrize("L, B", _C2_GRID)
+def test_c2_table_equals_a_fold_of_the_raw_scan(L, B):
+    # the leading-0 family is folded in closed form; the table must be the
+    # record-by-record fold of every halting raw string
+    entries = {}
+    for raw, x, _, _, n, _ in _c2_raw_scan(L, B):  # (length, lex) order: the first hit is the witness
+        h, witness, count = entries.get(x, (n, raw, 0))
+        entries[x] = (h, witness, count + (n == h))
+    table = build_table.__wrapped__(Ensemble("c2", L, B))
+    assert {x: (e.h_upper, e.witness, e.minimal_count) for x, e in table.entries.items()} == entries
+    assert all(e.output == x and e.prob is None for x, e in table.entries.items())
+    assert table.pair_entries == {}
+    assert table.mass == table.conv_fail_mass == Dyadic.zero()
+    assert (table.contributing, table.exhaustive_limit) == (len(_c2_raw_scan(L, B)), L)
+
+
+def test_table_fold_is_order_free(monkeypatch):
+    # c2's seeded entries meet its run records out of (length, lex) order, so
+    # the fold may not rely on it.  Each record gets a twin of its size and
+    # output, so ties are folded too; reversed, the records give the same table.
+    from omegalab import complexity
+
+    ens = Ensemble("sd", 56, 10**4)
+    records = complexity.explicit_records(ens)
+    twins = [r._replace(program_bits=r.program_bits[:-1] + "10"[int(r.program_bits[-1])]) for r in records]
+    records = sorted(records + twins, key=complexity._order)
+    tables = []
+    for order in (records, records[::-1]):
+        monkeypatch.setattr(complexity, "explicit_records", lambda ens, order=order: order)
+        tables.append(build_table.__wrapped__(ens))
+    assert tables[0] == tables[1]
+    assert [e.minimal_count for e in tables[0].entries.values()] == [2] * len(tables[0].entries)
+
+
+def test_c2_store_holds_no_leading_0_record(monkeypatch):
+    # the leading-0 family is never stored: it is folded in closed form and
+    # listed only on request, into a list the caller owns
+    from omegalab import complexity
+
+    monkeypatch.setattr(complexity, "_store", {})
+    ens = Ensemble("c2", 17, 10**4)
+    assert complexity.explicit_records(ens) == [
+        complexity.HaltRecord("1" + to_bits(parse("()")), "", None, 0, 17)]
+    before = build_table.__wrapped__(ens)
+    listed = enumerate_halting(ens)
+    assert len(listed) == 2**17
+    listed.clear()
+    assert build_table.__wrapped__(ens) == before
 
 
 def test_complexity_upper_c2_examples():
