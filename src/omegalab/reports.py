@@ -4,8 +4,9 @@ Every report embeds a schema tag, the tool version, and the exact config
 that produced it, with stable field order, so identical configs yield
 byte-identical output regardless of worker count.  emit_json, the only JSON
 writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n": a
-table's list of rows goes to the C encoder in one call, and the text is
-joined once, not once per nesting level.
+table's rows go to the C encoder as flat blocks of values, with each key
+encoded once per list, and the text is joined once, not once per nesting
+level.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 from functools import lru_cache
+from itertools import chain
 
 from . import __version__
 
@@ -38,6 +40,43 @@ def _flat(depth: int):
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
 
 
+_lines = json.JSONEncoder(separators=("\n", ": ")).encode  # json escapes each newline in a string
+_BLOCK = 1024  # rows whose values go to one encoder call
+
+
+def _row_keys(rows: list) -> list:
+    """The keys of rows (dicts) when all have the same str keys in one order
+    and only exact scalars as values, else []: a str key prints as every key
+    equal to it does, and an exact scalar as the C encoder prints it."""
+    keys = list(rows[0])
+    # a row's keys are distinct, so the keys of all rows run as keys repeated
+    # only when every row has exactly keys, in order
+    if (set(map(type, keys)) == {str} and list(chain.from_iterable(rows)) == keys * len(rows)
+            and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _SCALARS):
+        return keys
+    return []
+
+
+def _rows(rows: list, keys: list, pad: str, end: str, out: list) -> None:
+    """Appends rows, whose keys are all keys, as a list whose items start at
+    pad and which closes at end: the keys are encoded once, and the values of
+    each block of rows in one encoder call, one per line, to go between the
+    fixed text of each key."""
+    inner = pad + "  "
+    names = [k[:-1] for k in _lines(dict.fromkeys(keys, 0))[1:-1].split("\n")]  # '"key": 0' less its 0
+    glue = [pad + "}," + pad + "{" + inner + names[0]] + ["," + inner + k for k in names[1:]]
+    out += ("[", pad, "{")
+    for i in range(0, len(rows), _BLOCK):
+        values = _lines(list(chain.from_iterable(map(dict.values, rows[i:i + _BLOCK]))))[1:-1].split("\n")
+        parts = values * 2
+        parts[::2] = glue * (len(values) // len(glue))
+        parts[1::2] = values
+        if not i:
+            parts[0] = inner + names[0]
+        out.append("".join(parts))  # not joined again until emit_json's one join
+    out += (pad, "}", end, "]")
+
+
 def _indented(v, depth: int, out: list) -> None:
     """Appends the pieces of v as json.dumps prints it with indent=2, depth levels deep."""
     if not isinstance(v, (dict, list, tuple)) or not v:
@@ -46,17 +85,11 @@ def _indented(v, depth: int, out: list) -> None:
     pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     items = v.values() if isinstance(v, dict) else v
     brackets = "{}" if isinstance(v, dict) else "[]"
-    if {type(x) for x in items} <= _SCALARS:
+    types = set(map(type, items))
+    if types <= _SCALARS:
         out += (brackets[0], pad, _flat(depth + 1)(v)[1:-1], end, brackets[1])
-    elif (type(v) is list and all(type(x) is dict and x for x in v)
-          and {type(y) for x in v for y in x.values()} <= _SCALARS):
-        # rows (nonempty dicts of scalars) in one call, every item split as
-        # at depth + 2: json escapes each newline in a string and no scalar
-        # ends in "}", so "},<split>{" only ever joins two rows, and one
-        # replace splits the rows as at depth + 1
-        inner = "\n" + "  " * (depth + 2)
-        text = _flat(depth + 2)(v).replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
-        out += ("[", pad, "{", inner, text[2:-2], pad, "}", end, "]")
+    elif types == {dict} and type(v) is list and (columns := _row_keys(v)):
+        _rows(v, columns, pad, end, out)
     else:  # a key prints as the one key of {key: 0} does
         keys = [_scalar({k: 0})[1:-4] + ": " for k in v] if isinstance(v, dict) else [""] * len(v)
         for i, (key, x) in enumerate(zip(keys, items)):
@@ -67,8 +100,10 @@ def _indented(v, depth: int, out: list) -> None:
 
 def emit_json(report: dict) -> str:
     """json.dumps(report, indent=2) + "\n", without json's pure-Python indent
-    path: each container of scalars and each list of rows (nonempty dicts of
-    scalars) goes to the C encoder in one call, and the pieces are joined once."""
+    path: each container of scalars goes to the C encoder in one call; a list
+    of rows (dicts with the same str keys in one order, of exact scalars) has
+    its keys encoded once and its values in one call per block of rows; and
+    the pieces are joined once."""
     out: list = []
     _indented(report, 0, out)
     out.append("\n")

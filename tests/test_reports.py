@@ -8,12 +8,14 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegalab import reports
 from omegalab.bits import Dyadic
-from omegalab.cli import main
-from omegalab.complexity import STRUCTURAL, ComplexityTable, Ensemble, HaltRecord, TableEntry, build_table
+from omegalab.cli import _TABLE_CSV, COMMANDS, main
+from omegalab.complexity import (STRUCTURAL, ComplexityTable, Ensemble, HaltRecord, TableEntry, build_table,
+                                 check_coding)
 from omegalab.machines import Program
 from omegalab.vm import HALTED, RunOutcome
-from omegalab.reports import emit_json, table_rows
+from omegalab.reports import emit_json, table_report, table_rows
 
 _text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600{}[],:"), max_size=6)
 _scalars = (st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
@@ -26,6 +28,11 @@ _values = st.recursive(
     max_leaves=20,
 )
 _rows = st.lists(st.dictionaries(_keys, _scalars, min_size=1, max_size=4), min_size=1, max_size=4)
+# rows that all have one key tuple, in one order: text keys, or keys of any kind
+_table = (st.lists(_text, min_size=1, max_size=4, unique=True)
+          | st.dictionaries(_keys, st.none(), min_size=1, max_size=4).map(list)).flatmap(
+    lambda keys: st.lists(st.tuples(*[_scalars] * len(keys)).map(lambda vs: dict(zip(keys, vs))),
+                          min_size=1, max_size=6))
 
 
 def _nested(rows, depth: int):
@@ -45,8 +52,54 @@ def test_emit_json_is_json_dumps_indent_2(value):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=3).flatmap(lambda depth: _nested(_rows, depth)))
 def test_emit_json_row_lists_are_json_dumps_indent_2(value):
-    # a list of nonempty dicts of scalars goes to the C encoder in one call
+    # rows with keys drawn per row seldom share one key order, so these lists
+    # mostly take the per-item path; _table draws the rows that do not
     assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=3).flatmap(lambda depth: _nested(_table, depth)))
+def test_emit_json_tables_are_json_dumps_indent_2(value):
+    # rows with one key order, of scalars, print as blocks of values between
+    # the keys' text, each key encoded once per list
+    assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def _wide_rows(n: int) -> list:
+    return [{"output": format(i, "b"), "kind": "bits" if i % 2 else "pair", "h_upper": i,
+             "witness": "0" * (i % 7) + "\n\"}", "minimal_count": i % 3 == 0,
+             "prob": None if i % 5 else (float("nan"), -float("inf"), 2**70, i / 3)[i % 5 - 1]}
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_emit_json_table_block_edges(n):
+    rows = _wide_rows(n)
+    for value in (rows, {"result": {"entries": rows}}, [[rows, 1]]):
+        assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+class _Row(dict):
+    pass
+
+
+@pytest.mark.parametrize("change, flat", [
+    (lambda row: dict(reversed(row.items())), False),
+    (lambda row: {**row, "extra": 0}, False),
+    (lambda row: {**row, "witness": ["0"]}, False),
+    (_Row, False),
+    (lambda row: {**row, "h_upper": True}, True),
+], ids=["key-order", "extra-key", "list-value", "dict-subclass", "bool-in-int-column"])
+def test_emit_json_table_row_past_the_first_block(monkeypatch, change, flat):
+    # every condition of the block path holds for the whole list before it
+    # prints a row, so a row past the first block decides the path too
+    rows = _wide_rows(2049)
+    rows[1500] = change(rows[1500])
+    seen, original = [], reports._rows
+    monkeypatch.setattr(reports, "_rows", lambda *args: (seen.append(args), original(*args)))
+    value = {"entries": rows}
+    assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+    assert bool(seen) == flat
 
 
 def test_emit_json_edge_cases():
@@ -55,23 +108,44 @@ def test_emit_json_edge_cases():
                   # lists of dicts that are not all nonempty dicts of scalars
                   [{}, {"a": 1}], [{"a": 1}, {}], [{"a": []}], [{"a": 1}, 2], ({"a": 1}, {"b": 2}),
                   # text that looks like a row boundary
-                  [{"a": "},\n      {"}, {"b": "}"}], [{"}, {": "}"}, {"}": 1}]):
+                  [{"a": "},\n      {"}, {"b": "}"}], [{"}, {": "}"}, {"}": 1}],
+                  # keys equal as dict keys that json prints apart, and rows
+                  # whose keys all run as one key order repeated
+                  [{1: 0}, {True: 0}, {1.0: 0}], [{0.0: 1}, {-0.0: 1}],
+                  [{"a": 1, "b": 2}, {"a": 1}, {"b": 2, "a": 3}], [{"a": 1}, {"a": 1, "b": 2}]):
         assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
-def test_table_rows_order_bits_then_pairs_by_total_length():
+def _bits_and_pairs_table() -> ComplexityTable:
     table = ComplexityTable(Ensemble("sd", 40, 100), {}, {}, 0, Dyadic.zero(), Dyadic.zero(), 0)
     for out in ("11", "", "0", "01", "1"):
         h = 16 + len(out)
         table.entries[out] = TableEntry(out, h, "1" * h, 1, Dyadic.pow2(h))
     for out in (("0", "1"), ("", "01"), ("", ""), ("1", ""), ("00", "")):
         table.pair_entries[out] = TableEntry(out, 24, "1" * 24, 1, Dyadic.pow2(24))
+    return table
+
+
+def test_table_rows_order_bits_then_pairs_by_total_length():
+    table = _bits_and_pairs_table()
     rows = table_rows(table)
     assert [(r["kind"], r["output"]) for r in rows] == [
         ("bits", ""), ("bits", "0"), ("bits", "1"), ("bits", "01"), ("bits", "11"),
         ("pair", "|"), ("pair", "1|"), ("pair", "|01"), ("pair", "0|1"), ("pair", "00|")]
     assert rows[0] == {"output": "", "kind": "bits", "h_upper": 16, "witness": "1" * 16,
                        "minimal_count": 1, "prob": "1/2^16"}
+
+
+def test_table_and_coding_rows_are_their_csv_columns():
+    # JSON rows and CSV columns name the same fields, and a table's rows
+    # share one key order, which keeps them on emit_json's block path
+    rows = table_report(_bits_and_pairs_table())["entries"]
+    assert {r["kind"] for r in rows} == {"bits", "pair"}
+    assert all(tuple(r) == _TABLE_CSV for r in rows)
+    assert reports._row_keys(rows) == list(_TABLE_CSV)
+    rows = check_coding(Ensemble("sd", 40, 10000))["entries"]
+    assert rows and all(tuple(r) == COMMANDS["coding"][1] for r in rows)
+    assert reports._row_keys(rows) == list(COMMANDS["coding"][1])
 
 
 def test_records_and_entries_are_immutable():
@@ -126,6 +200,8 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
      "ae5afca449c6f3dcbb83e49c1ddc3f296abee2b9906f08256b283e9b65522916"),
     (["elegant", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
      "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
+    (["sweep", "--machine", "total", "--L", "80", "--c-cap", "10", "--B", "structural"],
+     "ccce8c7b427b6ebc115ef1f03c756ef6bb90fb4a72c733a81fedd63902131efb"),
 ])
 def test_report_stdout_is_frozen(capsys, argv, digest):
     # frozen from the reports as json.dumps(indent=2) and csv printed them
