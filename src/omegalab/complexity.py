@@ -82,7 +82,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
-from .sexpr import ALPHABET, SExpr, print_sexpr, to_bits
+from .sexpr import ALPHABET, SExpr, to_bits
 from . import machines, progs, vm
 from .machines import STRUCTURAL, Program, check_budget, output_of, pair_output_of, run_c2, structural_budget
 
@@ -563,7 +563,8 @@ def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> Compl
     machine, L = ens.machine, ens.L
     if machine not in machines.SELF_DELIMITING:
         raise ValueError("relative complexity is defined on the self-delimiting machines here")
-    if not machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET):
+    y_run = machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET)  # the one run of y_star
+    if y_run is None:
         raise ValueError("y_star must itself be a domain program")
     cands: List[Tuple[int, BitString, str]] = []
     for rec in explicit_records(ens, aux=y_star):  # a counted constant has no output
@@ -574,10 +575,11 @@ def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> Compl
     if plain.size_bits <= L and progs.verify_output(machine, plain, x, aux=y_star):
         cands.append((plain.size_bits, plain.bits, "plain"))
     # replaying the aux program reproduces its output
-    if progs.verify_output(machine, machines.split_program_bits(y_star), x):
-        rp = progs.replay_program()
-        if rp.size_bits <= L and progs.verify_output(machine, rp, x, progs.GUEST_BUDGET, aux=y_star):
-            cands.append((rp.size_bits, rp.bits, "replay"))
+    if output_of(y_run) == x:
+        rp_bits = progs.replay_bits()
+        if len(rp_bits) <= L and progs.verify_output(machine, progs.replay_program(), x, progs.GUEST_BUDGET,
+                                                     aux=y_star):
+            cands.append((len(rp_bits), rp_bits, "replay"))
     return _best(cands)
 
 
@@ -615,7 +617,9 @@ def check_coding(ens: Ensemble) -> dict:
 
 def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]) -> dict:
     """Chain-rule report: d(x,y) = h(x,y) - h(x) - h(y|x*) per pair, plus the
-    composition constant K (size of the fixed composing prefix, measured once).
+    composition constant K, the size of the fixed composing prefix.  The
+    prefix is encoded once, K measured once from its bits, and each composed
+    candidate is those bits followed by its payload.
 
     h(x), h(y|x*) and h(x,y) all admit verified constructed witnesses (quote,
     plain, replay and composed programs) besides the sweep, so a pair whose x
@@ -626,7 +630,8 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     to output the pair, so h(x,y) <= h(x) + h(y|x*) + K stands on a run.
     """
     composer = progs.pair_composer()
-    K = 8 * len(print_sexpr(composer))
+    composer_bits = to_bits(composer)
+    K = len(composer_bits)
     rows = []
     skipped = []
     max_abs_d = None
@@ -640,12 +645,12 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
         if not hyx.found:
             skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
             continue
-        composed = Program(composer, x_star + hyx.witness)
-        composed_ok = progs.verify_pair(ens.machine, composed, x, y, budget=progs.GUEST_BUDGET)
+        payload = x_star + hyx.witness
+        composed_ok = progs.verify_pair(ens.machine, Program(composer, payload), x, y, budget=progs.GUEST_BUDGET)
         hxy = joint_complexity(ens, x, y)
         cands = [(hxy.h_upper, hxy.witness, hxy.source)] if hxy.found else []
         if composed_ok:
-            cands.append((composed.size_bits, composed.bits, "composed"))
+            cands.append((K + len(payload), composer_bits + payload, "composed"))
         best = _best(cands)
         if not best.found:
             skipped.append({"x": x, "y": y, "reason": "h(x,y) not found"})

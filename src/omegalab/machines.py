@@ -176,12 +176,15 @@ def split_program_bits(bits: BitString) -> Program:
     return Program(prefix, bits[consumed:])
 
 
-def in_domain(machine: str, bits: BitString, budget: int, aux: Optional[BitString] = None) -> bool:
-    """Exact-consumption domain membership; every failure mode is False."""
+def in_domain(machine: str, bits: BitString, budget: int,
+              aux: Optional[BitString] = None) -> Optional[RunOutcome]:
+    """Exact-consumption domain membership: the halted run of bits, or None
+    on every failure mode."""
     if machine not in SELF_DELIMITING:
         raise ValueError(f"in_domain expects sd or total, got {machine!r}")
     try:
         p = split_program_bits(bits)
     except SExprDecodeError:
-        return False
-    return run_machine(machine, p, budget, aux).halted
+        return None
+    outcome = run_machine(machine, p, budget, aux)
+    return outcome if outcome.halted else None

@@ -57,7 +57,7 @@ from typing import Optional
 
 from .bits import BitString
 from .machines import Program, output_of, pair_output_of, run_machine
-from .sexpr import CHAR_BITS, SExpr, parse
+from .sexpr import CHAR_BITS, SExpr, parse, to_bits
 from .vm import PRIMS
 
 # step budgets: one verified witness run, and one guest run of a program that
@@ -404,6 +404,12 @@ def replay_prefix() -> SExpr:
         ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),
     ]
     return let(binds, ap("u", hd("g")))
+
+
+@lru_cache(maxsize=None)
+def replay_bits() -> BitString:
+    """The replay prefix encoded, once per process."""
+    return to_bits(replay_prefix())
 
 
 def replay_program() -> Program:

@@ -33,8 +33,21 @@ hanging.  A run whose machine state repeats exactly can never halt; it ends
 at the repeat with the outcome running to the budget gives (out of budget
 after exactly budget steps, same bits read).  The evaluator is a pure
 function of (expression, budget, payload, aux) and is implemented
-iteratively with an explicit continuation stack, so deeply recursive guest
-programs cannot exhaust the host stack.
+iteratively, so deeply recursive guest programs cannot exhaust the host
+stack.  Its continuation is an immutable linked chain: each pending form is
+a fresh tuple (tag, ..., next), pushed by building one around the chain and
+popped by taking its next.  An atom in operand position (the argument of h,
+t, a or y, the function or the argument of an application) is looked up
+where it stands, with no frame, at the point of the step order where its
+evaluation falls, so an unbound one faults with the same step count.
+
+The cycle check compares the state at an application with a snapshot: the
+function, the argument and the read positions, and the continuation by
+identity.  That is sound because a chain never changes and every frame
+holds the rest of its chain: the snapshot keeps the object alive, so the
+same object is the same whole stack.  A frame shared between pushes (a
+constant (tag,) with no next) would break this, which is why every frame
+is a fresh tuple.
 
 Run-time lists: inside a run a nonempty list is the pair (head, tail) and
 the empty list is (), so h, t and c each take one step of host work and a
@@ -53,8 +66,12 @@ from typing import NamedTuple, Optional
 from .bits import BitString
 from .sexpr import SExpr
 
-PRIMS = frozenset("qieachtlrsy")
-_ARITY = {"q": 1, "i": 3, "e": 2, "a": 1, "c": 2, "h": 1, "t": 1, "l": 2, "r": 0, "s": 0, "y": 1}
+# a primitive's atom -> (opcode, form length); h t a y take the lowest
+# opcodes, so one compare finds them
+_H, _T, _A, _Y, _Q, _I, _E, _C, _L, _R, _S = range(11)
+_OPS = {"h": (_H, 2), "t": (_T, 2), "a": (_A, 2), "y": (_Y, 2), "q": (_Q, 2), "i": (_I, 4),
+        "e": (_E, 3), "c": (_C, 3), "l": (_L, 3), "r": (_R, 1), "s": (_S, 1)}
+PRIMS = frozenset(_OPS)
 
 HALTED = "halted"
 OUT_OF_BUDGET = "out_of_budget"
@@ -162,10 +179,29 @@ def _equal(x, y) -> bool:
     return True
 
 
-# continuation tags: a pending a/h/t/y, a pending e/c before and after its
-# first argument, an if, an application before and after its function, and
-# the second half of a y-wrapper's unfolding
-_ARG1, _ARG2, _ARG2B, _IF, _FUN, _APPLY, _REC = range(7)
+# continuation frames, each a fresh tuple (tag, ..., next): a pending h, t, a
+# or y; an e or c before and after its first argument; an if; an application
+# before and after its function; the second half of a y-wrapper's unfolding
+(_K_HEAD, _K_TAIL, _K_ATOM, _K_FIX, _K_EQ, _K_CONS, _K_EQ2, _K_CONS2, _K_IF, _K_FUN, _K_APPLY,
+ _K_REC) = range(12)
+_UNARY = {_H: _K_HEAD, _T: _K_TAIL, _A: _K_ATOM, _Y: _K_FIX}
+
+
+def _fault(reason: str, ppos: int, apos: int, steps: int) -> RunOutcome:
+    return RunOutcome(FAULTED, None, ppos, apos, steps, reason)
+
+
+def _lookup(atom: str, env):
+    """The value env binds atom to, or None when nothing binds it (no value is None)."""
+    while env is not None:
+        if env[0] == atom:
+            return env[1]
+        env = env[2]
+    return None
+
+
+def _unbound(atom: str, ppos: int, apos: int, steps: int) -> RunOutcome:
+    return _fault(f"type: unbound atom {atom!r}", ppos, apos, steps)
 
 
 def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
@@ -173,27 +209,26 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
     """Run one expression within budget steps, reading payload and aux bits
     on demand (aux None has no bits); deterministic and pure."""
     ppos = apos = steps = 0
-    konts = []
+    n_payload = len(payload)
+    n_aux = 0 if aux is None else len(aux)
+    kont = None
     quoted = {}  # id of a quoted list (alive in expr) -> its run-time form, built once
-
-    def fault(reason):
-        return RunOutcome(FAULTED, payload_consumed=ppos, aux_consumed=apos, steps=steps, reason=reason)
-
     cur = expr
     env = None
     # Cycle check (Brent): a snapshot of the first application once steps
     # reaches each mark, the next mark a quarter past the snapshot, so the
-    # gaps outgrow any cycle.  Continuation entries are fresh tuples never
-    # pushed twice, and the held top cannot be recycled, so the same top at
-    # the same depth means an unchanged stack; with the same function,
-    # argument and read positions the state repeats and can never halt.
+    # gaps outgrow any cycle.  The same function, argument, read positions
+    # and continuation object (module docstring) repeat the state, which can
+    # then never halt.
     s_mark = 1
-    s_fun = s_arg = s_top = s_ppos = s_apos = s_depth = None
+    s_fun = s_arg = s_kont = s_ppos = s_apos = None
 
     while True:
-        # evaluate cur in env, pushing a frame per pending form, until a value is ready
+        # evaluate cur in env, pushing a frame per pending form, until a value
+        # is ready (val) or an application is due (fun to arg)
+        fun = None
         while True:
-            if isinstance(cur, str):
+            if type(cur) is str:
                 link = env
                 while link is not None:
                     if link[0] == cur:
@@ -201,34 +236,73 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
                         break
                     link = link[2]
                 else:
-                    return fault(f"type: unbound atom {cur!r}")
+                    return _unbound(cur, ppos, apos, steps)
                 break
             if not cur:  # empty list is a value
                 val = cur
                 break
             head = cur[0]
-            if not (isinstance(head, str) and head in PRIMS):
+            form = _OPS.get(head) if type(head) is str else None
+            if form is None:
                 # non-primitive application: exactly one argument
                 if len(cur) != 2:
-                    return fault("type: application takes exactly one argument")
-                konts.append((_FUN, cur[1], env))
-                cur = head
-                continue
+                    return _fault("type: application takes exactly one argument", ppos, apos, steps)
+                x = cur[1]
+                if type(head) is not str:
+                    kont = (_K_FUN, x, env, kont)
+                    cur = head
+                    continue
+                val = _lookup(head, env)
+                if val is None:
+                    return _unbound(head, ppos, apos, steps)
+                if type(x) is not str:
+                    kont = (_K_APPLY, val, kont)
+                    cur = x
+                    continue
+                arg = _lookup(x, env)
+                if arg is None:
+                    return _unbound(x, ppos, apos, steps)
+                fun = val
+                break
             steps += 1
             if steps > budget:
-                return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=steps - 1)
-            if len(cur) - 1 != _ARITY[head]:
-                return fault(f"type: {head} takes {_ARITY[head]} argument(s)")
-            if head == "c" or head == "e":
-                konts.append((_ARG2, head, cur[2], env))
+                return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+            op, size = form
+            if len(cur) != size:
+                return _fault(f"type: {head} takes {size - 1} argument(s)", ppos, apos, steps)
+            if op == _C or op == _E:
+                kont = (_K_CONS if op == _C else _K_EQ, cur[2], env, kont)
                 cur = cur[1]
-            elif head == "h" or head == "t" or head == "a" or head == "y":
-                konts.append((_ARG1, head))
+            elif op <= _Y:  # h t a y
+                x = cur[1]
+                if type(x) is not str:
+                    kont = (_UNARY[op], kont)
+                    cur = x
+                    continue
+                val = _lookup(x, env)
+                if val is None:
+                    return _unbound(x, ppos, apos, steps)
+                if op == _H:
+                    if not isinstance(val, tuple) or not val:
+                        return _fault("type: head of a non-list or empty list", ppos, apos, steps)
+                    val = val[0]
+                elif op == _T:
+                    if not isinstance(val, tuple) or not val:
+                        return _fault("type: tail of a non-list or empty list", ppos, apos, steps)
+                    val = val[1]
+                elif op == _A:
+                    if isinstance(val, (Closure, Rec)):
+                        return _fault("type: atom test on non-data value", ppos, apos, steps)
+                    val = "1" if isinstance(val, str) else ()
+                else:
+                    if not isinstance(val, Closure):
+                        return _fault("type: fixed point of a non-closure", ppos, apos, steps)
+                    val = Rec(val)
+                break
+            elif op == _I:
+                kont = (_K_IF, cur[2], cur[3], env, kont)
                 cur = cur[1]
-            elif head == "i":
-                konts.append((_IF, cur[2], cur[3], env))
-                cur = cur[1]
-            elif head == "q":
+            elif op == _Q:
                 val = cur[1]
                 if isinstance(val, tuple) and val:
                     key = id(val)
@@ -236,98 +310,107 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
                     if val is None:
                         val = quoted[key] = _pairs(cur[1])
                 break
-            elif head == "l":
+            elif op == _L:
                 p = cur[1]
                 if not isinstance(p, str) or p in PRIMS:
-                    return fault("type: lambda parameter must be a non-primitive atom")
+                    return _fault("type: lambda parameter must be a non-primitive atom", ppos, apos, steps)
                 val = Closure(p, cur[2], env)
                 break
-            elif head == "r":
-                if ppos >= len(payload):
-                    return fault("payload-underrun")
+            elif op == _R:
+                if ppos >= n_payload:
+                    return _fault("payload-underrun", ppos, apos, steps)
                 val = payload[ppos]
                 ppos += 1
                 break
             else:  # s
-                if aux is None or apos >= len(aux):
-                    return fault("aux-underrun")
+                if apos >= n_aux:
+                    return _fault("aux-underrun", ppos, apos, steps)
                 val = aux[apos]
                 apos += 1
                 break
 
-        # val is ready: pop frames until one asks for an evaluation
-        while True:
-            if not konts:
-                return RunOutcome(HALTED, value=_expr(val), payload_consumed=ppos, aux_consumed=apos, steps=steps)
-            k = konts.pop()
+        # val is ready: pop frames until one asks for an evaluation or an
+        # application is due
+        while fun is None:
+            k = kont
+            if k is None:
+                return RunOutcome(HALTED, _expr(val), ppos, apos, steps)
             tag = k[0]
-            if tag == _FUN:
-                konts.append((_APPLY, val))
-                cur, env = k[1], k[2]
+            if tag == _K_CONS2:
+                _, x, kont = k
+                if not isinstance(val, tuple):
+                    return _fault("type: cons onto a non-list", ppos, apos, steps)
+                val = (x, val)
+            elif tag == _K_CONS or tag == _K_EQ:
+                _, cur, env, kont = k
+                kont = (_K_CONS2 if tag == _K_CONS else _K_EQ2, val, kont)
                 break
-            if tag == _ARG2:
-                konts.append((_ARG2B, k[1], val))
-                cur, env = k[2], k[3]
+            elif tag == _K_FUN:
+                _, x, env, kont = k
+                if type(x) is not str:
+                    kont = (_K_APPLY, val, kont)
+                    cur = x
+                    break
+                arg = _lookup(x, env)
+                if arg is None:
+                    return _unbound(x, ppos, apos, steps)
+                fun = val
+            elif tag == _K_APPLY:
+                _, fun, kont = k
+                arg = val
+            elif tag == _K_IF:
+                _, t, e, env, kont = k
+                cur = e if val == () else t
                 break
-            if tag == _ARG2B:
-                x = k[2]
-                if k[1] == "c":
-                    if not isinstance(val, tuple):
-                        return fault("type: cons onto a non-list")
-                    val = (x, val)
-                else:  # e
-                    if isinstance(x, (Closure, Rec)) or isinstance(val, (Closure, Rec)):
-                        return fault("type: equality on non-data value")
-                    val = "1" if _equal(x, val) else ()
-                continue
-            if tag == _ARG1:
-                prim = k[1]
-                if prim == "h":
-                    if not isinstance(val, tuple) or not val:
-                        return fault("type: head of a non-list or empty list")
-                    val = val[0]
-                elif prim == "t":
-                    if not isinstance(val, tuple) or not val:
-                        return fault("type: tail of a non-list or empty list")
-                    val = val[1]
-                elif prim == "a":
-                    if isinstance(val, (Closure, Rec)):
-                        return fault("type: atom test on non-data value")
-                    val = "1" if isinstance(val, str) else ()
-                else:  # y
-                    if not isinstance(val, Closure):
-                        return fault("type: fixed point of a non-closure")
-                    val = Rec(val)
-                continue
-            if tag == _IF:
-                cur, env = (k[2] if val == () else k[1]), k[3]
-                break
+            elif tag == _K_HEAD:
+                kont = k[1]
+                if not isinstance(val, tuple) or not val:
+                    return _fault("type: head of a non-list or empty list", ppos, apos, steps)
+                val = val[0]
+            elif tag == _K_TAIL:
+                kont = k[1]
+                if not isinstance(val, tuple) or not val:
+                    return _fault("type: tail of a non-list or empty list", ppos, apos, steps)
+                val = val[1]
+            elif tag == _K_REC:  # val is the closure produced by unfolding; apply it to the saved argument
+                _, arg, kont = k
+                fun = val
+            elif tag == _K_EQ2:
+                _, x, kont = k
+                if isinstance(x, (Closure, Rec)) or isinstance(val, (Closure, Rec)):
+                    return _fault("type: equality on non-data value", ppos, apos, steps)
+                val = "1" if _equal(x, val) else ()
+            elif tag == _K_ATOM:
+                kont = k[1]
+                if isinstance(val, (Closure, Rec)):
+                    return _fault("type: atom test on non-data value", ppos, apos, steps)
+                val = "1" if isinstance(val, str) else ()
+            else:  # _K_FIX
+                kont = k[1]
+                if not isinstance(val, Closure):
+                    return _fault("type: fixed point of a non-closure", ppos, apos, steps)
+                val = Rec(val)
+        if fun is None:
+            continue
 
-            # _APPLY or _REC: apply a function value
-            if tag == _APPLY:
-                fun, arg = k[1], val
-            else:  # _REC: val is the closure produced by unfolding; apply it to the saved argument
-                fun, arg = val, k[1]
+        # apply fun to arg
+        steps += 1
+        if steps > budget:
+            return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+        if fun is s_fun and arg is s_arg and kont is s_kont and ppos == s_ppos and apos == s_apos:
+            return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, budget)
+        if steps >= s_mark:
+            s_mark = steps + (steps >> 2) + 1
+            s_fun, s_arg, s_kont, s_ppos, s_apos = fun, arg, kont, ppos, apos
+        if isinstance(fun, Closure):
+            cur, env = fun.body, (fun.param, arg, fun.env)
+        elif isinstance(fun, Rec):
+            # unfold once: (clo R) must yield a closure, then apply it to arg
+            clo = fun.clo
             steps += 1
             if steps > budget:
-                return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=steps - 1)
-            if (fun is s_fun and arg is s_arg and ppos == s_ppos and apos == s_apos
-                    and len(konts) == s_depth and (not konts or konts[-1] is s_top)):
-                return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=budget)
-            if steps >= s_mark:
-                s_mark = steps + (steps >> 2) + 1
-                s_fun, s_arg, s_ppos, s_apos = fun, arg, ppos, apos
-                s_depth, s_top = len(konts), konts[-1] if konts else None
-            if isinstance(fun, Closure):
-                cur, env = fun.body, (fun.param, arg, fun.env)
-            elif isinstance(fun, Rec):
-                # unfold once: (clo R) must yield a closure, then apply it to arg
-                clo = fun.clo
-                steps += 1
-                if steps > budget:
-                    return RunOutcome(OUT_OF_BUDGET, payload_consumed=ppos, aux_consumed=apos, steps=steps - 1)
-                konts.append((_REC, arg))
-                cur, env = clo.body, (clo.param, fun, clo.env)
-            else:
-                return fault("type: value is not applicable")
-            break
+                return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+            kont = (_K_REC, arg, kont)
+            cur, env = clo.body, (clo.param, fun, clo.env)
+        else:
+            return _fault("type: value is not applicable", ppos, apos, steps)

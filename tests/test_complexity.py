@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 from functools import lru_cache
 
 import pytest
@@ -597,6 +598,51 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
                for x, _ in pairs}
     assert len(x_stars) >= 3
     assert swept == [("sd", 56, 10**4, 4, 1)]
+
+
+def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
+    # the composer is encoded once per chain command and the replay prefix
+    # once per process; each composed candidate is the composer's bits
+    # followed by its payload, as Program(composer, payload) would give
+    from omegalab import complexity, sexpr
+    from omegalab.cli import main
+
+    composer, replay = progs.pair_composer(), progs.replay_prefix()
+    encoded = []
+    for attr in ("to_bits", "print_sexpr"):
+        original = getattr(sexpr, attr)
+
+        def spy(e, original=original, attr=attr):
+            encoded.append((attr, "composer" if e is composer else "replay" if e is replay else None))
+            return original(e)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "omegalab" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, spy)
+    best = complexity._best
+    composed = []
+
+    def recording_best(cands):
+        composed.extend((size, bits) for size, bits, src in cands if src == "composed")
+        return best(cands)
+
+    monkeypatch.setattr(complexity, "_best", recording_best)
+    commands = [":;:1;0:;0:1", ":;:1;0:;0:0;00:;00:1"]
+    for pairs in commands:
+        encoded.clear()
+        assert main(["chain", "--machine", "sd", "--pairs", pairs, "--L", "96", "--B", "10000",
+                     "--c-cap", "5"]) == 0
+        assert encoded.count(("to_bits", "composer")) == 1
+        assert encoded.count(("print_sexpr", "composer")) == 1  # the print inside to_bits
+        assert encoded.count(("to_bits", "replay")) <= (1 if pairs == commands[0] else 0)
+    capsys.readouterr()
+    ens = Ensemble("sd", 96, 10**4, c_cap=5)
+    expected = []
+    for x, y in {tuple(pair.split(":")) for pairs in commands for pair in pairs.split(";")}:
+        x_star = complexity_upper(ens, x, include_constructed=True).witness
+        p = Program(composer, x_star + relative_complexity(ens, y, x_star).witness)
+        expected.append((p.size_bits, p.bits))
+    assert set(composed) == set(expected)
 
 
 # sha256 of repr([(program_bits, output, pair, steps, size_bits), ...]) per sweep

@@ -198,6 +198,9 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
      "5c9b0f8bb53e9e0fa16cfe54f24f27c1ea0488324904906ae13890b0bf93cd87"),
     (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
      "ae5afca449c6f3dcbb83e49c1ddc3f296abee2b9906f08256b283e9b65522916"),
+    # the benchmark's seed-1 chain command, whose 2-bit x is skipped
+    (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:0;00:;00:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
+     "724f0bcd89520c2f41a1237450fd2fd19ac3e162371f87a78eca5639ddee82d9"),
     (["elegant", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
      "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
     (["sweep", "--machine", "total", "--L", "80", "--c-cap", "10", "--B", "structural"],

@@ -166,3 +166,11 @@ def test_no_library_module_imports_dataclasses():
         alias.name == "dataclasses" for alias in node.names)) or (
         isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
     assert not found, found
+
+
+def test_step_loop_keeps_its_counters_in_plain_locals():
+    # a nested function that reads steps, ppos or apos turns each into a
+    # closure cell, and every `steps += 1` of the step loop then goes through it
+    from omegalab import vm
+
+    assert vm.eval_expr.__code__.co_cellvars == ()

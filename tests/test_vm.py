@@ -1,6 +1,7 @@
 """Evaluator semantics: primitives, budgets, faults, the total fragment, and
 the cycle check, against a plain recursive reference evaluator."""
 
+import re
 import sys
 import time
 
@@ -11,7 +12,7 @@ from omegalab.complexity import gen_exprs
 from omegalab.machines import Program, run_total, structural_budget
 from omegalab.progs import LOOP
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
-from omegalab.vm import Closure, Rec, eval_expr
+from omegalab.vm import FAULTED, Closure, Rec, eval_expr
 
 
 def run(text, budget=100, payload="", aux=None):
@@ -343,6 +344,71 @@ def test_reference_agrees_on_the_guest_programs():
 ])
 def test_application_corners_follow_the_docstring(text, budget, kind, steps):
     assert _agree(parse(text), budget)[::4] == (kind, steps)
+
+
+# (program, payload, aux, reason, steps, payload read, aux read): every fault
+# reason eval_expr gives, verbatim, since bench/spans.py classifies by the text.
+# The unbound atoms stand in each operand position: the argument of h, t, a,
+# y, c, e and i, and the function and the argument of an application.
+FAULTS = [
+    ("b", "", None, "type: unbound atom 'b'", 0, 0, 0),
+    ("(hb)", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(tb)", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(ab)", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(yb)", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(c(r)b)", "1", None, "type: unbound atom 'b'", 2, 1, 0),
+    ("(e(q0)b)", "", None, "type: unbound atom 'b'", 2, 0, 0),
+    ("(ib(q0)(q1))", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(b(q()))", "", None, "type: unbound atom 'b'", 0, 0, 0),
+    ("(bd)", "", None, "type: unbound atom 'b'", 0, 0, 0),
+    ("((lx(bx))(q0))", "", None, "type: unbound atom 'b'", 3, 0, 0),
+    ("((lxx)b)", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("((lf(fg))(lxx))", "", None, "type: unbound atom 'g'", 3, 0, 0),
+    ("((lf(fg))(y(lxx)))", "", None, "type: unbound atom 'g'", 4, 0, 0),
+    ("((lf((lxx)g))(lxx))", "", None, "type: unbound atom 'g'", 4, 0, 0),
+    ("(b)", "", None, "type: application takes exactly one argument", 0, 0, 0),
+    ("((lxx)(q0)(q1))", "", None, "type: application takes exactly one argument", 0, 0, 0),
+    ("(h)", "", None, "type: h takes 1 argument(s)", 1, 0, 0),
+    ("(r(q0))", "", None, "type: r takes 0 argument(s)", 1, 0, 0),
+    ("(i(q0))", "", None, "type: i takes 3 argument(s)", 1, 0, 0),
+    ("(c(q0))", "", None, "type: c takes 2 argument(s)", 1, 0, 0),
+    ("(y)", "", None, "type: y takes 1 argument(s)", 1, 0, 0),
+    ("(lqx)", "", None, "type: lambda parameter must be a non-primitive atom", 1, 0, 0),
+    ("(l(q0)x)", "", None, "type: lambda parameter must be a non-primitive atom", 1, 0, 0),
+    ("(c(r)(r))", "1", None, "payload-underrun", 3, 1, 0),
+    ("(s)", "", None, "aux-underrun", 1, 0, 0),
+    ("(c(s)(c(s)(q())))", "", "1", "aux-underrun", 4, 0, 1),
+    ("(c(q0)(q1))", "", None, "type: cons onto a non-list", 3, 0, 0),
+    ("(e(lxx)(q0))", "", None, "type: equality on non-data value", 3, 0, 0),
+    ("(e(q0)(y(lxx)))", "", None, "type: equality on non-data value", 4, 0, 0),
+    ("(h(q()))", "", None, "type: head of a non-list or empty list", 2, 0, 0),
+    ("((lx(hx))(q0))", "", None, "type: head of a non-list or empty list", 4, 0, 0),
+    ("(t(q()))", "", None, "type: tail of a non-list or empty list", 2, 0, 0),
+    ("((lx(tx))(r))", "1", None, "type: tail of a non-list or empty list", 4, 1, 0),
+    ("(a(lxx))", "", None, "type: atom test on non-data value", 2, 0, 0),
+    ("((lx(ax))(y(lxx)))", "", None, "type: atom test on non-data value", 5, 0, 0),
+    ("(y(q0))", "", None, "type: fixed point of a non-closure", 2, 0, 0),
+    ("((lx(yx))(q()))", "", None, "type: fixed point of a non-closure", 4, 0, 0),
+    ("((lf(f(q0)))(y(q0)))", "", None, "type: fixed point of a non-closure", 3, 0, 0),
+    ("((q0)(q1))", "", None, "type: value is not applicable", 3, 0, 0),
+    ("((lx(x(q0)))(s))", "", "1", "type: value is not applicable", 5, 0, 1),
+    ("((y(lf(q0)))(q1))", "", None, "type: value is not applicable", 7, 0, 0),
+]
+
+
+@pytest.mark.parametrize("text, payload, aux, reason, steps, p_read, a_read", FAULTS)
+def test_fault_reasons_are_pinned_verbatim(text, payload, aux, reason, steps, p_read, a_read):
+    out = run(text, 100, payload, aux)
+    assert out == (FAULTED, None, p_read, a_read, steps, reason)
+    assert _agree(parse(text), 100, payload, aux)[-1] == reason.split(":")[0]
+
+
+def test_fault_table_holds_every_reason():
+    # the unbound-atom and arity reasons name an atom and a primitive; the
+    # other eleven are fixed texts, thirteen reasons in all
+    shapes = {re.sub(r"unbound atom '.'", "unbound atom", re.sub(r"\w takes \d", "p takes n", f[3]))
+              for f in FAULTS}
+    assert len(shapes) == 13, sorted(shapes)
 
 
 def _forms_with_lambdas():
