@@ -123,11 +123,11 @@ class Dyadic(NamedTuple("Dyadic", [("num", int), ("exp", int)])):
 
 
 def kraft_sum(members: Iterable[BitString]) -> Dyadic:
-    """Exact sum of 2^-|p| over the (deduplicated) members."""
-    total = Dyadic.zero()
-    for p in set(members):
-        total = total + Dyadic.pow2(len(p))
-    return total
+    """Exact sum of 2^-|p| over the (deduplicated) members, summed as an
+    integer numerator over 2^m, m the length of the longest member."""
+    members = set(members)
+    m = max(map(len, members), default=0)
+    return Dyadic(sum(1 << (m - len(p)) for p in members), m)
 
 
 def dyadic_bits(d: Dyadic, k: int) -> BitString:
@@ -142,8 +142,3 @@ def dyadic_bits(d: Dyadic, k: int) -> BitString:
         raise ValueError(f"dyadic_bits requires k >= 0, got {k}")
     return format((d.num << k) >> d.exp, f"0{k}b") if k else ""
 
-
-def bits_to_dyadic(bits: BitString) -> Dyadic:
-    """Reinterpret a bit string as the dyadic 0.b1b2...bk."""
-    num = int(bits, 2) if bits else 0
-    return Dyadic(num, len(bits))

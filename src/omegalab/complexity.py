@@ -12,9 +12,10 @@ a raw scan of all 2^(L+1) strings would find, at a tiny fraction of the cost.
 Machine c2 is not raw-scanned either.  A leading 1 halts only on one whole
 list expression, so only the expressions of (n-1)/8 characters are run, and
 only those records are stored.  A leading 0 prints the rest in one step, so
-H_C(x) <= |x| + 1, and those programs are treated as the counted constants
-are: build_table seeds its entries with them in closed form
-(_c2_leading_zero), and enumerate_halting lists them only when called.
+H_C(x) <= |x| + 1.  Each of those programs has an output of its own, so no
+counted record (below) can stand for them: build_table seeds its entries
+with them in closed form (_c2_leading_zero), and enumerate_halting lists
+them only when called.
 
 Aux bits are found on demand the same way, with no cap: each aux read costs
 a step, so the budget bounds the depth.  A record keeps the aux bits its run
@@ -39,12 +40,14 @@ X or a closure; they are almost every evaluable prefix above 7 characters.
 One memoized split per print length (_split_constants) decides them all: the
 constants whose value converts to an output (X a 0/1 atom, a flat bit list,
 or a list of two flat bit lists: about 2^(n-5) of n characters) get their
-records in closed form, and every other constant is only counted, by a
-counting recursion over expressions.  build_table folds the counts
-(counted_constants) into mass, conv_fail_mass and contributing, and
-enumerate_halting lists the counted constants only when called.  Constants
-halt at any B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16
-sd and 12 total prefixes.
+records in closed form, and every other constant of n characters is one
+counted record, its count from a counting recursion over expressions.  A
+record with count c stands for c programs alike in size, steps, output, pair
+and aux read.  The sweep stores the counted records like any other, so the
+store's projection gates them; build_table folds each by its count, and
+enumerate_halting lists their members only when called (_counted_records).
+Constants halt at any B >= 1 and serve every aux.  Up to 6 characters the
+sweep runs 16 sd and 12 total prefixes.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
 On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
@@ -72,7 +75,7 @@ payload or aux of a halting run underran before its last step.  A request
 the stored sweep cannot serve (L_s < L or B_s < B) is swept and replaces it.
 On total the store sweeps at STRUCTURAL and serves every integer B.  Tables,
 capped omega, both oracles, relative complexity and every report derive from
-the store and the counts.
+the store.
 """
 
 from __future__ import annotations
@@ -195,10 +198,11 @@ def _count_exprs(n: int, atoms: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _split_constants(n: int, alphabet: str) -> Tuple[Tuple[HaltRecord, ...], int]:
-    """The constants of print length n: the records of the (q X) whose value
-    converts to an output (X a 0/1 atom, a flat bit list, or a list of two
-    flat bit lists), and the count of the others, every (q X) and (l p X) left."""
+def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
+    """The constants of print length n as records: one per (q X) whose value
+    converts to an output (X a 0/1 atom, a flat bit list, or a list of two flat
+    bit lists), and one counted record for every (q X) and (l p X) left.  Its
+    program is one of them: (qa), (q(aa...)), or (lpa) where (q()) converts."""
     def bit_lists(m):  # the flat bit lists printing to m characters
         return list(itertools.product("01", repeat=m - 2)) if m >= 2 else []
 
@@ -208,14 +212,18 @@ def _split_constants(n: int, alphabet: str) -> Tuple[Tuple[HaltRecord, ...], int
     outs = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in quoted]
     records = tuple(HaltRecord(to_bits(("q", out.value)), output_of(out), pair_output_of(out), 1, 8 * n)
                     for out in outs)
-    lambdas = len(_params(1, alphabet)) if "l" in alphabet else 0
+    params = _params(1, alphabet) if "l" in alphabet else ""
     atoms = len(alphabet)
-    return records, _count_exprs(n - 3, atoms) + lambdas * _count_exprs(n - 4, atoms) - len(records)
+    count = _count_exprs(m, atoms) + len(params) * _count_exprs(n - 4, atoms) - len(records)
+    if not count:
+        return records
+    member = ("q", "a") if n == 4 else ("l", params[0], "a") if n == 5 else ("q", ("a",) * (n - 5))
+    return records + (HaltRecord(to_bits(member), None, None, 1, 8 * n, "", count),)
 
 
 def _counted_records(n: int, alphabet: str) -> List[HaltRecord]:
-    """The counted constants of print length n as records, in program-bits order."""
-    converting = {r.program_bits for r in _split_constants(n, alphabet)[0]}
+    """The members of the counted record of print length n, in program-bits order."""
+    converting = {r.program_bits for r in _split_constants(n, alphabet) if r.count == 1}
     bits = sorted(b for b in map(to_bits, _constants(n, alphabet)) if b not in converting)
     return [HaltRecord(b, None, None, 1, 8 * n) for b in bits]
 
@@ -256,12 +264,13 @@ def domain_runs(prefix: SExpr, max_payload: int,
 # sweep records
 
 class HaltRecord(NamedTuple):  # immutable: stored sweeps and memoized tables share them
-    program_bits: BitString
+    program_bits: BitString  # with count > 1, one of the programs
     output: Optional[BitString]  # wrap-convention bit output, None if unconvertible
     pair: Optional[Tuple[BitString, BitString]]
     steps: int
     size_bits: int
     aux_read: BitString = ""  # the aux bits the run read
+    count: int = 1  # the programs it stands for, alike in every field but program_bits
 
 
 def _sd_records_for_prefixes(job) -> List[HaltRecord]:
@@ -309,17 +318,16 @@ def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[Ha
 
     For sd/total the sweep is exhaustive for sizes <= min(L, 8*c_cap + 7); see
     exhaustive_bits().  aux=None keeps the records that read no aux.  The
-    explicit records merged with the records folded in closed form (the
-    counted constants, or c2's leading-0 programs), listed here and held
-    nowhere; the list is the caller's.
+    explicit records with each counted record listed as its members, and on
+    c2 merged with the leading-0 programs; the list is the caller's.
     """
     return _with_counted(explicit_records(ens, aux), ens)
 
 
 def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
-    """enumerate_halting(ens, aux) without the counted constants or c2's
-    leading-0 programs, served from the sweep store (module docstring); the
-    list is the caller's."""
+    """The stored records behind enumerate_halting(ens, aux): each counted
+    record stands for its members, and c2's leading-0 programs are left out.
+    Served from the sweep store (module docstring); the list is the caller's."""
     key = (ens.machine, ens.c_cap, ens.workers)
     hit = _store.get(key)
     if hit is None or hit[0].L < ens.L or not _covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
@@ -328,19 +336,6 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
     y = aux or ""
     return [r for r in hit[1] if r.size_bits <= ens.L and (ens.B == STRUCTURAL or r.steps <= ens.B)
             and y.startswith(r.aux_read)]
-
-
-def counted_constants(ens: Ensemble) -> Dict[int, int]:
-    """Print length n -> the number of ens's counted constants of n characters.
-
-    Each is a program of 8n bits that halts in one step, reads no payload and
-    no aux, and has a value that converts to no output; no explicit record
-    holds one, so they serve every aux.
-    """
-    if ens.machine == "c2" or not _covers(ens.B, 1):
-        return {}
-    alphabet = _ALPHABETS[ens.machine]
-    return {n: _split_constants(n, alphabet)[1] for n in range(4, min(ens.c_cap, ens.L // 8) + 1)}
 
 
 def _c2_leading_zero(ens: Ensemble) -> List[BitString]:
@@ -355,14 +350,14 @@ def _c2_leading_zero(ens: Ensemble) -> List[BitString]:
 
 
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
-    """records, explicit records of ens, merged with the records it holds
-    nowhere: its counted constants, or on c2 its leading-0 programs."""
+    """records, explicit records of ens, with each counted record replaced by
+    its members, or on c2 merged with the leading-0 programs."""
     if ens.machine == "c2":
-        folded = [HaltRecord("0" + r, r, None, 1, len(r) + 1) for r in _c2_leading_zero(ens)]
-    else:
-        alphabet = _ALPHABETS[ens.machine]
-        folded = [r for n in counted_constants(ens) for r in _counted_records(n, alphabet)]
-    return sorted(records + folded, key=_order) if folded else records
+        return sorted(records + [HaltRecord("0" + r, r, None, 1, len(r) + 1) for r in _c2_leading_zero(ens)],
+                      key=_order)
+    alphabet = _ALPHABETS[ens.machine]
+    return sorted((m for r in records
+                   for m in (_counted_records(r.size_bits // 8, alphabet) if r.count > 1 else (r,))), key=_order)
 
 
 def _order(r: HaltRecord):
@@ -391,9 +386,9 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     else:
         parts = map(_sd_records_for_prefixes, jobs)
     records = list(itertools.chain.from_iterable(parts))
-    if _covers(B, 1):  # the constants that convert, in closed form
+    if _covers(B, 1):  # the constants, in closed form
         for n in lengths:
-            records += _split_constants(n, alphabet)[0]
+            records += _split_constants(n, alphabet)
     records.sort(key=_order)  # the only order
     return records
 
@@ -439,41 +434,39 @@ class ComplexityTable(NamedTuple):
 @lru_cache(maxsize=32)
 def build_table(ens: Ensemble) -> ComplexityTable:
     """The sweep of ens folded per output.  Memoized on ens: callers share the
-    table and must not change its dicts."""
-    records = explicit_records(ens)
-    counted = counted_constants(ens)
+    table and must not change its dicts.  Masses are summed as integer
+    numerators over 2^L, each made a Dyadic once at the end."""
+    L = ens.L
     with_prob = ens.machine in machines.SELF_DELIMITING
     # c2's leading-0 programs, in closed form (_make skips __new__'s argument binding)
     entries: Dict[BitString, TableEntry] = {r: TableEntry._make((r, len(r) + 1, "0" + r, 1, None))
                                             for r in _c2_leading_zero(ens)} if ens.machine == "c2" else {}
-    seeded = len(entries)
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = {}
-    mass, conv_fail_mass = Dyadic.zero(), Dyadic.zero()
+    contributing, mass, conv_fail_mass = len(entries), 0, 0
 
-    for bits, output, pair, _, size, _ in records:  # order-free: a later record may beat a seeded entry
-        w = Dyadic.pow2(size) if with_prob else None  # the record's Kraft term
-        if with_prob:
-            mass += w
+    # order-free: a later record may beat a seeded entry
+    for bits, output, pair, _, size, _, count in explicit_records(ens):
+        contributing += count
+        w = count << (L - size) if with_prob else 0  # the record's Kraft terms, over 2^L
+        mass += w
         key, entry_map = (output, entries) if output is not None else (pair, pair_entries)
-        if key is None:
-            if with_prob:
-                conv_fail_mass += w
+        if key is None:  # every counted record lands here
+            conv_fail_mass += w
         elif (cur := entry_map.get(key)) is None:
-            entry_map[key] = TableEntry(key, size, bits, 1, w)
+            entry_map[key] = TableEntry(key, size, bits, 1, w if with_prob else None)
         elif size < cur.h_upper:
             entry_map[key] = TableEntry(key, size, bits, 1, cur.prob + w if with_prob else None)
         else:
             tie = size == cur.h_upper
             entry_map[key] = TableEntry(key, cur.h_upper, min(cur.witness, bits) if tie else cur.witness,
                                         cur.minimal_count + tie, cur.prob + w if with_prob else None)
-    for n, count in counted.items():  # only sd and total count constants
-        w = Dyadic(count, 8 * n)
-        mass += w
-        conv_fail_mass += w
-    if mass > Dyadic.one():  # the domain is prefix-free, so Kraft bounds its mass
-        raise InvariantError(f"Kraft sum {mass} of the {ens.machine} domain at L={ens.L} exceeds 1")
-    return ComplexityTable(ens, entries, pair_entries, exhaustive_bits(ens), conv_fail_mass, mass,
-                           len(records) + seeded + sum(counted.values()))
+    if mass > 1 << L:  # the domain is prefix-free, so Kraft bounds its mass
+        raise InvariantError(f"Kraft sum {Dyadic(mass, L)} of the {ens.machine} domain at L={L} exceeds 1")
+    for entry_map in (entries, pair_entries) if with_prob else ():  # c2 is not prefix-free: no masses
+        for key, entry in entry_map.items():
+            entry_map[key] = entry._replace(prob=Dyadic(entry.prob, L))
+    return ComplexityTable(ens, entries, pair_entries, exhaustive_bits(ens), Dyadic(conv_fail_mass, L),
+                           Dyadic(mass, L), contributing)
 
 
 class ComplexityResult(NamedTuple):
@@ -511,8 +504,8 @@ def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = Fa
         cands.append((entry.h_upper, entry.witness, "sweep"))
     if include_constructed and ens.machine in machines.SELF_DELIMITING:
         qp = progs.quote_program(x)
-        if qp.size_bits <= ens.L and progs.verify_output(ens.machine, qp, x):
-            cands.append((qp.size_bits, qp.bits, "quote"))
+        if len(bits := qp.bits) <= ens.L and progs.verify_output(ens.machine, qp, x):  # qp encoded once
+            cands.append((len(bits), bits, "quote"))
     best = _best(cands)
     if not best.found:
         return best
@@ -553,8 +546,8 @@ def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityRes
     if entry is not None:
         cands.append((entry.h_upper, entry.witness, "sweep"))
     qp = progs.quote_pair_program(x, y)
-    if qp.size_bits <= ens.L and progs.verify_pair(ens.machine, qp, x, y):
-        cands.append((qp.size_bits, qp.bits, "quote"))
+    if len(bits := qp.bits) <= ens.L and progs.verify_pair(ens.machine, qp, x, y):
+        cands.append((len(bits), bits, "quote"))
     return _best(cands)
 
 
@@ -572,8 +565,8 @@ def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> Compl
             cands.append((rec.size_bits, rec.program_bits, "sweep"))
             break  # records are (length, lex)-sorted
     plain = progs.quote_program(x)
-    if plain.size_bits <= L and progs.verify_output(machine, plain, x, aux=y_star):
-        cands.append((plain.size_bits, plain.bits, "plain"))
+    if len(bits := plain.bits) <= L and progs.verify_output(machine, plain, x, aux=y_star):
+        cands.append((len(bits), bits, "plain"))
     # replaying the aux program reproduces its output
     if output_of(y_run) == x:
         rp_bits = progs.replay_bits()

@@ -10,11 +10,11 @@ separately rather than folded in or dropped.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .bits import BitString, Dyadic, bits_to_dyadic, dyadic_bits
+from .bits import BitString, Dyadic, dyadic_bits
 from . import machines
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, build_table, enumerate_halting
+from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, build_table, enumerate_halting, explicit_records
 
 
 class OmegaApprox(NamedTuple):
@@ -70,39 +70,49 @@ def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = DEFA
     """Recover the halting set for sizes <= k from the first k bits of capped omega.
 
     ens must be the decidable ensemble: machine total at the structural
-    budget.  Dovetails it in increasing budget, accumulating the exact lower
-    bound, until it reaches the dyadic value of kbits; at that point any
-    still-unhalted program of size <= k would push the sum past
-    value(kbits) + 2^-k > omega, so the halting set for sizes <= k is
-    complete.  Inconsistent kbits can never be reached; the run then ends with
-    a distinguishable guard-tripped outcome (the step guard, or immediately
-    once the decidable ensemble is exhausted below the target).
+    budget.  Dovetails it in increasing budget: stage b adds the programs
+    halting in b steps, so the exact lower bound accumulates in (steps, size,
+    lex) order, an integer numerator over 2^L, until it reaches the dyadic
+    value of kbits; at that point any still-unhalted program of size <= k
+    would push the sum past value(kbits) + 2^-k > omega, so the halting set for
+    sizes <= k is complete.  Inconsistent kbits can never be reached; the run
+    then ends with a distinguishable guard-tripped outcome (the step guard, or
+    immediately once the decidable ensemble is exhausted below the target).
+
+    Programs of at most k bits are listed one by one, and a larger counted
+    record is taken by count: its members each add the same steps and the same
+    2^-size, and none joins the halting set, so they are interchangeable and
+    where the dovetail stops depends only on how many of them it took.
     """
     if (ens.machine, ens.B) != ("total", STRUCTURAL):
         raise ValueError(f"the omega oracle needs machine total at the structural budget, "
                          f"got {ens.machine} at B={ens.B}")
-    k = len(kbits)
-    if k > ens.L:
-        raise ValueError("k must not exceed the ensemble cap L")
-    target = bits_to_dyadic(kbits)
-    # dovetail order: the run at dovetail stage b contributes exactly the
-    # programs halting in b steps, so accumulate in (steps, size, lex) order
-    records = sorted(enumerate_halting(ens), key=lambda r: (r.steps, r.size_bits, r.program_bits))
-    acc = Dyadic.zero()
-    spent = 0
-    halted: List[BitString] = []
-    if acc >= target:
-        return OracleResult(False, None, (), acc, 0)
-    for rec in records:
-        spent += rec.steps
-        if spent > guard:
-            return OracleResult(True, "step guard exhausted", (), acc, spent)
-        acc = acc + Dyadic.pow2(rec.size_bits)
-        if rec.size_bits <= k:
-            halted.append(rec.program_bits)
-        if acc >= target:
-            return OracleResult(False, None, tuple(sorted(halted, key=lambda b: (len(b), b))), acc, spent)
-    return OracleResult(True, "ensemble exhausted below target (kbits inconsistent)", (), acc, spent)
+    k, L = len(kbits), ens.L
+    if k > L or guard < 0:
+        raise ValueError(f"the oracle needs k <= L and a guard >= 0, got k={k}, L={L}, guard={guard}")
+    target = int(kbits or "0", 2) << (L - k)  # value(kbits), over 2^L
+    if not target:
+        return OracleResult(False, None, (), Dyadic.zero(), 0)
+    larger = [r for r in explicit_records(ens) if r.size_bits > k]  # read first: one sweep, at L, serves both
+    records = enumerate_halting(Ensemble("total", k, STRUCTURAL, ens.c_cap, ens.workers)) + larger
+    records.sort(key=lambda r: (r.steps, r.size_bits, r.program_bits))
+    acc, spent, halted = 0, 0, []
+    for bits, _, _, steps, size, _, count in records:
+        w = 1 << (L - size)
+        need = -(-(target - acc) // w)  # the members that bring the sum to the target
+        fit = count if spent + steps * count <= guard else (guard - spent) // steps  # within the guard
+        if fit < min(need, count):  # the member after them trips the guard
+            return OracleResult(True, "step guard exhausted", (), Dyadic(acc + fit * w, L),
+                                spent + (fit + 1) * steps)
+        take = min(need, count)
+        spent += take * steps
+        acc += take * w
+        if size <= k:
+            halted.append(bits)
+        if take == need:
+            return OracleResult(False, None, tuple(sorted(halted, key=lambda b: (len(b), b))), Dyadic(acc, L),
+                                spent)
+    return OracleResult(True, "ensemble exhausted below target (kbits inconsistent)", (), Dyadic(acc, L), spent)
 
 
 def decided_halting_set(L: int, k: int, c_cap: int = DEFAULT_CHAR_CAP) -> Tuple[BitString, ...]:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from omegalab.bits import (
     BitParseError,
     Dyadic,
-    bits_to_dyadic,
     bs_parse,
     dyadic_bits,
     is_prefix_free,
@@ -134,7 +133,7 @@ def test_dyadic_bits_matches_oracle(num, exp, k):
 @given(st.integers(0, 2**20 - 1), st.integers(1, 30))
 def test_dyadic_bits_reinterpretation_close(num, k):
     d = Dyadic(num, 20)
-    approx = bits_to_dyadic(dyadic_bits(d, k))
+    approx = Dyadic(int(dyadic_bits(d, k), 2), k)  # the bits read back as 0.b1...bk
     assert approx <= d
     assert d - approx < Dyadic.pow2(k)
 

@@ -495,6 +495,29 @@ def test_frontier_stdout_is_frozen(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("k, digest", [
+    (16, "2a6ecdd349997f50635a80678da63a3ac148d1ef2b748540a4f58fc773d11d96"),
+    (40, "fc3e2194b3de92615f279b2f66d7cb0291bcceddbe3f5242aebf6a1b9be7ca7b"),
+])
+def test_omega_oracle_lists_no_counted_member_above_k(capsys, monkeypatch, k, digest):
+    # frozen while the oracle still listed every member of every counted
+    # record; now it lists only the ones of at most k bits
+    from omegalab import complexity
+
+    counted_records = complexity._counted_records
+    listed = []
+
+    def spy(n, alphabet):
+        listed.append(8 * n)
+        return counted_records(n, alphabet)
+
+    monkeypatch.setattr(complexity, "_counted_records", spy)
+    code, out, err = run_cli(capsys, "omega", "oracle", "--L", "79", "--c-cap", "9", "--k", str(k))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert all(size <= k for size in listed) and (k < 32 or listed)
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["sweep", "--machine", "c2", "--L", "14", "--B", "10000"],
      "c7cdab824ea117c570de6a551d27ad430d682e346d99ba210911b80c304e00c7"),

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -295,7 +296,7 @@ def test_class_sweep_equals_a_full_sweep():
     assert _swept("sd", 47, 10**4, 5, 4) == full
 
 
-def test_constant_counts_equal_the_generated_constants():
+def test_counted_records_equal_the_generated_constants():
     from omegalab import vm
     from omegalab.complexity import _constants, _count_exprs, _counted_records, _exprs_exact, _split_constants
     from omegalab.machines import pair_output_of
@@ -304,46 +305,71 @@ def test_constant_counts_equal_the_generated_constants():
     # stands for all of them; pairs first fit at 9 characters, (q(()()))
     for n in range(4, 13):
         values = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in _exprs_exact(n - 3, "01a")]
-        assert sorted(r.program_bits for r in _split_constants(n, ALPHABET)[0]) == sorted(
+        assert sorted(r.program_bits for r in _split_constants(n, ALPHABET) if r.count == 1) == sorted(
             to_bits(("q", out.value)) for out in values
             if output_of(out) is not None or pair_output_of(out) is not None), n
     for alphabet in (ALPHABET, _TOTAL_ALPHABET):
         for n in range(1, 6):
             assert _count_exprs(n, len(alphabet)) == len(_exprs_exact(n, alphabet)), (alphabet, n)
-        for n in range(4, 8):
+        for n in range(2, 8):
             # every constant run: each halts in one step, reading nothing
             converting, counted = [], []
             for prefix in _constants(n, alphabet):
                 out = vm.eval_expr(prefix, 1, "", "")
                 assert out.halted and out.steps == 1, prefix
-                rec = (to_bits(prefix), output_of(out), pair_output_of(out), 1, 8 * n, "")
+                rec = (to_bits(prefix), output_of(out), pair_output_of(out), 1, 8 * n, "", 1)
                 (counted if rec[1] is None and rec[2] is None else converting).append(rec)
-            records, count = _split_constants(n, alphabet)
-            assert count == len(counted), (alphabet, n)
-            assert [tuple(r) for r in _counted_records(n, alphabet)] == sorted(counted), (alphabet, n)
-            assert sorted(tuple(r) for r in records) == sorted(converting), (alphabet, n)
+            records = _split_constants(n, alphabet)
+            assert sorted(tuple(r) for r in records if r.count == 1) == sorted(converting), (alphabet, n)
+            # at most one counted record: its count is the rest, its program one of them
+            classes = [r for r in records if r.count > 1]
+            assert [r.count for r in classes] == ([len(counted)] if counted else []), (alphabet, n)
+            assert all(tuple(r._replace(count=1)) in counted for r in classes), (alphabet, n)
+            if counted:
+                assert [tuple(r) for r in _counted_records(n, alphabet)] == sorted(counted), (alphabet, n)
+
+
+def _fraction_fold(records):
+    # a table folded record by record in Fractions: per output (and per pair)
+    # the least size, its lex-least program, how many programs have it, and
+    # the probability; records come in (size, program bits) order
+    entries, pair_entries = {}, {}
+    mass = conv_fail_mass = Fraction(0)
+    for r in records:
+        w = Fraction(1, 2 ** r.size_bits)
+        mass += w
+        key, table = (r.output, entries) if r.output is not None else (r.pair, pair_entries)
+        if key is None:
+            conv_fail_mass += w
+            continue
+        h, witness, count, prob = table.get(key, (r.size_bits, r.program_bits, 0, 0))
+        table[key] = (h, witness, count + (r.size_bits == h), prob + w)
+    return entries, pair_entries, mass, conv_fail_mass, len(records)
 
 
 @pytest.mark.parametrize("machine, B", [("sd", 10**4), ("sd", 1), ("total", STRUCTURAL), ("total", 0)])
-def test_counted_fold_equals_a_materialized_sweep(monkeypatch, machine, B):
-    # at c_cap 7 every evaluable prefix is run, the constants too, and folded
-    # record by record; the counted fold must give the same table
-    from omegalab import complexity
-
+def test_table_equals_a_fraction_fold_of_a_materialized_sweep(machine, B):
+    # at c_cap 7 every evaluable prefix is run, the constants too; the table,
+    # which folds the counted constants by count in integers, must equal a
+    # Fraction fold of those runs, every field
     ens = Ensemble(machine, 63, B, 7)
     full = _full_sweep(machine, 63, B, 7, evaluable_only=True)
     assert _swept(machine, 63, B, 7) == full
-    monkeypatch.setattr(complexity, "_store", {})
-    counted = build_table.__wrapped__(ens)
-    assert enumerate_halting(ens) == [r for r in full if r.aux_read == ""]
-    monkeypatch.setattr(complexity, "_store", {})
-    monkeypatch.setattr(complexity, "_sweep", lambda *args: full)
-    monkeypatch.setattr(complexity, "counted_constants", lambda ens: {})
-    folded = build_table.__wrapped__(ens)
-    for field in ("mass", "conv_fail_mass", "contributing", "entries", "pair_entries"):
-        assert getattr(counted, field) == getattr(folded, field), field
-    assert counted == folded
-    assert counted.contributing == len([r for r in full if r.aux_read == ""])
+    aux_free = [r for r in full if r.aux_read == ""]
+    assert enumerate_halting(ens) == aux_free
+    table = build_table.__wrapped__(ens)
+
+    def exact(d):
+        return Fraction(d.num, 2 ** d.exp)
+
+    def fold(entry_map):
+        assert all(e.output == key for key, e in entry_map.items())
+        return {key: (e.h_upper, e.witness, e.minimal_count, exact(e.prob)) for key, e in entry_map.items()}
+
+    assert (fold(table.entries), fold(table.pair_entries), exact(table.mass), exact(table.conv_fail_mass),
+            table.contributing) == _fraction_fold(aux_free)
+    assert table.exhaustive_limit == 63
+    assert table.conv_fail_mass < table.mass <= Dyadic.one()
 
 
 def test_joint_complexity_quote_witness():
@@ -373,6 +399,31 @@ def test_relative_complexity():
     assert res.h_upper <= 25
     with pytest.raises(ValueError):
         relative_complexity(Ensemble("sd", 40, 100), "", "1111")  # y_star not in domain
+
+
+def test_each_constructed_witness_is_printed_once(monkeypatch):
+    # a quote or plain witness is encoded once, its size read from its bits
+    from omegalab import sexpr
+
+    ens = Ensemble("sd", 128, 10**4, c_cap=3)  # no witness below is swept
+    x, y, y_star = "0110", "101", to_bits(parse("(r)")) + "0"
+    build_table(ens), enumerate_halting(ens, aux=y_star)
+    original, printed = sexpr.print_sexpr, []
+
+    def spy(e):
+        printed.append(e)
+        return original(e)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "omegalab" and getattr(module, "print_sexpr", None) is original:
+            monkeypatch.setattr(module, "print_sexpr", spy)
+    for query, witness in ((lambda: complexity_upper(ens, x, include_constructed=True), ("q", tuple(x))),
+                           (lambda: joint_complexity(ens, x, y), ("q", (tuple(x), tuple(y)))),
+                           (lambda: relative_complexity(ens, x, y_star), ("q", tuple(x)))):
+        printed.clear()
+        res = query()
+        assert printed.count(witness) == 1, res.source
+        assert res.found and res.source in ("quote", "plain") and res.witness == to_bits(witness)
 
 
 def test_relative_via_replay_is_size_independent():

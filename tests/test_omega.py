@@ -5,12 +5,14 @@ import pytest
 from omegalab.bits import Dyadic, dyadic_bits
 from omegalab.complexity import STRUCTURAL, Ensemble
 from omegalab.omega import (
+    OracleResult,
     borel_normality,
     decided_halting_set,
     omega_exact_capped,
     omega_lower_bound,
     oracle_halting_from_omega,
 )
+from omegalab.sexpr import ALPHABET
 
 
 def test_lower_bound_examples():
@@ -80,12 +82,63 @@ def test_oracle_corrupted_bits_trip_guard():
     assert res.tripped and "exhausted" in res.reason
     with pytest.raises(ValueError):
         oracle_halting_from_omega("0" * 30, Ensemble("total", 24, STRUCTURAL))  # k exceeds the cap
+    with pytest.raises(ValueError, match="guard >= 0"):
+        oracle_halting_from_omega("1", Ensemble("total", 24, STRUCTURAL), guard=-1)
 
 
 def test_oracle_needs_the_decidable_ensemble():
     for ens in (Ensemble("sd", 24, 10**4), Ensemble("total", 24, 10**4)):
         with pytest.raises(ValueError, match="total at the structural budget"):
             oracle_halting_from_omega("0", ens)
+
+
+def _dovetail(kbits, records, guard):
+    # the oracle taken member by member, as it ran before counted records:
+    # every program listed, sorted in dovetail order, added one by one
+    target = Dyadic(int(kbits or "0", 2), len(kbits))
+    acc, spent, halted = Dyadic.zero(), 0, []
+    if acc >= target:
+        return OracleResult(False, None, (), acc, 0), None
+    for rec in records:
+        spent += rec.steps
+        if spent > guard:
+            return OracleResult(True, "step guard exhausted", (), acc, spent), rec
+        acc = acc + Dyadic.pow2(rec.size_bits)
+        if rec.size_bits <= len(kbits):
+            halted.append(rec.program_bits)
+        if acc >= target:
+            return OracleResult(False, None, tuple(sorted(halted, key=lambda b: (len(b), b))), acc, spent), rec
+    return OracleResult(True, "ensemble exhausted below target (kbits inconsistent)", (), acc, spent), None
+
+
+@pytest.mark.parametrize("c_cap", [5, 6, 7])
+def test_oracle_equals_a_member_by_member_dovetail(c_cap):
+    # every k <= L, with consistent kbits, kbits one ulp low and random kbits,
+    # under guards that trip early and late: all five fields agree
+    import random
+
+    from omegalab.complexity import _counted_records, enumerate_halting
+
+    L = 8 * c_cap + 7
+    ens = Ensemble("total", L, STRUCTURAL, c_cap)
+    records = sorted(enumerate_halting(ens), key=lambda r: (r.steps, r.size_bits, r.program_bits))
+    alphabet = ALPHABET.replace("l", "").replace("y", "")
+    counted = {r.program_bits for n in range(4, c_cap + 1) for r in _counted_records(n, alphabet)}
+    value = omega_exact_capped(L).value
+    rng = random.Random(c_cap)
+    stops = {"tripped": 0, "counted": 0}
+    for k in range(L + 1):
+        consistent = dyadic_bits(value, k)
+        cases = [consistent, "".join(rng.choice("01") for _ in range(k))]
+        if "1" in consistent:
+            cases.append(format(int(consistent, 2) - 1, f"0{k}b"))  # one ulp low
+        for kbits in cases:
+            for guard in (0, 1, 3, 50, 500, 10**8):
+                expected, last = _dovetail(kbits, records, guard)
+                assert oracle_halting_from_omega(kbits, ens, guard) == expected, (k, kbits, guard)
+                stops["tripped"] += expected.tripped
+                stops["counted"] += last is not None and last.program_bits in counted and last.size_bits > k
+    assert stops["tripped"] and stops["counted"]  # guard trips, and stops inside a counted record
 
 
 def test_normality_examples():
