@@ -13,9 +13,11 @@ Machine c2 is not raw-scanned either.  A leading 1 halts only on one whole
 list expression, so only the expressions of (n-1)/8 characters are run, and
 only those records are stored.  A leading 0 prints the rest in one step, so
 H_C(x) <= |x| + 1.  Each of those programs has an output of its own, so no
-counted record (below) can stand for them: build_table seeds its entries
-with them in closed form (_c2_leading_zero), and enumerate_halting lists
-them only when called.
+counted record (below) can stand for them, and no table entry is stored for
+them either: build_table's c2 entries (_C2Entries) hold only the entries
+run records reached and answer every other r of fewer than L bits by rule,
+(r, |r| + 1, 0r, 1), making each only as it is read.  enumerate_halting
+lists the programs only when called.
 
 Aux bits are found on demand the same way, with no cap: each aux read costs
 a step, so the budget bounds the depth.  A record keeps the aux bits its run
@@ -81,7 +83,8 @@ the store.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from collections.abc import Mapping
+from functools import lru_cache, partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError
@@ -338,23 +341,17 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
             and y.startswith(r.aux_read)]
 
 
-def _c2_leading_zero(ens: Ensemble) -> List[BitString]:
-    """The r of c2's halting leading-0 programs 0r in ens, each halting in one
-    step with output r: every r of 0..L-1 bits in (length, lex) order, none at B = 0."""
-    found, rests = [], [""]  # rests: the r of n - 1 bits, in lex order
-    for n in range(1, ens.L + 1 if ens.B >= 1 else 0):
-        found += rests
-        if n < ens.L:
-            rests = [r + b for r in rests for b in "01"]
-    return found
+def _bit_strings(n: int, lead: str = ""):
+    """lead followed by each n-bit string, in lex order."""
+    return map("".join, itertools.product((lead,), *["01"] * n))
 
 
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
     """records, explicit records of ens, with each counted record replaced by
     its members, or on c2 merged with the leading-0 programs."""
     if ens.machine == "c2":
-        return sorted(records + [HaltRecord("0" + r, r, None, 1, len(r) + 1) for r in _c2_leading_zero(ens)],
-                      key=_order)
+        return sorted(records + [HaltRecord("0" + r, r, None, 1, len(r) + 1)
+                                 for r in _C2Entries({}, ens)], key=_order)
     alphabet = _ALPHABETS[ens.machine]
     return sorted((m for r in records
                    for m in (_counted_records(r.size_bits // 8, alphabet) if r.count > 1 else (r,))), key=_order)
@@ -421,9 +418,56 @@ class TableEntry(NamedTuple):  # immutable: memoized tables share them
     prob: Optional[Dyadic]
 
 
+class _C2Entries(Mapping):
+    """c2's bit-output entries in ens, read-only: found, the entries run
+    records reached, and by rule every other r of fewer than `below` bits,
+    whose program 0r halts in one step: (r, |r| + 1, 0r, 1, None).  below is
+    L, or 0 at B = 0.  It iterates in (length, output) order and makes the
+    rule's entries only as they are read."""
+
+    def __init__(self, found: Dict[BitString, TableEntry], ens: Ensemble):
+        self.found, self.below = found, ens.L if ens.B >= 1 else 0
+
+    def get(self, key, default=None):
+        entry = self.found.get(key)
+        if entry is not None:
+            return entry
+        if type(key) is str and len(key) < self.below and not key.strip("01"):
+            return TableEntry._make((key, len(key) + 1, "0" + key, 1, None))
+        return default
+
+    def __getitem__(self, key):
+        entry = self.get(key)
+        if entry is None:
+            raise KeyError(key)
+        return entry
+
+    def __len__(self) -> int:
+        return (1 << self.below) - 1 + len(self._beyond())
+
+    def _beyond(self) -> List[BitString]:
+        """The found outputs the rule does not reach, in (length, output) order."""
+        return sorted((k for k in self.found if len(k) >= self.below), key=lambda k: (len(k), k))
+
+    def __iter__(self):
+        return itertools.chain(*map(_bit_strings, range(self.below)), self._beyond())
+
+    def values(self):
+        """The entries in (length, output) order, the rule's each made in C."""
+        make = partial(tuple.__new__, TableEntry)
+        lengths = set(map(len, self.found))
+        for n in range(self.below):
+            if n in lengths:  # a found entry stands in for the rule's
+                yield from map(self.__getitem__, _bit_strings(n))
+            else:
+                yield from map(make, zip(_bit_strings(n), itertools.repeat(n + 1), _bit_strings(n, "0"),
+                                         itertools.repeat(1), itertools.repeat(None)))
+        yield from map(self.found.__getitem__, self._beyond())
+
+
 class ComplexityTable(NamedTuple):
     ens: Ensemble
-    entries: Dict[BitString, TableEntry]
+    entries: Mapping[BitString, TableEntry]  # a dict on sd and total
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry]
     exhaustive_limit: int
     conv_fail_mass: Dyadic
@@ -435,24 +479,26 @@ class ComplexityTable(NamedTuple):
 def build_table(ens: Ensemble) -> ComplexityTable:
     """The sweep of ens folded per output.  Memoized on ens: callers share the
     table and must not change its dicts.  Masses are summed as integer
-    numerators over 2^L, each made a Dyadic once at the end."""
+    numerators over 2^L, each made a Dyadic once at the end.  entries are in
+    (length, output) order and pair_entries in (total length, output) order:
+    the order of the reports."""
     L = ens.L
     with_prob = ens.machine in machines.SELF_DELIMITING
-    # c2's leading-0 programs, in closed form (_make skips __new__'s argument binding)
-    entries: Dict[BitString, TableEntry] = {r: TableEntry._make((r, len(r) + 1, "0" + r, 1, None))
-                                            for r in _c2_leading_zero(ens)} if ens.machine == "c2" else {}
+    found: Dict[BitString, TableEntry] = {}
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = {}
+    entries = _C2Entries(found, ens) if ens.machine == "c2" else found  # c2's leading-0 programs, by rule
     contributing, mass, conv_fail_mass = len(entries), 0, 0
 
-    # order-free: a later record may beat a seeded entry
+    # order-free: a later record may beat an entry of the rule
     for bits, output, pair, _, size, _, count in explicit_records(ens):
         contributing += count
         w = count << (L - size) if with_prob else 0  # the record's Kraft terms, over 2^L
         mass += w
-        key, entry_map = (output, entries) if output is not None else (pair, pair_entries)
+        key, seen, entry_map = ((output, entries, found) if output is not None
+                                else (pair, pair_entries, pair_entries))
         if key is None:  # every counted record lands here
             conv_fail_mass += w
-        elif (cur := entry_map.get(key)) is None:
+        elif (cur := seen.get(key)) is None:
             entry_map[key] = TableEntry(key, size, bits, 1, w if with_prob else None)
         elif size < cur.h_upper:
             entry_map[key] = TableEntry(key, size, bits, 1, cur.prob + w if with_prob else None)
@@ -462,8 +508,11 @@ def build_table(ens: Ensemble) -> ComplexityTable:
                                         cur.minimal_count + tie, cur.prob + w if with_prob else None)
     if mass > 1 << L:  # the domain is prefix-free, so Kraft bounds its mass
         raise InvariantError(f"Kraft sum {Dyadic(mass, L)} of the {ens.machine} domain at L={L} exceeds 1")
-    for entry_map in (entries, pair_entries) if with_prob else ():  # c2 is not prefix-free: no masses
-        for key, entry in entry_map.items():
+    # c2 is not prefix-free: no masses, and its entries iterate in report order already
+    sizes = ((found, len), (pair_entries, lambda k: len(k[0]) + len(k[1]))) if with_prob else ()
+    for entry_map, size in sizes:
+        for key in sorted(sorted(entry_map), key=size):  # reinserted in report order: by (size, key)
+            entry = entry_map.pop(key)
             entry_map[key] = entry._replace(prob=Dyadic(entry.prob, L))
     return ComplexityTable(ens, entries, pair_entries, exhaustive_bits(ens), Dyadic(conv_fail_mass, L),
                            Dyadic(mass, L), contributing)
@@ -523,8 +572,7 @@ def algorithmic_probability(ens: Ensemble, x: BitString) -> Dyadic:
 
 def find_elegant(ens: Ensemble) -> List[TableEntry]:
     """Per output, the minimal-size program (lex tie-break) plus minimal_count."""
-    table = build_table(ens)
-    return [table.entries[k] for k in sorted(table.entries, key=lambda o: (len(o), o))]
+    return list(build_table(ens).entries.values())  # in (length, output) order
 
 
 # ---------------------------------------------------------------------------

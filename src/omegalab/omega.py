@@ -87,6 +87,8 @@ def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = DEFA
     if (ens.machine, ens.B) != ("total", STRUCTURAL):
         raise ValueError(f"the omega oracle needs machine total at the structural budget, "
                          f"got {ens.machine} at B={ens.B}")
+    if kbits.strip("01"):  # int(kbits, 2) would take "0_1" and " 1 "
+        raise ValueError(f"the oracle needs kbits to be a bit string, got {kbits!r}")
     k, L = len(kbits), ens.L
     if k > L or guard < 0:
         raise ValueError(f"the oracle needs k <= L and a guard >= 0, got k={k}, L={L}, guard={guard}")

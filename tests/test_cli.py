@@ -525,7 +525,10 @@ def test_omega_oracle_lists_no_counted_member_above_k(capsys, monkeypatch, k, di
      "0def7c445ba8b166dba28ba24e2c4961b9b0746b28d19dc7104f1020a58563cd"),
     (["elegant", "--machine", "c2", "--L", "14", "--B", "1", "--csv"],
      "5effa6c5daf00f0fa0c81333bac5a17b9997d5ffb93e16aaf71d2fd69f2c02af"),
-], ids=["sweep-L14", "sweep-L17-B0", "elegant-csv"])
+    # the run record of () meets the leading-0 family: its output "" keeps h = 1
+    (["sweep", "--machine", "c2", "--L", "17", "--B", "100"],
+     "a4e9298d6f98c61bb23d264f2ac9e1259f6b233a2ce88fb72da110f1d86e9816"),
+], ids=["sweep-L14", "sweep-L17-B0", "elegant-csv", "sweep-L17-B100"])
 def test_c2_stdout_is_frozen(capsys, argv, digest):
     # frozen while the c2 sweep still stored a record for every leading-0 program
     code, out, err = run_cli(capsys, *argv)

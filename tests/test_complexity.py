@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from omegalab.complexity import (
     check_coding,
     complexity_upper,
     enumerate_halting,
+    explicit_records,
     find_elegant,
     joint_complexity,
     relative_complexity,
@@ -104,7 +106,7 @@ def test_c2_table_equals_a_fold_of_the_raw_scan(L, B):
 
 
 def test_table_fold_is_order_free(monkeypatch):
-    # c2's seeded entries meet its run records out of (length, lex) order, so
+    # c2's entries by rule meet its run records out of (length, lex) order, so
     # the fold may not rely on it.  Each record gets a twin of its size and
     # output, so ties are folded too; reversed, the records give the same table.
     from omegalab import complexity
@@ -119,6 +121,30 @@ def test_table_fold_is_order_free(monkeypatch):
         tables.append(build_table.__wrapped__(ens))
     assert tables[0] == tables[1]
     assert [e.minimal_count for e in tables[0].entries.values()] == [2] * len(tables[0].entries)
+
+
+def test_c2_table_answers_its_leading_0_family_by_rule():
+    # the 2^20 - 1 entries of the leading-0 family are answered by rule, not
+    # stored: the one run record, () at 17 bits, prints "", which is in it
+    ens = Ensemble("c2", 20, 1)
+    explicit_records(ens)  # the sweep, stored first: only the table is measured
+    tracemalloc.start()
+    try:
+        table = build_table.__wrapped__(ens)
+        added = tracemalloc.get_traced_memory()[0]
+        small = list(build_table.__wrapped__(Ensemble("c2", 12, 1)).entries.values())
+        per_entry = (tracemalloc.get_traced_memory()[0] - added) / len(small)
+    finally:
+        tracemalloc.stop()
+    assert added < 2**20 < 100 * 2**20 < per_entry * len(table.entries)  # materialized, over 100 MB
+    assert len(table.entries) == 2**20 - 1 and table.contributing == 2**20
+    assert "0" * 19 in table.entries and "0" * 20 not in table.entries and "2" not in table.entries
+    assert table.entries.get("2") is None and table.entries.get(("0", "1")) is None
+    assert table.entries["0" * 19] == ("0" * 19, 20, "0" * 20, 1, None)
+    assert table.entries[""] == ("", 1, "0", 1, None)
+    assert list(itertools.islice(table.entries, 4)) == ["", "0", "1", "00"]
+    assert list(itertools.islice(table.entries.items(), 2)) == [("", ("", 1, "0", 1, None)),
+                                                                ("0", ("0", 2, "00", 1, None))]
 
 
 def test_c2_store_holds_no_leading_0_record(monkeypatch):

@@ -86,6 +86,16 @@ def test_oracle_corrupted_bits_trip_guard():
         oracle_halting_from_omega("1", Ensemble("total", 24, STRUCTURAL), guard=-1)
 
 
+def test_oracle_kbits_must_be_a_bit_string():
+    # int(kbits, 2) alone reads "0_1" as 1 and ignores the spaces
+    ens = Ensemble("total", 24, STRUCTURAL)
+    for kbits in ("0_1", "  1", "1 "):
+        with pytest.raises(ValueError, match=f"bit string, got {kbits!r}"):
+            oracle_halting_from_omega(kbits, ens)
+    res = oracle_halting_from_omega("0" * 15 + "1", ens)  # the first 16 bits of capped omega
+    assert not res.tripped and res.halting_set == decided_halting_set(24, 16)
+
+
 def test_oracle_needs_the_decidable_ensemble():
     for ens in (Ensemble("sd", 24, 10**4), Ensemble("total", 24, 10**4)):
         with pytest.raises(ValueError, match="total at the structural budget"):

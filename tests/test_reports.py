@@ -4,15 +4,15 @@ import copy
 import hashlib
 import json
 import pickle
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegalab import reports
+from omegalab import complexity, reports
 from omegalab.bits import Dyadic
 from omegalab.cli import _TABLE_CSV, COMMANDS, main
-from omegalab.complexity import (STRUCTURAL, ComplexityTable, Ensemble, HaltRecord, TableEntry, build_table,
-                                 check_coding)
+from omegalab.complexity import STRUCTURAL, Ensemble, HaltRecord, TableEntry, build_table, check_coding
 from omegalab.machines import Program
 from omegalab.vm import HALTED, RunOutcome
 from omegalab.reports import emit_json, table_report, table_rows
@@ -79,8 +79,43 @@ def test_emit_json_table_block_edges(n):
         assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_emit_json_lazy_rows_print_as_the_rows_listed(n):
+    rows = _wide_rows(n)
+    for wrap in (lambda v: v, lambda v: {"result": {"entries": v}}, lambda v: [[v, 1]]):
+        assert emit_json(wrap(dict(r) for r in rows)) == json.dumps(wrap(rows), indent=2) + "\n"
+
+
 class _Row(dict):
     pass
+
+
+_BREAKS = [lambda row: dict(reversed(row.items())), lambda row: {**row, "extra": 0},
+           lambda row: {**row, "witness": ["0"]}, _Row, lambda row: {1: 0}, lambda row: 0]
+_BREAK_IDS = ["key-order", "extra-key", "list-value", "dict-subclass", "int-key", "not-a-dict"]
+
+
+@pytest.mark.parametrize("at", [0, 1, 1500])
+@pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
+def test_emit_json_lazy_row_that_breaks_the_rows_raises(change, at):
+    # a lazily made list is read once, so it cannot fall back to the general
+    # path: a row that breaks the keys or the value types raises instead
+    rows = _wide_rows(2049)
+    rows[at] = change(rows[at])
+    with pytest.raises(ValueError, match="lazily made row list"):
+        emit_json({"entries": (row for row in rows)})
+
+
+@pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
+def test_sweep_whose_lazy_row_breaks_prints_nothing(capsys, monkeypatch, change):
+    # the text is joined only once the whole report is encoded, so stdout
+    # gets no bytes of a report that fails past its first block
+    table_rows = reports.table_rows
+    monkeypatch.setattr(reports, "table_rows", lambda table: (
+        change(row) if i == 1500 else row for i, row in enumerate(table_rows(table))))
+    assert main(["sweep", "--machine", "c2", "--L", "12", "--B", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("omegalab: a lazily made row list")
 
 
 @pytest.mark.parametrize("change, flat", [
@@ -116,30 +151,39 @@ def test_emit_json_edge_cases():
         assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
-def _bits_and_pairs_table() -> ComplexityTable:
-    table = ComplexityTable(Ensemble("sd", 40, 100), {}, {}, 0, Dyadic.zero(), Dyadic.zero(), 0)
-    for out in ("11", "", "0", "01", "1"):
-        h = 16 + len(out)
-        table.entries[out] = TableEntry(out, h, "1" * h, 1, Dyadic.pow2(h))
-    for out in (("0", "1"), ("", "01"), ("", ""), ("1", ""), ("00", "")):
-        table.pair_entries[out] = TableEntry(out, 24, "1" * 24, 1, Dyadic.pow2(24))
-    return table
+# tables with bit and pair rows: quoting a pair takes 9 characters
+_PAIRED_TABLES = [Ensemble("total", 80, STRUCTURAL, 10), Ensemble("sd", 80, 10**4, 10)]
 
 
-def test_table_rows_order_bits_then_pairs_by_total_length():
-    table = _bits_and_pairs_table()
-    rows = table_rows(table)
-    assert [(r["kind"], r["output"]) for r in rows] == [
-        ("bits", ""), ("bits", "0"), ("bits", "1"), ("bits", "01"), ("bits", "11"),
-        ("pair", "|"), ("pair", "1|"), ("pair", "|01"), ("pair", "0|1"), ("pair", "00|")]
-    assert rows[0] == {"output": "", "kind": "bits", "h_upper": 16, "witness": "1" * 16,
-                       "minimal_count": 1, "prob": "1/2^16"}
+@pytest.mark.parametrize("ens", _PAIRED_TABLES, ids=["total-L80", "sd-L80"])
+def test_tables_iterate_in_report_order_and_rows_follow_them(monkeypatch, ens):
+    # the report's order belongs to build_table: bit outputs by (length,
+    # output), pairs by (total length, output), whatever order the records
+    # come in; table_rows keeps the table's
+    table = build_table(ens)
+    bits, pairs = list(table.entries), list(table.pair_entries)
+    assert bits and pairs
+    assert bits == sorted(bits, key=lambda k: (len(k), k))
+    assert pairs == sorted(pairs, key=lambda k: (len(k[0]) + len(k[1]), k))
+    records = complexity.explicit_records(ens)
+    monkeypatch.setattr(complexity, "explicit_records", lambda ens: records[::-1])
+    reversed_table = build_table.__wrapped__(ens)
+    assert (list(reversed_table.entries), list(reversed_table.pair_entries)) == (bits, pairs)
+    rows = list(table_rows(table))
+    assert [(r["kind"], r["output"]) for r in rows] == ([("bits", k) for k in bits]
+                                                        + [("pair", "|".join(k)) for k in pairs])
+    for row, e in zip(rows, [*table.entries.values(), *table.pair_entries.values()]):
+        assert row == {"output": row["output"], "kind": row["kind"], "h_upper": e.h_upper,
+                       "witness": e.witness, "minimal_count": e.minimal_count, "prob": str(e.prob)}
 
 
 def test_table_and_coding_rows_are_their_csv_columns():
-    # JSON rows and CSV columns name the same fields, and a table's rows
-    # share one key order, which keeps them on emit_json's block path
-    rows = table_report(_bits_and_pairs_table())["entries"]
+    # JSON rows and CSV columns name the same fields, and a table's rows,
+    # made as they are read, share one key order, which keeps them on
+    # emit_json's block path
+    entries = table_report(build_table(_PAIRED_TABLES[0]))["entries"]
+    assert isinstance(entries, GeneratorType)
+    rows = list(entries)
     assert {r["kind"] for r in rows} == {"bits", "pair"}
     assert all(tuple(r) == _TABLE_CSV for r in rows)
     assert reports._row_keys(rows) == list(_TABLE_CSV)
