@@ -331,7 +331,9 @@ def _dispatch(args: argparse.Namespace) -> dict:
     if cmd == "chain":
         pairs = []
         for chunk in args.pairs.split(";"):
-            x, _, y = chunk.partition(":")
+            x, colon, y = chunk.partition(":")
+            if not colon:
+                raise ValueError(f"--pairs chunk {chunk!r} is not x:y")
             pairs.append((bs_parse(x), bs_parse(y)))
         return complexity.check_chain_rule(ens, pairs)
 

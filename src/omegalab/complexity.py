@@ -26,15 +26,14 @@ so one sweep serves every aux.
 
 The sweep covers only the evaluable prefixes (_evaluable).  A prefix runs with
 no bindings, so an atom in a position it must evaluate faults, and so does a
-form of the wrong arity.  A list is evaluable if it is (), (q X), (r), (s),
-(i C T E) with C and at least one of T and E evaluable (the branch taken
-runs with no bindings too), (e A B) or (c A B) with A and B evaluable, or
-(a A), (h A) or (t A) with A evaluable; on sd also (l p X) with p a
-non-primitive atom, (y A) with A evaluable, or an application (F A) of two
-evaluable lists (total has no closures, so none of its applications halts).
-X and the other branch are free, so the rule needs no scope.  No prefix
-outside it halts under any payload and aux, so the sweep stays exhaustive; up
-to 6 characters it keeps 566 of sd's 642,212 prefixes and 65 of total's 479,392.
+form of the wrong arity.  _SLOTS is the one statement of which lists are
+evaluable: per head, what its items must be, () and applications (F A)
+included.  (i C T E) needs C and one of T and E evaluable, as the branch taken
+runs with no bindings too; total has no closures, so none of its applications
+halts.  X and the other branch are free, so the rule needs no scope.  No
+prefix outside it halts under any payload and aux, so the sweep stays
+exhaustive; up to 6 characters it keeps 566 of sd's 642,212 prefixes and 65 of
+total's 479,392.
 
 Of those it runs only the runnable ones (_runnable).  The constants, (q X)
 and on sd (l p X), halt in one step, read no payload and no aux, and return
@@ -43,13 +42,13 @@ One memoized split per print length (_split_constants) decides them all: the
 constants whose value converts to an output (X a 0/1 atom, a flat bit list,
 or a list of two flat bit lists: about 2^(n-5) of n characters) get their
 records in closed form, and every other constant of n characters is one
-counted record, its count from a counting recursion over expressions.  A
-record with count c stands for c programs alike in size, steps, output, pair
-and aux read.  The sweep stores the counted records like any other, so the
-store's projection gates them; build_table folds each by its count, and
-enumerate_halting lists their members only when called (_counted_records).
-Constants halt at any B >= 1 and serve every aux.  Up to 6 characters the
-sweep runs 16 sd and 12 total prefixes.
+counted record, its count read from _SLOTS by _count.  A record with count c
+stands for c programs alike in size, steps, output, pair and aux read.  The
+sweep stores the counted records like any other, so the store's projection
+gates them; build_table folds each by its count, and enumerate_halting lists
+their members only when called (_counted_records).  Constants halt at any
+B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16 sd and 12
+total prefixes.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
 On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
@@ -102,19 +101,7 @@ C2_RAW_CAP = 22
 @lru_cache(maxsize=None)
 def _exprs_exact(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     """All expressions with atoms from alphabet whose canonical print has exactly n characters."""
-    return tuple(alphabet) if n == 1 else _item_seqs(n - 2, alphabet)
-
-
-@lru_cache(maxsize=None)
-def _item_seqs(m: int, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
-    """All sequences of expressions with atoms from alphabet and total print length m."""
-    if m == 0:
-        return ((),)
-    seqs: List[Tuple[SExpr, ...]] = []
-    for k in range(1, m + 1):
-        for rest in _item_seqs(m - k, alphabet):
-            seqs.extend((e,) + rest for e in _exprs_exact(k, alphabet))
-    return tuple(seqs)
+    return tuple(alphabet) if n == 1 else _fill(n - 2, "*", alphabet)
 
 
 def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET) -> List[SExpr]:
@@ -126,79 +113,75 @@ def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET)
     return out
 
 
-# What each primitive form's argument slots must be for the form to halt when
-# run with no bindings: v an evaluable list, p a non-primitive atom, x anything,
-# n anything not evaluable; "|" separates alternatives (T or E evaluable).
+# The prefix language, stated once: what each head's items must be for the list
+# to halt when run with no bindings; head "" is () or an application (F A).
+# Slot kinds: v an evaluable list, f one where l makes closures (none without
+# l), p a non-primitive atom, x anything, n anything not evaluable, * any run
+# of expressions; "|" separates alternatives (T or E evaluable).
 _SLOTS = {"q": "x", "r": "", "s": "", "i": "vvx|vnv", "e": "vv", "c": "vv",
-          "a": "v", "h": "v", "t": "v", "l": "px", "y": "v"}
-_CONSTANTS = "ql"  # the heads of the constants: one step, nothing read (module docstring)
+          "a": "v", "h": "v", "t": "v", "l": "px", "y": "v", "": "|fv"}
+_CONSTANTS = ("q", "l")  # one step, nothing read (module docstring); a tuple, as "" is in every str
 
 
 @lru_cache(maxsize=None)
 def _evaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     """The evaluable lists with atoms from alphabet and print length n (module docstring)."""
-    return _runnable(n, alphabet) + tuple(_constants(n, alphabet))
+    return _runnable(n, alphabet) + _forms(n, _CONSTANTS, alphabet)
 
 
 @lru_cache(maxsize=None)
 def _runnable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     """The evaluable lists of print length n that are not constants: the ones a sweep runs."""
-    found = [()] if n == 2 else []
-    for head, slots in _SLOTS.items():
-        if head in alphabet and head not in _CONSTANTS:
-            found += [(head,) + items for alt in slots.split("|") for items in _fill(n - 3, alt, alphabet)]
-    if "l" in alphabet:  # an application halts only on a closure
-        found += _fill(n - 2, "vv", alphabet)
-    return tuple(found)
+    return _forms(n, [h for h in _SLOTS if h not in _CONSTANTS], alphabet)
 
 
-def _constants(n: int, alphabet: str) -> List[SExpr]:
-    """The constants (q X) and (l p X) with atoms from alphabet and print length n."""
-    return [(head,) + items for head in _CONSTANTS if head in alphabet
-            for items in _fill(n - 3, _SLOTS[head], alphabet)]
+def _forms(n: int, heads, alphabet: str) -> Tuple[SExpr, ...]:
+    """The lists of print length n that _SLOTS allows after a head from heads
+    (each head in alphabet, or "")."""
+    return tuple(head + items for h in heads if h in alphabet for head in [tuple(h)]
+                 for alt in _SLOTS[h].split("|") for items in _fill(n - 2 - len(h), alt, alphabet))
 
 
 @lru_cache(maxsize=None)
 def _fill(m: int, slots: str, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
-    """Every filling of slots (as in _SLOTS) with total print length m."""
+    """Every filling of slots (kinds as in _SLOTS) with total print length m."""
     if not slots:
         return ((),) if m == 0 else ()
-    pick = {"v": _evaluable, "x": _exprs_exact, "p": _params, "n": _unevaluable}[slots[0]]
-    return tuple((e,) + rest for k in range(1, m + 1) for e in pick(k, alphabet)
-                 for rest in _fill(m - k, slots[1:], alphabet))
+    run = slots[0] == "*"  # zero expressions, or one and the run again
+    rest = _fill(m, slots[1:], alphabet) if run else ()
+    return rest + tuple((e,) + tail for k in range(1, m + 1) for e in _items(slots[0], k, alphabet)
+                        for tail in _fill(m - k, slots if run else slots[1:], alphabet))
 
 
 @lru_cache(maxsize=None)
-def _unevaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
-    """The expressions with atoms from alphabet and print length n that are not evaluable."""
-    evaluable = set(_evaluable(n, alphabet))
-    return tuple(e for e in _exprs_exact(n, alphabet) if e not in evaluable)
+def _items(kind: str, k: int, alphabet: str) -> Tuple[SExpr, ...]:
+    """The expressions with atoms from alphabet and print length k that fill a slot of kind."""
+    if kind in "vf":
+        return _evaluable(k, alphabet) if kind == "v" or "l" in alphabet else ()
+    if kind == "p":
+        return tuple(a for a in alphabet if a not in vm.PRIMS) if k == 1 else ()
+    if kind == "n":
+        return tuple(itertools.filterfalse(set(_evaluable(k, alphabet)).__contains__, _exprs_exact(k, alphabet)))
+    return _exprs_exact(k, alphabet)  # x and *
 
 
-def _params(n: int, alphabet: str) -> str:
-    """The lambda parameters of print length n: the non-primitive atoms."""
-    return "".join(a for a in alphabet if a not in vm.PRIMS) if n == 1 else ""
+@lru_cache(maxsize=None)
+def _count(m: int, slots: str, alphabet: str) -> int:
+    """len(_fill(m, slots, alphabet)) for slots of kinds x, p and *, counted
+    without listing them."""
+    if not slots:
+        return int(m == 0)
+    kind, run = slots[0], slots[0] == "*"
+    return (_count(m, slots[1:], alphabet) if run else 0) + sum(  # a first item of k characters:
+        (len(_items(kind, k, alphabet)) if k == 1 or kind == "p" else _count(k - 2, "*", alphabet))  # atom or list
+        * _count(m - k, slots if run else slots[1:], alphabet) for k in range(1, m + 1))
 
 
-# total's prefixes are sd's without the atoms l and y
-_ALPHABETS = {"sd": ALPHABET, "total": ALPHABET.replace("l", "").replace("y", "")}
+_ALPHABETS = {"sd": ALPHABET, "total": "".join(a for a in ALPHABET if a not in vm.GENERAL_ONLY)}
 
 
 # ---------------------------------------------------------------------------
 # the constants, counted
-
-@lru_cache(maxsize=None)
-def _count_seqs(m: int, atoms: int) -> int:
-    """len(_item_seqs(m, alphabet)) for an alphabet of that many atoms."""
-    if m == 0:
-        return 1
-    return sum(_count_exprs(k, atoms) * _count_seqs(m - k, atoms) for k in range(1, m + 1))
-
-
-def _count_exprs(n: int, atoms: int) -> int:
-    """len(_exprs_exact(n, alphabet)) for an alphabet of that many atoms."""
-    return atoms if n == 1 else _count_seqs(n - 2, atoms) if n >= 2 else 0
-
 
 @lru_cache(maxsize=None)
 def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
@@ -215,19 +198,18 @@ def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
     outs = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in quoted]
     records = tuple(HaltRecord(to_bits(("q", out.value)), output_of(out), pair_output_of(out), 1, 8 * n)
                     for out in outs)
-    params = _params(1, alphabet) if "l" in alphabet else ""
-    atoms = len(alphabet)
-    count = _count_exprs(m, atoms) + len(params) * _count_exprs(n - 4, atoms) - len(records)
+    count = sum(_count(m, _SLOTS[h], alphabet) for h in _CONSTANTS if h in alphabet) - len(records)
     if not count:
         return records
-    member = ("q", "a") if n == 4 else ("l", params[0], "a") if n == 5 else ("q", ("a",) * (n - 5))
+    member = (("q", "a") if n == 4 else ("l", _items("p", 1, alphabet)[0], "a") if n == 5
+              else ("q", ("a",) * (n - 5)))
     return records + (HaltRecord(to_bits(member), None, None, 1, 8 * n, "", count),)
 
 
 def _counted_records(n: int, alphabet: str) -> List[HaltRecord]:
     """The members of the counted record of print length n, in program-bits order."""
     converting = {r.program_bits for r in _split_constants(n, alphabet) if r.count == 1}
-    bits = sorted(b for b in map(to_bits, _constants(n, alphabet)) if b not in converting)
+    bits = sorted(b for b in map(to_bits, _forms(n, _CONSTANTS, alphabet)) if b not in converting)
     return [HaltRecord(b, None, None, 1, 8 * n) for b in bits]
 
 
@@ -528,8 +510,8 @@ class ComplexityResult(NamedTuple):
 
 def _exactness(table: ComplexityTable, x_len: int, h: int) -> bool:
     ens = table.ens
-    if ens.machine == "c2":
-        return ens.L >= x_len + 1 and table.exhaustive_limit >= min(h, x_len + 1)
+    if ens.machine == "c2":  # 0x prints x in one step: exact only where it fits L and B
+        return ens.B >= 1 and ens.L >= x_len + 1 and table.exhaustive_limit >= min(h, x_len + 1)
     if ens.machine == "total":
         # every program smaller than the found witness was decided and enumerated
         budget_ok = ens.B == STRUCTURAL or ens.B >= (h // 8) + 1

@@ -72,6 +72,7 @@ _H, _T, _A, _Y, _Q, _I, _E, _C, _L, _R, _S = range(11)
 _OPS = {"h": (_H, 2), "t": (_T, 2), "a": (_A, 2), "y": (_Y, 2), "q": (_Q, 2), "i": (_I, 4),
         "e": (_E, 3), "c": (_C, 3), "l": (_L, 3), "r": (_R, 1), "s": (_S, 1)}
 PRIMS = frozenset(_OPS)
+GENERAL_ONLY = ("l", "y")  # the primitives outside the total fragment
 
 HALTED = "halted"
 OUT_OF_BUDGET = "out_of_budget"
@@ -108,12 +109,12 @@ class RunOutcome(NamedTuple):
 
 
 def contains_general_only_prims(e: SExpr) -> bool:
-    """True if the atom l or y occurs anywhere in the expression."""
+    """True if an atom of GENERAL_ONLY occurs anywhere in the expression."""
     stack = [e]
     while stack:
         x = stack.pop()
         if isinstance(x, str):
-            if x in ("l", "y"):
+            if x in GENERAL_ONLY:
                 return True
         else:
             stack.extend(x)

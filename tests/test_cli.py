@@ -363,6 +363,14 @@ def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
         assert argv[-2] in err
 
 
+@pytest.mark.parametrize("pairs, chunk", [("01", "'01'"), ("0:1;;1:0", "''"), ("0:1;1", "'1'")])
+def test_chain_refuses_a_pair_without_a_colon(capsys, pairs, chunk):
+    # before, a chunk with no ':' was read as (chunk, ""); a lone ':' is still
+    # the empty pair (the chain stdout pins in test_reports.py)
+    code, out, err = run_cli(capsys, "chain", "--machine", "sd", "--L", "16", "--pairs", pairs)
+    assert (code, out) == (2, "") and err == f"omegalab: --pairs chunk {chunk} is not x:y\n"
+
+
 def test_config_values_are_typed_like_flags(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"B": "100"}))

@@ -171,6 +171,16 @@ def test_complexity_upper_c2_examples():
     assert not complexity_upper(Ensemble("c2", 4, 10), "1" * 12).found
 
 
+def test_c2_bound_is_exact_only_where_the_leading_0_program_runs():
+    # 0 prints "" in one step: at B = 0 it never halts, so the run record (), at
+    # 17 bits, is only an upper bound; from B = 1 on, h = 1 is exact
+    res = complexity_upper(Ensemble("c2", 17, 0), "")
+    assert (res.h_upper, res.exact) == (17, False)
+    for B in (1, 10):
+        res = complexity_upper(Ensemble("c2", 17, B), "")
+        assert (res.h_upper, res.witness, res.exact) == (1, "0", True)
+
+
 def test_complexity_upper_sd_empty_string():
     res = complexity_upper(Ensemble("sd", 20, 100), "")
     assert res.h_upper == 16
@@ -324,7 +334,8 @@ def test_class_sweep_equals_a_full_sweep():
 
 def test_counted_records_equal_the_generated_constants():
     from omegalab import vm
-    from omegalab.complexity import _constants, _count_exprs, _counted_records, _exprs_exact, _split_constants
+    from omegalab.complexity import (_CONSTANTS, _SLOTS, _count, _counted_records, _exprs_exact, _fill, _forms,
+                                     _split_constants)
     from omegalab.machines import pair_output_of
 
     # an X with an atom other than 0 and 1 never converts, so a third atom
@@ -335,12 +346,15 @@ def test_counted_records_equal_the_generated_constants():
             to_bits(("q", out.value)) for out in values
             if output_of(out) is not None or pair_output_of(out) is not None), n
     for alphabet in (ALPHABET, _TOTAL_ALPHABET):
+        # the counting reading of the grammar agrees with the listing one
         for n in range(1, 6):
-            assert _count_exprs(n, len(alphabet)) == len(_exprs_exact(n, alphabet)), (alphabet, n)
+            assert _count(n, "x", alphabet) == len(_exprs_exact(n, alphabet)), (alphabet, n)
+            for head in _CONSTANTS:
+                assert _count(n, _SLOTS[head], alphabet) == len(_fill(n, _SLOTS[head], alphabet)), (alphabet, n)
         for n in range(2, 8):
             # every constant run: each halts in one step, reading nothing
             converting, counted = [], []
-            for prefix in _constants(n, alphabet):
+            for prefix in _forms(n, _CONSTANTS, alphabet):
                 out = vm.eval_expr(prefix, 1, "", "")
                 assert out.halted and out.steps == 1, prefix
                 rec = (to_bits(prefix), output_of(out), pair_output_of(out), 1, 8 * n, "", 1)
@@ -353,6 +367,26 @@ def test_counted_records_equal_the_generated_constants():
             assert all(tuple(r._replace(count=1)) in counted for r in classes), (alphabet, n)
             if counted:
                 assert [tuple(r) for r in _counted_records(n, alphabet)] == sorted(counted), (alphabet, n)
+
+
+@pytest.mark.parametrize("alphabet, counts, digests", [
+    (ALPHABET, [1, 2, 0, 4, 9, 118, 2048, 1635, 13898],
+     ["4b4469173a97925727686580f13c638d116640a56c76e33ad6f51122244f5f53",
+      "9ce6bf889f7b67a3808c84bfbcdbc3a22febf548cb004bbe0bedb8a7aaa9c837"]),
+    (_TOTAL_ALPHABET, [1, 2, 0, 3, 6, 80, 72, 417, 5461],
+     ["7871d11d2caee612142fcac09a1a93417a06134cfa32f57a80e9b6fd1c096644",
+      "767f3cdb6a2f9323870f22d9d770f02f31ef5ee5939ffc1c8e8eef94a7c51a3f"]),
+], ids=["sd", "total"])
+def test_runnable_prefixes_are_frozen_to_10_characters(alphabet, counts, digests):
+    # frozen while the grammar was still written out in several recursions:
+    # the runnable prefixes of 2..10 characters, and the sorted prints of those
+    # of 9 and 10, past the 8 characters the sweep tests run
+    from omegalab.complexity import _runnable
+    from omegalab.sexpr import print_sexpr
+
+    assert [len(_runnable(n, alphabet)) for n in range(2, 11)] == counts
+    assert [hashlib.sha256("\n".join(sorted(map(print_sexpr, _runnable(n, alphabet)))).encode()).hexdigest()
+            for n in (9, 10)] == digests
 
 
 def _fraction_fold(records):
