@@ -57,49 +57,48 @@ _SWEEP = [
     ("--workers", dict(type=int, default=1)),
 ]
 _TARGET = [("--target", dict(type=_bits_arg, required=True))]
-_TABLE_CSV = ("output", "kind", "h_upper", "witness", "minimal_count", "prob")
 
-# Every command once: name -> (help, CSV columns of result["entries"] for the
-# commands that take --csv, else None; the command's own flags in order).
+# Every command once: name -> (help, whether it takes --csv, its own flags in
+# order).  --csv prints result["entries"], a reports.Rows, by its own columns.
 COMMANDS = {
-    "bits": ("prefix-code utilities", None, [
+    "bits": ("prefix-code utilities", False, [
         ("action", dict(choices=["kraft", "prefixfree"])),
         ("--set", dict(required=True, help="comma-separated bit strings (empty string allowed)"))]),
-    "sexpr": ("expression parse/encode", None, [
+    "sexpr": ("expression parse/encode", False, [
         ("action", dict(choices=["parse", "encode"])),
         ("--text", dict(required=True))]),
-    "run": ("run one program on a machine", None, [
+    "run": ("run one program on a machine", False, [
         ("--machine", dict(choices=machines.MACHINES, required=True)),
         ("--raw", dict(type=_bits_arg, help="raw program bits (machine c2)")),
         ("--prefix", dict(help="prefix expression text (machines sd/total)")),
         ("--payload", dict(type=_bits_arg, default="")),
         ("--aux", dict(type=_bits_arg)),
         ("--budget", dict(type=_budget, default=10**4))]),
-    "sweep": ("enumerate the domain and build the complexity table", _TABLE_CSV, _SWEEP),
-    "complexity": ("upper bound for one output", None, _SWEEP + _TARGET),
-    "elegant": ("minimal program per output", _TABLE_CSV, _SWEEP),
-    "prob": ("algorithmic probability of one output", None, _SWEEP + _TARGET),
-    "coding": ("coding-theorem direction check", ("output", "h_upper", "prob", "defect"), _SWEEP),
-    "chain": ("chain-rule / subadditivity report", None, _SWEEP + [
+    "sweep": ("enumerate the domain and build the complexity table", True, _SWEEP),
+    "complexity": ("upper bound for one output", False, _SWEEP + _TARGET),
+    "elegant": ("minimal program per output", True, _SWEEP),
+    "prob": ("algorithmic probability of one output", False, _SWEEP + _TARGET),
+    "coding": ("coding-theorem direction check", True, _SWEEP),
+    "chain": ("chain-rule / subadditivity report", False, _SWEEP + [
         ("--pairs", dict(required=True, help="semicolon-separated x:y pairs, e.g. '0:1;:'"))]),
-    "omega": ("halting-probability operations", None, [
+    "omega": ("halting-probability operations", False, [
         ("action", dict(choices=["lower", "exact", "bits", "oracle"])),
         ("--machine", dict(choices=machines.SELF_DELIMITING, default="total"))] + _SWEEP[1:] + [
         ("--emit-bits", dict(type=int, default=0)),
         ("--k", dict(type=int, help="bit count for 'bits'/'oracle'")),
         ("--kbits", dict(type=_bits_arg, help="override oracle input bits")),
         ("--guard", dict(type=int, default=omega.DEFAULT_GUARD))]),
-    "normality": ("disjoint-block equidistribution check", None, [
+    "normality": ("disjoint-block equidistribution check", False, [
         ("--x", dict(type=_bits_arg, required=True)),
         ("--k", dict(type=int, required=True)),
         ("--tol", dict(required=True))]),
-    "fas": ("formal-system experiments", None, [
+    "fas": ("formal-system experiments", False, [
         ("action", dict(choices=["theorems", "berry", "ceiling", "omegabits"])),
         ("--fas", dict(required=True,
                        help=f"bundled name {incompleteness.BUNDLED_FAS_NAMES} or a JSON file")),
         ("--budget", dict(type=int, default=10**6)),
         ("--L", dict(type=int, help="ensemble cap for omegabits"))]),
-    "fgh": ("fast-growing hierarchy", None, [
+    "fgh": ("fast-growing hierarchy", False, [
         ("action", dict(choices=["eval", "dominate"])),
         ("--ordinal", dict(help="for eval")),
         ("--n", dict(type=int, help="for eval")),
@@ -107,7 +106,7 @@ COMMANDS = {
         ("--beta", dict(help="for dominate")),
         ("--points", dict(default="1,2,3")),
         ("--cap-bits", dict(type=int))]),  # default: hierarchy.DEFAULT_CAP_BITS, set by _dispatch
-    "diag": ("diagonalize over a total function-program family", None, [
+    "diag": ("diagonalize over a total function-program family", False, [
         ("--n", dict(type=int, required=True)),
         ("--width", dict(type=int, default=incompleteness.NUMERAL_WIDTH)),
         ("--family", dict(help="file with one 'prefix|payload' program per line"))]),
@@ -125,11 +124,11 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     if command in COMMANDS:
         sub.metavar = "{%s}" % ",".join(COMMANDS)  # the usage line still lists every command
     for name in [command] if command in COMMANDS else COMMANDS:
-        help_, csv_fields, flags = COMMANDS[name]
+        help_, takes_csv, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         form = p.add_mutually_exclusive_group()
         form.add_argument("--json", action="store_true", help="JSON output (default)")
-        if csv_fields:
+        if takes_csv:
             form.add_argument("--csv", action="store_true", help="CSV output")
         p.add_argument("--config", help="JSON config file; explicit flags win")
         for flag, kw in flags:
@@ -177,7 +176,7 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     default, a str default through the type, as argparse does."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, csv_fields, flags = COMMANDS[argv[0]]
+    _, takes_csv, flags = COMMANDS[argv[0]]
     kws = dict(flags)
     positionals = [name for name in kws if not name.startswith("-")]
     if len(argv) <= len(positionals):
@@ -187,7 +186,7 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     form = None
     while rest:
         token = rest.pop(0)
-        if token == "--json" or (token == "--csv" and csv_fields):
+        if token == "--json" or (token == "--csv" and takes_csv):
             if form is not None:
                 return None
             form = token
@@ -196,7 +195,7 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
         else:
             return None
     args = {"command": argv[0], "json": form == "--json", "config": None}
-    if csv_fields:
+    if takes_csv:
         args["csv"] = form == "--csv"
     for name, kw in flags:
         dest = name.lstrip("-").replace("-", "_")
@@ -425,9 +424,19 @@ def _dispatch(args: argparse.Namespace) -> dict:
                     "value": val.as_dict()}
         if args.alpha is None or args.beta is None:
             raise ValueError("fgh dominate needs --alpha and --beta")
-        points = [int(x) for x in args.points.split(",")]
-        return hierarchy.dominance_check(hierarchy.ord_parse(args.alpha), hierarchy.ord_parse(args.beta),
-                                         points, args.cap_bits)
+        try:
+            points = [int(x) for x in args.points.split(",")]
+            if min(points) < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"--points must be comma-separated natural numbers, got {args.points!r}") from None
+        ordinals = []
+        for flag, text in (("--alpha", args.alpha), ("--beta", args.beta)):
+            try:
+                ordinals.append(hierarchy.ord_parse(text))
+            except hierarchy.OrdinalParseError as exc:  # two ordinals: say which one
+                raise ValueError(f"{flag} {text!r}: {exc}") from None
+        return hierarchy.dominance_check(*ordinals, points, args.cap_bits)
 
     if cmd == "diag":
         if args.n < 0:
@@ -474,7 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = _apply_config(args, parser, argv)
         result = _dispatch(args)
         if getattr(args, "csv", False):
-            text = reports.emit_csv(result["entries"], COMMANDS[args.command][1])
+            text = reports.emit_csv(result["entries"])
         else:
             text = reports.emit_json(reports.envelope(args.command, _config_dict(args), result))
     except UnsoundFASError as exc:

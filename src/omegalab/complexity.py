@@ -90,6 +90,7 @@ from .bits import BitString, Dyadic, InvariantError
 from .sexpr import ALPHABET, SExpr, to_bits
 from . import machines, progs, vm
 from .machines import STRUCTURAL, Program, check_budget, output_of, pair_output_of, run_c2, structural_budget
+from .reports import Rows
 
 DEFAULT_CHAR_CAP = 6
 C2_RAW_CAP = 22
@@ -620,22 +621,13 @@ def check_coding(ens: Ensemble) -> dict:
     if ens.machine not in machines.SELF_DELIMITING:
         raise ValueError("coding check requires a prefix-free machine")
     rows = []
-    max_defect = None
-    for entry in find_elegant(ens):
-        key = entry.output
-        if entry.prob < Dyadic.pow2(entry.h_upper):
-            raise InvariantError(f"prob({key!r}) = {entry.prob} lacks its witness term 2^-{entry.h_upper}")
-        defect = entry.h_upper - _ceil_neg_log2(entry.prob)
-        max_defect = defect if max_defect is None else max(max_defect, defect)
-        rows.append(
-            {
-                "output": key,
-                "h_upper": entry.h_upper,
-                "prob": str(entry.prob),
-                "defect": defect,
-            }
-        )
-    return {"machine": ens.machine, "L": ens.L, "B": ens.B, "entries": rows, "max_defect": max_defect}
+    for output, h, _, _, prob in find_elegant(ens):
+        if prob < Dyadic.pow2(h):
+            raise InvariantError(f"prob({output!r}) = {prob} lacks its witness term 2^-{h}")
+        rows.append((output, h, str(prob), h - _ceil_neg_log2(prob)))
+    return {"machine": ens.machine, "L": ens.L, "B": ens.B,
+            "entries": Rows(("output", "h_upper", "prob", "defect"), rows),
+            "max_defect": max((defect for *_, defect in rows), default=None)}
 
 
 def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]) -> dict:

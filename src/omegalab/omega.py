@@ -135,12 +135,15 @@ def borel_normality(x: BitString, k: int, tol) -> dict:
     from fractions import Fraction  # not at module level: only this check needs it
 
     if k < 1:
-        raise ValueError("block size must be >= 1")
+        raise ValueError(f"--k (the block size) must be >= 1, got {k}")
     if len(x) < k:
-        raise ValueError("string shorter than one block")
+        raise ValueError(f"--x ({len(x)} bits) is shorter than one block of --k {k} bits")
     if k > 20:
-        raise ValueError("block size capped at 20 (2^k block values)")
-    tol_f = Fraction(str(tol))
+        raise ValueError(f"--k (the block size) is capped at 20 (2^k block values), got {k}")
+    try:
+        tol_f = Fraction(str(tol))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--tol must be a fraction or decimal, got {tol!r}") from None
     if tol_f < 0:
         raise ValueError(f"--tol must be >= 0, got {tol}")
     nblocks = len(x) // k

@@ -145,8 +145,10 @@ def _criterion7_report(workers: int) -> str:
 @criterion(7, "coding direction: prob(x) >= 2^-h(x) exactly on the sd sweep")
 def test_criterion_7_coding_direction():
     rep = check_coding(Ensemble("sd", 24, BUDGET))
-    assert rep["entries"], "sweep produced no outputs"
-    for row in rep["entries"]:
+    columns, rows = rep["entries"]
+    assert rows, "sweep produced no outputs"
+    for row in rows:
+        row = dict(zip(columns, row))
         prob = Dyadic.parse(row["prob"])
         assert prob >= Dyadic.pow2(row["h_upper"])
         assert row["defect"] >= 0

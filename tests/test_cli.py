@@ -353,6 +353,18 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["run", "--machine", "sd", "--prefix", "()", "--raw", "0"],
     ["run", "--machine", "total", "--prefix", "()", "--raw", "0"],
     ["normality", "--x", "0110", "--k", "1", "--tol", "-1"],
+    ["normality", "--x", "0110", "--k", "1", "--tol", "abc"],
+    ["normality", "--x", "0110", "--k", "1", "--tol", "nan"],
+    ["normality", "--x", "0110", "--k", "1", "--tol", "1/0"],
+    ["normality", "--x", "0110", "--tol", "0", "--k", "0"],
+    ["normality", "--x", "0110", "--tol", "0", "--k", "21"],
+    ["normality", "--tol", "0", "--x", "0", "--k", "2"],
+    ["normality", "--tol", "0", "--k", "2", "--x", "0"],
+    ["fgh", "dominate", "--alpha", "1", "--beta", "w", "--points", ""],
+    ["fgh", "dominate", "--alpha", "1", "--beta", "w", "--points", "1,,2"],
+    ["fgh", "dominate", "--alpha", "1", "--beta", "w", "--points", "-1"],
+    ["fgh", "dominate", "--alpha", "w", "--beta", "x"],
+    ["fgh", "dominate", "--beta", "w", "--alpha", "x"],
 ])
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -498,12 +498,14 @@ def test_relative_via_replay_is_size_independent():
 
 def test_check_coding_sd():
     rep = check_coding(Ensemble("sd", 24, 10**4))
-    assert [e["output"] for e in rep["entries"]] == [""]
-    assert rep["entries"][0]["defect"] == 0
+    columns, rows = rep["entries"]
+    assert columns == ("output", "h_upper", "prob", "defect")
+    assert [row[0] for row in rows] == [""]
+    assert rows[0][3] == 0
     assert rep["max_defect"] == 0
     # defects are h - ceil(-log2 prob) >= 0 whenever prob's leading term is the witness
     rep56 = check_coding(Ensemble("sd", 56, 10**4))
-    assert all(e["defect"] >= 0 for e in rep56["entries"])
+    assert all(defect >= 0 for _, _, _, defect in rep56["entries"].values)
 
 
 def test_check_chain_rule_small():

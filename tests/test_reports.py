@@ -1,21 +1,21 @@
 """Report serialization: emit_json prints exactly as json.dumps(indent=2)."""
 
 import copy
+import csv
 import hashlib
 import json
 import pickle
-from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegalab import complexity, reports
 from omegalab.bits import Dyadic
-from omegalab.cli import _TABLE_CSV, COMMANDS, main
-from omegalab.complexity import STRUCTURAL, Ensemble, HaltRecord, TableEntry, build_table, check_coding
+from omegalab.cli import main
+from omegalab.complexity import STRUCTURAL, Ensemble, HaltRecord, TableEntry, build_table
 from omegalab.machines import Program
 from omegalab.vm import HALTED, RunOutcome
-from omegalab.reports import emit_json, table_report, table_rows
+from omegalab.reports import Rows, emit_json, table_rows
 
 _text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600{}[],:"), max_size=6)
 _scalars = (st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
@@ -33,6 +33,9 @@ _table = (st.lists(_text, min_size=1, max_size=4, unique=True)
           | st.dictionaries(_keys, st.none(), min_size=1, max_size=4).map(list)).flatmap(
     lambda keys: st.lists(st.tuples(*[_scalars] * len(keys)).map(lambda vs: dict(zip(keys, vs))),
                           min_size=1, max_size=6))
+# a Rows: distinct text column names, and a tuple of scalars per row
+_text_rows = st.lists(_text, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.tuples(*[_scalars] * len(keys)), max_size=6).map(lambda vs: (tuple(keys), vs)))
 
 
 def _nested(rows, depth: int):
@@ -52,17 +55,32 @@ def test_emit_json_is_json_dumps_indent_2(value):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=3).flatmap(lambda depth: _nested(_rows, depth)))
 def test_emit_json_row_lists_are_json_dumps_indent_2(value):
-    # rows with keys drawn per row seldom share one key order, so these lists
-    # mostly take the per-item path; _table draws the rows that do not
+    # lists of dicts print through the general path, whatever their keys
     assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=3).flatmap(lambda depth: _nested(_table, depth)))
 def test_emit_json_tables_are_json_dumps_indent_2(value):
-    # rows with one key order, of scalars, print as blocks of values between
-    # the keys' text, each key encoded once per list
+    # lists of dicts that share one key order print through the general path
     assert emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def _wrapped(value, depth: int):
+    for _ in range(depth):
+        value = {"entries": [value, 1]}
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_rows, st.integers(min_value=0, max_value=3))
+def test_emit_json_rows_are_json_dumps_of_their_dicts(table, depth):
+    # a Rows prints as blocks of values between the columns' text, each
+    # column name encoded once, from a list or from a generator alike
+    columns, values = table
+    expected = json.dumps(_wrapped([dict(zip(columns, v)) for v in values], depth), indent=2) + "\n"
+    assert emit_json(_wrapped(Rows(columns, values), depth)) == expected
+    assert emit_json(_wrapped(Rows(columns, iter(values)), depth)) == expected
 
 
 def _wide_rows(n: int) -> list:
@@ -79,31 +97,39 @@ def test_emit_json_table_block_edges(n):
         assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+def _as_rows(rows: list, values=iter) -> Rows:
+    """rows (dicts with one key order) as a Rows whose values come from values."""
+    return Rows(tuple(rows[0]), values([tuple(r.values()) for r in rows])) if rows else Rows(("output",), [])
+
+
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
 def test_emit_json_lazy_rows_print_as_the_rows_listed(n):
     rows = _wide_rows(n)
     for wrap in (lambda v: v, lambda v: {"result": {"entries": v}}, lambda v: [[v, 1]]):
-        assert emit_json(wrap(dict(r) for r in rows)) == json.dumps(wrap(rows), indent=2) + "\n"
+        for values in (iter, list):
+            assert emit_json(wrap(_as_rows(rows, values))) == json.dumps(wrap(rows), indent=2) + "\n"
 
 
-class _Row(dict):
+class _Row(tuple):
     pass
 
 
-_BREAKS = [lambda row: dict(reversed(row.items())), lambda row: {**row, "extra": 0},
-           lambda row: {**row, "witness": ["0"]}, _Row, lambda row: {1: 0}, lambda row: 0]
-_BREAK_IDS = ["key-order", "extra-key", "list-value", "dict-subclass", "int-key", "not-a-dict"]
+_BREAKS = [lambda row: row[:-1], lambda row: row + (0,), lambda row: (*row[:3], ["0"], *row[4:]), _Row,
+           list, lambda row: 0]
+_BREAK_IDS = ["short-tuple", "long-tuple", "list-value", "tuple-subclass", "list-row", "not-a-tuple"]
 
 
 @pytest.mark.parametrize("at", [0, 1, 1500])
 @pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
 def test_emit_json_lazy_row_that_breaks_the_rows_raises(change, at):
-    # a lazily made list is read once, so it cannot fall back to the general
-    # path: a row that breaks the keys or the value types raises instead
-    rows = _wide_rows(2049)
-    rows[at] = change(rows[at])
-    with pytest.raises(ValueError, match="lazily made row list"):
-        emit_json({"entries": (row for row in rows)})
+    # a Rows' values may be read only once, so they cannot fall back to the
+    # general path: a row that is not a tuple of one exact scalar per column
+    # raises instead
+    rows = _as_rows(_wide_rows(2049), list)
+    rows.values[at] = change(rows.values[at])
+    for values in (iter, list):
+        with pytest.raises(ValueError, match="is not a tuple of 6 exact scalars"):
+            emit_json({"entries": Rows(rows.columns, values(rows.values))})
 
 
 @pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
@@ -111,30 +137,31 @@ def test_sweep_whose_lazy_row_breaks_prints_nothing(capsys, monkeypatch, change)
     # the text is joined only once the whole report is encoded, so stdout
     # gets no bytes of a report that fails past its first block
     table_rows = reports.table_rows
-    monkeypatch.setattr(reports, "table_rows", lambda table: (
-        change(row) if i == 1500 else row for i, row in enumerate(table_rows(table))))
+
+    def broken(table):
+        rows = table_rows(table)
+        return rows._replace(values=(change(row) if i == 1500 else row for i, row in enumerate(rows.values)))
+
+    monkeypatch.setattr(reports, "table_rows", broken)
     assert main(["sweep", "--machine", "c2", "--L", "12", "--B", "1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("omegalab: a lazily made row list")
+    assert out == "" and err.startswith("omegalab: a row of columns ('output', 'kind',")
 
 
-@pytest.mark.parametrize("change, flat", [
-    (lambda row: dict(reversed(row.items())), False),
-    (lambda row: {**row, "extra": 0}, False),
-    (lambda row: {**row, "witness": ["0"]}, False),
-    (_Row, False),
-    (lambda row: {**row, "h_upper": True}, True),
+@pytest.mark.parametrize("change", [
+    lambda row: dict(reversed(row.items())),
+    lambda row: {**row, "extra": 0},
+    lambda row: {**row, "witness": ["0"]},
+    type("_DictRow", (dict,), {}),
+    lambda row: {**row, "h_upper": True},
 ], ids=["key-order", "extra-key", "list-value", "dict-subclass", "bool-in-int-column"])
-def test_emit_json_table_row_past_the_first_block(monkeypatch, change, flat):
-    # every condition of the block path holds for the whole list before it
-    # prints a row, so a row past the first block decides the path too
+def test_emit_json_table_row_past_the_first_block(change):
+    # a list of dicts prints through the general path, whatever a row past
+    # the first 1,024 holds
     rows = _wide_rows(2049)
     rows[1500] = change(rows[1500])
-    seen, original = [], reports._rows
-    monkeypatch.setattr(reports, "_rows", lambda *args: (seen.append(args), original(*args)))
     value = {"entries": rows}
     assert emit_json(value) == json.dumps(value, indent=2) + "\n"
-    assert bool(seen) == flat
 
 
 def test_emit_json_edge_cases():
@@ -169,7 +196,8 @@ def test_tables_iterate_in_report_order_and_rows_follow_them(monkeypatch, ens):
     monkeypatch.setattr(complexity, "explicit_records", lambda ens: records[::-1])
     reversed_table = build_table.__wrapped__(ens)
     assert (list(reversed_table.entries), list(reversed_table.pair_entries)) == (bits, pairs)
-    rows = list(table_rows(table))
+    rows = table_rows(table)
+    rows = [dict(zip(rows.columns, v)) for v in rows.values]
     assert [(r["kind"], r["output"]) for r in rows] == ([("bits", k) for k in bits]
                                                         + [("pair", "|".join(k)) for k in pairs])
     for row, e in zip(rows, [*table.entries.values(), *table.pair_entries.values()]):
@@ -177,19 +205,22 @@ def test_tables_iterate_in_report_order_and_rows_follow_them(monkeypatch, ens):
                        "witness": e.witness, "minimal_count": e.minimal_count, "prob": str(e.prob)}
 
 
-def test_table_and_coding_rows_are_their_csv_columns():
-    # JSON rows and CSV columns name the same fields, and a table's rows,
-    # made as they are read, share one key order, which keeps them on
-    # emit_json's block path
-    entries = table_report(build_table(_PAIRED_TABLES[0]))["entries"]
-    assert isinstance(entries, GeneratorType)
-    rows = list(entries)
-    assert {r["kind"] for r in rows} == {"bits", "pair"}
-    assert all(tuple(r) == _TABLE_CSV for r in rows)
-    assert reports._row_keys(rows) == list(_TABLE_CSV)
-    rows = check_coding(Ensemble("sd", 40, 10000))["entries"]
-    assert rows and all(tuple(r) == COMMANDS["coding"][1] for r in rows)
-    assert reports._row_keys(rows) == list(COMMANDS["coding"][1])
+@pytest.mark.parametrize("argv", [
+    [command, "--machine", machine, *flags] for machine, flags in (
+        ("c2", ["--L", "14"]), ("total", ["--L", "80", "--B", "structural", "--c-cap", "10"]))
+    for command in ("sweep", "elegant")] + [
+    ["coding", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10"]])
+def test_table_columns_are_stated_once_for_json_and_csv(capsys, argv):
+    # the --csv header is every JSON row's keys, in order, and each CSV line
+    # is its JSON row's values as text, null as an empty field
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["entries"]
+    assert main(argv + ["--csv"]) == 0
+    header, *lines = csv.reader(capsys.readouterr().out.splitlines())
+    assert rows and all(list(row) == header for row in rows)
+    assert lines == [["" if v is None else str(v) for v in row.values()] for row in rows]
+    if argv[0] == "sweep" and argv[2] == "total":
+        assert {row["kind"] for row in rows} == {"bits", "pair"}
 
 
 def test_records_and_entries_are_immutable():
@@ -249,6 +280,13 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
      "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
     (["sweep", "--machine", "total", "--L", "80", "--c-cap", "10", "--B", "structural"],
      "ccce8c7b427b6ebc115ef1f03c756ef6bb90fb4a72c733a81fedd63902131efb"),
+    # the one CSV with pair rows (69 lines), and coding's own columns
+    (["sweep", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10", "--csv"],
+     "e1d173f7b24c9a78c82377d7040ea96e78680f5ecad212f408a87447980946b0"),
+    (["coding", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10", "--csv"],
+     "2e979570e0aa6d9ceb0f4ed55a4c396a02717a6f8df056803b73f3b8dde7931b"),
+    (["coding", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10"],
+     "07a5c899b7be166887f69873d48ec186f454a634e2cbc6fd5f5272f5a2ff23cd"),
 ])
 def test_report_stdout_is_frozen(capsys, argv, digest):
     # frozen from the reports as json.dumps(indent=2) and csv printed them

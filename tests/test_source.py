@@ -61,6 +61,16 @@ def test_json_text_is_written_only_in_reports():
     assert not found, found
 
 
+def test_csv_text_is_written_only_in_reports():
+    # reports.emit_csv writes every CSV from a table's own columns, so no
+    # other module imports csv
+    def imports_csv(node):
+        return ((isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "csv" for alias in node.names))
+                or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "csv"))
+    found = _library_nodes(imports_csv)
+    assert found and all(hit.startswith("reports.py:") for hit in found), found
+
+
 def _reads(tree):
     """How often each name is read in tree, bare or as an attribute."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
