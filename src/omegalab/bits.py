@@ -8,6 +8,7 @@ structural and comparisons are exact; there is deliberately no float path.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 BitString = str  # '0'/'1' characters only
@@ -30,6 +31,11 @@ def bs_parse(text: str) -> BitString:
         if ch not in "01":
             raise BitParseError(text, i)
     return text
+
+
+def bit_strings(n: int) -> Iterable[BitString]:
+    """Each n-bit string, in lex order, made as it is read."""
+    return map("".join, product(*["01"] * n))
 
 
 def is_prefix_free(members: Iterable[BitString]) -> Tuple[bool, Optional[Tuple[BitString, BitString]]]:

@@ -16,8 +16,9 @@ H_C(x) <= |x| + 1.  Each of those programs has an output of its own, so no
 counted record (below) can stand for them, and no table entry is stored for
 them either: build_table's c2 entries (_C2Entries) hold only the entries
 run records reached and answer every other r of fewer than L bits by rule,
-(r, |r| + 1, 0r, 1), making each only as it is read.  enumerate_halting
-lists the programs only when called.
+(r, |r| + 1, 0r, 1): read by length, one template entry (NUL for r) per
+length, which a report prints as text (reports.Family), with no entry or
+row made for each r.  enumerate_halting lists the programs only when called.
 
 Aux bits are found on demand the same way, with no cap: each aux read costs
 a step, so the budget bounds the depth.  A record keeps the aux bits its run
@@ -83,14 +84,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bits import BitString, Dyadic, InvariantError
+from .bits import BitString, Dyadic, InvariantError, bit_strings
 from .sexpr import ALPHABET, SExpr, to_bits
 from . import machines, progs, vm
 from .machines import STRUCTURAL, Program, check_budget, output_of, pair_output_of, run_c2, structural_budget
-from .reports import Rows
+from .reports import Family, Rows
 
 DEFAULT_CHAR_CAP = 6
 C2_RAW_CAP = 22
@@ -324,11 +325,6 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
             and y.startswith(r.aux_read)]
 
 
-def _bit_strings(n: int, lead: str = ""):
-    """lead followed by each n-bit string, in lex order."""
-    return map("".join, itertools.product((lead,), *["01"] * n))
-
-
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
     """records, explicit records of ens, with each counted record replaced by
     its members, or on c2 merged with the leading-0 programs."""
@@ -406,24 +402,17 @@ class _C2Entries(Mapping):
     records reached, and by rule every other r of fewer than `below` bits,
     whose program 0r halts in one step: (r, |r| + 1, 0r, 1, None).  below is
     L, or 0 at B = 0.  It iterates in (length, output) order and makes the
-    rule's entries only as they are read."""
+    rule's entries only as they are read, or by_length a template per length."""
 
     def __init__(self, found: Dict[BitString, TableEntry], ens: Ensemble):
         self.found, self.below = found, ens.L if ens.B >= 1 else 0
 
-    def get(self, key, default=None):
-        entry = self.found.get(key)
-        if entry is not None:
-            return entry
-        if type(key) is str and len(key) < self.below and not key.strip("01"):
-            return TableEntry._make((key, len(key) + 1, "0" + key, 1, None))
-        return default
-
     def __getitem__(self, key):
-        entry = self.get(key)
-        if entry is None:
-            raise KeyError(key)
-        return entry
+        if key in self.found:
+            return self.found[key]
+        if type(key) is str and len(key) < self.below and not key.strip("01"):
+            return TableEntry(key, len(key) + 1, "0" + key, 1, None)
+        raise KeyError(key)
 
     def __len__(self) -> int:
         return (1 << self.below) - 1 + len(self._beyond())
@@ -433,18 +422,17 @@ class _C2Entries(Mapping):
         return sorted((k for k in self.found if len(k) >= self.below), key=lambda k: (len(k), k))
 
     def __iter__(self):
-        return itertools.chain(*map(_bit_strings, range(self.below)), self._beyond())
+        return itertools.chain(*map(bit_strings, range(self.below)), self._beyond())
 
-    def values(self):
-        """The entries in (length, output) order, the rule's each made in C."""
-        make = partial(tuple.__new__, TableEntry)
+    def by_length(self):
+        """The entries in (length, output) order, each length the rule fills
+        whole as one Family of its template entry, whose output is NUL."""
         lengths = set(map(len, self.found))
         for n in range(self.below):
             if n in lengths:  # a found entry stands in for the rule's
-                yield from map(self.__getitem__, _bit_strings(n))
+                yield from map(self.__getitem__, bit_strings(n))
             else:
-                yield from map(make, zip(_bit_strings(n), itertools.repeat(n + 1), _bit_strings(n, "0"),
-                                         itertools.repeat(1), itertools.repeat(None)))
+                yield Family(n, TableEntry("\0", n + 1, "0\0", 1, None))
         yield from map(self.found.__getitem__, self._beyond())
 
 

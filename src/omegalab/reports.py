@@ -6,20 +6,22 @@ byte-identical output regardless of worker count.  emit_json, the only JSON
 writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n", and
 joins the text once, not once per nesting level.  A table has one row type,
 Rows: its column names once, then a tuple of values per row, made as it is
-read (table_rows).  emit_json prints its values one block of rows at a time,
-and emit_csv prints the same columns and values.
+read (table_rows), or a Family of rows made from one.  emit_json prints its
+values one block of rows (or one Family) at a time, and emit_csv prints the
+same columns and values.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, groupby, islice, repeat
 from typing import NamedTuple, Tuple
 
 from . import __version__
+from .bits import bit_strings
 
 SCHEMA_VERSION = "omegalab.report/1"
 
@@ -49,34 +51,66 @@ _BLOCK = 1024  # rows whose values go to one encoder call
 
 class Rows(NamedTuple):
     """A table: its column names (distinct strs) once, then each row's values
-    as a tuple in column order.  It prints as the list of {column: value}
-    dicts would.  values may be a generator, read once, a block at a time."""
+    as a tuple in column order, or a Family of rows.  It prints as the list of
+    {column: value} dicts would.  values may be a generator, read once."""
     columns: Tuple[str, ...]
     values: Iterable[tuple]
+
+
+class Family(NamedTuple):
+    """The 2^n rows made from row by putting each n-bit string, in lex order,
+    in place of every NUL in row's str values; they print from row's text."""
+    n: int
+    row: tuple
+
+
+def _expanded(family: Family) -> Iterator[tuple]:
+    """The rows family stands for, made column by column in C."""
+    return zip(*(map(v.replace, repeat("\0"), bit_strings(family.n)) if type(v) is str and "\0" in v
+                 else repeat(v, 1 << family.n) for v in family.row))
+
+
+def _nuls(row: tuple) -> int:
+    return sum(v.count("\0") for v in row if type(v) is str)
+
+
+def _blocks(items: Iterator) -> Iterator[list]:
+    """An iterator's items in lists of _BLOCK, the last one shorter."""
+    return iter(lambda: list(islice(items, _BLOCK)), [])
 
 
 def _rows(rows: Rows, depth: int, out: list) -> None:
     """Appends rows as json.dumps prints the list of their dicts, depth levels
     deep: the column names are encoded once, and the values of each block of
-    _BLOCK rows in one encoder call, one per line, to go between the fixed
-    text of each name.  The values may be read only once, so a row that is
-    not a tuple of one exact scalar per column raises, not falls back."""
+    _BLOCK rows (or a Family's row) in one encoder call, one per line, to go
+    between the fixed text of each name.  The values may be read only once,
+    so a row that is not a tuple of one exact scalar per column raises."""
     columns, width = rows.columns, len(rows.columns)
     pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     inner = pad + "  "
     names = [k[:-1] for k in _lines(dict.fromkeys(columns, 0))[1:-1].split("\n")]  # '"key": 0' less its 0
     glue = [pad + "}," + pad + "{" + inner + names[0]] + ["," + inner + k for k in names[1:]]
-    out.append("[")
-    start, values = len(out), iter(rows.values)
-    for block in iter(lambda: list(islice(values, _BLOCK)), []):
+
+    def text(block: list) -> str:
         if not (set(map(type, block)) == {tuple} and set(map(len, block)) == {width}
                 and set(map(type, chain.from_iterable(block))) <= _SCALARS):
             raise ValueError(f"a row of columns {columns} is not a tuple of {width} exact scalars")
-        text = _lines(list(chain.from_iterable(block)))[1:-1].split("\n")
-        parts = text * 2
+        lines = _lines(list(chain.from_iterable(block)))[1:-1].split("\n")
+        parts = lines * 2
         parts[::2] = glue * len(block)
-        parts[1::2] = text
-        out.append("".join(parts))  # not joined again until emit_json's one join
+        parts[1::2] = lines
+        return "".join(parts)
+
+    def family(f: Family) -> Iterator[str]:  # per block of rows, f's row's text joined at each NUL by r
+        pieces = text([f.row]).split("\\u0000")
+        if len(pieces) != 1 + _nuls(f.row):
+            return map(text, _blocks(_expanded(f)))  # a name or value prints a "\\u0000" of its own
+        return ("".join(map(str.join, keys, repeat(pieces))) for keys in _blocks(bit_strings(f.n)))
+
+    out.append("[")
+    start = len(out)
+    for kind, group in groupby(rows.values, type):  # joined only in emit_json
+        out += chain.from_iterable(map(family, group)) if kind is Family else map(text, _blocks(group))
     if len(out) > start:
         out[start] = out[start][len(pad) + 2:]  # less the '},' of a row before the first
         out.append(pad + "}" + end)
@@ -116,24 +150,47 @@ def emit_json(report: dict) -> str:
     return "".join(out)
 
 
+_MARK = "\uf8ff"  # a NUL's stand-in in a CSV line: csv before Python 3.11 cannot write a NUL
+
+
 def emit_csv(rows: Rows) -> str:
-    """rows as CSV: the column names, then each row's values, None as an empty field."""
+    """rows as CSV: the column names, then each row's values, None as an
+    empty field.  A Family's row is written once, a _MARK for each NUL, and
+    its line joined at the marks by each r; its rows are written one by one
+    where n = 0 (an empty field alone on a line prints as "") or a value
+    holds a _MARK of its own."""
     import csv  # not at module level: only --csv needs it
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows.columns)
-    writer.writerows(rows.values)
+    for kind, group in groupby(rows.values, type):
+        if kind is not Family:
+            writer.writerows(group)
+            continue
+        for f in group:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow([v.replace("\0", _MARK) if type(v) is str else v
+                                                            for v in f.row])
+            pieces = line.getvalue().split(_MARK)
+            if f.n and len(pieces) == 1 + _nuls(f.row):
+                buf.writelines(map(str.join, bit_strings(f.n), repeat(pieces)))
+            else:
+                writer.writerows(_expanded(f))
     return buf.getvalue()
 
 
 def table_rows(table) -> Rows:
     """ComplexityTable entries as rows, each made as it is read, in the
-    table's order: bit outputs, then pairs."""
+    table's order: bit outputs, then pairs; c2's by_length, its rule's as Families."""
+    def row(e, kind: str) -> tuple:
+        return (e.output if kind == "bits" else "|".join(e.output), kind, e.h_upper, e.witness, e.minimal_count,
+                "" if e.prob is None else str(e.prob))
+
+    bits = table.entries.values() if type(table.entries) is dict else table.entries.by_length()
     return Rows(("output", "kind", "h_upper", "witness", "minimal_count", "prob"), (
-        (e.output if kind == "bits" else "|".join(e.output), kind, e.h_upper, e.witness, e.minimal_count,
-         "" if e.prob is None else str(e.prob))
-        for kind, entries in (("bits", table.entries), ("pair", table.pair_entries)) for e in entries.values()))
+        Family(e.n, row(e.row, kind)) if type(e) is Family else row(e, kind)
+        for kind, entries in (("bits", bits), ("pair", table.pair_entries.values())) for e in entries))
 
 
 def table_report(table) -> dict:

@@ -548,7 +548,13 @@ def test_omega_oracle_lists_no_counted_member_above_k(capsys, monkeypatch, k, di
     # the run record of () meets the leading-0 family: its output "" keeps h = 1
     (["sweep", "--machine", "c2", "--L", "17", "--B", "100"],
      "a4e9298d6f98c61bb23d264f2ac9e1259f6b233a2ce88fb72da110f1d86e9816"),
-], ids=["sweep-L14", "sweep-L17-B0", "elegant-csv", "sweep-L17-B100"])
+    # and so in CSV, and at L 19, where its length 0 is printed entry by
+    # entry and every other length under 19 by the rule
+    (["sweep", "--machine", "c2", "--L", "17", "--B", "100", "--csv"],
+     "c16e0f182e8988cf54ab45b9f5f273dbdcfdce156a2bb34eb45ffc51d8de7667"),
+    (["sweep", "--machine", "c2", "--L", "19", "--B", "100"],
+     "b1562b5f0f7844ca58c780b809968c04d411b5c8374a8424240e5594a828c982"),
+], ids=["sweep-L14", "sweep-L17-B0", "elegant-csv", "sweep-L17-B100", "sweep-L17-B100-csv", "sweep-L19-B100"])
 def test_c2_stdout_is_frozen(capsys, argv, digest):
     # frozen while the c2 sweep still stored a record for every leading-0 program
     code, out, err = run_cli(capsys, *argv)

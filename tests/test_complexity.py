@@ -147,6 +147,26 @@ def test_c2_table_answers_its_leading_0_family_by_rule():
                                                                 ("0", ("0", 2, "00", 1, None))]
 
 
+@pytest.mark.parametrize("found, B", [({}, 1), ({}, 0), ({"": 1, "01": 2, "11111": 9}, 1), ({"0101": 9}, 0)])
+def test_c2_entries_by_length_are_its_entries(found, B):
+    # a length with a found entry is read entry by entry, every other one
+    # under L as the rule's template entry, its NULs standing for each r
+    from omegalab.complexity import TableEntry, _C2Entries
+    from omegalab.reports import Family
+
+    found = {k: TableEntry(k, h, "1" * h, 2, None) for k, h in found.items()}
+    entries = _C2Entries(found, Ensemble("c2", 4, B))
+    read = []
+    for e in entries.by_length():
+        if type(e) is Family:
+            assert e.row == ("\0", e.n + 1, "0\0", 1, None) and e.n not in set(map(len, found))
+            outputs = map("".join, itertools.product("01", repeat=e.n))
+            read += [TableEntry(r, e.n + 1, "0" + r, 1, None) for r in outputs]
+        else:
+            read.append(e)
+    assert read == list(entries.values()) and len(read) == len(entries)
+
+
 def test_c2_store_holds_no_leading_0_record(monkeypatch):
     # the leading-0 family is never stored: it is folded in closed form and
     # listed only on request, into a list the caller owns

@@ -3,6 +3,8 @@
 import copy
 import csv
 import hashlib
+import io
+import itertools
 import json
 import pickle
 
@@ -15,7 +17,7 @@ from omegalab.cli import main
 from omegalab.complexity import STRUCTURAL, Ensemble, HaltRecord, TableEntry, build_table
 from omegalab.machines import Program
 from omegalab.vm import HALTED, RunOutcome
-from omegalab.reports import Rows, emit_json, table_rows
+from omegalab.reports import Family, Rows, emit_json, table_rows
 
 _text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600{}[],:"), max_size=6)
 _scalars = (st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
@@ -132,20 +134,124 @@ def test_emit_json_lazy_row_that_breaks_the_rows_raises(change, at):
             emit_json({"entries": Rows(rows.columns, values(rows.values))})
 
 
-@pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
-def test_sweep_whose_lazy_row_breaks_prints_nothing(capsys, monkeypatch, change):
+def _expand(values):
+    """values with each Family as the tuples it stands for, made one at a time."""
+    for v in values:
+        if type(v) is Family:
+            for r in map("".join, itertools.product("01", repeat=v.n)):
+                yield tuple(x.replace("\0", r) if type(x) is str else x for x in v.row)
+        else:
+            yield v
+
+
+def _c2_l12_sweep_fails(capsys, monkeypatch, change_values) -> None:
     # the text is joined only once the whole report is encoded, so stdout
     # gets no bytes of a report that fails past its first block
     table_rows = reports.table_rows
 
     def broken(table):
         rows = table_rows(table)
-        return rows._replace(values=(change(row) if i == 1500 else row for i, row in enumerate(rows.values)))
+        return rows._replace(values=change_values(rows.values))
 
     monkeypatch.setattr(reports, "table_rows", broken)
     assert main(["sweep", "--machine", "c2", "--L", "12", "--B", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("omegalab: a row of columns ('output', 'kind',")
+
+
+@pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
+def test_sweep_whose_lazy_row_breaks_prints_nothing(capsys, monkeypatch, change):
+    # the c2 table's families listed as their rows, the 1,501st broken
+    _c2_l12_sweep_fails(capsys, monkeypatch, lambda values: (
+        change(row) if i == 1500 else row for i, row in enumerate(_expand(values))))
+
+
+@pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
+def test_sweep_whose_family_template_breaks_prints_nothing(capsys, monkeypatch, change):
+    # the template of the last family, 11-bit outputs after 2,047 rows, broken
+    def change_values(values):
+        values = list(values)
+        assert [v.n for v in values] == list(range(12))  # no program runs below 17 bits
+        return (v._replace(row=change(v.row)) if type(v) is Family and v.n == 11 else v for v in values)
+
+    _c2_l12_sweep_fails(capsys, monkeypatch, change_values)
+
+
+_FAMILY_COLUMNS = ("output", "kind", "h_upper", "witness", "minimal_count", "prob")
+_TEMPLATE = ("\0", "bits", 3, "0\0|\0\"", None, "")  # two NULs in one value, a third in another
+
+
+def _with_families(at: str) -> list:
+    """Families of n = 0, 1 and 10 first, in the middle or last among 1,500
+    tuple rows (past a block of 1,024), or between them."""
+    families = [Family(n, _TEMPLATE) for n in (0, 1, 10)]
+    rows = [tuple(r.values()) for r in _wide_rows(1500)]
+    return {"first": families + rows, "middle": rows[:700] + families + rows[700:], "last": rows + families,
+            "between": [families[0], *rows[:2], families[1], *rows[2:], families[2]]}[at]
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("at", ["first", "middle", "last", "between"])
+def test_family_prints_as_the_rows_it_stands_for(depth, at):
+    values = _with_families(at)
+    rows = [dict(zip(_FAMILY_COLUMNS, v)) for v in _expand(values)]
+    assert len(rows) == 1500 + 1 + 2 + 1024
+    expected = json.dumps(_wrapped(rows, depth), indent=2) + "\n"
+    for read in (iter, list):
+        assert emit_json(_wrapped(Rows(_FAMILY_COLUMNS, read(values)), depth)) == expected
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last", "between"])
+def test_family_csv_is_the_csv_of_the_rows_it_stands_for(at):
+    values = _with_families(at)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_FAMILY_COLUMNS, *_expand(values)])
+    assert reports.emit_csv(Rows(_FAMILY_COLUMNS, iter(values))) == buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_rows, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2))
+def test_emit_json_families_are_json_dumps_of_their_rows(table, n, depth):
+    # each row also as a family: its NULs (any text holds some) and the
+    # escapes of names and values around them
+    columns, values = table
+    values = [v for row in values for v in (row, Family(n, row))]
+    expected = [dict(zip(columns, v)) for v in _expand(values)]
+    assert emit_json(_wrapped(Rows(columns, iter(values)), depth)) == json.dumps(
+        _wrapped(expected, depth), indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_rows, st.integers(min_value=0, max_value=3))
+def test_emit_csv_families_are_the_csv_of_their_rows(table, n):
+    columns, values = table
+    values = [v for row in values for v in (row, Family(n, row))]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *_expand(values)])
+    assert reports.emit_csv(Rows(columns, iter(values))) == buf.getvalue()
+
+
+@pytest.mark.parametrize("columns, family", [
+    (("a\0", "b"), Family(2, ("\0", 1))),  # a name's NUL is not a row's
+    (("a", "b"), Family(2, ("\\u0000\0", "\\\0"))),  # text that prints as a NUL does in JSON
+    (("a", "b"), Family(2, ("\uf8ff\0", 1))),  # the character that stands for a NUL in CSV
+    (("a",), Family(0, ("\0",))),  # an empty field alone on a CSV line is quoted
+], ids=["nul-in-name", "escaped-nul-in-value", "csv-mark-in-value", "empty-field-alone"])
+def test_family_whose_text_holds_its_mark_prints_as_its_rows(columns, family):
+    expected = list(_expand([family]))
+    assert emit_json({"entries": Rows(columns, [family])}) == json.dumps(
+        {"entries": [dict(zip(columns, v)) for v in expected]}, indent=2) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *expected])
+    assert reports.emit_csv(Rows(columns, [family])) == buf.getvalue()
+
+
+def test_c2_table_rows_hold_a_family_per_rule_length():
+    # 2^20 - 1 rows, at most L + 2 values: none made for each leading-0 output
+    values = list(table_rows(build_table(Ensemble("c2", 20, 1))).values)
+    assert len(values) <= 20 + 2
+    assert [v.n for v in values if type(v) is Family] == list(range(1, 20))
+    assert values[0] == ("", "bits", 1, "0", 1, "")
 
 
 @pytest.mark.parametrize("change", [
