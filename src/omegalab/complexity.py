@@ -94,6 +94,8 @@ from .machines import STRUCTURAL, Program, check_budget, output_of, pair_output_
 from .reports import Family, Rows
 
 DEFAULT_CHAR_CAP = 6
+# c2's table is closed form, so this cap bounds the size of a report, not the
+# table's memory: c2's JSON is 202 MB at L 20 and 826 MB at L 22
 C2_RAW_CAP = 22
 
 

@@ -6,9 +6,9 @@ byte-identical output regardless of worker count.  emit_json, the only JSON
 writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n", and
 joins the text once, not once per nesting level.  A table has one row type,
 Rows: its column names once, then a tuple of values per row, made as it is
-read (table_rows), or a Family of rows made from one.  emit_json prints its
-values one block of rows (or one Family) at a time, and emit_csv prints the
-same columns and values.
+read (table_rows), or a Family of rows made from one.  One walk, _printed,
+reads a Rows' values for both writers, checks them and yields their text a
+block at a time; each writer gives only how it prints a block and a NUL.
 """
 
 from __future__ import annotations
@@ -64,53 +64,62 @@ class Family(NamedTuple):
     row: tuple
 
 
-def _expanded(family: Family) -> Iterator[tuple]:
-    """The rows family stands for, made column by column in C."""
-    return zip(*(map(v.replace, repeat("\0"), bit_strings(family.n)) if type(v) is str and "\0" in v
-                 else repeat(v, 1 << family.n) for v in family.row))
-
-
-def _nuls(row: tuple) -> int:
-    return sum(v.count("\0") for v in row if type(v) is str)
-
-
 def _blocks(items: Iterator) -> Iterator[list]:
     """An iterator's items in lists of _BLOCK, the last one shorter."""
     return iter(lambda: list(islice(items, _BLOCK)), [])
 
 
-def _rows(rows: Rows, depth: int, out: list) -> None:
-    """Appends rows as json.dumps prints the list of their dicts, depth levels
-    deep: the column names are encoded once, and the values of each block of
-    _BLOCK rows (or a Family's row) in one encoder call, one per line, to go
-    between the fixed text of each name.  The values may be read only once,
-    so a row that is not a tuple of one exact scalar per column raises."""
+def _printed(rows: Rows, text, mark: str, split: str) -> Iterator[str]:
+    """rows' values as text prints a list of rows, a piece per _BLOCK rows.
+    Each block, and each Family's row, is checked first (the values may be
+    read only once): a row that is not a tuple of one exact scalar per column
+    raises.  A Family's row prints once, mark for each NUL; its text, split at
+    split (what text prints for mark), is joined by split + each last 10 bits
+    of r, split again and joined by each first n - 10 bits: one join a piece."""
     columns, width = rows.columns, len(rows.columns)
-    pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    inner = pad + "  "
-    names = [k[:-1] for k in _lines(dict.fromkeys(columns, 0))[1:-1].split("\n")]  # '"key": 0' less its 0
-    glue = [pad + "}," + pad + "{" + inner + names[0]] + ["," + inner + k for k in names[1:]]
 
-    def text(block: list) -> str:
+    def checked(block: list) -> list:
         if not (set(map(type, block)) == {tuple} and set(map(len, block)) == {width}
                 and set(map(type, chain.from_iterable(block))) <= _SCALARS):
             raise ValueError(f"a row of columns {columns} is not a tuple of {width} exact scalars")
+        return block
+
+    for kind, group in groupby(rows.values, type):
+        if kind is not Family:
+            yield from map(text, map(checked, _blocks(group)))
+            continue
+        for n, row in group:
+            nuls = sum(v.count("\0") for v in checked([row])[0] if type(v) is str)
+            pieces = text([tuple(v.replace("\0", mark) if type(v) is str else v for v in row)]).split(split)
+            low = min(n, _BLOCK.bit_length() - 1)
+            block = "".join(map(str.join, map(split.__add__, bit_strings(low)), repeat(pieces))).split(split)
+            if n and len(block) == 1 + (nuls << low):
+                yield from map(str.join, bit_strings(n - low), repeat(block))
+            else:  # split printed of its own, or n = 0 (a lone empty CSV field prints as ""): its rows
+                yield from map(text, _blocks(tuple(v.replace("\0", r) if type(v) is str else v for v in row)
+                                             for r in bit_strings(n)))
+
+
+def _rows(rows: Rows, depth: int, out: list) -> None:
+    """Appends rows as json.dumps prints the list of their dicts, depth levels
+    deep: the column names are encoded once, and the values of each block of
+    rows in one encoder call, one per line, to go between the fixed text of
+    each name; a NUL prints as \\u0000."""
+    pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    inner = pad + "  "
+    names = [k[:-1] for k in _lines(dict.fromkeys(rows.columns, 0))[1:-1].split("\n")]  # '"key": 0' less its 0
+    glue = [pad + "}," + pad + "{" + inner + names[0]] + ["," + inner + k for k in names[1:]]
+
+    def text(block: list) -> str:
         lines = _lines(list(chain.from_iterable(block)))[1:-1].split("\n")
         parts = lines * 2
         parts[::2] = glue * len(block)
         parts[1::2] = lines
         return "".join(parts)
 
-    def family(f: Family) -> Iterator[str]:  # per block of rows, f's row's text joined at each NUL by r
-        pieces = text([f.row]).split("\\u0000")
-        if len(pieces) != 1 + _nuls(f.row):
-            return map(text, _blocks(_expanded(f)))  # a name or value prints a "\\u0000" of its own
-        return ("".join(map(str.join, keys, repeat(pieces))) for keys in _blocks(bit_strings(f.n)))
-
     out.append("[")
     start = len(out)
-    for kind, group in groupby(rows.values, type):  # joined only in emit_json
-        out += chain.from_iterable(map(family, group)) if kind is Family else map(text, _blocks(group))
+    out += _printed(rows, text, "\0", "\\u0000")  # joined only in emit_json
     if len(out) > start:
         out[start] = out[start][len(pad) + 2:]  # less the '},' of a row before the first
         out.append(pad + "}" + end)
@@ -155,29 +164,16 @@ _MARK = "\uf8ff"  # a NUL's stand-in in a CSV line: csv before Python 3.11 canno
 
 def emit_csv(rows: Rows) -> str:
     """rows as CSV: the column names, then each row's values, None as an
-    empty field.  A Family's row is written once, a _MARK for each NUL, and
-    its line joined at the marks by each r; its rows are written one by one
-    where n = 0 (an empty field alone on a line prints as "") or a value
-    holds a _MARK of its own."""
+    empty field, a NUL in a Family's row written as _MARK.  A row that is not
+    a tuple of one exact scalar per column raises ValueError, as in emit_json."""
     import csv  # not at module level: only --csv needs it
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows.columns)
-    for kind, group in groupby(rows.values, type):
-        if kind is not Family:
-            writer.writerows(group)
-            continue
-        for f in group:
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\n").writerow([v.replace("\0", _MARK) if type(v) is str else v
-                                                            for v in f.row])
-            pieces = line.getvalue().split(_MARK)
-            if f.n and len(pieces) == 1 + _nuls(f.row):
-                buf.writelines(map(str.join, bit_strings(f.n), repeat(pieces)))
-            else:
-                writer.writerows(_expanded(f))
-    return buf.getvalue()
+    def text(block: list) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(block)
+        return buf.getvalue()
+
+    return "".join(chain([text([rows.columns])], _printed(rows, text, _MARK, _MARK)))
 
 
 def table_rows(table) -> Rows:

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omegalab
 from omegalab.cli import main
 from omegalab.sexpr import parse, to_bits
 
@@ -513,6 +518,31 @@ def test_frontier_stdout_is_frozen(capsys, argv, code, digest):
     got, out, err = run_cli(capsys, *argv)
     assert (got, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _cli_in_a_fresh_process(*argv) -> subprocess.CompletedProcess:
+    """python -m omegalab.cli argv, its stdout as bytes: the process's caches
+    (about 240 MB of generated prefixes at c_cap 11) end with it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(omegalab.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "omegalab.cli", *argv], env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["omega", "exact", "--L", "95", "--c-cap", "11"],
+     "c5c51711b14a6916efd018552e27d66cf949f8d6ebbe3ddc80502c5b63744fd6"),
+    (["omega", "lower", "--machine", "sd", "--L", "95", "--c-cap", "11", "--B", "10000"],
+     "9dad1aa107622598c374069ba0899a8b5601835b280388060f9f83ecf40bd927"),
+    # c2's CSV at L 20: 2^20 - 1 rule rows printed from 20 templates
+    (["sweep", "--machine", "c2", "--L", "20", "--B", "10000", "--csv"],
+     "7f5da551d4d84d58d21652f19aac593d966bd4899a3e5175b039729e9c082413"),
+], ids=["omega-exact-c11", "omega-lower-sd-c11", "sweep-c2-L20-csv"])
+def test_frontier_stdout_in_a_fresh_process_is_frozen(argv, digest):
+    # frozen while the frontier's sweeps still generated every runnable prefix
+    # and c2's CSV still had a printing walk of its own
+    done = _cli_in_a_fresh_process(*argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k, digest", [

@@ -145,8 +145,8 @@ def _expand(values):
 
 
 def _c2_l12_sweep_fails(capsys, monkeypatch, change_values) -> None:
-    # the text is joined only once the whole report is encoded, so stdout
-    # gets no bytes of a report that fails past its first block
+    # JSON and CSV alike, the text is joined only once the whole table is
+    # printed, so stdout gets no bytes of a report that fails past its first block
     table_rows = reports.table_rows
 
     def broken(table):
@@ -154,9 +154,10 @@ def _c2_l12_sweep_fails(capsys, monkeypatch, change_values) -> None:
         return rows._replace(values=change_values(rows.values))
 
     monkeypatch.setattr(reports, "table_rows", broken)
-    assert main(["sweep", "--machine", "c2", "--L", "12", "--B", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("omegalab: a row of columns ('output', 'kind',")
+    for fmt in ([], ["--csv"]):
+        assert main(["sweep", "--machine", "c2", "--L", "12", "--B", "1", *fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("omegalab: a row of columns ('output', 'kind',")
 
 
 @pytest.mark.parametrize("change", _BREAKS, ids=_BREAK_IDS)
@@ -207,6 +208,21 @@ def test_family_csv_is_the_csv_of_the_rows_it_stands_for(at):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([_FAMILY_COLUMNS, *_expand(values)])
     assert reports.emit_csv(Rows(_FAMILY_COLUMNS, iter(values))) == buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("template", [_TEMPLATE, ("x\\\0\\", "\0\0", 7, None, True, "")],
+                         ids=["three-nuls", "backslashes-beside-nuls"])
+def test_family_past_a_block_prints_as_the_rows_it_stands_for(template, n):
+    # the text of 1,024 rows joined by each of the 2^(n - 10) leading (n - 10)-bit strings
+    family = Family(n, template)
+    expected = list(_expand([family]))
+    for depth in (0, 2):
+        assert emit_json(_wrapped(Rows(_FAMILY_COLUMNS, [family]), depth)) == json.dumps(
+            _wrapped([dict(zip(_FAMILY_COLUMNS, v)) for v in expected], depth), indent=2) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_FAMILY_COLUMNS, *expected])
+    assert reports.emit_csv(Rows(_FAMILY_COLUMNS, [family])) == buf.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
