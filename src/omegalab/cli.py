@@ -230,7 +230,7 @@ def _load_fas(spec: str) -> ToyFAS:
                          f"but {', '.join(keys)}")
     prefix, payload, name = d["prefix"], d.get("payload", ""), d.get("name", spec)
     machine, L = d.get("machine", "sd"), d.get("ensemble_L")
-    if not all(isinstance(v, str) for v in (prefix, payload, name)) or machine not in ("sd", "total"):
+    if not all(isinstance(v, str) for v in (prefix, payload, name)) or machine not in machines.SELF_DELIMITING:
         raise ValueError(f"formal system file {spec}: prefix, payload and name must be strings "
                          "and machine sd or total")
     if L is not None and (type(L) is not int or L < 0):
@@ -349,11 +349,11 @@ def _dispatch(args: argparse.Namespace) -> dict:
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
         ens = Ensemble(args.machine, args.L, STRUCTURAL if capped else args.B, args.c_cap, args.workers)
         if args.action in ("lower", "exact"):
-            return omega.omega_lower_bound(ens).as_dict(emit_bits=args.emit_bits)
+            return reports.omega_report(omega.omega_lower_bound(ens), args.emit_bits)
         if args.action == "bits":
             if args.k is None:
                 raise ValueError("omega bits needs --k")
-            value = omega.omega_lower_bound(ens).value
+            value = omega.omega_lower_bound(ens).mass
             return {"L": args.L, "k": args.k, "value": str(value),
                     "bits": dyadic_bits(value, args.k)}
         # oracle
@@ -364,7 +364,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
         else:
             if args.k is None:
                 raise ValueError("omega oracle needs --k or --kbits")
-            kbits = dyadic_bits(omega.omega_lower_bound(ens).value, args.k)
+            kbits = dyadic_bits(omega.omega_lower_bound(ens).mass, args.k)
         res = omega.oracle_halting_from_omega(kbits, ens, guard=args.guard)
         return {
             "L": args.L,

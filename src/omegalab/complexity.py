@@ -90,7 +90,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .bits import BitString, Dyadic, InvariantError, bit_strings
 from .sexpr import ALPHABET, SExpr, to_bits
 from . import machines, progs, vm
-from .machines import STRUCTURAL, Program, check_budget, output_of, pair_output_of, run_c2, structural_budget
+from .machines import (STRUCTURAL, Program, check_budget, check_prefix_free, covers, output_of, pair_output_of,
+                       run_c2, structural_budget)
 from .reports import Family, Rows
 
 DEFAULT_CHAR_CAP = 6
@@ -298,10 +299,6 @@ class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", objec
 _store: Dict[Tuple[str, int, int], Tuple[Ensemble, List[HaltRecord]]] = {}  # one sweep per store key
 
 
-def _covers(B_s, B) -> bool:
-    return B_s == STRUCTURAL or (B != STRUCTURAL and B_s >= B)
-
-
 def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
     """All domain members of size <= L bits, (length, lex)-ordered, run with budget B.
 
@@ -319,12 +316,11 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
     Served from the sweep store (module docstring); the list is the caller's."""
     key = (ens.machine, ens.c_cap, ens.workers)
     hit = _store.get(key)
-    if hit is None or hit[0].L < ens.L or not _covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
+    if hit is None or hit[0].L < ens.L or not covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
         swept = Ensemble("total", ens.L, STRUCTURAL, ens.c_cap, ens.workers) if ens.machine == "total" else ens
         hit = _store[key] = (swept, _sweep(*swept))
     y = aux or ""
-    return [r for r in hit[1] if r.size_bits <= ens.L and (ens.B == STRUCTURAL or r.steps <= ens.B)
-            and y.startswith(r.aux_read)]
+    return [r for r in hit[1] if r.size_bits <= ens.L and covers(ens.B, r.steps) and y.startswith(r.aux_read)]
 
 
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
@@ -364,7 +360,7 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     else:
         parts = map(_sd_records_for_prefixes, jobs)
     records = list(itertools.chain.from_iterable(parts))
-    if _covers(B, 1):  # the constants, in closed form
+    if covers(B, 1):  # the constants, in closed form
         for n in lengths:
             records += _split_constants(n, alphabet)
     records.sort(key=_order)  # the only order
@@ -407,7 +403,7 @@ class _C2Entries(Mapping):
     rule's entries only as they are read, or by_length a template per length."""
 
     def __init__(self, found: Dict[BitString, TableEntry], ens: Ensemble):
-        self.found, self.below = found, ens.L if ens.B >= 1 else 0
+        self.found, self.below = found, ens.L if covers(ens.B, 1) else 0
 
     def __getitem__(self, key):
         if key in self.found:
@@ -502,11 +498,10 @@ class ComplexityResult(NamedTuple):
 def _exactness(table: ComplexityTable, x_len: int, h: int) -> bool:
     ens = table.ens
     if ens.machine == "c2":  # 0x prints x in one step: exact only where it fits L and B
-        return ens.B >= 1 and ens.L >= x_len + 1 and table.exhaustive_limit >= min(h, x_len + 1)
+        return covers(ens.B, 1) and ens.L > x_len
     if ens.machine == "total":
         # every program smaller than the found witness was decided and enumerated
-        budget_ok = ens.B == STRUCTURAL or ens.B >= (h // 8) + 1
-        return budget_ok and h - 1 <= table.exhaustive_limit
+        return covers(ens.B, h // 8 + 1) and h - 1 <= table.exhaustive_limit
     return False
 
 
@@ -537,8 +532,7 @@ def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = Fa
 
 def algorithmic_probability(ens: Ensemble, x: BitString) -> Dyadic:
     """Exact partial sum of 2^-|p| over enumerated domain programs outputting x."""
-    if ens.machine not in machines.SELF_DELIMITING:
-        raise ValueError("algorithmic probability requires a prefix-free machine (sd or total)")
+    check_prefix_free(ens.machine, "algorithmic probability")
     entry = build_table(ens).entries.get(x)
     return entry.prob if entry is not None else Dyadic.zero()
 
@@ -560,8 +554,7 @@ def _best(cands: List[Tuple[int, BitString, str]]) -> ComplexityResult:
 
 def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityResult:
     """Upper bound on the pair complexity H(x,y), with its witness program."""
-    if ens.machine not in machines.SELF_DELIMITING:
-        raise ValueError("joint complexity is defined on the self-delimiting machines here")
+    check_prefix_free(ens.machine, "joint complexity")
     cands: List[Tuple[int, BitString, str]] = []
     entry = build_table(ens).pair_entries.get((x, y))
     if entry is not None:
@@ -575,8 +568,7 @@ def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityRes
 def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> ComplexityResult:
     """Upper bound on H(x | y*): aux channel loaded with y_star, output x."""
     machine, L = ens.machine, ens.L
-    if machine not in machines.SELF_DELIMITING:
-        raise ValueError("relative complexity is defined on the self-delimiting machines here")
+    check_prefix_free(machine, "relative complexity")
     y_run = machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET)  # the one run of y_star
     if y_run is None:
         raise ValueError("y_star must itself be a domain program")
@@ -608,8 +600,7 @@ def _ceil_neg_log2(d: Dyadic) -> int:
 
 def check_coding(ens: Ensemble) -> dict:
     """For every swept output: prob(x) >= 2^-h_upper(x) exactly; report the (*) defect."""
-    if ens.machine not in machines.SELF_DELIMITING:
-        raise ValueError("coding check requires a prefix-free machine")
+    check_prefix_free(ens.machine, "the coding theorem")
     rows = []
     for output, h, _, _, prob in find_elegant(ens):
         if prob < Dyadic.pow2(h):
@@ -634,6 +625,7 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     h(x) + h(y|x*) + K is built from the two witnesses, executed, and checked
     to output the pair, so h(x,y) <= h(x) + h(y|x*) + K stands on a run.
     """
+    check_prefix_free(ens.machine, "the chain rule")
     composer = progs.pair_composer()
     composer_bits = to_bits(composer)
     K = len(composer_bits)
@@ -696,6 +688,5 @@ def scan_domain(machine: str, max_len: int, budget: int) -> List[BitString]:
     Equivalent to scanning every bit string of length <= max_len because
     membership requires a char-aligned balanced prefix decode.
     """
-    if machine not in machines.SELF_DELIMITING:
-        raise ValueError("domain scans are for the self-delimiting machines")
+    check_prefix_free(machine, "a domain scan")
     return [r.program_bits for r in enumerate_halting(Ensemble(machine, max_len, budget, max_len // 8))]

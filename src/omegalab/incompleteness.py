@@ -274,7 +274,7 @@ def omega_bits_ceiling_experiment(fas: ToyFAS, L: Optional[int], budget: int) ->
     claims = [t for t in theorems if isinstance(t, OmegaBit)]
     exact = omega_exact_capped(ensemble_L)
     depth = max((c.index for c in claims), default=0)
-    true_bits = dyadic_bits(exact.value, depth)
+    true_bits = dyadic_bits(exact.mass, depth)
     checked = []
     for i, c in enumerate(claims):
         actual = true_bits[c.index - 1]
@@ -295,7 +295,7 @@ def omega_bits_ceiling_experiment(fas: ToyFAS, L: Optional[int], budget: int) ->
         "fas": fas.name,
         "verdict": "all-correct",
         "ensemble_L": ensemble_L,
-        "omega_capped": str(exact.value),
+        "omega_capped": str(exact.mass),
         "count_correct": len(claims),
         "n_bits": N,
         "count_minus_n": len(claims) - N,
@@ -406,7 +406,7 @@ def bundled_omega_fas(L: int = 24, nbits: int = 8, flip_index: Optional[int] = N
     flip_index builds the deliberately wrong variant with that bit inverted.
     """
     exact = omega_exact_capped(L)
-    bits = dyadic_bits(exact.value, nbits)
+    bits = dyadic_bits(exact.mass, nbits)
     claims = []
     for i, b in enumerate(bits, start=1):
         if flip_index == i:

@@ -21,12 +21,16 @@ Program size is exact and additive: 8 bits per prefix character plus the
 payload length.  "Halts" always means "halts within the stated budget",
 except on machine total where the structural budget makes it absolute.
 
-This module alone decides what a run means.  A step budget is an integer
->= 0, or STRUCTURAL on machine total: the prefix's subexpression count, which
-run_total resolves per program.  The output of a halted run is the bit string
-of a flat list of 0/1 atoms, or, on sd and total, the 1-bit string of a bare
-0/1 atom; a pair output is a list of exactly two flat bit lists.  Any other
-value halts without an output, except on c2, where it is a conversion fault.
+This module alone decides what a run means, and which machines a quantity
+needs: omega, probability, coding, joint and relative complexity and the
+chain rule hold for prefix-free programs, so they need sd or total
+(check_prefix_free).  A step budget is an integer >= 0, or STRUCTURAL on
+machine total: the prefix's subexpression count, which run_total resolves per
+program; covers says whether a budget lets a run take k steps.  The output
+of a halted run is the bit string of a flat list of 0/1 atoms, or, on sd and
+total, the 1-bit string of a bare 0/1 atom; a pair output is a list of
+exactly two flat bit lists.  Any other value halts without an output, except
+on c2, where it is a conversion fault.
 """
 
 from __future__ import annotations
@@ -77,6 +81,18 @@ def check_budget(machine: str, B) -> None:
         raise ValueError("structural budgets exist only on machine total")
     if B != STRUCTURAL and B < 0:
         raise ValueError(f"budget must be >= 0, got {B}")
+
+
+def covers(B, steps) -> bool:
+    """Whether budget B lets a run take steps steps: STRUCTURAL covers every
+    run, and only STRUCTURAL covers STRUCTURAL."""
+    return B == STRUCTURAL or (steps != STRUCTURAL and B >= steps)
+
+
+def check_prefix_free(machine: str, what: str) -> None:
+    """The one refusal of a machine whose domain is not prefix-free (c2)."""
+    if machine not in SELF_DELIMITING:
+        raise ValueError(f"{what} needs a prefix-free machine (sd or total), got {machine!r}")
 
 
 def structural_budget(prefix: SExpr) -> int:
@@ -142,11 +158,8 @@ def run_total(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOu
 
 
 def run_machine(machine: str, p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
-    if machine == "sd":
-        return run_sd(p, budget, aux)
-    if machine == "total":
-        return run_total(p, budget, aux)
-    raise ValueError(f"run_machine expects a self-delimiting machine, got {machine!r}")
+    check_prefix_free(machine, "run_machine")
+    return (run_sd if machine == "sd" else run_total)(p, budget, aux)
 
 
 def output_of(outcome: RunOutcome) -> Optional[BitString]:
@@ -180,8 +193,7 @@ def in_domain(machine: str, bits: BitString, budget: int,
               aux: Optional[BitString] = None) -> Optional[RunOutcome]:
     """Exact-consumption domain membership: the halted run of bits, or None
     on every failure mode."""
-    if machine not in SELF_DELIMITING:
-        raise ValueError(f"in_domain expects sd or total, got {machine!r}")
+    check_prefix_free(machine, "in_domain")
     try:
         p = split_program_bits(bits)
     except SExprDecodeError:

@@ -5,48 +5,31 @@ All values are exact dyadic rationals about a *capped* program ensemble
 halting probability is a limit this artifact never claims to know.  The sum
 runs over the machine's domain (the sum-over-programs form); the mass of
 domain programs whose value does not convert to an output is tracked
-separately rather than folded in or dropped.
+separately rather than folded in or dropped.  A capped omega is the mass of
+a ComplexityTable (reports.omega_report prints it), and only the prefix-free
+machines sd and total have one (machines.check_prefix_free).
 """
 
 from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .bits import BitString, Dyadic, dyadic_bits
-from . import machines
-from .complexity import DEFAULT_CHAR_CAP, STRUCTURAL, Ensemble, build_table, enumerate_halting, explicit_records
+from .bits import BitString, Dyadic
+from .complexity import (DEFAULT_CHAR_CAP, STRUCTURAL, ComplexityTable, Ensemble, build_table, enumerate_halting,
+                         explicit_records)
+from .machines import check_prefix_free
 
 
-class OmegaApprox(NamedTuple):
-    ens: Ensemble
-    value: Dyadic
-    contributing: int
-    conv_fail_mass: Dyadic
-
-    def as_dict(self, emit_bits: int = 0) -> dict:
-        d = {
-            "machine": self.ens.machine,
-            "L": self.ens.L,
-            "B": self.ens.B,
-            "value": str(self.value),
-            "contributing": self.contributing,
-            "conversion_failure_mass": str(self.conv_fail_mass),
-        }
-        if emit_bits:
-            d["bits"] = dyadic_bits(self.value, emit_bits)
-        return d
+def omega_lower_bound(ens: Ensemble) -> ComplexityTable:
+    """The memoized table of ens, whose mass is the exact sum of 2^-|p| over
+    domain members found at (L, B); monotone in both."""
+    check_prefix_free(ens.machine, "the halting probability")
+    return build_table(ens)  # checks Kraft: mass <= 1
 
 
-def omega_lower_bound(ens: Ensemble) -> OmegaApprox:
-    """Exact sum of 2^-|p| over domain members found at (L, B); monotone in both."""
-    if ens.machine not in machines.SELF_DELIMITING:
-        raise ValueError("halting probability requires a prefix-free machine")
-    table = build_table(ens)  # checks Kraft: mass <= 1
-    return OmegaApprox(ens, table.mass, table.contributing, table.conv_fail_mass)
-
-
-def omega_exact_capped(L: int) -> OmegaApprox:
-    """EXACT capped halting probability of machine total at size cap L.
+def omega_exact_capped(L: int) -> ComplexityTable:
+    """EXACT capped halting probability of machine total at size cap L, as
+    its table's mass.
 
     Halting is decidable on the total fragment (the structural budget always
     suffices), so this equals the supremum over B of omega_lower_bound(total,

@@ -21,7 +21,7 @@ from itertools import chain, groupby, islice, repeat
 from typing import NamedTuple, Tuple
 
 from . import __version__
-from .bits import bit_strings
+from .bits import bit_strings, dyadic_bits
 
 SCHEMA_VERSION = "omegalab.report/1"
 
@@ -199,3 +199,10 @@ def table_report(table) -> dict:
         "conversion_failure_mass": str(table.conv_fail_mass),
         "entries": table_rows(table),
     }
+
+
+def omega_report(table, emit_bits: int = 0) -> dict:
+    """A capped omega, the mass of table, with its first emit_bits bits if any."""
+    d = {"machine": table.ens.machine, "L": table.ens.L, "B": table.ens.B, "value": str(table.mass),
+         "contributing": table.contributing, "conversion_failure_mass": str(table.conv_fail_mass)}
+    return {**d, "bits": dyadic_bits(table.mass, emit_bits)} if emit_bits else d

@@ -31,7 +31,7 @@ from omegalab.incompleteness import (
     omega_bits_ceiling_experiment,
 )
 from omegalab.omega import decided_halting_set, omega_exact_capped, omega_lower_bound
-from omegalab.reports import emit_json
+from omegalab.reports import emit_json, omega_report
 
 BUDGET = 10**4
 
@@ -93,7 +93,7 @@ def _criterion4_report(workers: int) -> str:
     for L in (16, 18, 20, 22, 24):
         for B in (10**2, 10**3, 10**4):
             approx = omega_lower_bound(Ensemble("total", L, B, workers=workers))
-            grid.append({"L": L, "B": B, "value": str(approx.value)})
+            grid.append({"L": L, "B": B, "value": str(approx.mass)})
     return emit_json({"grid": grid})
 
 
@@ -102,7 +102,7 @@ def test_criterion_4_omega_monotone():
     values = {}
     for L in (16, 18, 20, 22, 24):
         for B in (10**2, 10**3, 10**4):
-            values[L, B] = omega_lower_bound(Ensemble("total", L, B)).value
+            values[L, B] = omega_lower_bound(Ensemble("total", L, B)).mass
             assert values[L, B] <= Dyadic.one()
     for (L1, B1), v1 in values.items():
         for (L2, B2), v2 in values.items():
@@ -117,9 +117,9 @@ def test_criterion_5_capped_agreement():
     exact = omega_exact_capped(24)
     b_star = 24 // 8  # one step per subexpression; 3-character prefixes at most
     lower = omega_lower_bound(Ensemble("total", 24, b_star))
-    assert exact.value == lower.value
+    assert exact.mass == lower.mass
     assert exact.contributing == lower.contributing
-    return f"value {exact.value} at B* = {b_star}"
+    return f"value {exact.mass} at B* = {b_star}"
 
 
 @criterion(6, "omega-bit oracle recovers the decided halting set for k <= 16")
@@ -129,7 +129,7 @@ def test_criterion_6_oracle_completeness():
     # capped omega at L = 24 is 1/2^16: only k = 16 makes the oracle dovetail
     exact = omega_exact_capped(24)
     for k in range(0, 17):
-        kbits = dyadic_bits(exact.value, k)
+        kbits = dyadic_bits(exact.mass, k)
         res = oracle_halting_from_omega(kbits, Ensemble("total", 24, STRUCTURAL))
         assert not res.tripped, k
         direct = decided_halting_set(24, k)
@@ -229,7 +229,7 @@ def test_criterion_11_omega_bits():
 def _pool_report(workers: int) -> str:
     # up to 7 characters 134 sd prefixes are runnable, past the 64 above which
     # a sweep with workers > 1 forks a pool; criteria 4, 7 and 8 stay below it
-    return emit_json(omega_lower_bound(Ensemble("sd", 63, BUDGET, c_cap=7, workers=workers)).as_dict())
+    return emit_json(omega_report(omega_lower_bound(Ensemble("sd", 63, BUDGET, c_cap=7, workers=workers))))
 
 
 @criterion(12, "criteria 4, 7, 8 and a pooled sd sweep's reports are byte-identical for workers in {1, 4}")

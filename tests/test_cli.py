@@ -329,6 +329,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["omega", "bits", "--L", "16", "--k", "4", "--workers", "0"],
     ["omega", "oracle", "--L", "16", "--k", "4", "--workers", "-1"],
     ["sweep", "--machine", "c2", "--L", "23"],
+    ["prob", "--machine", "c2", "--target", "0", "--L", "8"],
+    ["coding", "--machine", "c2", "--L", "8"],
+    # c2's domain is not prefix-free; chain refuses it before it reads a pair,
+    # whether c2's table holds x (the empty x) or not (01010 at L 4)
+    ["chain", "--machine", "c2", "--L", "4", "--pairs", "01010:1"],
+    ["chain", "--machine", "c2", "--L", "4", "--pairs", ":"],
     ["diag", "--n", "0", "--width", "-1"],
     ["diag", "--n", "0", "--width", "0"],
     ["fgh", "eval", "--ordinal", "w", "--n", "2", "--cap-bits", "-1"],
@@ -374,6 +380,8 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
+    if argv[0] in ("prob", "coding", "chain") and "c2" in argv:  # machines states the one refusal
+        assert err.startswith("omegalab: ") and err.endswith(" needs a prefix-free machine (sd or total), got 'c2'\n")
     # the message names the flag
     if argv[0] in ("fas", "diag", "fgh", "normality") or argv[-2] in (
             "--guard", "--emit-bits", "--k", "--kbits", "--B", "--payload", "--aux", "--prefix", "--raw"):

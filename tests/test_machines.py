@@ -5,21 +5,25 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from omegalab.complexity import gen_exprs, scan_domain
+from omegalab.complexity import (Ensemble, algorithmic_probability, check_chain_rule, check_coding, gen_exprs,
+                                 joint_complexity, relative_complexity, scan_domain)
 from omegalab.bits import is_prefix_free
 from omegalab.machines import (
     STRUCTURAL,
     Program,
+    covers,
     in_domain,
     output_of,
     pair_output_of,
     program_from_text,
     run_c2,
     run_sd,
+    run_machine,
     run_total,
     split_program_bits,
     structural_budget,
 )
+from omegalab.omega import omega_lower_bound
 from omegalab.sexpr import parse, to_bits
 from omegalab.vm import FAULTED, HALTED, RunOutcome, eval_expr
 
@@ -234,3 +238,34 @@ def test_program_text_roundtrip():
         program_from_text("(r)|0x")
     with pytest.raises(ValueError):
         program_from_text("a|0")  # an atom is no program prefix
+
+
+def test_covers_truth_table():
+    # a budget B covers a run of k steps when B >= k; STRUCTURAL covers every
+    # run, and only STRUCTURAL covers STRUCTURAL
+    table = {B: [covers(B, steps) for steps in (0, 1, 4, 5, STRUCTURAL)] for B in (0, 1, 4, STRUCTURAL)}
+    assert table == {0: [True, False, False, False, False], 1: [True, True, False, False, False],
+                     4: [True, True, True, False, False], STRUCTURAL: [True, True, True, True, True]}
+
+
+_C2 = Ensemble("c2", 4, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_machine("c2", Program(parse("(q0)")), 10),
+    lambda: in_domain("c2", "0", 10),
+    lambda: omega_lower_bound(_C2),
+    lambda: algorithmic_probability(_C2, "0"),
+    lambda: joint_complexity(_C2, "0", "1"),
+    lambda: relative_complexity(_C2, "0", ""),
+    lambda: check_coding(_C2),
+    lambda: check_chain_rule(_C2, [("01010", "1")]),
+    lambda: scan_domain("c2", 4, 10),
+], ids=["run_machine", "in_domain", "omega_lower_bound", "algorithmic_probability", "joint_complexity",
+        "relative_complexity", "check_coding", "check_chain_rule", "scan_domain"])
+def test_every_prefix_free_quantity_refuses_c2_alike(call):
+    # c2's domain is not prefix-free (0 and 01 both halt), so no Kraft sum,
+    # coding theorem or chain rule holds for it; machines states the refusal once
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).endswith("needs a prefix-free machine (sd or total), got 'c2'")

@@ -16,31 +16,31 @@ from omegalab.sexpr import ALPHABET
 
 
 def test_lower_bound_examples():
-    assert omega_lower_bound(Ensemble("sd", 15, 100)).value == Dyadic.zero()
+    assert omega_lower_bound(Ensemble("sd", 15, 100)).mass == Dyadic.zero()
     lo = omega_lower_bound(Ensemble("sd", 16, 100))
-    assert lo.value == Dyadic.pow2(16) and lo.contributing == 1
-    assert omega_lower_bound(Ensemble("total", 0, 100)).value == Dyadic.zero()
+    assert lo.mass == Dyadic.pow2(16) and lo.contributing == 1
+    assert omega_lower_bound(Ensemble("total", 0, 100)).mass == Dyadic.zero()
     with pytest.raises(ValueError):
         omega_lower_bound(Ensemble("c2", 16, 100))
 
 
 def test_exact_capped_values():
-    assert omega_exact_capped(15).value == Dyadic.zero()
+    assert omega_exact_capped(15).mass == Dyadic.zero()
     ex24 = omega_exact_capped(24)
-    assert ex24.value == Dyadic.pow2(16) and ex24.contributing == 1
+    assert ex24.mass == Dyadic.pow2(16) and ex24.contributing == 1
     # 2^-16 + 2*2^-25, by hand
-    assert omega_exact_capped(25).value == Dyadic(257, 24)
+    assert omega_exact_capped(25).mass == Dyadic(257, 24)
 
 
 def test_exact_agrees_with_lower_bound_at_structural_budget():
     ex = omega_exact_capped(24)
     lo = omega_lower_bound(Ensemble("total", 24, 3))  # 3 subexpressions suffice for 3-char prefixes
-    assert ex.value == lo.value
-    assert ex.value == omega_lower_bound(Ensemble("total", 24, 10**4)).value
+    assert ex.mass == lo.mass
+    assert ex.mass == omega_lower_bound(Ensemble("total", 24, 10**4)).mass
 
 
 def test_monotone_in_cap():
-    values = [omega_exact_capped(L).value for L in (15, 16, 20, 24, 25, 32)]
+    values = [omega_exact_capped(L).mass for L in (15, 16, 20, 24, 25, 32)]
     for a, b in zip(values, values[1:]):
         assert a <= b
     assert all(v <= Dyadic.one() for v in values)
@@ -50,7 +50,7 @@ def test_double_monotonicity_grid():
     values = {}
     for L in (16, 20, 24):
         for B in (1, 10, 100):
-            values[L, B] = omega_lower_bound(Ensemble("total", L, B)).value
+            values[L, B] = omega_lower_bound(Ensemble("total", L, B)).mass
     for L1, B1 in values:
         for L2, B2 in values:
             if L1 <= L2 and B1 <= B2:
@@ -62,7 +62,7 @@ def test_oracle_trivial_and_exact():
     assert not res.tripped and res.halting_set == ()
     res = oracle_halting_from_omega("0" * 12, Ensemble("total", 24, STRUCTURAL))
     assert not res.tripped and res.halting_set == decided_halting_set(24, 12)
-    kbits = dyadic_bits(omega_exact_capped(24).value, 16)
+    kbits = dyadic_bits(omega_exact_capped(24).mass, 16)
     res = oracle_halting_from_omega(kbits, Ensemble("total", 24, STRUCTURAL))
     assert not res.tripped
     assert res.halting_set == decided_halting_set(24, 16)
@@ -70,7 +70,7 @@ def test_oracle_trivial_and_exact():
 
 
 def test_oracle_completeness_l25():
-    val = omega_exact_capped(25).value
+    val = omega_exact_capped(25).mass
     for k in (16, 20, 25):
         res = oracle_halting_from_omega(dyadic_bits(val, k), Ensemble("total", 25, STRUCTURAL))
         assert not res.tripped
@@ -134,7 +134,7 @@ def test_oracle_equals_a_member_by_member_dovetail(c_cap):
     records = sorted(enumerate_halting(ens), key=lambda r: (r.steps, r.size_bits, r.program_bits))
     alphabet = ALPHABET.replace("l", "").replace("y", "")
     counted = {r.program_bits for n in range(4, c_cap + 1) for r in _counted_records(n, alphabet)}
-    value = omega_exact_capped(L).value
+    value = omega_exact_capped(L).mass
     rng = random.Random(c_cap)
     stops = {"tripped": 0, "counted": 0}
     for k in range(L + 1):
@@ -170,7 +170,7 @@ def test_normality_domain_errors():
 def test_conversion_failure_mass_reported():
     ex = omega_exact_capped(32)
     assert ex.conv_fail_mass > Dyadic.zero()  # (qa)-style programs halt without output
-    assert ex.conv_fail_mass <= ex.value
+    assert ex.conv_fail_mass <= ex.mass
 
 
 def test_kraft_check_raises_on_fabricated_records(monkeypatch):

@@ -425,6 +425,13 @@ def test_report_stdout_is_frozen(capsys, argv, digest):
      "660b61977ec83404821762143e6707dc452965373a4672f0459541a93a4dd74c"),
     (["omega", "lower", "--machine", "sd", "--L", "79", "--c-cap", "9"],
      "4af43c93ec55a73cc542b52accaa5ba420e4d15148f90e57003bc56c8bd39d9a"),
+    # the bits a report prints from a capped omega
+    (["omega", "exact", "--L", "40", "--emit-bits", "12"],
+     "e8400032c3120d6765d810e7e85fcc6299c0c7f26a7ab50156f22b101d247c55"),
+    (["omega", "lower", "--machine", "total", "--L", "40", "--B", "3", "--emit-bits", "20"],
+     "c1c6d2a95572f41b29b9349049222bd72b9e8afbad4ae237599721a208649605"),
+    (["omega", "bits", "--L", "24", "--k", "16"],
+     "2e27bb22e26b822cfb5ddfb9a8f79e35c9c30194cb88b58b77d223fe43286e10"),
 ])
 def test_capped_omega_stdout_is_frozen(capsys, argv, digest):
     # frozen from the sweeps that ran every evaluable prefix, constants too

@@ -61,6 +61,20 @@ def test_json_text_is_written_only_in_reports():
     assert not found, found
 
 
+def test_prefix_free_refusal_is_written_only_in_machines():
+    # machines.check_prefix_free is the one refusal of a machine that is not
+    # prefix-free, so no other module holds its text (docstrings aside)
+    found = []
+    for name, tree in _library_trees():
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                      and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+                  and ("prefix-free machine" in node.value or "self-delimiting machine" in node.value)]
+    assert found and all(hit.startswith("machines.py:") for hit in found), found
+
+
 def test_csv_text_is_written_only_in_reports():
     # reports.emit_csv writes every CSV from a table's own columns, so no
     # other module imports csv
