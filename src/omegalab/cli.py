@@ -83,7 +83,7 @@ COMMANDS = {
         ("--pairs", dict(required=True, help="semicolon-separated x:y pairs, e.g. '0:1;:'"))]),
     "omega": ("halting-probability operations", False, [
         ("action", dict(choices=["lower", "exact", "bits", "oracle"])),
-        ("--machine", dict(choices=machines.SELF_DELIMITING, default="total"))] + _SWEEP[1:] + [
+        ("--machine", dict(choices=machines.MACHINES, default="total"))] + _SWEEP[1:] + [
         ("--emit-bits", dict(type=int, default=0)),
         ("--k", dict(type=int, help="bit count for 'bits'/'oracle'")),
         ("--kbits", dict(type=_bits_arg, help="override oracle input bits")),

@@ -55,8 +55,8 @@ Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
 On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
 peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.15 s with 17 MB,
 interpreter start-up included.
-Upper bounds beyond the cap come from constructed witnesses that are always
-verified by actually running them before being admitted.
+Upper bounds beyond the cap come from constructed witnesses, each admitted
+only by a run that passes, and run only when it would be the bound (_least).
 
 Prefixes are generated over each machine's own alphabet (on total, without
 the atoms l and y) and, like their runs, in no particular order.  The one
@@ -172,13 +172,13 @@ def _items(kind: str, k: int, alphabet: str) -> Tuple[SExpr, ...]:
 
 @lru_cache(maxsize=None)
 def _count(m: int, slots: str, alphabet: str) -> int:
-    """len(_fill(m, slots, alphabet)) for slots of kinds x, p and *, counted
+    """len(_fill(m, slots, alphabet)), with the items of kinds x and * counted
     without listing them."""
     if not slots:
         return int(m == 0)
     kind, run = slots[0], slots[0] == "*"
     return (_count(m, slots[1:], alphabet) if run else 0) + sum(  # a first item of k characters:
-        (len(_items(kind, k, alphabet)) if k == 1 or kind == "p" else _count(k - 2, "*", alphabet))  # atom or list
+        (len(_items(kind, k, alphabet)) if k == 1 or kind not in "x*" else _count(k - 2, "*", alphabet))  # atom or list
         * _count(m - k, slots if run else slots[1:], alphabet) for k in range(1, m + 1))
 
 
@@ -509,25 +509,20 @@ def complexity_upper(ens: Ensemble, x: BitString, include_constructed: bool = Fa
     """Minimum enumerated program size producing x; "not found" is a value.
 
     include_constructed additionally admits the canonical quote witness
-    (verified by running it), which is how outputs above the exhaustive
+    (run when it would be the bound), which is how outputs above the exhaustive
     sweep cap get bounds; on machine total such a bound is still exact when
     the sweep below it was exhaustive.  check_chain_rule relies on it for
     h(x), so x* may be a quote witness.
     """
     table = build_table(ens)
-    cands: List[Tuple[int, BitString, str]] = []
     entry = table.entries.get(x)
-    if entry is not None:
-        cands.append((entry.h_upper, entry.witness, "sweep"))
+    cands = [] if entry is None else [(entry.h_upper, entry.witness, "sweep", None)]
     if include_constructed and ens.machine in machines.SELF_DELIMITING:
         qp = progs.quote_program(x)
-        if len(bits := qp.bits) <= ens.L and progs.verify_output(ens.machine, qp, x):  # qp encoded once
-            cands.append((len(bits), bits, "quote"))
-    best = _best(cands)
-    if not best.found:
-        return best
-    return ComplexityResult(True, best.h_upper, best.witness, _exactness(table, len(x), best.h_upper),
-                            best.source)
+        bits = qp.bits  # qp encoded once
+        cands.append((len(bits), bits, "quote", lambda: progs.verify_output(ens.machine, qp, x)))
+    best = _least(ens.L, cands)
+    return best._replace(exact=_exactness(table, len(x), best.h_upper)) if best.found else best
 
 
 def algorithmic_probability(ens: Ensemble, x: BitString) -> Dyadic:
@@ -545,48 +540,46 @@ def find_elegant(ens: Ensemble) -> List[TableEntry]:
 # ---------------------------------------------------------------------------
 # joint / relative complexity (sweep + verified constructed witnesses)
 
-def _best(cands: List[Tuple[int, BitString, str]]) -> ComplexityResult:
-    if not cands:
-        return ComplexityResult(found=False)
-    size, bits, src = min(cands, key=lambda c: (c[0], c[1]))
-    return ComplexityResult(found=True, h_upper=size, witness=bits, source=src)
+def _least(L: Optional[int], cands) -> ComplexityResult:
+    """The least (size, bits) of cands, tuples (size, bits, source, verify),
+    that fits in L (None: no cap) and whose verify is None (a sweep entry) or
+    passes when called (a constructed program, run by its verify).  A verify
+    is called only once every smaller candidate has failed, so a constructed
+    program runs only when it would be the bound."""
+    for size, bits, source, verify in sorted(cands, key=lambda c: c[:2]):  # stable: the first source on a tie
+        if (L is None or size <= L) and (verify is None or verify()):
+            return ComplexityResult(True, size, bits, source=source)
+    return ComplexityResult(False)
 
 
 def joint_complexity(ens: Ensemble, x: BitString, y: BitString) -> ComplexityResult:
     """Upper bound on the pair complexity H(x,y), with its witness program."""
     check_prefix_free(ens.machine, "joint complexity")
-    cands: List[Tuple[int, BitString, str]] = []
     entry = build_table(ens).pair_entries.get((x, y))
-    if entry is not None:
-        cands.append((entry.h_upper, entry.witness, "sweep"))
+    cands = [] if entry is None else [(entry.h_upper, entry.witness, "sweep", None)]
     qp = progs.quote_pair_program(x, y)
-    if len(bits := qp.bits) <= ens.L and progs.verify_pair(ens.machine, qp, x, y):
-        cands.append((len(bits), bits, "quote"))
-    return _best(cands)
+    bits = qp.bits
+    cands.append((len(bits), bits, "quote", lambda: progs.verify_pair(ens.machine, qp, x, y)))
+    return _least(ens.L, cands)
 
 
 def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> ComplexityResult:
     """Upper bound on H(x | y*): aux channel loaded with y_star, output x."""
-    machine, L = ens.machine, ens.L
+    machine = ens.machine
     check_prefix_free(machine, "relative complexity")
     y_run = machines.in_domain(machine, y_star, budget=progs.WITNESS_BUDGET)  # the one run of y_star
     if y_run is None:
         raise ValueError("y_star must itself be a domain program")
-    cands: List[Tuple[int, BitString, str]] = []
-    for rec in explicit_records(ens, aux=y_star):  # a counted constant has no output
-        if rec.output == x:
-            cands.append((rec.size_bits, rec.program_bits, "sweep"))
-            break  # records are (length, lex)-sorted
+    cands = [(r.size_bits, r.program_bits, "sweep", None) for r in explicit_records(ens, aux=y_star)
+             if r.output == x]  # a counted constant has no output
     plain = progs.quote_program(x)
-    if len(bits := plain.bits) <= L and progs.verify_output(machine, plain, x, aux=y_star):
-        cands.append((len(bits), bits, "plain"))
-    # replaying the aux program reproduces its output
-    if output_of(y_run) == x:
+    bits = plain.bits
+    cands.append((len(bits), bits, "plain", lambda: progs.verify_output(machine, plain, x, aux=y_star)))
+    if output_of(y_run) == x:  # replaying the aux program reproduces its output
         rp_bits = progs.replay_bits()
-        if len(rp_bits) <= L and progs.verify_output(machine, progs.replay_program(), x, progs.GUEST_BUDGET,
-                                                     aux=y_star):
-            cands.append((len(rp_bits), rp_bits, "replay"))
-    return _best(cands)
+        cands.append((len(rp_bits), rp_bits, "replay", lambda: progs.verify_output(
+            machine, progs.replay_program(), x, progs.GUEST_BUDGET, aux=y_star)))
+    return _least(ens.L, cands)
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +636,11 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
             skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
             continue
         payload = x_star + hyx.witness
+        # the certificate of the <= direction: it runs whatever the bound
         composed_ok = progs.verify_pair(ens.machine, Program(composer, payload), x, y, budget=progs.GUEST_BUDGET)
         hxy = joint_complexity(ens, x, y)
-        cands = [(hxy.h_upper, hxy.witness, hxy.source)] if hxy.found else []
-        if composed_ok:
-            cands.append((K + len(payload), composer_bits + payload, "composed"))
-        best = _best(cands)
+        cands = [(hxy.h_upper, hxy.witness, hxy.source, None)] if hxy.found else []
+        best = _least(None, cands + [(K + len(payload), composer_bits + payload, "composed", lambda: composed_ok)])
         if not best.found:
             skipped.append({"x": x, "y": y, "reason": "h(x,y) not found"})
             continue

@@ -25,12 +25,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bits import BitString, dyadic_bits
 from .complexity import Ensemble, complexity_upper, exhaustive_bits
-from .machines import (STRUCTURAL, Program, output_of, program_from_text, run_machine, run_total,
-                       split_program_bits)
+from .machines import STRUCTURAL, Program, output_of, program_from_text, run_machine, run_total
 from .omega import omega_exact_capped
 from .progs import berry_driver
-from . import progs
-from .sexpr import SExprDecodeError
+from . import machines, progs, vm
 from .vm import contains_general_only_prims
 
 
@@ -110,7 +108,7 @@ def fas_theorems(fas: ToyFAS, budget: int) -> List[Theorem]:
     """Theorems visible within the budget: none before the enumerator halts,
     the full decoded list at and after its halting budget (monotone)."""
     out = run_machine(fas.machine, fas.enumerator, budget)
-    if out.kind == "out_of_budget":
+    if out.kind == vm.OUT_OF_BUDGET:
         return []
     if not out.halted:
         raise FASRunError(f"enumerator faulted: {out.reason}")
@@ -136,11 +134,8 @@ def elegance_oracle(program_bits: BitString) -> EleganceVerdict:
     |Q| to be exhaustive, which desk scale grants only below the character
     cap.  Q itself must be a domain program with an output.
     """
-    try:
-        p = split_program_bits(program_bits)
-    except SExprDecodeError:
-        return EleganceVerdict(status="refuted", counterexample=None, output=None)
-    out = output_of(run_total(p, progs.WITNESS_BUDGET))
+    run = machines.in_domain("total", program_bits, progs.WITNESS_BUDGET)
+    out = None if run is None else output_of(run)
     if out is None:
         # a non-producing program is vacuously non-elegant here: it has no output
         return EleganceVerdict(status="refuted")
@@ -417,16 +412,16 @@ def bundled_omega_fas(L: int = 24, nbits: int = 8, flip_index: Optional[int] = N
     return ToyFAS(enumerator=enum, machine="total", ensemble_L=L, name=name)
 
 
-BUNDLED_FAS_NAMES = ("sound", "unsound", "omega8", "omega8-flipped")
+_BUNDLED_FAS = {
+    "sound": bundled_sound_fas,
+    "unsound": bundled_unsound_fas,
+    "omega8": lambda: bundled_omega_fas(L=24, nbits=8),
+    "omega8-flipped": lambda: bundled_omega_fas(L=24, nbits=8, flip_index=5),
+}
+BUNDLED_FAS_NAMES = tuple(_BUNDLED_FAS)
 
 
 def bundled_fas(name: str) -> ToyFAS:
-    if name == "sound":
-        return bundled_sound_fas()
-    if name == "unsound":
-        return bundled_unsound_fas()
-    if name == "omega8":
-        return bundled_omega_fas(L=24, nbits=8)
-    if name == "omega8-flipped":
-        return bundled_omega_fas(L=24, nbits=8, flip_index=5)
-    raise ValueError(f"unknown bundled formal system {name!r}; have {BUNDLED_FAS_NAMES}")
+    if name not in _BUNDLED_FAS:
+        raise ValueError(f"unknown bundled formal system {name!r}; have {BUNDLED_FAS_NAMES}")
+    return _BUNDLED_FAS[name]()

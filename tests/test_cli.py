@@ -358,6 +358,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["omega", "exact", "--L", "24", "--B", "5"],
     ["omega", "bits", "--L", "24", "--k", "4", "--B", "structural"],
     ["omega", "oracle", "--L", "24", "--k", "4", "--B", "0"],
+    ["omega", "lower", "--machine", "c2", "--L", "14"],
+    ["omega", "lower", "--machine", "c2", "--L", "40"],
+    ["omega", "exact", "--machine", "c2", "--L", "14"],
     ["run", "--machine", "c2", "--raw", "0101", "--payload", "11"],
     ["run", "--machine", "c2", "--raw", "0101", "--aux", "1"],
     ["run", "--machine", "c2", "--raw", "0101", "--prefix", "()"],
@@ -380,8 +383,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_out_of_range_sweep_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "omegalab:" in err
-    if argv[0] in ("prob", "coding", "chain") and "c2" in argv:  # machines states the one refusal
-        assert err.startswith("omegalab: ") and err.endswith(" needs a prefix-free machine (sd or total), got 'c2'\n")
+    if "c2" in argv and (argv[0] in ("prob", "coding", "chain") or argv[:2] == ["omega", "lower"]):
+        # machines states the one refusal; at L 40 c2's size cap refuses first
+        assert err.startswith("omegalab: ") and err.endswith(
+            "got L=40\n" if "40" in argv else " needs a prefix-free machine (sd or total), got 'c2'\n")
     # the message names the flag
     if argv[0] in ("fas", "diag", "fgh", "normality") or argv[-2] in (
             "--guard", "--emit-bits", "--k", "--kbits", "--B", "--payload", "--aux", "--prefix", "--raw"):

@@ -737,7 +737,7 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
     # the composer is encoded once per chain command and the replay prefix
     # once per process; each composed candidate is the composer's bits
     # followed by its payload, as Program(composer, payload) would give
-    from omegalab import complexity, sexpr
+    from omegalab import sexpr
     from omegalab.cli import main
 
     composer, replay = progs.pair_composer(), progs.replay_prefix()
@@ -752,14 +752,15 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "omegalab" and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, spy)
-    best = complexity._best
-    composed = []
+    verify_pair = progs.verify_pair
+    payloads = []  # of the composed candidates, each run as Program(composer, payload)
 
-    def recording_best(cands):
-        composed.extend((size, bits) for size, bits, src in cands if src == "composed")
-        return best(cands)
+    def recording_verify_pair(machine, p, *args, **kwargs):
+        if p.prefix is composer:
+            payloads.append(p.payload)
+        return verify_pair(machine, p, *args, **kwargs)
 
-    monkeypatch.setattr(complexity, "_best", recording_best)
+    monkeypatch.setattr(progs, "verify_pair", recording_verify_pair)
     commands = [":;:1;0:;0:1", ":;:1;0:;0:0;00:;00:1"]
     for pairs in commands:
         encoded.clear()
@@ -769,6 +770,7 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
         assert encoded.count(("print_sexpr", "composer")) == 1  # the print inside to_bits
         assert encoded.count(("to_bits", "replay")) <= (1 if pairs == commands[0] else 0)
     capsys.readouterr()
+    composed = [(Program(composer, payload).size_bits, Program(composer, payload).bits) for payload in payloads]
     ens = Ensemble("sd", 96, 10**4, c_cap=5)
     expected = []
     for x, y in {tuple(pair.split(":")) for pairs in commands for pair in pairs.split(";")}:
@@ -776,6 +778,57 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
         p = Program(composer, x_star + relative_complexity(ens, y, x_star).witness)
         expected.append((p.size_bits, p.bits))
     assert set(composed) == set(expected)
+
+
+def test_a_constructed_witness_runs_only_when_it_would_be_the_bound(monkeypatch):
+    runs = []
+    verify_output = progs.verify_output
+
+    def recording_verify_output(machine, p, *args, **kwargs):
+        runs.append(p.prefix)
+        return verify_output(machine, p, *args, **kwargs)
+
+    monkeypatch.setattr(progs, "verify_output", recording_verify_output)
+    # the 16-bit sweep witness () beats the quote witness, which is not run
+    res = complexity_upper(Ensemble("sd", 96, 10**4, c_cap=5), "", include_constructed=True)
+    assert (res.found, res.h_upper, res.witness, res.source) == (True, 16, to_bits(()), "sweep")
+    assert runs == []
+
+
+def test_a_constructed_witness_whose_run_fails_is_skipped(monkeypatch):
+    # the sweep misses 0110 given its quote witness; the plain program (the
+    # quote) is the least candidate, and when its run fails the replay of the
+    # aux program, 9632 bits, is the bound
+    x, quote = "0110", ("q", tuple("0110"))
+    x_star = progs.quote_program(x).bits
+    ens = Ensemble("sd", len(progs.replay_bits()), 10**4, c_cap=3)
+    runs, failing = [], []
+    verify_output = progs.verify_output
+
+    def recording_verify_output(machine, p, *args, **kwargs):
+        runs.append(p.prefix)
+        return p.prefix not in failing and verify_output(machine, p, *args, **kwargs)
+
+    monkeypatch.setattr(progs, "verify_output", recording_verify_output)
+    res = relative_complexity(ens, x, x_star)
+    assert (res.h_upper, res.witness, res.source) == (72, x_star, "plain")
+    assert runs == [quote]  # the replay, larger, is not run
+    runs.clear()
+    failing.append(quote)
+    res = relative_complexity(ens, x, x_star)
+    assert (res.found, res.h_upper, res.witness, res.source) == (True, ens.L, progs.replay_bits(), "replay")
+    assert runs == [quote, progs.replay_prefix()]
+
+
+def test_count_agrees_with_the_listing_for_every_slot_kind():
+    from omegalab.complexity import _ALPHABETS, _SLOTS, _count, _fill
+
+    # a slot of kind x holds 0.6 million expressions of 6 characters and 17
+    # million of 7, so alternatives of kinds x, p and * alone stop at 5
+    for alphabet in _ALPHABETS.values():
+        for alt in {alt for slots in _SLOTS.values() for alt in slots.split("|")}:
+            for m in range(8 if set(alt) & set("vfn") else 6):
+                assert _count(m, alt, alphabet) == len(_fill(m, alt, alphabet)), (alphabet, alt, m)
 
 
 # sha256 of repr([(program_bits, output, pair, steps, size_bits), ...]) per sweep

@@ -3,7 +3,9 @@
 import pytest
 
 from omegalab.incompleteness import (
+    BUNDLED_FAS_NAMES,
     Elegant,
+    EleganceVerdict,
     MalformedTheoremError,
     OmegaBit,
     Program,
@@ -11,6 +13,7 @@ from omegalab.incompleteness import (
     UnsoundFASError,
     apply_function_program,
     build_berry_program,
+    bundled_fas,
     bundled_function_family,
     bundled_omega_fas,
     bundled_sound_fas,
@@ -77,8 +80,17 @@ def test_elegance_oracle_verdicts():
     assert elegance_oracle(to_bits(parse("(r)")) + "0").status == "confirmed"
     v = elegance_oracle(to_bits(parse("(q())")))  # 40 bits for output "": () is smaller
     assert v.status == "refuted" and v.counterexample == to_bits(parse("()"))
-    # non-producing programs are refuted outright
-    assert elegance_oracle(to_bits(parse("(qa)"))).status == "refuted"
+    # non-producing programs are refuted outright, as are bits that do not
+    # decode, a payload left unread and a prefix outside the total fragment
+    for bits in (to_bits(parse("(qa)")), "0101", to_bits(parse("(r)")) + "01", to_bits(parse("(l)"))):
+        assert elegance_oracle(bits) == EleganceVerdict(status="refuted"), bits
+
+
+def test_bundled_fas_names():
+    assert BUNDLED_FAS_NAMES == ("sound", "unsound", "omega8", "omega8-flipped")
+    assert bundled_fas("omega8-flipped").name == "omega-bits-flip5"
+    with pytest.raises(ValueError, match=r"^unknown bundled formal system 'x'; have \('sound', "):
+        bundled_fas("x")
 
 
 def test_berry_threshold_properties():
