@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 experiment abort
 A plain command line (the command, its positionals, then its flags spelled in
 full, each once with one value) is read straight from COMMANDS.  Anything
 else (--help, --version, --config, an abbreviation, --flag=value, a usage
-error) goes to argparse, with the same texts and exits.
+error) goes to argparse, with the same texts and exits.  Both give only what
+the command line gives, and _completed adds --config, defaults and bounds.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _budget(text: str):
 _SWEEP = [
     ("--machine", dict(choices=machines.MACHINES, required=True)),
     ("--L", dict(type=int, required=True)),
-    ("--B", dict(type=_budget, default=10**4)),
+    ("--B", dict(type=_budget, default=10**4, lo=0)),
     ("--c-cap", dict(type=int, default=DEFAULT_CHAR_CAP)),
     ("--workers", dict(type=int, default=1)),
 ]
@@ -60,6 +61,7 @@ _TARGET = [("--target", dict(type=_bits_arg, required=True))]
 
 # Every command once: name -> (help, whether it takes --csv, its own flags in
 # order).  --csv prints result["entries"], a reports.Rows, by its own columns.
+# A flag's keywords are argparse's, but for `lo`, the least int it takes.
 COMMANDS = {
     "bits": ("prefix-code utilities", False, [
         ("action", dict(choices=["kraft", "prefixfree"])),
@@ -84,10 +86,10 @@ COMMANDS = {
     "omega": ("halting-probability operations", False, [
         ("action", dict(choices=["lower", "exact", "bits", "oracle"])),
         ("--machine", dict(choices=machines.MACHINES, default="total"))] + _SWEEP[1:] + [
-        ("--emit-bits", dict(type=int, default=0)),
-        ("--k", dict(type=int, help="bit count for 'bits'/'oracle'")),
+        ("--emit-bits", dict(type=int, default=0, lo=0)),
+        ("--k", dict(type=int, lo=0, help="bit count for 'bits'/'oracle'")),
         ("--kbits", dict(type=_bits_arg, help="override oracle input bits")),
-        ("--guard", dict(type=int, default=omega.DEFAULT_GUARD))]),
+        ("--guard", dict(type=int, default=omega.DEFAULT_GUARD, lo=0))]),
     "normality": ("disjoint-block equidistribution check", False, [
         ("--x", dict(type=_bits_arg, required=True)),
         ("--k", dict(type=int, required=True)),
@@ -96,7 +98,7 @@ COMMANDS = {
         ("action", dict(choices=["theorems", "berry", "ceiling", "omegabits"])),
         ("--fas", dict(required=True,
                        help=f"bundled name {incompleteness.BUNDLED_FAS_NAMES} or a JSON file")),
-        ("--budget", dict(type=int, default=10**6)),
+        ("--budget", dict(type=int, default=10**6, lo=0)),
         ("--L", dict(type=int, help="ensemble cap for omegabits"))]),
     "fgh": ("fast-growing hierarchy", False, [
         ("action", dict(choices=["eval", "dominate"])),
@@ -105,10 +107,10 @@ COMMANDS = {
         ("--alpha", dict(help="for dominate")),
         ("--beta", dict(help="for dominate")),
         ("--points", dict(default="1,2,3")),
-        ("--cap-bits", dict(type=int))]),  # default: hierarchy.DEFAULT_CAP_BITS, set by _dispatch
+        ("--cap-bits", dict(type=int, lo=1))]),  # default: hierarchy.DEFAULT_CAP_BITS, set by _dispatch
     "diag": ("diagonalize over a total function-program family", False, [
-        ("--n", dict(type=int, required=True)),
-        ("--width", dict(type=int, default=incompleteness.NUMERAL_WIDTH)),
+        ("--n", dict(type=int, required=True, lo=0)),
+        ("--width", dict(type=int, default=incompleteness.NUMERAL_WIDTH, lo=1)),
         ("--family", dict(help="file with one 'prefix|payload' program per line"))]),
 }
 
@@ -116,7 +118,8 @@ COMMANDS = {
 def build_parser(command: Optional[str] = None) -> _Parser:
     """The top parser with the sub-parser of `command` alone, or of every
     command when `command` names none (top-level help, errors, --version).
-    Usage lines and each sub-parser's help are the same either way."""
+    Usage lines and each sub-parser's help are the same either way.  A
+    sub-parser sets only what the command line gives; _completed does the rest."""
     # the docstring's last paragraph is about this module's code, not for --help
     top = _Parser(prog="omegalab", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--version", action="version", version=f"omegalab {__version__}")
@@ -125,55 +128,26 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         sub.metavar = "{%s}" % ",".join(COMMANDS)  # the usage line still lists every command
     for name in [command] if command in COMMANDS else COMMANDS:
         help_, takes_csv, flags = COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
         form = p.add_mutually_exclusive_group()
         form.add_argument("--json", action="store_true", help="JSON output (default)")
         if takes_csv:
             form.add_argument("--csv", action="store_true", help="CSV output")
         p.add_argument("--config", help="JSON config file; explicit flags win")
         for flag, kw in flags:
-            p.add_argument(flag, **kw)
+            p.add_argument(flag, **{k: v for k, v in kw.items() if k not in ("default", "lo")})
     return top
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: List[str]) -> argparse.Namespace:
-    """Parse argv again with --config's values as the command's defaults, so
-    anything on the command line wins.  A key the command has no flag for is
-    an error.  Each value is read as the text of its flag, through the flag's
-    own type and choices."""
-    with open(args.config) as f:
-        conf = json.load(f)
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices[args.command]
-    flags = {a.dest: a for a in command._actions}
-    defaults = {}
-    for key, value in conf.items():
-        attr = key.replace("-", "_")
-        flag = flags.get(attr)
-        if flag is None or not hasattr(args, attr):
-            raise ValueError(f"unknown key {key!r} in config file {args.config}")
-        try:
-            if flag.type is not None:
-                value = flag.type(str(value))
-            if flag.choices is not None and value not in flag.choices:
-                raise ValueError(f"{value!r} is not one of {list(flag.choices)}")
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"bad value for key {key!r} in config file {args.config}: {exc}") from exc
-        defaults[attr] = value
-    command.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
-    """The namespace argparse would give for a plain argv, read straight from
-    COMMANDS; None for any other argv, which argparse then reads.
+def _plain_args(argv: List[str]) -> Optional[dict]:
+    """What a plain argv gives, by dest, as argparse would read it, read
+    straight from COMMANDS; None for any other argv, which argparse then reads.
 
     Plain: a command, its positionals in declared order, then its flags
     spelled in full, each at most once and followed by one value that does
-    not start with '-', and at most one of --json/--csv where declared.  Each
-    value goes through its flag's type and choices; a flag not given gets its
-    default, a str default through the type, as argparse does."""
+    not start with '-', every required flag among them, and at most one of
+    --json/--csv where declared.  Each value goes through its flag's type and
+    choices."""
     if not argv or argv[0] not in COMMANDS:
         return None
     _, takes_csv, flags = COMMANDS[argv[0]]
@@ -181,41 +155,78 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     positionals = [name for name in kws if not name.startswith("-")]
     if len(argv) <= len(positionals):
         return None
-    given = dict(zip(positionals, argv[1:]))
+    texts = dict(zip(positionals, argv[1:]))
     rest = argv[1 + len(positionals):]
-    form = None
+    given = {"command": argv[0]}
     while rest:
         token = rest.pop(0)
         if token == "--json" or (token == "--csv" and takes_csv):
-            if form is not None:
+            if "json" in given or "csv" in given:
                 return None
-            form = token
-        elif token.startswith("--") and token in kws and token not in given and rest:
-            given[token] = rest.pop(0)
+            given[token[2:]] = True
+        elif token.startswith("--") and token in kws and token not in texts and rest:
+            texts[token] = rest.pop(0)
         else:
             return None
-    args = {"command": argv[0], "json": form == "--json", "config": None}
-    if takes_csv:
-        args["csv"] = form == "--csv"
     for name, kw in flags:
-        dest = name.lstrip("-").replace("-", "_")
-        text = given.get(name)
+        text = texts.get(name)
         if text is None:  # every positional is given: argv is longer than they are
             if kw.get("required"):
                 return None
-            text = kw.get("default")
-            if not isinstance(text, str):
-                args[dest] = text
-                continue
-        elif text.startswith("-"):
+            continue
+        if text.startswith("-"):
             return None
         try:
             value = kw["type"](text) if "type" in kw else text
         except (TypeError, ValueError):
             return None
-        if name in given and "choices" in kw and value not in kw["choices"]:
+        if "choices" in kw and value not in kw["choices"]:
             return None
-        args[dest] = value
+        given[name.lstrip("-").replace("-", "_")] = value
+    return given
+
+
+def _completed(given: dict) -> SimpleNamespace:
+    """The namespace _dispatch reads, from what either reader gives.  A flag
+    not given takes its value from the --config file, else its declared
+    default.  The file is a JSON object by dest; a string or a number is its
+    flag's text, read through the flag's type and choices, and --json/--csv
+    take a boolean.  Every value must then be at least its flag's `lo`."""
+    _, takes_csv, flags = COMMANDS[given["command"]]
+    args = {"json": False, "csv": False} if takes_csv else {"json": False}
+    path = given.get("config")
+    if path is not None:
+        with open(path) as f:
+            conf = json.load(f)
+        if not isinstance(conf, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        kws = {name.lstrip("-").replace("-", "_"): kw for name, kw in flags}
+        for key, value in conf.items():
+            dest = key.replace("-", "_")
+            kw = kws.get(dest)
+            if kw is None and dest not in args:
+                raise ValueError(f"unknown key {key!r} in config file {path}")
+            try:
+                if kw is None:  # --json or --csv
+                    if type(value) is not bool:
+                        raise ValueError(f"{value!r} is not true or false")
+                elif type(value) not in (str, int, float):
+                    raise ValueError(f"{value!r} is not a string or a number")
+                else:
+                    value = kw.get("type", str)(str(value))
+                    if "choices" in kw and value not in kw["choices"]:
+                        raise ValueError(f"{value!r} is not one of {list(kw['choices'])}")
+            except ValueError as exc:
+                raise ValueError(f"bad value for key {key!r} in config file {path}: {exc}") from exc
+            args[dest] = value
+    args.update(given)
+    args.setdefault("config", None)
+    for name, kw in flags:
+        dest = name.lstrip("-").replace("-", "_")
+        if dest not in args:
+            args[dest] = kw.get("default")  # a declared default meets its bound
+        elif "lo" in kw and isinstance(args[dest], int) and args[dest] < kw["lo"]:
+            raise ValueError(f"{name} must be >= {kw['lo']}, got {args[dest]}")
     return SimpleNamespace(**args)
 
 
@@ -254,12 +265,12 @@ def _outcome_dict(out: vm.RunOutcome) -> dict:
     }
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
+def _config_dict(args: SimpleNamespace) -> dict:
     skip = {"command", "json", "csv", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _refuse_unread(args: argparse.Namespace, what: str, unread: str) -> None:
+def _refuse_unread(args: SimpleNamespace, what: str, unread: str) -> None:
     """Refuse each flag in unread (dests, space-separated) that `what` never
     reads.  A default value counts as not given, so every accepted config echo
     stays."""
@@ -269,7 +280,7 @@ def _refuse_unread(args: argparse.Namespace, what: str, unread: str) -> None:
             raise ValueError(f"{what} does not read --{dest.replace('_', '-')}")
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
+def _dispatch(args: SimpleNamespace) -> dict:
     cmd = args.command
 
     if cmd == "bits":
@@ -337,10 +348,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return complexity.check_chain_rule(ens, pairs)
 
     if cmd == "omega":
-        for flag, value in (("--B", args.B), ("--guard", args.guard), ("--emit-bits", args.emit_bits),
-                            ("--k", args.k)):
-            if isinstance(value, int) and value < 0:
-                raise ValueError(f"{flag} must be >= 0, got {value}")
         _refuse_unread(args, f"omega {args.action}", {
             "lower": "k kbits guard", "exact": "B k kbits guard",
             "bits": "B kbits guard emit_bits", "oracle": "B emit_bits"}[args.action])
@@ -380,8 +387,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return omega.borel_normality(args.x, args.k, args.tol)
 
     if cmd == "fas":
-        if args.budget < 0:
-            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         fas = _load_fas(args.fas)
         if args.action == "theorems":
             thms = incompleteness.fas_theorems(fas, args.budget)
@@ -414,8 +419,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
         if args.cap_bits is None:  # set here, so the config echo shows it
             args.cap_bits = hierarchy.DEFAULT_CAP_BITS
-        if args.cap_bits < 1:
-            raise ValueError(f"--cap-bits must be >= 1, got {args.cap_bits}")
         if args.action == "eval":
             if args.ordinal is None or args.n is None:
                 raise ValueError("fgh eval needs --ordinal and --n")
@@ -439,10 +442,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
         return hierarchy.dominance_check(*ordinals, points, args.cap_bits)
 
     if cmd == "diag":
-        if args.n < 0:
-            raise ValueError(f"--n must be >= 0, got {args.n}")
-        if args.width < 1:
-            raise ValueError(f"--width must be >= 1, got {args.width}")
         if args.family:
             family = []
             with open(args.family) as f:
@@ -474,13 +473,11 @@ DOMAIN_ERRORS = (ValueError, RecursionError, OSError, incompleteness.FASRunError
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv)
-    if args is None:  # help, abbreviations, --config and usage errors: argparse's texts and exits
-        parser = build_parser(argv[0] if argv else None)  # fresh: --config sets its defaults
-        args = parser.parse_args(argv)
+    given = _plain_args(argv)
+    if given is None:  # help, abbreviations, --config and usage errors: argparse's texts and exits
+        given = vars(build_parser(argv[0] if argv else None).parse_args(argv))
     try:
-        if args.config:  # set only on argparse's path, which built parser
-            args = _apply_config(args, parser, argv)
+        args = _completed(given)
         result = _dispatch(args)
         if getattr(args, "csv", False):
             text = reports.emit_csv(result["entries"])

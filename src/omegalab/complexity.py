@@ -497,8 +497,8 @@ class ComplexityResult(NamedTuple):
 
 def _exactness(table: ComplexityTable, x_len: int, h: int) -> bool:
     ens = table.ens
-    if ens.machine == "c2":  # 0x prints x in one step: exact only where it fits L and B
-        return covers(ens.B, 1) and ens.L > x_len
+    if ens.machine == "c2":  # 0x prints x in one step: exact where the rule of _C2Entries reaches
+        return x_len < table.entries.below
     if ens.machine == "total":
         # every program smaller than the found witness was decided and enumerated
         return covers(ens.B, h // 8 + 1) and h - 1 <= table.exhaustive_limit

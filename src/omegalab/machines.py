@@ -189,8 +189,7 @@ def split_program_bits(bits: BitString) -> Program:
     return Program(prefix, bits[consumed:])
 
 
-def in_domain(machine: str, bits: BitString, budget: int,
-              aux: Optional[BitString] = None) -> Optional[RunOutcome]:
+def in_domain(machine: str, bits: BitString, budget: int) -> Optional[RunOutcome]:
     """Exact-consumption domain membership: the halted run of bits, or None
     on every failure mode."""
     check_prefix_free(machine, "in_domain")
@@ -198,5 +197,5 @@ def in_domain(machine: str, bits: BitString, budget: int,
         p = split_program_bits(bits)
     except SExprDecodeError:
         return None
-    outcome = run_machine(machine, p, budget, aux)
+    outcome = run_machine(machine, p, budget)
     return outcome if outcome.halted else None

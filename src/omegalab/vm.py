@@ -182,10 +182,10 @@ def _equal(x, y) -> bool:
 
 # continuation frames, each a fresh tuple (tag, ..., next): a pending h, t, a
 # or y; an e or c before and after its first argument; an if; an application
-# before and after its function; the second half of a y-wrapper's unfolding
-(_K_HEAD, _K_TAIL, _K_ATOM, _K_FIX, _K_EQ, _K_CONS, _K_EQ2, _K_CONS2, _K_IF, _K_FUN, _K_APPLY,
- _K_REC) = range(12)
-_UNARY = {_H: _K_HEAD, _T: _K_TAIL, _A: _K_ATOM, _Y: _K_FIX}
+# before and after its function; the second half of a y-wrapper's unfolding.
+# A pending h, t, a or y is tagged by its opcode, _H, _T, _A or _Y, and the
+# other tags follow them.
+_K_EQ, _K_CONS, _K_EQ2, _K_CONS2, _K_IF, _K_FUN, _K_APPLY, _K_REC = range(_Y + 1, _Y + 9)
 
 
 def _fault(reason: str, ppos: int, apos: int, steps: int) -> RunOutcome:
@@ -277,7 +277,7 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
             elif op <= _Y:  # h t a y
                 x = cur[1]
                 if type(x) is not str:
-                    kont = (_UNARY[op], kont)
+                    kont = (op, kont)
                     cur = x
                     continue
                 val = _lookup(x, env)
@@ -363,12 +363,12 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
                 _, t, e, env, kont = k
                 cur = e if val == () else t
                 break
-            elif tag == _K_HEAD:
+            elif tag == _H:
                 kont = k[1]
                 if not isinstance(val, tuple) or not val:
                     return _fault("type: head of a non-list or empty list", ppos, apos, steps)
                 val = val[0]
-            elif tag == _K_TAIL:
+            elif tag == _T:
                 kont = k[1]
                 if not isinstance(val, tuple) or not val:
                     return _fault("type: tail of a non-list or empty list", ppos, apos, steps)
@@ -381,12 +381,12 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
                 if isinstance(x, (Closure, Rec)) or isinstance(val, (Closure, Rec)):
                     return _fault("type: equality on non-data value", ppos, apos, steps)
                 val = "1" if _equal(x, val) else ()
-            elif tag == _K_ATOM:
+            elif tag == _A:
                 kont = k[1]
                 if isinstance(val, (Closure, Rec)):
                     return _fault("type: atom test on non-data value", ppos, apos, steps)
                 val = "1" if isinstance(val, str) else ()
-            else:  # _K_FIX
+            else:  # _Y
                 kont = k[1]
                 if not isinstance(val, Closure):
                     return _fault("type: fixed point of a non-closure", ppos, apos, steps)

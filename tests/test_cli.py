@@ -425,6 +425,84 @@ def test_config_never_overrides_the_command_line(tmp_path, capsys):
     assert code == 0 and report(out)["outcome"] == "halted"
 
 
+@pytest.mark.parametrize("machine_flag", ["--machine", "--mach"])
+def test_a_given_value_beats_the_config_even_at_its_default(tmp_path, capsys, machine_flag):
+    # 10000 is --B's default, but given on the command line it is given
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"B": 0}))
+    code, out, _ = run_cli(capsys, "omega", "lower", machine_flag, "sd", "--L", "16", "--B", "10000",
+                           "--config", str(conf))
+    assert code == 0 and json.loads(out)["config"]["B"] == 10000
+
+
+@pytest.mark.parametrize("argv, conf", [
+    (["bits", "kraft", "--set", "0"], [1, 2]),
+    (["fgh", "dominate", "--alpha", "1", "--beta", "w"], {"points": [1, 2]}),
+    (["run", "--machine", "sd"], {"prefix": 5}),
+    (["fgh", "eval", "--ordinal", "w"], {"n": None}),
+    (["fgh", "eval", "--ordinal", "w"], {"n": True}),
+    (["sweep", "--machine", "sd", "--L", "16"], {"csv": "yes"}),
+    (["sweep", "--machine", "sd", "--L", "16"], {"config": "other.json"}),
+], ids=["list", "list-value", "number-prefix", "null", "bool", "csv-text", "config-key"])
+def test_a_bad_config_file_exits_2(tmp_path, capsys, argv, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "") and err.startswith("omegalab: ")
+    if argv[0] == "run":  # 5 is the text --prefix 5, which the expression parser refuses
+        assert err == run_cli(capsys, *argv, "--prefix", "5")[2]
+    else:
+        assert str(path) in err
+
+
+def test_config_numbers_are_flag_text(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"ordinal": 5, "n": 2}))
+    code, out, _ = run_cli(capsys, "fgh", "eval", "--config", str(conf))
+    assert code == 0 and out == run_cli(capsys, "fgh", "eval", "--ordinal", "5", "--n", "2")[1]
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "3a76b8be6e0d"
+    conf.write_text(json.dumps({"csv": True}))
+    code, out, _ = run_cli(capsys, "sweep", "--machine", "sd", "--L", "16", "--config", str(conf))
+    assert code == 0 and out == run_cli(capsys, "sweep", "--machine", "sd", "--L", "16", "--csv")[1]
+
+
+BOUNDED = [
+    ["omega", "lower", "--L", "16", "--B", "-1"],
+    ["sweep", "--machine", "sd", "--L", "16", "--B", "-1"],
+    ["omega", "lower", "--L", "16", "--guard", "-1"],
+    ["omega", "exact", "--L", "16", "--emit-bits", "-1"],
+    ["omega", "bits", "--L", "16", "--k", "-1"],
+    ["fas", "ceiling", "--fas", "sound", "--budget", "-1"],
+    ["fgh", "eval", "--ordinal", "w", "--n", "1", "--cap-bits", "0"],
+    ["diag", "--n", "-1"],
+    ["diag", "--n", "0", "--width", "0"],
+]
+
+
+def test_bounds_are_declared_on_their_flags():
+    from omegalab.cli import COMMANDS
+
+    declared = {(name, flag, kw["lo"]) for name, (_, _, flags) in COMMANDS.items()
+                for flag, kw in flags if "lo" in kw}
+    sweeps = {"sweep", "complexity", "elegant", "prob", "coding", "chain", "omega"}
+    assert declared == {(name, "--B", 0) for name in sweeps} | {
+        ("omega", "--guard", 0), ("omega", "--emit-bits", 0), ("omega", "--k", 0),
+        ("fas", "--budget", 0), ("fgh", "--cap-bits", 1), ("diag", "--n", 0), ("diag", "--width", 1)}
+
+
+@pytest.mark.parametrize("argv", BOUNDED, ids=" ".join)
+def test_a_value_below_its_bound_names_the_flag(tmp_path, capsys, argv):
+    *rest, flag, value = argv
+    text = f"omegalab: {flag} must be >= {int(value) + 1}, got {value}\n"
+    assert run_cli(capsys, *argv) == (2, "", text)
+    if flag == "--n":  # required on the command line
+        return
+    # the same bound holds for a value read from --config
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:]: int(value)}))
+    assert run_cli(capsys, *rest, "--config", str(conf)) == (2, "", text)
+
+
 def test_run_structural_budget_is_the_prefix_count(capsys):
     argv = ["run", "--machine", "total", "--prefix", "(q(0))", "--budget"]
     code, structural, _ = run_cli(capsys, *argv, "structural")

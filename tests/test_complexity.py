@@ -201,6 +201,21 @@ def test_c2_bound_is_exact_only_where_the_leading_0_program_runs():
         assert (res.h_upper, res.witness, res.exact) == (1, "0", True)
 
 
+@pytest.mark.parametrize("B", [0, 1, 100])
+def test_c2_bound_is_exact_where_0x_fits(B):
+    # exact iff the one-step program 0x runs within B and fits in L, and then
+    # 0x is the bound, as the raw scan finds it
+    for L in range(7):
+        scan, found = _c2_oracle(L, B), 0
+        for x in (x for n in range(6) for x in map("".join, itertools.product("01", repeat=n))):
+            res = complexity_upper(Ensemble("c2", L, B), x)
+            if res.found:
+                found += 1
+                assert res.exact == (B >= 1 and len(x) < L), (L, x)
+                assert (res.h_upper, res.witness) == scan[x]
+        assert found == (2**L - 1 if B else 0)
+
+
 def test_complexity_upper_sd_empty_string():
     res = complexity_upper(Ensemble("sd", 20, 100), "")
     assert res.h_upper == 16

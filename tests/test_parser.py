@@ -1,6 +1,7 @@
-"""cli.main reads a plain argv straight from COMMANDS, which must give argparse's
-namespace, and builds only the invoked command's sub-parser for any other
-argv; that build must parse and print exactly like the build of every command."""
+"""cli.main reads a plain argv straight from COMMANDS, which must give what
+argparse gives, and builds only the invoked command's sub-parser for any other
+argv; that build must parse and print exactly like the build of every command.
+Either reader's result is completed by the one cli._completed."""
 
 import argparse
 import contextlib
@@ -84,13 +85,27 @@ def test_one_command_build_parses_like_the_full_build(argv):
     assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
+def test_argparse_gives_only_what_the_command_line_gives():
+    assert vars(build_parser("omega").parse_args(["omega", "lower", "--L", "16", "--js"])) == {
+        "command": "omega", "action": "lower", "L": 16, "json": True}
+
+
+def _completed(given):
+    """The namespace cli._completed makes of given, or the text it refuses."""
+    try:
+        return vars(cli._completed(given))
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_plain_argv_reads_like_argparse(argv):
     plain = cli._plain_args(argv)
     if argv in ABBREVIATED:
         assert plain is None
     else:
-        assert vars(plain) == vars(build_parser(argv[0]).parse_args(argv))
+        parsed = vars(build_parser(argv[0]).parse_args(argv))
+        assert plain == parsed and _completed(plain) == _completed(parsed)
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,7 +180,7 @@ def test_plain_path_is_none_or_argparse(argv):
     except SystemExit:
         assert plain is None
     else:
-        assert plain is None or vars(plain) == vars(parsed)
+        assert plain is None or (plain == vars(parsed) and _completed(plain) == _completed(vars(parsed)))
 
 
 @pytest.mark.parametrize("argv", [

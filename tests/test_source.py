@@ -205,3 +205,20 @@ def test_step_loop_keeps_its_counters_in_plain_locals():
     from omegalab import vm
 
     assert vm.eval_expr.__code__.co_cellvars == ()
+
+
+def test_cli_reads_argparse_through_its_public_names_only():
+    # a private argparse name (_actions, _SubParsersAction, ...) may change
+    # with any Python release; cli completes its namespace itself instead
+    import argparse
+
+    from omegalab.cli import build_parser
+
+    parser = build_parser()
+    objects = [argparse, parser, *parser._actions, *parser._subparsers._group_actions[0].choices.values()]
+    objects += [value for value in vars(argparse).values() if isinstance(value, type)]
+    private = {name for obj in objects for name in dir(obj) if name.startswith("_") and not name.startswith("__")}
+    tree = dict(_library_trees())["cli.py"]
+    found = [f"cli.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, found
