@@ -191,9 +191,12 @@ def _completed(given: dict) -> SimpleNamespace:
     not given takes its value from the --config file, else its declared
     default.  The file is a JSON object by dest; a string or a number is its
     flag's text, read through the flag's type and choices, and --json/--csv
-    take a boolean.  Every value must then be at least its flag's `lo`."""
+    take a boolean.  The output form is one choice: --json or --csv given
+    stops both keys, and a file may not set both.  Every value must then be
+    at least its flag's `lo`."""
     _, takes_csv, flags = COMMANDS[given["command"]]
-    args = {"json": False, "csv": False} if takes_csv else {"json": False}
+    form = {"json": False, "csv": False} if takes_csv else {"json": False}
+    args = dict(form)
     path = given.get("config")
     if path is not None:
         with open(path) as f:
@@ -219,6 +222,10 @@ def _completed(given: dict) -> SimpleNamespace:
             except ValueError as exc:
                 raise ValueError(f"bad value for key {key!r} in config file {path}: {exc}") from exc
             args[dest] = value
+        if args.get("json") and args.get("csv"):
+            raise ValueError(f"config file {path} sets both 'json' and 'csv'")
+    if form.keys() & given.keys():
+        args.update(form)
     args.update(given)
     args.setdefault("config", None)
     for name, kw in flags:

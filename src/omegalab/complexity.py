@@ -229,24 +229,26 @@ def domain_runs(prefix: SExpr, max_payload: int,
     Both start empty; the payload (aux) gains one bit precisely when the run
     underruns it, so each returned run halted having read all of both, and
     halts alike under any aux that starts with the aux it read.  The prefix
-    is run as is: on total the caller passes only prefixes from the l/y-free
-    alphabet.
+    runs once from step 0: each branch, a bit longer channel, continues its
+    parent's underrun (vm.resume), so the branches share every step before
+    the read that parts them.  The prefix is run as is: on total the caller
+    passes only prefixes from the l/y-free alphabet.
     """
     b = structural_budget(prefix) if budget == STRUCTURAL else budget
     results = []
-    pending = [("", "")]
+    pending = [("", "", None)]  # (payload, aux, the underrun they continue)
     while pending:
-        payload, aux = pending.pop()
-        out = vm.eval_expr(prefix, b, payload, aux)
+        payload, aux, parent = pending.pop()
+        out = vm.eval_expr(prefix, b, payload, aux) if parent is None else vm.resume(parent, payload, aux)
         if out.halted:
             if out.payload_consumed != len(payload):
                 raise InvariantError(f"run halted having read {out.payload_consumed} of "
                                      f"{len(payload)} payload bits")
             results.append((payload, aux, out))
-        elif out.kind == vm.FAULTED and out.reason == "payload-underrun" and len(payload) < max_payload:
-            pending += [(payload + "1", aux), (payload + "0", aux)]
-        elif out.kind == vm.FAULTED and out.reason == "aux-underrun":
-            pending += [(payload, aux + "1"), (payload, aux + "0")]
+        elif out.reason == "payload-underrun" and len(payload) < max_payload:
+            pending += [(payload + "1", aux, out), (payload + "0", aux, out)]
+        elif out.reason == "aux-underrun":
+            pending += [(payload, aux + "1", out), (payload, aux + "0", out)]
     return results
 
 
@@ -608,7 +610,10 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     """Chain-rule report: d(x,y) = h(x,y) - h(x) - h(y|x*) per pair, plus the
     composition constant K, the size of the fixed composing prefix.  The
     prefix is encoded once, K measured once from its bits, and each composed
-    candidate is those bits followed by its payload.
+    candidate is those bits followed by its payload.  The composer is run
+    once per distinct x*, on x* alone: it reads x* as its first program and
+    underruns where p(y|x*) begins, and each composed run continues that one
+    (machines.continue_run), so the pairs that share x* share its steps.
 
     h(x), h(y|x*) and h(x,y) all admit verified constructed witnesses (quote,
     plain, replay and composed programs) besides the sweep, so a pair whose x
@@ -622,6 +627,7 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     composer = progs.pair_composer()
     composer_bits = to_bits(composer)
     K = len(composer_bits)
+    firsts = {}  # x* -> the composer's run on payload x*, which underruns where p(y|x*) begins
     rows = []
     skipped = []
     max_abs_d = None
@@ -636,8 +642,12 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
             skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
             continue
         payload = x_star + hyx.witness
-        # the certificate of the <= direction: it runs whatever the bound
-        composed_ok = progs.verify_pair(ens.machine, Program(composer, payload), x, y, budget=progs.GUEST_BUDGET)
+        # the certificate of the <= direction: it runs whatever the bound,
+        # continued from the one run of the composer on x*
+        first = firsts.get(x_star)
+        if first is None:
+            first = firsts[x_star] = machines.run_machine(ens.machine, Program(composer, x_star), progs.GUEST_BUDGET)
+        composed_ok = pair_output_of(machines.continue_run(first, Program(composer, payload))) == (x, y)
         hxy = joint_complexity(ens, x, y)
         cands = [(hxy.h_upper, hxy.witness, hxy.source, None)] if hxy.found else []
         best = _least(None, cands + [(K + len(payload), composer_bits + payload, "composed", lambda: composed_ok)])

@@ -30,7 +30,8 @@ program; covers says whether a budget lets a run take k steps.  The output
 of a halted run is the bit string of a flat list of 0/1 atoms, or, on sd and
 total, the 1-bit string of a bare 0/1 atom; a pair output is a list of
 exactly two flat bit lists.  Any other value halts without an output, except
-on c2, where it is a conversion fault.
+on c2, where it is a conversion fault.  continue_run gives a run on a longer
+payload from the same machine's run on a shorter one, with these rules.
 """
 
 from __future__ import annotations
@@ -137,7 +138,11 @@ def run_c2(raw: BitString, budget: int) -> RunOutcome:
 
 def run_sd(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
     """Self-delimiting machine; under-consumed payload is a payload-overrun fault."""
-    outcome = vm.eval_expr(p.prefix, budget, p.payload, aux)
+    return _exact(vm.eval_expr(p.prefix, budget, p.payload, aux), p)
+
+
+def _exact(outcome: RunOutcome, p: Program) -> RunOutcome:
+    """run_sd's rule: a run that halts short of p's payload is a payload-overrun fault."""
     if outcome.halted and outcome.payload_consumed != len(p.payload):
         return RunOutcome(
             vm.FAULTED,
@@ -160,6 +165,16 @@ def run_total(p: Program, budget: int, aux: Optional[BitString] = None) -> RunOu
 def run_machine(machine: str, p: Program, budget: int, aux: Optional[BitString] = None) -> RunOutcome:
     check_prefix_free(machine, "run_machine")
     return (run_sd if machine == "sd" else run_total)(p, budget, aux)
+
+
+def continue_run(outcome: RunOutcome, p: Program) -> RunOutcome:
+    """run_machine's outcome on p with no aux, from outcome: the same
+    machine's run, at the same budget and with no aux, of p's prefix on a
+    payload that p's payload starts with.  Nothing runs again: an underrun
+    resumes on p's payload (vm docstring), and any other outcome, run_total's
+    refusal included, stands as it is, since a run that stopped reading stops
+    alike on a longer payload; run_sd's rule then applies to p."""
+    return _exact(vm.resume(outcome, p.payload) if isinstance(outcome, vm.Underrun) else outcome, p)
 
 
 def output_of(outcome: RunOutcome) -> Optional[BitString]:

@@ -57,6 +57,19 @@ expression form (closures and y-wrappers are returned as they are).  Both
 conversions and equality walk with explicit stacks, so deep data needs no
 host recursion.  Shared tails keep the cycle check sound: a tuple never
 changes, so the same object means the same value.
+
+Continuing a run.  A run reads its channels on demand, so its state before
+it reads a bit depends on no later bit.  At an underrun eval_expr returns an
+Underrun holding that state (expression, budget and read form, env and the
+continuation, the counters, the cycle check's mark and snapshot, the
+quoted-form cache), none of which changes once the run stops: chains,
+closures, y-wrappers and run-time lists are never written after they are
+made, so the snapshot's identities keep their meaning.  resume runs the one
+step loop from it on longer channels, charging the read again, so its
+outcome is eval_expr's on those channels, field by field.  Branches
+continued from one state share its cache, which changes no outcome: an
+entry depends on its quoted list alone, and one a sibling added is, like a
+fresh run's own, an object nothing in the state holds.
 """
 
 from __future__ import annotations
@@ -106,6 +119,11 @@ class RunOutcome(NamedTuple):
     @property
     def halted(self) -> bool:
         return self.kind == HALTED
+
+
+class Underrun(RunOutcome):
+    """A payload- or aux-underrun fault: a RunOutcome, value None, that also
+    holds its run's state (module docstring), which resume continues."""
 
 
 def contains_general_only_prims(e: SExpr) -> bool:
@@ -208,21 +226,33 @@ def _unbound(atom: str, ppos: int, apos: int, steps: int) -> RunOutcome:
 def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
               aux: Optional[BitString] = None) -> RunOutcome:
     """Run one expression within budget steps, reading payload and aux bits
-    on demand (aux None has no bits); deterministic and pure."""
-    ppos = apos = steps = 0
+    on demand (aux None has no bits); deterministic and pure.  A payload or
+    aux underrun is an Underrun, which resume continues."""
+    # Cycle check (Brent): a snapshot of the first application once steps
+    # reaches each mark (1 at the start), the next mark a quarter past the
+    # snapshot, so the gaps outgrow any cycle.  The same function, argument,
+    # read positions and continuation object (module docstring) repeat the
+    # state, which can then never halt.
+    return _run(payload, aux, expr, budget, expr, None, None, 0, 0, 0, 1, None, None, None, None, None, {})
+
+
+def resume(out: Underrun, payload: BitString, aux: Optional[BitString] = None) -> RunOutcome:
+    """eval_expr's outcome on out's expression and budget with these channels,
+    continued from out, its underrun on channels these start with (module
+    docstring)."""
+    ran_payload, ran_aux = out.state[:2]
+    if not (payload.startswith(ran_payload) and (aux or "").startswith(ran_aux or "")):
+        raise ValueError("a run continues only on channels that start with the ones it ran on")
+    return _run(payload, aux, *out.state[2:])
+
+
+def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
+         s_mark, s_fun, s_arg, s_kont, s_ppos, s_apos, quoted) -> RunOutcome:
+    """The step loop, from a run's state: cur to evaluate in env under kont,
+    the counters, the cycle check's mark and snapshot, and the run-time forms
+    of the quoted lists (by id, each alive in expr) built so far."""
     n_payload = len(payload)
     n_aux = 0 if aux is None else len(aux)
-    kont = None
-    quoted = {}  # id of a quoted list (alive in expr) -> its run-time form, built once
-    cur = expr
-    env = None
-    # Cycle check (Brent): a snapshot of the first application once steps
-    # reaches each mark, the next mark a quarter past the snapshot, so the
-    # gaps outgrow any cycle.  The same function, argument, read positions
-    # and continuation object (module docstring) repeat the state, which can
-    # then never halt.
-    s_mark = 1
-    s_fun = s_arg = s_kont = s_ppos = s_apos = None
 
     while True:
         # evaluate cur in env, pushing a frame per pending form, until a value
@@ -317,18 +347,19 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
                     return _fault("type: lambda parameter must be a non-primitive atom", ppos, apos, steps)
                 val = Closure(p, cur[2], env)
                 break
-            elif op == _R:
-                if ppos >= n_payload:
-                    return _fault("payload-underrun", ppos, apos, steps)
+            elif op == _R and ppos < n_payload:
                 val = payload[ppos]
                 ppos += 1
                 break
-            else:  # s
-                if apos >= n_aux:
-                    return _fault("aux-underrun", ppos, apos, steps)
+            elif op == _S and apos < n_aux:
                 val = aux[apos]
                 apos += 1
                 break
+            else:  # a read its channel cannot serve: resume charges it again
+                out = Underrun(FAULTED, None, ppos, apos, steps, "payload-underrun" if op == _R else "aux-underrun")
+                out.state = (payload, aux, expr, budget, cur, env, kont, steps - 1, ppos, apos,
+                             s_mark, s_fun, s_arg, s_kont, s_ppos, s_apos, quoted)
+                return out
 
         # val is ready: pop frames until one asks for an evaluation or an
         # application is due

@@ -435,6 +435,29 @@ def test_a_given_value_beats_the_config_even_at_its_default(tmp_path, capsys, ma
     assert code == 0 and json.loads(out)["config"]["B"] == 10000
 
 
+@pytest.mark.parametrize("form, conf", [
+    ("--json", {"csv": True}),
+    ("--csv", {"json": True}),
+    ("--json", {"json": False, "csv": True}),
+])
+def test_an_output_form_given_stops_both_config_keys(tmp_path, capsys, form, conf):
+    # the output form is one choice, which the command line makes
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(conf))
+    argv = ["coding", "--machine", "sd", "--L", "24", form]
+    code, out, _ = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 0 and out == run_cli(capsys, *argv)[1]
+    assert out.startswith("{") == (form == "--json")
+
+
+def test_a_config_setting_both_output_forms_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"json": True, "csv": True}))
+    for form in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "coding", "--machine", "sd", "--L", "24", *form, "--config", str(path))
+        assert (code, out) == (2, "") and err == f"omegalab: config file {path} sets both 'json' and 'csv'\n"
+
+
 @pytest.mark.parametrize("argv, conf", [
     (["bits", "kraft", "--set", "0"], [1, 2]),
     (["fgh", "dominate", "--alpha", "1", "--beta", "w"], {"points": [1, 2]}),

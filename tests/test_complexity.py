@@ -25,8 +25,8 @@ from omegalab.complexity import (
     relative_complexity,
 )
 from omegalab.machines import Program, output_of, run_c2, run_machine, split_program_bits
-from omegalab.sexpr import ALPHABET, parse, to_bits
-from omegalab import progs
+from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
+from omegalab import machines, progs
 
 
 def _c2_oracle(L, B):
@@ -317,6 +317,66 @@ def test_if_forms_with_neither_branch_evaluable_never_halt():
             assert len(dropped) == count, (alphabet, n)  # at 7: (i () a b) for atoms a, b
             for prefix in dropped:
                 assert not domain_runs(prefix, 79 - 8 * n, B), (alphabet, prefix)
+
+
+def _restarted_domain_runs(prefix, max_payload, budget):
+    # domain_runs' branching with every branch run again from step 0
+    from omegalab import vm
+    from omegalab.machines import structural_budget
+
+    b = structural_budget(prefix) if budget == STRUCTURAL else budget
+    runs, pending = [], [("", "")]
+    while pending:
+        payload, aux = pending.pop()
+        out = vm.eval_expr(prefix, b, payload, aux)
+        if out.halted:
+            runs.append((payload, aux, out))
+        elif out.reason == "payload-underrun" and len(payload) < max_payload:
+            pending += [(payload + "0", aux), (payload + "1", aux)]
+        elif out.reason == "aux-underrun":
+            pending += [(payload, aux + "0"), (payload, aux + "1")]
+    return runs
+
+
+def test_domain_runs_continue_each_branch_as_a_restart_would_run_it():
+    from omegalab.complexity import _runnable, domain_runs
+
+    def fields(runs):
+        return sorted((payload, aux, type(out), tuple(out)) for payload, aux, out in runs)
+
+    found = 0
+    for alphabet, budgets in ((ALPHABET, (1, 3, 10**4)), (_TOTAL_ALPHABET, (1, 3, 10**4, STRUCTURAL))):
+        prefixes = [p for n in range(2, 7) for p in _runnable(n, alphabet)]
+        assert len(prefixes) == (16 if alphabet == ALPHABET else 12)
+        for prefix in prefixes:
+            max_payload = 63 - 8 * len(print_sexpr(prefix))
+            for B in budgets:
+                runs = fields(domain_runs(prefix, max_payload, B))
+                assert runs == fields(_restarted_domain_runs(prefix, max_payload, B)), (prefix, B)
+                found += len(runs)
+    assert found == 62  # halting runs, over every prefix and budget
+
+
+_PAIR_ALPHABET = ["", "0", "1", "00", "01", "10", "11"]
+
+
+@pytest.mark.parametrize("machine, B", [("sd", 10**4), ("total", STRUCTURAL)])
+def test_every_composed_run_of_criterion_8_continues_as_a_fresh_run(monkeypatch, machine, B):
+    # sd continues the composer's underrun; total refuses the composer, and
+    # its fragment fault stands for every payload
+    continue_run = machines.continue_run
+    payloads = []
+
+    def checked_continue_run(out, p):
+        got, fresh = continue_run(out, p), run_machine(machine, p, progs.GUEST_BUDGET)
+        assert (type(got), tuple(got)) == (type(fresh), tuple(fresh)), p.payload
+        payloads.append(p.payload)
+        return got
+
+    monkeypatch.setattr(machines, "continue_run", checked_continue_run)
+    rep = check_chain_rule(Ensemble(machine, 96, B), list(itertools.product(_PAIR_ALPHABET, repeat=2)))
+    assert len(payloads) == len(set(payloads)) == len(rep["pairs"]) + len(rep["skipped"]) == 49
+    assert all(row["composed_verified"] == (machine == "sd") for row in rep["pairs"])
 
 
 def _full_sweep(machine, L, B, c_cap, evaluable_only=False):
@@ -767,15 +827,15 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "omegalab" and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, spy)
-    verify_pair = progs.verify_pair
+    continue_run = machines.continue_run
     payloads = []  # of the composed candidates, each run as Program(composer, payload)
 
-    def recording_verify_pair(machine, p, *args, **kwargs):
+    def recording_continue_run(out, p):
         if p.prefix is composer:
             payloads.append(p.payload)
-        return verify_pair(machine, p, *args, **kwargs)
+        return continue_run(out, p)
 
-    monkeypatch.setattr(progs, "verify_pair", recording_verify_pair)
+    monkeypatch.setattr(machines, "continue_run", recording_continue_run)
     commands = [":;:1;0:;0:1", ":;:1;0:;0:0;00:;00:1"]
     for pairs in commands:
         encoded.clear()

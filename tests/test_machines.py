@@ -11,6 +11,7 @@ from omegalab.bits import is_prefix_free
 from omegalab.machines import (
     STRUCTURAL,
     Program,
+    continue_run,
     covers,
     in_domain,
     output_of,
@@ -224,6 +225,24 @@ def test_domain_prefix_free_and_extension_dead():
     for m in members:
         assert not in_domain("sd", m + "0", 10**4)
         assert not in_domain("sd", m + "1", 10**4)
+
+
+@pytest.mark.parametrize("machine, prefix, first, longer, budget", [
+    ("sd", "(c(r)(c(r)(q())))", "", ["0", "01", "011"], 100),  # an underrun, resumed
+    ("sd", "(c(r)(c(s)(q())))", "1", ["10", "11"], 100),  # an aux underrun, continued with no aux
+    ("total", "(c(r)(c(r)(q())))", "1", ["10", "101"], STRUCTURAL),
+    ("sd", "(c(r)(q()))", "1", ["1", "10"], 100),  # halted: a longer payload overruns
+    ("sd", "(c(r)(q()))", "10", ["101"], 100),  # an overrun stands
+    ("sd", "(c(r)(c(r)(q())))", "", ["11"], 2),  # out of budget before the read
+    ("total", "(c(r)((lxx)(q())))", "", ["1"], 100),  # the fragment fault stands
+    ("sd", "(c(r)(h(q())))", "", ["1"], 100),  # a fault after the read
+])
+def test_continue_run_gives_run_machine_on_the_longer_program(machine, prefix, first, longer, budget):
+    out = run_machine(machine, Program(parse(prefix), first), budget)
+    for payload in longer:
+        p = Program(parse(prefix), payload)
+        got, fresh = continue_run(out, p), run_machine(machine, p, budget)
+        assert (type(got), tuple(got)) == (type(fresh), tuple(fresh)), payload
 
 
 def test_split_program_bits_roundtrip():

@@ -398,6 +398,10 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
     # the benchmark's seed-1 chain command, whose 2-bit x is skipped
     (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:0;00:;00:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
      "724f0bcd89520c2f41a1237450fd2fd19ac3e162371f87a78eca5639ddee82d9"),
+    # machine total refuses the composer, which holds l and y: composed_verified
+    # is false on all four pairs
+    (["chain", "--machine", "total", "--pairs", ":;:1;0:;0:0", "--L", "96", "--B", "structural", "--c-cap", "5"],
+     "0ebc397e5226c72675ce07b9c3621f7343e3ffd432c624b5d0eae75f52ee2605"),
     (["elegant", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
      "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
     (["sweep", "--machine", "total", "--L", "80", "--c-cap", "10", "--B", "structural"],

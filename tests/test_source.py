@@ -205,6 +205,7 @@ def test_step_loop_keeps_its_counters_in_plain_locals():
     from omegalab import vm
 
     assert vm.eval_expr.__code__.co_cellvars == ()
+    assert vm._run.__code__.co_cellvars == ()  # the loop itself, which resume enters too
 
 
 def test_cli_reads_argparse_through_its_public_names_only():

@@ -12,7 +12,7 @@ from omegalab.complexity import gen_exprs
 from omegalab.machines import Program, run_total, structural_budget
 from omegalab.progs import LOOP
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
-from omegalab.vm import FAULTED, Closure, Rec, eval_expr
+from omegalab.vm import FAULTED, Closure, Rec, Underrun, eval_expr, resume
 
 
 def run(text, budget=100, payload="", aux=None):
@@ -483,6 +483,78 @@ def test_a_quoted_list_is_one_value_for_the_whole_run():
     out = eval_expr(parse("((y(lf(lx(f(q(ab))))))(q0))"), 10**7)
     assert (out.kind, out.steps) == ("out_of_budget", 10**7)
     assert time.perf_counter() - start < 1.0
+
+
+# -- continuing a run ----------------------------------------------------------
+# resume continues an underrun on longer channels, and its outcome is
+# eval_expr's on them, field by field, its type included.
+
+def _fields(out):
+    return type(out), out.kind, _plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, out.reason
+
+
+def _continued_agree(expr, budget, payload, aux):
+    """Run expr with empty channels, then continue each underrun with one more
+    bit of payload or aux, checking every continued run against a fresh one;
+    the number of runs continued."""
+    p, a = "", None if aux is None else ""
+    out, runs = eval_expr(expr, budget, p, a), 0
+    while isinstance(out, Underrun):
+        if out.reason == "payload-underrun" and len(p) < len(payload):
+            p = payload[:len(p) + 1]
+        elif out.reason == "aux-underrun" and a is not None and len(a) < len(aux):
+            a = aux[:len(a) + 1]
+        else:
+            break
+        out, runs = resume(out, p, a), runs + 1
+        assert _fields(out) == _fields(eval_expr(expr, budget, p, a)), (print_sexpr(expr), budget, p, a)
+    return runs
+
+
+@pytest.mark.parametrize("text, payload, aux, reason, steps, p_read, a_read",
+                         [f for f in FAULTS if f[3].endswith("underrun")])
+def test_an_underrun_fault_continues_as_a_fresh_run(text, payload, aux, reason, steps, p_read, a_read):
+    expr = parse(text)
+    out = eval_expr(expr, 100, payload, aux)
+    assert isinstance(out, Underrun) and out == (FAULTED, None, p_read, a_read, steps, reason)
+    for more_p, more_a in (("0", ""), ("1", ""), ("", "0"), ("", "1"), ("01", "10"), ("110", "011")):
+        p, a = payload + more_p, (aux or "") + more_a
+        assert _fields(resume(out, p, a)) == _fields(eval_expr(expr, 100, p, a)), (p, a)
+    assert _continued_agree(expr, 100, payload + "0110", (aux or "") + "10") > 0
+
+
+@pytest.mark.parametrize("expr, payload, aux", [
+    (READING_LOOP, "01" * 20, None),
+    (AUX_LOOP, "", "10" * 20),
+], ids=["reading-loop", "aux-loop"])
+def test_a_reading_loop_continues_bit_by_bit(expr, payload, aux):
+    # each continued run keeps the cycle check's mark and snapshot
+    for budget in (1, 7, 100):
+        _continued_agree(expr, budget, payload, aux)
+    assert _continued_agree(expr, 3000, payload, aux) == 40
+
+
+def test_branches_continued_from_one_underrun_are_independent():
+    expr = parse("((lx(c(r)(c(r)(c(q(ab))x))))(q(ab)))")  # quoted lists before and after the reads
+    root = eval_expr(expr, 100, "", "")
+    for p in ("0", "1", "0", "01", "10", "11", "1"):
+        assert _fields(resume(root, p, "")) == _fields(eval_expr(expr, 100, p, ""))
+    assert resume(root, "11", "").value == ("1", "1", ("a", "b"), "a", "b")
+
+
+def test_a_run_continues_only_on_channels_that_extend_its_own():
+    out = run("(c(r)(c(s)(c(r)(q()))))", 100, "1", "0")
+    assert out.reason == "payload-underrun"
+    assert resume(out, "10", "0").value == ("1", "0", "0")
+    for p, a in (("00", "0"), ("", "0"), ("10", "1"), ("10", None)):
+        with pytest.raises(ValueError):
+            resume(out, p, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms_with_lambdas(), st.sampled_from([0, 5, 40, 400]))
+def test_continued_runs_agree_on_drawn_forms_with_lambdas(expr, budget):
+    _continued_agree(expr, budget, "0110", "1")
 
 
 # -- run-time lists ------------------------------------------------------------
