@@ -485,10 +485,9 @@ def quote_pair_program(x: BitString, y: BitString) -> Program:
     return Program(("q", (tuple(x), tuple(y))), "")
 
 
-def verify_pair(machine: str, p: Program, x: BitString, y: BitString,
-                budget: int = WITNESS_BUDGET) -> bool:
+def verify_pair(machine: str, p: Program, x: BitString, y: BitString) -> bool:
     """Run p and confirm it is a domain program outputting exactly (x, y)."""
-    return pair_output_of(run_machine(machine, p, budget)) == (x, y)
+    return pair_output_of(run_machine(machine, p, WITNESS_BUDGET)) == (x, y)
 
 
 def verify_output(machine: str, p: Program, x: BitString, budget: int = WITNESS_BUDGET,

@@ -7,8 +7,9 @@ writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n", and
 joins the text once, not once per nesting level.  A table has one row type,
 Rows: its column names once, then a tuple of values per row, made as it is
 read (table_rows), or a Family of rows made from one.  One walk, _printed,
-reads a Rows' values for both writers, checks them and yields their text a
-block at a time; each writer gives only how it prints a block and a NUL.
+reads a Rows' values for both writers, checks them and appends their text;
+a writer gives how it prints rows, a NUL, and a Family's block under each
+high-bit string (JSON by reference, so its text is copied once).
 """
 
 from __future__ import annotations
@@ -69,13 +70,16 @@ def _blocks(items: Iterator) -> Iterator[list]:
     return iter(lambda: list(islice(items, _BLOCK)), [])
 
 
-def _printed(rows: Rows, text, mark: str, split: str) -> Iterator[str]:
-    """rows' values as text prints a list of rows, a piece per _BLOCK rows.
-    Each block, and each Family's row, is checked first (the values may be
-    read only once): a row that is not a tuple of one exact scalar per column
-    raises.  A Family's row prints once, mark for each NUL; its text, split at
-    split (what text prints for mark), is joined by split + each last 10 bits
-    of r, split again and joined by each first n - 10 bits: one join a piece."""
+def _printed(rows: Rows, text, bits, lay, mark: str, split: str, out: list) -> list:
+    """Appends to out, and returns it, the text of rows' values as text prints
+    a list of rows, a piece per _BLOCK rows, each row checked first (the values
+    may be read only once): a row that is not a tuple of one exact scalar per
+    column raises.  A Family's row prints once, mark for each NUL, in pieces p0
+    ... pk split at split; under each first n - bits(n) bits hi its rows are the
+    block [p0, lo + p1, ..., lo + pk + p0, ...] over each last bits(n) bits lo,
+    less the last p0, with hi between items, as lay(block, each hi, out) appends
+    them: JSON by reference (so emit_json's join is its one copy), bits(n) = n // 2
+    to keep both lists short; CSV joined (short pieces), bits(n) = min(n, 10)."""
     columns, width = rows.columns, len(rows.columns)
 
     def checked(block: list) -> list:
@@ -86,18 +90,23 @@ def _printed(rows: Rows, text, mark: str, split: str) -> Iterator[str]:
 
     for kind, group in groupby(rows.values, type):
         if kind is not Family:
-            yield from map(text, map(checked, _blocks(group)))
+            out += map(text, map(checked, _blocks(group)))
             continue
         for n, row in group:
             nuls = sum(v.count("\0") for v in checked([row])[0] if type(v) is str)
-            pieces = text([tuple(v.replace("\0", mark) if type(v) is str else v for v in row)]).split(split)
-            low = min(n, _BLOCK.bit_length() - 1)
-            block = "".join(map(str.join, map(split.__add__, bit_strings(low)), repeat(pieces))).split(split)
-            if n and len(block) == 1 + (nuls << low):
-                yield from map(str.join, bit_strings(n - low), repeat(block))
-            else:  # split printed of its own, or n = 0 (a lone empty CSV field prints as ""): its rows
-                yield from map(text, _blocks(tuple(v.replace("\0", r) if type(v) is str else v for v in row)
-                                             for r in bit_strings(n)))
+            p0, *ps = text([tuple(v.replace("\0", mark) if type(v) is str else v for v in row)]).split(split)
+            low = bits(n)
+            if not n or len(ps) != nuls:  # split printed of its own, or n = 0 (a lone "" CSV field): its rows
+                out += map(text, _blocks(tuple(v.replace("\0", r) if type(v) is str else v for v in row)
+                                         for r in bit_strings(n)))
+            elif ps:
+                ps[-1] += p0  # a row's last piece runs into the next row's first
+                block = [p0] + [lo + p for lo in bit_strings(low) for p in ps]
+                block[-1] = block[-1].removesuffix(p0)
+                lay(block, bit_strings(n - low), out)
+            else:  # no NUL: each row prints as p0
+                lay([p0 * (1 << low)], bit_strings(n - low), out)
+    return out
 
 
 def _rows(rows: Rows, depth: int, out: list) -> None:
@@ -117,9 +126,15 @@ def _rows(rows: Rows, depth: int, out: list) -> None:
         parts[1::2] = lines
         return "".join(parts)
 
+    def lay(block: list, his: Iterator[str], out: list) -> None:
+        parts = [x for item in block for x in (item, "")][:-1]  # a place for hi between each two items
+        for hi in his:
+            parts[1::2] = [hi] * (len(block) - 1)
+            out += parts
+
     out.append("[")
     start = len(out)
-    out += _printed(rows, text, "\0", "\\u0000")  # joined only in emit_json
+    _printed(rows, text, lambda n: n // 2, lay, "\0", "\\u0000", out)  # joined only in emit_json
     if len(out) > start:
         out[start] = out[start][len(pad) + 2:]  # less the '},' of a row before the first
         out.append(pad + "}" + end)
@@ -173,7 +188,8 @@ def emit_csv(rows: Rows) -> str:
         csv.writer(buf, lineterminator="\n").writerows(block)
         return buf.getvalue()
 
-    return "".join(chain([text([rows.columns])], _printed(rows, text, _MARK, _MARK)))
+    return "".join(_printed(rows, text, lambda n: min(n, 10), lambda block, his, out: out.extend(
+        map(str.join, his, repeat(block))), _MARK, _MARK, [text([rows.columns])]))
 
 
 def table_rows(table) -> Rows:

@@ -639,7 +639,7 @@ def test_subadditivity_via_plain_composer():
         wx = table.entries[x].witness
         wy = table.entries[y].witness
         composed = Program(comp, wx + wy)
-        assert progs.verify_pair("sd", composed, x, y, budget=10**6)
+        assert progs.verify_pair("sd", composed, x, y)
         assert composed.size_bits == len(wx) + len(wy) + K2
 
 

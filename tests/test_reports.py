@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from omegalab.cli import main
 from omegalab.complexity import STRUCTURAL, Ensemble, HaltRecord, TableEntry, build_table
 from omegalab.machines import Program
 from omegalab.vm import HALTED, RunOutcome
-from omegalab.reports import Family, Rows, emit_json, table_rows
+from omegalab.reports import Family, Rows, emit_json, table_report, table_rows
 
 _text = st.text(st.sampled_from("ab\"\\\n\t\x00\x1f\x7fé☃\U0001f600{}[],:"), max_size=6)
 _scalars = (st.none() | st.booleans() | st.integers(min_value=-2**70, max_value=2**70)
@@ -223,6 +224,40 @@ def test_family_past_a_block_prints_as_the_rows_it_stands_for(template, n):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([_FAMILY_COLUMNS, *expected])
     assert reports.emit_csv(Rows(_FAMILY_COLUMNS, [family])) == buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [4, 9, 10, 11, 13])
+@pytest.mark.parametrize("template", [
+    ("x", "bits", 3, "0", 1, ""),
+    ("\0", "bits", 2, "0", None, "1/2"),
+    ("\0", "bits", 5, "0\0", 1, ""),
+    ("a\0", "pair", 3, "\0|\0\"", True, "\0"),
+], ids=["no-nul", "one-nul-first", "two-nuls-first", "three-nuls-last"])
+def test_family_block_prints_as_the_rows_it_stands_for(template, n):
+    # a block built from the row's pieces (2^(n // 2) rows in JSON, up to
+    # 1,024 in CSV) under each string of the other leading bits, between
+    # tuple rows; a first value that starts with a NUL leaves CSV an empty
+    # first piece
+    rows = Rows(_FAMILY_COLUMNS, [("y", "bits", 0, "", 0, ""), Family(n, template), ("z", "pair", 1, "1", 2, "")])
+    expected = list(_expand(rows.values))
+    assert emit_json({"entries": rows}) == json.dumps(
+        {"entries": [dict(zip(_FAMILY_COLUMNS, v)) for v in expected]}, indent=2) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_FAMILY_COLUMNS, *expected])
+    assert reports.emit_csv(rows) == buf.getvalue()
+
+
+def test_c2_json_text_is_copied_once():
+    # a Family's rows are laid out in emit_json's pieces by reference, so its
+    # one join is the only full-size copy of the text
+    report = table_report(build_table(Ensemble("c2", 17, 1)))
+    tracemalloc.start()
+    try:
+        text = emit_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
 
 
 @settings(max_examples=300, deadline=None)
