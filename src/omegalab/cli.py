@@ -12,7 +12,8 @@ A plain command line (the command, its positionals, then its flags spelled in
 full, each once with one value) is read straight from COMMANDS.  Anything
 else (--help, --version, --config, an abbreviation, --flag=value, a usage
 error) goes to argparse, with the same texts and exits.  Both give only what
-the command line gives, and _completed adds --config, defaults and bounds.
+the command line gives, and _completed adds --config and defaults, then
+applies each flag's declared bound and the actions that read and need it.
 """
 
 from __future__ import annotations
@@ -54,14 +55,18 @@ _SWEEP = [
     ("--machine", dict(choices=machines.MACHINES, required=True)),
     ("--L", dict(type=int, required=True)),
     ("--B", dict(type=_budget, default=10**4, lo=0)),
-    ("--c-cap", dict(type=int, default=DEFAULT_CHAR_CAP)),
-    ("--workers", dict(type=int, default=1)),
+    ("--c-cap", dict(type=int, default=DEFAULT_CHAR_CAP, reads=("machine", "sd total"))),  # c2 sweeps no prefixes
+    ("--workers", dict(type=int, default=1, reads=("machine", "sd total"))),
 ]
 _TARGET = [("--target", dict(type=_bits_arg, required=True))]
 
 # Every command once: name -> (help, whether it takes --csv, its own flags in
 # order).  --csv prints result["entries"], a reports.Rows, by its own columns.
-# A flag's keywords are argparse's, but for `lo`, the least int it takes.
+# A flag's keywords are argparse's, but for _OWN, which _completed applies:
+# `default`; `lo`, the least int it takes; and reads=(dest, "v1 v2 ...") and
+# needs=(dest, "v1 v2 ..."): the flag is read only, or must be given, when an
+# earlier flag's dest holds one of the listed values.
+_OWN = ("default", "lo", "reads", "needs")
 COMMANDS = {
     "bits": ("prefix-code utilities", False, [
         ("action", dict(choices=["kraft", "prefixfree"])),
@@ -71,10 +76,12 @@ COMMANDS = {
         ("--text", dict(required=True))]),
     "run": ("run one program on a machine", False, [
         ("--machine", dict(choices=machines.MACHINES, required=True)),
-        ("--raw", dict(type=_bits_arg, help="raw program bits (machine c2)")),
-        ("--prefix", dict(help="prefix expression text (machines sd/total)")),
-        ("--payload", dict(type=_bits_arg, default="")),
-        ("--aux", dict(type=_bits_arg)),
+        ("--raw", dict(type=_bits_arg, help="raw program bits (machine c2)",
+                       reads=("machine", "c2"), needs=("machine", "c2"))),
+        ("--prefix", dict(help="prefix expression text (machines sd/total)",
+                          reads=("machine", "sd total"), needs=("machine", "sd total"))),
+        ("--payload", dict(type=_bits_arg, default="", reads=("machine", "sd total"))),
+        ("--aux", dict(type=_bits_arg, reads=("machine", "sd total"))),
         ("--budget", dict(type=_budget, default=10**4))]),
     "sweep": ("enumerate the domain and build the complexity table", True, _SWEEP),
     "complexity": ("upper bound for one output", False, _SWEEP + _TARGET),
@@ -85,11 +92,15 @@ COMMANDS = {
         ("--pairs", dict(required=True, help="semicolon-separated x:y pairs, e.g. '0:1;:'"))]),
     "omega": ("halting-probability operations", False, [
         ("action", dict(choices=["lower", "exact", "bits", "oracle"])),
-        ("--machine", dict(choices=machines.MACHINES, default="total"))] + _SWEEP[1:] + [
-        ("--emit-bits", dict(type=int, default=0, lo=0)),
-        ("--k", dict(type=int, lo=0, help="bit count for 'bits'/'oracle'")),
-        ("--kbits", dict(type=_bits_arg, help="override oracle input bits")),
-        ("--guard", dict(type=int, default=omega.DEFAULT_GUARD, lo=0))]),
+        ("--machine", dict(choices=machines.MACHINES, default="total")),
+        _SWEEP[1],
+        ("--B", dict(type=_budget, default=10**4, lo=0, reads=("action", "lower"))),
+        *_SWEEP[3:],
+        ("--emit-bits", dict(type=int, default=0, lo=0, reads=("action", "lower exact"))),
+        ("--k", dict(type=int, lo=0, help="bit count for 'bits'/'oracle'",
+                     reads=("action", "bits oracle"), needs=("action", "bits"))),
+        ("--kbits", dict(type=_bits_arg, help="override oracle input bits", reads=("action", "oracle"))),
+        ("--guard", dict(type=int, default=omega.DEFAULT_GUARD, lo=0, reads=("action", "oracle")))]),
     "normality": ("disjoint-block equidistribution check", False, [
         ("--x", dict(type=_bits_arg, required=True)),
         ("--k", dict(type=int, required=True)),
@@ -98,15 +109,15 @@ COMMANDS = {
         ("action", dict(choices=["theorems", "berry", "ceiling", "omegabits"])),
         ("--fas", dict(required=True,
                        help=f"bundled name {incompleteness.BUNDLED_FAS_NAMES} or a JSON file")),
-        ("--budget", dict(type=int, default=10**6, lo=0)),
-        ("--L", dict(type=int, help="ensemble cap for omegabits"))]),
+        ("--budget", dict(type=int, default=10**6, lo=0, reads=("action", "theorems ceiling omegabits"))),
+        ("--L", dict(type=int, help="ensemble cap for omegabits", reads=("action", "omegabits")))]),
     "fgh": ("fast-growing hierarchy", False, [
         ("action", dict(choices=["eval", "dominate"])),
-        ("--ordinal", dict(help="for eval")),
-        ("--n", dict(type=int, help="for eval")),
-        ("--alpha", dict(help="for dominate")),
-        ("--beta", dict(help="for dominate")),
-        ("--points", dict(default="1,2,3")),
+        ("--ordinal", dict(help="for eval", reads=("action", "eval"), needs=("action", "eval"))),
+        ("--n", dict(type=int, help="for eval", reads=("action", "eval"), needs=("action", "eval"))),
+        ("--alpha", dict(help="for dominate", reads=("action", "dominate"), needs=("action", "dominate"))),
+        ("--beta", dict(help="for dominate", reads=("action", "dominate"), needs=("action", "dominate"))),
+        ("--points", dict(default="1,2,3", reads=("action", "dominate"))),
         ("--cap-bits", dict(type=int, lo=1))]),  # default: hierarchy.DEFAULT_CAP_BITS, set by _dispatch
     "diag": ("diagonalize over a total function-program family", False, [
         ("--n", dict(type=int, required=True, lo=0)),
@@ -135,7 +146,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
             form.add_argument("--csv", action="store_true", help="CSV output")
         p.add_argument("--config", help="JSON config file; explicit flags win")
         for flag, kw in flags:
-            p.add_argument(flag, **{k: v for k, v in kw.items() if k not in ("default", "lo")})
+            p.add_argument(flag, **{k: v for k, v in kw.items() if k not in _OWN})
     return top
 
 
@@ -193,7 +204,10 @@ def _completed(given: dict) -> SimpleNamespace:
     flag's text, read through the flag's type and choices, and --json/--csv
     take a boolean.  The output form is one choice: --json or --csv given
     stops both keys, and a file may not set both.  Every value must then be
-    at least its flag's `lo`."""
+    at least its flag's `lo`.  A flag that differs from its default under a
+    value its `reads` does not list is refused, as is a flag left None under
+    a value its `needs` lists: the command never reads the one, and cannot
+    run without the other."""
     _, takes_csv, flags = COMMANDS[given["command"]]
     form = {"json": False, "csv": False} if takes_csv else {"json": False}
     args = dict(form)
@@ -234,6 +248,15 @@ def _completed(given: dict) -> SimpleNamespace:
             args[dest] = kw.get("default")  # a declared default meets its bound
         elif "lo" in kw and isinstance(args[dest], int) and args[dest] < kw["lo"]:
             raise ValueError(f"{name} must be >= {kw['lo']}, got {args[dest]}")
+        reads, needs = kw.get("reads"), kw.get("needs")
+        if reads and args[dest] != kw.get("default") and args[reads[0]] not in reads[1].split():
+            on, refusal = reads[0], "does not read"
+        elif needs and args[dest] is None and args[needs[0]] in needs[1].split():
+            on, refusal = needs[0], "needs"
+        else:
+            continue
+        what = args[on] if on == "action" else f"--{on} {args[on]}"
+        raise ValueError(f"{args['command']} {what} {refusal} {name}")
     return SimpleNamespace(**args)
 
 
@@ -277,16 +300,6 @@ def _config_dict(args: SimpleNamespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _refuse_unread(args: SimpleNamespace, what: str, unread: str) -> None:
-    """Refuse each flag in unread (dests, space-separated) that `what` never
-    reads.  A default value counts as not given, so every accepted config echo
-    stays."""
-    defaults = {f.lstrip("-").replace("-", "_"): kw.get("default") for f, kw in COMMANDS[args.command][2]}
-    for dest in unread.split():
-        if getattr(args, dest) != defaults[dest]:
-            raise ValueError(f"{what} does not read --{dest.replace('_', '-')}")
-
-
 def _dispatch(args: SimpleNamespace) -> dict:
     cmd = args.command
 
@@ -307,22 +320,14 @@ def _dispatch(args: SimpleNamespace) -> dict:
 
     if cmd == "run":
         machines.check_budget(args.machine, args.budget)
-        _refuse_unread(args, f"run --machine {args.machine}",
-                       "prefix payload aux" if args.machine == "c2" else "raw")
         if args.machine == "c2":
-            if args.raw is None:
-                raise ValueError("machine c2 takes --raw program bits")
             out = machines.run_c2(args.raw, args.budget)
         else:
-            if args.prefix is None:
-                raise ValueError("machines sd/total take --prefix (and optional --payload)")
             prog = Program(parse(args.prefix), args.payload)
             out = machines.run_machine(args.machine, prog, args.budget, aux=args.aux)
         return _outcome_dict(out)
 
     if cmd in ("sweep", "elegant", "complexity", "prob", "coding", "chain"):
-        if args.machine == "c2":  # c2 sweeps no prefixes
-            _refuse_unread(args, f"{cmd} --machine c2", "c_cap workers")
         ens = Ensemble(args.machine, args.L, args.B, args.c_cap, args.workers)
 
     if cmd in ("sweep", "elegant"):
@@ -355,9 +360,6 @@ def _dispatch(args: SimpleNamespace) -> dict:
         return complexity.check_chain_rule(ens, pairs)
 
     if cmd == "omega":
-        _refuse_unread(args, f"omega {args.action}", {
-            "lower": "k kbits guard", "exact": "B k kbits guard",
-            "bits": "B kbits guard emit_bits", "oracle": "B emit_bits"}[args.action])
         capped = args.action != "lower"  # exact, bits and oracle: the decidable total ensemble
         if capped and args.machine != "total":
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
@@ -365,8 +367,6 @@ def _dispatch(args: SimpleNamespace) -> dict:
         if args.action in ("lower", "exact"):
             return reports.omega_report(omega.omega_lower_bound(ens), args.emit_bits)
         if args.action == "bits":
-            if args.k is None:
-                raise ValueError("omega bits needs --k")
             value = omega.omega_lower_bound(ens).mass
             return {"L": args.L, "k": args.k, "value": str(value),
                     "bits": dyadic_bits(value, args.k)}
@@ -427,13 +427,9 @@ def _dispatch(args: SimpleNamespace) -> dict:
         if args.cap_bits is None:  # set here, so the config echo shows it
             args.cap_bits = hierarchy.DEFAULT_CAP_BITS
         if args.action == "eval":
-            if args.ordinal is None or args.n is None:
-                raise ValueError("fgh eval needs --ordinal and --n")
             val = hierarchy.fgh_eval(hierarchy.ord_parse(args.ordinal), args.n, args.cap_bits)
             return {"ordinal": args.ordinal, "n": args.n, "cap_bits": args.cap_bits,
                     "value": val.as_dict()}
-        if args.alpha is None or args.beta is None:
-            raise ValueError("fgh dominate needs --alpha and --beta")
         try:
             points = [int(x) for x in args.points.split(",")]
             if min(points) < 0:

@@ -746,3 +746,88 @@ def test_fgh_cap_bits_defaults_to_the_hierarchy_cap(capsys):
     code, out, _ = run_cli(capsys, "fgh", "eval", "--ordinal", "1", "--n", "2")
     rep = json.loads(out)
     assert code == 0 and rep["config"]["cap_bits"] == rep["result"]["cap_bits"] == DEFAULT_CAP_BITS
+
+
+def _id(param):
+    return " ".join(param) if isinstance(param, list) else param
+
+
+# a flag its action never reads would otherwise be echoed in the config as if
+# it shaped the report
+UNREAD = [
+    (["fas", "berry", "--fas", "sound"], "--budget", "5"),
+    (["fas", "theorems", "--fas", "sound"], "--L", "7"),
+    (["fas", "berry", "--fas", "sound"], "--L", "7"),
+    (["fas", "ceiling", "--fas", "sound"], "--L", "7"),
+    (["fgh", "eval", "--ordinal", "w", "--n", "2"], "--alpha", "w"),
+    (["fgh", "eval", "--ordinal", "w", "--n", "2"], "--beta", "w+1"),
+    (["fgh", "eval", "--ordinal", "w", "--n", "2"], "--points", "1,2"),
+    (["fgh", "dominate", "--alpha", "w", "--beta", "w+1"], "--ordinal", "w"),
+    (["fgh", "dominate", "--alpha", "w", "--beta", "w+1"], "--n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", UNREAD, ids=_id)
+def test_a_flag_the_action_never_reads_exits_2(tmp_path, capsys, argv, flag, value):
+    text = f"omegalab: {argv[0]} {argv[1]} does not read {flag}\n"
+    assert run_cli(capsys, *argv, flag, value) == (2, "", text)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:]: value}))
+    assert run_cli(capsys, *argv, "--config", str(conf)) == (2, "", text)
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["fas", "berry", "--fas", "sound"], "--budget", "1000000"),
+    (["fgh", "eval", "--ordinal", "w", "--n", "2"], "--points", "1,2,3"),
+], ids=["fas-budget", "fgh-points"])
+def test_an_unread_flag_at_its_default_is_accepted(tmp_path, capsys, argv, flag, value):
+    # a default counts as not given: the report, config echo included, is unchanged
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, flag, value) == (0, out, "")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:]: value}))
+    assert run_cli(capsys, *argv, "--config", str(conf)) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["omega", "bits", "--L", "16"], "omega bits needs --k"),
+    (["run", "--machine", "c2", "--budget", "5"], "run --machine c2 needs --raw"),
+    (["run", "--machine", "sd", "--payload", "1"], "run --machine sd needs --prefix"),
+    (["run", "--machine", "total"], "run --machine total needs --prefix"),
+    (["fgh", "eval", "--n", "2"], "fgh eval needs --ordinal"),
+    (["fgh", "eval", "--ordinal", "w"], "fgh eval needs --n"),
+    (["fgh", "dominate", "--beta", "w"], "fgh dominate needs --alpha"),
+    (["fgh", "dominate", "--alpha", "w"], "fgh dominate needs --beta"),
+], ids=_id)
+def test_a_flag_the_action_needs_exits_2_when_missing(capsys, argv, text):
+    assert run_cli(capsys, *argv) == (2, "", f"omegalab: {text}\n")
+
+
+def _malformed(flags):
+    """Each reads/needs of flags whose dest no earlier flag declares, or
+    whose values are not all among that flag's choices."""
+    choices, bad = {}, []
+    for name, kw in flags:
+        for rule in ("reads", "needs"):
+            if rule in kw:
+                on, values = kw[rule]
+                if on not in choices or not set(values.split()) <= set(choices[on]):
+                    bad.append((name, rule))
+        choices[name.lstrip("-").replace("-", "_")] = kw.get("choices", ())
+    return bad
+
+
+def test_reads_and_needs_name_an_earlier_flag_and_its_choices():
+    from omegalab.cli import COMMANDS
+
+    assert {name: _malformed(flags) for name, (_, _, flags) in COMMANDS.items()} == {
+        name: [] for name in COMMANDS}
+    # a typo in one declared value is caught
+    flags = [(name, dict(kw, reads=("action", "bits orcale")) if name == "--k" else kw)
+             for name, kw in COMMANDS["omega"][2]]
+    assert _malformed(flags) == [("--k", "reads")]
+    # so is a dest declared after the flag that reads it
+    assert _malformed(COMMANDS["run"][2][1:] + COMMANDS["run"][2][:1]) == [
+        ("--raw", "reads"), ("--raw", "needs"), ("--prefix", "reads"), ("--prefix", "needs"),
+        ("--payload", "reads"), ("--aux", "reads")]

@@ -30,12 +30,15 @@ def _fixed_width(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
 
 
-def _readme_tour():
+def _readme_tour_lines():
     with open(os.path.join(ROOT, "README.md")) as f:
         text = f.read()
     block = text.split("## CLI tour", 1)[1].split("```")[1]
-    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
-            if line.startswith("omegalab ")]
+    return [line for line in block.splitlines() if line.startswith("omegalab ")]
+
+
+def _readme_tour():
+    return [shlex.split(line, comments=True)[1:] for line in _readme_tour_lines()]
 
 
 def _bench_commands():
@@ -53,7 +56,8 @@ ABBREVIATED = [
     ["omega", "exact", "--L", "24", "--emit", "12", "--js"],
     ["omega", "oracle", "--L", "24", "--kb", "01", "--gu", "9"],
     ["fgh", "dominate", "--al", "w", "--be", "w+1", "--po", "1,2"],
-    ["fas", "berry", "--fa", "sound", "--bud", "9"],
+    ["fas", "berry", "--fa", "sound", "--bud", "9"],  # refused alike: berry reads no budget
+    ["fas", "theorems", "--fa", "sound", "--bud", "9"],
 ]
 
 CORPUS = _readme_tour() + _bench_commands() + ABBREVIATED
@@ -70,6 +74,15 @@ def _sub(parser, name):
 def test_corpus_covers_every_command():
     assert len(_readme_tour()) == 22 and len(_bench_commands()) == 4 * (3 + 10 + 1 + 1)
     assert {argv[0] for argv in CORPUS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("line", _readme_tour_lines(), ids=lambda line: line.split("#")[0].strip())
+def test_readme_tour_runs_as_its_comments_say(capsys, line):
+    # each line exits 0, or the code its comment gives ("# exits 3, ...")
+    _, _, comment = line.partition("#")
+    code = int(comment.split("exits ", 1)[1][0]) if "exits " in comment else 0
+    assert main(shlex.split(line, comments=True)[1:]) == code
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name", COMMANDS)
