@@ -83,6 +83,7 @@ the store.
 from __future__ import annotations
 
 import itertools
+import os
 from collections.abc import Mapping
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -610,10 +611,14 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     """Chain-rule report: d(x,y) = h(x,y) - h(x) - h(y|x*) per pair, plus the
     composition constant K, the size of the fixed composing prefix.  The
     prefix is encoded once, K measured once from its bits, and each composed
-    candidate is those bits followed by its payload.  The composer is run
-    once per distinct x*, on x* alone: it reads x* as its first program and
-    underruns where p(y|x*) begins, and each composed run continues that one
-    (machines.continue_run), so the pairs that share x* share its steps.
+    candidate is those bits followed by its payload x* ++ p(y|x*).
+
+    The composer starts from step 0 once, on the longest prefix all the
+    payloads share.  Each node of their trie splits its payloads by their
+    next bit, and each part continues the node's run on its own longest
+    shared prefix (machines.continue_run), which is a payload's outcome when
+    it is that payload.  So pairs whose payloads start alike share those
+    steps, whether they share x* or only its leading bits.
 
     h(x), h(y|x*) and h(x,y) all admit verified constructed witnesses (quote,
     plain, replay and composed programs) besides the sweep, so a pair whose x
@@ -627,27 +632,37 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
     composer = progs.pair_composer()
     composer_bits = to_bits(composer)
     K = len(composer_bits)
-    firsts = {}  # x* -> the composer's run on payload x*, which underruns where p(y|x*) begins
+    witnesses = []  # per pair: x, y, h(x) and h(y|x*), not found when h(x) is not
+    for x, y in pairs:
+        hx = complexity_upper(ens, x, include_constructed=True)
+        hyx = relative_complexity(ens, y, hx.witness) if hx.found else ComplexityResult(False)
+        witnesses.append((x, y, hx, hyx))
+    # the certificate of the <= direction, run whatever the bound, along the
+    # trie of the payloads
+    composed = {}  # payload -> the composer's run_machine outcome on it
+    payloads = list({hx.witness + hyx.witness for _, _, hx, hyx in witnesses if hyx.found})
+    pending = [(None, payloads)] if payloads else []
+    while pending:
+        parent, group = pending.pop()
+        p = Program(composer, os.path.commonprefix(group))
+        out = (machines.run_machine(ens.machine, p, progs.GUEST_BUDGET) if parent is None
+               else machines.continue_run(parent, p))
+        if p.payload in group:
+            composed[p.payload] = out
+        n = len(p.payload)
+        for bit in "01":
+            part = [q for q in group if q[n:n + 1] == bit]
+            if part:
+                pending.append((out, part))
     rows = []
     skipped = []
     max_abs_d = None
-    for x, y in pairs:
-        hx = complexity_upper(ens, x, include_constructed=True)
-        if not hx.found:
-            skipped.append({"x": x, "y": y, "reason": "h(x) not found"})
-            continue
-        x_star = hx.witness
-        hyx = relative_complexity(ens, y, x_star)
+    for x, y, hx, hyx in witnesses:
         if not hyx.found:
-            skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found"})
+            skipped.append({"x": x, "y": y, "reason": "h(y|x*) not found" if hx.found else "h(x) not found"})
             continue
-        payload = x_star + hyx.witness
-        # the certificate of the <= direction: it runs whatever the bound,
-        # continued from the one run of the composer on x*
-        first = firsts.get(x_star)
-        if first is None:
-            first = firsts[x_star] = machines.run_machine(ens.machine, Program(composer, x_star), progs.GUEST_BUDGET)
-        composed_ok = pair_output_of(machines.continue_run(first, Program(composer, payload))) == (x, y)
+        payload = hx.witness + hyx.witness
+        composed_ok = pair_output_of(composed[payload]) == (x, y)
         hxy = joint_complexity(ens, x, y)
         cands = [(hxy.h_upper, hxy.witness, hxy.source, None)] if hxy.found else []
         best = _least(None, cands + [(K + len(payload), composer_bits + payload, "composed", lambda: composed_ok)])

@@ -39,7 +39,11 @@ a fresh tuple (tag, ..., next), pushed by building one around the chain and
 popped by taking its next.  An atom in operand position (the argument of h,
 t, a or y, the function or the argument of an application) is looked up
 where it stands, with no frame, at the point of the step order where its
-evaluation falls, so an unbound one faults with the same step count.
+evaluation falls, so an unbound one faults with the same step count.  A
+let ((l p B) A) is entered where it stands too: its lambda step, then A
+under one frame, then its application step, which binds p in the let's own
+env.  It makes no closure, since nothing but that application could ever
+hold one.
 
 The cycle check compares the state at an application with a snapshot: the
 function, the argument and the read positions, and the continuation by
@@ -47,7 +51,11 @@ identity.  That is sound because a chain never changes and every frame
 holds the rest of its chain: the snapshot keeps the object alive, so the
 same object is the same whole stack.  A frame shared between pushes (a
 constant (tag,) with no next) would break this, which is why every frame
-is a fresh tuple.
+is a fresh tuple.  A let's application is never compared: its closure would
+be fresh, so no snapshot could hold it.  Reaching the mark there still
+advances the mark, and clears the snapshot, which a snapshot of that
+closure could never match either; so the check ends a run at the same step
+as it would with the closure made.
 
 Run-time lists: inside a run a nonempty list is the pair (head, tail) and
 the empty list is (), so h, t and c each take one step of host work and a
@@ -200,10 +208,11 @@ def _equal(x, y) -> bool:
 
 # continuation frames, each a fresh tuple (tag, ..., next): a pending h, t, a
 # or y; an e or c before and after its first argument; an if; an application
-# before and after its function; the second half of a y-wrapper's unfolding.
+# before and after its function; a let before its application; the second
+# half of a y-wrapper's unfolding.
 # A pending h, t, a or y is tagged by its opcode, _H, _T, _A or _Y, and the
 # other tags follow them.
-_K_EQ, _K_CONS, _K_EQ2, _K_CONS2, _K_IF, _K_FUN, _K_APPLY, _K_REC = range(_Y + 1, _Y + 9)
+_K_EQ, _K_CONS, _K_EQ2, _K_CONS2, _K_IF, _K_FUN, _K_APPLY, _K_REC, _K_LET = range(_Y + 1, _Y + 10)
 
 
 def _fault(reason: str, ppos: int, apos: int, steps: int) -> RunOutcome:
@@ -229,10 +238,10 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
     on demand (aux None has no bits); deterministic and pure.  A payload or
     aux underrun is an Underrun, which resume continues."""
     # Cycle check (Brent): a snapshot of the first application once steps
-    # reaches each mark (1 at the start), the next mark a quarter past the
-    # snapshot, so the gaps outgrow any cycle.  The same function, argument,
-    # read positions and continuation object (module docstring) repeat the
-    # state, which can then never halt.
+    # reaches each mark (1 at the start; a let's application clears it), the
+    # next mark a quarter past the snapshot, so the gaps outgrow any cycle.
+    # The same function, argument, read positions and continuation object
+    # (module docstring) repeat the state, which can then never halt.
     return _run(payload, aux, expr, budget, expr, None, None, 0, 0, 0, 1, None, None, None, None, None, {})
 
 
@@ -280,8 +289,18 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                     return _fault("type: application takes exactly one argument", ppos, apos, steps)
                 x = cur[1]
                 if type(head) is not str:
-                    kont = (_K_FUN, x, env, kont)
-                    cur = head
+                    if head and head[0] == "l" and len(head) == 3 and type(head[1]) is str and head[1] not in PRIMS:
+                        # a let ((l p B) A): its lambda step, then A, then the
+                        # application under _K_LET, with no closure (a malformed
+                        # lambda form takes the general path, which faults)
+                        steps += 1
+                        if steps > budget:
+                            return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+                        kont = (_K_LET, head, env, kont)
+                    else:
+                        kont = (_K_FUN, x, env, kont)
+                        x = head
+                    cur = x
                     continue
                 val = _lookup(head, env)
                 if val is None:
@@ -314,11 +333,11 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                 if val is None:
                     return _unbound(x, ppos, apos, steps)
                 if op == _H:
-                    if not isinstance(val, tuple) or not val:
+                    if type(val) is not tuple or not val:
                         return _fault("type: head of a non-list or empty list", ppos, apos, steps)
                     val = val[0]
                 elif op == _T:
-                    if not isinstance(val, tuple) or not val:
+                    if type(val) is not tuple or not val:
                         return _fault("type: tail of a non-list or empty list", ppos, apos, steps)
                     val = val[1]
                 elif op == _A:
@@ -326,7 +345,7 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                         return _fault("type: atom test on non-data value", ppos, apos, steps)
                     val = "1" if isinstance(val, str) else ()
                 else:
-                    if not isinstance(val, Closure):
+                    if type(val) is not Closure:
                         return _fault("type: fixed point of a non-closure", ppos, apos, steps)
                     val = Rec(val)
                 break
@@ -335,7 +354,7 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                 cur = cur[1]
             elif op == _Q:
                 val = cur[1]
-                if isinstance(val, tuple) and val:
+                if type(val) is tuple and val:
                     key = id(val)
                     val = quoted.get(key)
                     if val is None:
@@ -343,7 +362,7 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                 break
             elif op == _L:
                 p = cur[1]
-                if not isinstance(p, str) or p in PRIMS:
+                if type(p) is not str or p in PRIMS:
                     return _fault("type: lambda parameter must be a non-primitive atom", ppos, apos, steps)
                 val = Closure(p, cur[2], env)
                 break
@@ -370,7 +389,7 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
             tag = k[0]
             if tag == _K_CONS2:
                 _, x, kont = k
-                if not isinstance(val, tuple):
+                if type(val) is not tuple:
                     return _fault("type: cons onto a non-list", ppos, apos, steps)
                 val = (x, val)
             elif tag == _K_CONS or tag == _K_EQ:
@@ -390,18 +409,28 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
             elif tag == _K_APPLY:
                 _, fun, kont = k
                 arg = val
+            elif tag == _K_LET:  # the let's application: no closure, so no compare (module docstring)
+                _, head, env, kont = k
+                steps += 1
+                if steps > budget:
+                    return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+                if steps >= s_mark:
+                    s_mark = steps + (steps >> 2) + 1
+                    s_fun = None
+                cur, env = head[2], (head[1], val, env)
+                break
             elif tag == _K_IF:
                 _, t, e, env, kont = k
                 cur = e if val == () else t
                 break
             elif tag == _H:
                 kont = k[1]
-                if not isinstance(val, tuple) or not val:
+                if type(val) is not tuple or not val:
                     return _fault("type: head of a non-list or empty list", ppos, apos, steps)
                 val = val[0]
             elif tag == _T:
                 kont = k[1]
-                if not isinstance(val, tuple) or not val:
+                if type(val) is not tuple or not val:
                     return _fault("type: tail of a non-list or empty list", ppos, apos, steps)
                 val = val[1]
             elif tag == _K_REC:  # val is the closure produced by unfolding; apply it to the saved argument
@@ -419,7 +448,7 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                 val = "1" if isinstance(val, str) else ()
             else:  # _Y
                 kont = k[1]
-                if not isinstance(val, Closure):
+                if type(val) is not Closure:
                     return _fault("type: fixed point of a non-closure", ppos, apos, steps)
                 val = Rec(val)
         if fun is None:
@@ -434,9 +463,9 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
         if steps >= s_mark:
             s_mark = steps + (steps >> 2) + 1
             s_fun, s_arg, s_kont, s_ppos, s_apos = fun, arg, kont, ppos, apos
-        if isinstance(fun, Closure):
+        if type(fun) is Closure:
             cur, env = fun.body, (fun.param, arg, fun.env)
-        elif isinstance(fun, Rec):
+        elif type(fun) is Rec:
             # unfold once: (clo R) must yield a closure, then apply it to arg
             clo = fun.clo
             steps += 1

@@ -360,23 +360,79 @@ def test_domain_runs_continue_each_branch_as_a_restart_would_run_it():
 _PAIR_ALPHABET = ["", "0", "1", "00", "01", "10", "11"]
 
 
+def _fields(out):
+    return type(out), tuple(out)
+
+
 @pytest.mark.parametrize("machine, B", [("sd", 10**4), ("total", STRUCTURAL)])
-def test_every_composed_run_of_criterion_8_continues_as_a_fresh_run(monkeypatch, machine, B):
-    # sd continues the composer's underrun; total refuses the composer, and
-    # its fragment fault stands for every payload
-    continue_run = machines.continue_run
-    payloads = []
+def test_every_composed_outcome_of_criterion_8_equals_a_fresh_run(monkeypatch, machine, B):
+    # the composer runs along the trie of the 49 payloads: each node's
+    # outcome, a pair's when it is the pair's payload, is a fresh run's, field
+    # by field.  sd continues the composer's underruns; total refuses the
+    # composer, and its fragment fault stands for every payload
+    composer = progs.pair_composer()
+    run, continue_run = machines.run_machine, machines.continue_run
+    nodes = {}  # payload -> the outcome the chain rule got for it
 
-    def checked_continue_run(out, p):
-        got, fresh = continue_run(out, p), run_machine(machine, p, progs.GUEST_BUDGET)
-        assert (type(got), tuple(got)) == (type(fresh), tuple(fresh)), p.payload
-        payloads.append(p.payload)
-        return got
+    def recorded(out, p):
+        if p.prefix is composer:
+            assert p.payload not in nodes
+            nodes[p.payload] = out
+        return out
 
-    monkeypatch.setattr(machines, "continue_run", checked_continue_run)
-    rep = check_chain_rule(Ensemble(machine, 96, B), list(itertools.product(_PAIR_ALPHABET, repeat=2)))
-    assert len(payloads) == len(set(payloads)) == len(rep["pairs"]) + len(rep["skipped"]) == 49
+    monkeypatch.setattr(machines, "run_machine", lambda machine, p, budget, aux=None: recorded(
+        run(machine, p, budget, aux), p))
+    monkeypatch.setattr(machines, "continue_run", lambda out, p: recorded(continue_run(out, p), p))
+    pairs = list(itertools.product(_PAIR_ALPHABET, repeat=2))
+    ens = Ensemble(machine, 96, B)
+    rep = check_chain_rule(ens, pairs)
+    assert len(rep["pairs"]) + len(rep["skipped"]) == 49
+    for payload, out in nodes.items():
+        assert _fields(out) == _fields(run(machine, Program(composer, payload), progs.GUEST_BUDGET)), payload
+    payloads = set()
+    for x, y in pairs:
+        x_star = complexity_upper(ens, x, include_constructed=True).witness
+        payloads.add(x_star + relative_complexity(ens, y, x_star).witness)
+    assert len(payloads) == 49 and payloads <= set(nodes)
     assert all(row["composed_verified"] == (machine == "sd") for row in rep["pairs"])
+
+
+@pytest.mark.parametrize("machine, B", [("sd", 10**4), ("total", STRUCTURAL)])
+def test_a_chain_report_joins_the_reports_of_its_pairs(machine, B):
+    # sharing the composer's runs changes no row and no skip: at L=40 the
+    # skips of every reason (on total all three) stay in pair order, and a
+    # repeated pair is reported again
+    ens = Ensemble(machine, 40, B)
+    pairs = list(itertools.product(_PAIR_ALPHABET, repeat=2))
+    pairs += pairs[::6]
+    rep = check_chain_rule(ens, pairs)
+    alone = [check_chain_rule(ens, [pair]) for pair in pairs]
+    assert rep["pairs"] == [row for r in alone for row in r["pairs"]]
+    assert rep["skipped"] == [skip for r in alone for skip in r["skipped"]]
+    reasons = {"h(x) not found", "h(y|x*) not found"} | ({"h(x,y) not found"} if machine == "total" else set())
+    assert {skip["reason"] for skip in rep["skipped"]} == reasons
+
+
+def test_chain_starts_the_composer_from_step_0_once_per_command(monkeypatch, capsys):
+    # the runs on every other payload, a repeated pair's included, continue
+    # the one run of the trie's root
+    from omegalab import vm
+    from omegalab.cli import main
+
+    composer = progs.pair_composer()
+    eval_expr = vm.eval_expr
+    starts = []
+
+    def counted_eval_expr(expr, *args):
+        starts.append(expr is composer)
+        return eval_expr(expr, *args)
+
+    monkeypatch.setattr(vm, "eval_expr", counted_eval_expr)
+    for pairs in (":;:1;0:;0:1", ":1;:1;0:1;:1;11:0;0:1"):
+        starts.clear()
+        assert main(["chain", "--machine", "sd", "--pairs", pairs, "--L", "96", "--B", "10000"]) == 0
+        assert starts.count(True) == 1
+    capsys.readouterr()
 
 
 def _full_sweep(machine, L, B, c_cap, evaluable_only=False):
@@ -808,11 +864,12 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
     assert swept == [("sd", 56, 10**4, 4, 1)]
 
 
-def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
+def test_chain_encodes_each_fixed_guest_program_once_for_all_its_candidates(monkeypatch, capsys):
     # the composer is encoded once per chain command and the replay prefix
-    # once per process; each composed candidate is the composer's bits
-    # followed by its payload, as Program(composer, payload) would give
-    from omegalab import sexpr
+    # once per process; each composed candidate, in pair order, is the
+    # composer's bits followed by its payload, as Program(composer, payload)
+    # would give
+    from omegalab import complexity, sexpr
     from omegalab.cli import main
 
     composer, replay = progs.pair_composer(), progs.replay_prefix()
@@ -827,16 +884,15 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "omegalab" and getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, spy)
-    continue_run = machines.continue_run
-    payloads = []  # of the composed candidates, each run as Program(composer, payload)
+    least = complexity._least
+    composed = []  # (size, bits) of each composed candidate
 
-    def recording_continue_run(out, p):
-        if p.prefix is composer:
-            payloads.append(p.payload)
-        return continue_run(out, p)
+    def recording_least(L, cands):
+        composed.extend(c[:2] for c in cands if c[2] == "composed")
+        return least(L, cands)
 
-    monkeypatch.setattr(machines, "continue_run", recording_continue_run)
-    commands = [":;:1;0:;0:1", ":;:1;0:;0:0;00:;00:1"]
+    monkeypatch.setattr(complexity, "_least", recording_least)
+    commands = [":;:1;0:;0:1", ":;:1;0:;0:0;00:;00:1;0:1"]
     for pairs in commands:
         encoded.clear()
         assert main(["chain", "--machine", "sd", "--pairs", pairs, "--L", "96", "--B", "10000",
@@ -845,14 +901,13 @@ def test_chain_encodes_each_fixed_guest_program_once(monkeypatch, capsys):
         assert encoded.count(("print_sexpr", "composer")) == 1  # the print inside to_bits
         assert encoded.count(("to_bits", "replay")) <= (1 if pairs == commands[0] else 0)
     capsys.readouterr()
-    composed = [(Program(composer, payload).size_bits, Program(composer, payload).bits) for payload in payloads]
     ens = Ensemble("sd", 96, 10**4, c_cap=5)
     expected = []
-    for x, y in {tuple(pair.split(":")) for pairs in commands for pair in pairs.split(";")}:
+    for x, y in (pair.split(":") for pairs in commands for pair in pairs.split(";")):
         x_star = complexity_upper(ens, x, include_constructed=True).witness
         p = Program(composer, x_star + relative_complexity(ens, y, x_star).witness)
         expected.append((p.size_bits, p.bits))
-    assert set(composed) == set(expected)
+    assert composed == expected
 
 
 def test_a_constructed_witness_runs_only_when_it_would_be_the_bound(monkeypatch):

@@ -349,7 +349,8 @@ def test_application_corners_follow_the_docstring(text, budget, kind, steps):
 # (program, payload, aux, reason, steps, payload read, aux read): every fault
 # reason eval_expr gives, verbatim, since bench/spans.py classifies by the text.
 # The unbound atoms stand in each operand position: the argument of h, t, a,
-# y, c, e and i, and the function and the argument of an application.
+# y, c, e and i, and the function and the argument of an application, a
+# let's ((l p B) A) among them.
 FAULTS = [
     ("b", "", None, "type: unbound atom 'b'", 0, 0, 0),
     ("(hb)", "", None, "type: unbound atom 'b'", 1, 0, 0),
@@ -359,6 +360,11 @@ FAULTS = [
     ("(c(r)b)", "1", None, "type: unbound atom 'b'", 2, 1, 0),
     ("(e(q0)b)", "", None, "type: unbound atom 'b'", 2, 0, 0),
     ("(ib(q0)(q1))", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(cb(q()))", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("(eb(q0))", "", None, "type: unbound atom 'b'", 1, 0, 0),
+    ("((lx(cxb))(q0))", "", None, "type: unbound atom 'b'", 4, 0, 0),
+    ("((lx(ixbx))(q0))", "", None, "type: unbound atom 'b'", 4, 0, 0),
+    ("((lxx)(hb))", "", None, "type: unbound atom 'b'", 2, 0, 0),
     ("(b(q()))", "", None, "type: unbound atom 'b'", 0, 0, 0),
     ("(bd)", "", None, "type: unbound atom 'b'", 0, 0, 0),
     ("((lx(bx))(q0))", "", None, "type: unbound atom 'b'", 3, 0, 0),
@@ -375,8 +381,12 @@ FAULTS = [
     ("(y)", "", None, "type: y takes 1 argument(s)", 1, 0, 0),
     ("(lqx)", "", None, "type: lambda parameter must be a non-primitive atom", 1, 0, 0),
     ("(l(q0)x)", "", None, "type: lambda parameter must be a non-primitive atom", 1, 0, 0),
+    ("((lqx)(q0))", "", None, "type: lambda parameter must be a non-primitive atom", 1, 0, 0),
+    ("((lx)(q0))", "", None, "type: l takes 2 argument(s)", 1, 0, 0),
     ("(c(r)(r))", "1", None, "payload-underrun", 3, 1, 0),
     ("(s)", "", None, "aux-underrun", 1, 0, 0),
+    ("((lx(cx(q())))(r))", "", None, "payload-underrun", 2, 0, 0),
+    ("((lx(c(s)x))(s))", "", "1", "aux-underrun", 5, 0, 1),
     ("(c(s)(c(s)(q())))", "", "1", "aux-underrun", 4, 0, 1),
     ("(c(q0)(q1))", "", None, "type: cons onto a non-list", 3, 0, 0),
     ("(e(lxx)(q0))", "", None, "type: equality on non-data value", 3, 0, 0),
@@ -430,9 +440,25 @@ def test_reference_agrees_on_drawn_forms_with_lambdas(expr, budget):
     _agree(expr, budget, "0110", "1")
 
 
+@pytest.mark.parametrize("text, payload", [
+    ("((lx(hx))(q(01)))", ""),  # lambda step, argument, application, body
+    ("((lx((lzz)x))(r))", "1"),  # a let in a let's body, its argument an atom
+    ("((lx((lf(fx))(lzz)))(q0))", ""),  # a let's argument a closure, applied in its body
+])
+def test_a_let_ends_as_the_reference_at_every_budget(text, payload):
+    # each budget ends the run at a step of its own: a let's lambda step, its
+    # argument, its application, its body
+    expr = parse(text)
+    full = _agree(expr, 100, payload)
+    assert full[0] == "halted"
+    for budget in range(full[4]):
+        assert _agree(expr, budget, payload)[::4] == ("out_of_budget", budget)
+
+
 # -- cycle check -------------------------------------------------------------
 
 Y_LOOP = parse("((y(lf(lx(fx))))(q0))")
+LET_LOOP = parse("((y(lf(lx((lz(fz))x))))(q0))")  # a let's application each turn
 READING_LOOP = parse("((lv(i(r)(vv)(vv)))(lv(i(r)(vv)(vv))))")  # reads one payload bit a turn
 AUX_LOOP = parse("((lv(i(s)(vv)(vv)))(lv(i(s)(vv)(vv))))")  # and one aux bit
 GROWING = parse("((lv(c(q0)(vv)))(lv(c(q0)(vv))))")  # the stack grows every turn
@@ -442,10 +468,11 @@ GROWING = parse("((lv(c(q0)(vv)))(lv(c(q0)(vv))))")  # the stack grows every tur
     (LOOP, "", None),
     (("c", LOOP, ("q", ())), "", None),  # the loop under a pending cons
     (Y_LOOP, "", None),
+    (LET_LOOP, "", None),
     (READING_LOOP, "01" * 20, None),
     (AUX_LOOP, "", "10" * 20),
     (GROWING, "", None),
-], ids=["loop", "loop-under-cons", "y-loop", "reading-loop", "aux-loop", "growing"])
+], ids=["loop", "loop-under-cons", "y-loop", "let-loop", "reading-loop", "aux-loop", "growing"])
 def test_cycle_check_agrees_with_the_reference(expr, payload, aux):
     for budget in (0, 1, 7, 100, 3000):
         _agree(expr, budget, payload, aux)
@@ -470,10 +497,11 @@ def test_same_call_in_a_new_context_is_no_repeat(text, value):
 
 
 def test_repeating_state_ends_at_once():
-    start = time.perf_counter()
-    out = eval_expr(LOOP, 10**12)
-    assert (out.kind, out.steps, out.payload_consumed, out.aux_consumed) == ("out_of_budget", 10**12, 0, 0)
-    assert time.perf_counter() - start < 1.0
+    for expr in (LOOP, LET_LOOP):
+        start = time.perf_counter()
+        out = eval_expr(expr, 10**12)
+        assert (out.kind, out.steps, out.payload_consumed, out.aux_consumed) == ("out_of_budget", 10**12, 0, 0)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_a_quoted_list_is_one_value_for_the_whole_run():
