@@ -110,12 +110,12 @@ def _exprs_exact(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     return tuple(alphabet) if n == 1 else _fill(n - 2, "*", alphabet)
 
 
-def gen_exprs(max_chars: int, lists_only: bool = True, alphabet: str = ALPHABET) -> List[SExpr]:
-    """Every expression with atoms from alphabet and print length <= max_chars,
-    shortest first; within a length the order is generation order, not sorted."""
+def gen_exprs(max_chars: int) -> List[SExpr]:
+    """Every list expression of print length <= max_chars, shortest first;
+    within a length the order is generation order, not sorted."""
     out: List[SExpr] = []
-    for n in range(2 if lists_only else 1, max_chars + 1):
-        out.extend(_exprs_exact(n, alphabet))
+    for n in range(2, max_chars + 1):
+        out.extend(_exprs_exact(n, ALPHABET))
     return out
 
 

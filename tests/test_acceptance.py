@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from spec import PAIR_ALPHABET
 from omegalab.bits import Dyadic, dyadic_bits, is_prefix_free
 from omegalab.complexity import (
     STRUCTURAL,
@@ -158,17 +159,14 @@ def test_criterion_7_coding_direction():
     return f"max defect {rep['max_defect']}"
 
 
-_PAIR_ALPHABET = ["", "0", "1", "00", "01", "10", "11"]
-
-
 def _criterion8_report(workers: int) -> str:
-    pairs = list(itertools.product(_PAIR_ALPHABET, _PAIR_ALPHABET))
+    pairs = list(itertools.product(PAIR_ALPHABET, PAIR_ALPHABET))
     return emit_json(check_chain_rule(Ensemble("sd", 96, BUDGET, workers=workers), pairs))
 
 
 @criterion(8, "subadditivity direction h(x,y) <= h(x) + h(y|x*) + K for |x|,|y| <= 2")
 def test_criterion_8_chain_rule():
-    pairs = list(itertools.product(_PAIR_ALPHABET, _PAIR_ALPHABET))
+    pairs = list(itertools.product(PAIR_ALPHABET, PAIR_ALPHABET))
     rep = check_chain_rule(Ensemble("sd", 96, BUDGET), pairs)
     assert not rep["skipped"], rep["skipped"]
     assert len(rep["pairs"]) == 49

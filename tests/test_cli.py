@@ -549,22 +549,13 @@ def test_run_structural_budget_on_a_deeply_nested_quote(capsys):
     assert r1 == r2 and r1["result"]["outcome"] == "halted"
 
 
-def test_omega_oracle_sweeps_once_for_any_workers(capsys, monkeypatch):
+def test_omega_oracle_sweeps_once_for_any_workers(capsys, monkeypatch, sweeps):
     from omegalab import complexity, omega
 
-    sweep = complexity._sweep
-    swept = []
-
-    def counting_sweep(*args):
-        swept.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(complexity, "_store", {})
-    monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     monkeypatch.setattr(omega, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     code, out, _ = run_cli(capsys, "omega", "oracle", "--L", "40", "--k", "12", "--workers", "2")
     assert code == 0 and not report(out)["guard_tripped"]
-    assert swept == [("total", 40, "structural", 6, 2)]
+    assert sweeps == [("total", 40, "structural", 6, 2)]
 
 
 _FGH_HELP = """\

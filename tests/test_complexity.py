@@ -4,11 +4,10 @@ import hashlib
 import itertools
 import sys
 import tracemalloc
-from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
+import spec
 from omegalab.bits import Dyadic
 from omegalab.complexity import (
     STRUCTURAL,
@@ -24,22 +23,9 @@ from omegalab.complexity import (
     joint_complexity,
     relative_complexity,
 )
-from omegalab.machines import Program, output_of, run_c2, run_machine, split_program_bits
+from omegalab.machines import Program, output_of, run_machine, split_program_bits
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
 from omegalab import machines, progs
-
-
-def _c2_oracle(L, B):
-    # independent enumeration: raw loop straight over bit strings
-    table = {}
-    for n in range(1, L + 1):
-        for i in range(1 << n):
-            raw = format(i, f"0{n}b")
-            out = run_c2(raw, B)
-            if out.halted:
-                x = "".join(out.value)
-                table.setdefault(x, (n, raw))
-    return table
 
 
 def test_enumerate_c2_hand_case():
@@ -52,75 +38,6 @@ def test_enumerate_empty_limits():
     assert enumerate_halting(Ensemble("c2", 0, 0)) == []
     assert enumerate_halting(Ensemble("sd", 15, 100)) == []  # the shortest prefix () is 16 bits
     assert enumerate_halting(Ensemble("total", 0, STRUCTURAL)) == []
-
-
-def test_enumerate_matches_c2_oracle():
-    # L=17 reaches the first leading-1 program, 1 + bits("()"); at B=0 no
-    # leading-0 program halts, so it is the only record
-    for L, B in ((9, 100), (17, 0)):
-        mine = {}
-        for r in enumerate_halting(Ensemble("c2", L, B)):
-            mine.setdefault(r.output, (r.size_bits, r.program_bits))
-        assert mine == _c2_oracle(L, B)
-    assert [(r.program_bits, r.output, r.steps) for r in enumerate_halting(Ensemble("c2", 17, 0))] == [
-        ("1" + to_bits(parse("()")), "", 0)]
-
-
-@lru_cache(maxsize=None)
-def _c2_raw_scan(L, B):
-    # a run of every raw string of 1..L bits, the halting ones as record tuples in (length, lex) order
-    raw_scan = []
-    for n in range(1, L + 1):
-        for i in range(1 << n):
-            raw = format(i, f"0{n}b")
-            out = run_c2(raw, B)
-            if out.halted:
-                raw_scan.append((raw, "".join(out.value), None, out.steps, n, ""))
-    return tuple(raw_scan)
-
-
-_C2_GRID = [(0, 0), (1, 0), (1, 1), (9, 100), (14, 1), (17, 0), (17, 1), (17, 100)]
-
-
-@pytest.mark.parametrize("L, B", _C2_GRID)
-def test_c2_records_equal_the_raw_scan(L, B):
-    # every record, in order, against a run of every raw string of 1..L bits
-    assert tuple((r.program_bits, r.output, r.pair, r.steps, r.size_bits, r.aux_read)
-                 for r in enumerate_halting(Ensemble("c2", L, B))) == _c2_raw_scan(L, B)
-
-
-@pytest.mark.parametrize("L, B", _C2_GRID)
-def test_c2_table_equals_a_fold_of_the_raw_scan(L, B):
-    # the leading-0 family is folded in closed form; the table must be the
-    # record-by-record fold of every halting raw string
-    entries = {}
-    for raw, x, _, _, n, _ in _c2_raw_scan(L, B):  # (length, lex) order: the first hit is the witness
-        h, witness, count = entries.get(x, (n, raw, 0))
-        entries[x] = (h, witness, count + (n == h))
-    table = build_table.__wrapped__(Ensemble("c2", L, B))
-    assert {x: (e.h_upper, e.witness, e.minimal_count) for x, e in table.entries.items()} == entries
-    assert all(e.output == x and e.prob is None for x, e in table.entries.items())
-    assert table.pair_entries == {}
-    assert table.mass == table.conv_fail_mass == Dyadic.zero()
-    assert (table.contributing, table.exhaustive_limit) == (len(_c2_raw_scan(L, B)), L)
-
-
-def test_table_fold_is_order_free(monkeypatch):
-    # c2's entries by rule meet its run records out of (length, lex) order, so
-    # the fold may not rely on it.  Each record gets a twin of its size and
-    # output, so ties are folded too; reversed, the records give the same table.
-    from omegalab import complexity
-
-    ens = Ensemble("sd", 56, 10**4)
-    records = complexity.explicit_records(ens)
-    twins = [r._replace(program_bits=r.program_bits[:-1] + "10"[int(r.program_bits[-1])]) for r in records]
-    records = sorted(records + twins, key=complexity._order)
-    tables = []
-    for order in (records, records[::-1]):
-        monkeypatch.setattr(complexity, "explicit_records", lambda ens, order=order: order)
-        tables.append(build_table.__wrapped__(ens))
-    assert tables[0] == tables[1]
-    assert [e.minimal_count for e in tables[0].entries.values()] == [2] * len(tables[0].entries)
 
 
 def test_c2_table_answers_its_leading_0_family_by_rule():
@@ -204,15 +121,15 @@ def test_c2_bound_is_exact_only_where_the_leading_0_program_runs():
 @pytest.mark.parametrize("B", [0, 1, 100])
 def test_c2_bound_is_exact_where_0x_fits(B):
     # exact iff the one-step program 0x runs within B and fits in L, and then
-    # 0x is the bound, as the raw scan finds it
+    # 0x is the bound, as the spec's scan of every raw string finds it
     for L in range(7):
-        scan, found = _c2_oracle(L, B), 0
+        scan, found = dict(spec.fold(spec.c2_records(L, B), "c2")[0]), 0
         for x in (x for n in range(6) for x in map("".join, itertools.product("01", repeat=n))):
             res = complexity_upper(Ensemble("c2", L, B), x)
             if res.found:
                 found += 1
                 assert res.exact == (B >= 1 and len(x) < L), (L, x)
-                assert (res.h_upper, res.witness) == scan[x]
+                assert (res.h_upper, res.witness) == scan[x][:2]
         assert found == (2**L - 1 if B else 0)
 
 
@@ -270,36 +187,25 @@ def test_c2_max_complexity_small():
 
 def test_total_alphabet_generates_exactly_the_l_y_free_prefixes():
     # total is sd restricted to the prefixes without the atoms l and y
-    from omegalab.complexity import gen_exprs
-    from omegalab.sexpr import ALPHABET
     from omegalab.vm import contains_general_only_prims
 
     for n in range(1, 6):
-        total = gen_exprs(n, alphabet=ALPHABET.replace("l", "").replace("y", ""))
-        filtered = [p for p in gen_exprs(n) if not contains_general_only_prims(p)]
+        total = spec.trees(n, spec.TOTAL_ALPHABET)
+        filtered = [p for p in spec.trees(n) if not contains_general_only_prims(p)]
         assert len(total) == len(set(total)) == len(filtered)
         assert set(total) == set(filtered)
 
 
-_TOTAL_ALPHABET = ALPHABET.replace("l", "").replace("y", "")
+def test_evaluable_prefixes_are_pinned_to_6_characters():
+    # the sweep runs only the evaluable lists; test_spec shows by the reference
+    # evaluator that no other tree of up to 5 characters halts within 47 bits
+    from omegalab.complexity import _evaluable, _exprs_exact
 
-
-def test_pruned_prefixes_never_halt():
-    # the sweep runs only the evaluable lists; every other prefix faults or
-    # runs out of budget under every payload and aux
-    from omegalab.complexity import _evaluable, _exprs_exact, domain_runs
-
-    for alphabet, B, counts in ((ALPHABET, 10**4, [1, 2, 28, 481, 54]),
-                                (_TOTAL_ALPHABET, STRUCTURAL, [1, 2, 26, 4, 32])):
+    for alphabet, counts in ((ALPHABET, [1, 2, 28, 481, 54]), (spec.TOTAL_ALPHABET, [1, 2, 26, 4, 32])):
         for n, count in zip(range(2, 7), counts):
             kept = _evaluable(n, alphabet)
             assert len(kept) == len(set(kept)) == count, (alphabet, n)
             assert set(kept) <= set(_exprs_exact(n, alphabet)), (alphabet, n)
-        for n in range(2, 6):
-            kept = set(_evaluable(n, alphabet))
-            for prefix in _exprs_exact(n, alphabet):
-                if prefix not in kept:
-                    assert not domain_runs(prefix, 47 - 8 * n, B), (alphabet, prefix)
 
 
 def test_if_forms_with_neither_branch_evaluable_never_halt():
@@ -309,7 +215,7 @@ def test_if_forms_with_neither_branch_evaluable_never_halt():
     # payload and aux
     from omegalab.complexity import _fill, _runnable, domain_runs
 
-    for alphabet, B in ((ALPHABET, 10**4), (_TOTAL_ALPHABET, STRUCTURAL)):
+    for alphabet, B in ((ALPHABET, 10**4), (spec.TOTAL_ALPHABET, STRUCTURAL)):
         for n, count in ((6, 0), (7, len(alphabet) ** 2), (8, 2 * len(alphabet) ** 2)):
             kept = set(_runnable(n, alphabet))
             dropped = [("i",) + items for items in _fill(n - 3, "vxx", alphabet)
@@ -345,7 +251,7 @@ def test_domain_runs_continue_each_branch_as_a_restart_would_run_it():
         return sorted((payload, aux, type(out), tuple(out)) for payload, aux, out in runs)
 
     found = 0
-    for alphabet, budgets in ((ALPHABET, (1, 3, 10**4)), (_TOTAL_ALPHABET, (1, 3, 10**4, STRUCTURAL))):
+    for alphabet, budgets in ((ALPHABET, (1, 3, 10**4)), (spec.TOTAL_ALPHABET, (1, 3, 10**4, STRUCTURAL))):
         prefixes = [p for n in range(2, 7) for p in _runnable(n, alphabet)]
         assert len(prefixes) == (16 if alphabet == ALPHABET else 12)
         for prefix in prefixes:
@@ -355,9 +261,6 @@ def test_domain_runs_continue_each_branch_as_a_restart_would_run_it():
                 assert runs == fields(_restarted_domain_runs(prefix, max_payload, B)), (prefix, B)
                 found += len(runs)
     assert found == 62  # halting runs, over every prefix and budget
-
-
-_PAIR_ALPHABET = ["", "0", "1", "00", "01", "10", "11"]
 
 
 def _fields(out):
@@ -383,7 +286,7 @@ def test_every_composed_outcome_of_criterion_8_equals_a_fresh_run(monkeypatch, m
     monkeypatch.setattr(machines, "run_machine", lambda machine, p, budget, aux=None: recorded(
         run(machine, p, budget, aux), p))
     monkeypatch.setattr(machines, "continue_run", lambda out, p: recorded(continue_run(out, p), p))
-    pairs = list(itertools.product(_PAIR_ALPHABET, repeat=2))
+    pairs = list(itertools.product(spec.PAIR_ALPHABET, repeat=2))
     ens = Ensemble(machine, 96, B)
     rep = check_chain_rule(ens, pairs)
     assert len(rep["pairs"]) + len(rep["skipped"]) == 49
@@ -403,7 +306,7 @@ def test_a_chain_report_joins_the_reports_of_its_pairs(machine, B):
     # skips of every reason (on total all three) stay in pair order, and a
     # repeated pair is reported again
     ens = Ensemble(machine, 40, B)
-    pairs = list(itertools.product(_PAIR_ALPHABET, repeat=2))
+    pairs = list(itertools.product(spec.PAIR_ALPHABET, repeat=2))
     pairs += pairs[::6]
     rep = check_chain_rule(ens, pairs)
     alone = [check_chain_rule(ens, [pair]) for pair in pairs]
@@ -435,54 +338,6 @@ def test_chain_starts_the_composer_from_step_0_once_per_command(monkeypatch, cap
     capsys.readouterr()
 
 
-def _full_sweep(machine, L, B, c_cap, evaluable_only=False):
-    # independent sweep: every prefix of the machine's alphabet run, payload
-    # and aux each extended one bit per underrun; evaluable_only runs only the
-    # evaluable ones, constants included, where every prefix would be too many
-    from omegalab import vm
-    from omegalab.complexity import HaltRecord, _evaluable, gen_exprs
-    from omegalab.machines import pair_output_of, structural_budget
-
-    alphabet = ALPHABET if machine == "sd" else _TOTAL_ALPHABET
-    cap = min(c_cap, L // 8)
-    prefixes = ([e for n in range(2, cap + 1) for e in _evaluable(n, alphabet)] if evaluable_only
-                else gen_exprs(cap, alphabet=alphabet))
-    records = []
-    for prefix in prefixes:
-        pre = to_bits(prefix)
-        budget = structural_budget(prefix) if B == STRUCTURAL else B
-        pending = [("", "")]
-        while pending:
-            payload, aux = pending.pop()
-            out = vm.eval_expr(prefix, budget, payload, aux)
-            if out.halted and out.payload_consumed == len(payload):
-                bits = pre + payload
-                records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps,
-                                          len(bits), aux))
-            elif out.reason == "payload-underrun" and len(pre + payload) < L:
-                pending += [(payload + "1", aux), (payload + "0", aux)]
-            elif out.reason == "aux-underrun":
-                pending += [(payload, aux + "1"), (payload, aux + "0")]
-    return sorted(records, key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
-
-
-def _swept(machine, L, B, c_cap, workers=1):
-    # a sweep's explicit records with its counted constants listed
-    from omegalab.complexity import _sweep, _with_counted
-
-    return _with_counted(_sweep(machine, L, B, c_cap, workers), Ensemble(machine, L, B, c_cap))
-
-
-def test_class_sweep_equals_a_full_sweep():
-    for machine, B in itertools.product(("sd", "total"), (0, 1, 3, 10**4)):
-        assert _swept(machine, 47, B, 5) == _full_sweep(machine, 47, B, 5), (machine, B)
-    assert _swept("total", 47, STRUCTURAL, 5) == _full_sweep("total", 47, STRUCTURAL, 5)
-    full = _full_sweep("sd", 47, 10**4, 5)
-    # aux readers and members other than the canonical one are covered
-    assert any(r.aux_read for r in full) and to_bits(parse("(qz)")) in [r.program_bits for r in full]
-    assert _swept("sd", 47, 10**4, 5, 4) == full
-
-
 def test_counted_records_equal_the_generated_constants():
     from omegalab import vm
     from omegalab.complexity import (_CONSTANTS, _SLOTS, _count, _counted_records, _exprs_exact, _fill, _forms,
@@ -496,7 +351,7 @@ def test_counted_records_equal_the_generated_constants():
         assert sorted(r.program_bits for r in _split_constants(n, ALPHABET) if r.count == 1) == sorted(
             to_bits(("q", out.value)) for out in values
             if output_of(out) is not None or pair_output_of(out) is not None), n
-    for alphabet in (ALPHABET, _TOTAL_ALPHABET):
+    for alphabet in (ALPHABET, spec.TOTAL_ALPHABET):
         # the counting reading of the grammar agrees with the listing one
         for n in range(1, 6):
             assert _count(n, "x", alphabet) == len(_exprs_exact(n, alphabet)), (alphabet, n)
@@ -524,7 +379,7 @@ def test_counted_records_equal_the_generated_constants():
     (ALPHABET, [1, 2, 0, 4, 9, 118, 2048, 1635, 13898],
      ["4b4469173a97925727686580f13c638d116640a56c76e33ad6f51122244f5f53",
       "9ce6bf889f7b67a3808c84bfbcdbc3a22febf548cb004bbe0bedb8a7aaa9c837"]),
-    (_TOTAL_ALPHABET, [1, 2, 0, 3, 6, 80, 72, 417, 5461],
+    (spec.TOTAL_ALPHABET, [1, 2, 0, 3, 6, 80, 72, 417, 5461],
      ["7871d11d2caee612142fcac09a1a93417a06134cfa32f57a80e9b6fd1c096644",
       "767f3cdb6a2f9323870f22d9d770f02f31ef5ee5939ffc1c8e8eef94a7c51a3f"]),
 ], ids=["sd", "total"])
@@ -533,52 +388,29 @@ def test_runnable_prefixes_are_frozen_to_10_characters(alphabet, counts, digests
     # the runnable prefixes of 2..10 characters, and the sorted prints of those
     # of 9 and 10, past the 8 characters the sweep tests run
     from omegalab.complexity import _runnable
-    from omegalab.sexpr import print_sexpr
 
     assert [len(_runnable(n, alphabet)) for n in range(2, 11)] == counts
     assert [hashlib.sha256("\n".join(sorted(map(print_sexpr, _runnable(n, alphabet)))).encode()).hexdigest()
             for n in (9, 10)] == digests
 
 
-def _fraction_fold(records):
-    # a table folded record by record in Fractions: per output (and per pair)
-    # the least size, its lex-least program, how many programs have it, and
-    # the probability; records come in (size, program bits) order
-    entries, pair_entries = {}, {}
-    mass = conv_fail_mass = Fraction(0)
-    for r in records:
-        w = Fraction(1, 2 ** r.size_bits)
-        mass += w
-        key, table = (r.output, entries) if r.output is not None else (r.pair, pair_entries)
-        if key is None:
-            conv_fail_mass += w
-            continue
-        h, witness, count, prob = table.get(key, (r.size_bits, r.program_bits, 0, 0))
-        table[key] = (h, witness, count + (r.size_bits == h), prob + w)
-    return entries, pair_entries, mass, conv_fail_mass, len(records)
-
-
 @pytest.mark.parametrize("machine, B", [("sd", 10**4), ("sd", 1), ("total", STRUCTURAL), ("total", 0)])
 def test_table_equals_a_fraction_fold_of_a_materialized_sweep(machine, B):
-    # at c_cap 7 every evaluable prefix is run, the constants too; the table,
-    # which folds the counted constants by count in integers, must equal a
-    # Fraction fold of those runs, every field
-    ens = Ensemble(machine, 63, B, 7)
-    full = _full_sweep(machine, 63, B, 7, evaluable_only=True)
-    assert _swept(machine, 63, B, 7) == full
-    aux_free = [r for r in full if r.aux_read == ""]
-    assert enumerate_halting(ens) == aux_free
+    # at c_cap 7 every tree is too many (test_spec runs them all up to 5
+    # characters), so the spec runs the evaluable ones, constants included.
+    # The table, which folds the counted constants by count in integers, must
+    # equal the spec's Fraction fold of those runs, every field.  No tree up
+    # to 7 characters reads two aux bits: (c(s)(s)) has 8, so three auxes
+    # cover every record
+    from omegalab.complexity import _evaluable
+
+    ens, alphabet = Ensemble(machine, 63, B, 7), ALPHABET if machine == "sd" else spec.TOTAL_ALPHABET
+    found = spec.records([e for n in range(2, 8) for e in _evaluable(n, alphabet)], 63, B)
+    assert {r[5] for r in found} <= {"", "0", "1"}
+    for aux in (None, "0", "1"):
+        assert [tuple(r) for r in enumerate_halting(ens, aux)] == spec.under(found, aux), aux
     table = build_table.__wrapped__(ens)
-
-    def exact(d):
-        return Fraction(d.num, 2 ** d.exp)
-
-    def fold(entry_map):
-        assert all(e.output == key for key, e in entry_map.items())
-        return {key: (e.h_upper, e.witness, e.minimal_count, exact(e.prob)) for key, e in entry_map.items()}
-
-    assert (fold(table.entries), fold(table.pair_entries), exact(table.mass), exact(table.conv_fail_mass),
-            table.contributing) == _fraction_fold(aux_free)
+    assert spec.table_view(table) == spec.fold(spec.under(found, None), machine)
     assert table.exhaustive_limit == 63
     assert table.conv_fail_mass < table.mass <= Dyadic.one()
 
@@ -661,7 +493,7 @@ def test_check_coding_sd():
 
 def test_check_chain_rule_small():
     rep = check_chain_rule(Ensemble("sd", 56, 10**4, c_cap=4), [("", ""), ("0", "1")])
-    assert rep["K"] == 8 * len("".join(c for c in _composer_text()))
+    assert rep["K"] == 8 * len(print_sexpr(progs.pair_composer()))
     assert not rep["skipped"]
     for row in rep["pairs"]:
         assert row["composed_verified"]
@@ -680,29 +512,17 @@ def test_check_chain_rule_takes_h_x_from_quote_witness():
         assert row["h_xy"] <= row["h_x"] + row["h_y_given_xstar"] + rep["K"], row
 
 
-def _composer_text():
-    from omegalab.sexpr import print_sexpr
-
-    return print_sexpr(progs.pair_composer())
-
-
 def test_subadditivity_via_plain_composer():
     # h(x,y) <= h(x) + h(y) + K2: witnesses concatenate behind the fixed prefix
     table = build_table(Ensemble("sd", 56, 10**4))
     comp = progs.pair_composer()
-    K2 = 8 * len(_print(comp))
+    K2 = 8 * len(print_sexpr(comp))
     for x, y in [("", "0"), ("1", "1"), ("0", "1")]:
         wx = table.entries[x].witness
         wy = table.entries[y].witness
         composed = Program(comp, wx + wy)
         assert progs.verify_pair("sd", composed, x, y)
         assert composed.size_bits == len(wx) + len(wy) + K2
-
-
-def _print(e):
-    from omegalab.sexpr import print_sexpr
-
-    return print_sexpr(e)
 
 
 def test_table_determinism_and_workers():
@@ -713,29 +533,18 @@ def test_table_determinism_and_workers():
     assert t1.conv_fail_mass == t4.conv_fail_mass
 
 
-def test_one_ensemble_is_one_memo_entry(monkeypatch):
+def test_one_ensemble_is_one_memo_entry(sweeps):
     # however its defaults are written, one ensemble is one table; workers
     # stays in the memo and store keys, so a workers=4 report is never served
     # from a workers=1 table (criterion 12's sweeps, at c_cap <= 6, are too
     # small to fork a pool: test_parallel_sweep_equals_the_serial_one forks one)
-    from omegalab import complexity
-
-    sweep = complexity._sweep
-    swept = []
-
-    def counting_sweep(*args):
-        swept.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(complexity, "_store", {})
-    monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     build_table.cache_clear()
     t = build_table(Ensemble("total", 32, STRUCTURAL))
     assert build_table(Ensemble("total", 32, STRUCTURAL, c_cap=6, workers=1)) is t
     assert build_table.cache_info().misses == 1
     t4 = build_table(Ensemble("total", 32, STRUCTURAL, workers=4))
     assert t4 is not t and build_table.cache_info().misses == 2
-    assert swept == [("total", 32, STRUCTURAL, 6, 1), ("total", 32, STRUCTURAL, 6, 4)]
+    assert sweeps == [("total", 32, STRUCTURAL, 6, 1), ("total", 32, STRUCTURAL, 6, 4)]
 
 
 @pytest.mark.parametrize("machine, B, count", [("sd", 10**4, 1847), ("total", STRUCTURAL, 764)])
@@ -761,29 +570,6 @@ def test_parallel_sweep_equals_the_serial_one(monkeypatch, machine, B, count):
     serial, parallel = (enumerate_halting(Ensemble(machine, 63, B, 7, workers)) for workers in (1, 2))
     assert len(serial) == count and parallel == serial and forked == ["fork"]
     assert tables[0]._replace(ens=None) == tables[1]._replace(ens=None)
-
-
-def _aux_loaded_sweep(L, B, c_cap, aux):
-    # independent relative sweep on sd: every prefix run with the whole aux
-    # loaded, its payload extended one bit per underrun
-    from omegalab import vm
-    from omegalab.complexity import HaltRecord, gen_exprs
-    from omegalab.machines import pair_output_of
-
-    records = []
-    for prefix in gen_exprs(min(c_cap, L // 8)):
-        pre = to_bits(prefix)
-        pending = [""]
-        while pending:
-            payload = pending.pop()
-            out = vm.eval_expr(prefix, B, payload, aux)
-            if out.halted:
-                bits = pre + payload
-                records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps,
-                                          len(bits), aux[:out.aux_consumed]))
-            elif out.reason == "payload-underrun" and len(pre + payload) < L:
-                pending += [payload + "1", payload + "0"]
-    return sorted(records, key=lambda r: (r.size_bits, r.program_bits))
 
 
 def test_store_projection_equals_direct_sweep(monkeypatch):
@@ -820,8 +606,8 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     assert one_step == direct("total", 56, 1, 6)
     assert len(one_step) < len(enumerate_halting(Ensemble("total", 56, STRUCTURAL)))
     for L, B in ((32, 0), (40, 100)):
-        assert (enumerate_halting(Ensemble("sd", L, B, c_cap=3), aux=y_star)
-                == _aux_loaded_sweep(L, B, 3, y_star)), (L, B)
+        got = enumerate_halting(Ensemble("sd", L, B, c_cap=3), aux=y_star)
+        assert [tuple(r) for r in got] == spec.halting("sd", L, B, 3, y_star), (L, B)  # y_star loaded whole
     assert len(swept) == 5
     # a projection is a fresh list the caller may change
     enumerate_halting(Ensemble("sd", 40, 10**4)).clear()
@@ -842,18 +628,9 @@ def test_aux_readers_are_found_on_demand():
         assert s_bits not in [r.program_bits for r in swept]
 
 
-def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
+def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch, sweeps):
     from omegalab import complexity
 
-    sweep = complexity._sweep
-    swept = []
-
-    def counting_sweep(*args):
-        swept.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(complexity, "_store", {})
-    monkeypatch.setattr(complexity, "_sweep", counting_sweep)
     monkeypatch.setattr(complexity, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
     pairs = [("", ""), ("0", "1"), ("1", "0"), ("00", "1")]
     rep = check_chain_rule(Ensemble("sd", 56, 10**4, c_cap=4), pairs)
@@ -861,7 +638,7 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch):
     x_stars = {complexity_upper(Ensemble("sd", 56, 10**4, c_cap=4), x, include_constructed=True).witness
                for x, _ in pairs}
     assert len(x_stars) >= 3
-    assert swept == [("sd", 56, 10**4, 4, 1)]
+    assert sweeps == [("sd", 56, 10**4, 4, 1)]
 
 
 def test_chain_encodes_each_fixed_guest_program_once_for_all_its_candidates(monkeypatch, capsys):

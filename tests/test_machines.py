@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from omegalab.complexity import (Ensemble, algorithmic_probability, check_chain_rule, check_coding, gen_exprs,
-                                 joint_complexity, relative_complexity, scan_domain)
+import spec
+from omegalab.complexity import (Ensemble, algorithmic_probability, check_chain_rule, check_coding, joint_complexity,
+                                 relative_complexity, scan_domain)
 from omegalab.bits import is_prefix_free
 from omegalab.machines import (
     STRUCTURAL,
@@ -91,7 +92,7 @@ def test_structural_budget_is_the_subexpression_count():
     def count(e):
         return 1 if isinstance(e, str) else 1 + sum(count(x) for x in e)
 
-    for e in gen_exprs(5, lists_only=False):
+    for e in spec.trees(5, atoms=True):
         assert structural_budget(e) == count(e)
     deep = parse("(q" + "(" * 900 + ")" * 900 + ")")  # past the host recursion limit as a recursive count
     assert structural_budget(deep) == 902
@@ -134,38 +135,7 @@ def test_value_conversions():
     assert pair_output_of(_halted(("0", "1", "1"))) is None
 
 
-# -- the output convention against an exception-based reference conversion
-
-
-class _ConversionError(ValueError):
-    pass
-
-
-def _ref_bitstring(v):
-    if not isinstance(v, tuple):
-        raise _ConversionError("value is not a list")
-    for x in v:
-        if x not in ("0", "1"):
-            raise _ConversionError("value is not a flat list of bit atoms")
-    return "".join(v)
-
-
-def _ref_output(v):
-    if v in ("0", "1"):
-        return v
-    try:
-        return _ref_bitstring(v)
-    except _ConversionError:
-        return None
-
-
-def _ref_pair(v):
-    try:
-        if not isinstance(v, tuple) or len(v) != 2:
-            raise _ConversionError("value is not a two-item list")
-        return _ref_bitstring(v[0]), _ref_bitstring(v[1])
-    except _ConversionError:
-        return None
+# -- the output conventions against the spec
 
 
 def _list_of(items):
@@ -187,19 +157,18 @@ _VALUE_EXPRS = st.recursive(
 @settings(max_examples=300)
 @given(_VALUE_EXPRS)
 @example(_list_of([_list_of([("q", "0"), ("q", "1")]), _list_of([])]))  # a pair output
-def test_conversion_matches_the_exception_based_reference(expr):
+def test_conversion_matches_the_spec(expr):
     out = eval_expr(expr, 10**4)
     assert out.halted
     v = out.value
-    assert output_of(out) == _ref_output(v)
-    assert pair_output_of(out) == _ref_pair(v)
+    assert output_of(out) == spec.output(v)
+    assert pair_output_of(out) == spec.pair(v)
     c2 = run_c2("1" + to_bits(expr), 10**4)
-    try:
-        expect = _ref_bitstring(v)
-    except _ConversionError as exc:
-        assert c2 == RunOutcome(FAULTED, steps=out.steps, reason=f"conversion: {exc}")
+    if spec.bits_of(v) is None:  # c2 names what the value is not
+        why = "a flat list of bit atoms" if isinstance(v, tuple) else "a list"
+        assert c2 == RunOutcome(FAULTED, steps=out.steps, reason=f"conversion: value is not {why}")
     else:
-        assert c2 == RunOutcome(HALTED, value=tuple(expect), steps=out.steps)
+        assert c2 == RunOutcome(HALTED, value=tuple(spec.bits_of(v)), steps=out.steps)
 
 
 def _raw_domain_scan(machine: str, max_len: int, budget: int):

@@ -3,7 +3,7 @@
 import pytest
 
 from omegalab.bits import Dyadic, dyadic_bits
-from omegalab.complexity import STRUCTURAL, Ensemble
+from omegalab.complexity import STRUCTURAL, Ensemble, enumerate_halting, explicit_records
 from omegalab.omega import (
     OracleResult,
     borel_normality,
@@ -12,7 +12,6 @@ from omegalab.omega import (
     omega_lower_bound,
     oracle_halting_from_omega,
 )
-from omegalab.sexpr import ALPHABET
 
 
 def test_lower_bound_examples():
@@ -127,13 +126,11 @@ def test_oracle_equals_a_member_by_member_dovetail(c_cap):
     # under guards that trip early and late: all five fields agree
     import random
 
-    from omegalab.complexity import _counted_records, enumerate_halting
-
     L = 8 * c_cap + 7
     ens = Ensemble("total", L, STRUCTURAL, c_cap)
     records = sorted(enumerate_halting(ens), key=lambda r: (r.steps, r.size_bits, r.program_bits))
-    alphabet = ALPHABET.replace("l", "").replace("y", "")
-    counted = {r.program_bits for n in range(4, c_cap + 1) for r in _counted_records(n, alphabet)}
+    # the members of counted records: each one's own program and the members listed beside it
+    counted = {r.program_bits for r in records} - {r.program_bits for r in explicit_records(ens) if r.count == 1}
     value = omega_exact_capped(L).mass
     rng = random.Random(c_cap)
     stops = {"tripped": 0, "counted": 0}

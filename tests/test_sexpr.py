@@ -1,10 +1,9 @@
 """Expression parsing, printing, and the self-delimiting bit codec."""
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
+import spec
 from omegalab.bits import is_prefix_free
 from omegalab.sexpr import (
     ALPHABET,
@@ -102,22 +101,8 @@ def test_self_delimiting_with_any_suffix(e, suffix):
     assert consumed == 8 * len(print_sexpr(e))
 
 
-def _all_list_exprs_upto(chars: int):
-    # independent generator: enumerate character strings and keep the parseable lists
-    symbols = ALPHABET + "()"
-    for n in range(1, chars + 1):
-        for combo in itertools.product(symbols, repeat=n):
-            text = "".join(combo)
-            try:
-                e = parse(text)
-            except SExprParseError:
-                continue
-            if isinstance(e, tuple):
-                yield e
-
-
 def test_encoding_prefix_free_exhaustive_small():
-    codes = [to_bits(e) for e in _all_list_exprs_upto(4)]
+    codes = [to_bits(e) for e in spec.trees(4)]
     assert len(codes) == len(set(codes))
     ok, witness = is_prefix_free(codes)
     assert ok, witness

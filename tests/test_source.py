@@ -223,3 +223,39 @@ def test_cli_reads_argparse_through_its_public_names_only():
     found = [f"cli.py:{node.lineno} {node.attr}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in private]
     assert not found, found
+
+
+def _private_complexity_names(path):
+    """The private omegalab.complexity names a module reads: imported from it,
+    read as its attribute, or named to monkeypatch.setattr on it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "omegalab.complexity":
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "complexity":
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and node.args and getattr(node.args[0], "id", None) == "complexity":
+            names |= {arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_tests_name_only_the_pinned_sweep_internals():
+    # the internals a test reads must move with the code that replaces them;
+    # a test rewritten against tests/spec.py takes its names off this set in
+    # the same change
+    read = set().union(*map(_private_complexity_names, Path(__file__).parent.glob("*.py")))
+    assert read == {"_ALPHABETS", "_C2Entries", "_CONSTANTS", "_SLOTS", "_count", "_counted_records", "_evaluable",
+                    "_exprs_exact", "_fill", "_forms", "_least", "_runnable", "_split_constants",
+                    "_store", "_sweep", "_with_counted"}, sorted(read)
+
+
+def test_the_spec_names_no_sweep_internal():
+    # a fault in the evaluator, the machines or the sweep has nothing in the
+    # spec to share: it names no complexity internal, and from omegalab it
+    # imports only sexpr and bits
+    path = Path(__file__).parent / "spec.py"
+    assert _private_complexity_names(path) == set()
+    spec = ast.parse(path.read_text())
+    imported = {alias.name for node in ast.walk(spec) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(spec) if isinstance(node, ast.ImportFrom)}
+    assert {name for name in imported if name.split(".")[0] == "omegalab"} == {"omegalab.bits", "omegalab.sexpr"}

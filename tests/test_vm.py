@@ -1,18 +1,18 @@
 """Evaluator semantics: primitives, budgets, faults, the total fragment, and
-the cycle check, against a plain recursive reference evaluator."""
+the cycle check, against the spec's plain recursive reference evaluator."""
 
 import re
-import sys
+import signal
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegalab.complexity import gen_exprs
+import spec
 from omegalab.machines import Program, run_total, structural_budget
 from omegalab.progs import LOOP
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
-from omegalab.vm import FAULTED, Closure, Rec, Underrun, eval_expr, resume
+from omegalab.vm import FAULTED, Underrun, eval_expr, resume
 
 
 def run(text, budget=100, payload="", aux=None):
@@ -132,7 +132,7 @@ def test_budget_monotonicity_on_samples():
 def test_total_fragment_structural_budget_exhaustive():
     # every l/y-free expression of print length <= 6 settles within one step
     # per subexpression (never out of budget)
-    for e in gen_exprs(6, lists_only=False, alphabet=ALPHABET.replace("l", "").replace("y", "")):
+    for e in spec.trees(6, spec.TOTAL_ALPHABET, atoms=True):
         bound = structural_budget(e)
         out = eval_expr(e, bound, "0" * 8, "0" * 8)
         assert out.kind != "out_of_budget", print_sexpr(e)
@@ -161,144 +161,22 @@ def test_total_fragment_budget_randomized_larger(seed):
 
 
 # -- reference evaluator ---------------------------------------------------
-# A plain recursive reading of the semantics in vm.py's docstring, with no
-# cycle check.  eval_expr must agree with it on every outcome.
-
-_REF_ARITY = {"q": 1, "i": 3, "e": 2, "a": 1, "c": 2, "h": 1, "t": 1, "l": 2, "r": 0, "s": 0, "y": 1}
-
-
-class _Stop(Exception):
-    def __init__(self, kind, fault_class=None):
-        super().__init__(kind)
-        self.kind, self.fault_class = kind, fault_class
-
-
-class _Closure:
-    def __init__(self, param, body, env):
-        self.param, self.body, self.env = param, body, env
-
-
-class _Wrapper:  # what (y f) makes
-    def __init__(self, clo):
-        self.clo = clo
-
-
-def reference_eval(expr, budget, payload="", aux=None):
-    """(kind, value, payload consumed, aux consumed, steps, fault class)."""
-    state = {"steps": 0, "p": 0, "a": 0}
-
-    def charge():
-        if state["steps"] == budget:
-            raise _Stop("out_of_budget")
-        state["steps"] += 1
-
-    def fault(cls="type"):
-        raise _Stop("faulted", cls)
-
-    def data(x):
-        if isinstance(x, (_Closure, _Wrapper)):
-            fault()
-        return x
-
-    def nonempty_list(x):
-        if not isinstance(x, tuple) or not x:
-            fault()
-        return x
-
-    def read(bits, pos, cls):
-        if bits is None or state[pos] >= len(bits):
-            fault(cls)
-        state[pos] += 1
-        return bits[state[pos] - 1]
-
-    def ev(x, env):
-        if isinstance(x, str):
-            if x not in env:
-                fault()
-            return env[x]
-        if x == ():
-            return x
-        head, args = x[0], x[1:]
-        if isinstance(head, str) and head in _REF_ARITY:
-            charge()
-            if len(args) != _REF_ARITY[head]:
-                fault()
-            if head == "q":
-                return args[0]
-            if head == "i":
-                return ev(args[2] if ev(args[0], env) == () else args[1], env)
-            if head == "l":
-                if not isinstance(args[0], str) or args[0] in _REF_ARITY:
-                    fault()
-                return _Closure(args[0], args[1], env)
-            if head == "r":
-                return read(payload, "p", "payload-underrun")
-            if head == "s":
-                return read(aux, "a", "aux-underrun")
-            vals = [ev(arg, env) for arg in args]
-            if head == "e":
-                return "1" if data(vals[0]) == data(vals[1]) else ()
-            if head == "a":
-                return "1" if isinstance(data(vals[0]), str) else ()
-            if head == "c":
-                if not isinstance(vals[1], tuple):
-                    fault()
-                return (vals[0],) + vals[1]
-            if head == "h":
-                return nonempty_list(vals[0])[0]
-            if head == "t":
-                return nonempty_list(vals[0])[1:]
-            if not isinstance(vals[0], _Closure):  # y
-                fault()
-            return _Wrapper(vals[0])
-        if len(args) != 1:
-            fault()
-        f = ev(head, env)
-        return apply(f, ev(args[0], env))
-
-    def apply(f, v):
-        charge()
-        if isinstance(f, _Closure):
-            return ev(f.body, {**f.env, f.param: v})
-        if isinstance(f, _Wrapper):
-            return apply(apply(f.clo, f), v)
-        fault()
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(200_000)  # one Python frame or two per nested form or call
-    try:
-        kind, value, cls = "halted", ev(expr, {}), None
-    except _Stop as stop:
-        kind, value, cls = stop.kind, None, stop.fault_class
-    finally:
-        sys.setrecursionlimit(limit)
-    return kind, _plain(value), state["p"], state["a"], state["steps"], cls
-
-
-def _plain(v):
-    """A value with closures and y-wrappers of either evaluator made comparable."""
-    if isinstance(v, tuple):
-        return tuple(_plain(x) for x in v)
-    if isinstance(v, (Closure, _Closure)):
-        return ("<closure>", v.param, v.body)
-    if isinstance(v, (Rec, _Wrapper)):
-        return ("<y>", _plain(v.clo))
-    return v
-
+# eval_expr must agree with spec.reference_eval, which has no cycle check, on
+# every outcome.
 
 def _vm_view(out):
     cls = out.reason.split(":")[0] if out.reason else None
-    return out.kind, _plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, cls
+    return out.kind, spec.plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, cls
 
 
 def _agree(expr, budget, payload="", aux=None):
     got = _vm_view(eval_expr(expr, budget, payload, aux))
-    assert got == reference_eval(expr, budget, payload, aux), (print_sexpr(expr), budget, payload, aux)
+    assert got == spec.reference_eval(expr, budget, payload, aux), (print_sexpr(expr), budget, payload, aux)
     return got
 
 
 def test_reference_agrees_on_every_sd_prefix_up_to_5_characters():
-    for e in gen_exprs(5):
+    for e in spec.trees(5):
         for aux in (None, "1"):
             pending = [""]
             while pending:
@@ -497,11 +375,22 @@ def test_same_call_in_a_new_context_is_no_repeat(text, value):
 
 
 def test_repeating_state_ends_at_once():
-    for expr in (LOOP, LET_LOOP):
-        start = time.perf_counter()
-        out = eval_expr(expr, 10**12)
-        assert (out.kind, out.steps, out.payload_consumed, out.aux_consumed) == ("out_of_budget", 10**12, 0, 0)
-        assert time.perf_counter() - start < 1.0
+    # a missed repeat would run on toward 10**12 steps: the timer fails it
+    def stop(*_):
+        raise TimeoutError("the repeat was not seen within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    try:
+        for expr in (LOOP, LET_LOOP):
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 5)
+            out = eval_expr(expr, 10**12)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            assert (out.kind, out.steps, out.payload_consumed, out.aux_consumed) == ("out_of_budget", 10**12, 0, 0)
+            assert time.perf_counter() - start < 1.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_quoted_list_is_one_value_for_the_whole_run():
@@ -518,7 +407,7 @@ def test_a_quoted_list_is_one_value_for_the_whole_run():
 # eval_expr's on them, field by field, its type included.
 
 def _fields(out):
-    return type(out), out.kind, _plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, out.reason
+    return type(out), out.kind, spec.plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, out.reason
 
 
 def _continued_agree(expr, budget, payload, aux):
