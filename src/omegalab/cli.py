@@ -150,6 +150,14 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     return top
 
 
+def _value(kw: dict, text: str):
+    """A flag's value from its text, by its type, then in its choices; else an error."""
+    value = kw["type"](text) if "type" in kw else text
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(f"{value!r} is not one of {list(kw['choices'])}")
+    return value
+
+
 def _plain_args(argv: List[str]) -> Optional[dict]:
     """What a plain argv gives, by dest, as argparse would read it, read
     straight from COMMANDS; None for any other argv, which argparse then reads.
@@ -188,12 +196,9 @@ def _plain_args(argv: List[str]) -> Optional[dict]:
         if text.startswith("-"):
             return None
         try:
-            value = kw["type"](text) if "type" in kw else text
+            given[name.lstrip("-").replace("-", "_")] = _value(kw, text)
         except (TypeError, ValueError):
             return None
-        if "choices" in kw and value not in kw["choices"]:
-            return None
-        given[name.lstrip("-").replace("-", "_")] = value
     return given
 
 
@@ -230,9 +235,7 @@ def _completed(given: dict) -> SimpleNamespace:
                 elif type(value) not in (str, int, float):
                     raise ValueError(f"{value!r} is not a string or a number")
                 else:
-                    value = kw.get("type", str)(str(value))
-                    if "choices" in kw and value not in kw["choices"]:
-                        raise ValueError(f"{value!r} is not one of {list(kw['choices'])}")
+                    value = _value(kw, str(value))
             except ValueError as exc:
                 raise ValueError(f"bad value for key {key!r} in config file {path}: {exc}") from exc
             args[dest] = value
@@ -364,6 +367,9 @@ def _dispatch(args: SimpleNamespace) -> dict:
         if capped and args.machine != "total":
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
         ens = Ensemble(args.machine, args.L, STRUCTURAL if capped else args.B, args.c_cap, args.workers)
+        flag, count = ("--emit-bits", args.emit_bits) if args.action in ("lower", "exact") else ("--k", args.k)
+        if count is not None and count > args.L:
+            raise ValueError(f"{flag} {count} exceeds --L {args.L}: a capped omega's bits past L are all 0")
         if args.action in ("lower", "exact"):
             return reports.omega_report(omega.omega_lower_bound(ens), args.emit_bits)
         if args.action == "bits":

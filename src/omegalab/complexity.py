@@ -58,11 +58,12 @@ interpreter start-up included.
 Upper bounds beyond the cap come from constructed witnesses, each admitted
 only by a run that passes, and run only when it would be the bound (_least).
 
-Prefixes are generated over each machine's own alphabet (on total, without
-the atoms l and y) and, like their runs, in no particular order.  The one
-order is the sweep's final sort of its records by (size, program bits,
-aux_read): program length ascending, then bit-lexicographic.  No two records
-share that key, so witnesses and tie-breaks are reproducible and a sweep
+Prefixes (over each machine's own alphabet: on total, without l and y),
+their runs and the stored records are in no particular order.  build_table
+folds records in any order; the oracle, _least and _counted_records sort by
+keys of their own.  enumerate_halting's is the one order of a sweep's
+records, by (size, program bits, aux_read).  No two records share that key,
+so listings, witnesses and tie-breaks are reproducible and a sweep
 partitioned across workers by prefix range gives every table identically.
 
 An Ensemble (machine, L, B, c_cap, workers) names one capped program ensemble
@@ -71,7 +72,7 @@ takes one, and build_table is memoized on it.  explicit_records alone runs
 sweeps.  Its store holds one sweep per key, an ensemble's (machine, c_cap,
 workers), and serves the ensemble's (L, B, aux) from the stored (L_s >= L,
 B_s >= B) by projection: the records with size_bits <= L, steps <= B and
-aux_read a prefix of aux (of "" when aux is None), in order.  This is exact:
+aux_read a prefix of aux (of "" when aux is None).  This is exact:
 evaluation is deterministic, a budget only cuts a run short, and each shorter
 payload or aux of a halting run underran before its last step.  A request
 the stored sweep cannot serve (L_s < L or B_s < B) is swept and replaces it.
@@ -229,27 +230,25 @@ def domain_runs(prefix: SExpr, max_payload: int,
 
     Both start empty; the payload (aux) gains one bit precisely when the run
     underruns it, so each returned run halted having read all of both, and
-    halts alike under any aux that starts with the aux it read.  The prefix
-    runs once from step 0: each branch, a bit longer channel, continues its
-    parent's underrun (vm.resume), so the branches share every step before
-    the read that parts them.  The prefix is run as is: on total the caller
-    passes only prefixes from the l/y-free alphabet.
+    halts alike under any aux that starts with the aux it read.  Each branch
+    runs from step 0, as its few shared steps cost less than a continued run.
+    The prefix is run as is: on total the caller passes only prefixes from
+    the l/y-free alphabet.
     """
     b = structural_budget(prefix) if budget == STRUCTURAL else budget
-    results = []
-    pending = [("", "", None)]  # (payload, aux, the underrun they continue)
+    results, pending = [], [("", "")]
     while pending:
-        payload, aux, parent = pending.pop()
-        out = vm.eval_expr(prefix, b, payload, aux) if parent is None else vm.resume(parent, payload, aux)
+        payload, aux = pending.pop()
+        out = vm.eval_expr(prefix, b, payload, aux)
         if out.halted:
             if out.payload_consumed != len(payload):
                 raise InvariantError(f"run halted having read {out.payload_consumed} of "
                                      f"{len(payload)} payload bits")
             results.append((payload, aux, out))
         elif out.reason == "payload-underrun" and len(payload) < max_payload:
-            pending += [(payload + "1", aux, out), (payload + "0", aux, out)]
+            pending += [(payload + "1", aux), (payload + "0", aux)]
         elif out.reason == "aux-underrun":
-            pending += [(payload, aux + "1", out), (payload, aux + "0", out)]
+            pending += [(payload, aux + "1"), (payload, aux + "0")]
     return results
 
 
@@ -316,7 +315,7 @@ def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[Ha
 def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
     """The stored records behind enumerate_halting(ens, aux): each counted
     record stands for its members, and c2's leading-0 programs are left out.
-    Served from the sweep store (module docstring); the list is the caller's."""
+    Served unordered from the sweep store (module docstring); the list is the caller's."""
     key = (ens.machine, ens.c_cap, ens.workers)
     hit = _store.get(key)
     if hit is None or hit[0].L < ens.L or not covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
@@ -327,24 +326,19 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
 
 
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
-    """records, explicit records of ens, with each counted record replaced by
-    its members, or on c2 merged with the leading-0 programs."""
+    """records, explicit records of ens in any order, with each counted record
+    replaced by its members (c2: merged with the leading-0 programs), sorted."""
     if ens.machine == "c2":
-        return sorted(records + [HaltRecord("0" + r, r, None, 1, len(r) + 1)
-                                 for r in _C2Entries({}, ens)], key=_order)
-    alphabet = _ALPHABETS[ens.machine]
-    return sorted((m for r in records
-                   for m in (_counted_records(r.size_bits // 8, alphabet) if r.count > 1 else (r,))), key=_order)
-
-
-def _order(r: HaltRecord):
-    """The sweep's one order (module docstring)."""
-    return r.size_bits, r.program_bits, r.aux_read
+        listed = records + [HaltRecord("0" + r, r, None, 1, len(r) + 1) for r in _C2Entries({}, ens)]
+    else:
+        alphabet = _ALPHABETS[ens.machine]
+        listed = [m for r in records for m in (_counted_records(r.size_bits // 8, alphabet) if r.count > 1 else (r,))]
+    return sorted(listed, key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
 
 
 def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord]:
-    """The explicit records of one sweep at exactly (L, B), bypassing the store
-    and Ensemble's checks."""
+    """The explicit records of one sweep at exactly (L, B), in no particular
+    order, bypassing the store and Ensemble's checks."""
     if machine == "c2":
         return _enumerate_c2(L, B)
     # every prefix prints to n <= L // 8 characters, so 8n <= L already
@@ -366,16 +360,15 @@ def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord
     if covers(B, 1):  # the constants, in closed form
         for n in lengths:
             records += _split_constants(n, alphabet)
-    records.sort(key=_order)  # the only order
     return records
 
 
 def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
-    """run_c2's halting leading-1 records of 1..L bits in (length, lex) order:
+    """run_c2's halting leading-1 records of 1..L bits, in no particular order:
     the leading-0 ones are folded in closed form (module docstring)."""
     records = []
     for n in range(17, L + 1, 8):  # 8k + 1 bits, k >= 2: () is the shortest list
-        for raw in sorted("1" + to_bits(e) for e in _evaluable((n - 1) // 8, ALPHABET)):
+        for raw in ("1" + to_bits(e) for e in _evaluable((n - 1) // 8, ALPHABET)):
             out = run_c2(raw, budget)
             if out.halted:
                 records.append(HaltRecord(raw, "".join(out.value), None, out.steps, n))

@@ -68,16 +68,17 @@ changes, so the same object means the same value.
 
 Continuing a run.  A run reads its channels on demand, so its state before
 it reads a bit depends on no later bit.  At an underrun eval_expr returns an
-Underrun holding that state (expression, budget and read form, env and the
-continuation, the counters, the cycle check's mark and snapshot, the
+Underrun holding that state (expression, budget, aux and read form, env and
+the continuation, the counters, the cycle check's mark and snapshot, the
 quoted-form cache), none of which changes once the run stops: chains,
 closures, y-wrappers and run-time lists are never written after they are
 made, so the snapshot's identities keep their meaning.  resume runs the one
-step loop from it on longer channels, charging the read again, so its
-outcome is eval_expr's on those channels, field by field.  Branches
+step loop from it on a longer payload, with the same aux, charging the read
+again, so its outcome is eval_expr's on that payload, field by field.  Runs
 continued from one state share its cache, which changes no outcome: an
 entry depends on its quoted list alone, and one a sibling added is, like a
-fresh run's own, an object nothing in the state holds.
+fresh run's own, an object nothing in the state holds.  Its one caller is
+machines.continue_run: a sweep's branches share too few steps to continue.
 """
 
 from __future__ import annotations
@@ -245,14 +246,13 @@ def eval_expr(expr: SExpr, budget: int, payload: BitString = "",
     return _run(payload, aux, expr, budget, expr, None, None, 0, 0, 0, 1, None, None, None, None, None, {})
 
 
-def resume(out: Underrun, payload: BitString, aux: Optional[BitString] = None) -> RunOutcome:
-    """eval_expr's outcome on out's expression and budget with these channels,
-    continued from out, its underrun on channels these start with (module
-    docstring)."""
-    ran_payload, ran_aux = out.state[:2]
-    if not (payload.startswith(ran_payload) and (aux or "").startswith(ran_aux or "")):
-        raise ValueError("a run continues only on channels that start with the ones it ran on")
-    return _run(payload, aux, *out.state[2:])
+def resume(out: Underrun, payload: BitString) -> RunOutcome:
+    """eval_expr's outcome on out's expression, budget and aux with this
+    payload, continued from out, its underrun on a payload this one starts
+    with (module docstring)."""
+    if not payload.startswith(out.state[0]):
+        raise ValueError("a run continues only on a payload that starts with the one it ran on")
+    return _run(payload, *out.state[1:])
 
 
 def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,

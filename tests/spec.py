@@ -39,7 +39,8 @@ def trees(max_chars, alphabet=ALPHABET, atoms=False):
 # A plain recursive reading of the semantics in vm.py's docstring, with no
 # cycle check.
 
-_REF_ARITY = {"q": 1, "i": 3, "e": 2, "a": 1, "c": 2, "h": 1, "t": 1, "l": 2, "r": 0, "s": 0, "y": 1}
+# each primitive and how many arguments it takes
+ARITY = {"q": 1, "i": 3, "e": 2, "a": 1, "c": 2, "h": 1, "t": 1, "l": 2, "r": 0, "s": 0, "y": 1}
 
 
 class _Stop(Exception):
@@ -86,16 +87,16 @@ def reference_eval(expr, budget, payload="", aux=None):
         if x == ():
             return x
         head, args = x[0], x[1:]
-        if isinstance(head, str) and head in _REF_ARITY:
+        if isinstance(head, str) and head in ARITY:
             charge()
-            if len(args) != _REF_ARITY[head]:
+            if len(args) != ARITY[head]:
                 fault()
             if head == "q":
                 return args[0]
             if head == "i":
                 return ev(args[2] if ev(args[0], env) == () else args[1], env)
             if head == "l":
-                return _Closure(*args, env) if isinstance(args[0], str) and args[0] not in _REF_ARITY else fault()
+                return _Closure(*args, env) if isinstance(args[0], str) and args[0] not in ARITY else fault()
             if head == "r":
                 return read(payload, "p", "payload-underrun")
             if head == "s":

@@ -137,6 +137,24 @@ def test_omega_answers_zero_bits(capsys):
     assert code == 0 and (res["kbits"], res["halting_set"], res["guard_tripped"]) == ("", [], False)
 
 
+@pytest.mark.parametrize("argv, flag, field", [
+    (["omega", "bits"], "--k", "bits"),
+    (["omega", "oracle"], "--k", "kbits"),
+    (["omega", "exact"], "--emit-bits", "bits"),
+    (["omega", "lower", "--machine", "sd"], "--emit-bits", "bits"),
+], ids=["bits", "oracle", "exact", "lower"])
+def test_a_bit_count_past_L_exits_2_before_any_sweep(capsys, sweeps, argv, flag, field):
+    # a capped omega is a multiple of 2^-L, so its bits past L are all 0;
+    # a count past L is refused before the sweep, so no count can exhaust memory
+    code, out, _ = run_cli(capsys, *argv, "--L", "16", flag, "16")
+    assert code == 0 and len(report(out)[field]) == 16
+    sweeps.clear()
+    for count in ("17", "100000000000"):
+        assert run_cli(capsys, *argv, "--L", "16", flag, count) == (
+            2, "", f"omegalab: {flag} {count} exceeds --L 16: a capped omega's bits past L are all 0\n")
+    assert sweeps == []
+
+
 def test_normality_command(capsys):
     code, out, _ = run_cli(capsys, "normality", "--x", "01010101", "--k", "1", "--tol", "0.1")
     assert code == 0 and report(out)["verdict"] == "pass"

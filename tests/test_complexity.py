@@ -225,44 +225,6 @@ def test_if_forms_with_neither_branch_evaluable_never_halt():
                 assert not domain_runs(prefix, 79 - 8 * n, B), (alphabet, prefix)
 
 
-def _restarted_domain_runs(prefix, max_payload, budget):
-    # domain_runs' branching with every branch run again from step 0
-    from omegalab import vm
-    from omegalab.machines import structural_budget
-
-    b = structural_budget(prefix) if budget == STRUCTURAL else budget
-    runs, pending = [], [("", "")]
-    while pending:
-        payload, aux = pending.pop()
-        out = vm.eval_expr(prefix, b, payload, aux)
-        if out.halted:
-            runs.append((payload, aux, out))
-        elif out.reason == "payload-underrun" and len(payload) < max_payload:
-            pending += [(payload + "0", aux), (payload + "1", aux)]
-        elif out.reason == "aux-underrun":
-            pending += [(payload, aux + "0"), (payload, aux + "1")]
-    return runs
-
-
-def test_domain_runs_continue_each_branch_as_a_restart_would_run_it():
-    from omegalab.complexity import _runnable, domain_runs
-
-    def fields(runs):
-        return sorted((payload, aux, type(out), tuple(out)) for payload, aux, out in runs)
-
-    found = 0
-    for alphabet, budgets in ((ALPHABET, (1, 3, 10**4)), (spec.TOTAL_ALPHABET, (1, 3, 10**4, STRUCTURAL))):
-        prefixes = [p for n in range(2, 7) for p in _runnable(n, alphabet)]
-        assert len(prefixes) == (16 if alphabet == ALPHABET else 12)
-        for prefix in prefixes:
-            max_payload = 63 - 8 * len(print_sexpr(prefix))
-            for B in budgets:
-                runs = fields(domain_runs(prefix, max_payload, B))
-                assert runs == fields(_restarted_domain_runs(prefix, max_payload, B)), (prefix, B)
-                found += len(runs)
-    assert found == 62  # halting runs, over every prefix and budget
-
-
 def _fields(out):
     return type(out), tuple(out)
 
@@ -477,6 +439,38 @@ def test_relative_via_replay_is_size_independent():
     assert res.found and res.source == "replay"
     assert res.h_upper == progs.replay_program().size_bits
     assert res.h_upper < progs.quote_program(x).size_bits
+
+
+def test_the_oracle_relative_complexity_and_the_chain_rule_read_the_store_in_any_order(monkeypatch, capsys):
+    # the store's records are in no particular order: served reversed, and
+    # with the tables built again from them, the omega oracle at L 40 for
+    # every k <= 40 (Ω < 2^-15 there, so only k >= 16 reads a record),
+    # relative complexity and criterion 8's chain report are unchanged, every
+    # result and every byte
+    from omegalab import complexity, omega
+    from omegalab.cli import main
+    from omegalab.reports import emit_json
+
+    ens, pairs = Ensemble("sd", 96, 10**4), list(itertools.product(spec.PAIR_ALPHABET, repeat=2))
+
+    def answers():
+        build_table.cache_clear()
+        oracle = []
+        for k in range(41):
+            assert main(["omega", "oracle", "--L", "40", "--k", str(k)]) == 0
+            oracle.append(capsys.readouterr().out)
+        x_stars = [complexity_upper(ens, x, include_constructed=True).witness for x in spec.PAIR_ALPHABET]
+        relative = [relative_complexity(ens, y, x_star) for x_star in x_stars for y in spec.PAIR_ALPHABET]
+        chain = emit_json(check_chain_rule(ens, pairs))
+        build_table.cache_clear()
+        return oracle, relative, chain
+
+    stored = answers()
+    assert {res.source for res in stored[1]} == {"sweep", "plain"}
+    explicit = complexity.explicit_records
+    for module in (complexity, omega):
+        monkeypatch.setattr(module, "explicit_records", lambda ens, aux=None: explicit(ens, aux)[::-1])
+    assert answers() == stored
 
 
 def test_check_coding_sd():

@@ -1,8 +1,10 @@
 """The public API against tests/spec.py, which lists every program and runs
 it by the reference evaluator: records, tables, capped Ω and the oracle, on
-every tree of up to 5 characters and on every raw c2 string of up to 17 bits."""
+every tree of up to 5 characters and on every raw c2 string of up to 17 bits;
+and the sweep's records on seeded draws of 7 to 10 characters."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import spec
 from omegalab.complexity import STRUCTURAL, Ensemble, build_table, enumerate_halting, explicit_records
 from omegalab.omega import decided_halting_set, omega_exact_capped, omega_lower_bound, oracle_halting_from_omega
-from omegalab.sexpr import ALPHABET, SExprParseError, parse, print_sexpr, to_bits
+from omegalab.sexpr import ALPHABET, SExprParseError, from_bits_prefix, parse, print_sexpr, to_bits
 
 _AUXES = (None, "", "0", "1", "01")
 
@@ -118,3 +120,62 @@ def test_c2_records_and_tables_equal_the_spec(B):
         table = build_table(Ensemble("c2", L, B))
         assert spec.table_view(table) == spec.fold(found, "c2"), L
         assert table.exhaustive_limit == L
+
+
+def _drawn_list(rng, m, alphabet):
+    """A list of alphabet printing to m >= 2 characters, drawn over the
+    calculus's forms: most often a primitive form of its arity, else where l
+    is in alphabet a let ((l p B) A), its p an atom of B when B has one, else
+    an application (F A), else any items; an item of one character is an atom."""
+    inner, kind = m - 2, rng.random()
+    if kind < 0.6 and inner:
+        head = rng.choice([a for a in alphabet if a in spec.ARITY])
+        count = spec.ARITY[head] if rng.random() < 0.9 else rng.randint(0, 3)
+        return (head,) + _drawn_items(rng, inner - 1, count, alphabet)
+    if kind < 0.7 and "l" in alphabet and inner >= 6:
+        n = rng.randint(1, inner - 5)  # B's print length: (l p B) has n + 4 characters, A at least 1
+        (body,), (arg,) = _drawn_items(rng, n, 1, alphabet), _drawn_items(rng, inner - n - 4, 1, alphabet)
+        names = [a for a in _atoms(body) if a not in spec.ARITY] or [a for a in alphabet if a not in spec.ARITY]
+        return ("l", rng.choice(names), body), arg
+    return _drawn_items(rng, inner, 2 if kind < 0.85 else rng.randint(0, 4), alphabet)
+
+
+def _atoms(e):
+    """The atoms of e, in print order."""
+    return [e] if isinstance(e, str) else [a for x in e for a in _atoms(x)]
+
+
+def _drawn_items(rng, m, count, alphabet):
+    """About count items printing to m characters in all: between 1 and m of
+    them, or none when m is 0."""
+    if not m:
+        return ()
+    bounds = [0, *sorted(rng.sample(range(1, m), max(1, min(count, m)) - 1)), m]
+    return tuple(rng.choice(alphabet) if b - a == 1 else _drawn_list(rng, b - a, alphabet)
+                 for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("machine, B", [("sd", 100), ("total", STRUCTURAL)])
+def test_drawn_trees_of_7_to_10_characters_halt_only_as_swept(machine, B):
+    # past the grid above: 6,000 seeded draws of 7 to 10 characters, each run
+    # by the reference evaluator with payload and aux grown one bit per
+    # underrun.  Every halting (program, aux read) is a record of the sweep
+    # at c_cap 10, field by field.  Listing the members of its counted
+    # records would make 29 million records on sd, so a program with no
+    # record of its own must be a (q X) or (l p X) that converts to no
+    # output, with a counted record of its size, steps and aux read
+    alphabet = ALPHABET if machine == "sd" else spec.TOTAL_ALPHABET
+    rng = random.Random(f"{machine} 7-10")
+    trees = list(dict.fromkeys(_drawn_list(rng, rng.randint(7, 10), alphabet) for _ in range(6000)))
+    found = spec.records(trees, 87, B)
+    ens, swept = Ensemble(machine, 87, B, 10), {}
+    for r in found:
+        if r[5] not in swept:
+            records = explicit_records(ens, r[5] or None)
+            swept[r[5]] = ({tuple(x) for x in records}, {tuple(x)[1:6] for x in records if x.count > 1})
+        explicit, counted = swept[r[5]]
+        tree = from_bits_prefix(r[0])[0]
+        assert r in explicit or (tree[0] in ("q", "l") and r[1:6] in counted), (print_sexpr(tree), r)
+    halting = {from_bits_prefix(r[0])[0] for r in found}  # enough draws halt, constants or not, lets on sd
+    assert len(halting) >= 300 and sum(tree[0] not in ("q", "l") for tree in halting) >= 50
+    assert sum(type(tree[0]) is tuple for tree in halting) >= (20 if machine == "sd" else 0)

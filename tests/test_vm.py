@@ -403,69 +403,63 @@ def test_a_quoted_list_is_one_value_for_the_whole_run():
 
 
 # -- continuing a run ----------------------------------------------------------
-# resume continues an underrun on longer channels, and its outcome is
-# eval_expr's on them, field by field, its type included.
+# resume continues an underrun on a longer payload, with the same aux, and its
+# outcome is eval_expr's on them, field by field, its type included.
 
 def _fields(out):
     return type(out), out.kind, spec.plain(out.value), out.payload_consumed, out.aux_consumed, out.steps, out.reason
 
 
 def _continued_agree(expr, budget, payload, aux):
-    """Run expr with empty channels, then continue each underrun with one more
-    bit of payload or aux, checking every continued run against a fresh one;
-    the number of runs continued."""
-    p, a = "", None if aux is None else ""
-    out, runs = eval_expr(expr, budget, p, a), 0
-    while isinstance(out, Underrun):
-        if out.reason == "payload-underrun" and len(p) < len(payload):
-            p = payload[:len(p) + 1]
-        elif out.reason == "aux-underrun" and a is not None and len(a) < len(aux):
-            a = aux[:len(a) + 1]
-        else:
-            break
-        out, runs = resume(out, p, a), runs + 1
-        assert _fields(out) == _fields(eval_expr(expr, budget, p, a)), (print_sexpr(expr), budget, p, a)
+    """Run expr with an empty payload and aux loaded, then continue each
+    payload underrun with one more bit, checking every continued run against
+    a fresh one; the number of runs continued."""
+    p = ""
+    out, runs = eval_expr(expr, budget, p, aux), 0
+    while out.reason == "payload-underrun" and len(p) < len(payload):
+        p = payload[:len(p) + 1]
+        out, runs = resume(out, p), runs + 1
+        assert _fields(out) == _fields(eval_expr(expr, budget, p, aux)), (print_sexpr(expr), budget, p, aux)
     return runs
 
 
 @pytest.mark.parametrize("text, payload, aux, reason, steps, p_read, a_read",
                          [f for f in FAULTS if f[3].endswith("underrun")])
 def test_an_underrun_fault_continues_as_a_fresh_run(text, payload, aux, reason, steps, p_read, a_read):
+    # an aux underrun is an Underrun too; continued on its own aux, it
+    # underruns again, as a fresh run does
     expr = parse(text)
     out = eval_expr(expr, 100, payload, aux)
     assert isinstance(out, Underrun) and out == (FAULTED, None, p_read, a_read, steps, reason)
-    for more_p, more_a in (("0", ""), ("1", ""), ("", "0"), ("", "1"), ("01", "10"), ("110", "011")):
-        p, a = payload + more_p, (aux or "") + more_a
-        assert _fields(resume(out, p, a)) == _fields(eval_expr(expr, 100, p, a)), (p, a)
-    assert _continued_agree(expr, 100, payload + "0110", (aux or "") + "10") > 0
+    for more in ("", "0", "1", "01", "110"):
+        p = payload + more
+        assert _fields(resume(out, p)) == _fields(eval_expr(expr, 100, p, aux)), p
+    if reason == "payload-underrun":
+        assert _continued_agree(expr, 100, payload + "0110", aux) > 0
 
 
-@pytest.mark.parametrize("expr, payload, aux", [
-    (READING_LOOP, "01" * 20, None),
-    (AUX_LOOP, "", "10" * 20),
-], ids=["reading-loop", "aux-loop"])
-def test_a_reading_loop_continues_bit_by_bit(expr, payload, aux):
+def test_a_reading_loop_continues_bit_by_bit():
     # each continued run keeps the cycle check's mark and snapshot
     for budget in (1, 7, 100):
-        _continued_agree(expr, budget, payload, aux)
-    assert _continued_agree(expr, 3000, payload, aux) == 40
+        _continued_agree(READING_LOOP, budget, "01" * 20, None)
+    assert _continued_agree(READING_LOOP, 3000, "01" * 20, None) == 40
 
 
 def test_branches_continued_from_one_underrun_are_independent():
     expr = parse("((lx(c(r)(c(r)(c(q(ab))x))))(q(ab)))")  # quoted lists before and after the reads
     root = eval_expr(expr, 100, "", "")
     for p in ("0", "1", "0", "01", "10", "11", "1"):
-        assert _fields(resume(root, p, "")) == _fields(eval_expr(expr, 100, p, ""))
-    assert resume(root, "11", "").value == ("1", "1", ("a", "b"), "a", "b")
+        assert _fields(resume(root, p)) == _fields(eval_expr(expr, 100, p, ""))
+    assert resume(root, "11").value == ("1", "1", ("a", "b"), "a", "b")
 
 
-def test_a_run_continues_only_on_channels_that_extend_its_own():
+def test_a_run_continues_only_on_a_payload_that_extends_its_own():
     out = run("(c(r)(c(s)(c(r)(q()))))", 100, "1", "0")
     assert out.reason == "payload-underrun"
-    assert resume(out, "10", "0").value == ("1", "0", "0")
-    for p, a in (("00", "0"), ("", "0"), ("10", "1"), ("10", None)):
+    assert resume(out, "10").value == ("1", "0", "0")
+    for p in ("00", "", "0"):
         with pytest.raises(ValueError):
-            resume(out, p, a)
+            resume(out, p)
 
 
 @settings(max_examples=300, deadline=None)
