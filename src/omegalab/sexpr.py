@@ -5,10 +5,12 @@ expressions.  Atoms are Python one-character strings, lists are tuples, so
 expressions are immutable and hashable.  The canonical printed form has no
 whitespace and round-trips exactly.
 
-The bit codec writes 8 bits per printed character (ASCII, MSB first).  A list
-expression is self-delimiting under this encoding: a decoder reading 8-bit
-characters can tell where it ends by tracking parenthesis balance, which is
-what lets encoded expressions serve as machine prefixes.
+The bit codec writes 8 bits per printed character (ASCII, MSB first): to_bits
+reads the print as one big-endian integer and writes it in binary, zero-padded
+to 8 digits a character.  A list expression is self-delimiting under this
+encoding: a decoder reading 8-bit characters can tell where it ends by
+tracking parenthesis balance, which is what lets encoded expressions serve as
+machine prefixes.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz01"
 _CHARS = ALPHABET + "()"
 CHAR_BITS = {ch: format(ord(ch), "08b") for ch in _CHARS}
 BITS_CHAR = {v: k for k, v in CHAR_BITS.items()}
-_CODES = str.maketrans(CHAR_BITS)  # print -> 8 bits per character
 # A tuple of one-character atoms is a JSON array of strings; json's C encoder
 # writes it as ["a"["b"]], and dropping the quotes and swapping the brackets
-# for parentheses gives the canonical print (a(b)).
-_ENCODE = json.JSONEncoder(separators=("", "")).encode
+# for parentheses gives the canonical print (a(b)).  An expression is a tree
+# of tuples, so no cycle check is needed; the encoder's depth guard still
+# raises RecursionError on one nested too deep.
+_ENCODE = json.JSONEncoder(separators=("", ""), check_circular=False).encode
 _JSON_TO_PRINT = str.maketrans({'"': None, "[": "(", "]": ")"})
 
 
@@ -83,7 +86,8 @@ def to_bits(e: SExpr) -> BitString:
     """Encode a list expression, 8 bits per printed character."""
     if is_atom(e):
         raise SExprDecodeError("bare atoms are not self-delimiting; only lists encode")
-    return print_sexpr(e).translate(_CODES)
+    text = print_sexpr(e)
+    return format(int.from_bytes(text.encode(), "big"), f"0{8 * len(text)}b")
 
 
 def from_bits_prefix(bits: BitString) -> Tuple[SExpr, int]:

@@ -36,14 +36,16 @@ function of (expression, budget, payload, aux) and is implemented
 iteratively, so deeply recursive guest programs cannot exhaust the host
 stack.  Its continuation is an immutable linked chain: each pending form is
 a fresh tuple (tag, ..., next), pushed by building one around the chain and
-popped by taking its next.  An atom in operand position (the argument of h,
-t, a or y, the function or the argument of an application) is looked up
-where it stands, with no frame, at the point of the step order where its
-evaluation falls, so an unbound one faults with the same step count.  A
-let ((l p B) A) is entered where it stands too: its lambda step, then A
-under one frame, then its application step, which binds p in the let's own
-env.  It makes no closure, since nothing but that application could ever
-hold one.
+popped by taking its next.  Only a form operand pushes a frame.  An atom
+operand (the argument of h, t, a or y, either operand of c or e, the
+condition of i, the function or the argument of an application) is looked
+up where it stands, and a () operand of c or e or condition of i is its own
+value, at the point of the step order where its evaluation falls, so an
+unbound atom faults with the same step count; an i whose condition is an
+atom or () picks its branch at entry.  A let ((l p B) A) is entered where
+it stands too: its lambda step, then A under one frame, then its
+application step, which binds p in the let's own env.  It makes no
+closure, since nothing but that application could ever hold one.
 
 The cycle check compares the state at an application with a snapshot: the
 function, the argument and the read positions, and the continuation by
@@ -208,7 +210,8 @@ def _equal(x, y) -> bool:
 
 
 # continuation frames, each a fresh tuple (tag, ..., next): a pending h, t, a
-# or y; an e or c before and after its first argument; an if; an application
+# or y; an e or c whose first operand is a form, and one whose second is, the
+# first's value known; an if whose condition is a form; an application
 # before and after its function; a let before its application; the second
 # half of a y-wrapper's unfolding.
 # A pending h, t, a or y is tagged by its opcode, _H, _T, _A or _Y, and the
@@ -218,15 +221,6 @@ _K_EQ, _K_CONS, _K_EQ2, _K_CONS2, _K_IF, _K_FUN, _K_APPLY, _K_REC, _K_LET = rang
 
 def _fault(reason: str, ppos: int, apos: int, steps: int) -> RunOutcome:
     return RunOutcome(FAULTED, None, ppos, apos, steps, reason)
-
-
-def _lookup(atom: str, env):
-    """The value env binds atom to, or None when nothing binds it (no value is None)."""
-    while env is not None:
-        if env[0] == atom:
-            return env[1]
-        env = env[2]
-    return None
 
 
 def _unbound(atom: str, ppos: int, apos: int, steps: int) -> RunOutcome:
@@ -270,13 +264,11 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
         while True:
             if type(cur) is str:
                 link = env
-                while link is not None:
-                    if link[0] == cur:
-                        val = link[1]
-                        break
+                while link is not None and link[0] != cur:
                     link = link[2]
-                else:
+                if link is None:
                     return _unbound(cur, ppos, apos, steps)
+                val = link[1]
                 break
             if not cur:  # empty list is a value
                 val = cur
@@ -302,17 +294,22 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                         x = head
                     cur = x
                     continue
-                val = _lookup(head, env)
-                if val is None:
+                link = env
+                while link is not None and link[0] != head:
+                    link = link[2]
+                if link is None:
                     return _unbound(head, ppos, apos, steps)
+                val = link[1]
                 if type(x) is not str:
                     kont = (_K_APPLY, val, kont)
                     cur = x
                     continue
-                arg = _lookup(x, env)
-                if arg is None:
+                link = env
+                while link is not None and link[0] != x:
+                    link = link[2]
+                if link is None:
                     return _unbound(x, ppos, apos, steps)
-                fun = val
+                fun, arg = val, link[1]
                 break
             steps += 1
             if steps > budget:
@@ -321,17 +318,50 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
             if len(cur) != size:
                 return _fault(f"type: {head} takes {size - 1} argument(s)", ppos, apos, steps)
             if op == _C or op == _E:
-                kont = (_K_CONS if op == _C else _K_EQ, cur[2], env, kont)
-                cur = cur[1]
+                x, y = cur[1], cur[2]
+                if type(x) is str:
+                    link = env
+                    while link is not None and link[0] != x:
+                        link = link[2]
+                    if link is None:
+                        return _unbound(x, ppos, apos, steps)
+                    x = link[1]
+                elif x:
+                    kont = (_K_CONS if op == _C else _K_EQ, y, env, kont)
+                    cur = x
+                    continue
+                if type(y) is str:
+                    link = env
+                    while link is not None and link[0] != y:
+                        link = link[2]
+                    if link is None:
+                        return _unbound(y, ppos, apos, steps)
+                    y = link[1]
+                elif y:
+                    kont = (_K_CONS2 if op == _C else _K_EQ2, x, kont)
+                    cur = y
+                    continue
+                if op == _C:
+                    if type(y) is not tuple:
+                        return _fault("type: cons onto a non-list", ppos, apos, steps)
+                    val = (x, y)
+                elif isinstance(x, (Closure, Rec)) or isinstance(y, (Closure, Rec)):
+                    return _fault("type: equality on non-data value", ppos, apos, steps)
+                else:
+                    val = "1" if _equal(x, y) else ()
+                break
             elif op <= _Y:  # h t a y
                 x = cur[1]
                 if type(x) is not str:
                     kont = (op, kont)
                     cur = x
                     continue
-                val = _lookup(x, env)
-                if val is None:
+                link = env
+                while link is not None and link[0] != x:
+                    link = link[2]
+                if link is None:
                     return _unbound(x, ppos, apos, steps)
+                val = link[1]
                 if op == _H:
                     if type(val) is not tuple or not val:
                         return _fault("type: head of a non-list or empty list", ppos, apos, steps)
@@ -350,8 +380,19 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                     val = Rec(val)
                 break
             elif op == _I:
-                kont = (_K_IF, cur[2], cur[3], env, kont)
-                cur = cur[1]
+                x = cur[1]
+                if type(x) is str:
+                    link = env
+                    while link is not None and link[0] != x:
+                        link = link[2]
+                    if link is None:
+                        return _unbound(x, ppos, apos, steps)
+                    x = link[1]
+                elif x:
+                    kont = (_K_IF, cur[2], cur[3], env, kont)
+                    cur = x
+                    continue
+                cur = cur[3] if x == () else cur[2]
             elif op == _Q:
                 val = cur[1]
                 if type(val) is tuple and val:
@@ -387,25 +428,44 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
             if k is None:
                 return RunOutcome(HALTED, _expr(val), ppos, apos, steps)
             tag = k[0]
-            if tag == _K_CONS2:
-                _, x, kont = k
-                if type(val) is not tuple:
-                    return _fault("type: cons onto a non-list", ppos, apos, steps)
-                val = (x, val)
-            elif tag == _K_CONS or tag == _K_EQ:
-                _, cur, env, kont = k
-                kont = (_K_CONS2 if tag == _K_CONS else _K_EQ2, val, kont)
-                break
+            if _K_EQ <= tag <= _K_CONS2:  # an e or c, val its first (_K_EQ, _K_CONS) or second operand
+                if tag <= _K_CONS:
+                    _, y, env, kont = k
+                    if type(y) is str:
+                        link = env
+                        while link is not None and link[0] != y:
+                            link = link[2]
+                        if link is None:
+                            return _unbound(y, ppos, apos, steps)
+                        y = link[1]
+                    elif y:
+                        kont = (_K_CONS2 if tag == _K_CONS else _K_EQ2, val, kont)
+                        cur = y
+                        break
+                    x = val
+                else:
+                    _, x, kont = k
+                    y = val
+                if tag == _K_CONS or tag == _K_CONS2:
+                    if type(y) is not tuple:
+                        return _fault("type: cons onto a non-list", ppos, apos, steps)
+                    val = (x, y)
+                elif isinstance(x, (Closure, Rec)) or isinstance(y, (Closure, Rec)):
+                    return _fault("type: equality on non-data value", ppos, apos, steps)
+                else:
+                    val = "1" if _equal(x, y) else ()
             elif tag == _K_FUN:
                 _, x, env, kont = k
                 if type(x) is not str:
                     kont = (_K_APPLY, val, kont)
                     cur = x
                     break
-                arg = _lookup(x, env)
-                if arg is None:
+                link = env
+                while link is not None and link[0] != x:
+                    link = link[2]
+                if link is None:
                     return _unbound(x, ppos, apos, steps)
-                fun = val
+                fun, arg = val, link[1]
             elif tag == _K_APPLY:
                 _, fun, kont = k
                 arg = val
@@ -436,11 +496,6 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
             elif tag == _K_REC:  # val is the closure produced by unfolding; apply it to the saved argument
                 _, arg, kont = k
                 fun = val
-            elif tag == _K_EQ2:
-                _, x, kont = k
-                if isinstance(x, (Closure, Rec)) or isinstance(val, (Closure, Rec)):
-                    return _fault("type: equality on non-data value", ppos, apos, steps)
-                val = "1" if _equal(x, val) else ()
             elif tag == _A:
                 kont = k[1]
                 if isinstance(val, (Closure, Rec)):

@@ -660,6 +660,7 @@ def _cli_in_a_fresh_process(*argv) -> subprocess.CompletedProcess:
     (["sweep", "--machine", "c2", "--L", "20", "--B", "10000", "--csv"],
      "7f5da551d4d84d58d21652f19aac593d966bd4899a3e5175b039729e9c082413"),
 ], ids=["omega-exact-c11", "omega-lower-sd-c11", "sweep-c2-L20-csv"])
+@pytest.mark.watchdog(60)  # a fresh process builds the frontier's caches anew
 def test_frontier_stdout_in_a_fresh_process_is_frozen(argv, digest):
     # frozen while the frontier's sweeps still generated every runnable prefix
     # and c2's CSV still had a printing walk of its own

@@ -8,22 +8,25 @@ import tracemalloc
 import pytest
 
 import spec
-from omegalab.bits import Dyadic
+from omegalab.bits import Dyadic, InvariantError
 from omegalab.complexity import (
     STRUCTURAL,
+    ComplexityResult,
     Ensemble,
+    TableEntry,
     algorithmic_probability,
     build_table,
     check_chain_rule,
     check_coding,
     complexity_upper,
+    domain_runs,
     enumerate_halting,
     explicit_records,
     find_elegant,
     joint_complexity,
     relative_complexity,
 )
-from omegalab.machines import Program, output_of, run_machine, split_program_bits
+from omegalab.machines import Program, covers, output_of, run_machine, split_program_bits
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
 from omegalab import machines, progs
 
@@ -138,6 +141,39 @@ def test_complexity_upper_sd_empty_string():
     assert res.h_upper == 16
     assert res.witness == to_bits(parse("()"))
     assert res.exact is False  # sd never certifies exactness
+
+
+@pytest.mark.parametrize("x", ["00", "01", "10", "11"])
+def test_a_total_quote_bound_above_the_exhaustive_sweep_is_not_exact(x):
+    # no prefix of at most 5 characters outputs x: the bound is the 56-bit
+    # quote witness, and programs of 48 to 55 bits were never swept
+    res = complexity_upper(Ensemble("total", 80, STRUCTURAL, 5), x, include_constructed=True)
+    assert (res.h_upper, res.source, res.exact) == (56, "quote", False)
+    assert build_table(Ensemble("total", 80, STRUCTURAL, 5)).exhaustive_limit == 47
+
+
+@pytest.mark.parametrize("B", [0, 1, 3, STRUCTURAL])
+def test_total_bounds_are_exact_where_the_spec_decides_them(B):
+    # exact holds exactly when every program shorter than h was swept (h - 1
+    # bits within the exhaustive limit) and B covers its run (h // 8 + 1
+    # steps); there the spec's fold of every program of up to 5 characters
+    # decides h: the least of its swept size and the quote witness's
+    everything = spec.halting("total", 47, B, 5)
+    xs = ["".join(bits) for n in range(4) for bits in itertools.product("01", repeat=n)]
+    for L in (0, 8, 15, 16, 24, 31, 32, 40, 47, 48, 55, 56, 64, 80):
+        ens = Ensemble("total", L, B, 5)
+        limit = build_table(ens).exhaustive_limit
+        swept = dict(spec.fold(spec.under([r for r in everything if r[4] <= L], None), "total")[0])
+        for x in xs:
+            res = complexity_upper(ens, x, include_constructed=True)
+            if not res.found:
+                continue
+            h = res.h_upper
+            assert res.exact == (covers(B, h // 8 + 1) and h - 1 <= limit), (L, x)
+            if res.exact:
+                quote = progs.quote_program(x).size_bits
+                sizes = [swept[x][0]] if x in swept else []
+                assert h == min(sizes + [quote] if quote <= L else sizes), (L, x)
 
 
 def test_algorithmic_probability():
@@ -506,6 +542,45 @@ def test_check_chain_rule_takes_h_x_from_quote_witness():
         assert row["h_xy"] <= row["h_x"] + row["h_y_given_xstar"] + rep["K"], row
 
 
+@pytest.mark.parametrize("h_exp, raises", [(3, False), (4, True)])
+def test_check_coding_raises_where_prob_lacks_the_witness_term(monkeypatch, h_exp, raises):
+    # prob(x) >= 2^-h(x): the witness's own term is in the sum, so a table
+    # entry of h 3 with prob 2^-4 cannot come from a sweep; 2^-3 holds
+    from omegalab import complexity
+
+    entry = TableEntry("0", 3, "000", 1, Dyadic.pow2(h_exp))
+    monkeypatch.setattr(complexity, "find_elegant", lambda ens: [entry])
+    if raises:
+        with pytest.raises(InvariantError, match=r"lacks its witness term 2\^-3"):
+            check_coding(Ensemble("sd", 24, 10**4))
+    else:
+        assert check_coding(Ensemble("sd", 24, 10**4))["max_defect"] == 0
+
+
+@pytest.mark.parametrize("shift, raises", [(0, False), (1, True)])
+def test_check_chain_rule_raises_past_K(monkeypatch, shift, raises):
+    # with no joint witness h(x,y) is the composed program's size, K plus
+    # both witnesses' sizes, so d = K; h(x) read shift bits under its
+    # witness's size makes d = K + shift
+    from omegalab import complexity
+
+    upper = complexity.complexity_upper
+
+    def lowered(*args, **kwargs):
+        res = upper(*args, **kwargs)
+        return res._replace(h_upper=res.h_upper - shift)
+
+    monkeypatch.setattr(complexity, "complexity_upper", lowered)
+    monkeypatch.setattr(complexity, "joint_complexity", lambda ens, x, y: ComplexityResult(False))
+    ens = Ensemble("sd", 56, 10**4, c_cap=4)
+    if raises:
+        with pytest.raises(InvariantError, match=r"exceeds h\(x\) \+ h\(y\|x\*\) \+ K"):
+            check_chain_rule(ens, [("0", "1")])
+    else:
+        rep = check_chain_rule(ens, [("0", "1")])
+        assert [(row["h_xy_source"], row["d"]) for row in rep["pairs"]] == [("composed", rep["K"])]
+
+
 def test_subadditivity_via_plain_composer():
     # h(x,y) <= h(x) + h(y) + K2: witnesses concatenate behind the fixed prefix
     table = build_table(Ensemble("sd", 56, 10**4))
@@ -620,6 +695,17 @@ def test_aux_readers_are_found_on_demand():
     for aux in (None, ""):
         swept = enumerate_halting(Ensemble("sd", 32, 100, c_cap=3), aux=aux)
         assert s_bits not in [r.program_bits for r in swept]
+
+
+def test_domain_runs_refuse_a_halt_that_left_payload_unread(monkeypatch):
+    # a run that halts has read its whole payload, or it would not have been
+    # given one more bit; an outcome that says otherwise is refused
+    from omegalab import vm
+
+    monkeypatch.setattr(vm, "eval_expr", lambda prefix, budget, payload, aux: vm.RunOutcome(
+        vm.HALTED, (), len(payload) + 1, 0, 1))
+    with pytest.raises(InvariantError, match="halted having read 1 of 0 payload bits"):
+        domain_runs(parse("(r)"), 8, 100)
 
 
 def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch, sweeps):

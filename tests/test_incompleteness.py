@@ -2,8 +2,10 @@
 
 import pytest
 
+from omegalab import incompleteness
 from omegalab.incompleteness import (
     BUNDLED_FAS_NAMES,
+    BerryConstructionError,
     Elegant,
     EleganceVerdict,
     MalformedTheoremError,
@@ -110,6 +112,29 @@ def test_berry_threshold_properties():
     _, T2 = build_berry_program(padded)
     grows = padded.n_bits - fas.n_bits
     assert T < T2 <= T + grows + 8
+
+
+@pytest.mark.parametrize("driver", [
+    lambda real, enum, t: real(enum, 0),  # its size does not grow with T: T - 1 covers P(T - 1)
+    lambda real, enum, t: real(enum, 2 * t),  # 2T's numeral is a bit longer than T's: |P(T)| = T + 8
+], ids=["fixed", "twice-T"])
+def test_berry_construction_refuses_a_driver_off_its_closed_form(monkeypatch, driver):
+    real = incompleteness.berry_driver
+    monkeypatch.setattr(incompleteness, "berry_driver", lambda enum, t: driver(real, enum, t))
+    with pytest.raises(BerryConstructionError):
+        build_berry_program(bundled_sound_fas())
+
+
+def test_berry_construction_refuses_a_program_one_bit_over_its_threshold(monkeypatch):
+    # the sound system's P meets its threshold exactly; one payload bit more
+    # on P(T) alone makes |P| = T + 1
+    fas = bundled_sound_fas()
+    P, T = build_berry_program(fas)
+    assert P.size_bits == T
+    monkeypatch.setattr(incompleteness, "Program", lambda prefix, payload: Program(
+        prefix, payload + "0" if prefix == P.prefix else payload))
+    with pytest.raises(BerryConstructionError):
+        build_berry_program(fas)
 
 
 def test_sound_ceiling_experiment():

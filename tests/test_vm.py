@@ -228,7 +228,9 @@ def test_application_corners_follow_the_docstring(text, budget, kind, steps):
 # reason eval_expr gives, verbatim, since bench/spans.py classifies by the text.
 # The unbound atoms stand in each operand position: the argument of h, t, a,
 # y, c, e and i, and the function and the argument of an application, a
-# let's ((l p B) A) among them.
+# let's ((l p B) A) among them.  () and bound atoms stand in the operand
+# positions of c, e and i that take them where they stand: the operands of c
+# and e, at entry and after a frame for the first, and the condition of i.
 FAULTS = [
     ("b", "", None, "type: unbound atom 'b'", 0, 0, 0),
     ("(hb)", "", None, "type: unbound atom 'b'", 1, 0, 0),
@@ -266,8 +268,23 @@ FAULTS = [
     ("((lx(cx(q())))(r))", "", None, "payload-underrun", 2, 0, 0),
     ("((lx(c(s)x))(s))", "", "1", "aux-underrun", 5, 0, 1),
     ("(c(s)(c(s)(q())))", "", "1", "aux-underrun", 4, 0, 1),
+    ("(c()(r))", "", None, "payload-underrun", 2, 0, 0),
+    ("((lx(cx(r)))(q()))", "", None, "payload-underrun", 5, 0, 0),
+    ("(c(r)())", "", None, "payload-underrun", 2, 0, 0),
+    ("((lx(c(r)x))(q()))", "", None, "payload-underrun", 5, 0, 0),
+    ("(e()(r))", "", None, "payload-underrun", 2, 0, 0),
+    ("((lx(ex(r)))(q0))", "", None, "payload-underrun", 5, 0, 0),
+    ("(e(r)())", "", None, "payload-underrun", 2, 0, 0),
+    ("((lx(e(r)x))(q1))", "", None, "payload-underrun", 5, 0, 0),
+    ("(i()(qa)(r))", "", None, "payload-underrun", 2, 0, 0),
+    ("((lx(ix(r)(qa)))(q0))", "", None, "payload-underrun", 5, 0, 0),
+    ("((lx(ix(qa)(r)))(q()))", "", None, "payload-underrun", 5, 0, 0),
+    ("((lx(cxx))(r))", "", None, "payload-underrun", 2, 0, 0),
+    ("((lf((lv(efv))(r)))(lxx))", "", None, "payload-underrun", 5, 0, 0),
     ("(c(q0)(q1))", "", None, "type: cons onto a non-list", 3, 0, 0),
+    ("((lx(cxx))(q0))", "", None, "type: cons onto a non-list", 4, 0, 0),
     ("(e(lxx)(q0))", "", None, "type: equality on non-data value", 3, 0, 0),
+    ("((lf(eff))(lxx))", "", None, "type: equality on non-data value", 4, 0, 0),
     ("(e(q0)(y(lxx)))", "", None, "type: equality on non-data value", 4, 0, 0),
     ("(h(q()))", "", None, "type: head of a non-list or empty list", 2, 0, 0),
     ("((lx(hx))(q0))", "", None, "type: head of a non-list or empty list", 4, 0, 0),
@@ -322,6 +339,12 @@ def test_reference_agrees_on_drawn_forms_with_lambdas(expr, budget):
     ("((lx(hx))(q(01)))", ""),  # lambda step, argument, application, body
     ("((lx((lzz)x))(r))", "1"),  # a let in a let's body, its argument an atom
     ("((lx((lf(fx))(lzz)))(q0))", ""),  # a let's argument a closure, applied in its body
+    # c, e and i in a let's body, their () and atom operands where they stand
+    ("((lx(c()(cx())))(r))", "1"),  # () and a bound atom, at entry
+    ("((lx(c(r)x))(q()))", "1"),  # a bound atom after a frame for the first operand
+    ("((lx(e()x))(r))", "0"),
+    ("((lx(e(r)x))(q1))", "1"),
+    ("((lx(ix(qa)(r)))(q()))", "1"),  # a condition bound to () takes the else branch
 ])
 def test_a_let_ends_as_the_reference_at_every_budget(text, payload):
     # each budget ends the run at a step of its own: a let's lambda step, its
