@@ -687,16 +687,3 @@ def check_chain_rule(ens: Ensemble, pairs: Sequence[Tuple[BitString, BitString]]
         "skipped": skipped,
         "max_abs_d": max_abs_d,
     }
-
-
-# ---------------------------------------------------------------------------
-# domain scans (prefix-free checks)
-
-def scan_domain(machine: str, max_len: int, budget: int) -> List[BitString]:
-    """All domain member bit strings of length <= max_len, sorted (length, lex).
-
-    Equivalent to scanning every bit string of length <= max_len because
-    membership requires a char-aligned balanced prefix decode.
-    """
-    check_prefix_free(machine, "a domain scan")
-    return [r.program_bits for r in enumerate_halting(Ensemble(machine, max_len, budget, max_len // 8))]

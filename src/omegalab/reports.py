@@ -4,25 +4,30 @@ Every report embeds a schema tag, the tool version, and the exact config
 that produced it, with stable field order, so identical configs yield
 byte-identical output regardless of worker count.  emit_json, the only JSON
 writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n", and
-joins the text once, not once per nesting level.  A table has one row type,
-Rows: its column names once, then a tuple of values per row, made as it is
-read (table_rows), or a Family of rows made from one.  One walk, _printed,
-reads a Rows' values for both writers, checks them and appends their text;
-a writer gives how it prints rows, a NUL, and a Family's block under each
-high-bit string (JSON by reference, so its text is copied once).
+joins the text once, not once per nesting level.  Each C encoder it calls is
+built once (sexpr.json_encoder) and has no cycle check: what reaches one, a
+scalar, an empty container, a container of exact scalars or a block of row
+values, cannot hold a cycle, and a cyclic report ends in _indented's own
+RecursionError.  A table has one row type, Rows: its column names once,
+then a tuple of values per row, made as it is read (table_rows), or a
+Family of rows made from one.  One walk, _printed, reads a Rows' values for
+both writers, checks them and appends their text; a writer gives how it
+prints rows, a NUL, and a Family's block under each high-bit string (JSON
+by reference, so its text is copied once).
 """
 
 from __future__ import annotations
 
 import io
-import json
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, groupby, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Tuple
 
 from . import __version__
 from .bits import bit_strings, dyadic_bits
+from .sexpr import json_encoder
 
 SCHEMA_VERSION = "omegalab.report/1"
 
@@ -37,16 +42,16 @@ def envelope(command: str, config: dict, result) -> dict:
 
 
 _SCALARS = {str, int, float, bool, type(None)}  # a subclass takes the general path
-_scalar = json.JSONEncoder().encode  # C-backed: no indent
+_scalar = json_encoder(", ", ": ")  # no indent
 
 
 @lru_cache(maxsize=None)
 def _flat(depth: int):
     """Encodes a container of scalars with its items split as at depth."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+    return json_encoder(",\n" + "  " * depth, ": ")
 
 
-_lines = json.JSONEncoder(separators=("\n", ": ")).encode  # json escapes each newline in a string
+_lines = json_encoder("\n", ": ")  # json escapes each newline in a string
 _BLOCK = 1024  # rows whose values go to one encoder call
 
 
@@ -153,8 +158,9 @@ def _indented(v, depth: int, out: list) -> None:
     brackets = "{}" if isinstance(v, dict) else "[]"
     if set(map(type, items)) <= _SCALARS:
         out += (brackets[0], pad, _flat(depth + 1)(v)[1:-1], end, brackets[1])
-    else:  # a key prints as the one key of {key: 0} does
-        keys = [_scalar({k: 0})[1:-4] + ": " for k in v] if isinstance(v, dict) else [""] * len(v)
+    else:  # a key prints as json's C encoder prints a str key, or as the one key of {key: 0} does
+        keys = [(encode_basestring_ascii(k) if isinstance(k, str) else _scalar({k: 0})[1:-4]) + ": "
+                for k in v] if isinstance(v, dict) else [""] * len(v)
         for i, (key, x) in enumerate(zip(keys, items)):
             out += ("," if i else brackets[0], pad, key)
             _indented(x, depth + 1, out)

@@ -16,6 +16,7 @@ machine prefixes.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Tuple, Union
 
 from .bits import BitString
@@ -26,12 +27,23 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz01"
 _CHARS = ALPHABET + "()"
 CHAR_BITS = {ch: format(ord(ch), "08b") for ch in _CHARS}
 BITS_CHAR = {v: k for k, v in CHAR_BITS.items()}
-# A tuple of one-character atoms is a JSON array of strings; json's C encoder
-# writes it as ["a"["b"]], and dropping the quotes and swapping the brackets
-# for parentheses gives the canonical print (a(b)).  An expression is a tree
-# of tuples, so no cycle check is needed; the encoder's depth guard still
-# raises RecursionError on one nested too deep.
-_ENCODE = json.JSONEncoder(separators=("", ""), check_circular=False).encode
+
+
+def json_encoder(item_sep: str, key_sep: str):
+    """json's C encoder with these separators, built once: what json.JSONEncoder
+    encodes without indent, less its cycle check, so nothing is built per call
+    and a failed call leaves no state behind.  Only values that cannot hold a
+    cycle go to it; its depth guard raises RecursionError on one nested too deep."""
+    encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                             key_sep, item_sep, False, False, True)
+    return lambda value: "".join(encoder(value, 0))
+
+
+# A tuple of one-character atoms is a JSON array of strings; json's C encoder,
+# built once, writes it as ["a"["b"]], and dropping the quotes and swapping
+# the brackets for parentheses gives the canonical print (a(b)).  An
+# expression is a tree of tuples, so it needs no cycle check.
+_ENCODE = json_encoder("", "")
 _JSON_TO_PRINT = str.maketrans({'"': None, "[": "(", "]": ")"})
 
 

@@ -20,7 +20,6 @@ from omegalab.complexity import (
     check_chain_rule,
     check_coding,
     complexity_upper,
-    scan_domain,
 )
 from omegalab.hierarchy import dominance_check, fgh_eval, nat, ord_parse
 from omegalab.incompleteness import (
@@ -79,8 +78,8 @@ def test_criterion_2_counting_bound():
 
 
 @criterion(3, "sd domain is prefix-free over all bit strings of length <= 26")
-def test_criterion_3_prefix_free_domain():
-    members = scan_domain("sd", 26, BUDGET)
+def test_criterion_3_prefix_free_domain(domain_members):
+    members = domain_members("sd", 26, BUDGET)
     ok, witness = is_prefix_free(members)
     assert ok, witness
     return f"{len(members)} domain members"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spec
 from omegalab.complexity import (Ensemble, algorithmic_probability, check_chain_rule, check_coding, joint_complexity,
-                                 relative_complexity, scan_domain)
+                                 relative_complexity)
 from omegalab.bits import is_prefix_free
 from omegalab.machines import (
     STRUCTURAL,
@@ -181,14 +181,14 @@ def _raw_domain_scan(machine: str, max_len: int, budget: int):
     return members
 
 
-def test_structural_scan_equals_raw_scan():
+def test_structural_scan_equals_raw_scan(domain_members):
     # the factorized scan is provably exhaustive; cross-check it bit by bit
     raw = _raw_domain_scan("sd", 18, 1000)
-    assert raw == scan_domain("sd", 18, 1000)
+    assert raw == domain_members("sd", 18, 1000)
 
 
-def test_domain_prefix_free_and_extension_dead():
-    members = scan_domain("sd", 26, 10**4)
+def test_domain_prefix_free_and_extension_dead(domain_members):
+    members = domain_members("sd", 26, 10**4)
     ok, witness = is_prefix_free(members)
     assert ok, witness
     for m in members:
@@ -248,9 +248,8 @@ _C2 = Ensemble("c2", 4, 10)
     lambda: relative_complexity(_C2, "0", ""),
     lambda: check_coding(_C2),
     lambda: check_chain_rule(_C2, [("01010", "1")]),
-    lambda: scan_domain("c2", 4, 10),
 ], ids=["run_machine", "in_domain", "omega_lower_bound", "algorithmic_probability", "joint_complexity",
-        "relative_complexity", "check_coding", "check_chain_rule", "scan_domain"])
+        "relative_complexity", "check_coding", "check_chain_rule"])
 def test_every_prefix_free_quantity_refuses_c2_alike(call):
     # c2's domain is not prefix-free (0 and 01 both halt), so no Kraft sum,
     # coding theorem or chain rule holds for it; machines states the refusal once

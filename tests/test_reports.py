@@ -335,6 +335,40 @@ def test_emit_json_edge_cases():
         assert emit_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+_REPORT = {"schema": "s", "n": 3, "ok": True, "none": None, "f": 0.5, "nan": float("nan"), 7: "seven",
+           "nested": {"list": [1, "a", None, [], {}], "dicts": [{"k": 1.5}, {"k": [2, {"deep": "é\n"}]}], None: False}}
+_ROWS = [(1, "x"), (None, 2.5)]
+
+
+def test_emit_json_builds_no_encoder_at_a_depth_it_printed(encoders_built):
+    # each C encoder is built once, at import or at a depth's first print:
+    # str and other keys, scalars, flat and nested containers and a Rows
+    # cost no new one
+    report = dict(_REPORT, rows=Rows(("a", "b"), _ROWS))
+    listed = dict(_REPORT, rows=[{"a": a, "b": b} for a, b in _ROWS])
+    want = json.dumps(listed, indent=2) + "\n"
+    assert emit_json(report) == want
+    encoders_built.clear()
+    assert emit_json(report) == emit_json(listed) == want
+    assert encoders_built == []
+
+
+@pytest.mark.parametrize("value", [
+    {"a": 1, "b": {1}},  # a set among a dict's scalars
+    {"rows": [[1, "x"], [2, {3}]]},  # a set in a row
+    {"a": {"b": 1, (1, 2): 0}},  # a tuple key in a dict of scalars
+    {"a": {(1, 2): [1]}},  # a tuple key in a nested dict
+], ids=["set-in-dict", "set-in-row", "tuple-key-flat", "tuple-key-nested"])
+def test_emit_json_refuses_what_json_cannot_encode_and_keeps_no_state(value):
+    with pytest.raises(TypeError) as got:
+        emit_json(value)
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    assert str(got.value) == str(want.value)
+    for report in (dict(_REPORT, rows=[list(row) for row in _ROWS]), {"a": {"b": 1, "c": [1, {"d": {}}]}}):
+        assert emit_json(report) == json.dumps(report, indent=2) + "\n"
+
+
 # tables with bit and pair rows: quoting a pair takes 9 characters
 _PAIRED_TABLES = [Ensemble("total", 80, STRUCTURAL, 10), Ensemble("sd", 80, 10**4, 10)]
 

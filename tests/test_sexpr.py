@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import spec
 from omegalab.bits import is_prefix_free
+from omegalab.progs import pair_composer
 from omegalab.sexpr import (
     ALPHABET,
     SExprDecodeError,
@@ -92,6 +93,13 @@ def test_a_closure_has_no_print():
     for value in (closure, ("0", (closure,)), vm.Rec(closure)):
         with pytest.raises(TypeError):
             print_sexpr(value)
+
+
+def test_a_print_builds_no_encoder(encoders_built):
+    # the print's C encoder is built once, at import
+    composer = pair_composer()
+    assert parse(print_sexpr(composer)) == composer and len(to_bits(composer)) == 8 * len(print_sexpr(composer))
+    assert encoders_built == []
 
 
 @given(list_exprs, st.text(alphabet="01", max_size=20))

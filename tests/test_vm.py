@@ -436,13 +436,14 @@ def _fields(out):
 def _continued_agree(expr, budget, payload, aux):
     """Run expr with an empty payload and aux loaded, then continue each
     payload underrun with one more bit, checking every continued run against
-    a fresh one; the number of runs continued."""
+    a fresh one and the reference; the number of runs continued."""
     p = ""
     out, runs = eval_expr(expr, budget, p, aux), 0
     while out.reason == "payload-underrun" and len(p) < len(payload):
         p = payload[:len(p) + 1]
         out, runs = resume(out, p), runs + 1
         assert _fields(out) == _fields(eval_expr(expr, budget, p, aux)), (print_sexpr(expr), budget, p, aux)
+        assert _vm_view(out) == spec.reference_eval(expr, budget, p, aux), (print_sexpr(expr), budget, p, aux)
     return runs
 
 
@@ -456,7 +457,9 @@ def test_an_underrun_fault_continues_as_a_fresh_run(text, payload, aux, reason, 
     assert isinstance(out, Underrun) and out == (FAULTED, None, p_read, a_read, steps, reason)
     for more in ("", "0", "1", "01", "110"):
         p = payload + more
-        assert _fields(resume(out, p)) == _fields(eval_expr(expr, 100, p, aux)), p
+        continued = resume(out, p)
+        assert _fields(continued) == _fields(eval_expr(expr, 100, p, aux)), p
+        assert _vm_view(continued) == spec.reference_eval(expr, 100, p, aux), p
     if reason == "payload-underrun":
         assert _continued_agree(expr, 100, payload + "0110", aux) > 0
 
