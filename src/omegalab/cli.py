@@ -19,6 +19,7 @@ applies each flag's declared bound and the actions that read and need it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -480,8 +481,27 @@ DOMAIN_ERRORS = (ValueError, RecursionError, OSError, incompleteness.FASRunError
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command line and return its exit code, with the cyclic garbage
+    collector paused: disabled, and every object made before the command
+    frozen, so a collection that still runs (gc.collect(), here or in a
+    forked worker) walks only what the command made.  A command's values form
+    no cycle (vm's docstring), so reference counting frees them.  main leaves
+    the collector as it found it on every exit, an escaping exception
+    included: enabled or not, and objects a caller froze stay frozen."""
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.disable()
+    if not frozen:
+        gc.freeze()
+    try:
+        return _main(sys.argv[1:] if argv is None else argv)
+    finally:
+        if not frozen:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: List[str]) -> int:
     given = _plain_args(argv)
     if given is None:  # help, abbreviations, --config and usage errors: argparse's texts and exits
         given = vars(build_parser(argv[0] if argv else None).parse_args(argv))

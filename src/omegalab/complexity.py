@@ -56,7 +56,8 @@ On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
 peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.15 s with 17 MB,
 interpreter start-up included.
 Upper bounds beyond the cap come from constructed witnesses, each admitted
-only by a run that passes, and run only when it would be the bound (_least).
+only by a run that passes, and run only when it would be the bound (_least);
+the replay prefix is also built only when L can hold it.
 
 Prefixes (over each machine's own alphabet: on total, without l and y),
 their runs and the stored records are in no particular order.  build_table
@@ -571,7 +572,8 @@ def relative_complexity(ens: Ensemble, x: BitString, y_star: BitString) -> Compl
     plain = progs.quote_program(x)
     bits = plain.bits
     cands.append((len(bits), bits, "plain", lambda: progs.verify_output(machine, plain, x, aux=y_star)))
-    if output_of(y_run) == x:  # replaying the aux program reproduces its output
+    # replaying the aux program reproduces its output; built only when L can hold it
+    if output_of(y_run) == x and ens.L >= progs.REPLAY_SIZE_BITS:
         rp_bits = progs.replay_bits()
         cands.append((len(rp_bits), rp_bits, "replay", lambda: progs.verify_output(
             machine, progs.replay_program(), x, progs.GUEST_BUDGET, aux=y_star)))

@@ -39,6 +39,10 @@ def omega_exact_capped(L: int) -> ComplexityTable:
 
 
 DEFAULT_GUARD = 10**8  # the oracle's step guard
+# the most programs of at most k bits the oracle lists: total's 479,753 of at
+# most 79 bits (c_cap 9) list in 4.6 s and 240 MB, while its 12,540,808 of at
+# most 87 bits (c_cap 10) ran out of 1.5 GB
+ORACLE_LIST_CAP = 10**6
 
 
 class OracleResult(NamedTuple):
@@ -65,7 +69,9 @@ def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = DEFA
     Programs of at most k bits are listed one by one, and a larger counted
     record is taken by count: its members each add the same steps and the same
     2^-size, and none joins the halting set, so they are interchangeable and
-    where the dovetail stops depends only on how many of them it took.
+    where the dovetail stops depends only on how many of them it took.  The
+    programs of at most k bits are counted first, and past ORACLE_LIST_CAP
+    the oracle refuses with a ValueError before listing any.
     """
     if (ens.machine, ens.B) != ("total", STRUCTURAL):
         raise ValueError(f"the omega oracle needs machine total at the structural budget, "
@@ -78,7 +84,12 @@ def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = DEFA
     target = int(kbits or "0", 2) << (L - k)  # value(kbits), over 2^L
     if not target:
         return OracleResult(False, None, (), Dyadic.zero(), 0)
-    larger = [r for r in explicit_records(ens) if r.size_bits > k]  # read first: one sweep, at L, serves both
+    swept = explicit_records(ens)  # read first: one sweep, at L, serves both listings
+    listed = sum(r.count for r in swept if r.size_bits <= k)
+    if listed > ORACLE_LIST_CAP:
+        raise ValueError(f"the oracle would list {listed} programs of at most k={k} bits, "
+                         f"over its cap of {ORACLE_LIST_CAP}")
+    larger = [r for r in swept if r.size_bits > k]
     records = enumerate_halting(Ensemble("total", k, STRUCTURAL, ens.c_cap, ens.workers)) + larger
     records.sort(key=lambda r: (r.steps, r.size_bits, r.program_bits))
     acc, spent, halted = 0, 0, []

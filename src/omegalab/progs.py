@@ -406,6 +406,11 @@ def replay_prefix() -> SExpr:
     return let(binds, ap("u", hd("g")))
 
 
+# len(replay_bits()), pinned so that a caller can tell whether an L can hold
+# the replay prefix without building it (test_frozen_guest_constants checks it)
+REPLAY_SIZE_BITS = 9632
+
+
 @lru_cache(maxsize=None)
 def replay_bits() -> BitString:
     """The replay prefix encoded, once per process."""

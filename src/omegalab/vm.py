@@ -81,6 +81,13 @@ continued from one state share its cache, which changes no outcome: an
 entry depends on its quoted list alone, and one a sibling added is, like a
 fresh run's own, an object nothing in the state holds.  Its one caller is
 machines.continue_run: a sweep's branches share too few steps to continue.
+
+No run-time value is part of a cycle.  Every tuple a run makes (a pair, a
+binding (name, value, env), a continuation frame), every Closure and every
+Rec is built from objects that exist before it and is never written after,
+so nothing it refers to can refer back to it.  Reference counting alone
+frees a run's values, which is why cli.main can run a command with the
+cyclic garbage collector paused.
 """
 
 from __future__ import annotations

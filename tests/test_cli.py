@@ -1,10 +1,14 @@
 """Command-line surface: dispatch, formats, exit-code taxonomy, reproducibility."""
 
+import contextlib
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -643,15 +647,13 @@ def test_frontier_stdout_is_frozen(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _cli_in_a_fresh_process(*argv) -> subprocess.CompletedProcess:
-    """python -m omegalab.cli argv, its stdout as bytes: the process's caches
-    (about 240 MB of generated prefixes at c_cap 11) end with it."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+def _fresh_env() -> dict:
+    """The environment of a fresh python process that imports this omegalab."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(omegalab.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "omegalab.cli", *argv], env=env, capture_output=True)
 
 
-@pytest.mark.parametrize("argv, digest", [
+FRONTIER = [
     (["omega", "exact", "--L", "95", "--c-cap", "11"],
      "c5c51711b14a6916efd018552e27d66cf949f8d6ebbe3ddc80502c5b63744fd6"),
     (["omega", "lower", "--machine", "sd", "--L", "95", "--c-cap", "11", "--B", "10000"],
@@ -659,14 +661,38 @@ def _cli_in_a_fresh_process(*argv) -> subprocess.CompletedProcess:
     # c2's CSV at L 20: 2^20 - 1 rule rows printed from 20 templates
     (["sweep", "--machine", "c2", "--L", "20", "--B", "10000", "--csv"],
      "7f5da551d4d84d58d21652f19aac593d966bd4899a3e5175b039729e9c082413"),
-], ids=["omega-exact-c11", "omega-lower-sd-c11", "sweep-c2-L20-csv"])
+]
+
+
+@pytest.fixture(scope="module")
+def frontier_runs():
+    """python -m omegalab.cli argv for each FRONTIER command, all started at
+    once, by argv: (the process, its stdout file, its stderr file).  Each
+    test waits for its own, so the commands run side by side, and each
+    process's caches (about 240 MB of generated prefixes at c_cap 11) end
+    with it.  Files, not pipes, take the output, so no process waits for a
+    reader."""
+    runs = {}
+    with contextlib.ExitStack() as stack:
+        for argv, _ in FRONTIER:
+            out, err = stack.enter_context(tempfile.TemporaryFile()), stack.enter_context(tempfile.TemporaryFile())
+            proc = stack.enter_context(subprocess.Popen([sys.executable, "-m", "omegalab.cli", *argv],
+                                                        env=_fresh_env(), stdout=out, stderr=err))
+            stack.callback(proc.kill)  # runs before the process's own exit waits for it
+            runs[tuple(argv)] = proc, out, err
+        yield runs
+
+
+@pytest.mark.parametrize("argv, digest", FRONTIER, ids=["omega-exact-c11", "omega-lower-sd-c11", "sweep-c2-L20-csv"])
 @pytest.mark.watchdog(60)  # a fresh process builds the frontier's caches anew
-def test_frontier_stdout_in_a_fresh_process_is_frozen(argv, digest):
+def test_frontier_stdout_in_a_fresh_process_is_frozen(frontier_runs, argv, digest):
     # frozen while the frontier's sweeps still generated every runnable prefix
     # and c2's CSV still had a printing walk of its own
-    done = _cli_in_a_fresh_process(*argv)
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert hashlib.sha256(done.stdout).hexdigest() == digest
+    proc, out, err = frontier_runs[tuple(argv)]
+    proc.wait()
+    out.seek(0), err.seek(0)
+    assert (proc.returncode, err.read()) == (0, b"")
+    assert hashlib.sha256(out.read()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k, digest", [
@@ -690,6 +716,36 @@ def test_omega_oracle_lists_no_counted_member_above_k(capsys, monkeypatch, k, di
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert all(size <= k for size in listed) and (k < 32 or listed)
+
+
+def test_omega_oracle_lists_up_to_its_cap(capsys, monkeypatch):
+    # total has 764 programs of at most 63 bits at c_cap 7: a cap of 764
+    # lists them, one of 763 refuses before listing any
+    from omegalab import omega
+
+    argv = ("omega", "oracle", "--L", "63", "--c-cap", "7", "--k", "63")
+    monkeypatch.setattr(omega, "ORACLE_LIST_CAP", 764)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and len(report(out)["halting_set"]) == 764
+    monkeypatch.setattr(omega, "ORACLE_LIST_CAP", 763)
+    monkeypatch.setattr(omega, "enumerate_halting", lambda *args: pytest.fail("listed"))
+    assert run_cli(capsys, *argv) == (
+        2, "", "omegalab: the oracle would list 764 programs of at most k=63 bits, over its cap of 763\n")
+
+
+def test_omega_oracle_refuses_the_frontier_before_listing(capsys, monkeypatch):
+    # total's programs of at most 87 bits at c_cap 10 are 12,540,808, about
+    # 1.4 GB listed
+    from omegalab import complexity, omega
+
+    monkeypatch.setattr(omega, "enumerate_halting", lambda *args: pytest.fail("listed"))
+    monkeypatch.setattr(complexity, "_counted_records", lambda *args: pytest.fail("listed"))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "omega", "oracle", "--L", "87", "--c-cap", "10", "--k", "87")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"omegalab: the oracle would list 12540808 programs of at most k=87 bits, " \
+                  f"over its cap of {omega.ORACLE_LIST_CAP}\n"
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -841,3 +897,135 @@ def test_reads_and_needs_name_an_earlier_flag_and_its_choices():
     assert _malformed(COMMANDS["run"][2][1:] + COMMANDS["run"][2][:1]) == [
         ("--raw", "reads"), ("--raw", "needs"), ("--prefix", "reads"), ("--prefix", "needs"),
         ("--payload", "reads"), ("--aux", "reads")]
+
+
+# one plain command line per command, as _plain_args reads it (no argparse)
+PLAIN = [
+    ["bits", "kraft", "--set", "0,10,110"],
+    ["sexpr", "encode", "--text", "(q(01))"],
+    ["run", "--machine", "sd", "--prefix", "(r)", "--payload", "1"],
+    ["sweep", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
+    ["complexity", "--machine", "c2", "--target", "101", "--L", "4", "--B", "100"],
+    ["elegant", "--machine", "total", "--L", "33", "--B", "structural"],
+    ["prob", "--machine", "sd", "--target", "", "--L", "24"],
+    ["coding", "--machine", "sd", "--L", "24", "--B", "10000"],
+    ["chain", "--machine", "sd", "--pairs", "0:1;:", "--L", "96", "--B", "10000"],
+    ["omega", "lower", "--machine", "sd", "--L", "63", "--c-cap", "7", "--B", "10000"],
+    ["normality", "--x", "01010101", "--k", "1", "--tol", "0.1"],
+    ["fas", "berry", "--fas", "sound"],
+    ["fgh", "eval", "--ordinal", "w+1", "--n", "1"],
+    ["diag", "--n", "2"],
+]
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector's state, enabled and frozen count, put back after
+    the test, whatever it did."""
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    yield
+    if gc.get_freeze_count() != frozen:  # frozen objects cannot be put back one by one
+        gc.unfreeze()
+    gc.enable() if enabled else gc.disable()
+
+
+def test_the_plain_lines_cover_every_command_once():
+    from omegalab.cli import COMMANDS, _plain_args
+
+    assert [argv[0] for argv in PLAIN] == list(COMMANDS)
+    assert all(_plain_args(argv) is not None for argv in PLAIN)
+
+
+@pytest.mark.parametrize("argv", PLAIN, ids=lambda argv: argv[0])
+def test_a_plain_command_leaves_no_cyclic_garbage(capsys, collector, sweeps, argv):
+    # with the collector off throughout, so nothing is collected early:
+    # reference counting alone frees what the command made, which is why
+    # main may pause the collector
+    gc.disable()
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
+
+
+def test_the_cyclic_garbage_of_a_command_is_collected_after_it():
+    # argparse leaves cycles, and so does a process's first worker pool (its
+    # imports): in a fresh process with the collector off, none of them is
+    # left frozen, and one collection after main frees them all (Python 3.12
+    # starts with a few objects frozen)
+    code = """if True:
+        import contextlib, gc, io, sys
+        from omegalab.cli import main
+        gc.disable()
+        frozen = gc.get_freeze_count()
+        for argv in (["bits", "kraft", "--set=0,10,110"],
+                     ["omega", "lower", "--machine", "sd", "--L", "63", "--c-cap", "7", "--B", "10000",
+                      "--workers", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            print(gc.get_freeze_count() - frozen, gc.collect() > 0, gc.collect())
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 True 0\n" * 2)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bits", "kraft", "--set", "0,10,110"], 0),
+    (["run"], 1),  # argparse exits
+    (["sexpr", "parse", "--text", "(a"], 2),
+    (["fas", "omegabits", "--fas", "omega8-flipped", "--budget", "1000"], 3),
+    (["bits", "kraft", "--set", "0"], RuntimeError),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3", "exception"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collector, argv, code, enabled, frozen):
+    from omegalab import cli
+
+    dispatch, paused = cli._dispatch, []
+
+    def recording_dispatch(args):
+        paused.append((gc.isenabled(), gc.get_freeze_count() > 0))
+        if code is RuntimeError:
+            raise RuntimeError("escapes main")
+        return dispatch(args)
+
+    monkeypatch.setattr(cli, "_dispatch", recording_dispatch)
+    if frozen:
+        gc.freeze()
+    gc.enable() if enabled else gc.disable()
+    state = gc.isenabled(), gc.get_freeze_count()
+    if code in (0, 2, 3):
+        assert main(argv) == code
+    else:
+        with pytest.raises(SystemExit if code == 1 else code):
+            main(argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    assert paused == ([] if code == 1 else [(False, True)])
+
+
+def test_no_collection_starts_inside_a_command(capsys, monkeypatch, collector, sweeps):
+    # at a gen-0 threshold of 1, any GC-tracked object the command made would
+    # start a collection if the collector ran
+    from omegalab import cli
+
+    run, starts = cli._main, []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    def hooked(argv):
+        gc.callbacks.append(hook)
+        try:
+            return run(argv)
+        finally:
+            gc.callbacks.remove(hook)
+
+    monkeypatch.setattr(cli, "_main", hooked)
+    threshold = gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(1)
+    try:
+        code = main(["omega", "lower", "--machine", "sd", "--L", "63", "--c-cap", "7", "--B", "10000"])
+    finally:
+        gc.set_threshold(*threshold)
+    assert (code, starts) == (0, [])

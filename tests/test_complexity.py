@@ -807,6 +807,29 @@ def test_a_constructed_witness_whose_run_fails_is_skipped(monkeypatch):
     assert runs == [quote, progs.replay_prefix()]
 
 
+@pytest.mark.parametrize("x, y", [("", ""), ("0110", "0110"), ("0110", "1"), ("01" * 200, "01" * 200),
+                                  ("01" * 1000, "01" * 1000)],  # the last one's quote is past L
+                         ids=["empty", "x=y", "x!=y", "x=y-400-bits", "x=y-2000-bits"])
+@pytest.mark.parametrize("plain_fails", [False, True], ids=["plain-runs", "plain-fails"])
+def test_the_replay_is_built_only_where_L_can_hold_it(monkeypatch, x, y, plain_fails):
+    # at L one bit short of the replay prefix nothing builds or encodes it,
+    # and each bound is the one the rule gives that builds it for every L
+    ens = Ensemble("sd", progs.REPLAY_SIZE_BITS - 1, 10**4, c_cap=3)
+    y_star = progs.quote_program(y).bits
+    built = []
+    for name in ("replay_prefix", "replay_bits", "replay_program"):
+        monkeypatch.setattr(progs, name, lambda name=name, f=getattr(progs, name): built.append(name) or f())
+    if plain_fails:
+        verify_output = progs.verify_output
+        monkeypatch.setattr(progs, "verify_output", lambda machine, p, *args, **kwargs: (
+            p.prefix != progs.quote_program(x).prefix and verify_output(machine, p, *args, **kwargs)))
+    res = relative_complexity(ens, x, y_star)
+    assert built == []
+    monkeypatch.setattr(progs, "REPLAY_SIZE_BITS", 0)
+    assert relative_complexity(ens, x, y_star) == res
+    assert bool(built) == (x == y)  # that rule builds it wherever the replay reproduces x
+
+
 def test_count_agrees_with_the_listing_for_every_slot_kind():
     from omegalab.complexity import _ALPHABETS, _SLOTS, _count, _fill
 

@@ -225,6 +225,8 @@ FROZEN_GUEST_CONSTANTS = {"K": 11376, "T_sound": 14744, "T_unsound": 15160}
 
 
 def test_frozen_guest_constants():
+    # the replay prefix's size, which relative_complexity reads without building it
+    assert progs.REPLAY_SIZE_BITS == len(progs.replay_bits()) == 9632
     sizes = {
         "K": 8 * len(print_sexpr(pair_composer())),
         "T_sound": build_berry_program(bundled_sound_fas())[1],
