@@ -57,7 +57,6 @@ _SWEEP = [
     ("--L", dict(type=int, required=True)),
     ("--B", dict(type=_budget, default=10**4, lo=0)),
     ("--c-cap", dict(type=int, default=DEFAULT_CHAR_CAP, reads=("machine", "sd total"))),  # c2 sweeps no prefixes
-    ("--workers", dict(type=int, default=1, reads=("machine", "sd total"))),
 ]
 _TARGET = [("--target", dict(type=_bits_arg, required=True))]
 
@@ -332,7 +331,7 @@ def _dispatch(args: SimpleNamespace) -> dict:
         return _outcome_dict(out)
 
     if cmd in ("sweep", "elegant", "complexity", "prob", "coding", "chain"):
-        ens = Ensemble(args.machine, args.L, args.B, args.c_cap, args.workers)
+        ens = Ensemble(args.machine, args.L, args.B, args.c_cap)
 
     if cmd in ("sweep", "elegant"):
         return reports.table_report(complexity.build_table(ens))
@@ -367,7 +366,7 @@ def _dispatch(args: SimpleNamespace) -> dict:
         capped = args.action != "lower"  # exact, bits and oracle: the decidable total ensemble
         if capped and args.machine != "total":
             raise ValueError(f"omega {args.action} needs --machine total, got {args.machine}")
-        ens = Ensemble(args.machine, args.L, STRUCTURAL if capped else args.B, args.c_cap, args.workers)
+        ens = Ensemble(args.machine, args.L, STRUCTURAL if capped else args.B, args.c_cap)
         flag, count = ("--emit-bits", args.emit_bits) if args.action in ("lower", "exact") else ("--k", args.k)
         if count is not None and count > args.L:
             raise ValueError(f"{flag} {count} exceeds --L {args.L}: a capped omega's bits past L are all 0")
@@ -483,8 +482,10 @@ DOMAIN_ERRORS = (ValueError, RecursionError, OSError, incompleteness.FASRunError
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command line and return its exit code, with the cyclic garbage
     collector paused: disabled, and every object made before the command
-    frozen, so a collection that still runs (gc.collect(), here or in a
-    forked worker) walks only what the command made.  A command's values form
+    frozen, so a collection that still runs (gc.collect()) walks only what
+    the command made.  Unfreezing puts those objects in the oldest
+    generation, so in a process that runs command after command the young
+    collections between them do not walk them again.  A command's values form
     no cycle (vm's docstring), so reference counting frees them.  main leaves
     the collector as it found it on every exit, an escaping exception
     included: enabled or not, and objects a caller froze stay frozen."""

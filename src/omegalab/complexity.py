@@ -52,6 +52,8 @@ B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16 sd and 12
 total prefixes.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
+A sweep that could run more than SWEEP_PREFIX_CAP prefixes counts them
+first (_count, the recursion of _fill with nothing listed), and refuses past it.
 On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
 peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.15 s with 17 MB,
 interpreter start-up included.
@@ -64,14 +66,15 @@ their runs and the stored records are in no particular order.  build_table
 folds records in any order; the oracle, _least and _counted_records sort by
 keys of their own.  enumerate_halting's is the one order of a sweep's
 records, by (size, program bits, aux_read).  No two records share that key,
-so listings, witnesses and tie-breaks are reproducible and a sweep
-partitioned across workers by prefix range gives every table identically.
+so listings, witnesses and tie-breaks are reproducible.  A sweep runs in
+one process: on a 2-CPU VM, splitting it over two forked processes made it
+no faster and took a second copy of its memory.
 
-An Ensemble (machine, L, B, c_cap, workers) names one capped program ensemble
-and is the one place these inputs are checked; every sweep-derived function
-takes one, and build_table is memoized on it.  explicit_records alone runs
-sweeps.  Its store holds one sweep per key, an ensemble's (machine, c_cap,
-workers), and serves the ensemble's (L, B, aux) from the stored (L_s >= L,
+An Ensemble (machine, L, B, c_cap) names one capped program ensemble and is
+the one place these inputs are checked; every sweep-derived function takes
+one, and build_table is memoized on it.  explicit_records alone runs
+sweeps.  Its store holds one sweep per key, an ensemble's (machine, c_cap),
+and serves the ensemble's (L, B, aux) from the stored (L_s >= L,
 B_s >= B) by projection: the records with size_bits <= L, steps <= B and
 aux_read a prefix of aux (of "" when aux is None).  This is exact:
 evaluation is deterministic, a budget only cuts a run short, and each shorter
@@ -101,6 +104,10 @@ DEFAULT_CHAR_CAP = 6
 # c2's table is closed form, so this cap bounds the size of a report, not the
 # table's memory: c2's JSON is 202 MB at L 20 and 826 MB at L 22
 C2_RAW_CAP = 22
+# the most prefixes a sweep runs, counted before any is listed: with total's
+# 1,539,033 of at most 12 characters, `omega exact --L 103 --c-cap 12` took
+# about 20 s and 1.9 GB, while listing sd's 4,833,719 ran out of 3 GB
+SWEEP_PREFIX_CAP = 2 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +136,7 @@ def gen_exprs(max_chars: int) -> List[SExpr]:
 _SLOTS = {"q": "x", "r": "", "s": "", "i": "vvx|vnv", "e": "vv", "c": "vv",
           "a": "v", "h": "v", "t": "v", "l": "px", "y": "v", "": "|fv"}
 _CONSTANTS = ("q", "l")  # one step, nothing read (module docstring); a tuple, as "" is in every str
+_RUN = tuple(h for h in _SLOTS if h not in _CONSTANTS)  # the heads of the prefixes a sweep runs
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +148,7 @@ def _evaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
 @lru_cache(maxsize=None)
 def _runnable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
     """The evaluable lists of print length n that are not constants: the ones a sweep runs."""
-    return _forms(n, [h for h in _SLOTS if h not in _CONSTANTS], alphabet)
+    return _forms(n, _RUN, alphabet)
 
 
 def _forms(n: int, heads, alphabet: str) -> Tuple[SExpr, ...]:
@@ -175,14 +183,31 @@ def _items(kind: str, k: int, alphabet: str) -> Tuple[SExpr, ...]:
 
 @lru_cache(maxsize=None)
 def _count(m: int, slots: str, alphabet: str) -> int:
-    """len(_fill(m, slots, alphabet)), with the items of kinds x and * counted
-    without listing them."""
+    """len(_fill(m, slots, alphabet)), by the same recursion, listing nothing."""
     if not slots:
         return int(m == 0)
-    kind, run = slots[0], slots[0] == "*"
-    return (_count(m, slots[1:], alphabet) if run else 0) + sum(  # a first item of k characters:
-        (len(_items(kind, k, alphabet)) if k == 1 or kind not in "x*" else _count(k - 2, "*", alphabet))  # atom or list
-        * _count(m - k, slots if run else slots[1:], alphabet) for k in range(1, m + 1))
+    run = slots[0] == "*"
+    return (_count(m, slots[1:], alphabet) if run else 0) + sum(
+        _count_items(slots[0], k, alphabet) * _count(m - k, slots if run else slots[1:], alphabet)
+        for k in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def _count_items(kind: str, k: int, alphabet: str) -> int:
+    """len(_items(kind, k, alphabet)): of v, the evaluable lists; of n, every
+    expression but them; of x and *, every expression (an atom, or a list of
+    a run of them)."""
+    if kind in "vf":
+        return _count_forms(k, _SLOTS, alphabet) if kind == "v" or "l" in alphabet else 0
+    if kind == "p":
+        return sum(a not in vm.PRIMS for a in alphabet) if k == 1 else 0
+    every = len(alphabet) if k == 1 else _count(k - 2, "*", alphabet)
+    return every - _count_forms(k, _SLOTS, alphabet) if kind == "n" else every
+
+
+def _count_forms(n: int, heads, alphabet: str) -> int:
+    """len(_forms(n, heads, alphabet))."""
+    return sum(_count(n - 2 - len(h), alt, alphabet) for h in heads if h in alphabet for alt in _SLOTS[h].split("|"))
 
 
 _ALPHABETS = {"sd": ALPHABET, "total": "".join(a for a in ALPHABET if a not in vm.GENERAL_ONLY)}
@@ -206,7 +231,7 @@ def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
     outs = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in quoted]
     records = tuple(HaltRecord(to_bits(("q", out.value)), output_of(out), pair_output_of(out), 1, 8 * n)
                     for out in outs)
-    count = sum(_count(m, _SLOTS[h], alphabet) for h in _CONSTANTS if h in alphabet) - len(records)
+    count = _count_forms(n, _CONSTANTS, alphabet) - len(records)
     if not count:
         return records
     member = (("q", "a") if n == 4 else ("l", _items("p", 1, alphabet)[0], "a") if n == 5
@@ -266,40 +291,25 @@ class HaltRecord(NamedTuple):  # immutable: stored sweeps and memoized tables sh
     count: int = 1  # the programs it stands for, alike in every field but program_bits
 
 
-def _sd_records_for_prefixes(job) -> List[HaltRecord]:
-    """The records of one sweep job: prefixes that all print to n characters."""
-    n, prefixes, L, budget = job
-    records = []
-    for prefix in prefixes:
-        runs = domain_runs(prefix, L - 8 * n, budget)
-        pre_bits = to_bits(prefix) if runs else ""  # most prefixes fault: print only the ones that halt
-        for payload, aux, out in runs:
-            bits = pre_bits + payload
-            records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps, len(bits), aux))
-    return records
-
-
-class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", object), ("c_cap", int),
-                                        ("workers", int)])):
+class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", object), ("c_cap", int)])):
     """The programs of at most L bits on machine, run for at most B steps, swept
-    over prefixes of at most c_cap characters by workers processes.  Every
-    sweep-derived quantity is a function of one; its fields are checked here."""
+    over prefixes of at most c_cap characters.  Every sweep-derived quantity
+    is a function of one; its fields are checked here."""
 
     __slots__ = ()
 
-    def __new__(cls, machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP, workers: int = 1) -> "Ensemble":
+    def __new__(cls, machine: str, L: int, B, c_cap: int = DEFAULT_CHAR_CAP) -> "Ensemble":
         if machine not in machines.MACHINES:
             raise ValueError(f"unknown machine {machine!r}")
         check_budget(machine, B)
-        if L < 0 or c_cap < 0 or workers < 1:
-            raise ValueError(f"sweep needs L, c_cap >= 0 and workers >= 1, got L={L}, "
-                             f"c_cap={c_cap}, workers={workers}")
+        if L < 0 or c_cap < 0:
+            raise ValueError(f"sweep needs L, c_cap >= 0, got L={L}, c_cap={c_cap}")
         if machine == "c2" and L > C2_RAW_CAP:
             raise ValueError(f"c2 raw sweep capped at {C2_RAW_CAP} bits (desk scale), got L={L}")
-        return tuple.__new__(cls, (machine, L, B, c_cap, workers))
+        return tuple.__new__(cls, (machine, L, B, c_cap))
 
 
-_store: Dict[Tuple[str, int, int], Tuple[Ensemble, List[HaltRecord]]] = {}  # one sweep per store key
+_store: Dict[Tuple[str, int], Tuple[Ensemble, List[HaltRecord]]] = {}  # one sweep per store key
 
 
 def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
@@ -317,10 +327,10 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
     """The stored records behind enumerate_halting(ens, aux): each counted
     record stands for its members, and c2's leading-0 programs are left out.
     Served unordered from the sweep store (module docstring); the list is the caller's."""
-    key = (ens.machine, ens.c_cap, ens.workers)
+    key = (ens.machine, ens.c_cap)
     hit = _store.get(key)
     if hit is None or hit[0].L < ens.L or not covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
-        swept = Ensemble("total", ens.L, STRUCTURAL, ens.c_cap, ens.workers) if ens.machine == "total" else ens
+        swept = Ensemble("total", ens.L, STRUCTURAL, ens.c_cap) if ens.machine == "total" else ens
         hit = _store[key] = (swept, _sweep(*swept))
     y = aux or ""
     return [r for r in hit[1] if r.size_bits <= ens.L and covers(ens.B, r.steps) and y.startswith(r.aux_read)]
@@ -337,27 +347,30 @@ def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
     return sorted(listed, key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
 
 
-def _sweep(machine: str, L: int, B, c_cap: int, workers: int) -> List[HaltRecord]:
+def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
     """The explicit records of one sweep at exactly (L, B), in no particular
     order, bypassing the store and Ensemble's checks."""
     if machine == "c2":
         return _enumerate_c2(L, B)
     # every prefix prints to n <= L // 8 characters, so 8n <= L already
-    alphabet = _ALPHABETS[machine]
-    lengths = range(2, min(c_cap, L // 8) + 1)
-    by_n = [(n, _runnable(n, alphabet)) for n in lengths]
-    count = sum(len(prefixes) for _, prefixes in by_n)
-    step = max(1, -(-count // (8 * workers)))  # about 8 jobs per worker
-    jobs = [(n, prefixes[i:i + step], L, B) for n, prefixes in by_n
-            for i in range(0, len(prefixes), step)]
-    if workers > 1 and count > 64:
-        from multiprocessing import get_context  # not at module level: it slows every start
-
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sd_records_for_prefixes, jobs)
-    else:
-        parts = map(_sd_records_for_prefixes, jobs)
-    records = list(itertools.chain.from_iterable(parts))
+    alphabet, chars = _ALPHABETS[machine], min(c_cap, L // 8)
+    lengths = range(2, chars + 1)
+    # a prefix of n characters has n - 2 inside its parentheses, each an atom
+    # or a parenthesis: the count runs only where that bound passes the cap
+    # (past 6 characters)
+    if sum((len(alphabet) + 2) ** (n - 2) for n in lengths) > SWEEP_PREFIX_CAP:
+        count = sum(_count_forms(n, _RUN, alphabet) for n in lengths)
+        if count > SWEEP_PREFIX_CAP:
+            raise ValueError(f"the {machine} sweep would run {count} prefixes of at most {chars} characters, "
+                             f"over its cap of {SWEEP_PREFIX_CAP}")
+    records = []
+    for n in lengths:
+        for prefix in _runnable(n, alphabet):
+            runs = domain_runs(prefix, L - 8 * n, B)
+            pre_bits = to_bits(prefix) if runs else ""  # most prefixes fault: print only the ones that halt
+            for payload, aux, out in runs:
+                bits = pre_bits + payload
+                records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps, len(bits), aux))
     if covers(B, 1):  # the constants, in closed form
         for n in lengths:
             records += _split_constants(n, alphabet)

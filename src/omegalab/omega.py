@@ -90,7 +90,7 @@ def oracle_halting_from_omega(kbits: BitString, ens: Ensemble, guard: int = DEFA
         raise ValueError(f"the oracle would list {listed} programs of at most k={k} bits, "
                          f"over its cap of {ORACLE_LIST_CAP}")
     larger = [r for r in swept if r.size_bits > k]
-    records = enumerate_halting(Ensemble("total", k, STRUCTURAL, ens.c_cap, ens.workers)) + larger
+    records = enumerate_halting(Ensemble("total", k, STRUCTURAL, ens.c_cap)) + larger
     records.sort(key=lambda r: (r.steps, r.size_bits, r.program_bits))
     acc, spent, halted = 0, 0, []
     for bits, _, _, steps, size, _, count in records:

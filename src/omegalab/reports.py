@@ -2,7 +2,7 @@
 
 Every report embeds a schema tag, the tool version, and the exact config
 that produced it, with stable field order, so identical configs yield
-byte-identical output regardless of worker count.  emit_json, the only JSON
+byte-identical output under any hash seed.  emit_json, the only JSON
 writer, gives exactly the bytes of json.dumps(report, indent=2) + "\n", and
 joins the text once, not once per nesting level.  Each C encoder it calls is
 built once (sexpr.json_encoder) and has no cycle check: what reaches one, a

@@ -8,9 +8,14 @@ reports asserted bit-identical are compared as rendered bytes.
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omegalab
 from spec import PAIR_ALPHABET
 from omegalab.bits import Dyadic, dyadic_bits, is_prefix_free
 from omegalab.complexity import (
@@ -88,11 +93,11 @@ def test_criterion_3_prefix_free_domain(domain_members):
 _reports = {}
 
 
-def _criterion4_report(workers: int) -> str:
+def _criterion4_report() -> str:
     grid = []
     for L in (16, 18, 20, 22, 24):
         for B in (10**2, 10**3, 10**4):
-            approx = omega_lower_bound(Ensemble("total", L, B, workers=workers))
+            approx = omega_lower_bound(Ensemble("total", L, B))
             grid.append({"L": L, "B": B, "value": str(approx.mass)})
     return emit_json({"grid": grid})
 
@@ -108,7 +113,7 @@ def test_criterion_4_omega_monotone():
         for (L2, B2), v2 in values.items():
             if L1 <= L2 and B1 <= B2:
                 assert v1 <= v2, ((L1, B1), (L2, B2))
-    _reports["c4", 1] = _criterion4_report(1)
+    _reports["c4"] = _criterion4_report()
     return f"omega(total, 24, 10^4) = {values[24, 10**4]}"
 
 
@@ -138,8 +143,8 @@ def test_criterion_6_oracle_completeness():
     return "set equality for every k in 0..16"
 
 
-def _criterion7_report(workers: int) -> str:
-    return emit_json(check_coding(Ensemble("sd", 24, BUDGET, workers=workers)))
+def _criterion7_report() -> str:
+    return emit_json(check_coding(Ensemble("sd", 24, BUDGET)))
 
 
 @criterion(7, "coding direction: prob(x) >= 2^-h(x) exactly on the sd sweep")
@@ -154,13 +159,13 @@ def test_criterion_7_coding_direction():
         assert row["defect"] >= 0
     again = check_coding(Ensemble("sd", 24, BUDGET))
     assert emit_json(rep) == emit_json(again), "rerun must be bit-identical"
-    _reports["c7", 1] = _criterion7_report(1)
+    _reports["c7"] = _criterion7_report()
     return f"max defect {rep['max_defect']}"
 
 
-def _criterion8_report(workers: int) -> str:
+def _criterion8_report() -> str:
     pairs = list(itertools.product(PAIR_ALPHABET, PAIR_ALPHABET))
-    return emit_json(check_chain_rule(Ensemble("sd", 96, BUDGET, workers=workers), pairs))
+    return emit_json(check_chain_rule(Ensemble("sd", 96, BUDGET), pairs))
 
 
 @criterion(8, "subadditivity direction h(x,y) <= h(x) + h(y|x*) + K for |x|,|y| <= 2")
@@ -172,7 +177,7 @@ def test_criterion_8_chain_rule():
     for row in rep["pairs"]:
         assert row["composed_verified"], row
         assert row["h_xy"] <= row["h_x"] + row["h_y_given_xstar"] + rep["K"], row
-    _reports["c8", 1] = emit_json(rep)
+    _reports["c8"] = emit_json(rep)
     return f"K = {rep['K']} bits, max |d| = {rep['max_abs_d']}"
 
 
@@ -223,29 +228,33 @@ def test_criterion_11_omega_bits():
     return f"count - N = {rep['count_minus_n']}"
 
 
-def _pool_report(workers: int) -> str:
-    # up to 7 characters 134 sd prefixes are runnable, past the 64 above which
-    # a sweep with workers > 1 forks a pool; criteria 4, 7 and 8 stay below it
-    return emit_json(omega_report(omega_lower_bound(Ensemble("sd", 63, BUDGET, c_cap=7, workers=workers))))
+def _sd7_report() -> str:
+    # up to 7 characters sd runs 134 prefixes, where criteria 4, 7 and 8 run 16
+    return emit_json(omega_report(omega_lower_bound(Ensemble("sd", 63, BUDGET, c_cap=7))))
 
 
-@criterion(12, "criteria 4, 7, 8 and a pooled sd sweep's reports are byte-identical for workers in {1, 4}")
-def test_criterion_12_worker_determinism(monkeypatch):
-    import multiprocessing
+_FRESH_REPORTS = """if True:
+    import json, sys
+    import test_acceptance as t
+    json.dump({"c4": t._criterion4_report(), "c7": t._criterion7_report(), "c8": t._criterion8_report(),
+               "sd7": t._sd7_report()}, sys.stdout)
+"""
 
-    get_context = multiprocessing.get_context
-    forked = []
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: forked.append(method) or get_context(method))
-    checks = [
-        ("c4", _criterion4_report),
-        ("c7", _criterion7_report),
-        ("c8", _criterion8_report),
-        ("pool", _pool_report),
-    ]
-    for name, fn in checks:
-        one = _reports.get((name, 1)) or fn(1)
-        four = fn(4)
-        assert one == four, f"{name} differs between workers 1 and 4"
-    assert forked == ["fork"], forked
-    return "byte-identical; one pool forked"
+
+@criterion(12, "criteria 4, 7, 8 and an sd c_cap 7 sweep's reports are byte-identical under PYTHONHASHSEED 0 and 4242")
+def test_criterion_12_hash_seed_determinism():
+    # a set of strings iterates in an order the hash seed picks, so a report
+    # that leaned on it would differ between fresh processes; this process's
+    # own reports, under its seed, are compared too where made
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parent), str(Path(omegalab.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen([sys.executable, "-c", _FRESH_REPORTS], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed), text=True)
+             for seed in ("0", "4242")]
+    (zero, err0), (seed4242, err4242) = (proc.communicate() for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0] and (err0, err4242) == ("", ""), (err0, err4242)
+    zero, seed4242 = json.loads(zero), json.loads(seed4242)
+    for name, report in zero.items():
+        assert report == seed4242[name], f"{name} differs between PYTHONHASHSEED 0 and 4242"
+        assert _reports.get(name, report) == report, f"{name} differs between this process and a fresh one"
+    return "byte-identical in two fresh processes"

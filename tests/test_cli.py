@@ -308,20 +308,6 @@ def test_config_file_merges(tmp_path, capsys):
     assert code == 0 and report(out)["value"] == {"exact": 4}
 
 
-def test_reports_identical_across_workers(capsys):
-    outs = []
-    for workers in ("1", "4"):
-        code, out, _ = run_cli(capsys, "sweep", "--machine", "total", "--L", "40",
-                               "--B", "structural", "--c-cap", "5", "--workers", workers)
-        assert code == 0
-        outs.append(out)
-    r1, r4 = json.loads(outs[0]), json.loads(outs[1])
-    assert r1["result"] == r4["result"]
-    # whole reports differ only in the workers field of the recorded config
-    r1["config"].pop("workers"), r4["config"].pop("workers")
-    assert r1 == r4
-
-
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"ordinal": "w", "n": 2, "ordnal": "w+1"}))
@@ -334,8 +320,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["sweep", "--machine", "sd", "--L", "40", "--c-cap", "-2"],
     ["sweep", "--machine", "c2", "--L", "-5"],
     ["omega", "lower", "--machine", "sd", "--L", "16", "--B", "-1"],
-    ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "0"],
-    ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "-3"],
     ["omega", "bits", "--L", "16", "--k", "-3"],
     ["omega", "exact", "--L", "16", "--emit-bits", "-2"],
     ["run", "--machine", "sd", "--prefix", "(q(0))", "--budget", "structural"],
@@ -348,8 +332,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ["omega", "exact", "--L", "16", "--machine", "sd"],
     ["omega", "bits", "--L", "16", "--k", "4", "--machine", "sd"],
     ["omega", "oracle", "--L", "16", "--k", "4", "--machine", "sd"],
-    ["omega", "bits", "--L", "16", "--k", "4", "--workers", "0"],
-    ["omega", "oracle", "--L", "16", "--k", "4", "--workers", "-1"],
     ["sweep", "--machine", "c2", "--L", "23"],
     ["prob", "--machine", "c2", "--target", "0", "--L", "8"],
     ["coding", "--machine", "c2", "--L", "8"],
@@ -571,13 +553,13 @@ def test_run_structural_budget_on_a_deeply_nested_quote(capsys):
     assert r1 == r2 and r1["result"]["outcome"] == "halted"
 
 
-def test_omega_oracle_sweeps_once_for_any_workers(capsys, monkeypatch, sweeps):
+def test_omega_oracle_sweeps_once(capsys, monkeypatch, sweeps):
     from omegalab import complexity, omega
 
     monkeypatch.setattr(omega, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
-    code, out, _ = run_cli(capsys, "omega", "oracle", "--L", "40", "--k", "12", "--workers", "2")
+    code, out, _ = run_cli(capsys, "omega", "oracle", "--L", "40", "--k", "12")
     assert code == 0 and not report(out)["guard_tripped"]
-    assert sweeps == [("total", 40, "structural", 6, 2)]
+    assert sweeps == [("total", 40, "structural", 6)]
 
 
 _FGH_HELP = """\
@@ -634,9 +616,9 @@ def test_fgh_stdout_is_frozen_across_the_closed_form(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv, code, digest", [
     (["omega", "exact", "--L", "87", "--c-cap", "10"], 0,
-     "1027dfb44ea14688cf75ba8431552f2dd14d2be2a7d7a9d65240510d7507ad38"),
+     "18ce1b6a0af8421be6911504abb350a2dacf9d5a6e71defebd3d41be7d30d145"),
     (["omega", "lower", "--machine", "sd", "--L", "87", "--c-cap", "10", "--B", "10000"], 0,
-     "10ef1838d28dc7f81414b0df76c2fd0afd0da1d895c7c5905b823afca5ff1fb9"),
+     "10a5c32948d0710e6b64d2c6640fca1bd4eccabc1aca338c9e30cb4e9aa79c91"),
     (["fas", "ceiling", "--fas", "unsound", "--budget", "10000000"], 3,
      "809ebcf4534974d0ab07530ecf965a885f5e7ec6c6c73682f3e20fc200225e05"),
 ], ids=["omega-exact", "omega-lower-sd", "fas-ceiling-unsound"])
@@ -655,9 +637,9 @@ def _fresh_env() -> dict:
 
 FRONTIER = [
     (["omega", "exact", "--L", "95", "--c-cap", "11"],
-     "c5c51711b14a6916efd018552e27d66cf949f8d6ebbe3ddc80502c5b63744fd6"),
+     "4537898f823ba26201bed97da936dd176e9e41d890db2cdd58767f33ef121820"),
     (["omega", "lower", "--machine", "sd", "--L", "95", "--c-cap", "11", "--B", "10000"],
-     "9dad1aa107622598c374069ba0899a8b5601835b280388060f9f83ecf40bd927"),
+     "5334c315f56fb76d530d118448990acb9a72e09a484abcf49973ba2c9f48dbd2"),
     # c2's CSV at L 20: 2^20 - 1 rule rows printed from 20 templates
     (["sweep", "--machine", "c2", "--L", "20", "--B", "10000", "--csv"],
      "7f5da551d4d84d58d21652f19aac593d966bd4899a3e5175b039729e9c082413"),
@@ -696,8 +678,8 @@ def test_frontier_stdout_in_a_fresh_process_is_frozen(frontier_runs, argv, diges
 
 
 @pytest.mark.parametrize("k, digest", [
-    (16, "2a6ecdd349997f50635a80678da63a3ac148d1ef2b748540a4f58fc773d11d96"),
-    (40, "fc3e2194b3de92615f279b2f66d7cb0291bcceddbe3f5242aebf6a1b9be7ca7b"),
+    (16, "b641ab68a21e56a1c6fe0011ba155b5d134fa40c29eb70fb786dd63fdeb55836"),
+    (40, "8aa46e2d04233bef23f6237e9c33e5f0151a058b94713bea340bd6da7d3e2dd0"),
 ])
 def test_omega_oracle_lists_no_counted_member_above_k(capsys, monkeypatch, k, digest):
     # frozen while the oracle still listed every member of every counted
@@ -748,22 +730,68 @@ def test_omega_oracle_refuses_the_frontier_before_listing(capsys, monkeypatch):
                   f"over its cap of {omega.ORACLE_LIST_CAP}\n"
 
 
+def test_a_sweep_runs_up_to_its_prefix_cap(capsys, monkeypatch, sweeps):
+    # sd has 134 runnable prefixes of at most 7 characters: a cap of 134 runs
+    # them, one of 133 refuses before listing any
+    from omegalab import complexity, omega
+
+    argv = ("omega", "lower", "--machine", "sd", "--L", "63", "--c-cap", "7", "--B", "10000")
+    monkeypatch.setattr(omega, "build_table", complexity.build_table.__wrapped__)  # bypass the memo
+    monkeypatch.setattr(complexity, "SWEEP_PREFIX_CAP", 134)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and sweeps == [("sd", 63, 10000, 7)]
+    monkeypatch.setattr(complexity, "SWEEP_PREFIX_CAP", 133)
+    monkeypatch.setattr(complexity, "_store", {})
+    monkeypatch.setattr(complexity, "_runnable", lambda *args: pytest.fail("listed"))
+    assert run_cli(capsys, *argv) == (
+        2, "", "omegalab: the sd sweep would run 134 prefixes of at most 7 characters, over its cap of 133\n")
+
+
+def test_a_sweep_refuses_sd_at_12_characters_before_listing(capsys, monkeypatch):
+    # listing sd's 4,833,719 runnable prefixes of at most 12 characters ran
+    # out of a 3 GB address space
+    from omegalab import complexity
+
+    monkeypatch.setattr(complexity, "_runnable", lambda *args: pytest.fail("listed"))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "omega", "lower", "--machine", "sd", "--L", "103", "--c-cap", "12",
+                             "--B", "10000")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"omegalab: the sd sweep would run 4833719 prefixes of at most 12 characters, " \
+                  f"over its cap of {complexity.SWEEP_PREFIX_CAP}\n"
+
+
+def test_the_workers_flag_is_refused(capsys, tmp_path):
+    # a sweep runs in one process; the flag that once split it is unknown
+    for argv in (["sweep", "--machine", "sd", "--L", "40", "--workers", "2"],
+                 ["omega", "lower", "--L", "40", "--workers", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: --workers {argv[-1]}" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"workers": 2}))
+    code, out, err = run_cli(capsys, "sweep", "--machine", "sd", "--L", "40", "--config", str(conf))
+    assert (code, out) == (2, "") and f"unknown key 'workers' in config file {conf}" in err
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["sweep", "--machine", "c2", "--L", "14", "--B", "10000"],
-     "c7cdab824ea117c570de6a551d27ad430d682e346d99ba210911b80c304e00c7"),
+     "3fc6c9ba52ced1208d3bd70ace24b8e1fbacc7a2d01037fa079eddc15a9c411f"),
     (["sweep", "--machine", "c2", "--L", "17", "--B", "0"],
-     "0def7c445ba8b166dba28ba24e2c4961b9b0746b28d19dc7104f1020a58563cd"),
+     "58a32e01159e895b67d1db330e1895d9de3b3684a0d2a28677ee73b4c362e0a6"),
     (["elegant", "--machine", "c2", "--L", "14", "--B", "1", "--csv"],
      "5effa6c5daf00f0fa0c81333bac5a17b9997d5ffb93e16aaf71d2fd69f2c02af"),
     # the run record of () meets the leading-0 family: its output "" keeps h = 1
     (["sweep", "--machine", "c2", "--L", "17", "--B", "100"],
-     "a4e9298d6f98c61bb23d264f2ac9e1259f6b233a2ce88fb72da110f1d86e9816"),
+     "cb7313a9755828c847cd4e20d06ca4628a418bdde7fbbe83980c494d43183c50"),
     # and so in CSV, and at L 19, where its length 0 is printed entry by
     # entry and every other length under 19 by the rule
     (["sweep", "--machine", "c2", "--L", "17", "--B", "100", "--csv"],
      "c16e0f182e8988cf54ab45b9f5f273dbdcfdce156a2bb34eb45ffc51d8de7667"),
     (["sweep", "--machine", "c2", "--L", "19", "--B", "100"],
-     "b1562b5f0f7844ca58c780b809968c04d411b5c8374a8424240e5594a828c982"),
+     "2fb02ae495604c749360a48cee34ec9facc974d98bab788011f682ef93ead84a"),
 ], ids=["sweep-L14", "sweep-L17-B0", "elegant-csv", "sweep-L17-B100", "sweep-L17-B100-csv", "sweep-L19-B100"])
 def test_c2_stdout_is_frozen(capsys, argv, digest):
     # frozen while the c2 sweep still stored a record for every leading-0 program
@@ -773,19 +801,17 @@ def test_c2_stdout_is_frozen(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("cmd", [["sweep"], ["elegant"], ["complexity", "--target", "01"]])
-@pytest.mark.parametrize("flag", [["--c-cap", "3"], ["--workers", "2"]])
-def test_c2_table_commands_refuse_flags_c2_never_reads(capsys, cmd, flag):
-    code, out, err = run_cli(capsys, *cmd, "--machine", "c2", "--L", "14", *flag)
-    assert (code, out) == (2, "") and err == f"omegalab: {cmd[0]} --machine c2 does not read {flag[0]}\n"
+def test_c2_table_commands_refuse_flags_c2_never_reads(capsys, cmd):
+    code, out, err = run_cli(capsys, *cmd, "--machine", "c2", "--L", "14", "--c-cap", "3")
+    assert (code, out) == (2, "") and err == f"omegalab: {cmd[0]} --machine c2 does not read --c-cap\n"
 
 
-def test_c2_table_commands_accept_the_default_cap_and_workers(capsys):
-    # c2 reads neither flag: a non-default value is refused, the default still passes
+def test_c2_table_commands_accept_the_default_cap(capsys):
+    # c2 does not read --c-cap: a non-default value is refused, the default still passes
     for cmd in (["sweep"], ["elegant"], ["complexity", "--target", "01"]):
-        code, out, _ = run_cli(capsys, *cmd, "--machine", "c2", "--L", "2", "--B", "10",
-                               "--c-cap", "6", "--workers", "1")
+        code, out, _ = run_cli(capsys, *cmd, "--machine", "c2", "--L", "2", "--B", "10", "--c-cap", "6")
         rep = json.loads(out)
-        assert code == 0 and (rep["config"]["c_cap"], rep["config"]["workers"]) == (6, 1)
+        assert code == 0 and rep["config"]["c_cap"] == 6
 
 
 @pytest.mark.parametrize("ordinal", ["w^w^w^w^w^1", "w^(" * 400 + "1" + ")" * 400])
@@ -948,18 +974,17 @@ def test_a_plain_command_leaves_no_cyclic_garbage(capsys, collector, sweeps, arg
 
 
 def test_the_cyclic_garbage_of_a_command_is_collected_after_it():
-    # argparse leaves cycles, and so does a process's first worker pool (its
-    # imports): in a fresh process with the collector off, none of them is
-    # left frozen, and one collection after main frees them all (Python 3.12
-    # starts with a few objects frozen)
+    # argparse leaves cycles (--flag=value goes to it): in a fresh process
+    # with the collector off, none of them is left frozen, neither after a
+    # first command nor after a sweep, and one collection after main frees
+    # them all (Python 3.12 starts with a few objects frozen)
     code = """if True:
         import contextlib, gc, io, sys
         from omegalab.cli import main
         gc.disable()
         frozen = gc.get_freeze_count()
         for argv in (["bits", "kraft", "--set=0,10,110"],
-                     ["omega", "lower", "--machine", "sd", "--L", "63", "--c-cap", "7", "--B", "10000",
-                      "--workers", "2"]):
+                     ["omega", "lower", "--machine=sd", "--L", "63", "--c-cap", "7", "--B", "10000"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
             print(gc.get_freeze_count() - frozen, gc.collect() > 0, gc.collect())

@@ -594,51 +594,13 @@ def test_subadditivity_via_plain_composer():
         assert composed.size_bits == len(wx) + len(wy) + K2
 
 
-def test_table_determinism_and_workers():
-    t1 = build_table(Ensemble("total", 40, STRUCTURAL, c_cap=5, workers=1))
-    t4 = build_table(Ensemble("total", 40, STRUCTURAL, c_cap=5, workers=4))
-    assert t1.entries == t4.entries
-    assert t1.pair_entries == t4.pair_entries
-    assert t1.conv_fail_mass == t4.conv_fail_mass
-
-
 def test_one_ensemble_is_one_memo_entry(sweeps):
-    # however its defaults are written, one ensemble is one table; workers
-    # stays in the memo and store keys, so a workers=4 report is never served
-    # from a workers=1 table (criterion 12's sweeps, at c_cap <= 6, are too
-    # small to fork a pool: test_parallel_sweep_equals_the_serial_one forks one)
+    # however its defaults are written, one ensemble is one table
     build_table.cache_clear()
     t = build_table(Ensemble("total", 32, STRUCTURAL))
-    assert build_table(Ensemble("total", 32, STRUCTURAL, c_cap=6, workers=1)) is t
+    assert build_table(Ensemble("total", 32, STRUCTURAL, c_cap=6)) is t
     assert build_table.cache_info().misses == 1
-    t4 = build_table(Ensemble("total", 32, STRUCTURAL, workers=4))
-    assert t4 is not t and build_table.cache_info().misses == 2
-    assert sweeps == [("total", 32, STRUCTURAL, 6, 1), ("total", 32, STRUCTURAL, 6, 4)]
-
-
-@pytest.mark.parametrize("machine, B, count", [("sd", 10**4, 1847), ("total", STRUCTURAL, 764)])
-def test_parallel_sweep_equals_the_serial_one(monkeypatch, machine, B, count):
-    # up to 7 characters 134 sd and 92 total prefixes are runnable, past the
-    # 64 above which a sweep with workers > 1 forks a pool
-    import multiprocessing
-    from omegalab import complexity
-
-    get_context = multiprocessing.get_context
-    forked = []
-
-    def spy(method):
-        forked.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    monkeypatch.setattr(complexity, "_store", {})
-    tables = [build_table.__wrapped__(Ensemble(machine, 63, B, 7, workers)) for workers in (1, 2)]
-    assert forked == ["fork"]
-    serial, parallel = (complexity._store[machine, 7, workers][1] for workers in (1, 2))
-    assert parallel == serial
-    serial, parallel = (enumerate_halting(Ensemble(machine, 63, B, 7, workers)) for workers in (1, 2))
-    assert len(serial) == count and parallel == serial and forked == ["fork"]
-    assert tables[0]._replace(ens=None) == tables[1]._replace(ens=None)
+    assert sweeps == [("total", 32, STRUCTURAL, 6)]
 
 
 def test_store_projection_equals_direct_sweep(monkeypatch):
@@ -650,7 +612,7 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     swept = []
 
     def direct(machine, L, B, c_cap):  # the aux-free records of a sweep that bypasses the store
-        return [r for r in complexity._with_counted(sweep_direct(machine, L, B, c_cap, 1),
+        return [r for r in complexity._with_counted(sweep_direct(machine, L, B, c_cap),
                                                     Ensemble(machine, L, B, c_cap)) if r.aux_read == ""]
 
     def sweep(*args):
@@ -681,7 +643,7 @@ def test_store_projection_equals_direct_sweep(monkeypatch):
     # a projection is a fresh list the caller may change
     enumerate_halting(Ensemble("sd", 40, 10**4)).clear()
     assert enumerate_halting(Ensemble("sd", 40, 10**4)) == direct("sd", 40, 10**4, 6)
-    # one sweep per (machine, c_cap, workers): each sd sweep at c_cap 6 replaced the one before
+    # one sweep per (machine, c_cap): each sd sweep at c_cap 6 replaced the one before
     assert len(complexity._store) == 3
 
 
@@ -718,7 +680,7 @@ def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch, sweeps):
     x_stars = {complexity_upper(Ensemble("sd", 56, 10**4, c_cap=4), x, include_constructed=True).witness
                for x, _ in pairs}
     assert len(x_stars) >= 3
-    assert sweeps == [("sd", 56, 10**4, 4, 1)]
+    assert sweeps == [("sd", 56, 10**4, 4)]
 
 
 def test_chain_encodes_each_fixed_guest_program_once_for_all_its_candidates(monkeypatch, capsys):
@@ -839,6 +801,29 @@ def test_count_agrees_with_the_listing_for_every_slot_kind():
         for alt in {alt for slots in _SLOTS.values() for alt in slots.split("|")}:
             for m in range(8 if set(alt) & set("vfn") else 6):
                 assert _count(m, alt, alphabet) == len(_fill(m, alt, alphabet)), (alphabet, alt, m)
+
+
+def test_the_counts_of_evaluable_and_runnable_lists_equal_the_listing():
+    from omegalab.complexity import _ALPHABETS, _RUN, _SLOTS, _count_forms, _evaluable, _runnable
+
+    # the evaluable lists of 9 characters quote any of 0.6 million expressions
+    # of 6, so they are counted against the listing up to 8
+    for alphabet in _ALPHABETS.values():
+        for n in range(1, 11):
+            assert _count_forms(n, _RUN, alphabet) == len(_runnable(n, alphabet)), (alphabet, n)
+        for n in range(1, 9):
+            assert _count_forms(n, _SLOTS, alphabet) == len(_evaluable(n, alphabet)), (alphabet, n)
+
+
+def test_the_prefixes_a_sweep_runs_are_counted_past_the_listing():
+    # at c_cap 11, 12 and 13, by the recursion alone; the cap lets total run
+    # at 12 and refuses sd there
+    from omegalab.complexity import _ALPHABETS, _RUN, SWEEP_PREFIX_CAP, _count_forms
+
+    counts = {name: list(itertools.accumulate(_count_forms(n, _RUN, alphabet) for n in range(2, 14)))[-3:]
+              for name, alphabet in _ALPHABETS.items()}
+    assert counts == {"sd": [264935, 4833719, 122867549], "total": [68140, 1539033, 39048100]}
+    assert counts["total"][1] <= SWEEP_PREFIX_CAP < counts["sd"][1]
 
 
 # sha256 of repr([(program_bits, output, pair, steps, size_bits), ...]) per sweep

@@ -52,7 +52,7 @@ def _bench_commands():
 
 ABBREVIATED = [
     ["run", "--mach", "sd", "--prefix", "(q(l))"],
-    ["sweep", "--mach", "total", "--L", "40", "--B", "structural", "--work", "2", "--cs"],
+    ["sweep", "--mach", "total", "--L", "40", "--B", "structural", "--c-c", "5", "--cs"],
     ["omega", "exact", "--L", "24", "--emit", "12", "--js"],
     ["omega", "oracle", "--L", "24", "--kb", "01", "--gu", "9"],
     ["fgh", "dominate", "--al", "w", "--be", "w+1", "--po", "1,2"],

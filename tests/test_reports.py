@@ -433,19 +433,21 @@ def test_checked_records_check_every_construction():
     assert Dyadic(12, 5) == Dyadic(3, 3) and repr(Dyadic(12, 5)) == "Dyadic(num=3, exp=3)"
     assert copy.copy(Dyadic(12, 5)) == pickle.loads(pickle.dumps(Dyadic(12, 5))) == Dyadic(3, 3)
     assert repr(Program(("q", "0"))) == "Program(prefix=('q', '0'), payload='')"
-    assert repr(Ensemble("sd", 40, 100)) == "Ensemble(machine='sd', L=40, B=100, c_cap=6, workers=1)"
+    assert repr(Ensemble("sd", 40, 100)) == "Ensemble(machine='sd', L=40, B=100, c_cap=6)"
     for bad in (lambda: Dyadic(-1, 0), lambda: Dyadic(1, -1), lambda: Program("q"),
                 lambda: Ensemble("sd", -1, 100), lambda: Ensemble("sd", 40, STRUCTURAL),
-                lambda: Ensemble("c2", 40, 1), lambda: Ensemble("sd", 40, 100, workers=0)):
+                lambda: Ensemble("c2", 40, 1), lambda: Ensemble("sd", 40, 100, c_cap=-1)):
         with pytest.raises(ValueError):
             bad()
+    with pytest.raises(TypeError):  # a sweep runs in one process
+        Ensemble("sd", 40, 100, workers=4)
 
 
 @pytest.mark.parametrize("argv, size, digest", [
-    (["sweep", "--machine", "c2", "--L", "14", "--B", "10000"], 2965223,
-     "c7cdab824ea117c570de6a551d27ad430d682e346d99ba210911b80c304e00c7"),
+    (["sweep", "--machine", "c2", "--L", "14", "--B", "10000"], 2965205,
+     "3fc6c9ba52ced1208d3bd70ace24b8e1fbacc7a2d01037fa079eddc15a9c411f"),
     (["sweep", "--machine", "c2", "--L", "17", "--B", "0"], None,
-     "0def7c445ba8b166dba28ba24e2c4961b9b0746b28d19dc7104f1020a58563cd"),
+     "58a32e01159e895b67d1db330e1895d9de3b3684a0d2a28677ee73b4c362e0a6"),
     (["sweep", "--machine", "c2", "--L", "17", "--B", "1", "--csv"], None,
      "c16e0f182e8988cf54ab45b9f5f273dbdcfdce156a2bb34eb45ffc51d8de7667"),
 ])
@@ -459,29 +461,29 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
 
 @pytest.mark.parametrize("argv, digest", [
     (["sweep", "--machine", "sd", "--L", "40", "--B", "10000"],
-     "c2d4d3b1d9128db6bcfc5b351dbf2b5331b4647bc1ffdfbb9e0856f668ede009"),
+     "d3ad62f079883589681d42ec9532a8d27ffe96624121f43090b0ec6ee6acafa7"),
     (["coding", "--machine", "sd", "--L", "40", "--B", "10000"],
-     "5c9b0f8bb53e9e0fa16cfe54f24f27c1ea0488324904906ae13890b0bf93cd87"),
+     "b6ff28295915e393ae527354226165f05f01c05f2d635efcc9e6ffd58a787bb7"),
     (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
-     "ae5afca449c6f3dcbb83e49c1ddc3f296abee2b9906f08256b283e9b65522916"),
+     "4fcd7038318e1013e5276f859c3f4122f01357cd69abfbfb5f7108c6fd1020a6"),
     # the benchmark's seed-1 chain command, whose 2-bit x is skipped
     (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:0;00:;00:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
-     "724f0bcd89520c2f41a1237450fd2fd19ac3e162371f87a78eca5639ddee82d9"),
+     "cafa8d2f0b19c17a1801d738c1308c1b8a76aad72c1a3c18f562c518ef52ff96"),
     # machine total refuses the composer, which holds l and y: composed_verified
     # is false on all four pairs
     (["chain", "--machine", "total", "--pairs", ":;:1;0:;0:0", "--L", "96", "--B", "structural", "--c-cap", "5"],
-     "0ebc397e5226c72675ce07b9c3621f7343e3ffd432c624b5d0eae75f52ee2605"),
+     "7ca7612a91f1776100ebe823830464ade6838687756dd88c3726b79704c1fa92"),
     (["elegant", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
      "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
     (["sweep", "--machine", "total", "--L", "80", "--c-cap", "10", "--B", "structural"],
-     "ccce8c7b427b6ebc115ef1f03c756ef6bb90fb4a72c733a81fedd63902131efb"),
+     "da6a8143cdfae434b33ac696dd61b1fbdc5bbb3eb71a69667ab798add48216ce"),
     # the one CSV with pair rows (69 lines), and coding's own columns
     (["sweep", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10", "--csv"],
      "e1d173f7b24c9a78c82377d7040ea96e78680f5ecad212f408a87447980946b0"),
     (["coding", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10", "--csv"],
      "2e979570e0aa6d9ceb0f4ed55a4c396a02717a6f8df056803b73f3b8dde7931b"),
     (["coding", "--machine", "total", "--L", "80", "--B", "structural", "--c-cap", "10"],
-     "07a5c899b7be166887f69873d48ec186f454a634e2cbc6fd5f5272f5a2ff23cd"),
+     "e2c017bc59454ffe06bd98d7c6824065d8a21efbf34d42662c2d7270013bb11a"),
 ])
 def test_report_stdout_is_frozen(capsys, argv, digest):
     # frozen from the reports as json.dumps(indent=2) and csv printed them
@@ -491,20 +493,20 @@ def test_report_stdout_is_frozen(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv, digest", [
     (["omega", "exact", "--L", "71", "--c-cap", "8"],
-     "f5fd02cb3c2efc1b693ba09e5bcc958f7025a1a1b7e24459aa5b05b46e7e58c6"),
+     "42dcaa4f799b480e1349a876d8ccce266310fdcbb04c7dfe5d94134b2bc2f1f8"),
     (["omega", "lower", "--machine", "sd", "--L", "71", "--c-cap", "8"],
-     "7eb3cbe8136514ad620b4535319b2471afa4e4bf745f416e575895102d7ef970"),
+     "e6aa4ddbdf8c0bea74e9a55fd91fa8c092b3debdf77ce3a3739c3e890229d179"),
     (["omega", "exact", "--L", "79", "--c-cap", "9"],
-     "660b61977ec83404821762143e6707dc452965373a4672f0459541a93a4dd74c"),
+     "542d2cf3b426b8ec47d7f3f4f50304f60dcb40bdf1bf48de24e0e93e1b7f9ec4"),
     (["omega", "lower", "--machine", "sd", "--L", "79", "--c-cap", "9"],
-     "4af43c93ec55a73cc542b52accaa5ba420e4d15148f90e57003bc56c8bd39d9a"),
+     "d3da16afd3f9038bc2861c71986b83f96a67cc3f92e9f395890683fe0d9e9ff6"),
     # the bits a report prints from a capped omega
     (["omega", "exact", "--L", "40", "--emit-bits", "12"],
-     "e8400032c3120d6765d810e7e85fcc6299c0c7f26a7ab50156f22b101d247c55"),
+     "0f1a4a1b59d8df4456cb1c403d3403452761e3a98ac380376cc18a81f644e971"),
     (["omega", "lower", "--machine", "total", "--L", "40", "--B", "3", "--emit-bits", "20"],
-     "c1c6d2a95572f41b29b9349049222bd72b9e8afbad4ae237599721a208649605"),
+     "fca9a32af59e8b5a9cbd5481a720562b40acdd2d13e4001198a5f143e3e956ac"),
     (["omega", "bits", "--L", "24", "--k", "16"],
-     "2e27bb22e26b822cfb5ddfb9a8f79e35c9c30194cb88b58b77d223fe43286e10"),
+     "21cac4a44fa9218ffc79f533d1271afe6780f6c81e6a83d1a0fd0576dd319226"),
 ])
 def test_capped_omega_stdout_is_frozen(capsys, argv, digest):
     # frozen from the sweeps that ran every evaluable prefix, constants too

@@ -161,7 +161,7 @@ def _loaded_at_cli_start(modules):
 
 def test_no_function_imports_a_module_loaded_at_cli_start():
     # an import inside a function defers only a module that the CLI has not
-    # loaded at start (multiprocessing, fractions, csv, hierarchy); for any
+    # loaded at start (fractions, csv, hierarchy); for any
     # other module it saves nothing and costs a lookup on every call
     sites = set()
     for name, tree in _library_trees():
@@ -180,10 +180,17 @@ def test_no_function_imports_a_module_loaded_at_cli_start():
     assert not found, found
 
 
-def test_cli_start_imports_neither_multiprocessing_nor_fractions():
-    # only a sweep with --workers > 1 needs multiprocessing and only
-    # `normality` needs fractions; every other command starts without them
-    assert _loaded_at_cli_start({"multiprocessing", "fractions"}) == "[]\n"
+def test_cli_start_does_not_import_fractions():
+    # only `normality` needs fractions; every other command starts without it
+    assert _loaded_at_cli_start({"fractions"}) == "[]\n"
+
+
+def test_no_library_module_imports_multiprocessing():
+    # a sweep runs in one process
+    found = _library_nodes(lambda node: (isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "multiprocessing" for alias in node.names)) or (
+        isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multiprocessing"))
+    assert not found, found
 
 
 def test_cli_start_imports_neither_dataclasses_nor_csv_nor_hierarchy():
@@ -244,9 +251,9 @@ def test_tests_name_only_the_pinned_sweep_internals():
     # a test rewritten against tests/spec.py takes its names off this set in
     # the same change
     read = set().union(*map(_private_complexity_names, Path(__file__).parent.glob("*.py")))
-    assert read == {"_ALPHABETS", "_C2Entries", "_CONSTANTS", "_SLOTS", "_count", "_counted_records", "_evaluable",
-                    "_exprs_exact", "_fill", "_forms", "_least", "_runnable", "_split_constants",
-                    "_store", "_sweep", "_with_counted"}, sorted(read)
+    assert read == {"_ALPHABETS", "_C2Entries", "_CONSTANTS", "_RUN", "_SLOTS", "_count", "_count_forms",
+                    "_counted_records", "_evaluable", "_exprs_exact", "_fill", "_forms", "_least", "_runnable",
+                    "_split_constants", "_store", "_sweep", "_with_counted"}, sorted(read)
 
 
 def test_the_spec_names_no_sweep_internal():

@@ -65,7 +65,7 @@ def test_records_and_tables_equal_the_spec(machine, B):
         table = build_table(Ensemble(machine, L, B, 5))
         assert spec.table_view(table) == spec.fold(spec.under(found, None), machine), L
         assert table.exhaustive_limit == L and omega_lower_bound(Ensemble(machine, L, B, 5)) is table
-    got = enumerate_halting(Ensemble(machine, 47, B, 5, workers=4), "01")
+    got = enumerate_halting(Ensemble(machine, 47, B, 5), "01")
     assert [tuple(r) for r in got] == spec.under(everything, "01")
     # the spec's projection by aux read is the run of every tree with the aux loaded
     assert B != 10**4 or spec.under(everything, "01") == spec.halting(machine, 47, B, 5, "01")
