@@ -762,14 +762,33 @@ def test_a_sweep_refuses_sd_at_12_characters_before_listing(capsys, monkeypatch)
                   f"over its cap of {complexity.SWEEP_PREFIX_CAP}\n"
 
 
-def test_the_workers_flag_is_refused(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    # once usage errors (exit 2) for their values; now the flag is unknown
+    ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "0"],
+    ["sweep", "--machine", "total", "--L", "16", "--B", "structural", "--workers", "-3"],
+    ["omega", "bits", "--L", "16", "--k", "4", "--workers", "0"],
+    ["omega", "oracle", "--L", "16", "--k", "4", "--workers", "-1"],
+    # and every command that once took it
+    ["sweep", "--machine", "sd", "--L", "40", "--workers", "2"],
+    ["sweep", "--machine", "c2", "--L", "14", "--workers", "2"],
+    ["elegant", "--machine", "c2", "--L", "14", "--workers", "2"],
+    ["complexity", "--machine", "c2", "--L", "14", "--target", "01", "--workers", "2"],
+    ["prob", "--machine", "sd", "--L", "16", "--target", "0", "--workers", "2"],
+    ["coding", "--machine", "sd", "--L", "16", "--workers", "2"],
+    ["chain", "--machine", "sd", "--L", "16", "--pairs", "0:1", "--workers", "2"],
+    ["omega", "lower", "--L", "40", "--workers", "1"],
+    ["omega", "exact", "--L", "40", "--workers", "2"],
+], ids=" ".join)
+def test_the_workers_flag_is_refused(capsys, argv):
     # a sweep runs in one process; the flag that once split it is unknown
-    for argv in (["sweep", "--machine", "sd", "--L", "40", "--workers", "2"],
-                 ["omega", "lower", "--L", "40", "--workers", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert f"unrecognized arguments: --workers {argv[-1]}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: --workers {argv[-1]}" in captured.err
+
+
+def test_a_config_file_with_workers_is_refused(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"workers": 2}))
     code, out, err = run_cli(capsys, "sweep", "--machine", "sd", "--L", "40", "--config", str(conf))
