@@ -3,66 +3,108 @@
 The sweep never iterates raw bit strings for the self-delimiting machines:
 a domain member must decode as 8-bit characters of one balanced expression
 followed by payload, so the space factorizes exactly into (valid prefix
-expression) x (payload bits).  Payloads are discovered on demand: a run is
-attempted with the empty payload and extended one bit at a time exactly when
-the machine faults with payload-underrun, which enumerates precisely the
-payloads a prefix can consume in full.  This is provably the same domain set
-a raw scan of all 2^(L+1) strings would find, at a tiny fraction of the cost.
+expression) x (payload bits).  Payloads are found per run, never per
+string: a run reads the bits it reads, so each halting run names the one
+payload it consumes in full, and a prefix's runs enumerate precisely its
+payloads.  This is provably the same domain set a raw scan of all 2^(L+1)
+strings would find, at a tiny fraction of the cost.
 
 Machine c2 is not raw-scanned either.  A leading 1 halts only on one whole
-list expression, so only the expressions of (n-1)/8 characters are run, and
-only those records are stored.  A leading 0 prints the rest in one step, so
-H_C(x) <= |x| + 1.  Each of those programs has an output of its own, so no
-counted record (below) can stand for them, and no table entry is stored for
-them either: build_table's c2 entries (_C2Entries) hold only the entries
-run records reached and answer every other r of fewer than L bits by rule,
-(r, |r| + 1, 0r, 1): read by length, one template entry (NUL for r) per
-length, which a report prints as text (reports.Family), with no entry or
-row made for each r.  enumerate_halting lists the programs only when called.
+list expression that reads nothing, so its records are the build's runs
+(below) of (n-1)/8 characters that read no bit and print a flat bit list,
+and only those records are stored.  A leading 0 prints the rest in one
+step, so H_C(x) <= |x| + 1.  Each of those programs has an output of its
+own, so no counted record (below) can stand for them, and no table entry is
+stored for them either: build_table's c2 entries (_C2Entries) hold only the
+entries run records reached and answer every other r of fewer than L bits
+by rule, (r, |r| + 1, 0r, 1): read by length, one template entry (NUL for
+r) per length, which a report prints as text (reports.Family), with no
+entry or row made for each r.  enumerate_halting lists the programs only
+when called.
 
-Aux bits are found on demand the same way, with no cap: each aux read costs
-a step, so the budget bounds the depth.  A record keeps the aux bits its run
-read (aux_read); the run behaves alike under every aux that starts with them,
-so one sweep serves every aux.
+A record keeps the aux bits its run read (aux_read); the run behaves alike
+under every aux that starts with them, so one sweep serves every aux.  The
+aux has no cap: each aux read costs a step, so the budget bounds the depth.
 
-The sweep covers only the evaluable prefixes (_evaluable).  A prefix runs with
-no bindings, so an atom in a position it must evaluate faults, and so does a
-form of the wrong arity.  _SLOTS is the one statement of which lists are
-evaluable: per head, what its items must be, () and applications (F A)
-included.  (i C T E) needs C and one of T and E evaluable, as the branch taken
-runs with no bindings too; total has no closures, so none of its applications
+The sweep covers only the evaluable lists.  A prefix runs with no bindings,
+so an atom in a position it must evaluate faults, and so does a form of the
+wrong arity.  _SLOTS is the one statement of which lists are evaluable: per
+head, what its items must be, () and applications (F A) included.
+(i C T E) needs C and one of T and E evaluable, as the branch taken runs
+with no bindings too; total has no closures, so none of its applications
 halts.  X and the other branch are free, so the rule needs no scope.  No
 prefix outside it halts under any payload and aux, so the sweep stays
-exhaustive; up to 6 characters it keeps 566 of sd's 642,212 prefixes and 65 of
-total's 479,392.
+exhaustive.
 
-Of those it runs only the runnable ones (_runnable).  The constants, (q X)
-and on sd (l p X), halt in one step, read no payload and no aux, and return
-X or a closure; they are almost every evaluable prefix above 7 characters.
-One memoized split per print length (_split_constants) decides them all: the
-constants whose value converts to an output (X a 0/1 atom, a flat bit list,
-or a list of two flat bit lists: about 2^(n-5) of n characters) get their
-records in closed form, and every other constant of n characters is one
-counted record, its count read from _SLOTS by _count.  A record with count c
-stands for c programs alike in size, steps, output, pair and aux read.  The
-sweep stores the counted records like any other, so the store's projection
-gates them; build_table folds each by its count, and enumerate_halting lists
-their members only when called (_counted_records).  Constants halt at any
-B >= 1 and serve every aux.  Up to 6 characters the sweep runs 16 sd and 12
-total prefixes.
+The sweep is built bottom-up (_build), and lists no prefix.  For each print
+length n up to min(c_cap, L // 8), shortest first, it makes the halting
+runs of every runnable list of n characters (an evaluable list other than
+a constant, below): (prefix bits, payload, aux read, value, steps), the
+payload at most L - 8n bits and the steps within B.  Each is made from the
+halting runs of lists at least 3 characters shorter, by head, with the
+slot kinds _SLOTS gives it:
+  - () is its own value in no step; (r) and (s) take one step and return
+    the one bit they read.
+  - A strict form, (h X), (t X), (a X), (y X), (c X Y) or (e X Y), is
+    composed: a run of each operand, in order, whose values the primitive
+    accepts.  Its steps are 1 plus theirs, its payload and aux reads are
+    theirs joined in order, and its value is the primitive's.
+    (i C T E) is composed from a run of C and one of the branch C's value
+    picks (E on (), T on any other); the branch left untaken is any
+    expression, as is a quoted X.
+  - An application (F A) is composed up to its application, a run of F
+    whose value is a closure or a y-wrapper and a run of A; only the
+    application runs anything.  domain_runs enters the step loop there
+    (vm.apply), counting on from the operands' steps, and branches on the
+    payload and aux bits the body reads.
+This is exact, by induction on print length.  The vm evaluates a strict
+form's operands left to right in the one empty environment, having charged
+the form's step, and each operand reads the bits after the ones the
+operands before it read; the primitive's check reads nothing.  So a run of
+the form halts exactly when each operand's run on the bits after its
+predecessors' halts and the primitive accepts the values, and it reads
+exactly the bits they read: its halting runs are the compositions of its
+operands' halting runs, which the induction has built.  A form with an
+operand outside the evaluable lists halts only where that operand is never
+evaluated, as an untaken branch or a quoted X is not.  A budget only cuts a run short, so a composed run over B is
+dropped and none within B is lost; on total, which has no closures, every
+composed run fits its structural budget.  Closures compare by identity,
+and two operands of one run never share one, while the build shares one
+operand run among many forms: a value that would hold one closure twice
+holds a copy (_fresh), and e finds no value that holds a function equal
+to anything.  tests/listing.py keeps the listing sweep the build replaced,
+every runnable prefix run from step 0, and the tests compare the two in
+every field.
+
+The constants, (q X) and on sd (l p X), halt in one step, read no payload
+and no aux, and return X or a closure; they are almost every evaluable list
+above 7 characters.  The build lists them as operands only, up to 3
+characters short of the cap.  One memoized split per print length
+(_split_constants) decides their records: the constants whose value
+converts to an output (X a 0/1 atom, a flat bit list, or a list of two flat
+bit lists: about 2^(n-5) of n characters) get their records in closed form,
+and every other constant of n characters is one counted record, its count
+read from _SLOTS by _count.  A record with count c stands for c programs
+alike in size, steps, output, pair and aux read.  The sweep stores the
+counted records like any other, so the store's projection gates them;
+build_table folds each by its count, and enumerate_halting lists their
+members only when called (_counted_records).  Constants halt at any B >= 1
+and serve every aux.
 
 Exhaustiveness is bounded by the prefix-character cap (default 6 characters).
-A sweep that could run more than SWEEP_PREFIX_CAP prefixes counts them
-first (_count, the recursion of _fill with nothing listed), and refuses past it.
-On a 2-CPU VM, `omega exact --L 79 --c-cap 9` takes about 0.1 s with a 16 MB
-peak RSS, and `omega lower --machine sd --L 79 --c-cap 9` 0.15 s with 17 MB,
-interpreter start-up included.
+A sweep whose runnable lists number more than SWEEP_PREFIX_CAP is refused
+before the build starts; _count counts them by the recursion of _SLOTS,
+with nothing listed.  On a 2-CPU VM, `omega exact --L 79 --c-cap 9` and
+`omega lower --machine sd --L 79 --c-cap 9` each take about 0.1 s with a
+17 MB peak RSS, interpreter start-up included, and at 11 characters
+`omega exact` takes about 0.25 s and 44 MB and sd's `omega lower` about
+0.55 s and 72 MB.
 Upper bounds beyond the cap come from constructed witnesses, each admitted
 only by a run that passes, and run only when it would be the bound (_least);
 the replay prefix is also built only when L can hold it.
 
-Prefixes (over each machine's own alphabet: on total, without l and y),
-their runs and the stored records are in no particular order.  build_table
+The runs (over each machine's own alphabet: on total, without l and y) and
+the stored records are in no particular order.  build_table
 folds records in any order; the oracle, _least and _counted_records sort by
 keys of their own.  enumerate_halting's is the one order of a sweep's
 records, by (size, program bits, aux_read).  No two records share that key,
@@ -89,15 +131,16 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from collections.abc import Mapping
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString, Dyadic, InvariantError, bit_strings
-from .sexpr import ALPHABET, SExpr, to_bits
+from .sexpr import ALPHABET, CHAR_BITS, SExpr, to_bits
 from . import machines, progs, vm
 from .machines import (STRUCTURAL, Program, check_budget, check_prefix_free, covers, output_of, pair_output_of,
-                       run_c2, structural_budget)
+                       value_output, value_pair)
 from .reports import Family, Rows
 
 DEFAULT_CHAR_CAP = 6
@@ -115,8 +158,13 @@ SWEEP_PREFIX_CAP = 2 * 10**6
 
 @lru_cache(maxsize=None)
 def _exprs_exact(n: int, alphabet: str) -> Tuple[SExpr, ...]:
-    """All expressions with atoms from alphabet whose canonical print has exactly n characters."""
-    return tuple(alphabet) if n == 1 else _fill(n - 2, "*", alphabet)
+    """All expressions with atoms from alphabet whose canonical print has
+    exactly n characters: an atom, () or a first item of k characters before
+    the rest, a list of n - k."""
+    if n <= 2:
+        return tuple(alphabet) if n == 1 else ((),) if n == 2 else ()
+    return tuple((e,) + rest for k in range(1, n - 1) for e in _exprs_exact(k, alphabet)
+                 for rest in _exprs_exact(n - k, alphabet))
 
 
 def gen_exprs(max_chars: int) -> List[SExpr]:
@@ -136,54 +184,13 @@ def gen_exprs(max_chars: int) -> List[SExpr]:
 _SLOTS = {"q": "x", "r": "", "s": "", "i": "vvx|vnv", "e": "vv", "c": "vv",
           "a": "v", "h": "v", "t": "v", "l": "px", "y": "v", "": "|fv"}
 _CONSTANTS = ("q", "l")  # one step, nothing read (module docstring); a tuple, as "" is in every str
-_RUN = tuple(h for h in _SLOTS if h not in _CONSTANTS)  # the heads of the prefixes a sweep runs
-
-
-@lru_cache(maxsize=None)
-def _evaluable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
-    """The evaluable lists with atoms from alphabet and print length n (module docstring)."""
-    return _runnable(n, alphabet) + _forms(n, _CONSTANTS, alphabet)
-
-
-@lru_cache(maxsize=None)
-def _runnable(n: int, alphabet: str) -> Tuple[SExpr, ...]:
-    """The evaluable lists of print length n that are not constants: the ones a sweep runs."""
-    return _forms(n, _RUN, alphabet)
-
-
-def _forms(n: int, heads, alphabet: str) -> Tuple[SExpr, ...]:
-    """The lists of print length n that _SLOTS allows after a head from heads
-    (each head in alphabet, or "")."""
-    return tuple(head + items for h in heads if h in alphabet for head in [tuple(h)]
-                 for alt in _SLOTS[h].split("|") for items in _fill(n - 2 - len(h), alt, alphabet))
-
-
-@lru_cache(maxsize=None)
-def _fill(m: int, slots: str, alphabet: str) -> Tuple[Tuple[SExpr, ...], ...]:
-    """Every filling of slots (kinds as in _SLOTS) with total print length m."""
-    if not slots:
-        return ((),) if m == 0 else ()
-    run = slots[0] == "*"  # zero expressions, or one and the run again
-    rest = _fill(m, slots[1:], alphabet) if run else ()
-    return rest + tuple((e,) + tail for k in range(1, m + 1) for e in _items(slots[0], k, alphabet)
-                        for tail in _fill(m - k, slots if run else slots[1:], alphabet))
-
-
-@lru_cache(maxsize=None)
-def _items(kind: str, k: int, alphabet: str) -> Tuple[SExpr, ...]:
-    """The expressions with atoms from alphabet and print length k that fill a slot of kind."""
-    if kind in "vf":
-        return _evaluable(k, alphabet) if kind == "v" or "l" in alphabet else ()
-    if kind == "p":
-        return tuple(a for a in alphabet if a not in vm.PRIMS) if k == 1 else ()
-    if kind == "n":
-        return tuple(itertools.filterfalse(set(_evaluable(k, alphabet)).__contains__, _exprs_exact(k, alphabet)))
-    return _exprs_exact(k, alphabet)  # x and *
+_RUN = tuple(h for h in _SLOTS if h not in _CONSTANTS)  # the heads of the lists a sweep builds runs of
 
 
 @lru_cache(maxsize=None)
 def _count(m: int, slots: str, alphabet: str) -> int:
-    """len(_fill(m, slots, alphabet)), by the same recursion, listing nothing."""
+    """The fillings of slots (kinds as in _SLOTS) with total print length m,
+    counted by the recursion that would list them (tests/listing.py), listing nothing."""
     if not slots:
         return int(m == 0)
     run = slots[0] == "*"
@@ -194,7 +201,7 @@ def _count(m: int, slots: str, alphabet: str) -> int:
 
 @lru_cache(maxsize=None)
 def _count_items(kind: str, k: int, alphabet: str) -> int:
-    """len(_items(kind, k, alphabet)): of v, the evaluable lists; of n, every
+    """The expressions of print length k that fill a slot of kind: of v, the evaluable lists; of n, every
     expression but them; of x and *, every expression (an atom, or a list of
     a run of them)."""
     if kind in "vf":
@@ -206,7 +213,8 @@ def _count_items(kind: str, k: int, alphabet: str) -> int:
 
 
 def _count_forms(n: int, heads, alphabet: str) -> int:
-    """len(_forms(n, heads, alphabet))."""
+    """The lists of print length n that _SLOTS allows after a head from heads
+    (each head in alphabet, or "")."""
     return sum(_count(n - 2 - len(h), alt, alphabet) for h in heads if h in alphabet for alt in _SLOTS[h].split("|"))
 
 
@@ -215,6 +223,19 @@ _ALPHABETS = {"sd": ALPHABET, "total": "".join(a for a in ALPHABET if a not in v
 
 # ---------------------------------------------------------------------------
 # the constants, counted
+
+def _params(alphabet: str) -> List[str]:
+    """The atoms of alphabet a lambda can bind: what fills a slot of kind p."""
+    return [a for a in alphabet if a not in vm.PRIMS]
+
+
+def _constants(n: int, alphabet: str) -> List[SExpr]:
+    """The constants of print length n with atoms from alphabet: (q X) and (l p X)."""
+    quoted = [("q", x) for x in _exprs_exact(n - 3, alphabet)] if "q" in alphabet else []
+    if "l" not in alphabet:
+        return quoted
+    return quoted + [("l", p, x) for p in _params(alphabet) for x in _exprs_exact(n - 4, alphabet)]
+
 
 @lru_cache(maxsize=None)
 def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
@@ -228,13 +249,11 @@ def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
     m = n - 3
     quoted = ((list("01") if m == 1 else bit_lists(m))
               + [(a, b) for k in range(2, m - 3) for a in bit_lists(k) for b in bit_lists(m - 2 - k)])
-    outs = [vm.RunOutcome(vm.HALTED, value=x, steps=1) for x in quoted]
-    records = tuple(HaltRecord(to_bits(("q", out.value)), output_of(out), pair_output_of(out), 1, 8 * n)
-                    for out in outs)
+    records = tuple(HaltRecord(to_bits(("q", x)), value_output(x), value_pair(x), 1, 8 * n) for x in quoted)
     count = _count_forms(n, _CONSTANTS, alphabet) - len(records)
     if not count:
         return records
-    member = (("q", "a") if n == 4 else ("l", _items("p", 1, alphabet)[0], "a") if n == 5
+    member = (("q", "a") if n == 4 else ("l", _params(alphabet)[0], "a") if n == 5
               else ("q", ("a",) * (n - 5)))
     return records + (HaltRecord(to_bits(member), None, None, 1, 8 * n, "", count),)
 
@@ -242,30 +261,29 @@ def _split_constants(n: int, alphabet: str) -> Tuple[HaltRecord, ...]:
 def _counted_records(n: int, alphabet: str) -> List[HaltRecord]:
     """The members of the counted record of print length n, in program-bits order."""
     converting = {r.program_bits for r in _split_constants(n, alphabet) if r.count == 1}
-    bits = sorted(b for b in map(to_bits, _forms(n, _CONSTANTS, alphabet)) if b not in converting)
+    bits = sorted(b for b in map(to_bits, _constants(n, alphabet)) if b not in converting)
     return [HaltRecord(b, None, None, 1, 8 * n) for b in bits]
 
 
 # ---------------------------------------------------------------------------
-# branching domain runner
+# branching body runs
 
-def domain_runs(prefix: SExpr, max_payload: int,
-                budget) -> List[Tuple[BitString, BitString, vm.RunOutcome]]:
-    """All (payload, aux) the prefix consumes exactly, payloads <= max_payload bits,
-    in no particular order.
+def domain_runs(fun, arg, steps: int, max_payload: int,
+                budget: int) -> List[Tuple[BitString, BitString, vm.RunOutcome]]:
+    """All (payload, aux) that applying fun to arg, steps steps into a run,
+    consumes exactly, payloads <= max_payload bits, in no particular order:
+    the bits the application reads itself (vm.apply).
 
     Both start empty; the payload (aux) gains one bit precisely when the run
     underruns it, so each returned run halted having read all of both, and
     halts alike under any aux that starts with the aux it read.  Each branch
-    runs from step 0, as its few shared steps cost less than a continued run.
-    The prefix is run as is: on total the caller passes only prefixes from
-    the l/y-free alphabet.
+    runs from the application, as its few shared steps cost less than a
+    continued run.
     """
-    b = structural_budget(prefix) if budget == STRUCTURAL else budget
     results, pending = [], [("", "")]
     while pending:
         payload, aux = pending.pop()
-        out = vm.eval_expr(prefix, b, payload, aux)
+        out = vm.apply(fun, arg, budget, payload, aux, steps)
         if out.halted:
             if out.payload_consumed != len(payload):
                 raise InvariantError(f"run halted having read {out.payload_consumed} of "
@@ -276,6 +294,191 @@ def domain_runs(prefix: SExpr, max_payload: int,
         elif out.reason == "aux-underrun":
             pending += [(payload, aux + "1"), (payload, aux + "0")]
     return results
+
+
+# ---------------------------------------------------------------------------
+# the bottom-up build
+
+_LP, _RP = CHAR_BITS["("], CHAR_BITS[")"]
+
+# a strict primitive of one operand on its operand's value; None where it faults
+_UNARY = {"h": lambda v: v[0] if type(v) is tuple and v else None,
+          "t": lambda v: v[1:] if type(v) is tuple and v else None,
+          "a": lambda v: "1" if type(v) is str else () if type(v) is tuple else None,
+          "y": lambda v: vm.Rec(v) if type(v) is vm.Closure else None}
+
+
+def _holds_function(v) -> bool:
+    """Whether a value in expression form is or holds a closure or a y-wrapper."""
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if type(x) is tuple:
+            stack += x
+        elif type(x) is not str:
+            return True
+    return False
+
+
+def _fresh(v):
+    """v with each closure and y-wrapper it holds copied, shared as in v.
+    Closures compare by identity, and two parts of a form never share one,
+    while their runs in the build may (module docstring)."""
+    import copy  # not at module level: only a value holding a function needs it
+    return copy.deepcopy(v)
+
+
+def _same(x, y) -> bool:
+    """Structural equality of two data values in expression form, walked with
+    an explicit stack: a body run can return data nested past the recursion
+    limit of ==."""
+    pending = [(x, y)]
+    while pending:
+        x, y = pending.pop()
+        if type(x) is tuple and type(y) is tuple and len(x) == len(y):
+            pending += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
+def _build(alphabet: str, chars: int, L: int, B):
+    """(n, runs) for each print length n from 2 to chars: the halting runs of
+    the runnable lists of n characters (every evaluable list but the
+    constants), in no particular order.  A run is (prefix bits, payload, aux
+    read, value, steps, whether the value holds a function), its payload at
+    most L - 8n bits and its steps within B.  Each is composed from runs of
+    shorter lists (module docstring); only an application runs anything."""
+    limit = sys.maxsize if B == STRUCTURAL else B
+    parts: Dict[int, list] = {}  # n -> the runs of every evaluable list of n characters, constants too
+    free: Dict[int, List[BitString]] = {}  # k -> the bits of every expression of k characters
+
+    def untaken(k):  # the branches an i leaves untaken: any expression
+        if k not in free:
+            free[k] = [CHAR_BITS[a] for a in alphabet] if k == 1 else list(map(to_bits, _exprs_exact(k, alphabet)))
+        return free[k]
+
+    for n in range(2, chars + 1):
+        cap, runs = L - 8 * n, []
+        for h in _RUN:
+            if h not in alphabet:
+                continue
+            head, m = (_LP + CHAR_BITS[h] if h else _LP), n - 2 - len(h)  # m: the items' characters
+            if h == "i":  # the one form that evaluates only some of its items
+                runs += _conditionals(head, m, parts, untaken, cap, limit)
+                continue
+            for alt in _SLOTS[h].split("|"):
+                if not alt:
+                    if m == 0:
+                        runs += _leaves(h, head + _RP, cap, limit)
+                elif len(alt) == 1:
+                    runs += _unary(_UNARY[h], head, parts.get(m, ()), cap, limit)
+                elif alt[0] == "v" or "l" in alphabet:  # an f slot holds nothing without l
+                    for k in range(2, m - 1):
+                        xs, ys = parts.get(k), parts.get(m - k)
+                        if xs and ys:
+                            runs += (_applications if h == "" else _cons if h == "c" else _equalities)(
+                                head, xs, ys, cap, limit)
+        yield n, runs
+        if n <= chars - 3:  # a form of at most chars characters can hold it
+            parts[n] = runs + _constant_runs(n, alphabet) if limit >= 1 else runs
+
+
+def _constant_runs(n: int, alphabet: str) -> list:
+    """The runs of the constants of n characters: one step, nothing read, the value X or a closure."""
+    return [(to_bits(e), "", "", e[1] if e[0] == "q" else vm.Closure(e[1], e[2], None), 1, e[0] == "l")
+            for e in _constants(n, alphabet)]
+
+
+def _leaves(h: str, bits: BitString, cap: int, limit: int) -> list:
+    """The runs of (), (r) and (s): () is its own value in no steps, and a read returns the bit it reads."""
+    if not h:
+        return [(bits, "", "", (), 0, False)]
+    if limit < 1 or h == "r" and cap < 1:
+        return []
+    return [(bits, b, "", b, 1, False) if h == "r" else (bits, "", b, b, 1, False) for b in "01"]
+
+
+def _unary(prim, head: BitString, xs: list, cap: int, limit: int) -> list:
+    """The runs of (h X) for a strict primitive h of one operand, each a run of X and one step."""
+    out = []
+    for bits, p, a, v, s, fn in xs:
+        w = prim(v)
+        if w is not None and s < limit and len(p) <= cap:
+            out.append((head + bits + _RP, p, a, w, s + 1, fn and _holds_function(w)))
+    return out
+
+
+def _cons(head: BitString, xs: list, ys: list, cap: int, limit: int) -> list:
+    """The runs of (c X Y): a run of X, then one of Y whose value is a list, and one step."""
+    out = []
+    ys = [r for r in ys if type(r[3]) is tuple]
+    for bx, px, ax, vx, sx, fx in xs:
+        for by, py, ay, vy, sy, fy in ys:
+            p = px + py
+            if sx + sy < limit and len(p) <= cap:
+                out.append((head + bx + by + _RP, p, ax + ay, (vx,) + (_fresh(vy) if fx and fy else vy),
+                            sx + sy + 1, fx or fy))
+    return out
+
+
+def _equalities(head: BitString, xs: list, ys: list, cap: int, limit: int) -> list:
+    """The runs of (e X Y): a run of X, then one of Y, both values data, and
+    one step.  Values that hold a function are never equal: its closures
+    differ from the other part's."""
+    out = []
+    ys = [r for r in ys if type(r[3]) is str or type(r[3]) is tuple]
+    for bx, px, ax, vx, sx, fx in xs:
+        if type(vx) is not str and type(vx) is not tuple:
+            continue
+        for by, py, ay, vy, sy, fy in ys:
+            p = px + py
+            if sx + sy < limit and len(p) <= cap:
+                same = not (fx or fy) and _same(vx, vy)
+                out.append((head + bx + by + _RP, p, ax + ay, "1" if same else (), sx + sy + 1, False))
+    return out
+
+
+def _applications(head: BitString, fs: list, args: list, cap: int, limit: int) -> list:
+    """The runs of (F A): a run of F whose value is a closure or a y-wrapper,
+    then one of A, then the application, run from there (domain_runs)."""
+    out = []
+    for bf, pf, af, vf, sf, _ in fs:
+        if type(vf) is not vm.Closure and type(vf) is not vm.Rec:
+            continue
+        for ba, pa, aa, va, sa, fa in args:
+            p = pf + pa
+            if len(p) > cap:
+                continue
+            bits, a = head + bf + ba + _RP, af + aa
+            for pb, ab, run in domain_runs(vf, _fresh(va) if fa else va, sf + sa, cap - len(p), limit):
+                out.append((bits, p + pb, a + ab, run.value, run.steps, _holds_function(run.value)))
+    return out
+
+
+def _conditionals(head: BitString, m: int, parts: dict, untaken, cap: int, limit: int) -> list:
+    """The runs of (i C T E) whose items print to m characters: a run of C,
+    then one of the branch its value picks, E on () and T on any other, and
+    one step; the other branch is any expression."""
+    out = []
+    for kc in range(2, m - 1):
+        for kt in range(1, m - kc):
+            ke = m - kc - kt
+            ts, es = parts.get(kt, ()), parts.get(ke, ())
+            for bc, pc, ac, vc, sc, _ in parts.get(kc, ()):
+                if vc == ():
+                    for be, pe, ae, ve, se, fe in es:
+                        p = pc + pe
+                        if sc + se < limit and len(p) <= cap:
+                            a, tail = ac + ae, be + _RP
+                            out += [(head + bc + bt + tail, p, a, ve, sc + se + 1, fe) for bt in untaken(kt)]
+                else:
+                    for bt, pt, at, vt, st, ft in ts:
+                        p = pc + pt
+                        if sc + st < limit and len(p) <= cap:
+                            a, front = ac + at, head + bc + bt
+                            out += [(front + be + _RP, p, a, vt, sc + st + 1, ft) for be in untaken(ke)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +567,9 @@ def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
             raise ValueError(f"the {machine} sweep would run {count} prefixes of at most {chars} characters, "
                              f"over its cap of {SWEEP_PREFIX_CAP}")
     records = []
-    for n in lengths:
-        for prefix in _runnable(n, alphabet):
-            runs = domain_runs(prefix, L - 8 * n, B)
-            pre_bits = to_bits(prefix) if runs else ""  # most prefixes fault: print only the ones that halt
-            for payload, aux, out in runs:
-                bits = pre_bits + payload
-                records.append(HaltRecord(bits, output_of(out), pair_output_of(out), out.steps, len(bits), aux))
+    for n, runs in _build(alphabet, chars, L, B):
+        records += [HaltRecord(bits + p, value_output(v), value_pair(v), s, 8 * n + len(p), a)
+                    for bits, p, a, v, s, _ in runs]
     if covers(B, 1):  # the constants, in closed form
         for n in lengths:
             records += _split_constants(n, alphabet)
@@ -379,13 +578,16 @@ def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
 
 def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
     """run_c2's halting leading-1 records of 1..L bits, in no particular order:
-    the leading-0 ones are folded in closed form (module docstring)."""
-    records = []
-    for n in range(17, L + 1, 8):  # 8k + 1 bits, k >= 2: () is the shortest list
-        for raw in ("1" + to_bits(e) for e in _evaluable((n - 1) // 8, ALPHABET)):
-            out = run_c2(raw, budget)
-            if out.halted:
-                records.append(HaltRecord(raw, "".join(out.value), None, out.steps, n))
+    the leading-0 ones are folded in closed form (module docstring).  A
+    leading 1 halts on an evaluable list of k characters, 8k + 1 bits in all,
+    whose run reads nothing and prints a flat bit list: one of the build's
+    runs, or (q X) with X such a list."""
+    records, chars = [], (L - 1) // 8
+    for n, runs in _build(ALPHABET, chars, 8 * chars, budget):
+        if n >= 5 and budget >= 1:
+            runs = runs + [(to_bits(("q", x)), "", "", x, 1, False) for x in itertools.product("01", repeat=n - 5)]
+        records += [HaltRecord("1" + bits, out, None, s, 8 * n + 1) for bits, p, a, v, s, _ in runs
+                    if not p and not a and type(v) is tuple and (out := value_output(v)) is not None]
     return records
 
 

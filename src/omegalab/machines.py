@@ -178,21 +178,27 @@ def continue_run(outcome: RunOutcome, p: Program) -> RunOutcome:
 
 
 def output_of(outcome: RunOutcome) -> Optional[BitString]:
-    """Halted value as a bit string under the output convention, else None.
+    """Halted value as a bit string under the output convention, else None."""
+    return value_output(outcome.value) if outcome.halted else None
+
+
+def value_output(v) -> Optional[BitString]:
+    """A halted value as a bit string under the output convention, else None.
 
     A single atom 0/1 is accepted as the 1-bit output (wrapped as a singleton
     list); any other unconvertible value counts as non-producing.
     """
-    if not outcome.halted:
-        return None
-    v = outcome.value
     return v if v in ("0", "1") else _bits(v)
 
 
 def pair_output_of(outcome: RunOutcome) -> Optional[Tuple[BitString, BitString]]:
     """Halted value, a list of exactly two flat bit lists, as the two bit strings, else None."""
-    v = outcome.value
-    if not outcome.halted or not isinstance(v, tuple) or len(v) != 2:
+    return value_pair(outcome.value) if outcome.halted else None
+
+
+def value_pair(v) -> Optional[Tuple[BitString, BitString]]:
+    """A halted value, a list of exactly two flat bit lists, as the two bit strings, else None."""
+    if not isinstance(v, tuple) or len(v) != 2:
         return None
     x, y = _bits(v[0]), _bits(v[1])
     return None if x is None or y is None else (x, y)

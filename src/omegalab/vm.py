@@ -82,6 +82,19 @@ entry depends on its quoted list alone, and one a sibling added is, like a
 fresh run's own, an object nothing in the state holds.  Its one caller is
 machines.continue_run: a sweep's branches share too few steps to continue.
 
+Entering at an application.  apply runs the step loop from the application
+of fun, a closure or a y-wrapper, to arg, a value in expression form, steps
+steps into a run, with no form pending: the state a run of (F A) with no
+bindings reaches once F and A have their values.  It charges the
+application and goes on as that run would, reading its own payload and aux
+from their first bits; so apply of B's closure to V, two steps in, gives
+the outcome of ((l x B) (q V)), field by field.  Its caller is the sweep's
+build, which composes every strict form from its operands' runs and runs
+only applications (complexity module docstring).  The cycle check's marks
+then fall at other steps than in a run from step 0, which changes no
+outcome: a repeat is found only in a run that can never halt, and ends it
+as running to the budget would.
+
 No run-time value is part of a cycle.  Every tuple a run makes (a pair, a
 binding (name, value, env), a continuation frame), every Closure and every
 Rec is built from objects that exist before it and is never written after,
@@ -256,18 +269,54 @@ def resume(out: Underrun, payload: BitString) -> RunOutcome:
     return _run(payload, *out.state[1:])
 
 
+def apply(fun, arg, budget: int, payload: BitString = "", aux: Optional[BitString] = None,
+          steps: int = 0) -> RunOutcome:
+    """The outcome of applying fun, a closure or a y-wrapper, to arg, a value
+    in expression form, with no pending form, steps steps into a run: the step
+    loop entered at the application, which it charges (module docstring).
+    The payload and aux bits it reads are its own, from their first."""
+    if type(arg) is tuple and arg:
+        arg = _pairs(arg)
+    return _run(payload, aux, (fun, arg), budget, None, None, None, steps, 0, 0, 1, None, None, None, None, None,
+                {}, fun, arg)
+
+
 def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
-         s_mark, s_fun, s_arg, s_kont, s_ppos, s_apos, quoted) -> RunOutcome:
+         s_mark, s_fun, s_arg, s_kont, s_ppos, s_apos, quoted, fun=None, arg=None) -> RunOutcome:
     """The step loop, from a run's state: cur to evaluate in env under kont,
-    the counters, the cycle check's mark and snapshot, and the run-time forms
-    of the quoted lists (by id, each alive in expr) built so far."""
+    or, when fun is given, fun to apply to arg first; the counters, the cycle
+    check's mark and snapshot, and the run-time forms of the quoted lists (by
+    id, each alive in expr) built so far."""
     n_payload = len(payload)
     n_aux = 0 if aux is None else len(aux)
 
     while True:
+        if fun is not None:
+            # apply fun to arg
+            steps += 1
+            if steps > budget:
+                return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+            if fun is s_fun and arg is s_arg and kont is s_kont and ppos == s_ppos and apos == s_apos:
+                return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, budget)
+            if steps >= s_mark:
+                s_mark = steps + (steps >> 2) + 1
+                s_fun, s_arg, s_kont, s_ppos, s_apos = fun, arg, kont, ppos, apos
+            if type(fun) is Closure:
+                cur, env = fun.body, (fun.param, arg, fun.env)
+            elif type(fun) is Rec:
+                # unfold once: (clo R) must yield a closure, then apply it to arg
+                clo = fun.clo
+                steps += 1
+                if steps > budget:
+                    return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
+                kont = (_K_REC, arg, kont)
+                cur, env = clo.body, (clo.param, fun, clo.env)
+            else:
+                return _fault("type: value is not applicable", ppos, apos, steps)
+            fun = None
+
         # evaluate cur in env, pushing a frame per pending form, until a value
         # is ready (val) or an application is due (fun to arg)
-        fun = None
         while True:
             if type(cur) is str:
                 link = env
@@ -513,27 +562,3 @@ def _run(payload, aux, expr, budget, cur, env, kont, steps, ppos, apos,
                 if type(val) is not Closure:
                     return _fault("type: fixed point of a non-closure", ppos, apos, steps)
                 val = Rec(val)
-        if fun is None:
-            continue
-
-        # apply fun to arg
-        steps += 1
-        if steps > budget:
-            return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
-        if fun is s_fun and arg is s_arg and kont is s_kont and ppos == s_ppos and apos == s_apos:
-            return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, budget)
-        if steps >= s_mark:
-            s_mark = steps + (steps >> 2) + 1
-            s_fun, s_arg, s_kont, s_ppos, s_apos = fun, arg, kont, ppos, apos
-        if type(fun) is Closure:
-            cur, env = fun.body, (fun.param, arg, fun.env)
-        elif type(fun) is Rec:
-            # unfold once: (clo R) must yield a closure, then apply it to arg
-            clo = fun.clo
-            steps += 1
-            if steps > budget:
-                return RunOutcome(OUT_OF_BUDGET, None, ppos, apos, steps - 1)
-            kont = (_K_REC, arg, kont)
-            cur, env = clo.body, (clo.param, fun, clo.env)
-        else:
-            return _fault("type: value is not applicable", ppos, apos, steps)

@@ -2,13 +2,22 @@
 
 import faulthandler
 import os
+import resource
 import signal
 import sys
 import time
+import traceback
 
 import pytest
 
 LIMIT_S = 20  # wall-clock seconds a test may take; the slowest takes under 3
+# the address space of the test process and of each process it starts: four
+# times the 460 MB the test process reaches and five times the 370 MB peak
+# RSS of the largest process it starts (a listing sweep of 11 characters), yet small
+# enough that the test process and two runaway processes beside it fit an
+# 8 GB host, so a fault that allocates without end fails a named test before
+# the host's out-of-memory killer ends the run
+LIMIT_BYTES = 2 * 2**30
 _STDERR = pytest.StashKey[int]()
 
 
@@ -20,10 +29,28 @@ class Overrun(BaseException):
 def pytest_configure(config):
     config.addinivalue_line("markers", "watchdog(seconds): this test's wall-clock limit, instead of LIMIT_S")
     config.stash[_STDERR] = os.dup(sys.stderr.fileno())  # the terminal's, while no test's output is captured
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY or soft > LIMIT_BYTES:  # a lower limit the run was given stands
+        resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, hard))
 
 
 def pytest_unconfigure(config):
     os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """The watchdog's memory half: a test that runs out of address space
+    fails, and the run stops after it.  The frames of its traceback are
+    cleared first, so what filled the memory is freed before pytest formats
+    the failure; formatting with it still held ended the run in an internal
+    error, naming no test."""
+    try:
+        return (yield)
+    except MemoryError as exc:
+        traceback.clear_frames(exc.__traceback__)
+    item.session.shouldfail = f"{item.nodeid} ran out of memory; the watchdog stopped the run"
+    pytest.fail(f"the test ran out of its {LIMIT_BYTES >> 30} GiB address space", pytrace=False)
 
 
 @pytest.fixture(autouse=True)

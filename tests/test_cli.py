@@ -646,19 +646,26 @@ FRONTIER = [
 ]
 
 
+# the build against the listing sweep of tests/listing.py at L 95 and 11
+# characters, with its record count: (machine, B, count)
+LISTING_11 = [("sd", "10000", 122052), ("total", "structural", 64986)]
+
+
 @pytest.fixture(scope="module")
 def frontier_runs():
-    """python -m omegalab.cli argv for each FRONTIER command, all started at
-    once, by argv: (the process, its stdout file, its stderr file).  Each
-    test waits for its own, so the commands run side by side, and each
-    process's caches (about 240 MB of generated prefixes at c_cap 11) end
-    with it.  Files, not pipes, take the output, so no process waits for a
-    reader."""
+    """python -m omegalab.cli argv for each FRONTIER command, and python
+    tests/listing.py for each LISTING_11 comparison, all started at once, by
+    argv: (the process, its stdout file, its stderr file).  Each test waits
+    for its own, so the commands run side by side, and each process's caches
+    (about 240 MB of listed prefixes for sd's comparison) end with it.
+    Files, not pipes, take the output, so no process waits for a reader."""
     runs = {}
+    listing = str(Path(__file__).parent / "listing.py")
     with contextlib.ExitStack() as stack:
-        for argv, _ in FRONTIER:
+        for argv in [argv for argv, _ in FRONTIER] + [[listing, m, "95", B, "11"] for m, B, _ in LISTING_11]:
             out, err = stack.enter_context(tempfile.TemporaryFile()), stack.enter_context(tempfile.TemporaryFile())
-            proc = stack.enter_context(subprocess.Popen([sys.executable, "-m", "omegalab.cli", *argv],
+            command = argv if argv[0] == listing else ["-m", "omegalab.cli", *argv]
+            proc = stack.enter_context(subprocess.Popen([sys.executable, *command],
                                                         env=_fresh_env(), stdout=out, stderr=err))
             stack.callback(proc.kill)  # runs before the process's own exit waits for it
             runs[tuple(argv)] = proc, out, err
@@ -731,8 +738,8 @@ def test_omega_oracle_refuses_the_frontier_before_listing(capsys, monkeypatch):
 
 
 def test_a_sweep_runs_up_to_its_prefix_cap(capsys, monkeypatch, sweeps):
-    # sd has 134 runnable prefixes of at most 7 characters: a cap of 134 runs
-    # them, one of 133 refuses before listing any
+    # sd has 134 runnable prefixes of at most 7 characters: a cap of 134 builds
+    # their runs, one of 133 refuses before the build starts
     from omegalab import complexity, omega
 
     argv = ("omega", "lower", "--machine", "sd", "--L", "63", "--c-cap", "7", "--B", "10000")
@@ -742,17 +749,18 @@ def test_a_sweep_runs_up_to_its_prefix_cap(capsys, monkeypatch, sweeps):
     assert (code, err) == (0, "") and sweeps == [("sd", 63, 10000, 7)]
     monkeypatch.setattr(complexity, "SWEEP_PREFIX_CAP", 133)
     monkeypatch.setattr(complexity, "_store", {})
-    monkeypatch.setattr(complexity, "_runnable", lambda *args: pytest.fail("listed"))
+    monkeypatch.setattr(complexity, "_build", lambda *args: pytest.fail("built"))
     assert run_cli(capsys, *argv) == (
         2, "", "omegalab: the sd sweep would run 134 prefixes of at most 7 characters, over its cap of 133\n")
 
 
 def test_a_sweep_refuses_sd_at_12_characters_before_listing(capsys, monkeypatch):
     # listing sd's 4,833,719 runnable prefixes of at most 12 characters ran
-    # out of a 3 GB address space
+    # out of a 3 GB address space; the count refuses them before the build
+    # starts
     from omegalab import complexity
 
-    monkeypatch.setattr(complexity, "_runnable", lambda *args: pytest.fail("listed"))
+    monkeypatch.setattr(complexity, "_build", lambda *args: pytest.fail("built"))
     start = time.monotonic()
     code, out, err = run_cli(capsys, "omega", "lower", "--machine", "sd", "--L", "103", "--c-cap", "12",
                              "--B", "10000")
@@ -1073,3 +1081,16 @@ def test_no_collection_starts_inside_a_command(capsys, monkeypatch, collector, s
     finally:
         gc.set_threshold(*threshold)
     assert (code, starts) == (0, [])
+
+
+@pytest.mark.parametrize("machine, B, count", LISTING_11, ids=["sd", "total"])
+@pytest.mark.watchdog(60)
+def test_the_build_equals_the_listing_sweep_at_11_characters(frontier_runs, machine, B, count):
+    # every field of every record; test_complexity compares them at 9 and 10
+    # characters and at several budgets.  Last in the module, so the listing
+    # (about 4 s for sd), started with the frontier commands, runs beside
+    # the module's other tests
+    proc, out, err = frontier_runs[(str(Path(__file__).parent / "listing.py"), machine, "95", B, "11")]
+    proc.wait()
+    out.seek(0), err.seek(0)
+    assert (proc.returncode, err.read(), out.read()) == (0, b"", f"{count} True\n".encode())

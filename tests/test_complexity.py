@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import listing
 import spec
 from omegalab.bits import Dyadic, InvariantError
 from omegalab.complexity import (
@@ -233,13 +234,14 @@ def test_total_alphabet_generates_exactly_the_l_y_free_prefixes():
 
 
 def test_evaluable_prefixes_are_pinned_to_6_characters():
-    # the sweep runs only the evaluable lists; test_spec shows by the reference
-    # evaluator that no other tree of up to 5 characters halts within 47 bits
-    from omegalab.complexity import _evaluable, _exprs_exact
+    # the sweep builds the runs of the evaluable lists alone; test_spec shows
+    # by the reference evaluator that no other tree of up to 5 characters
+    # halts within 47 bits
+    from omegalab.complexity import _exprs_exact
 
     for alphabet, counts in ((ALPHABET, [1, 2, 28, 481, 54]), (spec.TOTAL_ALPHABET, [1, 2, 26, 4, 32])):
         for n, count in zip(range(2, 7), counts):
-            kept = _evaluable(n, alphabet)
+            kept = listing.evaluable(n, alphabet)
             assert len(kept) == len(set(kept)) == count, (alphabet, n)
             assert set(kept) <= set(_exprs_exact(n, alphabet)), (alphabet, n)
 
@@ -249,16 +251,14 @@ def test_if_forms_with_neither_branch_evaluable_never_halt():
     # it only when T or E is evaluable; every form that rule drops, from the
     # shortest (7 characters) up, faults or runs out of budget under every
     # payload and aux
-    from omegalab.complexity import _fill, _runnable, domain_runs
-
     for alphabet, B in ((ALPHABET, 10**4), (spec.TOTAL_ALPHABET, STRUCTURAL)):
         for n, count in ((6, 0), (7, len(alphabet) ** 2), (8, 2 * len(alphabet) ** 2)):
-            kept = set(_runnable(n, alphabet))
-            dropped = [("i",) + items for items in _fill(n - 3, "vxx", alphabet)
+            kept = set(listing.runnable(n, alphabet))
+            dropped = [("i",) + items for items in listing.fill(n - 3, "vxx", alphabet)
                        if ("i",) + items not in kept]
             assert len(dropped) == count, (alphabet, n)  # at 7: (i () a b) for atoms a, b
             for prefix in dropped:
-                assert not domain_runs(prefix, 79 - 8 * n, B), (alphabet, prefix)
+                assert not listing.domain_runs(prefix, 79 - 8 * n, B), (alphabet, prefix)
 
 
 def _fields(out):
@@ -338,8 +338,7 @@ def test_chain_starts_the_composer_from_step_0_once_per_command(monkeypatch, cap
 
 def test_counted_records_equal_the_generated_constants():
     from omegalab import vm
-    from omegalab.complexity import (_CONSTANTS, _SLOTS, _count, _counted_records, _exprs_exact, _fill, _forms,
-                                     _split_constants)
+    from omegalab.complexity import _CONSTANTS, _SLOTS, _count, _counted_records, _exprs_exact, _split_constants
     from omegalab.machines import pair_output_of
 
     # an X with an atom other than 0 and 1 never converts, so a third atom
@@ -354,11 +353,11 @@ def test_counted_records_equal_the_generated_constants():
         for n in range(1, 6):
             assert _count(n, "x", alphabet) == len(_exprs_exact(n, alphabet)), (alphabet, n)
             for head in _CONSTANTS:
-                assert _count(n, _SLOTS[head], alphabet) == len(_fill(n, _SLOTS[head], alphabet)), (alphabet, n)
+                assert _count(n, _SLOTS[head], alphabet) == len(listing.fill(n, _SLOTS[head], alphabet)), (alphabet, n)
         for n in range(2, 8):
             # every constant run: each halts in one step, reading nothing
             converting, counted = [], []
-            for prefix in _forms(n, _CONSTANTS, alphabet):
+            for prefix in listing.forms(n, _CONSTANTS, alphabet):
                 out = vm.eval_expr(prefix, 1, "", "")
                 assert out.halted and out.steps == 1, prefix
                 rec = (to_bits(prefix), output_of(out), pair_output_of(out), 1, 8 * n, "", 1)
@@ -385,10 +384,8 @@ def test_runnable_prefixes_are_frozen_to_10_characters(alphabet, counts, digests
     # frozen while the grammar was still written out in several recursions:
     # the runnable prefixes of 2..10 characters, and the sorted prints of those
     # of 9 and 10, past the 8 characters the sweep tests run
-    from omegalab.complexity import _runnable
-
-    assert [len(_runnable(n, alphabet)) for n in range(2, 11)] == counts
-    assert [hashlib.sha256("\n".join(sorted(map(print_sexpr, _runnable(n, alphabet)))).encode()).hexdigest()
+    assert [len(listing.runnable(n, alphabet)) for n in range(2, 11)] == counts
+    assert [hashlib.sha256("\n".join(sorted(map(print_sexpr, listing.runnable(n, alphabet)))).encode()).hexdigest()
             for n in (9, 10)] == digests
 
 
@@ -400,10 +397,8 @@ def test_table_equals_a_fraction_fold_of_a_materialized_sweep(machine, B):
     # equal the spec's Fraction fold of those runs, every field.  No tree up
     # to 7 characters reads two aux bits: (c(s)(s)) has 8, so three auxes
     # cover every record
-    from omegalab.complexity import _evaluable
-
     ens, alphabet = Ensemble(machine, 63, B, 7), ALPHABET if machine == "sd" else spec.TOTAL_ALPHABET
-    found = spec.records([e for n in range(2, 8) for e in _evaluable(n, alphabet)], 63, B)
+    found = spec.records([e for n in range(2, 8) for e in listing.evaluable(n, alphabet)], 63, B)
     assert {r[5] for r in found} <= {"", "0", "1"}
     for aux in (None, "0", "1"):
         assert [tuple(r) for r in enumerate_halting(ens, aux)] == spec.under(found, aux), aux
@@ -664,10 +659,58 @@ def test_domain_runs_refuse_a_halt_that_left_payload_unread(monkeypatch):
     # given one more bit; an outcome that says otherwise is refused
     from omegalab import vm
 
-    monkeypatch.setattr(vm, "eval_expr", lambda prefix, budget, payload, aux: vm.RunOutcome(
-        vm.HALTED, (), len(payload) + 1, 0, 1))
+    monkeypatch.setattr(vm, "apply", lambda fun, arg, budget, payload, aux, steps: vm.RunOutcome(
+        vm.HALTED, (), len(payload) + 1, 0, steps + 1))
     with pytest.raises(InvariantError, match="halted having read 1 of 0 payload bits"):
-        domain_runs(parse("(r)"), 8, 100)
+        domain_runs(vm.Closure("x", ("r",), None), (), 0, 8, 100)
+
+
+@pytest.mark.parametrize("machine, c_cap, B, count", [
+    (machine, c_cap, B, count) for machine, c_cap, counts in (
+        ("sd", 9, (1, 77, 1045, 1045)), ("sd", 10, (1, 142, 6790, 6790)),
+        ("total", 9, (1, 74, 502, 502)), ("total", 10, (1, 137, 4618, 4618)))
+    for B, count in zip((0, 1, 3, 10**4) if machine == "sd" else (0, 1, 3, STRUCTURAL), counts)])
+def test_the_build_equals_the_listing_sweep(machine, c_cap, B, count):
+    # every field of every record, against every runnable prefix listed and
+    # run from step 0 (tests/listing.py), at L = 8 c_cap + 7; at 9 characters
+    # ((lxx)()) is the first closure body run, and (c(r)(r)) the first form
+    # with two payload readers.  test_cli compares them at 11 characters in a
+    # fresh process
+    assert listing.build_equals_listing(machine, 8 * c_cap + 7, B, c_cap) == (count, True)
+
+
+@pytest.mark.parametrize("alphabet, chars", [("crs", 16), ("chtr", 16), ("lycer", 16), ("cqr0", 13), ("ceirs", 13),
+                                             ("lxcers", 13), ("lfxrs", 14)])
+def test_the_build_equals_the_listing_on_few_atoms_past_11_characters(alphabet, chars):
+    # a few atoms reach forms no sweep of 28 atoms can: a cons of two payload
+    # or aux readers, (c(r)(c(s)())) at 14 characters, and more bodies that
+    # read, ((lx(r))()) at 11.  Every halting run of every runnable list,
+    # its value included (closures as spec.plain shows them)
+    from omegalab import complexity
+
+    L = 8 * chars + 7
+    built = [(bits + p, a, repr(spec.plain(v)), s)
+             for _, runs in complexity._build(alphabet, chars, L, 10**4) for bits, p, a, v, s, _ in runs]
+    listed = [(to_bits(e) + p, a, repr(spec.plain(out.value)), out.steps) for n in range(2, chars + 1)
+              for e in listing.runnable(n, alphabet) for p, a, out in listing.domain_runs(e, L - 8 * n, 10**4)]
+    assert sorted(built) == sorted(listed) and len(built) > 30
+
+
+def test_the_parts_of_a_form_never_share_a_closure():
+    # the build makes one run of (lxx) and uses it wherever a form holds
+    # (lxx), so (c (lxx) (c (lxx) ())) would hold that closure twice, where a
+    # run makes two; a body that compares them by identity tells them apart
+    from omegalab import complexity, vm
+
+    clo = vm.Closure("x", "x", None)
+    [(_, _, _, value, steps, fn)] = complexity._cons("", [("", "", "", clo, 1, True)],
+                                                     [("", "", "", (clo,), 2, True)], 0, 100)
+    assert (steps, fn, value[0]) == (4, True, clo)
+    assert type(value[1]) is vm.Closure and value[1] is not clo and (value[1].param, value[1].body) == ("x", "x")
+    body = parse("(e(c(hz)())(c(h(tz))()))")
+    program = (("l", "z", body), parse("(c(lxx)(c(lxx)()))"))
+    assert vm.apply(vm.Closure("z", body, None), value, 100).value == vm.eval_expr(program, 100).value == ()
+    assert vm.apply(vm.Closure("z", body, None), (clo, clo), 100).value == "1"
 
 
 def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch, sweeps):
@@ -793,26 +836,26 @@ def test_the_replay_is_built_only_where_L_can_hold_it(monkeypatch, x, y, plain_f
 
 
 def test_count_agrees_with_the_listing_for_every_slot_kind():
-    from omegalab.complexity import _ALPHABETS, _SLOTS, _count, _fill
+    from omegalab.complexity import _ALPHABETS, _SLOTS, _count
 
     # a slot of kind x holds 0.6 million expressions of 6 characters and 17
     # million of 7, so alternatives of kinds x, p and * alone stop at 5
     for alphabet in _ALPHABETS.values():
         for alt in {alt for slots in _SLOTS.values() for alt in slots.split("|")}:
             for m in range(8 if set(alt) & set("vfn") else 6):
-                assert _count(m, alt, alphabet) == len(_fill(m, alt, alphabet)), (alphabet, alt, m)
+                assert _count(m, alt, alphabet) == len(listing.fill(m, alt, alphabet)), (alphabet, alt, m)
 
 
 def test_the_counts_of_evaluable_and_runnable_lists_equal_the_listing():
-    from omegalab.complexity import _ALPHABETS, _RUN, _SLOTS, _count_forms, _evaluable, _runnable
+    from omegalab.complexity import _ALPHABETS, _RUN, _SLOTS, _count_forms
 
     # the evaluable lists of 9 characters quote any of 0.6 million expressions
     # of 6, so they are counted against the listing up to 8
     for alphabet in _ALPHABETS.values():
         for n in range(1, 11):
-            assert _count_forms(n, _RUN, alphabet) == len(_runnable(n, alphabet)), (alphabet, n)
+            assert _count_forms(n, _RUN, alphabet) == len(listing.runnable(n, alphabet)), (alphabet, n)
         for n in range(1, 9):
-            assert _count_forms(n, _SLOTS, alphabet) == len(_evaluable(n, alphabet)), (alphabet, n)
+            assert _count_forms(n, _SLOTS, alphabet) == len(listing.evaluable(n, alphabet)), (alphabet, n)
 
 
 def test_the_prefixes_a_sweep_runs_are_counted_past_the_listing():

@@ -251,9 +251,9 @@ def test_tests_name_only_the_pinned_sweep_internals():
     # a test rewritten against tests/spec.py takes its names off this set in
     # the same change
     read = set().union(*map(_private_complexity_names, Path(__file__).parent.glob("*.py")))
-    assert read == {"_ALPHABETS", "_C2Entries", "_CONSTANTS", "_RUN", "_SLOTS", "_count", "_count_forms",
-                    "_counted_records", "_evaluable", "_exprs_exact", "_fill", "_forms", "_least", "_runnable",
-                    "_split_constants", "_store", "_sweep", "_with_counted"}, sorted(read)
+    assert read == {"_ALPHABETS", "_C2Entries", "_CONSTANTS", "_RUN", "_SLOTS", "_build", "_cons", "_count",
+                    "_count_forms", "_counted_records", "_exprs_exact", "_least", "_split_constants", "_store",
+                    "_sweep", "_with_counted"}, sorted(read)
 
 
 def test_the_spec_names_no_sweep_internal():

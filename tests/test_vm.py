@@ -12,7 +12,7 @@ import spec
 from omegalab.machines import Program, run_total, structural_budget
 from omegalab.progs import LOOP
 from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
-from omegalab.vm import FAULTED, Underrun, eval_expr, resume
+from omegalab.vm import FAULTED, Closure, Rec, Underrun, apply, eval_expr, resume
 
 
 def run(text, budget=100, payload="", aux=None):
@@ -555,3 +555,16 @@ def test_list_primitives_return_expression_tuples(x, a, b):
         out = eval_expr(expr, 10)
         assert out.halted and out.value == value, (expr, out)
         assert _agree(expr, 10)[:2] == ("halted", value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_forms_with_lambdas(), _data(), st.sampled_from([3, 5, 40, 400]))
+def test_an_application_entered_where_it_stands_runs_as_its_program(body, arg, budget):
+    # apply enters the step loop at an application, counting on from the
+    # steps before it: the lambda and quote steps of ((l x B) (q A)), and the
+    # y, lambda and quote steps of ((y (l x B)) (q A)); from there on it is
+    # the program's run, field by field, neither having read a bit before
+    for fun, program, steps in ((Closure("x", body, None), (("l", "x", body), ("q", arg)), 2),
+                                (Rec(Closure("x", body, None)), (("y", ("l", "x", body)), ("q", arg)), 3)):
+        out = apply(fun, arg, budget, "0110", "1", steps)
+        assert _fields(out) == _fields(eval_expr(program, budget, "0110", "1")), (print_sexpr(program), budget)
