@@ -283,9 +283,13 @@ def _load_fas(spec: str) -> ToyFAS:
 
 
 def _outcome_dict(out: vm.RunOutcome) -> dict:
-    try:  # a value holding a closure or y-wrapper anywhere has no print
+    """The report of one run.  Its value is null where it has no print: a
+    value holding a closure or a y-wrapper anywhere, or one nested past the
+    print's recursion limit, which the recursive parse could not read back
+    either.  Every other field is the run's."""
+    try:
         value = print_sexpr(out.value) if out.halted else None
-    except TypeError:
+    except (TypeError, RecursionError):
         value = None
     return {
         "outcome": out.kind,

@@ -10,17 +10,19 @@ payloads.  This is provably the same domain set a raw scan of all 2^(L+1)
 strings would find, at a tiny fraction of the cost.
 
 Machine c2 is not raw-scanned either.  A leading 1 halts only on one whole
-list expression that reads nothing, so its records are the build's runs
-(below) of (n-1)/8 characters that read no bit and print a flat bit list,
-and only those records are stored.  A leading 0 prints the rest in one
-step, so H_C(x) <= |x| + 1.  Each of those programs has an output of its
-own, so no counted record (below) can stand for them, and no table entry is
-stored for them either: build_table's c2 entries (_C2Entries) hold only the
-entries run records reached and answer every other r of fewer than L bits
-by rule, (r, |r| + 1, 0r, 1): read by length, one template entry (NUL for
-r) per length, which a report prints as text (reports.Family), with no
-entry or row made for each r.  enumerate_halting lists the programs only
-when called.
+list expression of k characters, 8k + 1 bits in all, that reads nothing and
+prints a flat bit list.  Ensemble caps c2 at C2_RAW_CAP = 22 bits, which
+leaves a leading 1 room for at most 2 characters, so () is the one such
+list: c2's one leading-1 record, the bit 1 and then the 16 bits of (), 17
+bits in 0 steps with the empty output, is stated in closed form (_sweep),
+and only it is stored.  A leading 0 prints the rest in one step, so
+H_C(x) <= |x| + 1.  Each of those programs has an output of its own, so no
+counted record (below) can stand for them, and no table entry is stored for
+them either: build_table's c2 entries (_C2Entries) hold only the entries run
+records reached and answer every other r of fewer than L bits by rule,
+(r, |r| + 1, 0r, 1): read by length, one template entry (NUL for r) per
+length, which a report prints as text (reports.Family), with no entry or row
+made for each r.  enumerate_halting lists the programs only when called.
 
 A record keeps the aux bits its run read (aux_read); the run behaves alike
 under every aux that starts with them, so one sweep serves every aux.  The
@@ -39,10 +41,9 @@ exhaustive.
 The sweep is built bottom-up (_build), and lists no prefix.  For each print
 length n up to min(c_cap, L // 8), shortest first, it makes the halting
 runs of every runnable list of n characters (an evaluable list other than
-a constant, below): (prefix bits, payload, aux read, value, steps), the
-payload at most L - 8n bits and the steps within B.  Each is made from the
-halting runs of lists at least 3 characters shorter, by head, with the
-slot kinds _SLOTS gives it:
+a constant, below): (prefix bits, payload, aux read, value, steps).  Each is
+made from the halting runs of lists at least 3 characters shorter (its
+parts), by head, with the slot kinds _SLOTS gives it:
   - () is its own value in no step; (r) and (s) take one step and return
     the one bit they read.
   - A strict form, (h X), (t X), (a X), (y X), (c X Y) or (e X Y), is
@@ -56,7 +57,13 @@ slot kinds _SLOTS gives it:
     whose value is a closure or a y-wrapper and a run of A; only the
     application runs anything.  domain_runs enters the step loop there
     (vm.apply), counting on from the operands' steps, and branches on the
-    payload and aux bits the body reads.
+    payload and aux bits the body reads, up to the room and the budget below.
+Each composer states only its primitive's rule.  The capped ensemble is
+admitted in one place, _build, which passes each length's runs through one
+filter before it yields them or keeps them as parts: steps within B, and a
+payload of at most L - 8n bits, the room a prefix of n characters leaves.  A
+part also leaves its form a step, as every form takes one more than its
+parts: it is kept only with steps below B.
 This is exact, by induction on print length.  The vm evaluates a strict
 form's operands left to right in the one empty environment, having charged
 the form's step, and each operand reads the bits after the ones the
@@ -66,23 +73,25 @@ predecessors' halts and the primitive accepts the values, and it reads
 exactly the bits they read: its halting runs are the compositions of its
 operands' halting runs, which the induction has built.  A form with an
 operand outside the evaluable lists halts only where that operand is never
-evaluated, as an untaken branch or a quoted X is not.  A budget only cuts a run short, so a composed run over B is
-dropped and none within B is lost; on total, which has no closures, every
-composed run fits its structural budget.  Closures compare by identity,
-and two operands of one run never share one, while the build shares one
-operand run among many forms: a value that would hold one closure twice
-holds a copy (_fresh), and e finds no value that holds a function equal
-to anything.  tests/listing.py keeps the listing sweep the build replaced,
-every runnable prefix run from step 0, and the tests compare the two in
-every field.
+evaluated, as an untaken branch or a quoted X is not.  A budget only cuts a
+run short, and a form's payload holds its parts', so the one filter drops a
+composed run over B or the room and loses none within them; on total,
+which has no closures, every composed run fits its structural budget.
+Closures compare by identity, and two operands of one run never share one,
+while the build shares one operand run among many forms: a value that
+would hold one closure twice holds a copy (_fresh), and e finds no value
+that holds a function equal to anything.  tests/listing.py keeps the
+listing sweep the build replaced, every runnable prefix run from step 0,
+and the tests compare the two in every field.
 
 The constants, (q X) and on sd (l p X), halt in one step, read no payload
 and no aux, and return X or a closure; they are almost every evaluable list
-above 7 characters.  The build lists them as operands only, up to 3
-characters short of the cap.  One memoized split per print length
-(_split_constants) decides their records: the constants whose value
-converts to an output (X a 0/1 atom, a flat bit list, or a list of two flat
-bit lists: about 2^(n-5) of n characters) get their records in closed form,
+above 7 characters.  The build lists them as parts only, up to 3
+characters short of the cap, and only where B > 1, as a form over one takes
+a second step.  One memoized split per print length (_split_constants)
+decides their records: the constants whose value converts to an output (X
+a 0/1 atom, a flat bit list, or a list of two flat bit lists: about 2^(n-5)
+of n characters) get their records in closed form,
 and every other constant of n characters is one counted record, its count
 read from _SLOTS by _count.  A record with count c stands for c programs
 alike in size, steps, output, pair and aux read.  The sweep stores the
@@ -147,9 +156,10 @@ DEFAULT_CHAR_CAP = 6
 # c2's table is closed form, so this cap bounds the size of a report, not the
 # table's memory: c2's JSON is 202 MB at L 20 and 826 MB at L 22
 C2_RAW_CAP = 22
-# the most prefixes a sweep runs, counted before any is listed: with total's
-# 1,539,033 of at most 12 characters, `omega exact --L 103 --c-cap 12` took
-# about 20 s and 1.9 GB, while listing sd's 4,833,719 ran out of 3 GB
+# the most runnable lists a sweep builds the runs of, counted before the build
+# starts: total's 1,539,033 of at most 12 characters pass, and `omega exact
+# --L 103 --c-cap 12` takes about 6 s and 750 MB on a 2-CPU VM; sd's
+# 4,833,719 do not, and its build with the cap lifted took 11.0 s and 1,327 MB
 SWEEP_PREFIX_CAP = 2 * 10**6
 
 
@@ -346,11 +356,13 @@ def _build(alphabet: str, chars: int, L: int, B):
     """(n, runs) for each print length n from 2 to chars: the halting runs of
     the runnable lists of n characters (every evaluable list but the
     constants), in no particular order.  A run is (prefix bits, payload, aux
-    read, value, steps, whether the value holds a function), its payload at
-    most L - 8n bits and its steps within B.  Each is composed from runs of
-    shorter lists (module docstring); only an application runs anything."""
+    read, value, steps, whether the value holds a function).  Each is
+    composed from runs of shorter lists (module docstring); only an
+    application runs anything.  The ensemble is admitted here alone: each
+    length's runs keep steps within B and a payload of at most L - 8n bits,
+    and a part, as its form takes a step more, steps below B."""
     limit = sys.maxsize if B == STRUCTURAL else B
-    parts: Dict[int, list] = {}  # n -> the runs of every evaluable list of n characters, constants too
+    parts: Dict[int, list] = {}  # n -> the runs below B of every evaluable list of n characters, constants too
     free: Dict[int, List[BitString]] = {}  # k -> the bits of every expression of k characters
 
     def untaken(k):  # the branches an i leaves untaken: any expression
@@ -365,23 +377,24 @@ def _build(alphabet: str, chars: int, L: int, B):
                 continue
             head, m = (_LP + CHAR_BITS[h] if h else _LP), n - 2 - len(h)  # m: the items' characters
             if h == "i":  # the one form that evaluates only some of its items
-                runs += _conditionals(head, m, parts, untaken, cap, limit)
+                runs += _conditionals(head, m, parts, untaken)
                 continue
             for alt in _SLOTS[h].split("|"):
                 if not alt:
                     if m == 0:
-                        runs += _leaves(h, head + _RP, cap, limit)
+                        runs += _leaves(h, head + _RP)
                 elif len(alt) == 1:
-                    runs += _unary(_UNARY[h], head, parts.get(m, ()), cap, limit)
+                    runs += _unary(_UNARY[h], head, parts.get(m, ()))
                 elif alt[0] == "v" or "l" in alphabet:  # an f slot holds nothing without l
                     for k in range(2, m - 1):
                         xs, ys = parts.get(k), parts.get(m - k)
                         if xs and ys:
-                            runs += (_applications if h == "" else _cons if h == "c" else _equalities)(
-                                head, xs, ys, cap, limit)
+                            runs += (_applications(head, xs, ys, cap, limit) if h == "" else
+                                     (_cons if h == "c" else _equalities)(head, xs, ys))
+        runs = [r for r in runs if r[4] <= limit and len(r[1]) <= cap]  # the one admission: B, and the room n leaves
         yield n, runs
-        if n <= chars - 3:  # a form of at most chars characters can hold it
-            parts[n] = runs + _constant_runs(n, alphabet) if limit >= 1 else runs
+        if n <= chars - 3:  # a form of at most chars characters can hold it, and takes a step more
+            parts[n] = [r for r in runs if r[4] < limit] + (_constant_runs(n, alphabet) if limit > 1 else [])
 
 
 def _constant_runs(n: int, alphabet: str) -> list:
@@ -390,39 +403,35 @@ def _constant_runs(n: int, alphabet: str) -> list:
             for e in _constants(n, alphabet)]
 
 
-def _leaves(h: str, bits: BitString, cap: int, limit: int) -> list:
+def _leaves(h: str, bits: BitString) -> list:
     """The runs of (), (r) and (s): () is its own value in no steps, and a read returns the bit it reads."""
     if not h:
         return [(bits, "", "", (), 0, False)]
-    if limit < 1 or h == "r" and cap < 1:
-        return []
     return [(bits, b, "", b, 1, False) if h == "r" else (bits, "", b, b, 1, False) for b in "01"]
 
 
-def _unary(prim, head: BitString, xs: list, cap: int, limit: int) -> list:
+def _unary(prim, head: BitString, xs: list) -> list:
     """The runs of (h X) for a strict primitive h of one operand, each a run of X and one step."""
     out = []
     for bits, p, a, v, s, fn in xs:
         w = prim(v)
-        if w is not None and s < limit and len(p) <= cap:
+        if w is not None:
             out.append((head + bits + _RP, p, a, w, s + 1, fn and _holds_function(w)))
     return out
 
 
-def _cons(head: BitString, xs: list, ys: list, cap: int, limit: int) -> list:
+def _cons(head: BitString, xs: list, ys: list) -> list:
     """The runs of (c X Y): a run of X, then one of Y whose value is a list, and one step."""
     out = []
     ys = [r for r in ys if type(r[3]) is tuple]
     for bx, px, ax, vx, sx, fx in xs:
         for by, py, ay, vy, sy, fy in ys:
-            p = px + py
-            if sx + sy < limit and len(p) <= cap:
-                out.append((head + bx + by + _RP, p, ax + ay, (vx,) + (_fresh(vy) if fx and fy else vy),
-                            sx + sy + 1, fx or fy))
+            out.append((head + bx + by + _RP, px + py, ax + ay, (vx,) + (_fresh(vy) if fx and fy else vy),
+                        sx + sy + 1, fx or fy))
     return out
 
 
-def _equalities(head: BitString, xs: list, ys: list, cap: int, limit: int) -> list:
+def _equalities(head: BitString, xs: list, ys: list) -> list:
     """The runs of (e X Y): a run of X, then one of Y, both values data, and
     one step.  Values that hold a function are never equal: its closures
     differ from the other part's."""
@@ -432,31 +441,28 @@ def _equalities(head: BitString, xs: list, ys: list, cap: int, limit: int) -> li
         if type(vx) is not str and type(vx) is not tuple:
             continue
         for by, py, ay, vy, sy, fy in ys:
-            p = px + py
-            if sx + sy < limit and len(p) <= cap:
-                same = not (fx or fy) and _same(vx, vy)
-                out.append((head + bx + by + _RP, p, ax + ay, "1" if same else (), sx + sy + 1, False))
+            same = not (fx or fy) and _same(vx, vy)
+            out.append((head + bx + by + _RP, px + py, ax + ay, "1" if same else (), sx + sy + 1, False))
     return out
 
 
 def _applications(head: BitString, fs: list, args: list, cap: int, limit: int) -> list:
     """The runs of (F A): a run of F whose value is a closure or a y-wrapper,
-    then one of A, then the application, run from there (domain_runs)."""
+    then one of A, then the application, run from there (domain_runs) with
+    the payload room cap and the budget limit."""
     out = []
     for bf, pf, af, vf, sf, _ in fs:
         if type(vf) is not vm.Closure and type(vf) is not vm.Rec:
             continue
         for ba, pa, aa, va, sa, fa in args:
             p = pf + pa
-            if len(p) > cap:
-                continue
             bits, a = head + bf + ba + _RP, af + aa
             for pb, ab, run in domain_runs(vf, _fresh(va) if fa else va, sf + sa, cap - len(p), limit):
                 out.append((bits, p + pb, a + ab, run.value, run.steps, _holds_function(run.value)))
     return out
 
 
-def _conditionals(head: BitString, m: int, parts: dict, untaken, cap: int, limit: int) -> list:
+def _conditionals(head: BitString, m: int, parts: dict, untaken) -> list:
     """The runs of (i C T E) whose items print to m characters: a run of C,
     then one of the branch its value picks, E on () and T on any other, and
     one step; the other branch is any expression."""
@@ -468,16 +474,12 @@ def _conditionals(head: BitString, m: int, parts: dict, untaken, cap: int, limit
             for bc, pc, ac, vc, sc, _ in parts.get(kc, ()):
                 if vc == ():
                     for be, pe, ae, ve, se, fe in es:
-                        p = pc + pe
-                        if sc + se < limit and len(p) <= cap:
-                            a, tail = ac + ae, be + _RP
-                            out += [(head + bc + bt + tail, p, a, ve, sc + se + 1, fe) for bt in untaken(kt)]
+                        p, a, tail, s = pc + pe, ac + ae, be + _RP, sc + se + 1
+                        out += [(head + bc + bt + tail, p, a, ve, s, fe) for bt in untaken(kt)]
                 else:
                     for bt, pt, at, vt, st, ft in ts:
-                        p = pc + pt
-                        if sc + st < limit and len(p) <= cap:
-                            a, front = ac + at, head + bc + bt
-                            out += [(front + be + _RP, p, a, vt, sc + st + 1, ft) for be in untaken(ke)]
+                        p, a, front, s = pc + pt, ac + at, head + bc + bt, sc + st + 1
+                        out += [(front + be + _RP, p, a, vt, s, ft) for be in untaken(ke)]
     return out
 
 
@@ -553,8 +555,8 @@ def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
 def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
     """The explicit records of one sweep at exactly (L, B), in no particular
     order, bypassing the store and Ensemble's checks."""
-    if machine == "c2":
-        return _enumerate_c2(L, B)
+    if machine == "c2":  # L <= C2_RAW_CAP: a leading 1 has room for () alone (module docstring)
+        return [HaltRecord("1" + to_bits(()), "", None, 0, 17)] if L >= 17 else []
     # every prefix prints to n <= L // 8 characters, so 8n <= L already
     alphabet, chars = _ALPHABETS[machine], min(c_cap, L // 8)
     lengths = range(2, chars + 1)
@@ -573,21 +575,6 @@ def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
     if covers(B, 1):  # the constants, in closed form
         for n in lengths:
             records += _split_constants(n, alphabet)
-    return records
-
-
-def _enumerate_c2(L: int, budget: int) -> List[HaltRecord]:
-    """run_c2's halting leading-1 records of 1..L bits, in no particular order:
-    the leading-0 ones are folded in closed form (module docstring).  A
-    leading 1 halts on an evaluable list of k characters, 8k + 1 bits in all,
-    whose run reads nothing and prints a flat bit list: one of the build's
-    runs, or (q X) with X such a list."""
-    records, chars = [], (L - 1) // 8
-    for n, runs in _build(ALPHABET, chars, 8 * chars, budget):
-        if n >= 5 and budget >= 1:
-            runs = runs + [(to_bits(("q", x)), "", "", x, 1, False) for x in itertools.product("01", repeat=n - 5)]
-        records += [HaltRecord("1" + bits, out, None, s, 8 * n + 1) for bits, p, a, v, s, _ in runs
-                    if not p and not a and type(v) is tuple and (out := value_output(v)) is not None]
     return records
 
 

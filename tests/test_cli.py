@@ -63,6 +63,19 @@ def test_run_value_holding_a_closure_is_null(capsys):
     assert code == 0 and report(out)["value"] == "(0l)"
 
 
+def test_run_value_nested_past_the_print_limit_is_null(capsys):
+    # a short program builds a value 3,001 lists deep: the run halted, so its
+    # report says so, with no print of the value
+    prefix = "((y(lf(lx(i(e(r)(q1))(f(cx()))x))))())"
+    code, out, _ = run_cli(capsys, "run", "--machine", "sd", "--prefix", prefix, "--payload", "1" * 3000 + "0",
+                           "--budget", "100000")
+    assert code == 0
+    assert report(out) == {"outcome": "halted", "value": None, "output": None, "payload_consumed": 3001,
+                           "aux_consumed": 0, "steps": 27010, "reason": None}
+    code, out, _ = run_cli(capsys, "run", "--machine", "sd", "--prefix", prefix, "--payload", "1110")
+    assert code == 0 and report(out)["value"] == "(((())))"
+
+
 def test_bits_commands(capsys):
     code, out, _ = run_cli(capsys, "bits", "kraft", "--set", "0,10,110")
     assert code == 0 and report(out)["kraft_sum"] == "7/2^3"

@@ -679,6 +679,30 @@ def test_the_build_equals_the_listing_sweep(machine, c_cap, B, count):
     assert listing.build_equals_listing(machine, 8 * c_cap + 7, B, c_cap) == (count, True)
 
 
+@pytest.mark.parametrize("machine, L, B, c_cap, count", [
+    ("sd", 64, 10**4, 8, 574), ("total", 64, STRUCTURAL, 8, 93), ("sd", 79, 2, 9, 1025), ("total", 79, 2, 9, 482)])
+def test_the_build_equals_the_listing_sweep_where_the_admission_cuts(machine, L, B, c_cap, count):
+    # at L = 8 c_cap the longest lists have no room for a payload bit, so the
+    # build's admission cuts composed runs that read one, as the listing's
+    # payload bound does (at L = 8 c_cap + 7 no composed run meets the cap);
+    # at B = 2 it cuts (e(r)(r)), 3 steps over two parts of one step, where
+    # the rows at B 1 and 3 above compose no run over B
+    assert listing.build_equals_listing(machine, L, B, c_cap) == (count, True)
+
+
+@pytest.mark.parametrize("B", [0, 1, 10**4])
+def test_the_c2_closed_form_equals_the_listing(B):
+    # the one leading-1 record, 1 and then (), stated in closed form, against
+    # every evaluable list run by run_c2, at every L the cap allows: a raised
+    # cap reaches lists the closed form does not cover
+    from omegalab import complexity
+
+    for L in range(complexity.C2_RAW_CAP + 1):
+        got = complexity._sweep("c2", L, B, 6)
+        assert sorted(got) == sorted(listing.sweep("c2", L, B, 6)), (L, B)
+        assert len(got) == (L >= 17), (L, B)
+
+
 @pytest.mark.parametrize("alphabet, chars", [("crs", 16), ("chtr", 16), ("lycer", 16), ("cqr0", 13), ("ceirs", 13),
                                              ("lxcers", 13), ("lfxrs", 14)])
 def test_the_build_equals_the_listing_on_few_atoms_past_11_characters(alphabet, chars):
@@ -704,13 +728,27 @@ def test_the_parts_of_a_form_never_share_a_closure():
 
     clo = vm.Closure("x", "x", None)
     [(_, _, _, value, steps, fn)] = complexity._cons("", [("", "", "", clo, 1, True)],
-                                                     [("", "", "", (clo,), 2, True)], 0, 100)
+                                                     [("", "", "", (clo,), 2, True)])
     assert (steps, fn, value[0]) == (4, True, clo)
     assert type(value[1]) is vm.Closure and value[1] is not clo and (value[1].param, value[1].body) == ("x", "x")
     body = parse("(e(c(hz)())(c(h(tz))()))")
     program = (("l", "z", body), parse("(c(lxx)(c(lxx)()))"))
     assert vm.apply(vm.Closure("z", body, None), value, 100).value == vm.eval_expr(program, 100).value == ()
     assert vm.apply(vm.Closure("z", body, None), (clo, clo), 100).value == "1"
+
+
+def test_equality_of_values_holding_a_function_is_false():
+    # (e (c(lxx)()) (c(lxx)())): each operand holds its own closure, and the
+    # build's runs of both may hold one shared closure, which the values'
+    # structural walk finds equal; e must still find them unequal
+    from omegalab import complexity, vm
+
+    clo = vm.Closure("x", "x", None)
+    run = ("", "", "", (clo,), 2, True)
+    [(_, _, _, value, steps, fn)] = complexity._equalities("", [run], [run])
+    assert (value, steps, fn) == ((), 5, False)
+    out = vm.eval_expr(parse("(e(c(lxx)())(c(lxx)()))"), 100)
+    assert (out.value, out.steps) == ((), 5)
 
 
 def test_chain_rule_runs_one_sweep_for_every_x_star(monkeypatch, sweeps):

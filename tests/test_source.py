@@ -75,6 +75,20 @@ def test_prefix_free_refusal_is_written_only_in_machines():
     assert found and all(hit.startswith("machines.py:") for hit in found), found
 
 
+def test_the_ensemble_is_admitted_only_in_the_build():
+    # _build admits each run to the capped ensemble in one place, its steps
+    # within B and its payload within the room; a composer states only its
+    # primitive's rule, and _applications hands the bounds to the body run
+    found = set()
+    tree = dict(_library_trees())["complexity.py"]
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            found |= {fn.name for node in ast.walk(fn)
+                      if isinstance(node, ast.Name) and node.id in ("cap", "limit")
+                      or isinstance(node, ast.arg) and node.arg in ("cap", "limit")}
+    assert found == {"_build", "_applications"}, sorted(found)
+
+
 def test_csv_text_is_written_only_in_reports():
     # reports.emit_csv writes every CSV from a table's own columns, so no
     # other module imports csv
@@ -252,8 +266,8 @@ def test_tests_name_only_the_pinned_sweep_internals():
     # the same change
     read = set().union(*map(_private_complexity_names, Path(__file__).parent.glob("*.py")))
     assert read == {"_ALPHABETS", "_C2Entries", "_CONSTANTS", "_RUN", "_SLOTS", "_build", "_cons", "_count",
-                    "_count_forms", "_counted_records", "_exprs_exact", "_least", "_split_constants", "_store",
-                    "_sweep", "_with_counted"}, sorted(read)
+                    "_count_forms", "_counted_records", "_equalities", "_exprs_exact", "_least", "_split_constants",
+                    "_store", "_sweep", "_with_counted"}, sorted(read)
 
 
 def test_the_spec_names_no_sweep_internal():
