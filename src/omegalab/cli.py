@@ -126,19 +126,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
-    """The top parser with the sub-parser of `command` alone, or of every
-    command when `command` names none (top-level help, errors, --version).
-    Usage lines and each sub-parser's help are the same either way.  A
+def build_parser() -> _Parser:
+    """The top parser with a sub-parser for every command: what argparse reads
+    off the plain path (help, errors, --version, --config, abbreviations).  A
     sub-parser sets only what the command line gives; _completed does the rest."""
     # the docstring's last paragraph is about this module's code, not for --help
     top = _Parser(prog="omegalab", description=__doc__.rsplit("\n\n", 1)[0])
     top.add_argument("--version", action="version", version=f"omegalab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    if command in COMMANDS:
-        sub.metavar = "{%s}" % ",".join(COMMANDS)  # the usage line still lists every command
-    for name in [command] if command in COMMANDS else COMMANDS:
-        help_, takes_csv, flags = COMMANDS[name]
+    for name, (help_, takes_csv, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_, argument_default=argparse.SUPPRESS)
         form = p.add_mutually_exclusive_group()
         form.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -509,7 +505,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _main(argv: List[str]) -> int:
     given = _plain_args(argv)
     if given is None:  # help, abbreviations, --config and usage errors: argparse's texts and exits
-        given = vars(build_parser(argv[0] if argv else None).parse_args(argv))
+        given = vars(build_parser().parse_args(argv))
     try:
         args = _completed(given)
         result = _dispatch(args)

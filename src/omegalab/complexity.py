@@ -9,20 +9,20 @@ payload it consumes in full, and a prefix's runs enumerate precisely its
 payloads.  This is provably the same domain set a raw scan of all 2^(L+1)
 strings would find, at a tiny fraction of the cost.
 
-Machine c2 is not raw-scanned either.  A leading 1 halts only on one whole
-list expression of k characters, 8k + 1 bits in all, that reads nothing and
-prints a flat bit list.  Ensemble caps c2 at C2_RAW_CAP = 22 bits, which
-leaves a leading 1 room for at most 2 characters, so () is the one such
-list: c2's one leading-1 record, the bit 1 and then the 16 bits of (), 17
-bits in 0 steps with the empty output, is stated in closed form (_sweep),
-and only it is stored.  A leading 0 prints the rest in one step, so
-H_C(x) <= |x| + 1.  Each of those programs has an output of its own, so no
-counted record (below) can stand for them, and no table entry is stored for
-them either: build_table's c2 entries (_C2Entries) hold only the entries run
-records reached and answer every other r of fewer than L bits by rule,
-(r, |r| + 1, 0r, 1): read by length, one template entry (NUL for r) per
-length, which a report prints as text (reports.Family), with no entry or row
-made for each r.  enumerate_halting lists the programs only when called.
+Machine c2 is never swept, stored or listed: its domain is not prefix-free
+(machines.check_prefix_free refuses it to the sweep and enumerate_halting),
+and its table is in closed form (build_table, _C2Entries).  A leading 0
+prints the rest in one step, so H_C(x) <= |x| + 1: every r of fewer than L
+bits has the entry (r, |r| + 1, 0r, 1), answered by rule; read by length, one
+template entry (NUL for r) per length, which a report prints as text
+(reports.Family), with no entry or row made for each r.  A leading 1 halts
+only on one whole list expression of k characters, 8k + 1 bits in all, that
+reads nothing and prints a flat bit list.  Ensemble caps c2 at C2_RAW_CAP =
+22 bits, which leaves a leading 1 room for at most 2 characters, so () is
+the one such list: c2's one leading-1 program, the bit 1 and then the 16
+bits of (), 17 bits in 0 steps with the empty output, is an entry only where
+no 0r halts (B = 0).  tests/listing.py runs every evaluable list on c2 and
+folds the runs into the table this gives.
 
 A record keeps the aux bits its run read (aux_read); the run behaves alike
 under every aux that starts with them, so one sweep serves every aux.  The
@@ -132,8 +132,8 @@ evaluation is deterministic, a budget only cuts a run short, and each shorter
 payload or aux of a halting run underran before its last step.  A request
 the stored sweep cannot serve (L_s < L or B_s < B) is swept and replaces it.
 On total the store sweeps at STRUCTURAL and serves every integer B.  Tables,
-capped omega, both oracles, relative complexity and every report derive from
-the store.
+capped omega, both oracles, relative complexity and every report on sd and
+total derive from the store.
 """
 
 from __future__ import annotations
@@ -520,18 +520,19 @@ _store: Dict[Tuple[str, int], Tuple[Ensemble, List[HaltRecord]]] = {}  # one swe
 def enumerate_halting(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
     """All domain members of size <= L bits, (length, lex)-ordered, run with budget B.
 
-    For sd/total the sweep is exhaustive for sizes <= min(L, 8*c_cap + 7); see
+    The sweep is exhaustive for sizes <= min(L, 8*c_cap + 7); see
     exhaustive_bits().  aux=None keeps the records that read no aux.  The
-    explicit records with each counted record listed as its members, and on
-    c2 merged with the leading-0 programs; the list is the caller's.
+    explicit records with each counted record listed as its members; the list
+    is the caller's.
     """
     return _with_counted(explicit_records(ens, aux), ens)
 
 
 def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[HaltRecord]:
     """The stored records behind enumerate_halting(ens, aux): each counted
-    record stands for its members, and c2's leading-0 programs are left out.
-    Served unordered from the sweep store (module docstring); the list is the caller's."""
+    record stands for its members.  Served unordered from the sweep store
+    (module docstring); the list is the caller's."""
+    check_prefix_free(ens.machine, "a sweep")
     key = (ens.machine, ens.c_cap)
     hit = _store.get(key)
     if hit is None or hit[0].L < ens.L or not covers(hit[0].B, ens.B):  # replace a sweep that cannot serve
@@ -543,20 +544,15 @@ def explicit_records(ens: Ensemble, aux: Optional[BitString] = None) -> List[Hal
 
 def _with_counted(records: List[HaltRecord], ens: Ensemble) -> List[HaltRecord]:
     """records, explicit records of ens in any order, with each counted record
-    replaced by its members (c2: merged with the leading-0 programs), sorted."""
-    if ens.machine == "c2":
-        listed = records + [HaltRecord("0" + r, r, None, 1, len(r) + 1) for r in _C2Entries({}, ens)]
-    else:
-        alphabet = _ALPHABETS[ens.machine]
-        listed = [m for r in records for m in (_counted_records(r.size_bits // 8, alphabet) if r.count > 1 else (r,))]
+    replaced by its members, sorted."""
+    alphabet = _ALPHABETS[ens.machine]
+    listed = [m for r in records for m in (_counted_records(r.size_bits // 8, alphabet) if r.count > 1 else (r,))]
     return sorted(listed, key=lambda r: (r.size_bits, r.program_bits, r.aux_read))
 
 
 def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
     """The explicit records of one sweep at exactly (L, B), in no particular
     order, bypassing the store and Ensemble's checks."""
-    if machine == "c2":  # L <= C2_RAW_CAP: a leading 1 has room for () alone (module docstring)
-        return [HaltRecord("1" + to_bits(()), "", None, 0, 17)] if L >= 17 else []
     # every prefix prints to n <= L // 8 characters, so 8n <= L already
     alphabet, chars = _ALPHABETS[machine], min(c_cap, L // 8)
     lengths = range(2, chars + 1)
@@ -580,7 +576,7 @@ def _sweep(machine: str, L: int, B, c_cap: int) -> List[HaltRecord]:
 
 def exhaustive_bits(ens: Ensemble) -> int:
     """Largest program size for which the sweep of ens is exhaustive."""
-    return ens.L if ens.machine == "c2" else min(ens.L, 8 * ens.c_cap + 7)
+    return min(ens.L, 8 * ens.c_cap + 7)
 
 
 # ---------------------------------------------------------------------------
@@ -595,42 +591,39 @@ class TableEntry(NamedTuple):  # immutable: memoized tables share them
 
 
 class _C2Entries(Mapping):
-    """c2's bit-output entries in ens, read-only: found, the entries run
-    records reached, and by rule every other r of fewer than `below` bits,
-    whose program 0r halts in one step: (r, |r| + 1, 0r, 1, None).  below is
-    L, or 0 at B = 0.  It iterates in (length, output) order and makes the
-    rule's entries only as they are read, or by_length a template per length."""
+    """c2's bit-output entries in ens, read-only, in closed form (module
+    docstring): by rule every r of fewer than `below` bits, whose program 0r
+    halts in one step, (r, |r| + 1, 0r, 1, None), below being L, or 0 at
+    B = 0; and the one leading-1 program's, ("", 17, 1 and then (), 1, None),
+    only where no 0r halts.  programs counts c2's domain in ens.  It iterates
+    in (length, output) order and makes the rule's entries only as they are
+    read, or by_length a template per length."""
 
-    def __init__(self, found: Dict[BitString, TableEntry], ens: Ensemble):
-        self.found, self.below = found, ens.L if covers(ens.B, 1) else 0
+    def __init__(self, ens: Ensemble):
+        one = TableEntry("", 17, "1" + to_bits(()), 1, None)  # the one leading-1 program: 0 steps
+        self.below = ens.L if covers(ens.B, 1) else 0
+        self.programs = (1 << self.below) - 1 + (ens.L >= one.h_upper)
+        self.leading_1 = (one,) if ens.L >= one.h_upper and not self.below else ()
 
     def __getitem__(self, key):
-        if key in self.found:
-            return self.found[key]
         if type(key) is str and len(key) < self.below and not key.strip("01"):
             return TableEntry(key, len(key) + 1, "0" + key, 1, None)
+        if self.leading_1 and key == "":
+            return self.leading_1[0]
         raise KeyError(key)
 
     def __len__(self) -> int:
-        return (1 << self.below) - 1 + len(self._beyond())
-
-    def _beyond(self) -> List[BitString]:
-        """The found outputs the rule does not reach, in (length, output) order."""
-        return sorted((k for k in self.found if len(k) >= self.below), key=lambda k: (len(k), k))
+        return (1 << self.below) - 1 + len(self.leading_1)
 
     def __iter__(self):
-        return itertools.chain(*map(bit_strings, range(self.below)), self._beyond())
+        return itertools.chain(*map(bit_strings, range(self.below)), (e.output for e in self.leading_1))
 
     def by_length(self):
         """The entries in (length, output) order, each length the rule fills
-        whole as one Family of its template entry, whose output is NUL."""
-        lengths = set(map(len, self.found))
+        as one Family of its template entry, whose output is NUL."""
         for n in range(self.below):
-            if n in lengths:  # a found entry stands in for the rule's
-                yield from map(self.__getitem__, bit_strings(n))
-            else:
-                yield Family(n, TableEntry("\0", n + 1, "0\0", 1, None))
-        yield from map(self.found.__getitem__, self._beyond())
+            yield Family(n, TableEntry("\0", n + 1, "0\0", 1, None))
+        yield from self.leading_1
 
 
 class ComplexityTable(NamedTuple):
@@ -645,40 +638,36 @@ class ComplexityTable(NamedTuple):
 
 @lru_cache(maxsize=32)
 def build_table(ens: Ensemble) -> ComplexityTable:
-    """The sweep of ens folded per output.  Memoized on ens: callers share the
-    table and must not change its dicts.  Masses are summed as integer
-    numerators over 2^L, each made a Dyadic once at the end.  entries are in
-    (length, output) order and pair_entries in (total length, output) order:
-    the order of the reports."""
+    """The sweep of ens folded per output; c2's table in closed form, with no
+    sweep.  Memoized on ens: callers share the table and must not change its
+    dicts.  Masses are summed as integer numerators over 2^L, each made a
+    Dyadic once at the end.  entries are in (length, output) order and
+    pair_entries in (total length, output) order: the order of the reports."""
     L = ens.L
-    with_prob = ens.machine in machines.SELF_DELIMITING
-    found: Dict[BitString, TableEntry] = {}
+    if ens.machine == "c2":  # not prefix-free: no masses
+        c2 = _C2Entries(ens)
+        return ComplexityTable(ens, c2, {}, L, Dyadic.zero(), Dyadic.zero(), c2.programs)
+    entries: Dict[BitString, TableEntry] = {}
     pair_entries: Dict[Tuple[BitString, BitString], TableEntry] = {}
-    entries = _C2Entries(found, ens) if ens.machine == "c2" else found  # c2's leading-0 programs, by rule
-    contributing, mass, conv_fail_mass = len(entries), 0, 0
-
-    # order-free: a later record may beat an entry of the rule
+    contributing = mass = conv_fail_mass = 0
     for bits, output, pair, _, size, _, count in explicit_records(ens):
         contributing += count
-        w = count << (L - size) if with_prob else 0  # the record's Kraft terms, over 2^L
+        w = count << (L - size)  # the record's Kraft terms, over 2^L
         mass += w
-        key, seen, entry_map = ((output, entries, found) if output is not None
-                                else (pair, pair_entries, pair_entries))
+        key, entry_map = (output, entries) if output is not None else (pair, pair_entries)
         if key is None:  # every counted record lands here
             conv_fail_mass += w
-        elif (cur := seen.get(key)) is None:
-            entry_map[key] = TableEntry(key, size, bits, 1, w if with_prob else None)
+        elif (cur := entry_map.get(key)) is None:
+            entry_map[key] = TableEntry(key, size, bits, 1, w)
         elif size < cur.h_upper:
-            entry_map[key] = TableEntry(key, size, bits, 1, cur.prob + w if with_prob else None)
+            entry_map[key] = TableEntry(key, size, bits, 1, cur.prob + w)
         else:
             tie = size == cur.h_upper
             entry_map[key] = TableEntry(key, cur.h_upper, min(cur.witness, bits) if tie else cur.witness,
-                                        cur.minimal_count + tie, cur.prob + w if with_prob else None)
+                                        cur.minimal_count + tie, cur.prob + w)
     if mass > 1 << L:  # the domain is prefix-free, so Kraft bounds its mass
         raise InvariantError(f"Kraft sum {Dyadic(mass, L)} of the {ens.machine} domain at L={L} exceeds 1")
-    # c2 is not prefix-free: no masses, and its entries iterate in report order already
-    sizes = ((found, len), (pair_entries, lambda k: len(k[0]) + len(k[1]))) if with_prob else ()
-    for entry_map, size in sizes:
+    for entry_map, size in ((entries, len), (pair_entries, lambda k: len(k[0]) + len(k[1]))):
         for key in sorted(sorted(entry_map), key=size):  # reinserted in report order: by (size, key)
             entry = entry_map.pop(key)
             entry_map[key] = entry._replace(prob=Dyadic(entry.prob, L))

@@ -7,14 +7,17 @@ length; forms lists the lists a set of heads allows, evaluable and runnable
 the ones a sweep covers and runs.  domain_runs runs one prefix from step 0 on
 a payload and an aux that each grow by one bit exactly when the run
 underruns them.  sweep gives the records complexity._sweep builds, in no
-particular order.  The caches are unbounded: a process that lists sd at 11 characters
-holds about 240 MB.  pytest does not collect this module; the tests import
-it, or run it as
+particular order; on c2, which is never swept, it runs every evaluable list
+that fits after a leading 1, and c2_table folds those runs with the
+leading-0 programs into what c2's closed-form table must hold.  The caches
+are unbounded: a process that lists sd at 11 characters holds about 240 MB.
+pytest does not collect this module; the tests import it, or run it as
 
     python tests/listing.py MACHINE L B C_CAP
 
 which prints the build's record count and whether its records equal the
-listing's in every field.
+listing's in every field (on c2, the listing's record count and whether the
+closed-form table equals their fold).
 """
 
 import gc
@@ -23,7 +26,7 @@ import sys
 from functools import lru_cache
 
 from omegalab import complexity, vm
-from omegalab.bits import InvariantError
+from omegalab.bits import Dyadic, InvariantError
 from omegalab.complexity import _ALPHABETS, _CONSTANTS, _RUN, _SLOTS, HaltRecord, _exprs_exact, _split_constants
 from omegalab.machines import STRUCTURAL, covers, output_of, pair_output_of, run_c2, structural_budget
 from omegalab.sexpr import ALPHABET, to_bits
@@ -94,8 +97,8 @@ def domain_runs(prefix, max_payload, budget):
 def sweep(machine, L, B, c_cap):
     """The explicit records of the sweep of (machine, L, B, c_cap), as _sweep
     gives them: every runnable prefix of at most min(c_cap, L // 8)
-    characters run, the constants in closed form; c2's leading-1 programs,
-    one per evaluable list, run by run_c2."""
+    characters run, the constants in closed form; on c2, its leading-1
+    programs, one per evaluable list, run by run_c2."""
     if machine == "c2":
         records = []
         for n in range(17, L + 1, 8):
@@ -117,8 +120,38 @@ def sweep(machine, L, B, c_cap):
     return records
 
 
+def c2_table(L, B, records, keys):
+    """c2's table at (L, B) as the listing gives it, from records, its
+    leading-1 records (sweep): its entry count, its program count, and at
+    each key its entry, (output, least size, lex-least program, programs of
+    that size, None), or None.  Its programs are records' and, where B >= 1,
+    each 0r of at most L bits, which prints r in one step."""
+    family = L if covers(B, 1) else 0  # 0r prints the r of fewer than family bits
+    outputs = {r.output for r in records}
+    entries = {}
+    for bits, out in [("0" + k, k) for k in keys | outputs if len(k) < family] + [r[:2] for r in records]:
+        cur = entries.get(out)
+        if cur is None or len(bits) < cur[1]:
+            entries[out] = (out, len(bits), bits, 1, None)
+        elif len(bits) == cur[1]:
+            entries[out] = (out, cur[1], min(cur[2], bits), cur[3] + 1, None)
+    count = (1 << family) - 1 + sum(len(k) >= family for k in outputs)
+    return count, (1 << family) - 1 + len(records), {k: entries.get(k) for k in keys}
+
+
 def build_equals_listing(machine, L, B, c_cap):
-    """(the build's record count, whether its records equal sweep's in every field)."""
+    """(the build's record count, whether its records equal sweep's in every
+    field); on c2, (the listing's record count, whether the closed-form table
+    has no pair and no mass and equals c2_table at every output the listing
+    reached and at the strings of all 0s and all 1s of each length up to L)."""
+    if machine == "c2":
+        records = sweep("c2", L, B, c_cap)
+        keys = {r.output for r in records} | {b * n for b in "01" for n in range(L + 1)}
+        table = complexity.build_table(complexity.Ensemble("c2", L, B))
+        got = len(table.entries), table.contributing, {k: table.entries.get(k) for k in keys}
+        zero = Dyadic.zero()
+        closed = (table.pair_entries, table.mass, table.conv_fail_mass, table.exhaustive_limit) == ({}, zero, zero, L)
+        return len(records), closed and got == c2_table(L, B, records, keys)
     got = sorted(map(tuple, complexity._sweep(machine, L, B, c_cap)))
     return len(got), got == sorted(map(tuple, sweep(machine, L, B, c_cap)))
 

@@ -32,23 +32,31 @@ from omegalab.sexpr import ALPHABET, parse, print_sexpr, to_bits
 from omegalab import machines, progs
 
 
-def test_enumerate_c2_hand_case():
-    records = enumerate_halting(Ensemble("c2", 2, 10))
-    got = [(r.program_bits, r.output) for r in records]
-    assert got == [("0", ""), ("00", "0"), ("01", "1")]
+def test_c2_table_hand_case():
+    table = build_table(Ensemble("c2", 2, 10))
+    assert [(e.witness, e.output) for e in table.entries.values()] == [("0", ""), ("00", "0"), ("01", "1")]
+    assert table.contributing == 3
 
 
 def test_enumerate_empty_limits():
-    assert enumerate_halting(Ensemble("c2", 0, 0)) == []
+    table = build_table(Ensemble("c2", 0, 0))
+    assert len(table.entries) == table.contributing == 0 and list(table.entries.by_length()) == []
     assert enumerate_halting(Ensemble("sd", 15, 100)) == []  # the shortest prefix () is 16 bits
     assert enumerate_halting(Ensemble("total", 0, STRUCTURAL)) == []
 
 
+@pytest.mark.parametrize("read", [explicit_records, enumerate_halting])
+def test_the_sweep_refuses_c2(sweeps, read):
+    # c2's domain is not prefix-free: its table is in closed form, and no sweep serves it
+    with pytest.raises(ValueError, match=r"^a sweep needs a prefix-free machine \(sd or total\), got 'c2'$"):
+        read(Ensemble("c2", 17, 1))
+    assert sweeps == []
+
+
 def test_c2_table_answers_its_leading_0_family_by_rule():
     # the 2^20 - 1 entries of the leading-0 family are answered by rule, not
-    # stored: the one run record, () at 17 bits, prints "", which is in it
+    # stored; the one leading-1 program, () at 17 bits, prints "", which is in it
     ens = Ensemble("c2", 20, 1)
-    explicit_records(ens)  # the sweep, stored first: only the table is measured
     tracemalloc.start()
     try:
         table = build_table.__wrapped__(ens)
@@ -68,40 +76,40 @@ def test_c2_table_answers_its_leading_0_family_by_rule():
                                                                 ("0", ("0", 2, "00", 1, None))]
 
 
-@pytest.mark.parametrize("found, B", [({}, 1), ({}, 0), ({"": 1, "01": 2, "11111": 9}, 1), ({"0101": 9}, 0)])
-def test_c2_entries_by_length_are_its_entries(found, B):
-    # a length with a found entry is read entry by entry, every other one
-    # under L as the rule's template entry, its NULs standing for each r
-    from omegalab.complexity import TableEntry, _C2Entries
+@pytest.mark.parametrize("L, B", [(4, 1), (4, 0), (16, 0), (17, 0), (22, 0), (17, 1)])
+def test_c2_entries_by_length_are_its_entries(L, B):
+    # each length under L is the rule's template entry, its NULs standing
+    # for each r; the leading-1 program's entry follows where no 0r halts
+    from omegalab.complexity import _C2Entries
     from omegalab.reports import Family
 
-    found = {k: TableEntry(k, h, "1" * h, 2, None) for k, h in found.items()}
-    entries = _C2Entries(found, Ensemble("c2", 4, B))
+    entries = _C2Entries(Ensemble("c2", L, B))
     read = []
     for e in entries.by_length():
         if type(e) is Family:
-            assert e.row == ("\0", e.n + 1, "0\0", 1, None) and e.n not in set(map(len, found))
+            assert e.row == ("\0", e.n + 1, "0\0", 1, None)
             outputs = map("".join, itertools.product("01", repeat=e.n))
             read += [TableEntry(r, e.n + 1, "0" + r, 1, None) for r in outputs]
         else:
             read.append(e)
     assert read == list(entries.values()) and len(read) == len(entries)
+    if B == 0 and L >= 17:
+        assert read == [("", 17, "1" + to_bits(parse("()")), 1, None)]
 
 
-def test_c2_store_holds_no_leading_0_record(monkeypatch):
-    # the leading-0 family is never stored: it is folded in closed form and
-    # listed only on request, into a list the caller owns
+@pytest.mark.parametrize("B", [0, 1, 10**4])
+def test_no_c2_table_command_sweeps(monkeypatch, sweeps, B):
+    # sweep, elegant and complexity answer c2 from its closed form at every L
+    # the cap allows: no sweep runs and the store holds no c2 key
     from omegalab import complexity
+    from omegalab.cli import main
 
-    monkeypatch.setattr(complexity, "_store", {})
-    ens = Ensemble("c2", 17, 10**4)
-    assert complexity.explicit_records(ens) == [
-        complexity.HaltRecord("1" + to_bits(parse("()")), "", None, 0, 17)]
-    before = build_table.__wrapped__(ens)
-    listed = enumerate_halting(ens)
-    assert len(listed) == 2**17
-    listed.clear()
-    assert build_table.__wrapped__(ens) == before
+    build_table.cache_clear()
+    monkeypatch.setattr("omegalab.reports.emit_json", lambda report: "")  # c2's JSON is 826 MB at L 22
+    for L in range(complexity.C2_RAW_CAP + 1):
+        for argv in (["sweep"], ["elegant"], ["complexity", "--target", "01"]):
+            assert main([*argv, "--machine", "c2", "--L", str(L), "--B", str(B)]) == 0
+    assert sweeps == [] and not any(machine == "c2" for machine, _ in complexity._store)
 
 
 def test_complexity_upper_c2_examples():
@@ -692,15 +700,13 @@ def test_the_build_equals_the_listing_sweep_where_the_admission_cuts(machine, L,
 
 @pytest.mark.parametrize("B", [0, 1, 10**4])
 def test_the_c2_closed_form_equals_the_listing(B):
-    # the one leading-1 record, 1 and then (), stated in closed form, against
-    # every evaluable list run by run_c2, at every L the cap allows: a raised
+    # the closed-form table against every evaluable list run by run_c2 and
+    # folded with the leading-0 programs, at every L the cap allows: a raised
     # cap reaches lists the closed form does not cover
     from omegalab import complexity
 
     for L in range(complexity.C2_RAW_CAP + 1):
-        got = complexity._sweep("c2", L, B, 6)
-        assert sorted(got) == sorted(listing.sweep("c2", L, B, 6)), (L, B)
-        assert len(got) == (L >= 17), (L, B)
+        assert listing.build_equals_listing("c2", L, B, 6) == (L >= 17, True), (L, B)
 
 
 @pytest.mark.parametrize("alphabet, chars", [("crs", 16), ("chtr", 16), ("lycer", 16), ("cqr0", 13), ("ceirs", 13),

@@ -1,6 +1,5 @@
 """cli.main reads a plain argv straight from COMMANDS, which must give what
-argparse gives, and builds only the invoked command's sub-parser for any other
-argv; that build must parse and print exactly like the build of every command.
+argparse gives, and builds the parser of every command for any other argv.
 Either reader's result is completed by the one cli._completed."""
 
 import argparse
@@ -85,21 +84,8 @@ def test_readme_tour_runs_as_its_comments_say(capsys, line):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("name", COMMANDS)
-def test_one_command_build_prints_like_the_full_build(name):
-    one, full = build_parser(name), build_parser()
-    assert list(_commands(one)) == [name]
-    assert _sub(one, name).format_help() == _sub(full, name).format_help()
-    assert one.format_usage() == full.format_usage() == USAGE
-
-
-@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
-def test_one_command_build_parses_like_the_full_build(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
-
-
 def test_argparse_gives_only_what_the_command_line_gives():
-    assert vars(build_parser("omega").parse_args(["omega", "lower", "--L", "16", "--js"])) == {
+    assert vars(build_parser().parse_args(["omega", "lower", "--L", "16", "--js"])) == {
         "command": "omega", "action": "lower", "L": 16, "json": True}
 
 
@@ -117,7 +103,7 @@ def test_plain_argv_reads_like_argparse(argv):
     if argv in ABBREVIATED:
         assert plain is None
     else:
-        parsed = vars(build_parser(argv[0]).parse_args(argv))
+        parsed = vars(build_parser().parse_args(argv))
         assert plain == parsed and _completed(plain) == _completed(parsed)
 
 
@@ -189,7 +175,7 @@ def test_plain_path_is_none_or_argparse(argv):
     plain = cli._plain_args(argv)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            parsed = build_parser(argv[0]).parse_args(argv)
+            parsed = build_parser().parse_args(argv)
     except SystemExit:
         assert plain is None
     else:
@@ -205,13 +191,12 @@ def test_plain_path_is_none_or_argparse(argv):
     ["omega", "lower", "--L", "16", "--csv"],
     ["run", "--ma", "sd", "--prefix", "(r)", "--p", "1"],  # --p is ambiguous
 ])
-def test_one_command_build_refuses_like_the_full_build(capsys, argv):
-    seen = []
-    for parser in (build_parser(argv[0]), build_parser()):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        seen.append((exc.value.code, capsys.readouterr()))
-    assert seen[0] == seen[1] and seen[0][0] == 1
+def test_argparse_refuses_with_usage_and_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith("usage: omegalab ") and err.endswith(" (try --help)\n") and "error: " in err
 
 
 def test_main_builds_a_fresh_sub_parser_only_off_the_plain_path(capsys, monkeypatch, tmp_path):
@@ -227,10 +212,10 @@ def test_main_builds_a_fresh_sub_parser_only_off_the_plain_path(capsys, monkeypa
     for argv in (["bits", "kraft", "--se", "0,10"], ["bits", "kraft", "--set", "0", "--config", str(conf)]):
         for _ in range(2):
             assert main(argv) == 0
-    assert built == ["bits"] * 4
+    assert built == list(COMMANDS) * 4
     with pytest.raises(SystemExit):
         main(["--version"])
-    assert built[4:] == list(COMMANDS)
+    assert built == list(COMMANDS) * 5
 
 
 def test_config_of_one_call_leaves_the_next_unchanged(tmp_path, capsys):

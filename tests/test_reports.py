@@ -17,6 +17,7 @@ from omegalab.bits import Dyadic
 from omegalab.cli import main
 from omegalab.complexity import STRUCTURAL, Ensemble, HaltRecord, TableEntry, build_table
 from omegalab.machines import Program
+from omegalab.sexpr import to_bits
 from omegalab.vm import HALTED, RunOutcome
 from omegalab.reports import Family, Rows, emit_json, table_report, table_rows
 
@@ -297,12 +298,15 @@ def test_family_whose_text_holds_its_mark_prints_as_its_rows(columns, family):
     assert reports.emit_csv(Rows(columns, [family])) == buf.getvalue()
 
 
-def test_c2_table_rows_hold_a_family_per_rule_length():
-    # 2^20 - 1 rows, at most L + 2 values: none made for each leading-0 output
-    values = list(table_rows(build_table(Ensemble("c2", 20, 1))).values)
-    assert len(values) <= 20 + 2
-    assert [v.n for v in values if type(v) is Family] == list(range(1, 20))
-    assert values[0] == ("", "bits", 1, "0", 1, "")
+@pytest.mark.parametrize("B", [0, 1])
+def test_c2_table_rows_hold_a_family_per_rule_length(B):
+    # 2^20 - 1 rows, one Family per length, none made for each leading-0
+    # output; where no 0r halts, the leading-1 program's row alone
+    values = list(table_rows(build_table(Ensemble("c2", 20, B))).values)
+    if B:
+        assert values == [Family(n, ("\0", "bits", n + 1, "0\0", 1, "")) for n in range(20)]
+    else:
+        assert values == [("", "bits", 17, "1" + to_bits(()), 1, "")]
 
 
 @pytest.mark.parametrize("change", [
