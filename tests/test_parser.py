@@ -84,6 +84,62 @@ def test_readme_tour_runs_as_its_comments_say(capsys, line):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_command_prints_its_own_help(capsys, name):
+    _, takes_csv, flags = COMMANDS[name]
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == "" and out == _sub(build_parser(), name).format_help()
+    assert out.startswith(f"usage: omegalab {name} ")
+    for flag in ["--json", "--config"] + ["--csv"] * takes_csv:
+        assert flag in out
+    assert ("--csv" in out) == takes_csv
+    for flag, kw in flags:
+        assert (flag if flag.startswith("-") else "{" + ",".join(kw["choices"]) + "}") in out
+
+
+class _Dispatched(Exception):
+    pass
+
+
+def _spelled_in_full(argv):
+    """argv with each abbreviated flag replaced by the one flag it starts."""
+    _, takes_csv, flags = COMMANDS[argv[0]]
+    names = [flag for flag, _ in flags if flag.startswith("-")] + ["--json", "--config"]
+    names += ["--csv"] * takes_csv
+    full = []
+    for token in argv:
+        if token.startswith("--") and token not in names:
+            (token,) = [name for name in names if name.startswith(token)]
+        full.append(token)
+    return full
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_main_hands_the_command_what_the_full_spelling_gives_on_the_plain_path(capsys, monkeypatch, argv):
+    def dispatch(args):
+        handed.append(vars(args))
+        raise _Dispatched
+
+    def read(argv):
+        handed.clear()
+        try:
+            code = main(argv)
+        except _Dispatched:
+            code = None
+        return code, list(handed), capsys.readouterr()
+
+    handed = []
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+    full = _spelled_in_full(argv)
+    assert (full == argv) == (argv not in ABBREVIATED) and cli._plain_args(full) is not None
+    plain = read(full)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert read(argv) == plain
+    assert plain[0] is None or plain[0] == 2 and plain[1] == [] and plain[2].err.startswith("omegalab: ")
+
+
 def test_argparse_gives_only_what_the_command_line_gives():
     assert vars(build_parser().parse_args(["omega", "lower", "--L", "16", "--js"])) == {
         "command": "omega", "action": "lower", "L": 16, "json": True}
