@@ -510,7 +510,8 @@ class Ensemble(NamedTuple("Ensemble", [("machine", str), ("L", int), ("B", objec
         if L < 0 or c_cap < 0:
             raise ValueError(f"sweep needs L, c_cap >= 0, got L={L}, c_cap={c_cap}")
         if machine == "c2" and L > C2_RAW_CAP:
-            raise ValueError(f"c2 raw sweep capped at {C2_RAW_CAP} bits (desk scale), got L={L}")
+            raise ValueError(f"c2 is capped at L={C2_RAW_CAP}, which bounds a report's size "
+                             f"(826 MB of JSON at L 22), got L={L}")
         return tuple.__new__(cls, (machine, L, B, c_cap))
 
 

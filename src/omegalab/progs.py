@@ -28,14 +28,20 @@ programs, so those programs have to exist as real expressions:
                   theorem enumerator whose claim the Berry driver can cash in.
 
 All of these contain a guest-level meta-interpreter for the total fragment:
-a parser that decodes 8-bit characters off a bit source until parenthesis
-balance closes, and an evaluator over the parsed tree.  Guest values
-represent expression nodes as themselves: an atom node is its 8-bit code as
-a list of bit atoms, a list node is a list of nodes, so quoting is the
-identity and structural equality is the host's single-step e.  Bit sources
-are closures state -> (bit, state'), which lets one interpreter read from
-the payload channel, the aux channel, or an in-memory bit list.  A test
-against () is a bare i, which takes () as false and any other value as true.
+a parser that reads 8-bit characters until parenthesis balance closes, and
+an evaluator over the parsed tree.  Guest values represent expression nodes
+as themselves: an atom node is its 8-bit code as a list of bit atoms, a list
+node is a list of nodes, so quoting is the identity and structural equality
+is the host's single-step e.  The evaluator reads through bit sources,
+closures state -> (bit, state'), and the parser through code readers,
+closures state -> (8-bit code, state') that take a whole character per call;
+each channel (the payload, the aux channel, an in-memory bit list) has one
+of each, and a code reader returns what eight reads of its channel's bit
+source return.  The pair composer's recording pair (a code reader and a bit
+source on the payload) keeps the bits read so far as a difference list, a
+closure mapping x to (those bits) ++ x, started from (l x x); each read
+extends it at the end, so x* in reading order is (state ()).  A test against
+() is a bare i, which takes () as false and any other value as true.
 
 Guest errors fault: where the guest cannot go on it evaluates FAULT, a bare
 atom nothing binds, or a host primitive faults on what it is given, so the
@@ -162,48 +168,61 @@ FAULT: SExpr = "a"
 SRC_PAYLOAD: SExpr = lam("z", pair2(RD, "z"))
 SRC_AUX: SExpr = lam("z", pair2(SRD, "z"))
 SRC_LIST: SExpr = lam("z", pair2(hd("z"), tl("z")))
-# recording payload source: state is the reversed list of bits read so far
-SRC_PAYLOAD_REC: SExpr = lam("z", ap(lam("b", pair2("b", cons("b", "z"))), RD))
+# recording payload source: the state is a difference list, a closure mapping
+# x to (the bits read so far) ++ x
+SRC_PAYLOAD_REC: SExpr = lam("z", let([("b", RD)], pair2("b", lam("x", ap("z", cons("b", "x"))))))
 # aux source that faults if ever used (programs with no aux granted)
 SRC_NONE: SExpr = lam("z", FAULT)
+# the recording sources' start state: nothing read, (l x x)
+REC_START: SExpr = lam("x", "x")
+
+
+def _consed(items, onto: SExpr = NIL) -> SExpr:
+    """(c i1 (c i2 ... (c ik onto))): the items' values, in order, before onto's."""
+    for item in reversed(items):
+        onto = cons(item, onto)
+    return onto
+
+
+# -- code readers (closures state -> (8-bit code state')) -------------------
+# Each returns what eight reads of its channel's bit source return: the list
+# of the eight bits and the state after them.
+
+CODE_PAYLOAD: SExpr = lam("z", pair2(_consed([RD] * 8), "z"))
+CODE_AUX: SExpr = lam("z", pair2(_consed([SRD] * 8), "z"))
+# list: seven (t ...) lets walk the states z b ... n, and eight h take the bits
+_STATES = "zbdgjkmn"
+CODE_LIST: SExpr = lam("z", let([(v, tl(prev)) for prev, v in zip(_STATES, _STATES[1:])],
+                                pair2(_consed([hd(v) for v in _STATES]), tl("n"))))
+# recording payload: eight (r) lets, which both the code and the record list
+_BITS = "bdgjkmno"
+CODE_PAYLOAD_REC: SExpr = lam("z", let([(v, RD) for v in _BITS],
+                                       pair2(_consed(_BITS), lam("x", ap("z", _consed(_BITS, "x"))))))
 
 
 # -- shared guest components ------------------------------------------------
 
-def _readcode() -> SExpr:
-    """w = lambda src state: ((8-bit code list) state')."""
-    vs = ["b", "d", "g", "j", "k", "m", "n", "o"]
-    binds = [(vs[0], ap("f", "z"))]
-    for prev, cur in zip(vs, vs[1:]):
-        binds.append((cur, ap("f", hd(tl(prev)))))
-    code = NIL
-    for v in reversed(vs):
-        code = cons(hd(v), code)
-    return lam2("f", "z", let(binds, keep_state(code, vs[-1])))
-
-
 def _parseitems() -> SExpr:
-    """p = items parser: reads codes until ')' closes this level; '(' recurses.
-
-    Returns (node-list, state'); uses w (readcode) from the enclosing scope.
-    """
+    """p = lambda f: items parser over the code reader f: reads codes until
+    ')' closes this level; '(' recurses.  Maps a state to (node-list state')."""
     # b = (item state): an atom node is v itself, '(' parses a sublist
     after_code = iff(
         eq("n", code_node(")")),
         keep_state(NIL, "v"),
         let(
-            [("b", iff(eq("n", code_node("(")), ap2("k", "f", hd(tl("v"))), "v")),
-             ("d", ap2("k", "f", hd(tl("b"))))],
+            [("b", iff(eq("n", code_node("(")), ap("k", hd(tl("v"))), "v")),
+             ("d", ap("k", hd(tl("b"))))],
             keep_state(cons(hd("b"), hd("d")), "d"),
         ),
     )
-    body = let([("v", ap2("w", "f", "z")), ("n", hd("v"))], after_code)
-    return fix(lam("k", lam2("f", "z", body)))
+    body = let([("v", ap("f", "z")), ("n", hd("v"))], after_code)
+    return lam("f", fix(lam("k", lam("z", body))))
 
 
 def _parseexpr() -> SExpr:
-    """v = whole-expression parser: skips the first code, '(' in every program."""
-    return lam2("f", "z", ap2("p", "f", hd(tl(ap2("w", "f", "z")))))
+    """v = whole-expression parser over the code reader f: skips the first
+    code, '(' in every program."""
+    return lam2("f", "z", ap2("p", "f", hd(tl(ap("f", "z")))))
 
 
 def _meval() -> SExpr:
@@ -329,12 +348,6 @@ def _gt() -> SExpr:
     return fix(lam("k", lam2("x", "n", body)))
 
 
-def _reverse() -> SExpr:
-    """o = lambda list acc: reversed list prepended onto acc."""
-    body = iff("x", ap2("k", tl("x"), cons(hd("x"), "n")), "n")
-    return fix(lam("k", lam2("x", "n", body)))
-
-
 def nat_le_bits(n: int) -> str:
     """Little-endian binary numeral, normalized (no trailing zero); 0 is empty."""
     return format(n, "b")[::-1] if n else ""
@@ -366,10 +379,9 @@ def _scan_binds(threshold: int) -> list:
 
 
 def _interpreter() -> list:
-    """The bindings w p v m u: the guest parser and evaluator every assembled
+    """The bindings p v m u: the guest parser and evaluator every assembled
     program starts with."""
-    return [("w", _readcode()), ("p", _parseitems()), ("v", _parseexpr()), ("m", _meval()),
-            ("u", _toplain())]
+    return [("p", _parseitems()), ("v", _parseexpr()), ("m", _meval()), ("u", _toplain())]
 
 
 # -- assembled programs -----------------------------------------------------
@@ -380,35 +392,37 @@ def pair_composer() -> SExpr:
 
     P1's bits, recorded while reading them, feed P2's aux reads, so the
     composed payload realizes x* ++ p_{y|x*}; a P2 reading no aux ignores them.
+    The record is a difference list, so x* in reading order is (state ()).
     """
     binds = _interpreter() + [
         ("b", _wrap_bits()),
-        ("o", _reverse()),
-        ("f", SRC_PAYLOAD_REC),
-        ("d", ap2("v", "f", NIL)),  # (ast1 state1)
-        ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),  # (val1 st)
-        ("n", ap2("o", hd(hd(tl("g"))), NIL)),  # x* bits, reading order restored
-        ("j", SRC_PAYLOAD),
-        ("k", ap2("v", "j", NIL)),
-        ("x", ap2(ap2("m", "j", SRC_LIST), hd("k"), pair2(hd(tl("k")), "n"))),
+        ("d", ap2("v", CODE_PAYLOAD_REC, REC_START)),  # (ast1 state1)
+        ("g", ap2(ap2("m", SRC_PAYLOAD_REC, SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),  # (val1 st)
+        ("k", ap2("v", CODE_PAYLOAD, NIL)),
+        ("x", ap2(ap2("m", SRC_PAYLOAD, SRC_LIST), hd("k"),
+                  pair2(hd(tl("k")), ap(hd(hd(tl("g"))), NIL)))),  # aux state: x* bits
     ]
     return let(binds, pair2(ap("b", hd("g")), ap("b", hd("x"))))
+
+
+def _replay_binds() -> list:
+    """replay_prefix's bindings: the interpreter, then g = (value state) of
+    the program read off the aux channel."""
+    return _interpreter() + [
+        ("d", ap2("v", CODE_AUX, NIL)),
+        ("g", ap2(ap2("m", SRC_AUX, SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),
+    ]
 
 
 @lru_cache(maxsize=None)
 def replay_prefix() -> SExpr:
     """Fixed prefix that runs the program handed to it on the aux channel."""
-    binds = _interpreter() + [
-        ("f", SRC_AUX),
-        ("d", ap2("v", "f", NIL)),
-        ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),
-    ]
-    return let(binds, ap("u", hd("g")))
+    return let(_replay_binds(), ap("u", hd("g")))
 
 
 # len(replay_bits()), pinned so that a caller can tell whether an L can hold
 # the replay prefix without building it (test_frozen_guest_constants checks it)
-REPLAY_SIZE_BITS = 9632
+REPLAY_SIZE_BITS = 8368
 
 
 @lru_cache(maxsize=None)
@@ -430,9 +444,8 @@ def berry_driver(enum_prefix: SExpr, threshold: int) -> SExpr:
     binds = _interpreter() + _scan_binds(threshold) + [
         ("n", enum_prefix),  # runs here; value must be the theorem list
         ("o", ap("k", "n")),  # bits of the first too-large claimed-elegant Q
-        ("j", SRC_LIST),
-        ("b", ap2("v", "j", "o")),  # (ast rest-of-bits) -- rest is Q's payload
-        ("z", ap2(ap2("m", "j", SRC_NONE), hd("b"), pair2(hd(tl("b")), NIL))),
+        ("b", ap2("v", CODE_LIST, "o")),  # (ast rest-of-bits) -- rest is Q's payload
+        ("z", ap2(ap2("m", SRC_LIST, SRC_NONE), hd("b"), pair2(hd(tl("b")), NIL))),
     ]
     return let(binds, ap("u", hd("z")))
 
@@ -451,7 +464,7 @@ def padded_quote_enumerator(pad: int) -> SExpr:
         lam("k", lam2("x", "n", iff(eq("x", NIL), "n", cons(hd("x"), ap2("k", tl("x"), "n")))))
     )
     zero_code = CHAR_BITS["0"]
-    rep_body = iff(eq("x", NIL), "n", ap2("k", ap("d", "x"), _prepend_const(zero_code, "n")))
+    rep_body = iff(eq("x", NIL), "n", ap2("k", ap("d", "x"), _consed([q(b) for b in zero_code], "n")))
     rep = fix(lam("k", lam2("x", "n", rep_body)))
     binds = [
         ("d", _dec()),
@@ -462,13 +475,6 @@ def padded_quote_enumerator(pad: int) -> SExpr:
     ]
     theorem = cons(q("e"), "o")
     return let(binds, cons(theorem, NIL))
-
-
-def _prepend_const(bits: BitString, onto: SExpr) -> SExpr:
-    out = onto
-    for b in reversed(bits):
-        out = cons(q(b), out)
-    return out
 
 
 def _str_bits(chars: str) -> BitString:

@@ -633,7 +633,7 @@ def test_fgh_stdout_is_frozen_across_the_closed_form(capsys, argv, digest):
     (["omega", "lower", "--machine", "sd", "--L", "87", "--c-cap", "10", "--B", "10000"], 0,
      "10a5c32948d0710e6b64d2c6640fca1bd4eccabc1aca338c9e30cb4e9aa79c91"),
     (["fas", "ceiling", "--fas", "unsound", "--budget", "10000000"], 3,
-     "809ebcf4534974d0ab07530ecf965a885f5e7ec6c6c73682f3e20fc200225e05"),
+     "9900d3053597989261a611dc15805339a56c0c9af181898f4f76006fd1d0a7ed"),
 ], ids=["omega-exact", "omega-lower-sd", "fas-ceiling-unsound"])
 def test_frontier_stdout_is_frozen(capsys, argv, code, digest):
     # frozen while the evaluator still copied a guest list on every tail and cons

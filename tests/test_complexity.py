@@ -112,6 +112,20 @@ def test_no_c2_table_command_sweeps(monkeypatch, sweeps, B):
     assert sweeps == [] and not any(machine == "c2" for machine, _ in complexity._store)
 
 
+def test_the_c2_cap_names_the_report_size_it_bounds(capsys):
+    # c2 is never swept, so the refusal past the cap speaks of the report
+    from omegalab import complexity
+    from omegalab.cli import main
+
+    Ensemble("c2", complexity.C2_RAW_CAP, 10**4)
+    want = "c2 is capped at L=22, which bounds a report's size (826 MB of JSON at L 22), got L=23"
+    with pytest.raises(ValueError) as exc:
+        Ensemble("c2", 23, 10**4)
+    assert str(exc.value) == want
+    assert main(["sweep", "--machine", "c2", "--L", "23"]) == 2
+    assert capsys.readouterr() == ("", f"omegalab: {want}\n")
+
+
 def test_complexity_upper_c2_examples():
     res = complexity_upper(Ensemble("c2", 4, 10), "101")
     assert (res.h_upper, res.witness, res.exact) == (4, "0101", True)
@@ -834,7 +848,7 @@ def test_a_constructed_witness_runs_only_when_it_would_be_the_bound(monkeypatch)
 def test_a_constructed_witness_whose_run_fails_is_skipped(monkeypatch):
     # the sweep misses 0110 given its quote witness; the plain program (the
     # quote) is the least candidate, and when its run fails the replay of the
-    # aux program, 9632 bits, is the bound
+    # aux program, 8,368 bits, is the bound
     x, quote = "0110", ("q", tuple("0110"))
     x_star = progs.quote_program(x).bits
     ens = Ensemble("sd", len(progs.replay_bits()), 10**4, c_cap=3)

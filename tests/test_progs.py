@@ -4,7 +4,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from omegalab import progs
-from omegalab.complexity import STRUCTURAL, Ensemble, enumerate_halting
+from omegalab.complexity import (
+    STRUCTURAL,
+    Ensemble,
+    complexity_upper,
+    enumerate_halting,
+    relative_complexity,
+)
 from omegalab.incompleteness import build_berry_program, bundled_sound_fas, bundled_unsound_fas
 from omegalab.machines import (
     Program,
@@ -19,9 +25,8 @@ from omegalab.progs import (
     LOOP,
     NIL,
     SRC_AUX,
-    SRC_NONE,
     ap,
-    ap2,
+    cons,
     hd,
     lam,
     let,
@@ -81,6 +86,56 @@ def test_aux_composer_feeds_first_program_bits():
     p2 = to_bits(parse("(c(s)(c(s)(q())))"))
     composed = Program(comp, w1 + p2)
     assert verify_pair("sd", composed, "0", w1[:2])
+
+
+def _reads(readers, state):
+    """Bindings b d g ... of (value state) from each reader in turn, each
+    read from the state the one before left, and the state after the last."""
+    binds = []
+    for v, reader in zip("bdgjkmno", readers):
+        binds.append((v, ap(reader, state)))
+        state = hd(tl(v))
+    return binds, state
+
+
+@pytest.mark.parametrize("bits", ["00101000", "0110100111", "1111111101"])
+def test_code_readers_equal_eight_bit_source_reads(bits):
+    # each channel's code reader returns the code and the next state that
+    # eight reads of its bit source return, and reads the same bits
+    for reader, src, state, channel in [
+        (progs.CODE_PAYLOAD, progs.SRC_PAYLOAD, NIL, {"payload": bits}),
+        (progs.CODE_AUX, SRC_AUX, NIL, {"aux": bits}),
+        (progs.CODE_LIST, progs.SRC_LIST, progs.qbits(bits), {}),
+    ]:
+        binds, after = _reads([src] * 8, state)
+        code = eval_expr(ap(reader, state), 10**4, **channel)
+        reads = eval_expr(let(binds, pair2(progs._consed([hd(v) for v, _ in binds]), after)), 10**4, **channel)
+        assert code.halted and code.value[0] == tuple(bits[:8]), reader
+        assert (code.value, code.payload_consumed, code.aux_consumed) == (
+            reads.value, reads.payload_consumed, reads.aux_consumed), reader
+
+
+def test_the_recording_readers_list_every_bit_read_in_order():
+    # a code, three bits as m reads them through (r), and a second code: the
+    # final state applied to () lists all 19 bits in reading order
+    payload = "0010100001110010111"
+    code, bit = progs.CODE_PAYLOAD_REC, progs.SRC_PAYLOAD_REC
+    binds, after = _reads([code, bit, bit, bit, code], progs.REC_START)
+    out = eval_expr(let(binds, progs._consed([hd(v) for v, _ in binds], cons(ap(after, NIL), NIL))), 10**4,
+                    payload=payload)
+    assert out.halted and out.payload_consumed == 19
+    assert out.value == (tuple(payload[:8]), *payload[8:11], tuple(payload[11:]), tuple(payload))
+
+
+def test_composer_steps_on_a_chain_pair():
+    # the composed program of the pair 00:1 from the chain rule's witnesses,
+    # a step guard as for the Berry run; deterministic: 749
+    ens = Ensemble("sd", 96, 10000, 5)
+    hx = complexity_upper(ens, "00", include_constructed=True)
+    hyx = relative_complexity(ens, "1", hx.witness)
+    out = run_sd(Program(pair_composer(), hx.witness + hyx.witness), GUEST_BUDGET)
+    assert pair_output_of(out) == ("00", "1")
+    assert out.steps <= 1_000
 
 
 def test_replay_reproduces_aux_program():
@@ -143,12 +198,8 @@ def test_lam_rejects_bad_parameters():
             lam(p, NIL)
 
 
-# replay_prefix's bindings, returning the guest's node value instead of u's bits
-GUEST_VALUE = let(progs._interpreter() + [
-    ("f", SRC_AUX),
-    ("d", ap2("v", "f", NIL)),
-    ("g", ap2(ap2("m", "f", SRC_NONE), hd("d"), pair2(hd(tl("d")), NIL))),
-], hd("g"))
+# replay_prefix's own bindings, returning the guest's node value instead of u's bits
+GUEST_VALUE = let(progs._replay_binds(), hd("g"))
 
 
 def _as_node(value):
@@ -221,12 +272,12 @@ def test_guest_errors_fault_fast():
 
 # sizes in bits of the guest programs that carry the paper's constants:
 # K (the aux pair composer) and the sound and unsound Berry thresholds T
-FROZEN_GUEST_CONSTANTS = {"K": 11376, "T_sound": 14744, "T_unsound": 15160}
+FROZEN_GUEST_CONSTANTS = {"K": 10968, "T_sound": 14128, "T_unsound": 14544}
 
 
 def test_frozen_guest_constants():
     # the replay prefix's size, which relative_complexity reads without building it
-    assert progs.REPLAY_SIZE_BITS == len(progs.replay_bits()) == 9632
+    assert progs.REPLAY_SIZE_BITS == len(progs.replay_bits()) == 8368
     sizes = {
         "K": 8 * len(print_sexpr(pair_composer())),
         "T_sound": build_berry_program(bundled_sound_fas())[1],

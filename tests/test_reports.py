@@ -469,14 +469,14 @@ def test_c2_sweep_stdout_is_frozen(capsys, argv, size, digest):
     (["coding", "--machine", "sd", "--L", "40", "--B", "10000"],
      "b6ff28295915e393ae527354226165f05f01c05f2d635efcc9e6ffd58a787bb7"),
     (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
-     "4fcd7038318e1013e5276f859c3f4122f01357cd69abfbfb5f7108c6fd1020a6"),
+     "8290eff34f9bce632989d574ff02942860581ccacd575853d00c9e784dea4979"),
     # the benchmark's seed-1 chain command, whose 2-bit x is skipped
     (["chain", "--machine", "sd", "--pairs", ":;:1;0:;0:0;00:;00:1", "--L", "96", "--B", "10000", "--c-cap", "5"],
-     "cafa8d2f0b19c17a1801d738c1308c1b8a76aad72c1a3c18f562c518ef52ff96"),
+     "a465935849c92f2e0fd0484dd311c8fddeb62aefcef8eb9719f1b10cb1eca3dd"),
     # machine total refuses the composer, which holds l and y: composed_verified
     # is false on all four pairs
     (["chain", "--machine", "total", "--pairs", ":;:1;0:;0:0", "--L", "96", "--B", "structural", "--c-cap", "5"],
-     "7ca7612a91f1776100ebe823830464ade6838687756dd88c3726b79704c1fa92"),
+     "c06ae516ab3003c669553d549ac09c9dff9bd28ba8e6f2dd986e593e3e91f815"),
     (["elegant", "--machine", "total", "--L", "40", "--B", "structural", "--csv"],
      "29346268f02f041f656029a4ff302a0cd64c804d017b41638452cebe29d2cfe6"),
     (["sweep", "--machine", "total", "--L", "80", "--c-cap", "10", "--B", "structural"],
@@ -520,15 +520,15 @@ def test_capped_omega_stdout_is_frozen(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv, digest", [
     (["fas", "berry", "--fas", "sound"],
-     "374d6fdf51890c9b3bd09810b21a377881d92b3495d84c86709e4e00dfa20044"),
+     "ae376f3847bab8d41f0d267f2f0fb1538a390604aea3a85d47b163ba39090394"),
     (["fas", "berry", "--fas", "unsound"],
-     "cae0727f9a0ce8cf8adb85b3325ffd55feb5c6849499fb05e2d5e24e35497a5a"),
+     "48bd37da275fe7d61076d87082675158e3ed824edd84803e476b2ac6e42258fb"),
     (["fas", "ceiling", "--fas", "sound", "--budget", "1000000"],
-     "ccead998377e7587407ded1207c4c5b43636c18c5dd2cfb857bb012f4b0c97d1"),
+     "30a06f2605d6f13fdf53c37744eea354e811978c4f2acd3b3ffb8ef6a8473036"),
     (["fas", "omegabits", "--fas", "omega8", "--budget", "1000"],
      "3880a2bdfd247cb8e4cd1a69529cb6d96a2f5200d22c55f234153d396636f047"),
     (["fas", "theorems", "--fas", "unsound", "--budget", "100000"],
-     "2287ba095be7c13ee75b97cd8b8da7f0b9b285c9c9f4c5eea5126671f58c79d9"),
+     "bc4c6721218285cf624f291bdd83a4b5379fef5b40e897bf1d62abc67fa3a270"),
     (["diag", "--n", "2"],
      "76be029d7b2a857157654434efc2dee1c9a7bfdb56b599c2e466e3216785be5f"),
 ])
